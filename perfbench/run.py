@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload edge_stream --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload edge_stream --seed 1 --seconds 16 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics untraced.  The workload is
 set up ``SETUP_REPEATS`` times (``setup_s`` is the median); two of those
@@ -12,8 +12,8 @@ faster of its two runs.  Outputs are a pure function of the seed, so the
 replicas must end bit-identical (checked); the pairing filters the
 seconds-long slow-downs other tenants of a shared host cause, which would
 otherwise decide the tail percentiles.  Slow spells that last minutes hit
-both replicas; ``HostClock`` measures them and operation times are scaled
-to the reference host's speed.  The unscaled figures are printed on the
+both replicas; ``HostClock`` measures them and every reported time is
+scaled to the reference host's speed.  The unscaled figures are printed on the
 ``raw:`` line before the result.
 
 ``--trace 1`` wraps the layer boundaries of ``repro`` (see ``spans.py``)

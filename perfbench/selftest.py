@@ -67,7 +67,7 @@ def _shrunk(name: str, trace: int, seed: int = 3) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-# ------------------------------------------------------------ the contract
+# --------------------------------------------------------- BENCHMARK.json
 def test_names_units_and_tables_agree():
     bench = _benchmark()
     names = [w["name"] for w in bench["workloads"]]
