@@ -64,7 +64,6 @@ END_TO_END = {
     "op_p50_ms": "ms",
     "op_p90_ms": "ms",
     "work_per_s": "1/s",
-    "fit_s": "s",
     "accuracy": "fraction",
     "ops_ok_frac": "fraction",
     "peak_rss_mb": "MB",

@@ -318,9 +318,6 @@ class FleetIngest:
     pool_size = 12
     #: Share of deliveries duplicated; a quarter of that share is flooded.
     fault_rate = 0.05
-    #: The MLP's ``fit`` takes about 10 ms, too short for one sample to say
-    #: much; set-up fits it this many times and keeps the fastest.
-    fit_repeats = 5
 
     def __init__(self, work_dir: Path) -> None:
         self.work_dir = work_dir
@@ -333,18 +330,15 @@ class FleetIngest:
         data = datasets.make_dsa_surrogate(seed=PACKAGE_SEED, config=config)
         source_domain, target_domain = (data[name] for name in data.domain_names)
         source = _flatten(source_domain.train)
-        fits = []
-        for _ in range(self.fit_repeats):
-            model = models.build_model(
-                "MLP", (source.features.shape[1],), data.num_classes,
-                rng=np.random.default_rng(PACKAGE_SEED),
-            )
-            framework = QCoreFramework(
-                levels=(4,), qcore_size=16, train_epochs=20, calibration_epochs=5,
-                edge_calibration_epochs=4, lr=0.05, seed=PACKAGE_SEED,
-            )
-            fits.append(_timed(framework.fit, model, source)[1])
-        fit_s = min(fits)
+        model = models.build_model(
+            "MLP", (source.features.shape[1],), data.num_classes,
+            rng=np.random.default_rng(PACKAGE_SEED),
+        )
+        framework = QCoreFramework(
+            levels=(4,), qcore_size=16, train_epochs=20, calibration_epochs=5,
+            edge_calibration_epochs=4, lr=0.05, seed=PACKAGE_SEED,
+        )
+        _, fit_s = _timed(framework.fit, model, source)
         fleet = Fleet.replicate(framework.deploy(bits=4), self.devices, seed=PACKAGE_SEED)
         pristine = Fleet({device_id: dep.clone() for device_id, dep in fleet.items()})
 
