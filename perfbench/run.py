@@ -121,9 +121,9 @@ class HostClock:
         rng = np.random.default_rng(0)
         # A GEMM, a memory stream, small array calls and bytecode: the mix
         # the workloads spend their time in.
-        self.matrix = rng.standard_normal((192, 192)).astype(np.float32)
-        self.vector = rng.standard_normal(1 << 17).astype(np.float32)
-        self.small = rng.standard_normal(64).astype(np.float32)
+        self.matrix = rng.standard_normal((192, 192)).astype(np.float32)  # repro-lint: disable=dtype-discipline -- the kernel must not follow the repository's dtype
+        self.vector = rng.standard_normal(1 << 17).astype(np.float32)  # repro-lint: disable=dtype-discipline -- the kernel must not follow the repository's dtype
+        self.small = rng.standard_normal(64).astype(np.float32)  # repro-lint: disable=dtype-discipline -- the kernel must not follow the repository's dtype
         self.items = list(range(5000))
         self.samples: List[float] = []
 
