@@ -23,12 +23,9 @@ for.  This package exploits it:
 * :class:`FleetService` (+ :class:`DeviceStateStore`, :class:`RetryPolicy`,
   :class:`FaultPlan`) — the durable service tier: crash-safe rounds with
   per-device resume, retry/backoff/timeout, quarantine, and deterministic
-  fault injection.  See :mod:`repro.fleet.service`.
-* :class:`StoreDaemon` / :class:`StoreClient` — the single-writer store tier:
-  one daemon process owns the :class:`DeviceStateStore`, many submitters talk
-  to it over a length-prefixed Unix-socket protocol, and every mutation is
-  journalled (fsync) before it is applied, so a writer crash replays to a
-  consistent store.  See :mod:`repro.fleet.daemon`.
+  fault injection.  Several submitter processes may each open the same
+  store file; SQLite WAL serialises their writes.  See
+  :mod:`repro.fleet.service`.
 
 The self-paced ingestion front end (bounded queue, backpressure, heartbeat
 leases, chaos harness) layers *above* this package — import it from
@@ -55,8 +52,6 @@ from repro.fleet.service import (
     RoundStatus,
     dataset_digest,
 )
-from repro.fleet.daemon import StoreClient, StoreDaemon, spawn_store_daemon
-from repro.fleet.protocol import ProtocolError
 from repro.fleet.sharded import run_fleet_stream
 from repro.fleet.store import (
     DeviceRoundRecord,
@@ -76,13 +71,10 @@ __all__ = [
     "FleetCalibrator",
     "FleetService",
     "InjectedCrash",
-    "ProtocolError",
     "RetryPolicy",
     "RoundOutcome",
     "RoundRecord",
     "RoundStatus",
-    "StoreClient",
-    "StoreDaemon",
     "StoreError",
     "TransientFault",
     "assign_scenarios",
@@ -91,5 +83,4 @@ __all__ = [
     "dataset_digest",
     "fleet_scenario_stream",
     "run_fleet_stream",
-    "spawn_store_daemon",
 ]

@@ -28,10 +28,9 @@ Fault classes (mirroring the service's failure model):
     write retry (:meth:`repro.fleet.store.DeviceStateStore._execute`).
 
 Gateway-level fault classes (consumed via :meth:`FaultPlan.gateway_event` by
-the ingestion layer in :mod:`repro.fleet.gateway` and the single-writer store
-daemon in :mod:`repro.fleet.daemon` — these describe *delivery* failures, not
-execution failures, so the plan only reports whether they fire; the gateway
-and chaos harness implement the behaviour):
+the ingestion layer in :mod:`repro.fleet.gateway` — these describe *delivery*
+failures, not execution failures, so the plan only reports whether they
+fire; the gateway and chaos harness implement the behaviour):
 
 ``stall``
     A device goes quiet: its report is never delivered and its heartbeats
@@ -45,9 +44,6 @@ and chaos harness implement the behaviour):
 ``flood``
     One report is re-delivered ``copies`` times in a burst (a retry storm).
     Recovery: dedupe plus bounded-queue backpressure (defer / shed).
-``writer_crash``
-    The store-writer daemon dies (``os._exit``) after journaling a command
-    but before applying it.  Recovery: journal replay on daemon restart.
 ``lease_expiry``
     A device's lease is force-expired between batch collection and execution
     — the narrow race the two-phase gateway tick would otherwise only hit
@@ -88,7 +84,6 @@ FAULT_KINDS = (
     "duplicate",
     "reorder",
     "flood",
-    "writer_crash",
     "lease_expiry",
 )
 
@@ -98,7 +93,6 @@ GATEWAY_FAULT_KINDS = (
     "duplicate",
     "reorder",
     "flood",
-    "writer_crash",
     "lease_expiry",
 )
 
@@ -133,8 +127,8 @@ class FaultSpec:
         Sleep seconds for ``slow`` faults; for ``stall``, how long the device
         stays quiet (the chaos harness interprets it).
     hard:
-        For ``crash``/``writer_crash``: ``True`` = ``os._exit`` (real process
-        death), ``False`` = raise :class:`InjectedCrash`.
+        For ``crash``: ``True`` = ``os._exit`` (real process death),
+        ``False`` = raise :class:`InjectedCrash`.
     copies:
         For ``duplicate``/``flood``: how many extra deliveries of the report
         the transport produces (``duplicate`` defaults to 1 extra copy, a
@@ -244,8 +238,6 @@ class FaultPlan:
         delivery fault is behaviour of the transport or scheduler, so the
         gateway / chaos harness asks whether the fault fires and implements
         the consequence (drop, re-deliver, swap, force-expire) itself.
-        ``writer_crash`` is the one exception: when a ``hard`` spec fires the
-        store daemon exits immediately, mirroring ``crash``.
         """
         if kind not in GATEWAY_FAULT_KINDS:
             raise ValueError(

@@ -248,9 +248,8 @@ class FleetService:
         state in place on success (exactly like the raw calibrator would).
     store:
         Durable state store; defaults to an in-memory store (API-complete but
-        not crash-safe — pass a file-backed store for durability, or a
-        :class:`~repro.fleet.daemon.StoreClient` to share one writer daemon
-        across many submitter processes).
+        not crash-safe — pass a file-backed store for durability).  Several
+        submitter processes may each open their own store on the same file.
     retry_policy:
         Retry/backoff/timeout knobs; defaults to :class:`RetryPolicy()`.
     calibrator:
@@ -270,7 +269,7 @@ class FleetService:
     def __init__(
         self,
         fleet: Fleet,
-        store: Optional[Any] = None,  # DeviceStateStore or daemon.StoreClient
+        store: Optional[DeviceStateStore] = None,
         retry_policy: Optional[RetryPolicy] = None,
         calibrator: Optional[FleetCalibrator] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -405,10 +404,9 @@ class FleetService:
     def resume(self, pools: Mapping[str, Dataset]) -> List[RoundOutcome]:
         """Drain every unfinished round in the store (crash-recovery entry).
 
-        A round with no device rows is a submit interrupted between
-        ``create_round`` and the first ``init_device_round`` (possible when
-        the writer daemon dies mid-submit): there is nothing to resume, so
-        it is closed out rather than drained.
+        A round with no device rows comes from a submitter that died between
+        ``create_round`` and its first ``init_device_round``: there is
+        nothing to resume, so it is closed out rather than drained.
         """
         outcomes: List[RoundOutcome] = []
         for round_id in self.store.unfinished_rounds():

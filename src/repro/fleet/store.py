@@ -20,11 +20,18 @@ Schema (see ``docs/operations.md`` for the operator view)::
                    pool_digest) that let N identical replicas share one BF
                    forward.
 
-All mutating statements run inside ``BEGIN IMMEDIATE`` transactions and are
-wrapped in a bounded retry (:meth:`DeviceStateStore._execute`) so an injected
-or real transient ``sqlite3.OperationalError`` (locked file, interrupted
-write) is retried rather than poisoning the round — the store-write fault
-class of :mod:`repro.fleet.faults` exercises exactly this path.
+Each mutating method is one commit.  Its statements run in the deferred
+transaction that :mod:`sqlite3` opens implicitly before the first write (a
+plain ``BEGIN``), and :meth:`DeviceStateStore._execute` wraps the whole
+commit in a bounded retry, so an injected or real transient
+``sqlite3.OperationalError`` (locked file, interrupted write) rolls it back
+and retries it rather than poisoning the round — the store-write fault class
+of :mod:`repro.fleet.faults` exercises exactly this path.
+
+Several processes may open one store file at once: WAL lets readers run
+beside the writer, and ``busy_timeout`` makes concurrent writers queue for
+the write lock instead of failing.  A process killed mid-commit leaves only
+an uncommitted WAL tail, which the next opener ignores.
 
 Numpy state travels as pickled blobs: pickling preserves dtype, shape and
 byte-exact contents, which the bit-identity contract requires (JSON would
@@ -33,19 +40,17 @@ round-trip floats through decimal text).
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _datetime
 import pickle
 import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 __all__ = [
     "DeviceRoundRecord",
     "DeviceStateStore",
-    "MUTATING_COMMANDS",
     "RoundRecord",
     "StoreError",
 ]
@@ -55,24 +60,13 @@ DEVICE_STATUSES = ("pending", "running", "done", "quarantined")
 #: Lifecycle of a round as a whole.
 ROUND_STATUSES = ("submitted", "running", "done")
 
-#: The store methods that mutate state.  This is the command allowlist of the
-#: single-writer daemon (:mod:`repro.fleet.daemon`): exactly these methods are
-#: journaled before application and replayed after a writer crash, and exactly
-#: these trigger a client's ``before_write`` fault hook.
-MUTATING_COMMANDS = frozenset(
-    {
-        "register_device",
-        "quarantine_device",
-        "release_device",
-        "create_round",
-        "set_round_status",
-        "init_device_round",
-        "mark_running",
-        "mark_done",
-        "mark_failed",
-        "mark_quarantined",
-        "set_meta",
-    }
+#: One mutating statement: SQL text and its bound parameters.
+_Statement = Tuple[str, Tuple[Any, ...]]
+_T = TypeVar("_T")
+
+_QUARANTINE_SQL = (
+    "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ? "
+    "WHERE device_id = ?"
 )
 
 
@@ -143,10 +137,6 @@ CREATE TABLE IF NOT EXISTS device_rounds (
 );
 CREATE INDEX IF NOT EXISTS idx_device_rounds_status
     ON device_rounds (round_id, status);
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 """
 
 
@@ -159,7 +149,7 @@ class DeviceStateStore:
         Database file path, or ``":memory:"`` for an ephemeral store (used by
         tests that only need the API, not durability).
     write_retries:
-        How many times a mutating statement is retried on
+        How many times a mutating method's commit is attempted on
         ``sqlite3.OperationalError`` before raising :class:`StoreError`.
     retry_sleep:
         Base sleep between write retries (seconds); grows linearly per
@@ -182,8 +172,11 @@ class DeviceStateStore:
         self._conn.row_factory = sqlite3.Row
         # WAL survives crashes of the writer mid-transaction; NORMAL fsync
         # cadence is the standard WAL pairing (durable across process crashes,
-        # a torn OS-level write rolls back to the last checkpoint).
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # a torn OS-level write rolls back to the last checkpoint).  Processes
+        # opening a fresh file at once race to switch it to WAL, and SQLite
+        # may answer the loser "database is locked" without waiting on the
+        # busy timeout, so the switch retries like a write.
+        self._retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL").fetchall())
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=30000")
         self._conn.execute("PRAGMA foreign_keys=ON")
@@ -193,29 +186,15 @@ class DeviceStateStore:
         #: fault-injection harness points this at a ``FaultPlan`` to make
         #: store writes fail transiently; production leaves it ``None``.
         self.before_write: Optional[Callable[[str], None]] = None
-        self._txn_depth = 0
 
     # --------------------------------------------------------------- plumbing
-    def _execute(self, sql: str, params: Tuple[Any, ...] = ()) -> sqlite3.Cursor:
-        """Run one mutating statement with bounded retry on transient errors.
-
-        Inside a :meth:`transaction` block the per-statement commit/rollback
-        and retry are suspended — the enclosing transaction owns atomicity,
-        and replaying half of a journaled command would break exactly the
-        invariant the journal exists to protect.
-        """
-        if self._txn_depth > 0:
-            if self.before_write is not None:
-                self.before_write(sql)
-            return self._conn.execute(sql, params)
+    def _retry(self, write: Callable[[], _T]) -> _T:
+        """Call ``write``; on ``sqlite3.OperationalError`` roll back, wait and
+        call it again, up to ``write_retries`` attempts in all."""
         last_error: Optional[Exception] = None
         for attempt in range(self.write_retries):
             try:
-                if self.before_write is not None:
-                    self.before_write(sql)
-                cursor = self._conn.execute(sql, params)
-                self._conn.commit()
-                return cursor
+                return write()
             except sqlite3.OperationalError as error:
                 last_error = error
                 self._conn.rollback()
@@ -224,78 +203,23 @@ class DeviceStateStore:
             f"store write failed after {self.write_retries} attempts: {last_error}"
         ) from last_error
 
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator["DeviceStateStore"]:
-        """Group several mutations into one atomic commit.
+    def _execute(self, *statements: _Statement) -> sqlite3.Cursor:
+        """Run ``(sql, params)`` statements as one commit with bounded retry.
 
-        Nested use flattens into the outermost transaction.  On any
-        exception the whole group rolls back — used by
-        :meth:`apply_journaled` so a journaled command and its sequence-stamp
-        update land together or not at all.
+        A transient ``sqlite3.OperationalError`` on any statement rolls the
+        whole commit back and retries it, so a method's statements land
+        together or not at all.  Returns the last statement's cursor.
         """
-        if self._txn_depth > 0:
-            self._txn_depth += 1
-            try:
-                yield self
-            finally:
-                self._txn_depth -= 1
-            return
-        self._txn_depth = 1
-        try:
-            yield self
-        except BaseException:
-            self._conn.rollback()
-            raise
-        else:
+
+        def commit() -> sqlite3.Cursor:
+            for sql, params in statements:
+                if self.before_write is not None:
+                    self.before_write(sql)
+                cursor = self._conn.execute(sql, params)
             self._conn.commit()
-        finally:
-            self._txn_depth = 0
+            return cursor
 
-    # ------------------------------------------------------------------- meta
-    def get_meta(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """Read one operational metadata value (e.g. the applied journal seq)."""
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return default if row is None else str(row["value"])
-
-    def set_meta(self, key: str, value: str) -> None:
-        """Upsert one operational metadata value."""
-        self._execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-            (key, str(value)),
-        )
-
-    def applied_journal_seq(self) -> int:
-        """Highest journal sequence number already applied to this store."""
-        return int(self.get_meta("journal_seq", "0") or "0")
-
-    def apply_journaled(
-        self,
-        seq: int,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[bool, Any]:
-        """Apply one journaled command atomically with its sequence stamp.
-
-        The command and the ``journal_seq`` meta update commit together, so a
-        replayed journal entry whose sequence is already recorded is skipped
-        — exactly-once application over an at-least-once journal.  Returns
-        ``(applied, result)``; ``applied`` is False for a skipped duplicate.
-        """
-        if method not in MUTATING_COMMANDS:
-            raise ValueError(
-                f"{method!r} is not a journalable store command "
-                f"(expected one of {sorted(MUTATING_COMMANDS)})"
-            )
-        if seq <= self.applied_journal_seq():
-            return False, None
-        with self.transaction():
-            result = getattr(self, method)(*args, **dict(kwargs or {}))
-            self.set_meta("journal_seq", str(seq))
-        return True, result
+        return self._retry(commit)
 
     def close(self) -> None:
         """Close the SQLite connection; idempotent (sqlite3 allows re-close)."""
@@ -310,27 +234,23 @@ class DeviceStateStore:
     # ---------------------------------------------------------------- devices
     def register_device(self, device_id: str) -> None:
         """Idempotently ensure a device row exists (keeps quarantine state)."""
-        self._execute(
+        self._execute((
             "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
             "ON CONFLICT(device_id) DO NOTHING",
             (device_id, _utcnow()),
-        )
+        ))
 
     def quarantine_device(self, device_id: str, error: str) -> None:
         """Mark a device quarantined, persisting its last traceback."""
-        self._execute(
-            "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ? "
-            "WHERE device_id = ?",
-            (error, _utcnow(), device_id),
-        )
+        self._execute((_QUARANTINE_SQL, (error, _utcnow(), device_id)))
 
     def release_device(self, device_id: str) -> None:
         """Lift a quarantine (operator action after fixing the device)."""
-        self._execute(
+        self._execute((
             "UPDATE devices SET quarantined = 0, last_error = NULL, "
             "updated_at = ? WHERE device_id = ?",
             (_utcnow(), device_id),
-        )
+        ))
 
     def quarantined_devices(self) -> Dict[str, str]:
         """Quarantined device ids mapped to their persisted last error."""
@@ -345,11 +265,11 @@ class DeviceStateStore:
         if not device_ids:
             raise ValueError("a round needs at least one device")
         now = _utcnow()
-        cursor = self._execute(
+        cursor = self._execute((
             "INSERT INTO rounds (status, num_devices, created_at, updated_at) "
             "VALUES ('submitted', ?, ?, ?)",
             (len(device_ids), now, now),
-        )
+        ))
         assert cursor.lastrowid is not None  # INSERT always assigns a rowid
         return int(cursor.lastrowid)
 
@@ -357,10 +277,10 @@ class DeviceStateStore:
         """Move a round through submitted → running → done."""
         if status not in ROUND_STATUSES:
             raise ValueError(f"unknown round status {status!r}; expected one of {ROUND_STATUSES}")
-        self._execute(
+        self._execute((
             "UPDATE rounds SET status = ?, updated_at = ? WHERE round_id = ?",
             (status, _utcnow(), round_id),
-        )
+        ))
 
     def get_round(self, round_id: int) -> RoundRecord:
         """The round's durable record; ``KeyError`` if unknown."""
@@ -400,7 +320,7 @@ class DeviceStateStore:
     ) -> None:
         """Create the pending row for one device, persisting its round-start
         snapshot — the anchor every retry and resume restores to."""
-        self._execute(
+        self._execute((
             "INSERT OR REPLACE INTO device_rounds "
             "(round_id, device_id, status, attempts, state_digest, pool_digest,"
             " snapshot, updated_at) VALUES (?, ?, 'pending', 0, ?, ?, ?, ?)",
@@ -412,22 +332,22 @@ class DeviceStateStore:
                 pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL),
                 _utcnow(),
             ),
-        )
+        ))
 
     def mark_running(self, round_id: int, device_id: str) -> None:
         """Transition to ``running`` and count the attempt.  A row found in
         ``running`` on resume is, by construction, an interrupted attempt."""
-        self._execute(
+        self._execute((
             "UPDATE device_rounds SET status = 'running', attempts = attempts + 1,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
             (_utcnow(), round_id, device_id),
-        )
+        ))
 
     def mark_done(
         self, round_id: int, device_id: str, result_state: Any, stats: Any
     ) -> None:
         """Persist the final snapshot + stats and transition to ``done``."""
-        self._execute(
+        self._execute((
             "UPDATE device_rounds SET status = 'done', result_state = ?, stats = ?,"
             " last_error = NULL, updated_at = ? WHERE round_id = ? AND device_id = ?",
             (
@@ -437,24 +357,31 @@ class DeviceStateStore:
                 round_id,
                 device_id,
             ),
-        )
+        ))
 
     def mark_failed(self, round_id: int, device_id: str, error: str) -> None:
         """Record a failed attempt (back to ``pending`` for the next try)."""
-        self._execute(
+        self._execute((
             "UPDATE device_rounds SET status = 'pending', last_error = ?,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
             (error, _utcnow(), round_id, device_id),
-        )
+        ))
 
     def mark_quarantined(self, round_id: int, device_id: str, error: str) -> None:
-        """Give up on a device for this round and quarantine it globally."""
+        """Give up on a device for this round and quarantine it globally.
+
+        Both rows change in one commit, so a round row never says
+        ``quarantined`` while the device itself stays admissible.
+        """
+        now = _utcnow()
         self._execute(
-            "UPDATE device_rounds SET status = 'quarantined', last_error = ?,"
-            " updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (error, _utcnow(), round_id, device_id),
+            (
+                "UPDATE device_rounds SET status = 'quarantined', last_error = ?,"
+                " updated_at = ? WHERE round_id = ? AND device_id = ?",
+                (error, now, round_id, device_id),
+            ),
+            (_QUARANTINE_SQL, (error, now, device_id)),
         )
-        self.quarantine_device(device_id, error)
 
     def get_device_round(self, round_id: int, device_id: str) -> DeviceRoundRecord:
         """One device's row in a round; ``KeyError`` if absent."""

@@ -4,8 +4,8 @@ Each fault family of the gateway chaos suite (stall, duplicate, reorder,
 flood, lease-expiry races) runs a golden-vs-perturbed comparison through
 :func:`repro.fleet.gateway.run_chaos` and must come back ``identical=True``:
 every device that survived the faults ends bit-identical at float64 to its
-fault-free twin.  The writer-crash fault has its own subprocess coverage in
-``tests/fleet/test_daemon.py`` and ``tools/chaos_gateway_smoke.py``.
+fault-free twin.  ``tools/crash_recovery_smoke.py`` repeats the stall over
+the store file that a killed service process left behind.
 """
 
 from __future__ import annotations

@@ -2,17 +2,69 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import multiprocessing
+import os
+import signal
 import sqlite3
+import time
 
 import numpy as np
 import pytest
 
 from repro.fleet.store import DeviceStateStore, StoreError
 
+WRITERS = 3
+ROUNDS_PER_WRITER = 30
+
 
 def _snapshot(seed=0):
     rng = np.random.default_rng(seed)
     return {"codes": rng.integers(0, 16, size=(4, 3)), "moments": rng.normal(size=5)}
+
+
+def _write_rounds(path, writer, rounds):
+    """One submitter process: ``rounds`` full device-round lifecycles
+    (``None`` = until killed), each device in its own round."""
+    with DeviceStateStore(path) as store:
+        for index in itertools.count() if rounds is None else range(rounds):
+            device_id = f"w{writer}-d{index}"
+            store.register_device(device_id)
+            round_id = store.create_round([device_id])
+            store.init_device_round(round_id, device_id, "state", "pool", _snapshot(index))
+            store.mark_running(round_id, device_id)
+            store.mark_done(round_id, device_id, _snapshot(index + 1), {"writer": writer})
+
+
+def _done_rows(path):
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT COUNT(*) FROM device_rounds WHERE status = 'done'"
+        ).fetchone()[0]
+
+
+class _LosesWalRace(sqlite3.Connection):
+    """A connection whose first WAL switch fails the way a racing opener's does."""
+
+    raced = False
+
+    def execute(self, sql, *args):
+        if sql == "PRAGMA journal_mode=WAL" and not self.raced:
+            self.raced = True
+            raise sqlite3.OperationalError("database is locked")
+        return super().execute(sql, *args)
+
+
+def _assert_consistent(path):
+    """What any store file must satisfy, however its writers ended."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
+        assert conn.execute(
+            "SELECT COUNT(*) FROM device_rounds WHERE status = 'done'"
+            " AND (result_state IS NULL OR stats IS NULL)"
+        ).fetchone()[0] == 0
 
 
 class TestLifecycle:
@@ -140,6 +192,30 @@ class TestQuarantine:
             store.register_device("d0")
             assert "d0" in store.quarantined_devices()
 
+    def test_mark_quarantined_is_one_commit(self):
+        """A failed ``devices`` update must roll back the round row too:
+        otherwise the round says quarantined while the next submit would
+        re-admit the device."""
+        with DeviceStateStore(write_retries=2, retry_sleep=0.0) as store:
+            store.register_device("d0")
+            round_id = store.create_round(["d0"])
+            store.init_device_round(round_id, "d0", "x", "y", None)
+
+            def fail_devices_update(sql):
+                if sql.startswith("UPDATE devices"):
+                    raise sqlite3.OperationalError("injected: disk I/O error")
+
+            store.before_write = fail_devices_update
+            with pytest.raises(StoreError):
+                store.mark_quarantined(round_id, "d0", "poisoned")
+            assert store.get_device_round(round_id, "d0").status == "pending"
+            assert store.quarantined_devices() == {}
+
+            store.before_write = None
+            store.mark_quarantined(round_id, "d0", "poisoned")
+            assert store.get_device_round(round_id, "d0").status == "quarantined"
+            assert store.quarantined_devices() == {"d0": "poisoned"}
+
 
 class TestWriteRetry:
     def test_transient_write_failure_is_retried(self):
@@ -170,3 +246,71 @@ class TestWriteRetry:
             with pytest.raises(StoreError, match="after 3 attempts"):
                 store.register_device("d0")
             assert calls["n"] == 3
+
+
+@pytest.mark.timeout(60)
+class TestConcurrentWriters:
+    """Submitter processes open one store file directly; SQLite WAL and
+    ``busy_timeout`` serialise their writes with no coordinating process."""
+
+    def test_spawned_writers_share_one_file(self, tmp_path):
+        path = str(tmp_path / "fleet.db")  # created by whichever writer opens first
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(target=_write_rounds, args=(path, writer, ROUNDS_PER_WRITER))
+            for writer in range(WRITERS)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=50)
+        assert [process.exitcode for process in writers] == [0] * WRITERS
+
+        with DeviceStateStore(path) as store:
+            rows = [
+                row
+                for record in store.list_rounds()
+                for row in store.device_rounds(record.round_id)
+            ]
+        assert sorted(row.device_id for row in rows) == sorted(
+            f"w{writer}-d{index}"
+            for writer in range(WRITERS)
+            for index in range(ROUNDS_PER_WRITER)
+        )
+        assert {row.status for row in rows} == {"done"}
+        _assert_consistent(path)
+
+    def test_sigkill_mid_write_leaves_consistent_store(self, tmp_path):
+        path = str(tmp_path / "fleet.db")
+        DeviceStateStore(path).close()  # the polling below needs the tables
+        victim = multiprocessing.get_context("spawn").Process(
+            target=_write_rounds, args=(path, 0, None)
+        )
+        victim.start()
+        try:
+            deadline = time.monotonic() + 30
+            while _done_rows(path) < 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+        assert victim.exitcode == -signal.SIGKILL
+
+        with DeviceStateStore(path) as store:
+            assert len(store.list_rounds()) >= 5
+            store.register_device("after-crash")  # the file still takes writes
+        _assert_consistent(path)
+
+    def test_wal_switch_retries_when_another_opener_wins(self, tmp_path, monkeypatch):
+        """Processes opening a fresh file at once race to switch it to WAL;
+        SQLite answers the loser "database is locked" at once, without the
+        busy-timeout wait, so the store must retry the switch."""
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda path: connect(path, factory=_LosesWalRace)
+        )
+        with DeviceStateStore(tmp_path / "fleet.db", retry_sleep=0.0) as store:
+            assert store._conn.raced
+            store.register_device("d0")
+        with contextlib.closing(connect(tmp_path / "fleet.db")) as conn:
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
