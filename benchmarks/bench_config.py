@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import pathlib
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.eval import QCoreMethod
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.nn.training import train_classifier
-from repro.results import ResultsStore, ResultsWriter, load_json_report
+from repro.results import ResultsStore
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -67,30 +67,6 @@ def save_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
-
-
-def load_bench_report(path: pathlib.Path) -> dict:
-    """Load a BENCH report for merging, surviving corruption gracefully.
-
-    Thin compatibility wrapper over :func:`repro.results.load_json_report`,
-    which owns the recovery semantics: a corrupted or truncated file (killed
-    bench run, merge-conflict markers, disk hiccup) is backed up alongside
-    the original as ``<name>.corrupt`` with a warning, and the load returns
-    an empty report — the backup preserves the evidence, the bench run still
-    completes.
-    """
-    return load_json_report(path)
-
-
-def make_results_writer(json_path: pathlib.Path) -> ResultsWriter:
-    """The one front door benchmarks write results through.
-
-    Returns a :class:`repro.results.ResultsWriter` recording into the
-    experiment store next to ``json_path`` (so smoke runs pointed at ``/tmp``
-    get a throwaway store) while keeping the JSON export merged exactly like
-    the old hand-rolled load/update/rewrite dance.
-    """
-    return ResultsWriter(json_path)
 
 
 def table_store() -> ResultsStore:

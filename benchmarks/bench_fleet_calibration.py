@@ -48,6 +48,7 @@ from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.data.dataset import Dataset
 from repro.fleet import Fleet, FleetCalibrator
 from repro.models.mlp import MLPClassifier
+from repro.results import ResultsWriter
 
 # Edge-realistic fleet: a small flat-feature classifier on many devices.
 FULL_CONFIG = dict(
@@ -195,9 +196,7 @@ def main() -> None:
     entry["mode"] = mode
     name = "fleet_calibration_smoke" if args.smoke else "fleet_calibration"
 
-    from bench_config import make_results_writer
-
-    with make_results_writer(args.out) as writer:
+    with ResultsWriter(args.out) as writer:
         writer.record_entry(name, entry, mode=mode)
 
     print(json.dumps(entry, indent=2))

@@ -59,6 +59,7 @@ from repro.fleet import (
 )
 from repro.fleet.store import DeviceStateStore
 from repro.models.mlp import MLPClassifier
+from repro.results import ResultsWriter
 
 FULL_CONFIG = dict(
     num_classes=4, channels=3, length=16, train_per_class=12,
@@ -254,9 +255,7 @@ def main() -> None:
     entry["mode"] = mode
     name = "fleet_service_smoke" if args.smoke else "fleet_service"
 
-    from bench_config import make_results_writer
-
-    with make_results_writer(args.out) as writer:
+    with ResultsWriter(args.out) as writer:
         writer.record_entry(name, entry, mode=mode)
 
     print(json.dumps(entry, indent=2))

@@ -46,7 +46,7 @@ from repro.eval import (
 )
 from repro.models import build_model
 from repro.nn.training import train_classifier
-from repro.results import method_table, record_method_results
+from repro.results import ResultsWriter, method_table, record_method_results
 
 FULL_CONFIG = dict(
     num_classes=6, num_domains=5, channels=6, length=28,
@@ -152,9 +152,7 @@ def main() -> None:
     entry["mode"] = mode
     name = "parallel_eval_smoke" if args.smoke else "parallel_eval"
 
-    from bench_config import make_results_writer
-
-    with make_results_writer(args.out) as writer:
+    with ResultsWriter(args.out) as writer:
         # Per-method sweep results become queryable `method`-kind rows; the
         # rendered table is the SQL aggregation of exactly this generation.
         timestamp, _ = record_method_results(

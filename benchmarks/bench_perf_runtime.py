@@ -62,6 +62,7 @@ from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import build_model
 from repro.nn.training import train_classifier
 from repro.quantization import calibrate_with_backprop, quantize_model
+from repro.results import ResultsWriter
 
 # Paper-realistic edge workload: DSA windows are 125 samples x 9+ channels.
 FULL_CONFIG = dict(
@@ -412,8 +413,6 @@ def main(argv=None) -> int:
     # One front door: store rows + the thin JSON export.  Entries written by
     # the other benchmarks are preserved; a corrupted file is backed up and
     # replaced instead of crashing the run.
-    from bench_config import make_results_writer
-
     update = {
         "mode": "smoke" if args.smoke else "full",
         "config": config,
@@ -458,7 +457,7 @@ def main(argv=None) -> int:
             "equivalence": conv_equivalence,
         },
     }
-    with make_results_writer(args.out) as writer:
+    with ResultsWriter(args.out) as writer:
         writer.record_report(update)
     print(f"\nedge speedup: {update['edge_calibration']['speedup']}x, "
           f"qat dtype speedup: {update['qat']['speedup']}x, "

@@ -47,7 +47,7 @@ from repro.eval import (
 )
 from repro.models import build_model
 from repro.nn.training import train_classifier
-from repro.results import method_table, record_method_results
+from repro.results import ResultsWriter, method_table, record_method_results
 
 # ``class_incremental`` needs num_classes >= num_batches and the grid needs
 # at least three domains (source + two drift targets).
@@ -158,9 +158,7 @@ def main() -> None:
     entry["mode"] = mode
     name = "scenarios_smoke" if args.smoke else "scenarios"
 
-    from bench_config import make_results_writer
-
-    with make_results_writer(args.out) as writer:
+    with ResultsWriter(args.out) as writer:
         # One `method`-kind row per (family, method, bits) cell; the rendered
         # table is the SQL aggregation of exactly this generation, with one
         # column per drift family.

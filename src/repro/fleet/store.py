@@ -23,15 +23,17 @@ Schema (see ``docs/operations.md`` for the operator view)::
 Each mutating method is one commit.  Its statements run in the deferred
 transaction that :mod:`sqlite3` opens implicitly before the first write (a
 plain ``BEGIN``), and :meth:`DeviceStateStore._execute` wraps the whole
-commit in a bounded retry, so an injected or real transient
-``sqlite3.OperationalError`` (locked file, interrupted write) rolls it back
-and retries it rather than poisoning the round — the store-write fault class
-of :mod:`repro.fleet.faults` exercises exactly this path.
+commit in the bounded retry of :mod:`repro.utils.sqlite`, so an injected or
+real transient ``sqlite3.OperationalError`` (locked file, interrupted write)
+rolls it back and retries it rather than poisoning the round — the
+store-write fault class of :mod:`repro.fleet.faults` exercises exactly this
+path.
 
 Several processes may open one store file at once: WAL lets readers run
 beside the writer, and ``busy_timeout`` makes concurrent writers queue for
-the write lock instead of failing.  A process killed mid-commit leaves only
-an uncommitted WAL tail, which the next opener ignores.
+the write lock instead of failing (both set by
+:func:`repro.utils.sqlite.connect`).  A process killed mid-commit leaves
+only an uncommitted WAL tail, which the next opener ignores.
 
 Numpy state travels as pickled blobs: pickling preserves dtype, shape and
 byte-exact contents, which the bit-identity contract requires (JSON would
@@ -40,13 +42,13 @@ round-trip floats through decimal text).
 
 from __future__ import annotations
 
-import datetime as _datetime
 import pickle
 import sqlite3
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+
+from repro.utils.sqlite import StoreError, connect, retry, utcnow
 
 __all__ = [
     "DeviceRoundRecord",
@@ -62,21 +64,11 @@ ROUND_STATUSES = ("submitted", "running", "done")
 
 #: One mutating statement: SQL text and its bound parameters.
 _Statement = Tuple[str, Tuple[Any, ...]]
-_T = TypeVar("_T")
 
 _QUARANTINE_SQL = (
     "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ? "
     "WHERE device_id = ?"
 )
-
-
-class StoreError(RuntimeError):
-    """A store operation failed even after its bounded write retries."""
-
-
-def _utcnow() -> str:
-    """Current UTC time as an ISO-8601 string (sortable, timezone-explicit)."""
-    return _datetime.datetime.now(_datetime.timezone.utc).isoformat()  # repro-lint: disable=rng-discipline -- audit metadata only; timestamps never feed numerics
 
 
 @dataclass
@@ -168,18 +160,7 @@ class DeviceStateStore:
         self.retry_sleep = float(retry_sleep)
         if self.write_retries < 1:
             raise ValueError("write_retries must be >= 1")
-        self._conn = sqlite3.connect(self.path)
-        self._conn.row_factory = sqlite3.Row
-        # WAL survives crashes of the writer mid-transaction; NORMAL fsync
-        # cadence is the standard WAL pairing (durable across process crashes,
-        # a torn OS-level write rolls back to the last checkpoint).  Processes
-        # opening a fresh file at once race to switch it to WAL, and SQLite
-        # may answer the loser "database is locked" without waiting on the
-        # busy timeout, so the switch retries like a write.
-        self._retry(lambda: self._conn.execute("PRAGMA journal_mode=WAL").fetchall())
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.execute("PRAGMA foreign_keys=ON")
+        self._conn = connect(self.path, attempts=self.write_retries, sleep=self.retry_sleep)
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         #: Test hook: called before every mutating statement.  The
@@ -188,21 +169,6 @@ class DeviceStateStore:
         self.before_write: Optional[Callable[[str], None]] = None
 
     # --------------------------------------------------------------- plumbing
-    def _retry(self, write: Callable[[], _T]) -> _T:
-        """Call ``write``; on ``sqlite3.OperationalError`` roll back, wait and
-        call it again, up to ``write_retries`` attempts in all."""
-        last_error: Optional[Exception] = None
-        for attempt in range(self.write_retries):
-            try:
-                return write()
-            except sqlite3.OperationalError as error:
-                last_error = error
-                self._conn.rollback()
-                time.sleep(self.retry_sleep * (attempt + 1))
-        raise StoreError(
-            f"store write failed after {self.write_retries} attempts: {last_error}"
-        ) from last_error
-
     def _execute(self, *statements: _Statement) -> sqlite3.Cursor:
         """Run ``(sql, params)`` statements as one commit with bounded retry.
 
@@ -219,7 +185,7 @@ class DeviceStateStore:
             self._conn.commit()
             return cursor
 
-        return self._retry(commit)
+        return retry(self._conn, commit, attempts=self.write_retries, sleep=self.retry_sleep)
 
     def close(self) -> None:
         """Close the SQLite connection; idempotent (sqlite3 allows re-close)."""
@@ -237,19 +203,19 @@ class DeviceStateStore:
         self._execute((
             "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
             "ON CONFLICT(device_id) DO NOTHING",
-            (device_id, _utcnow()),
+            (device_id, utcnow()),
         ))
 
     def quarantine_device(self, device_id: str, error: str) -> None:
         """Mark a device quarantined, persisting its last traceback."""
-        self._execute((_QUARANTINE_SQL, (error, _utcnow(), device_id)))
+        self._execute((_QUARANTINE_SQL, (error, utcnow(), device_id)))
 
     def release_device(self, device_id: str) -> None:
         """Lift a quarantine (operator action after fixing the device)."""
         self._execute((
             "UPDATE devices SET quarantined = 0, last_error = NULL, "
             "updated_at = ? WHERE device_id = ?",
-            (_utcnow(), device_id),
+            (utcnow(), device_id),
         ))
 
     def quarantined_devices(self) -> Dict[str, str]:
@@ -264,7 +230,7 @@ class DeviceStateStore:
         """Open a round covering ``device_ids``; returns the new round id."""
         if not device_ids:
             raise ValueError("a round needs at least one device")
-        now = _utcnow()
+        now = utcnow()
         cursor = self._execute((
             "INSERT INTO rounds (status, num_devices, created_at, updated_at) "
             "VALUES ('submitted', ?, ?, ?)",
@@ -279,7 +245,7 @@ class DeviceStateStore:
             raise ValueError(f"unknown round status {status!r}; expected one of {ROUND_STATUSES}")
         self._execute((
             "UPDATE rounds SET status = ?, updated_at = ? WHERE round_id = ?",
-            (status, _utcnow(), round_id),
+            (status, utcnow(), round_id),
         ))
 
     def get_round(self, round_id: int) -> RoundRecord:
@@ -330,7 +296,7 @@ class DeviceStateStore:
                 state_digest,
                 pool_digest,
                 pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL),
-                _utcnow(),
+                utcnow(),
             ),
         ))
 
@@ -340,7 +306,7 @@ class DeviceStateStore:
         self._execute((
             "UPDATE device_rounds SET status = 'running', attempts = attempts + 1,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (_utcnow(), round_id, device_id),
+            (utcnow(), round_id, device_id),
         ))
 
     def mark_done(
@@ -353,7 +319,7 @@ class DeviceStateStore:
             (
                 pickle.dumps(result_state, protocol=pickle.HIGHEST_PROTOCOL),
                 pickle.dumps(stats, protocol=pickle.HIGHEST_PROTOCOL),
-                _utcnow(),
+                utcnow(),
                 round_id,
                 device_id,
             ),
@@ -364,7 +330,7 @@ class DeviceStateStore:
         self._execute((
             "UPDATE device_rounds SET status = 'pending', last_error = ?,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (error, _utcnow(), round_id, device_id),
+            (error, utcnow(), round_id, device_id),
         ))
 
     def mark_quarantined(self, round_id: int, device_id: str, error: str) -> None:
@@ -373,7 +339,7 @@ class DeviceStateStore:
         Both rows change in one commit, so a round row never says
         ``quarantined`` while the device itself stays admissible.
         """
-        now = _utcnow()
+        now = utcnow()
         self._execute(
             (
                 "UPDATE device_rounds SET status = 'quarantined', last_error = ?,"

@@ -4,12 +4,13 @@ The ``repro.results`` layer replaces the repo's three disconnected result
 stores (``BENCH_perf.json``, the golden digest fixtures, and the in-memory
 paper-table builders) with one SQLite database:
 
-* :class:`ResultsStore` — WAL SQLite store with ``runs`` / ``configs`` /
-  ``metrics`` / ``digests`` tables and the ``run_metrics_view`` join;
+* :class:`ResultsStore` — WAL SQLite store (over :mod:`repro.utils.sqlite`)
+  with ``runs`` / ``configs`` / ``metrics`` / ``digests`` tables and the
+  ``run_metrics_view`` join;
 * :class:`ResultsWriter` — the one front door benchmarks write through
   (store rows + the thin ``BENCH_perf.json`` compatibility export);
-* :func:`ingest_report` / :func:`export_report` — the lossless JSON
-  bridge used by both live writes and the legacy migration;
+* :func:`ingest_entry` / :func:`ingest_report` — the JSON-report-to-rows
+  bridge the writer records through;
 * :func:`ingest_golden_digests` — golden flip-decision and stream-split
   digests as pinned rows, regenerated only by the fixture tool;
 * :func:`check_regression` — trend gate: latest value vs. trailing median;
@@ -23,7 +24,6 @@ from repro.results.regression import RegressionVerdict, check_regression
 from repro.results.report import (
     GOLDEN_DIGEST_KIND,
     REPORT_PSEUDO_BENCHMARK,
-    export_report,
     golden_digest_items,
     ingest_entry,
     ingest_golden_digests,
@@ -67,7 +67,6 @@ __all__ = [
     "current_host",
     "decode_value",
     "encode_value",
-    "export_report",
     "flatten_payload",
     "golden_digest_items",
     "ingest_entry",

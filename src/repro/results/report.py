@@ -1,19 +1,16 @@
-"""JSON bridge: ingest the legacy silos, export the thin compatibility JSON.
+"""JSON bridge: benchmark reports and golden fixtures as store rows.
 
-Three things lived outside the store before this layer existed:
+Two JSON shapes meet the store:
 
 * ``BENCH_perf.json`` — the merged perf report (one top-level entry per
   benchmark plus report-wide scalars like ``mode``);
 * ``tests/golden/fixtures/golden.json`` — the float64 golden fixture whose
-  flip-decision and stream-split digests pin the bit-identity contract;
-* hand-copied trajectory rows in ``docs/performance.md``.
+  flip-decision and stream-split digests pin the bit-identity contract.
 
-This module is the *one* translation path between those JSON shapes and
-store rows: live benchmark writes (:class:`repro.results.writer.ResultsWriter`),
-the legacy migration (``python -m tools.perf_report ingest-legacy``) and the
-migration round-trip test all go through the same :func:`ingest_report` /
-:func:`export_report` pair, so a report ingested and re-exported is
-semantically identical (same keys, same values) to the input.
+This module is the *one* translation path from those shapes to store rows:
+live benchmark writes (:class:`repro.results.writer.ResultsWriter`) go
+through :func:`ingest_entry` / :func:`ingest_report`, and the fixture tool
+pins digests through :func:`ingest_golden_digests`.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.results.store import ResultsStore
 __all__ = [
     "GOLDEN_DIGEST_KIND",
     "REPORT_PSEUDO_BENCHMARK",
-    "export_report",
     "golden_digest_items",
     "ingest_entry",
     "ingest_golden_digests",
@@ -37,8 +33,7 @@ __all__ = [
 ]
 
 #: Pseudo-benchmark under which report-wide scalars (``mode``) and the
-#: report-wide ``config`` block are stored, so the JSON export can rebuild
-#: the exact top-level shape.
+#: report-wide ``config`` block are stored.
 REPORT_PSEUDO_BENCHMARK = "__report__"
 
 #: ``digests.kind`` of the pinned golden rows.
@@ -138,7 +133,7 @@ def ingest_report(
 
     Mapping-valued top-level keys become ``entry`` runs; scalar keys
     (``mode``) and the report-wide ``config`` block become one ``report``
-    run, so :func:`export_report` can rebuild the exact top-level dict.
+    run.
     """
     scalars = {
         key: value for key, value in report.items() if not isinstance(value, Mapping)
@@ -175,37 +170,6 @@ def ingest_report(
             )
         )
     return run_ids
-
-
-def _entry_payload(store: ResultsStore, run_id: int) -> Dict[str, Any]:
-    """Rebuild one entry's JSON payload (metrics + optional config block)."""
-    payload = store.run_metrics(run_id)
-    config = store.run_config(run_id)
-    if config:
-        payload["config"] = config
-    return payload
-
-
-def export_report(store: ResultsStore) -> Dict[str, Any]:
-    """Rebuild the full JSON report from the latest rows per benchmark.
-
-    The inverse of :func:`ingest_report` for the most recent run of each
-    entry: report scalars and report-wide config first, then each
-    benchmark's latest payload in first-recorded order.
-    """
-    report: Dict[str, Any] = {}
-    report_runs = store.runs(REPORT_PSEUDO_BENCHMARK, kind="report")
-    if report_runs:
-        latest = report_runs[-1]
-        report.update(store.run_metrics(latest.run_id))
-        config = store.run_config(latest.run_id)
-        if config:
-            report["config"] = config
-    for benchmark in store.benchmarks(kind="entry"):
-        entry_runs = store.runs(benchmark, kind="entry")
-        if entry_runs:
-            report[benchmark] = _entry_payload(store, entry_runs[-1].run_id)
-    return report
 
 
 # --------------------------------------------------------------------------

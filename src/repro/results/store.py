@@ -27,25 +27,27 @@ Schema (see ``docs/performance.md`` for the operator view)::
     run_metrics_view   runs ⋈ metrics — the one-stop view the regression
                        gate and the query cookbook build on.
 
-The durability discipline mirrors :class:`repro.fleet.store.DeviceStateStore`
-(the repo's other SQLite tier): WAL journaling, ``synchronous=NORMAL``,
-``busy_timeout``, foreign keys, and a bounded write retry that turns
-transient ``sqlite3.OperationalError`` into recovery instead of data loss.
-A corrupt or incompatible store file is backed up as ``<name>.corrupt`` and
-replaced with a fresh one — evidence preserved, run not crashed — exactly
-like the resilient ``BENCH_perf.json`` loader this store subsumes.
+The connection discipline is :mod:`repro.utils.sqlite`, shared with
+:class:`repro.fleet.store.DeviceStateStore`: WAL journaling,
+``synchronous=NORMAL``, ``busy_timeout``, foreign keys, and a bounded write
+retry that turns transient ``sqlite3.OperationalError`` into recovery
+instead of data loss.  On top, every write is one ``BEGIN IMMEDIATE``
+transaction, and a corrupt or incompatible store file is backed up as
+``<name>.corrupt`` and replaced with a fresh one — evidence preserved, run
+not crashed — exactly like the resilient ``BENCH_perf.json`` loader this
+store subsumes.  A locked file is never taken for a corrupt one.
 """
 
 from __future__ import annotations
 
-import datetime as _datetime
 import json
 import sqlite3
-import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+
+from repro.utils.sqlite import StoreError, connect, retry, utcnow
 
 __all__ = [
     "Digest",
@@ -73,10 +75,6 @@ SCHEMA_VERSION = 1
 RUN_KINDS = ("entry", "report", "method", "trajectory")
 
 
-class StoreError(RuntimeError):
-    """A store write failed even after its bounded retries."""
-
-
 class DigestConflictError(ValueError):
     """Two different digests claim the same pinned name.
 
@@ -95,11 +93,6 @@ class Digest(str):
     """
 
     __slots__ = ()
-
-
-def _utcnow() -> str:
-    """Current UTC time as an ISO-8601 string (sortable, timezone-explicit)."""
-    return _datetime.datetime.now(_datetime.timezone.utc).isoformat()  # repro-lint: disable=rng-discipline -- audit metadata only; timestamps order runs, never feed numerics
 
 
 # --------------------------------------------------------------------------
@@ -312,13 +305,12 @@ class ResultsStore:
         ``<path>.corrupt`` (with a warning) and replaced with a fresh,
         empty store — never silently clobbered.
     write_retries:
-        How many times a mutating transaction is retried on
-        ``sqlite3.OperationalError`` before raising :class:`StoreError`.
+        How many times a mutating transaction (and the WAL switch on open)
+        is attempted on ``sqlite3.OperationalError`` before raising
+        :class:`StoreError`.
     retry_sleep:
         Base sleep between write retries (seconds); grows linearly per
         attempt.  ``busy_timeout`` already absorbs ordinary lock waits.
-    busy_timeout_ms:
-        SQLite busy timeout for lock contention between concurrent writers.
     """
 
     def __init__(
@@ -326,12 +318,10 @@ class ResultsStore:
         path: Union[str, Path] = ":memory:",
         write_retries: int = 5,
         retry_sleep: float = 0.01,
-        busy_timeout_ms: int = 30000,
     ) -> None:
         self.path = str(path)
         self.write_retries = int(write_retries)
         self.retry_sleep = float(retry_sleep)
-        self.busy_timeout_ms = int(busy_timeout_ms)
         if self.write_retries < 1:
             raise ValueError("write_retries must be >= 1")
         self._conn = self._open_verified()
@@ -341,24 +331,22 @@ class ResultsStore:
 
     # --------------------------------------------------------------- plumbing
     def _connect(self) -> sqlite3.Connection:
-        """Open a connection with the repo's WAL/pragma discipline applied."""
-        conn = sqlite3.connect(self.path)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
-        conn.execute("PRAGMA foreign_keys=ON")
-        version = int(conn.execute("PRAGMA user_version").fetchone()[0])
-        if version not in (0, SCHEMA_VERSION):
+        """Open the file, check its schema version and create the schema."""
+        conn = connect(self.path, attempts=self.write_retries, sleep=self.retry_sleep)
+        try:
+            version = int(conn.execute("PRAGMA user_version").fetchone()[0])
+            if version not in (0, SCHEMA_VERSION):
+                raise sqlite3.DatabaseError(
+                    f"unsupported results-store schema version {version} "
+                    f"(this build writes version {SCHEMA_VERSION})"
+                )
+            conn.executescript(_SCHEMA)
+            if version == 0:
+                conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
+            conn.commit()
+        except BaseException:
             conn.close()
-            raise sqlite3.DatabaseError(
-                f"unsupported results-store schema version {version} "
-                f"(this build writes version {SCHEMA_VERSION})"
-            )
-        conn.executescript(_SCHEMA)
-        if version == 0:
-            conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
-        conn.commit()
+            raise
         return conn
 
     def _open_verified(self) -> sqlite3.Connection:
@@ -367,10 +355,14 @@ class ResultsStore:
         The bad bytes are preserved as ``<path>.corrupt`` so a truncated or
         foreign file is evidence, not a crash — the same contract the
         resilient ``BENCH_perf.json`` loader established for the JSON
-        export (and which this store now provides for both formats).
+        export (and which this store now provides for both formats).  An
+        ``OperationalError`` (a locked or unreachable file) says nothing
+        about the bytes and propagates without a backup.
         """
         try:
             return self._connect()
+        except sqlite3.OperationalError:
+            raise
         except sqlite3.DatabaseError as error:
             target = Path(self.path)
             if self.path == ":memory:" or not target.exists():
@@ -387,25 +379,16 @@ class ResultsStore:
 
     def _write(self, mutate: Callable[[sqlite3.Connection], Any]) -> Any:
         """Run one mutating transaction with bounded retry on transient errors."""
-        last_error: Optional[Exception] = None
-        for attempt in range(self.write_retries):
-            try:
-                if self.before_write is not None:
-                    self.before_write("BEGIN IMMEDIATE")
-                self._conn.execute("BEGIN IMMEDIATE")
-                result = mutate(self._conn)
-                self._conn.commit()
-                return result
-            except sqlite3.OperationalError as error:
-                last_error = error
-                self._conn.rollback()
-                time.sleep(self.retry_sleep * (attempt + 1))
-            except BaseException:
-                self._conn.rollback()
-                raise
-        raise StoreError(
-            f"store write failed after {self.write_retries} attempts: {last_error}"
-        ) from last_error
+
+        def transaction() -> Any:
+            if self.before_write is not None:
+                self.before_write("BEGIN IMMEDIATE")
+            self._conn.execute("BEGIN IMMEDIATE")
+            result = mutate(self._conn)
+            self._conn.commit()
+            return result
+
+        return retry(self._conn, transaction, attempts=self.write_retries, sleep=self.retry_sleep)
 
     @property
     def connection(self) -> sqlite3.Connection:
@@ -459,7 +442,7 @@ class ResultsStore:
             raise ValueError("benchmark name must be non-empty")
         if kind not in RUN_KINDS:
             raise ValueError(f"unknown run kind {kind!r}; expected one of {RUN_KINDS}")
-        stamp = _utcnow() if timestamp is None else str(timestamp)
+        stamp = utcnow() if timestamp is None else str(timestamp)
         flat_metrics = flatten_payload(metrics or {})
         flat_config = flatten_payload(config or {})
 
@@ -686,7 +669,7 @@ class ResultsStore:
             conn.execute(
                 "INSERT INTO digests (name, digest, kind, pinned, created_at)"
                 " VALUES (?,?,?,1,?)",
-                (name, str(digest), kind, _utcnow()),
+                (name, str(digest), kind, utcnow()),
             )
 
         self._write(mutate)
@@ -844,13 +827,8 @@ class ResultsStore:
 
     # ------------------------------------------------------------------ stats
     def counts(self) -> Dict[str, int]:
-        """Row counts per table (migration/merge accounting)."""
+        """Row counts per table (ingest/merge accounting)."""
         return {
             table: int(self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
             for table in ("runs", "configs", "metrics", "digests")
         }
-
-
-def open_store(path: Union[str, Path], **kwargs: Any) -> ResultsStore:
-    """Open (creating if needed) the results store at ``path``."""
-    return ResultsStore(path, **kwargs)

@@ -17,6 +17,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.eval.continual import MethodRunResult
 from repro.eval.tables import ResultsTable
 from repro.results.store import ResultsStore, decode_value
+from repro.utils.sqlite import utcnow
 
 __all__ = ["method_table", "record_method_results"]
 
@@ -55,9 +56,7 @@ def record_method_results(
     """
     results = list(results)
     if timestamp is None:
-        from repro.results.store import _utcnow
-
-        timestamp = _utcnow()
+        timestamp = utcnow()
     run_ids: List[int] = []
     for result in results:
         config: Dict[str, Any] = {

@@ -1,4 +1,5 @@
-"""Shared utilities: seeding, timing, env knobs and validation helpers."""
+"""Shared utilities: seeding, timing, env knobs, validation helpers and the
+stores' SQLite substrate (:mod:`repro.utils.sqlite`, imported directly)."""
 
 from repro.utils.env import env_float, env_int
 from repro.utils.seeding import seeded_rng, spawn_rngs

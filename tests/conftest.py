@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro import runtime
+
+
+class _LosesWalRace(sqlite3.Connection):
+    """A connection whose first WAL switch fails the way a racing opener's does."""
+
+    raced = False
+
+    def execute(self, sql, *args):
+        if sql == "PRAGMA journal_mode=WAL" and not self.raced:
+            self.raced = True
+            raise sqlite3.OperationalError("database is locked")
+        return super().execute(sql, *args)
+
+
+@pytest.fixture
+def lose_wal_race(monkeypatch):
+    """A call that makes every later SQLite connection lose its first WAL
+    switch to a racing opener; it returns the real ``sqlite3.connect``."""
+    connect = sqlite3.connect
+
+    def arm():
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda path: connect(path, factory=_LosesWalRace)
+        )
+        return connect
+
+    return arm
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -44,18 +44,6 @@ def _done_rows(path):
         ).fetchone()[0]
 
 
-class _LosesWalRace(sqlite3.Connection):
-    """A connection whose first WAL switch fails the way a racing opener's does."""
-
-    raced = False
-
-    def execute(self, sql, *args):
-        if sql == "PRAGMA journal_mode=WAL" and not self.raced:
-            self.raced = True
-            raise sqlite3.OperationalError("database is locked")
-        return super().execute(sql, *args)
-
-
 def _assert_consistent(path):
     """What any store file must satisfy, however its writers ended."""
     with contextlib.closing(sqlite3.connect(path)) as conn:
@@ -301,14 +289,11 @@ class TestConcurrentWriters:
             store.register_device("after-crash")  # the file still takes writes
         _assert_consistent(path)
 
-    def test_wal_switch_retries_when_another_opener_wins(self, tmp_path, monkeypatch):
+    def test_wal_switch_retries_when_another_opener_wins(self, tmp_path, lose_wal_race):
         """Processes opening a fresh file at once race to switch it to WAL;
         SQLite answers the loser "database is locked" at once, without the
         busy-timeout wait, so the store must retry the switch."""
-        connect = sqlite3.connect
-        monkeypatch.setattr(
-            sqlite3, "connect", lambda path: connect(path, factory=_LosesWalRace)
-        )
+        connect = lose_wal_race()
         with DeviceStateStore(tmp_path / "fleet.db", retry_sleep=0.0) as store:
             assert store._conn.raced
             store.register_device("d0")

@@ -87,7 +87,8 @@ def main() -> None:
 
     # 4. Drift-zoo scenario digests: one pin per registered family.  Kept in
     # a separate fixture file (not the experiment store's golden-kind rows,
-    # which `perf_report verify-migration` constrains to golden.json exactly).
+    # which tests/results/test_golden_pins.py constrains to golden.json
+    # exactly).
     scenario_fixture = {
         "meta": {
             "dtype": "float64",

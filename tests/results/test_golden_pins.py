@@ -24,8 +24,8 @@ GOLDEN_JSON = REPO_ROOT / "tests" / "golden" / "fixtures" / "golden.json"
 @pytest.fixture(scope="module")
 def committed_store():
     assert STORE_PATH.exists(), (
-        "committed experiment store is missing; regenerate with "
-        "`PYTHONPATH=src python -m tools.perf_report ingest-legacy`"
+        "committed experiment store is missing; restore BENCH_perf.sqlite "
+        "from git (its pins come from tests/golden/generate_fixtures.py)"
     )
     with ResultsStore(STORE_PATH) as store:
         yield store
@@ -40,7 +40,7 @@ def test_pinned_digests_match_golden_fixture(committed_store):
 
 
 def test_committed_store_has_full_trajectory(committed_store):
-    """The legacy seed + at least one live recording per gated benchmark."""
+    """At least one recording per gated benchmark, and labeled trajectory rows."""
     benchmarks = set(committed_store.benchmarks())
     for name in ("edge_calibration", "qat", "qat_fused", "conv_kernels",
                  "fleet_calibration"):

@@ -1,8 +1,9 @@
-"""Migration round-trip: the committed JSON silos ingest losslessly.
+"""The JSON bridge: reports and golden fixtures ingest as store rows.
 
 These tests use the *committed* ``BENCH_perf.json`` and
 ``tests/golden/fixtures/golden.json`` verbatim — not synthetic replicas —
-so the migration path is proven against the exact bytes it must carry.
+so the ingest path ``ResultsWriter`` records through is proven against the
+exact bytes it must carry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 from repro.results import (
     REPORT_PSEUDO_BENCHMARK,
     ResultsStore,
-    export_report,
     golden_digest_items,
     ingest_golden_digests,
     ingest_report,
@@ -55,37 +55,12 @@ class TestBenchReportMigration:
             report_runs = store.runs(REPORT_PSEUDO_BENCHMARK, kind="report")
             assert len(report_runs) == 1
 
-    def test_export_is_semantically_identical(self, report):
-        """JSON -> rows -> JSON: same keys, same values, same nesting."""
-        with ResultsStore() as store:
-            ingest_report(store, report, timestamp="t0")
-            assert export_report(store) == report
-
-    def test_export_preserves_key_order(self, report):
-        with ResultsStore() as store:
-            ingest_report(store, report, timestamp="t0")
-            assert list(export_report(store)) == list(report)
-
     def test_reingest_is_idempotent(self, report):
         with ResultsStore() as store:
             ingest_report(store, report, timestamp="t0")
             counts = store.counts()
             ingest_report(store, report, timestamp="t0")  # identical: collapses
             assert store.counts() == counts
-
-    def test_latest_rows_win_the_export(self, report):
-        """A newer recording of an entry replaces it in the export view."""
-        with ResultsStore() as store:
-            ingest_report(store, report, timestamp="t0")
-            updated = dict(report["qat"])
-            updated["speedup"] = 9.99
-            store.record_run("qat", updated, timestamp="t1")
-            exported = export_report(store)
-            assert exported["qat"]["speedup"] == 9.99
-            # Every other entry is untouched.
-            for key, value in report.items():
-                if key != "qat":
-                    assert exported[key] == value
 
 
 class TestGoldenDigestMigration:
@@ -118,7 +93,7 @@ class TestGoldenDigestMigration:
 
 
 class TestJsonLoader:
-    """The legacy loader lives in repro.results now; same recovery contract."""
+    """The report loader ResultsWriter merges through: bad files are backed up."""
 
     def test_round_trips_valid_report(self, tmp_path, report):
         path = tmp_path / "report.json"
@@ -134,3 +109,10 @@ class TestJsonLoader:
         with pytest.warns(UserWarning, match="not valid JSON"):
             assert load_json_report(path) == {}
         assert path.with_suffix(".json.corrupt").exists()
+
+    def test_non_object_top_level_backed_up(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.warns(UserWarning, match="not an object"):
+            assert load_json_report(path) == {}
+        assert path.with_suffix(".json.corrupt").read_text() == "[1, 2, 3]"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
+import warnings
 
 import pytest
 
@@ -159,6 +160,20 @@ class TestSchemaLifecycle:
             store = ResultsStore(path)
         store.close()
         assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_lost_wal_race_is_not_corruption(self, tmp_path, lose_wal_race):
+        """A reopen whose WAL switch loses to another opener retries it; a
+        locked file is never backed up as corrupt and restarted empty."""
+        path = tmp_path / "results.sqlite"
+        with ResultsStore(path) as store:
+            store.record_run("bench", {"speedup": 1.5}, timestamp="t0")
+        lose_wal_race()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ResultsStore(path, retry_sleep=0.0) as reopened:
+                assert reopened.connection.raced
+                assert reopened.run_metrics(1) == {"speedup": 1.5}
+        assert not path.with_name(path.name + ".corrupt").exists()
 
     def test_in_memory_store_needs_no_file(self):
         with ResultsStore() as store:

@@ -180,13 +180,11 @@ POOL_PARENT_SIDE_KEYWORDS: FrozenSet[str] = frozenset({"describe"})
 # store-discipline rule
 # --------------------------------------------------------------------------
 
-#: The only files allowed to open SQLite connections.  Everything else goes
-#: through :class:`repro.fleet.store.DeviceStateStore` (device state) or
-#: :class:`repro.results.store.ResultsStore` (experiment results) so
-#: WAL/pragma/retry policy has exactly two audited implementations.
-STORE_ALLOWED_FILES: FrozenSet[str] = frozenset(
-    {"src/repro/fleet/store.py", "src/repro/results/store.py"}
-)
+#: The only file allowed to open SQLite connections: :mod:`repro.utils.sqlite`,
+#: the one audited implementation of the WAL/pragma/retry policy that both
+#: :class:`repro.fleet.store.DeviceStateStore` and
+#: :class:`repro.results.store.ResultsStore` open their files through.
+STORE_ALLOWED_FILES: FrozenSet[str] = frozenset({"src/repro/utils/sqlite.py"})
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 # lint-fixture: path=src/repro/eval/_fixture.py
 # lint-fixture-expect: store-discipline
-"""Seeded violation: opening SQLite outside repro.fleet.store."""
+"""Seeded violation: opening SQLite outside repro.utils.sqlite."""
 
 import sqlite3
 

@@ -10,9 +10,8 @@ regressions into a CI query.  This tool is the operator surface:
     python -m tools.perf_report check-docs        # CI: docs table == store-emitted
     python -m tools.perf_report check-regression  # CI: latest vs trailing median
     python -m tools.perf_report selfcheck         # CI: prove the gate bites
-    python -m tools.perf_report ingest-legacy     # seed the store from the JSON silos
-    python -m tools.perf_report verify-migration  # CI: JSON -> rows -> JSON round-trip
     python -m tools.perf_report label --label "PR 9" --lever "..."  # annotate latest runs
+    python -m tools.perf_report prune --keep 10   # drop old unprotected runs
 
 ``check-regression`` fails (exit 1) when any gated benchmark's latest
 full-run value drops below ``tolerance x`` the trailing median of its last
@@ -22,7 +21,6 @@ full-run value drops below ``tolerance x`` the trailing median of its last
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,18 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.results import (  # noqa: E402
-    ResultsStore,
-    check_regression,
-    export_report,
-    golden_digest_items,
-    ingest_golden_digests,
-    ingest_report,
-)
+from repro.results import ResultsStore, check_regression  # noqa: E402
 
 STORE_PATH = REPO_ROOT / "BENCH_perf.sqlite"
-JSON_PATH = REPO_ROOT / "BENCH_perf.json"
-GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "fixtures" / "golden.json"
 PERFORMANCE_MD = REPO_ROOT / "docs" / "performance.md"
 
 TRAJECTORY_BEGIN = "<!-- trajectory:begin (emitted by `python -m tools.perf_report write-docs`; do not edit by hand) -->"
@@ -68,33 +57,9 @@ HEADLINE_METRICS: Dict[str, str] = {
     "fleet_gateway": "gateway_overhead",
 }
 
-#: One-time seed of the pre-store era, transcribed from docs/performance.md
-#: and CHANGES.md: (label, benchmark, metric, value, lever).  Timestamps are
-#: synthetic ordering keys (the JSON silos never recorded real ones); the
-#: values are the numbers each PR actually reported.
-LEGACY_TRAJECTORY: List[Tuple[str, str, str, float, str]] = [
-    ("PR 1", "edge_calibration", "speedup", 1.9,
-     "float32 compute + fused BF inference + incremental quantized-state sync + bincount col2im"),
-    ("PR 1", "qat", "speedup", 1.45, "float32 vs float64 QAT compute"),
-    ("PR 2", "parallel_eval", "speedup", 0.55,
-     "sharded stream evaluation (1-core host: records overhead, not scaling)"),
-    ("PR 3", "fleet_calibration", "speedup", 1.12,
-     "batched multi-device fleet BF calibration (6 forwards vs 48 on 8 devices)"),
-    ("PR 4", "qat_fused", "speedup", 1.57,
-     "fused QAT engine: flat arena + segmented quantization + lazy codes"),
-    ("PR 5", "conv_kernels", "speedup", 1.51,
-     "strided conv kernels: as_strided im2col + fused blocked tap-loop col2im"),
-    ("PR 6", "fleet_service", "durability_overhead", 1.152,
-     "durable fleet service: crash-safe store + retry/backoff + dedupe (overhead, not speedup)"),
-]
 
-PR7_LEVER = (
-    "repo-native invariant linter + strict-typing wave (perf-neutral; full re-measurement)"
-)
-
-
-def _legacy_timestamp(index: int) -> str:
-    """Synthetic, strictly increasing timestamps for the legacy seed rows."""
+def _synthetic_timestamp(index: int) -> str:
+    """Synthetic, strictly increasing timestamps for the selfcheck rows."""
     return f"2026-07-{index + 1:02d}T00:00:00+00:00"
 
 
@@ -212,14 +177,14 @@ def cmd_selfcheck() -> int:
         for index, value in enumerate([1.50, 1.62, 1.55, 1.58]):
             store.record_run(
                 "healthy", {"speedup": value},
-                timestamp=_legacy_timestamp(index), mode="full",
+                timestamp=_synthetic_timestamp(index), mode="full",
             )
         verdict = check_regression(store, "healthy")
         if not verdict.ok:
             problems.append(f"healthy trajectory flagged: {verdict.describe()}")
         store.record_run(
             "healthy", {"speedup": 0.70},
-            timestamp=_legacy_timestamp(9), mode="full",
+            timestamp=_synthetic_timestamp(9), mode="full",
         )
         verdict = check_regression(store, "healthy")
         if verdict.ok:
@@ -229,13 +194,13 @@ def cmd_selfcheck() -> int:
             problems.append(f"empty trajectory should pass vacuously: {verdict.describe()}")
         smoke_poison = ResultsStore()
         smoke_poison.record_run(
-            "bench", {"speedup": 1.5}, timestamp=_legacy_timestamp(0), mode="full"
+            "bench", {"speedup": 1.5}, timestamp=_synthetic_timestamp(0), mode="full"
         )
         smoke_poison.record_run(
-            "bench", {"speedup": 0.1}, timestamp=_legacy_timestamp(1), mode="smoke"
+            "bench", {"speedup": 0.1}, timestamp=_synthetic_timestamp(1), mode="smoke"
         )
         smoke_poison.record_run(
-            "bench", {"speedup": 1.5}, timestamp=_legacy_timestamp(2), mode="full"
+            "bench", {"speedup": 1.5}, timestamp=_synthetic_timestamp(2), mode="full"
         )
         verdict = check_regression(smoke_poison, "bench")
         if not verdict.ok or len(verdict.values) != 2:
@@ -252,83 +217,8 @@ def cmd_selfcheck() -> int:
 
 
 # --------------------------------------------------------------------------
-# migration
+# maintenance
 # --------------------------------------------------------------------------
-
-
-def seed_legacy(store: ResultsStore) -> None:
-    """Seed the pre-store history + the committed JSON silos (idempotent)."""
-    for index, (label, benchmark, metric, value, lever) in enumerate(LEGACY_TRAJECTORY):
-        store.record_run(
-            benchmark, {metric: value},
-            kind="trajectory", host="legacy", git_sha="legacy",
-            timestamp=_legacy_timestamp(index), mode="full",
-            label=label, lever=lever,
-        )
-    report = json.loads(JSON_PATH.read_text())
-    ingest_report(
-        store, report, host="legacy", git_sha="legacy",
-        timestamp=_legacy_timestamp(len(LEGACY_TRAJECTORY)),
-        label="PR 7", lever=PR7_LEVER,
-    )
-    golden = json.loads(GOLDEN_PATH.read_text())
-    ingest_golden_digests(store, golden, repin=False)
-
-
-def cmd_ingest_legacy(store_path: Path) -> int:
-    """Build/refresh the committed store from the legacy JSON silos."""
-    with ResultsStore(store_path) as store:
-        seed_legacy(store)
-        counts = store.counts()
-    print(f"seeded {store_path}: {counts}")
-    return 0
-
-
-def cmd_verify_migration(store_path: Path) -> int:
-    """CI check: JSON silos -> rows -> JSON is lossless; pins match golden."""
-    problems: List[str] = []
-    report = json.loads(JSON_PATH.read_text())
-    golden = json.loads(GOLDEN_PATH.read_text())
-    with ResultsStore() as fresh:
-        ingest_report(fresh, report, timestamp="2026-01-01T00:00:00+00:00")
-        exported = export_report(fresh)
-        if exported != report:
-            problems.append("re-exported BENCH_perf.json differs from the ingested input")
-        entries = sum(
-            1
-            for key, value in report.items()
-            if key != "config" and isinstance(value, dict)
-        )
-        runs = fresh.counts()["runs"]
-        expected_runs = entries + 1  # per-entry runs + the report-scalars run
-        if runs != expected_runs:
-            problems.append(f"expected {expected_runs} runs for {entries} entries, got {runs}")
-        pinned = ingest_golden_digests(fresh, golden)
-        if fresh.pinned_digests() != pinned:
-            problems.append("pinned golden digests do not round-trip")
-    if store_path.exists():
-        with ResultsStore(store_path) as committed:
-            expected_pins = golden_digest_items(golden)
-            actual = {
-                name: digest
-                for name, digest in committed.pinned_digests(kind="golden").items()
-            }
-            if actual != expected_pins:
-                problems.append(
-                    "committed store's pinned golden digests drifted from "
-                    "tests/golden/fixtures/golden.json — regenerate via "
-                    "tests/golden/generate_fixtures.py"
-                )
-    else:
-        problems.append(f"committed store {store_path} is missing (run ingest-legacy)")
-    if problems:
-        print("migration verification FAILED:")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print("migration verification ok: JSON -> rows -> JSON lossless, "
-          f"golden pins consistent ({len(golden_digest_items(golden))} digests)")
-    return 0
 
 
 def cmd_prune(store_path: Path, keep: int) -> int:
@@ -377,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command", nargs="?", default="trajectory",
         choices=(
             "trajectory", "write-docs", "check-docs", "check-regression",
-            "selfcheck", "ingest-legacy", "verify-migration", "label", "prune",
+            "selfcheck", "label", "prune",
         ),
     )
     parser.add_argument("--store", type=Path, default=STORE_PATH,
@@ -404,10 +294,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_check_regression(args.store, args.benchmarks, args.window, args.tolerance)
     if args.command == "selfcheck":
         return cmd_selfcheck()
-    if args.command == "ingest-legacy":
-        return cmd_ingest_legacy(args.store)
-    if args.command == "verify-migration":
-        return cmd_verify_migration(args.store)
     if args.command == "prune":
         return cmd_prune(args.store, args.keep)
     return cmd_label(args.store, args.label, args.lever, args.benchmarks)
