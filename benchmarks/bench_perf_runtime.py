@@ -1,19 +1,23 @@
 """Fast-path runtime benchmark: edge-calibration steps/sec and QAT epoch time.
 
-Measures the three optimisations of the fast-path runtime against a compat
-mode that reproduces the seed implementation *in the same process*:
+Measures the three optimisations of the fast-path runtime against the seed
+implementation, run *in the same process* from :mod:`repro.reference`:
 
-* **baseline** — float64 compute, per-tensor BF inference (``fused=False``),
-  rewrite-everything synchronisation (``incremental=False``);
-* **fast** — float32 compute (the :mod:`repro.runtime` default), one fused BF
-  inference per calibration iteration, dirty-tensor incremental sync.
+* **baseline** — float64 compute, per-tensor BF inference
+  (``calibrate_per_tensor``), rewrite-everything synchronisation
+  (``FullSyncQuantizedModel``);
+* **fast** — the production path: float32 compute (the :mod:`repro.runtime`
+  default), one fused BF inference per calibration iteration, dirty-tensor
+  incremental sync.
 
-It also verifies that at float64 the fused + incremental path proposes
-*numerically identical* flips to the per-tensor path, so the speedup is free.
+It also verifies that at float64 the production path proposes *numerically
+identical* flips to the reference and leaves identical model weights, so the
+speedup is free.
 
 The ``qat_fused`` entry measures the **fused QAT engine** (flat parameter
-arena + segmented quantization + lazy code materialization, PR 4) against the
-per-tensor STE loop, both at float32, on the workload the ROADMAP flagged:
+arena + segmented quantization + lazy code materialization) against the
+per-tensor STE loop (``calibrate_with_backprop_per_tensor``), both at
+float32, on the workload the ROADMAP flagged:
 small-batch calibration of a compact MLP head, where the per-batch Python
 overhead of walking every tensor dominates.  Conv-heavy backbones are
 compute-bound in forward/backward and gain correspondingly less (the ``qat``
@@ -22,11 +26,13 @@ float64 — final integer codes, per-epoch code snapshots and latent weights —
 is asserted, not just measured.
 
 The ``conv_kernels`` entry measures the **strided conv-kernel backend**
-(PR 5, :mod:`repro.nn.kernels`: ``as_strided`` window views + fused blocked
+(:mod:`repro.nn.kernels`: ``as_strided`` window views + fused blocked
 tap-loop col2im) against the ``naive`` gather/bincount baseline on the
 conv-backbone QAT workload (InceptionTime) at float32, and asserts at
 float64 that edge-calibration flip decisions and QAT integer codes are
 bit-identical across backends.
+
+The run exits non-zero if any equivalence boolean is false.
 
 Usage::
 
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import sys
 import time
 from pathlib import Path
@@ -61,7 +68,17 @@ from repro.core.bitflip import (
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import build_model
 from repro.nn.training import train_classifier
-from repro.quantization import calibrate_with_backprop, quantize_model
+from repro.quantization import (
+    QuantizationConfig,
+    QuantizedModel,
+    calibrate_with_backprop,
+    quantize_model,
+)
+from repro.reference import (
+    FullSyncQuantizedModel,
+    calibrate_per_tensor,
+    calibrate_with_backprop_per_tensor,
+)
 from repro.results import ResultsWriter
 
 # Paper-realistic edge workload: DSA windows are 125 samples x 9+ channels.
@@ -89,11 +106,13 @@ SMOKE_CONFIG = dict(
 )
 
 
-def _build_setup(config: dict, incremental: bool):
+def _build_setup(config: dict, full_sync: bool = False):
     """Dataset, trained backbone, quantized model, BF network and normalizer.
 
     Built under the *active* compute dtype so each mode measures a coherent
-    single-precision stack.
+    single-precision stack.  ``full_sync`` wraps the backbone in the seed's
+    :class:`~repro.reference.FullSyncQuantizedModel`; the build is seeded, so
+    both wrappers start from identical codes.
     """
     ts = SyntheticTimeSeriesConfig(
         num_classes=config["num_classes"], num_domains=config["num_domains"],
@@ -111,7 +130,8 @@ def _build_setup(config: dict, incremental: bool):
         source.features, source.labels,
         epochs=config["train_epochs"], batch_size=32, rng=rng,
     )
-    qmodel = quantize_model(model, bits=config["bits"], incremental=incremental)
+    wrapper = FullSyncQuantizedModel if full_sync else QuantizedModel
+    qmodel = wrapper(model, QuantizationConfig(bits=config["bits"]))
     normalizer = FeatureNormalizer()
     extract_parameter_features(
         qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
@@ -121,22 +141,30 @@ def _build_setup(config: dict, incremental: bool):
     return qmodel, network, normalizer, pool, source
 
 
-def _measure_edge(config: dict, dtype, fused: bool, incremental: bool) -> float:
-    """Edge-calibration steps (BF iterations) per second for one mode."""
+def _measure_edge(config: dict, dtype, reference: bool) -> float:
+    """Edge-calibration steps (BF iterations) per second for one mode.
+
+    ``reference`` runs the seed path: per-tensor BF inference over a
+    full-sync model.
+    """
     with runtime.use_dtype(dtype):
-        qmodel, network, normalizer, pool, _ = _build_setup(config, incremental)
+        qmodel, network, normalizer, pool, _ = _build_setup(config, full_sync=reference)
         calibrator = BitFlipCalibrator(
             network, epochs=config["edge_epochs"], confidence_threshold=0.4,
             max_flip_fraction=0.1, normalizer=normalizer,
-            batchnorm_refresh_passes=1, fused=fused,
+            batchnorm_refresh_passes=1,
+        )
+        calibrate = (
+            functools.partial(calibrate_per_tensor, calibrator)
+            if reference else calibrator.calibrate
         )
         snapshot = qmodel.snapshot_codes()
-        calibrator.calibrate(qmodel, pool)  # warm up caches outside the timer
+        calibrate(qmodel, pool)  # warm up caches outside the timer
         qmodel.restore_codes(snapshot)
         timings = []
         for _ in range(config["edge_repeats"]):
             start = time.perf_counter()
-            calibrator.calibrate(qmodel, pool)
+            calibrate(qmodel, pool)
             timings.append(time.perf_counter() - start)
             qmodel.restore_codes(snapshot)
         # Median per-repeat time resists scheduler noise on shared machines.
@@ -146,7 +174,7 @@ def _measure_edge(config: dict, dtype, fused: bool, incremental: bool) -> float:
 def _measure_qat(config: dict, dtype) -> float:
     """Server-side QAT calibration seconds per epoch for one compute dtype."""
     with runtime.use_dtype(dtype):
-        qmodel, _, _, _, source = _build_setup(config, incremental=True)
+        qmodel, _, _, _, source = _build_setup(config)
         timings = []
         for repeat in range(config["qat_repeats"]):
             start = time.perf_counter()
@@ -167,7 +195,7 @@ def _measure_conv_kernel(config: dict, backend: str) -> float:
     configuration (mirrors ``_measure_edge``).
     """
     with runtime.use_dtype(np.float32), kernels.use_backend(backend):
-        qmodel, _, _, _, source = _build_setup(config, incremental=True)
+        qmodel, _, _, _, source = _build_setup(config)
         timings = []
         for repeat in range(config["conv_kernel_repeats"]):
             start = time.perf_counter()
@@ -190,24 +218,24 @@ def _check_conv_kernel_equivalence(config: dict) -> dict:
     identical deep-copied starting states.
     """
     with runtime.use_dtype(np.float64):
-        qmodel, network, normalizer, pool, source = _build_setup(config, incremental=True)
+        qmodel, network, normalizer, pool, source = _build_setup(config)
 
         def run(backend):
             edge_q = copy.deepcopy(qmodel)
+            qat_q = copy.deepcopy(qmodel)
             with kernels.use_backend(backend):
                 calibrator = BitFlipCalibrator(
                     network, epochs=max(2, config["edge_epochs"]),
                     confidence_threshold=0.4, max_flip_fraction=0.1,
                     normalizer=normalizer, validate=False,
-                    batchnorm_refresh_passes=1, fused=True,
+                    batchnorm_refresh_passes=1,
                 )
                 stats = calibrator.calibrate(edge_q, pool)
-            qat_q = copy.deepcopy(qmodel)
-            calibrate_with_backprop(
-                qat_q, source.features, source.labels,
-                epochs=config["conv_kernel_epochs"], lr=0.01, batch_size=32,
-                rng=np.random.default_rng(0), conv_kernel=backend,
-            )
+                calibrate_with_backprop(
+                    qat_q, source.features, source.labels,
+                    epochs=config["conv_kernel_epochs"], lr=0.01, batch_size=32,
+                    rng=np.random.default_rng(0),
+                )
             return stats, edge_q.snapshot_codes(), qat_q.snapshot_codes()
 
         stats_s, edge_s, qat_s = run("strided")
@@ -266,19 +294,19 @@ def _build_qat_fused_setup(config: dict):
     return model, flat[:pool_size], source.labels[:pool_size]
 
 
-def _measure_qat_fused(config: dict, fused: bool) -> float:
-    """Seconds per QAT epoch at float32 for the fused or per-tensor STE loop."""
+def _measure_qat_fused(config: dict, calibrate) -> float:
+    """Seconds per QAT epoch at float32 for one STE loop (fused or per-tensor)."""
     with runtime.use_dtype(np.float32):
         model, pool, labels = _build_qat_fused_setup(config)
         qmodel = quantize_model(model, bits=config["bits"])
         timings = []
         for repeat in range(config["qat_fused_repeats"]):
             start = time.perf_counter()
-            calibrate_with_backprop(
+            calibrate(
                 qmodel, pool, labels,
                 epochs=config["qat_fused_epochs"], lr=0.01,
                 batch_size=config["qat_fused_batch"],
-                rng=np.random.default_rng(repeat), fused=fused,
+                rng=np.random.default_rng(repeat),
             )
             timings.append(time.perf_counter() - start)
         return float(np.median(timings)) / config["qat_fused_epochs"]
@@ -294,23 +322,23 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
     with runtime.use_dtype(np.float64):
         model, pool, labels = _build_qat_fused_setup(config)
 
-        def run(fused):
+        def run(calibrate):
             qmodel = quantize_model(copy.deepcopy(model), bits=config["bits"])
             snapshots = []
 
             def hook(epoch, qm, before, after):
                 snapshots.append((before, after))
 
-            calibrate_with_backprop(
+            calibrate(
                 qmodel, pool, labels,
                 epochs=config["qat_fused_epochs"], lr=0.01,
                 batch_size=config["qat_fused_batch"],
-                rng=np.random.default_rng(0), epoch_hook=hook, fused=fused,
+                rng=np.random.default_rng(0), epoch_hook=hook,
             )
             return qmodel, snapshots
 
-        fused_q, fused_snaps = run(True)
-        serial_q, serial_snaps = run(False)
+        fused_q, fused_snaps = run(calibrate_with_backprop)
+        serial_q, serial_snaps = run(calibrate_with_backprop_per_tensor)
         snapshots_identical = len(fused_snaps) == len(serial_snaps) and all(
             np.array_equal(fb[name], sb[name]) and np.array_equal(fa[name], sa[name])
             for (fb, fa), (sb, sa) in zip(fused_snaps, serial_snaps)
@@ -331,25 +359,26 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
 
 
 def _check_equivalence(config: dict) -> dict:
-    """At float64: fused+incremental must equal per-tensor+full-sync exactly."""
+    """At float64: the production edge path must equal the seed reference exactly."""
     with runtime.use_dtype(np.float64):
-        qmodel, network, normalizer, pool, _ = _build_setup(config, incremental=True)
-        legacy = copy.deepcopy(qmodel)
-        legacy.incremental = False
+        qmodel, network, normalizer, pool, _ = _build_setup(config)
+        legacy = _build_setup(config, full_sync=True)[0]
+        # validate=False so proposed flips are applied unconditionally and
+        # the comparison covers codes that actually moved.
+        calibrator = BitFlipCalibrator(
+            network, epochs=max(2, config["edge_epochs"]), confidence_threshold=0.4,
+            max_flip_fraction=0.1, normalizer=normalizer, validate=False,
+            batchnorm_refresh_passes=1,
+        )
 
-        def run(qm, fused):
-            # validate=False so proposed flips are applied unconditionally and
-            # the comparison covers codes that actually moved.
-            calibrator = BitFlipCalibrator(
-                network, epochs=max(2, config["edge_epochs"]), confidence_threshold=0.4,
-                max_flip_fraction=0.1, normalizer=normalizer, validate=False,
-                batchnorm_refresh_passes=1, fused=fused,
-            )
-            stats = calibrator.calibrate(qm, pool)
+        def run(qm, calibrate):
+            stats = calibrate(qm, pool)
             return stats, qm.snapshot_codes(), qm.model.state_dict()
 
-        stats_fast, codes_fast, state_fast = run(qmodel, fused=True)
-        stats_legacy, codes_legacy, state_legacy = run(legacy, fused=False)
+        stats_fast, codes_fast, state_fast = run(qmodel, calibrator.calibrate)
+        stats_legacy, codes_legacy, state_legacy = run(
+            legacy, functools.partial(calibrate_per_tensor, calibrator)
+        )
         codes_identical = all(
             np.array_equal(codes_fast[name], codes_legacy[name]) for name in codes_fast
         )
@@ -377,10 +406,10 @@ def main(argv=None) -> int:
     config = dict(SMOKE_CONFIG if args.smoke else FULL_CONFIG)
 
     print("measuring edge calibration (baseline: float64, per-tensor BF, full sync)...")
-    edge_baseline = _measure_edge(config, np.float64, fused=False, incremental=False)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float64 baseline arm
+    edge_baseline = _measure_edge(config, np.float64, reference=True)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float64 baseline arm
     print(f"  baseline: {edge_baseline:.2f} steps/s")
     print("measuring edge calibration (fast: float32, fused BF, incremental sync)...")
-    edge_fast = _measure_edge(config, np.float32, fused=True, incremental=True)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float32 fast arm
+    edge_fast = _measure_edge(config, np.float32, reference=False)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float32 fast arm
     print(f"  fast:     {edge_fast:.2f} steps/s")
 
     print("measuring QAT calibration epochs...")
@@ -389,8 +418,8 @@ def main(argv=None) -> int:
     print(f"  baseline: {qat_baseline * 1e3:.1f} ms/epoch   fast: {qat_fast * 1e3:.1f} ms/epoch")
 
     print("measuring fused QAT engine (flat arena vs per-tensor STE, both float32)...")
-    qat_serial = _measure_qat_fused(config, fused=False)
-    qat_arena = _measure_qat_fused(config, fused=True)
+    qat_serial = _measure_qat_fused(config, calibrate_with_backprop_per_tensor)
+    qat_arena = _measure_qat_fused(config, calibrate_with_backprop)
     print(f"  per-tensor: {qat_serial * 1e3:.2f} ms/epoch   fused arena: {qat_arena * 1e3:.2f} ms/epoch")
 
     print("measuring conv-kernel backends (conv-backbone QAT, naive vs strided, float32)...")
@@ -398,7 +427,7 @@ def main(argv=None) -> int:
     conv_strided = _measure_conv_kernel(config, "strided")
     print(f"  naive: {conv_naive * 1e3:.2f} ms/epoch   strided: {conv_strided * 1e3:.2f} ms/epoch")
 
-    print("verifying fused + incremental path is exact at float64...")
+    print("verifying the production edge path is exact at float64...")
     equivalence = _check_equivalence(config)
     print(f"  {equivalence}")
 
@@ -465,20 +494,18 @@ def main(argv=None) -> int:
           f"conv-kernel speedup: {update['conv_kernels']['speedup']}x")
     print(f"[saved to {args.out}]")
 
-    if not equivalence["flip_decisions_identical"]:
-        print("ERROR: fused path diverged from per-tensor path at float64", file=sys.stderr)
-        return 1
-    if not all(qat_equivalence.values()):
-        print(
-            "ERROR: fused QAT engine diverged from the per-tensor STE loop at float64",
-            file=sys.stderr,
-        )
-        return 1
-    if not all(conv_equivalence.values()):
-        print(
-            "ERROR: strided conv kernels diverged from the naive backend at float64",
-            file=sys.stderr,
-        )
+    diverged = False
+    for label, block in (
+        ("the production edge path diverged from the per-tensor full-sync reference",
+         equivalence),
+        ("the fused QAT engine diverged from the per-tensor STE loop", qat_equivalence),
+        ("the strided conv kernels diverged from the naive backend", conv_equivalence),
+    ):
+        false = [key for key, value in block.items() if value is False]
+        if false:
+            print(f"ERROR: {label} at float64: {', '.join(false)}", file=sys.stderr)
+            diverged = True
+    if diverged:
         return 1
     if not args.smoke and update["qat_fused"]["speedup"] < 1.5:
         print(

@@ -53,8 +53,9 @@ def test_table5_dsa_inceptiontime(benchmark, dsa_data, trained_backbones):
     )
     save_result("table5_dsa_inceptiontime", table.render())
     # Shape checks: QCore is competitive with the average replay baseline (the
-    # paper reports it winning outright; see EXPERIMENTS.md for the measured
-    # gap on the synthetic surrogate), and accuracy grows with bit-width.
+    # paper reports it winning outright; ROADMAP.md item 1 records the
+    # measured gap on the synthetic surrogate), and accuracy grows with
+    # bit-width.
     # The band is wide because QCore's 2-bit deployment collapses at this
     # surrogate scale (~0.16 accuracy), dragging its average; the margin was
     # previously razor-thin and flipped when the stream-split bugfix

@@ -28,6 +28,9 @@ The package is organised as follows:
 ``repro.fleet``
     Fleet calibration: batched bit-flip inference across many deployed
     models, with worker-pool sharding for multi-core hosts.
+``repro.reference``
+    The seed implementations the fast paths are checked against; tests and
+    benchmarks import them, production modules never do.
 """
 
 __version__ = "1.0.0"

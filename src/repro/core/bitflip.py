@@ -727,16 +727,12 @@ class BitFlipTrainer:
         calibration_epochs: int = 20,
         calibration_lr: float = 0.01,
         batch_size: int = 32,
-        fused: bool = True,
     ) -> BitFlipTrainingResult:
         """Calibrate ``qmodel`` with back-propagation and learn the BF network.
 
         The main model *is* calibrated by this call (it is the initial,
         server-side calibration of Figure 1(b)); the BF network is the
-        by-product that travels to the edge with the model.  ``fused``
-        selects the flat-arena STE path of
-        :func:`~repro.quantization.calibration.calibrate_with_backprop`
-        (bit-identical at float64; ``False`` keeps the per-tensor loop).
+        by-product that travels to the edge with the model.
         """
         if isinstance(calibration_data, QCoreSet):
             calibration_data = calibration_data.as_dataset()
@@ -783,7 +779,6 @@ class BitFlipTrainer:
             batch_size=batch_size,
             rng=self.rng,
             epoch_hook=hook,
-            fused=fused,
         )
 
         features = np.concatenate(collected_features, axis=0) if collected_features else np.zeros((0, NUM_FEATURES))
@@ -902,13 +897,12 @@ class BitFlipCalibrator:
         refresh the BatchNorm running statistics before flipping starts (0 to
         disable).  This is inference-only (no gradients) and corresponds to the
         statistics refresh any calibration pass performs implicitly.
-    fused:
-        When true (the default), each calibration iteration runs one BF
-        inference over the concatenated features of *all* parameter tensors
-        instead of one inference per tensor.  The BF network operates row-wise,
-        so the flip decisions are identical; only the per-tensor call overhead
-        disappears.  ``fused=False`` keeps the original per-tensor path (used
-        as the benchmark baseline and for equivalence tests).
+
+    Each calibration iteration runs one BF inference over the concatenated
+    features of *all* parameter tensors.  The BF network operates row-wise,
+    so the flip decisions equal those of one inference per tensor (the seed
+    path, :func:`repro.reference.calibrate_per_tensor`); only the per-tensor
+    call overhead is gone.
     """
 
     def __init__(
@@ -920,7 +914,6 @@ class BitFlipCalibrator:
         validate: bool = True,
         normalizer: Optional[FeatureNormalizer] = None,
         batchnorm_refresh_passes: int = 5,
-        fused: bool = True,
     ):
         if epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -937,7 +930,6 @@ class BitFlipCalibrator:
         self.validate = validate
         self.normalizer = normalizer
         self.batchnorm_refresh_passes = batchnorm_refresh_passes
-        self.fused = fused
 
     def _refresh_batchnorm_statistics(self, qmodel: QuantizedModel, data: Dataset) -> None:
         """Update BatchNorm running statistics with training-mode forward passes."""
@@ -950,28 +942,18 @@ class BitFlipCalibrator:
     def _predict_per_name(
         self, qmodel: QuantizedModel, data: Dataset
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-parameter ``(flips, confidence)`` from one or many BF inferences."""
-        if self.fused:
-            fused = extract_parameter_features_fused(
-                qmodel, data.features, normalizer=self.normalizer
-            )
-            flips, confidence = self.network.predict_flips_with_confidence(
-                fused.matrix, confidence_threshold=self.confidence_threshold
-            )
-            return {
-                name: (flip_block, conf_block)
-                for (name, flip_block), (_, conf_block) in zip(
-                    fused.blocks(flips), fused.blocks(confidence)
-                )
-            }
-        feature_map = extract_parameter_features(
+        """Per-parameter ``(flips, confidence)`` from one fused BF inference."""
+        fused = extract_parameter_features_fused(
             qmodel, data.features, normalizer=self.normalizer
         )
+        flips, confidence = self.network.predict_flips_with_confidence(
+            fused.matrix, confidence_threshold=self.confidence_threshold
+        )
         return {
-            name: self.network.predict_flips_with_confidence(
-                feats, confidence_threshold=self.confidence_threshold
+            name: (flip_block, conf_block)
+            for (name, flip_block), (_, conf_block) in zip(
+                fused.blocks(flips), fused.blocks(confidence)
             )
-            for name, feats in feature_map.items()
         }
 
     def _select_flips(
@@ -1007,12 +989,6 @@ class BitFlipCalibrator:
             applied += int(np.sum(selected != 0))
             flip_map[name] = selected.reshape(qmodel.qtensors[name].codes.shape)
         return flip_map, applied
-
-    def _propose_flips(
-        self, qmodel: QuantizedModel, data: Dataset
-    ) -> Tuple[Dict[str, np.ndarray], int]:
-        """One BF inference pass: the most confident flips, capped per iteration."""
-        return self._select_flips(qmodel, self._predict_per_name(qmodel, data))
 
     def begin_calibration(
         self, qmodel: QuantizedModel, data: Dataset

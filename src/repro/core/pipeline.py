@@ -276,10 +276,6 @@ class QCoreFramework:
         BF confidence required to apply a non-zero flip on the edge.
     seed:
         Seed for all stochastic components of the framework.
-    qat_fused:
-        Run server-side QAT calibration over the flat parameter arena (the
-        fused STE engine; bit-identical at float64).  ``False`` keeps the
-        per-tensor STE loop — the golden tests use it to pin fused == serial.
     """
 
     def __init__(
@@ -294,7 +290,6 @@ class QCoreFramework:
         batch_size: int = 32,
         confidence_threshold: float = 0.6,
         seed: int = 0,
-        qat_fused: bool = True,
     ):
         self.levels = tuple(sorted(set(int(level) for level in levels)))
         self.qcore_size = qcore_size
@@ -306,7 +301,6 @@ class QCoreFramework:
         self.batch_size = batch_size
         self.confidence_threshold = confidence_threshold
         self.seed = seed
-        self.qat_fused = qat_fused
         self.rng = np.random.default_rng(seed)
         self.builder = QCoreBuilder(levels=self.levels, size=qcore_size)
         self.model: Optional[Module] = None
@@ -359,7 +353,6 @@ class QCoreFramework:
             calibration_epochs=self.calibration_epochs,
             calibration_lr=self.lr,
             batch_size=self.batch_size,
-            fused=self.qat_fused,
         )
         return EdgeDeployment(
             qmodel=quantized,
@@ -392,7 +385,6 @@ class QCoreFramework:
             lr=self.lr,
             batch_size=self.batch_size,
             rng=self.rng,
-            fused=self.qat_fused,
         )
         return quantized
 

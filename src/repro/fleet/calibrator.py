@@ -87,21 +87,12 @@ class FleetCalibrator:
     Heterogeneous fleets are grouped by bit-flip network: devices sharing one
     network (the replicated-deployment case) share one forward per round;
     a fleet with ``G`` distinct networks runs ``G`` forwards per round instead
-    of one per device.
-
-    Parameters
-    ----------
-    batch_features:
-        When true (the default), devices sharing an architecture also share
-        their raw feature *construction*: the elementwise feature math runs
-        once per parameter with the devices stacked along a leading axis
-        (:func:`~repro.core.bitflip.extract_parameter_features_raw_stacked`),
-        bit-identical to the per-device extractor.  ``False`` keeps the
-        per-device construction.
+    of one per device.  Devices sharing an architecture also share their raw
+    feature *construction*: the elementwise feature math runs once per
+    parameter with the devices stacked along a leading axis
+    (:func:`~repro.core.bitflip.extract_parameter_features_raw_stacked`),
+    bit-identical to the per-device extractor.
     """
-
-    def __init__(self, batch_features: bool = True):
-        self.batch_features = batch_features
 
     def calibrate(
         self,
@@ -262,7 +253,7 @@ class FleetCalibrator:
         to the per-device extractor.  Both produce bit-identical features.
         """
         pending = list(active)
-        if self.batch_features and len(active) > 1:
+        if len(active) > 1:
             arch_groups: Dict[tuple, List[_DeviceState]] = {}
             for state in active:
                 qmodel = state.deployment.qmodel

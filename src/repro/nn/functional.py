@@ -1,11 +1,11 @@
 """Stateless numerical helpers shared across layers, losses and algorithms.
 
 The im2col/col2im family is the hot path of every convolutional forward and
-backward pass.  Since PR 5 the implementations live in the pluggable
-:mod:`repro.nn.kernels` backend layer (``strided`` by default, ``naive`` as
-the bit-identical float64 baseline); the functions here are thin dispatchers
-to the active backend, kept for every caller that predates the backend layer
-and for code that does not care which backend is selected.
+backward pass.  The implementations live in the :mod:`repro.nn.kernels`
+backend layer (``strided`` in production, ``naive`` as the bit-identical
+float64 baseline); the functions here are thin dispatchers to the active
+backend, kept for every caller that predates the backend layer and for code
+that does not care which backend is active.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Pluggable conv-kernel backends (the compute layer under every convolution).
+"""Conv-kernel backends (the compute layer under every convolution).
 
 ``repro.nn.kernels`` owns the im2col/col2im primitives that Conv1d/Conv2d
 forward and backward passes are built from.  Two backends ship with the repo:
 
-``strided`` (default)
+``strided`` (the one production runs)
     Zero-copy ``np.lib.stride_tricks.as_strided`` window views feeding a
     single GEMM (copies only when padding forces one), and a fused, cache-
     blocked kernel-tap loop for the col2im backward — no scatter-index
@@ -13,10 +13,9 @@ forward and backward passes are built from.  Two backends ship with the repo:
     equivalence baseline every backend must match bit-for-bit at float64.
     See :mod:`repro.nn.kernels.naive`.
 
-Selection: ``REPRO_CONV_KERNEL=naive|strided`` in the environment, the
-:mod:`repro.runtime` knob (``runtime.use_conv_kernel(...)``), or this
-package's :func:`set_backend` / :func:`use_backend`.  ``docs/kernels.md``
-documents the backend contract and the checklist for adding new ones.
+Tests and benchmarks compare the two with :func:`use_backend`.
+``docs/kernels.md`` documents the backend contract and the checklist for
+adding new ones.
 """
 
 from repro.nn.kernels.base import (
@@ -24,17 +23,7 @@ from repro.nn.kernels.base import (
     conv_output_size,
     validate_conv_geometry,
 )
-from repro.nn.kernels.config import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    KernelConfig,
-    available_backends,
-    get_backend,
-    get_backend_name,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from repro.nn.kernels.config import get_backend, use_backend
 from repro.nn.kernels.naive import NaiveKernel
 from repro.nn.kernels.strided import ConvLayout1d, ConvLayout2d, StridedKernel
 
@@ -42,17 +31,10 @@ __all__ = [
     "ConvKernel",
     "ConvLayout1d",
     "ConvLayout2d",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "KernelConfig",
     "NaiveKernel",
     "StridedKernel",
-    "available_backends",
     "conv_output_size",
     "get_backend",
-    "get_backend_name",
-    "register_backend",
-    "set_backend",
     "use_backend",
     "validate_conv_geometry",
 ]

@@ -5,8 +5,8 @@ convolution in the substrate is built from: ``im2col_1d`` / ``im2col_2d``
 (window extraction feeding one GEMM) and ``col2im_1d`` / ``col2im_2d``
 (the scatter-add adjoint used by the backward pass).  The public methods on
 :class:`ConvKernel` validate the convolution geometry once and delegate to
-backend-specific ``_impl`` hooks, so every backend — including ones
-registered from outside the repo — rejects degenerate geometry the same way.
+backend-specific ``_impl`` hooks, so every backend rejects degenerate
+geometry the same way.
 
 The contract a backend must honour (see ``docs/kernels.md`` for the full
 checklist):
@@ -64,14 +64,14 @@ def conv_output_size(size: int, kernel_size: int, stride: int, padding: int) -> 
 
 
 class ConvKernel:
-    """Base class for pluggable conv-kernel backends.
+    """Base class for conv-kernel backends.
 
-    Subclasses set :attr:`name` (the registry key) and implement the four
+    Subclasses set :attr:`name` and implement the four
     ``_im2col/_col2im`` hooks; geometry validation is handled here so all
     backends share it.
     """
 
-    #: Registry name of the backend (e.g. ``"naive"``, ``"strided"``).
+    #: Name of the backend (``"naive"`` or ``"strided"``).
     name: str = "abstract"
 
     def im2col_1d(

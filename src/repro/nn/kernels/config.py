@@ -1,108 +1,25 @@
-"""Backend selection for the conv-kernel layer.
+"""The active conv-kernel backend, and the one seam that swaps it.
 
-Selection precedence (first match wins):
-
-1. an explicit :func:`set_backend` / :func:`use_backend` call (or the
-   :mod:`repro.runtime` wrappers ``set_conv_kernel`` / ``use_conv_kernel``);
-2. the ``REPRO_CONV_KERNEL`` environment variable, read once at import;
-3. the package default, :data:`DEFAULT_BACKEND` (``"strided"``).
-
-Backends are registered by name in a process-global registry; instances are
-created lazily and reused (they are stateless apart from internal memoised
-geometry caches).  Third-party backends plug in via :func:`register_backend`
-— see ``docs/kernels.md`` for the equivalence checklist a new backend must
-pass before it can be trusted on paper-facing paths.
+``Conv1d`` / ``Conv2d`` fetch :func:`get_backend` at forward time, and
+production always runs the ``strided`` backend.  :func:`use_backend` runs a
+``with`` block under the ``naive`` reference instead — the seam tests and
+benchmarks use to compare the two in-process.  Nothing under ``src/`` calls
+it.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 from repro.nn.kernels.base import ConvKernel
 from repro.nn.kernels.naive import NaiveKernel
 from repro.nn.kernels.strided import StridedKernel
 
-#: Environment variable consulted once at import for the initial backend.
-ENV_VAR = "REPRO_CONV_KERNEL"
-
-#: Backend used when neither the environment nor a caller selects one.
-DEFAULT_BACKEND = "strided"
-
-_FACTORIES: Dict[str, Callable[[], ConvKernel]] = {
-    NaiveKernel.name: NaiveKernel,
-    StridedKernel.name: StridedKernel,
+_BACKENDS: Dict[str, ConvKernel] = {
+    backend.name: backend for backend in (NaiveKernel(), StridedKernel())
 }
-_INSTANCES: Dict[str, ConvKernel] = {}
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of every registered conv-kernel backend, sorted."""
-    return tuple(sorted(_FACTORIES))
-
-
-def register_backend(
-    name: str, factory: Callable[[], ConvKernel], overwrite: bool = False
-) -> None:
-    """Register a conv-kernel backend under ``name``.
-
-    ``factory`` is a zero-argument callable (typically the backend class)
-    returning a :class:`~repro.nn.kernels.base.ConvKernel`.  Re-registering
-    an existing name raises unless ``overwrite=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in _FACTORIES and not overwrite:
-        raise ValueError(
-            f"conv-kernel backend {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def _instantiate(name: str) -> ConvKernel:
-    if name not in _FACTORIES:
-        known = ", ".join(available_backends())
-        raise ValueError(
-            f"unknown conv-kernel backend {name!r}; available backends: {known}"
-        )
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
-    return _INSTANCES[name]
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Immutable selector for a conv-kernel backend.
-
-    The plumbed form of "which backend": benchmarks and the QAT path pass
-    names around, and this dataclass is the validated version of that name.
-    """
-
-    #: Registry name of the backend to use.
-    backend: str = DEFAULT_BACKEND
-
-    @classmethod
-    def from_environment(cls) -> "KernelConfig":
-        """Build a config from ``REPRO_CONV_KERNEL`` (default if unset/empty)."""
-        name = os.environ.get(ENV_VAR, "").strip()
-        return cls(backend=name or DEFAULT_BACKEND)
-
-    def resolve(self) -> ConvKernel:
-        """Return the backend instance this config names.
-
-        Raises
-        ------
-        ValueError
-            If the named backend is not registered.
-        """
-        return _instantiate(self.backend)
-
-
-_active: ConvKernel = KernelConfig.from_environment().resolve()
+_active: ConvKernel = _BACKENDS[StridedKernel.name]
 
 
 def get_backend() -> ConvKernel:
@@ -110,24 +27,23 @@ def get_backend() -> ConvKernel:
     return _active
 
 
-def get_backend_name() -> str:
-    """Return the registry name of the active conv-kernel backend."""
-    return _active.name
-
-
-def set_backend(name: str) -> str:
-    """Select the active conv-kernel backend by name; returns the previous name."""
-    global _active
-    previous = _active.name
-    _active = _instantiate(name)
-    return previous
-
-
 @contextmanager
 def use_backend(name: str) -> Iterator[ConvKernel]:
-    """Temporarily select a conv-kernel backend within a ``with`` block."""
-    previous = set_backend(name)
+    """Run a ``with`` block under the shipped backend called ``name``.
+
+    ``name`` is ``"naive"`` or ``"strided"``; anything else raises
+    ``ValueError``.  The previous backend is restored on exit, also when the
+    block raises.
+    """
+    global _active
+    if name not in _BACKENDS:
+        known = ", ".join(sorted(_BACKENDS))
+        raise ValueError(
+            f"unknown conv-kernel backend {name!r}; available backends: {known}"
+        )
+    previous = _active
+    _active = _BACKENDS[name]
     try:
         yield _active
     finally:
-        set_backend(previous)
+        _active = previous

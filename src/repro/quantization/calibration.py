@@ -12,14 +12,12 @@ The bit-flipping trainer (Algorithm 2) hooks into this loop through
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro import runtime
-from repro.nn import kernels
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.training import iterate_minibatches
 from repro.quantization.qmodel import QuantizedModel
@@ -62,10 +60,18 @@ def calibrate_with_backprop(
     batch_size: int = 64,
     rng: Optional[np.random.Generator] = None,
     epoch_hook: Optional[EpochHook] = None,
-    fused: bool = True,
-    conv_kernel: Optional[str] = None,
 ) -> CalibrationResult:
     """Calibrate ``qmodel`` on ``(features, labels)`` using STE back-propagation.
+
+    The STE loop runs over a flat parameter arena: gradients are gathered
+    into one contiguous buffer, the latent update is a single vectorized
+    subtract, and re-quantization is one segmented fake-quantization pass —
+    integer codes are materialized lazily at epoch boundaries, exactly where
+    ``snapshot_codes`` / ``epoch_hook`` read them.  The arena is enabled for
+    the duration of the call and released afterwards unless the model was
+    already arena-backed.  At float64 this is bit-identical to the per-tensor
+    loop it replaced,
+    :func:`repro.reference.calibrate_with_backprop_per_tensor`.
 
     Parameters
     ----------
@@ -85,21 +91,6 @@ def calibrate_with_backprop(
         dictionaries snapshot every parameter's integer codes before and after
         the epoch.  The bit-flipping trainer uses this to build its training
         targets (Algorithm 2, lines 10–12).
-    fused:
-        When true (the default), the STE loop runs over a flat parameter
-        arena: gradients are gathered into one contiguous buffer, the latent
-        update is a single vectorized subtract, and re-quantization is one
-        segmented fake-quantization pass — integer codes are materialized
-        lazily at epoch boundaries, exactly where ``snapshot_codes`` /
-        ``epoch_hook`` read them.  Bit-identical to the per-tensor loop at
-        float64 (``fused=False`` keeps that loop as the comparison baseline).
-        The arena is enabled for the duration of the call and released
-        afterwards unless the model was already arena-backed.
-    conv_kernel:
-        Optional conv-kernel backend name (see :mod:`repro.nn.kernels`) to
-        use for every conv forward/backward of this calibration run —
-        ``"strided"`` (the fast default) or ``"naive"`` (the equivalence
-        baseline).  ``None`` keeps whatever backend is already active.
 
     Returns
     -------
@@ -119,50 +110,37 @@ def calibrate_with_backprop(
     result = CalibrationResult()
     rng = default_rng_fallback(rng)
 
-    kernel_scope = (
-        kernels.use_backend(conv_kernel) if conv_kernel is not None else nullcontext()
-    )
-    owns_arena = False
-    if fused and qmodel.arena is None:
+    owns_arena = qmodel.arena is None
+    if owns_arena:
         qmodel.enable_arena()
-        owns_arena = True
     try:
-        with kernel_scope:
-            if fused:
-                step = _FusedSTEStep(qmodel, lr)
-            for epoch in range(epochs):
-                # Code snapshots exist solely for the epoch hook; without one,
-                # skipping them keeps integer codes unmaterialized across the
-                # whole run (they are reconstructed on first read).
-                codes_before = qmodel.snapshot_codes() if epoch_hook is not None else None
-                epoch_loss = 0.0
-                epoch_correct = 0
-                count = 0
-                qmodel.model.train()
-                for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=rng):
-                    qmodel.sync()  # forward pass sees quantized weights
-                    qmodel.model.zero_grad()
-                    logits = qmodel.model.forward(batch_x)
-                    loss = loss_fn.forward(logits, batch_y)
-                    qmodel.model.backward(loss_fn.backward())
-                    # Straight-through estimator: the gradient w.r.t. the quantized
-                    # weights is applied directly to the latent full-precision
-                    # weights.
-                    if fused:
-                        step.apply()
-                    else:
-                        updates = {
-                            name: lr * param.grad
-                            for name, param in qmodel.model.named_parameters()
-                        }
-                        qmodel.update_latent(updates)
-                    epoch_loss += loss * batch_x.shape[0]
-                    epoch_correct += int(np.sum(np.argmax(logits, axis=1) == batch_y))
-                    count += batch_x.shape[0]
-                result.losses.append(epoch_loss / count)
-                result.accuracies.append(epoch_correct / count)
-                if epoch_hook is not None:
-                    epoch_hook(epoch, qmodel, codes_before, qmodel.snapshot_codes())
+        step = _FusedSTEStep(qmodel, lr)
+        for epoch in range(epochs):
+            # Code snapshots exist solely for the epoch hook; without one,
+            # skipping them keeps integer codes unmaterialized across the
+            # whole run (they are reconstructed on first read).
+            codes_before = qmodel.snapshot_codes() if epoch_hook is not None else None
+            epoch_loss = 0.0
+            epoch_correct = 0
+            count = 0
+            qmodel.model.train()
+            for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=rng):
+                qmodel.sync()  # forward pass sees quantized weights
+                qmodel.model.zero_grad()
+                logits = qmodel.model.forward(batch_x)
+                loss = loss_fn.forward(logits, batch_y)
+                qmodel.model.backward(loss_fn.backward())
+                # Straight-through estimator: the gradient w.r.t. the quantized
+                # weights is applied directly to the latent full-precision
+                # weights.
+                step.apply()
+                epoch_loss += loss * batch_x.shape[0]
+                epoch_correct += int(np.sum(np.argmax(logits, axis=1) == batch_y))
+                count += batch_x.shape[0]
+            result.losses.append(epoch_loss / count)
+            result.accuracies.append(epoch_correct / count)
+            if epoch_hook is not None:
+                epoch_hook(epoch, qmodel, codes_before, qmodel.snapshot_codes())
     finally:
         if owns_arena:
             qmodel.disable_arena()

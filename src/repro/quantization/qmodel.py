@@ -36,15 +36,15 @@ class QuantizedModel:
     :meth:`apply_flips`, mirroring the paper's constraint that full-precision
     values and back-propagation are unavailable after deployment.
 
-    Synchronisation is *incremental* by default: every mutation of the integer
-    codes marks the affected tensors dirty, and :meth:`sync` re-dequantizes and
+    Synchronisation is *incremental*: every mutation of the integer codes
+    marks the affected tensors dirty, and :meth:`sync` re-dequantizes and
     writes back only those.  Since edge calibration flips a handful of tensors
     per iteration (and inference flips none), the repeated ``sync()`` calls in
-    the hot loop become near no-ops instead of full-model rewrites.  Pass
-    ``incremental=False`` to restore the original rewrite-everything behaviour
-    (used by the performance benchmark as the comparison baseline).
+    the hot loop become near no-ops instead of full-model rewrites.  The
+    rewrite-everything seed behaviour is
+    :class:`repro.reference.FullSyncQuantizedModel`, the comparison baseline.
 
-    **Arena mode** (``arena=True`` or :meth:`enable_arena`) replaces the
+    **Arena mode** (:meth:`enable_arena`) replaces the
     per-tensor dictionaries with one flat
     :class:`~repro.quantization.arena.ParameterArena`: latent weights, integer
     codes and the wrapped model's parameters all become zero-copy views into
@@ -55,16 +55,9 @@ class QuantizedModel:
     (``latent``, ``qtensors``, flips, snapshots) keeps working unchanged.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        config: QuantizationConfig,
-        incremental: bool = True,
-        arena: bool = False,
-    ):
+    def __init__(self, model: Module, config: QuantizationConfig):
         self.model = model
         self.config = config
-        self.incremental = incremental
         self._quantizer = UniformQuantizer(config)
         self._params = dict(model.named_parameters())
         self.latent: Dict[str, np.ndarray] = {
@@ -77,8 +70,6 @@ class QuantizedModel:
         self._arena_codes_stale = False
         self.refresh_codes()
         self.sync()
-        if arena:
-            self.enable_arena()
 
     # -- arena mode ---------------------------------------------------------
     def enable_arena(self) -> ParameterArena:
@@ -133,7 +124,7 @@ class QuantizedModel:
         self.arena = None
         self._dirty = set()
         # The latent buffer may carry sub-step residuals relative to the
-        # codes, exactly as after a QAT step in per-tensor incremental mode.
+        # codes, exactly as after a per-tensor QAT step.
         self._latent_stale = set(self.qtensors)
 
     def _materialize_codes(self) -> None:
@@ -179,17 +170,17 @@ class QuantizedModel:
     def sync(self, force: bool = False) -> None:
         """Write the dequantized weights into the wrapped model's parameters.
 
-        Incremental mode rewrites only tensors whose codes changed since the
-        last sync; ``force=True`` (or ``incremental=False``) rewrites every
-        tensor unconditionally.  In arena mode the weights buffer is kept
-        current by every mutation, so ``sync`` is a no-op unless forced.
+        Only tensors whose codes changed since the last sync are rewritten;
+        ``force=True`` rewrites every tensor unconditionally.  In arena mode
+        the weights buffer is kept current by every mutation, so ``sync`` is
+        a no-op unless forced.
         """
         if self.arena is not None:
             if force:
                 self._materialize_codes()
                 self.arena.write_weights_from_codes()
             return
-        if force or not self.incremental:
+        if force:
             dequantized = {name: qt.dequantize() for name, qt in self.qtensors.items()}
             self.model.load_state_dict(dequantized)
             self._dirty.clear()
@@ -210,9 +201,8 @@ class QuantizedModel:
         """Restore integer codes from a :meth:`snapshot_codes` snapshot.
 
         Used by the edge calibrator to roll back a calibration iteration that
-        degraded accuracy on the labelled calibration pool.  In incremental
-        mode only tensors whose codes actually differ from the snapshot are
-        re-dequantized.
+        degraded accuracy on the labelled calibration pool.  Only tensors
+        whose codes actually differ from the snapshot are re-dequantized.
         """
         unknown = set(snapshot) - set(self.qtensors)
         if unknown:
@@ -232,7 +222,7 @@ class QuantizedModel:
         changed = False
         for name, codes in validated.items():
             qt = self.qtensors[name]
-            if self.incremental and np.array_equal(qt.codes, codes):
+            if np.array_equal(qt.codes, codes):
                 continue
             if self.arena is not None:
                 qt.codes[...] = codes  # write through the arena view
@@ -281,19 +271,16 @@ class QuantizedModel:
         """Sync the model, then collapse every latent tensor to its dequantized value.
 
         Edge-side mutations (flips, rollbacks) discard sub-quantization-step
-        residuals in *all* tensors — the seed semantics both sync modes must
-        share.  In incremental mode only tensors whose latent could differ
-        from their dequantized codes are refreshed: the ones whose codes just
-        changed (``_dirty``) plus the ones still carrying quantization or QAT
-        residuals (``_latent_stale``).  Everything else was already collapsed
-        by a previous call, so the steady-state edge iteration touches only
-        the flipped tensors.  The refresh copies the just-synchronised model
-        weights, which is cheaper than a second dequantization.
+        residuals in *all* tensors — the seed semantics, which
+        :class:`repro.reference.FullSyncQuantizedModel` keeps verbatim.  Only
+        tensors whose latent could differ from their dequantized codes are
+        refreshed: the ones whose codes just changed (``_dirty``) plus the
+        ones still carrying quantization or QAT residuals (``_latent_stale``).
+        Everything else was already collapsed by a previous call, so the
+        steady-state edge iteration touches only the flipped tensors.  The
+        refresh copies the just-synchronised model weights, which is cheaper
+        than a second dequantization.
         """
-        if not self.incremental:
-            self.latent = {name: qt.dequantize() for name, qt in self.qtensors.items()}
-            self.sync()
-            return
         refresh = self._dirty | self._latent_stale
         self.sync()
         for name in refresh:
@@ -334,13 +321,9 @@ class QuantizedModel:
             return
         for name, delta in updates.items():
             self.latent[name] = self.latent[name] - delta
-        if self.incremental:
-            for name in updates:
-                self.qtensors[name] = self._quantizer.quantize(self.latent[name], name=name)
-                self._dirty.add(name)
-                self._latent_stale.add(name)
-        else:
-            self.refresh_codes()
+            self.qtensors[name] = self._quantizer.quantize(self.latent[name], name=name)
+            self._dirty.add(name)
+            self._latent_stale.add(name)
         self.sync()
 
     def update_latent_flat(self, flat_delta: np.ndarray) -> None:
@@ -476,24 +459,9 @@ class QuantizedModel:
         return _copy.deepcopy(self)
 
 
-def quantize_model(
-    model: Module,
-    bits: int,
-    symmetric: bool = True,
-    incremental: bool = True,
-    arena: bool = False,
-) -> QuantizedModel:
-    """Convenience constructor: quantize ``model`` at ``bits`` bits.
-
-    ``arena=True`` builds the wrapper in flat-arena mode (see
-    :meth:`QuantizedModel.enable_arena`), the fast configuration for QAT.
-    """
-    return QuantizedModel(
-        model,
-        QuantizationConfig(bits=bits, symmetric=symmetric),
-        incremental=incremental,
-        arena=arena,
-    )
+def quantize_model(model: Module, bits: int, symmetric: bool = True) -> QuantizedModel:
+    """Convenience constructor: quantize ``model`` at ``bits`` bits."""
+    return QuantizedModel(model, QuantizationConfig(bits=bits, symmetric=symmetric))
 
 
 @contextmanager

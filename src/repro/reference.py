@@ -1,0 +1,138 @@
+"""Seed reference implementations the production fast paths are checked against.
+
+Production code runs one path per job; the seed paths it replaced live here,
+so tests and benchmarks can compare the two in one process (rule 1 of the
+bit-identity contract in ``docs/performance.md``).  At float64 each must
+equal its fast path bit for bit.  The conv-kernel reference is
+:class:`~repro.nn.kernels.naive.NaiveKernel`, run through
+:func:`repro.nn.kernels.use_backend`.  This module is the top layer of the
+import DAG (``tools/lint/config.py``), so no production module can import it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+
+from repro.core.bitflip import (
+    BitFlipCalibrationStats,
+    BitFlipCalibrator,
+    extract_parameter_features,
+)
+from repro.data.dataset import Dataset
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.training import iterate_minibatches
+from repro.quantization.calibration import CalibrationResult, EpochHook
+from repro.quantization.qmodel import QuantizedModel
+from repro.utils.seeding import default_rng_fallback
+
+
+def calibrate_with_backprop_per_tensor(
+    qmodel: QuantizedModel,
+    features: np.ndarray,
+    labels: np.ndarray,
+    epochs: int = 10,
+    lr: float = 0.01,
+    batch_size: int = 64,
+    rng: Optional[np.random.Generator] = None,
+    epoch_hook: Optional[EpochHook] = None,
+) -> CalibrationResult:
+    """The per-tensor STE loop the fused arena engine replaced.
+
+    A deliberate copy of the loop in
+    :func:`~repro.quantization.calibration.calibrate_with_backprop`, with the
+    same arguments and result, so the two stay independent implementations.
+    Every batch builds one ``{name: lr * grad}`` dict and hands it to
+    :meth:`~repro.quantization.qmodel.QuantizedModel.update_latent`, which
+    re-quantizes tensor by tensor.
+    """
+    loss_fn = CrossEntropyLoss()
+    result = CalibrationResult()
+    rng = default_rng_fallback(rng)
+    for epoch in range(epochs):
+        codes_before = qmodel.snapshot_codes() if epoch_hook is not None else None
+        epoch_loss = 0.0
+        epoch_correct = 0
+        count = 0
+        qmodel.model.train()
+        for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=rng):
+            qmodel.sync()
+            qmodel.model.zero_grad()
+            logits = qmodel.model.forward(batch_x)
+            loss = loss_fn.forward(logits, batch_y)
+            qmodel.model.backward(loss_fn.backward())
+            qmodel.update_latent(
+                {name: lr * param.grad for name, param in qmodel.model.named_parameters()}
+            )
+            epoch_loss += loss * batch_x.shape[0]
+            epoch_correct += int(np.sum(np.argmax(logits, axis=1) == batch_y))
+            count += batch_x.shape[0]
+        result.losses.append(epoch_loss / count)
+        result.accuracies.append(epoch_correct / count)
+        if epoch_hook is not None:
+            epoch_hook(epoch, qmodel, codes_before, qmodel.snapshot_codes())
+    return result
+
+
+def predict_per_tensor(
+    calibrator: BitFlipCalibrator, qmodel: QuantizedModel, data: Dataset
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """Per-parameter ``(flips, confidence)`` from one BF inference per tensor.
+
+    The seed form of the calibrator's fused inference over the concatenated
+    features of every tensor.  The BF network is row-wise, so both must give
+    the same flips and confidences.
+    """
+    features = extract_parameter_features(
+        qmodel, data.features, normalizer=calibrator.normalizer
+    )
+    return {
+        name: calibrator.network.predict_flips_with_confidence(
+            block, confidence_threshold=calibrator.confidence_threshold
+        )
+        for name, block in features.items()
+    }
+
+
+def calibrate_per_tensor(
+    calibrator: BitFlipCalibrator,
+    qmodel: QuantizedModel,
+    data: Dataset,
+    epoch_callback=None,
+) -> BitFlipCalibrationStats:
+    """``calibrator.calibrate`` with :func:`predict_per_tensor` as its BF inference.
+
+    Drives the public ``begin_calibration`` / ``calibration_step`` pair, as
+    the fleet calibrator does: flip selection, validation and revert are the
+    production code, and only the inference differs.
+    """
+    stats, pool_accuracy = calibrator.begin_calibration(qmodel, data)
+    for epoch in range(calibrator.epochs):
+        pool_accuracy = calibrator.calibration_step(
+            qmodel, data, predict_per_tensor(calibrator, qmodel, data),
+            stats, pool_accuracy, epoch, epoch_callback,
+        )
+    stats.pool_accuracy = pool_accuracy
+    return stats
+
+
+class FullSyncQuantizedModel(QuantizedModel):
+    """A :class:`QuantizedModel` with the seed's rewrite-everything sync.
+
+    :meth:`sync` dequantizes and loads every tensor, and each edge mutation
+    (flips, rollbacks) collapses every latent tensor onto its codes.  The
+    production model rewrites only the tensors whose codes or latent moved;
+    the two must end with identical codes, scales, latent and weights.  In
+    arena mode the production path already rewrites whole buffers, so it is
+    kept.
+    """
+
+    def sync(self, force: bool = False) -> None:
+        """Write every dequantized tensor into the wrapped model."""
+        super().sync(force=force or self.arena is None)
+
+    def _sync_and_collapse_latent(self) -> None:
+        """Collapse every latent tensor onto its codes, then sync everything."""
+        self.latent = {name: qt.dequantize() for name, qt in self.qtensors.items()}
+        self.sync()

@@ -133,37 +133,3 @@ def ones(shape: ShapeLike) -> np.ndarray:
     """An all-one array of the active compute dtype."""
     return np.ones(shape, dtype=_compute_dtype)
 
-
-# --------------------------------------------------------------------------
-# Conv-kernel backend knob.  The backend registry and implementations live in
-# repro.nn.kernels; these wrappers exist so runtime configuration (compute
-# dtype + conv backend) has one front door.  Imports are deferred because
-# repro.nn.kernels itself imports this module for dtype access.
-# --------------------------------------------------------------------------
-
-
-def get_conv_kernel() -> str:
-    """Name of the active conv-kernel backend (see :mod:`repro.nn.kernels`)."""
-    from repro.nn import kernels
-
-    return kernels.get_backend_name()
-
-
-def set_conv_kernel(name: str) -> str:
-    """Select the conv-kernel backend by name; returns the previous name.
-
-    Equivalent to exporting ``REPRO_CONV_KERNEL=<name>`` before import, but
-    switchable at runtime.  Raises ``ValueError`` for unknown backends.
-    """
-    from repro.nn import kernels
-
-    return kernels.set_backend(name)
-
-
-@contextmanager
-def use_conv_kernel(name: str) -> Iterator[str]:
-    """Temporarily switch the conv-kernel backend within a ``with`` block."""
-    from repro.nn import kernels
-
-    with kernels.use_backend(name) as backend:
-        yield backend.name

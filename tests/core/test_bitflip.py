@@ -17,7 +17,12 @@ from repro.core.bitflip import NUM_FEATURES, FeatureNormalizer
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import InceptionTimeSurrogate
 from repro.nn.training import train_classifier
-from repro.quantization import quantize_model
+from repro.quantization import QuantizationConfig, quantize_model
+from repro.reference import (
+    FullSyncQuantizedModel,
+    calibrate_per_tensor,
+    predict_per_tensor,
+)
 
 TINY_TS = SyntheticTimeSeriesConfig(
     num_classes=4, num_domains=2, channels=3, length=20,
@@ -261,24 +266,28 @@ class TestFusedFeatureExtraction:
     def test_fused_and_per_tensor_calibrators_propose_identical_flips(
         self, trained_setup, rng
     ):
-        """Acceptance: fused BF + incremental sync == per-tensor path at float64."""
+        """Acceptance: fused BF + incremental sync == per-tensor reference at float64."""
         model, train, target = trained_setup
         import copy
 
-        qmodel = quantize_model(copy.deepcopy(model), bits=4, incremental=True)
-        legacy = quantize_model(copy.deepcopy(model), bits=4, incremental=False)
+        qmodel = quantize_model(copy.deepcopy(model), bits=4)
+        legacy = FullSyncQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
         normalizer = FeatureNormalizer()
         extract_parameter_features(
             qmodel, train.features[:16], normalizer=normalizer, fit_normalizer=True
         )
         network = BitFlipNetwork(rng=np.random.default_rng(9))
-        make = lambda fused: BitFlipCalibrator(
+        calibrator = BitFlipCalibrator(
             network, epochs=1, confidence_threshold=0.3, max_flip_fraction=0.25,
-            normalizer=normalizer, batchnorm_refresh_passes=0, fused=fused,
+            normalizer=normalizer, batchnorm_refresh_passes=0,
         )
         pool = target.train.subset(np.arange(16))
-        flips_fused, count_fused = make(True)._propose_flips(qmodel, pool)
-        flips_legacy, count_legacy = make(False)._propose_flips(legacy, pool)
+        flips_fused, count_fused = calibrator._select_flips(
+            qmodel, calibrator._predict_per_name(qmodel, pool)
+        )
+        flips_legacy, count_legacy = calibrator._select_flips(
+            legacy, predict_per_tensor(calibrator, legacy, pool)
+        )
         assert count_fused == count_legacy
         assert set(flips_fused) == set(flips_legacy)
         for name in flips_fused:
@@ -295,17 +304,15 @@ class TestFusedFeatureExtraction:
         )
         network = BitFlipNetwork(rng=np.random.default_rng(9))
         pool = target.train.subset(np.arange(20))
-        results = {}
-        for fused, incremental in ((True, True), (False, False)):
-            qmodel = quantize_model(copy.deepcopy(model), bits=4, incremental=incremental)
-            calibrator = BitFlipCalibrator(
-                network, epochs=2, confidence_threshold=0.3,
-                normalizer=normalizer, batchnorm_refresh_passes=1, fused=fused,
-            )
-            stats = calibrator.calibrate(qmodel, pool)
-            results[fused] = (stats, qmodel.snapshot_codes())
-        stats_fast, codes_fast = results[True]
-        stats_legacy, codes_legacy = results[False]
+        calibrator = BitFlipCalibrator(
+            network, epochs=2, confidence_threshold=0.3,
+            normalizer=normalizer, batchnorm_refresh_passes=1,
+        )
+        qmodel = quantize_model(copy.deepcopy(model), bits=4)
+        legacy = FullSyncQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
+        stats_fast = calibrator.calibrate(qmodel, pool)
+        stats_legacy = calibrate_per_tensor(calibrator, legacy, pool)
+        codes_fast, codes_legacy = qmodel.snapshot_codes(), legacy.snapshot_codes()
         assert stats_fast.flips_per_epoch == stats_legacy.flips_per_epoch
         for name in codes_fast:
             np.testing.assert_array_equal(codes_fast[name], codes_legacy[name])

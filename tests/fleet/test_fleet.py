@@ -185,21 +185,6 @@ class TestFleetCalibrator:
                 [data[data.domain_names[1]].train.features[:4], np.zeros((4, 6))],
             )
 
-    def test_per_device_feature_fallback_matches_batched(self, packaged):
-        """batch_features=False walks the identical trajectory."""
-        data, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 3, seed=0)
-        reference = Fleet({i: d.clone() for i, d in fleet.items()})
-        pools = _pools(data, fleet.ids)
-        batched = FleetCalibrator(batch_features=True).calibrate(fleet, pools)
-        per_device = FleetCalibrator(batch_features=False).calibrate(reference, pools)
-        assert fleet.codes_digests() == reference.codes_digests()
-        for device_id in fleet.ids:
-            assert (
-                batched.stats[device_id].flips_per_epoch
-                == per_device.stats[device_id].flips_per_epoch
-            )
-
     def test_stats_match_serial_calibrator(self, packaged):
         data, _, deployment = packaged
         fleet = Fleet.replicate(deployment, 3, seed=0)

@@ -59,20 +59,15 @@ def build_dataset():
     return make_dsa_surrogate(seed=SEED, config=GOLDEN_TS)
 
 
-def build_packaged_deployment(data, qat_fused=True):
-    """One server-side packaged deployment: trained model + BF net + QCore.
-
-    ``qat_fused`` selects the flat-arena STE engine for the server-side QAT
-    calibration (the default everywhere); the goldens assert both settings
-    produce the pinned numbers, so the fused engine cannot silently drift.
-    """
+def build_packaged_deployment(data):
+    """One server-side packaged deployment: trained model + BF net + QCore."""
     model = build_model(
         "InceptionTime", data.input_shape, data.num_classes,
         rng=np.random.default_rng(SEED),
     )
     framework = QCoreFramework(
         levels=(4,), qcore_size=12, train_epochs=3, calibration_epochs=4,
-        edge_calibration_epochs=2, seed=SEED, qat_fused=qat_fused,
+        edge_calibration_epochs=2, seed=SEED,
     )
     framework.fit(model, data[data.domain_names[0]].train)
     return framework.deploy(bits=4)
@@ -84,16 +79,19 @@ def build_calibration_pool(data):
     return target.subset(np.arange(min(16, len(target))))
 
 
-def calibrate_with_digests(deployment, pool):
-    """Run edge calibration, recording the codes digest after every epoch."""
+def calibrate_with_digests(deployment, pool, calibrate=None):
+    """Run edge calibration, recording the codes digest after every epoch.
+
+    ``calibrate(qmodel, pool, epoch_callback=...)`` defaults to the
+    deployment's own calibrator.
+    """
     digests = []
 
     def callback(epoch, qmodel):
         digests.append(qmodel.codes_digest())
 
-    stats = deployment.calibrator.calibrate(
-        deployment.qmodel, pool, epoch_callback=callback
-    )
+    calibrate = calibrate or deployment.calibrator.calibrate
+    stats = calibrate(deployment.qmodel, pool, epoch_callback=callback)
     return stats, digests
 
 

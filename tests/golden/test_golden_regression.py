@@ -5,18 +5,20 @@ The committed fixture (``fixtures/golden.json``, regenerated only via
 stream splits for a fixed seed.  Every execution strategy the runtime offers —
 per-tensor serial, fused, fleet-batched, parallel-sharded — must reproduce the
 same pinned numbers, so a future fast-path PR that silently changes paper
-numerics fails here instead of shipping.
+numerics fails here instead of shipping.  The per-tensor paths are the seed
+references in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
 import golden_scenario as gs
-from repro import runtime
+from repro import reference, runtime
 from repro.eval import ParallelEvaluator
 from repro.fleet import Fleet, FleetCalibrator
 
@@ -56,7 +58,6 @@ class TestFlipDecisionGoldens:
 
     def test_fused_serial_calibration(self, fixture, data, packaged):
         deployment = packaged.clone()
-        assert deployment.calibrator.fused
         stats, digests = gs.calibrate_with_digests(
             deployment, gs.build_calibration_pool(data)
         )
@@ -64,9 +65,12 @@ class TestFlipDecisionGoldens:
 
     def test_per_tensor_serial_calibration(self, fixture, data, packaged):
         deployment = packaged.clone()
-        deployment.calibrator.fused = False
         stats, digests = gs.calibrate_with_digests(
-            deployment, gs.build_calibration_pool(data)
+            deployment,
+            gs.build_calibration_pool(data),
+            calibrate=functools.partial(
+                reference.calibrate_per_tensor, deployment.calibrator
+            ),
         )
         self._assert_matches(fixture, stats, digests, packaged.qmodel.codes_digest())
 
@@ -93,11 +97,17 @@ class TestFlipDecisionGoldens:
 
 
 class TestFusedQATGoldens:
-    def test_serial_qat_packaging_matches_pinned_digest(self, fixture, data, packaged):
+    def test_serial_qat_packaging_matches_pinned_digest(
+        self, fixture, data, packaged, monkeypatch
+    ):
         """The per-tensor STE loop and the fused arena engine must package
         byte-identical deployments (same integer codes, same BF supervision),
         both equal to the committed golden."""
-        serial = gs.build_packaged_deployment(data, qat_fused=False)
+        monkeypatch.setattr(
+            "repro.core.bitflip.calibrate_with_backprop",
+            reference.calibrate_with_backprop_per_tensor,
+        )
+        serial = gs.build_packaged_deployment(data)
         golden = fixture["flip_decisions"]["initial_digest"]
         assert packaged.qmodel.codes_digest() == golden
         assert serial.qmodel.codes_digest() == golden

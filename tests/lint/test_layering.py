@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from tools.lint import config
+from tools.lint.engine import lint_file
 
 ARCH_MD = config.REPO_ROOT / "docs" / "architecture.md"
 
@@ -49,9 +50,14 @@ def test_allowed_imports_are_strictly_downward() -> None:
             assert allowed[package] == lower
 
 
-def test_exemptions_reference_ranked_packages() -> None:
-    """Every layering exemption names known packages and carries a reason."""
-    for (importer, imported), reason in config.LAYERING_EXEMPTIONS.items():
-        assert config.layer_rank(importer) is not None, importer
-        assert config.layer_rank(imported) is not None, imported
-        assert reason.strip(), f"exemption {importer} -> {imported} has no reason"
+def test_production_module_may_not_import_reference() -> None:
+    """repro.reference is the top layer: a production module importing it is a finding."""
+    assert config.layer_rank("repro.reference") == len(config.LAYERS) - 1
+    rel_path = "src/repro/core/_probe.py"
+    findings = lint_file(
+        config.REPO_ROOT / rel_path,
+        rel_path=rel_path,
+        source='"""Probe."""\n\nfrom repro import reference\n',
+    )
+    assert [finding.rule for finding in findings] == ["import-layering"]
+    assert "repro.reference" in findings[0].message

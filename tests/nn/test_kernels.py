@@ -1,7 +1,6 @@
 """Tests for the pluggable conv-kernel backend layer (``repro.nn.kernels``).
 
-Covers backend selection (env var, runtime knob, context managers), the
-geometry-validation regression (stride <= 0 / padding < 0 used to produce
+Covers the ``use_backend`` test seam, the geometry-validation regression (stride <= 0 / padding < 0 used to produce
 garbage shapes silently), edge-case geometries through both backends, the
 strided path on non-contiguous inputs, and the float64 bit-identity property
 between the strided backend and the naive reference across random shapes.
@@ -15,12 +14,7 @@ import pytest
 from repro import nn, runtime
 from repro.nn import functional as F
 from repro.nn import kernels
-from repro.nn.kernels import (
-    ConvKernel,
-    KernelConfig,
-    NaiveKernel,
-    StridedKernel,
-)
+from repro.nn.kernels import ConvKernel, NaiveKernel, StridedKernel
 
 NAIVE = NaiveKernel()
 STRIDED = StridedKernel()
@@ -41,74 +35,28 @@ def _random_cols_2d(rng, shape, kernel, stride, padding):
 
 class TestBackendSelection:
     def test_default_backend_is_strided(self):
-        assert kernels.DEFAULT_BACKEND == "strided"
-        assert isinstance(KernelConfig().resolve(), StridedKernel)
-
-    def test_available_backends(self):
-        names = kernels.available_backends()
-        assert "naive" in names and "strided" in names
-
-    def test_set_backend_returns_previous(self):
-        previous = kernels.set_backend("naive")
-        try:
-            assert kernels.get_backend_name() == "naive"
-            assert isinstance(kernels.get_backend(), NaiveKernel)
-        finally:
-            kernels.set_backend(previous)
+        assert isinstance(kernels.get_backend(), StridedKernel)
 
     def test_use_backend_restores_on_exit(self):
-        before = kernels.get_backend_name()
+        before = kernels.get_backend()
         with kernels.use_backend("naive") as backend:
-            assert backend.name == "naive"
-            assert kernels.get_backend_name() == "naive"
-        assert kernels.get_backend_name() == before
+            assert isinstance(backend, NaiveKernel)
+            assert kernels.get_backend() is backend
+        assert kernels.get_backend() is before
 
     def test_use_backend_restores_on_error(self):
-        before = kernels.get_backend_name()
+        before = kernels.get_backend()
         with pytest.raises(RuntimeError):
             with kernels.use_backend("naive"):
                 raise RuntimeError("boom")
-        assert kernels.get_backend_name() == before
+        assert kernels.get_backend() is before
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown conv-kernel backend"):
-            kernels.set_backend("does-not-exist")
-        with pytest.raises(ValueError, match="available backends"):
-            KernelConfig(backend="nope").resolve()
-
-    def test_runtime_knob_switches_dispatch(self):
-        before = runtime.get_conv_kernel()
-        assert before == kernels.get_backend_name()
-        with runtime.use_conv_kernel("naive") as name:
-            assert name == "naive"
-            assert runtime.get_conv_kernel() == "naive"
-            assert isinstance(kernels.get_backend(), NaiveKernel)
-        assert runtime.get_conv_kernel() == before
-
-    def test_kernel_config_from_environment(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "naive")
-        assert KernelConfig.from_environment().backend == "naive"
-        monkeypatch.setenv(kernels.ENV_VAR, "")
-        assert KernelConfig.from_environment().backend == kernels.DEFAULT_BACKEND
-        monkeypatch.delenv(kernels.ENV_VAR)
-        assert KernelConfig.from_environment().backend == kernels.DEFAULT_BACKEND
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            kernels.register_backend("strided", StridedKernel)
-
-    def test_register_custom_backend(self):
-        class EchoKernel(NaiveKernel):
-            name = "echo-test"
-
-        kernels.register_backend("echo-test", EchoKernel, overwrite=True)
-        try:
-            with kernels.use_backend("echo-test") as backend:
-                assert isinstance(backend, EchoKernel)
-        finally:
-            # drop the test-only backend from the registry
-            kernels.config._FACTORIES.pop("echo-test", None)
-            kernels.config._INSTANCES.pop("echo-test", None)
+        before = kernels.get_backend()
+        with pytest.raises(ValueError, match="unknown conv-kernel backend.*naive, strided"):
+            with kernels.use_backend("does-not-exist"):
+                pass
+        assert kernels.get_backend() is before
 
 
 class TestGeometryValidation:
@@ -370,11 +318,11 @@ class TestConvLayerIntegration:
         assert isinstance(layer._kernel, NaiveKernel)
 
     def test_calibrate_with_backprop_conv_kernel_knob(self, rng):
-        """The QAT path accepts a conv_kernel override and restores the
-        previous backend afterwards."""
+        """QAT under either backend gives identical losses, and the previous
+        backend is active again afterwards."""
         from repro.quantization import calibrate_with_backprop, quantize_model
 
-        before = kernels.get_backend_name()
+        before = kernels.get_backend()
         model = nn.Sequential(
             nn.Conv1d(2, 3, kernel_size=3, rng=rng, name="c1"),
             nn.ReLU(),
@@ -386,11 +334,12 @@ class TestConvLayerIntegration:
         results = {}
         for name in ("naive", "strided"):
             qmodel = quantize_model(__import__("copy").deepcopy(model), bits=4)
-            results[name] = calibrate_with_backprop(
-                qmodel, x, y, epochs=2, lr=0.01, batch_size=4,
-                rng=np.random.default_rng(0), conv_kernel=name,
-            )
-            assert kernels.get_backend_name() == before
+            with kernels.use_backend(name):
+                results[name] = calibrate_with_backprop(
+                    qmodel, x, y, epochs=2, lr=0.01, batch_size=4,
+                    rng=np.random.default_rng(0),
+                )
+            assert kernels.get_backend() is before
         np.testing.assert_array_equal(results["naive"].losses, results["strided"].losses)
 
 

@@ -21,6 +21,12 @@ def _make_model(rng, in_features=5, classes=3):
     )
 
 
+def _arena(qmodel):
+    """``qmodel`` switched to flat-arena storage."""
+    qmodel.enable_arena()
+    return qmodel
+
+
 class TestSegmentLayout:
     def test_views_are_zero_copy(self):
         layout = SegmentLayout(["a", "b"], [(2, 3), (4,)])
@@ -121,7 +127,7 @@ class TestQuantizeSegments:
 
 class TestArenaMode:
     def test_views_share_storage(self, rng):
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         arena = qmodel.arena
         for name, param in qmodel.model.named_parameters():
             assert param.is_shared
@@ -144,7 +150,7 @@ class TestArenaMode:
             assert not param.is_shared
 
     def test_enable_is_idempotent(self, rng):
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         assert qmodel.enable_arena() is qmodel.arena
 
     def test_edge_ops_match_per_tensor_path(self, rng, small_classification_data):
@@ -154,7 +160,7 @@ class TestArenaMode:
         import copy
 
         pristine = copy.deepcopy(model)
-        arena_q = QuantizedModel(model, QuantizationConfig(bits=4), arena=True)
+        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
         plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = {
             name: rng.integers(-1, 2, size=qt.codes.shape)
@@ -178,7 +184,7 @@ class TestArenaMode:
         import copy
 
         pristine = copy.deepcopy(model)
-        arena_q = QuantizedModel(model, QuantizationConfig(bits=4), arena=True)
+        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
         plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
         updates = {
             name: 0.01 * rng.normal(size=values.shape)
@@ -198,7 +204,7 @@ class TestArenaMode:
         import copy
 
         pristine = copy.deepcopy(model)
-        arena_q = QuantizedModel(model, QuantizationConfig(bits=4), arena=True)
+        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
         plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
         name = next(iter(plain_q.latent))
         delta = {name: 0.05 * rng.normal(size=plain_q.latent[name].shape)}
@@ -213,8 +219,8 @@ class TestArenaMode:
         import copy
 
         pristine = copy.deepcopy(model)
-        flat_q = QuantizedModel(model, QuantizationConfig(bits=4), arena=True)
-        dict_q = QuantizedModel(pristine, QuantizationConfig(bits=4), arena=True)
+        flat_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
+        dict_q = _arena(QuantizedModel(pristine, QuantizationConfig(bits=4)))
         updates = {
             name: 0.01 * rng.normal(size=values.shape)
             for name, values in dict_q.latent.items()
@@ -229,7 +235,7 @@ class TestArenaMode:
         plain = quantize_model(_make_model(rng), bits=4)
         with pytest.raises(RuntimeError):
             plain.update_latent_flat(np.zeros(plain.num_parameters()))
-        arena_q = quantize_model(_make_model(rng), bits=4, arena=True)
+        arena_q = _arena(quantize_model(_make_model(rng), bits=4))
         with pytest.raises(ValueError):
             arena_q.update_latent_flat(np.zeros(3))
 
@@ -237,7 +243,7 @@ class TestArenaMode:
         """copy.deepcopy of an arena-backed wrapper must not detach views."""
         import copy
 
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         dup = copy.deepcopy(qmodel)
         assert dup.arena is not None and dup.arena is not qmodel.arena
         assert dup.codes_digest() == qmodel.codes_digest()
@@ -256,7 +262,7 @@ class TestArenaMode:
         assert dup.codes_digest() != qmodel.codes_digest()
 
     def test_clone_preserves_arena_and_independence(self, rng):
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         clone = qmodel.clone()
         assert clone.arena is not None
         assert clone.arena is not qmodel.arena
@@ -268,7 +274,7 @@ class TestArenaMode:
         assert clone.codes_digest() != qmodel.codes_digest()
 
     def test_load_state_dict_writes_through_views(self, rng):
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         state = {
             name: np.zeros_like(param.data)
             for name, param in qmodel.model.named_parameters()
@@ -281,9 +287,7 @@ class TestArenaMode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_arena_buffers_use_compute_dtype(self, dtype):
         with runtime.use_dtype(dtype):
-            qmodel = quantize_model(
-                _make_model(np.random.default_rng(0)), bits=4, arena=True
-            )
+            qmodel = _arena(quantize_model(_make_model(np.random.default_rng(0)), bits=4))
             assert qmodel.arena.latent.dtype == np.dtype(dtype)
             assert qmodel.arena.weights.dtype == np.dtype(dtype)
             assert qmodel.arena.codes.dtype == np.int64
@@ -291,7 +295,7 @@ class TestArenaMode:
 
 class TestParameterViewSafety:
     def test_optimizer_step_writes_through_shared_storage(self, rng):
-        qmodel = quantize_model(_make_model(rng), bits=4, arena=True)
+        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
         params = list(qmodel.model.parameters())
         optimizer = nn.SGD(params, lr=0.1)
         for param in params:

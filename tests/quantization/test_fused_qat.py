@@ -1,5 +1,8 @@
 """Fused-arena STE must be bit-identical to the per-tensor STE loop at float64.
 
+The per-tensor loop is the seed reference,
+:func:`repro.reference.calibrate_with_backprop_per_tensor`.
+
 The property is asserted across every registered backbone and every paper
 bit-width: identical losses/accuracies, identical epoch-hook code snapshots
 (``codes_before`` / ``codes_after``), identical final integer codes, latent
@@ -16,6 +19,7 @@ import pytest
 
 from repro.models import MODEL_REGISTRY, build_model
 from repro.quantization import calibrate_with_backprop, quantize_model
+from repro.reference import calibrate_with_backprop_per_tensor
 
 #: Small input shapes per registry kind so every backbone stays test-sized.
 MODEL_SHAPES = {
@@ -34,14 +38,14 @@ def _make_data(input_shape, rng):
     return features, labels
 
 
-def _run(model, features, labels, fused, bits, seed=11):
+def _run(model, features, labels, calibrate, bits, seed=11):
     qmodel = quantize_model(model, bits=bits)
     snapshots = []
 
     def hook(epoch, qm, before, after):
         snapshots.append((before, after))
 
-    result = calibrate_with_backprop(
+    result = calibrate(
         qmodel,
         features,
         labels,
@@ -50,7 +54,6 @@ def _run(model, features, labels, fused, bits, seed=11):
         batch_size=8,
         rng=np.random.default_rng(seed),
         epoch_hook=hook,
-        fused=fused,
     )
     return qmodel, result, snapshots
 
@@ -64,9 +67,11 @@ def test_fused_equals_serial_bit_identically(name, bits):
     model = build_model(name, input_shape, NUM_CLASSES, rng=np.random.default_rng(5))
     serial_model = copy.deepcopy(model)
 
-    fused_q, fused_result, fused_snaps = _run(model, features, labels, True, bits)
+    fused_q, fused_result, fused_snaps = _run(
+        model, features, labels, calibrate_with_backprop, bits
+    )
     serial_q, serial_result, serial_snaps = _run(
-        serial_model, features, labels, False, bits
+        serial_model, features, labels, calibrate_with_backprop_per_tensor, bits
     )
 
     assert fused_result.losses == serial_result.losses
@@ -96,20 +101,17 @@ def test_fused_releases_arena_unless_preowned():
     model = build_model("MLP", input_shape, NUM_CLASSES, rng=np.random.default_rng(1))
     qmodel = quantize_model(model, bits=4)
     calibrate_with_backprop(
-        qmodel, features, labels, epochs=1, lr=0.05,
-        rng=np.random.default_rng(0), fused=True,
+        qmodel, features, labels, epochs=1, lr=0.05, rng=np.random.default_rng(0)
     )
     assert qmodel.arena is None  # enabled for the call, released afterwards
 
     arena_model = quantize_model(
         build_model("MLP", input_shape, NUM_CLASSES, rng=np.random.default_rng(1)),
         bits=4,
-        arena=True,
     )
-    arena = arena_model.arena
+    arena = arena_model.enable_arena()
     calibrate_with_backprop(
-        arena_model, features, labels, epochs=1, lr=0.05,
-        rng=np.random.default_rng(0), fused=True,
+        arena_model, features, labels, epochs=1, lr=0.05, rng=np.random.default_rng(0)
     )
     assert arena_model.arena is arena  # pre-owned arenas stay
 
@@ -119,29 +121,28 @@ def test_fused_interleaves_with_edge_flips():
     input_shape = MODEL_SHAPES["flat"]
     rng = np.random.default_rng(2)
     features, labels = _make_data(input_shape, rng)
-    quantized = {
-        fused: quantize_model(
+    fused, serial = (
+        quantize_model(
             build_model("MLP", input_shape, NUM_CLASSES, rng=np.random.default_rng(1)),
             bits=4,
         )
-        for fused in (True, False)
-    }
+        for _ in range(2)
+    )
     flips = {
         name: np.random.default_rng(9).integers(-1, 2, size=qt.codes.shape)
-        for name, qt in quantized[True].qtensors.items()
+        for name, qt in fused.qtensors.items()
     }
-    for fused, qmodel in quantized.items():
-        calibrate_with_backprop(
-            qmodel, features, labels, epochs=2, lr=0.05,
-            rng=np.random.default_rng(4), fused=fused,
+    for qmodel, calibrate in (
+        (fused, calibrate_with_backprop),
+        (serial, calibrate_with_backprop_per_tensor),
+    ):
+        calibrate(
+            qmodel, features, labels, epochs=2, lr=0.05, rng=np.random.default_rng(4)
         )
         qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
-        calibrate_with_backprop(
-            qmodel, features, labels, epochs=1, lr=0.05,
-            rng=np.random.default_rng(6), fused=fused,
+        calibrate(
+            qmodel, features, labels, epochs=1, lr=0.05, rng=np.random.default_rng(6)
         )
-    assert quantized[True].codes_digest() == quantized[False].codes_digest()
-    for key in quantized[False].latent:
-        np.testing.assert_array_equal(
-            quantized[True].latent[key], quantized[False].latent[key]
-        )
+    assert fused.codes_digest() == serial.codes_digest()
+    for key in serial.latent:
+        np.testing.assert_array_equal(fused.latent[key], serial.latent[key])

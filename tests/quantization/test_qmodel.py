@@ -15,6 +15,7 @@ from repro.quantization import (
     quantize_model,
 )
 from repro.quantization.qmodel import temporarily_quantized
+from repro.reference import FullSyncQuantizedModel
 
 
 def _make_trained_model(x, y, rng):
@@ -63,7 +64,9 @@ class TestQuantizedModel:
     ):
         """A failed flip call must not partially apply earlier dict entries."""
         x, y = small_classification_data
-        qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4, arena=arena)
+        qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
+        if arena:
+            qmodel.enable_arena()
         valid_name = next(iter(qmodel.qtensors))
         digest_before = qmodel.codes_digest()
         weights_before = {
@@ -88,7 +91,9 @@ class TestQuantizedModel:
     ):
         """A failed update must not partially apply earlier dict entries."""
         x, y = small_classification_data
-        qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4, arena=arena)
+        qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
+        if arena:
+            qmodel.enable_arena()
         valid_name = next(iter(qmodel.latent))
         latent_before = {
             name: np.array(values) for name, values in qmodel.latent.items()
@@ -167,8 +172,8 @@ class TestIncrementalSync:
         import copy
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
-        incremental = QuantizedModel(model, QuantizationConfig(bits=4), incremental=True)
-        full = QuantizedModel(pristine, QuantizationConfig(bits=4), incremental=False)
+        incremental = QuantizedModel(model, QuantizationConfig(bits=4))
+        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = self._flips_for_one_tensor(incremental, np.random.default_rng(3))
         incremental.apply_flips({k: v.copy() for k, v in flips.items()})
         full.apply_flips({k: v.copy() for k, v in flips.items()})
@@ -204,8 +209,8 @@ class TestIncrementalSync:
         import copy
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
-        incremental = QuantizedModel(model, QuantizationConfig(bits=4), incremental=True)
-        full = QuantizedModel(pristine, QuantizationConfig(bits=4), incremental=False)
+        incremental = QuantizedModel(model, QuantizationConfig(bits=4))
+        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = self._flips_for_one_tensor(incremental, np.random.default_rng(7))
         for qmodel in (incremental, full):
             qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
@@ -227,8 +232,8 @@ class TestIncrementalSync:
         import copy
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
-        incremental = QuantizedModel(model, QuantizationConfig(bits=8), incremental=True)
-        full = QuantizedModel(pristine, QuantizationConfig(bits=8), incremental=False)
+        incremental = QuantizedModel(model, QuantizationConfig(bits=8))
+        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=8))
         for qmodel in (incremental, full):
             snapshot = qmodel.snapshot_codes()
             # A delta too small to move any 8-bit code: codes match the
@@ -240,6 +245,41 @@ class TestIncrementalSync:
         assert incremental.quantization_error() == pytest.approx(full.quantization_error())
         for name in incremental.latent:
             np.testing.assert_array_equal(incremental.latent[name], full.latent[name])
+
+    def test_partial_update_latent_after_flips_matches_full_sync(
+        self, small_classification_data, rng
+    ):
+        """A QAT step on one tensor must leave every other tensor alone.
+
+        After edge flips on every tensor, an ``update_latent`` on one tensor
+        must re-quantize that tensor only, in both sync modes: identical
+        codes, scales, latent and model weights everywhere.
+        """
+        x, y = small_classification_data
+        model = _make_trained_model(x, y, rng)
+        import copy
+
+        pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
+        incremental = QuantizedModel(model, QuantizationConfig(bits=4))
+        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
+        flip_rng = np.random.default_rng(13)
+        flips = {
+            name: flip_rng.integers(-1, 2, size=qt.codes.shape)
+            for name, qt in incremental.qtensors.items()
+        }
+        name = next(iter(incremental.latent))
+        delta = 0.05 * np.random.default_rng(17).normal(size=incremental.latent[name].shape)
+        for qmodel in (incremental, full):
+            qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
+            qmodel.update_latent({name: delta.copy()})
+        weights = full.model.state_dict()
+        for key, param in incremental.model.named_parameters():
+            np.testing.assert_array_equal(
+                incremental.qtensors[key].codes, full.qtensors[key].codes, err_msg=key
+            )
+            assert incremental.qtensors[key].scale == full.qtensors[key].scale, key
+            np.testing.assert_array_equal(incremental.latent[key], full.latent[key])
+            np.testing.assert_array_equal(param.data, weights[key])
 
     def test_force_sync_still_rewrites_everything(self, small_classification_data, rng):
         x, y = small_classification_data

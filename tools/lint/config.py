@@ -34,6 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: import the zoo back), and ``repro.fleet.gateway`` which is deliberately
 #: *above* ``repro.fleet`` (the ingestion front end orchestrates the
 #: service/store tier; nothing in the tier may reach up into the gateway).
+#: ``repro.reference`` is the top layer: the seed reference implementations
+#: may import anything, and no production module may import them.
 LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.utils",),
     ("repro.runtime",),
@@ -48,19 +50,8 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.results",),
     ("repro.fleet",),
     ("repro.fleet.gateway",),
+    ("repro.reference",),
 )
-
-#: Module-to-module import edges exempted from the DAG, with the reason the
-#: exemption exists.  Keep this list painfully short: every entry is a
-#: documented circularity-breaker, not a convenience.
-LAYERING_EXEMPTIONS: Mapping[Tuple[str, str], str] = {
-    # runtime exposes get/set/use_conv_kernel as the single configuration
-    # front door; the registry lives in repro.nn.kernels, so runtime defers
-    # the import to inside the wrapper functions (repro.nn.kernels itself
-    # imports runtime for dtype access).
-    ("repro.runtime", "repro.nn.kernels"): "deferred conv-kernel knob front door",
-    ("repro.runtime", "repro.nn"): "deferred conv-kernel knob front door",
-}
 
 
 def layer_rank(package: str) -> Optional[int]:

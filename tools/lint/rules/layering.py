@@ -9,8 +9,7 @@ its layer package and checked against :data:`tools.lint.config.LAYERS`.
 
 Same-layer imports between *different* packages are also findings
 (``repro.models`` and ``repro.quantization`` are peers, not dependencies).
-The only edges exempted are the documented circularity-breakers in
-:data:`tools.lint.config.LAYERING_EXEMPTIONS`.
+No edge is exempt.
 """
 
 from __future__ import annotations
@@ -83,8 +82,6 @@ class ImportLayering(Rule):
                 if target_pkg == "repro":
                     continue  # the umbrella package defines no layer
                 if target_pkg in allowed:
-                    continue
-                if (ctx.package, target_pkg) in config.LAYERING_EXEMPTIONS:
                     continue
                 target_rank = config.layer_rank(target_pkg)
                 relation = (
