@@ -3,12 +3,12 @@
 Measures the three optimisations of the fast-path runtime against the seed
 implementation, run *in the same process* from :mod:`repro.reference`:
 
-* **baseline** — float64 compute, per-tensor BF inference
-  (``calibrate_per_tensor``), rewrite-everything synchronisation
-  (``FullSyncQuantizedModel``);
+* **baseline** — float64 compute, the seed edge loop with per-tensor BF
+  inference and a fresh forward for every use (``calibrate_per_tensor``),
+  rewrite-everything synchronisation (``FullSyncQuantizedModel``);
 * **fast** — the production path: float32 compute (the :mod:`repro.runtime`
-  default), one fused BF inference per calibration iteration, dirty-tensor
-  incremental sync.
+  default), one fused BF inference per calibration iteration, one pool
+  forward per model state, dirty-tensor incremental sync.
 
 It also verifies that at float64 the production path proposes *numerically
 identical* flips to the reference and leaves identical model weights, so the

@@ -23,6 +23,7 @@ from repro import nn, runtime
 from repro.core.coreset import QCoreSet
 from repro.data.dataset import Dataset
 from repro.nn.module import Module
+from repro.nn.training import EVAL_BATCH_SIZE, predict_labels
 from repro.quantization.calibration import CalibrationResult, calibrate_with_backprop
 from repro.quantization.qmodel import QuantizedModel
 from repro.quantization.quantizer import QuantizationConfig, UniformQuantizer
@@ -30,15 +31,6 @@ from repro.utils.seeding import default_rng_fallback
 
 #: Number of per-parameter features produced by :func:`extract_parameter_features`.
 NUM_FEATURES = 5
-
-
-class HeterogeneousModelsError(ValueError):
-    """Models passed to a stacked extraction do not share an architecture.
-
-    A dedicated type so callers with a per-device fallback (the fleet
-    calibrator) can catch exactly this condition without also swallowing
-    genuine :class:`ValueError`\\ s raised by a model's own forward pass.
-    """
 
 
 def _layer_activation_summaries(layer: Module) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,7 +160,7 @@ class FeatureNormalizer:
     def moments(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The fitted ``(mean, std)`` for a parameter, or ``None`` if unfitted.
 
-        The batched fleet path uses this to pre-assemble a whole group's
+        The batched fleet path uses this to pre-assemble each device's
         normalisation template instead of transforming block by block.
         """
         return self._stats.get(name)
@@ -228,6 +220,16 @@ def _collect_raw_parts(
     qmodel.sync()
     qmodel.model.eval()
     qmodel.model.forward(features_batch)
+    return _summarize_last_forward(qmodel)
+
+
+def _summarize_last_forward(qmodel: QuantizedModel) -> List[_RawFeatureParts]:
+    """Per-parameter activation summaries of the forward the model ran last.
+
+    Must run before the next forward overwrites the layer caches.  ``values``
+    references the live parameter array, which is only read again while the
+    model is in the state this forward saw.
+    """
     param_to_name = {
         id(param): name for name, param in qmodel.model.named_parameters()
     }
@@ -258,14 +260,6 @@ def _features_for_parts(parts: _RawFeatureParts) -> np.ndarray:
     return _features_for_vector(parts.values, parts.a_in_mean, parts.a_out)
 
 
-def _iter_raw_parameter_features(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> Iterator[Tuple[str, np.ndarray]]:
-    """Yield ``(name, raw_features)`` per quantized parameter after one forward pass."""
-    for parts in _collect_raw_parts(qmodel, features_batch):
-        yield parts.name, _features_for_parts(parts)
-
-
 def _fused_from_parts(parts: List[_RawFeatureParts]) -> "FusedParameterFeatures":
     """Serial feature construction over already-collected parts (no forward)."""
     return _assemble_fused(
@@ -274,8 +268,7 @@ def _fused_from_parts(parts: List[_RawFeatureParts]) -> "FusedParameterFeatures"
 
 
 def _normalized_feature_blocks(
-    qmodel: QuantizedModel,
-    features_batch: np.ndarray,
+    parts: List[_RawFeatureParts],
     normalizer: Optional[FeatureNormalizer],
     fit_normalizer: bool,
 ) -> List[Tuple[str, np.ndarray]]:
@@ -285,10 +278,11 @@ def _normalized_feature_blocks(
         # transform fallback warns about the on-the-fly re-normalization.
         normalizer = FeatureNormalizer()
     blocks: List[Tuple[str, np.ndarray]] = []
-    for name, features in _iter_raw_parameter_features(qmodel, features_batch):
+    for entry in parts:
+        features = _features_for_parts(entry)
         if fit_normalizer:
-            normalizer.fit_update(name, features)
-        blocks.append((name, normalizer.transform(name, features)))
+            normalizer.fit_update(entry.name, features)
+        blocks.append((entry.name, normalizer.transform(entry.name, features)))
     return blocks
 
 
@@ -315,9 +309,8 @@ def extract_parameter_features(
     whose row order matches ``codes.reshape(-1)`` of the corresponding
     :class:`~repro.quantization.quantizer.QuantizedTensor`.
     """
-    return dict(
-        _normalized_feature_blocks(qmodel, features_batch, normalizer, fit_normalizer)
-    )
+    parts = _collect_raw_parts(qmodel, features_batch)
+    return dict(_normalized_feature_blocks(parts, normalizer, fit_normalizer))
 
 
 @dataclass
@@ -363,8 +356,8 @@ def extract_parameter_features_fused(
     so one BF inference covers every parameter of the model.  Row order within
     each block matches the per-tensor extractor exactly.
     """
-    blocks = _normalized_feature_blocks(qmodel, features_batch, normalizer, fit_normalizer)
-    return _assemble_fused(blocks)
+    parts = _collect_raw_parts(qmodel, features_batch)
+    return _assemble_fused(_normalized_feature_blocks(parts, normalizer, fit_normalizer))
 
 
 def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> FusedParameterFeatures:
@@ -393,7 +386,7 @@ def extract_parameter_features_raw(
     device's blocks at once — elementwise identical to transforming each
     block separately.
     """
-    return _assemble_fused(list(_iter_raw_parameter_features(qmodel, features_batch)))
+    return _fused_from_parts(_collect_raw_parts(qmodel, features_batch))
 
 
 def extract_parameter_features_raw_stacked(
@@ -412,8 +405,7 @@ def extract_parameter_features_raw_stacked(
     (:class:`~repro.quantization.arena.SegmentLayout`).
 
     All models must share an architecture (same parameter names and shapes in
-    the same traversal order); :class:`HeterogeneousModelsError` is raised
-    otherwise.  The stacked math performs exactly the serial elementwise
+    the same traversal order); :class:`ValueError` is raised otherwise.  The stacked math performs exactly the serial elementwise
     operations (it calls the same kernels with a leading batch axis), so each
     returned :class:`FusedParameterFeatures` is bit-identical to
     :func:`extract_parameter_features_raw` of the corresponding model.
@@ -434,10 +426,9 @@ def _stack_raw_parts(
 ) -> List[FusedParameterFeatures]:
     """Stacked feature construction over already-collected per-model parts.
 
-    Split from :func:`extract_parameter_features_raw_stacked` so a caller
-    holding the collected parts (the fleet calibrator) can fall back to
-    per-model construction on :class:`HeterogeneousModelsError` without
-    re-running any forward pass.
+    Split from :func:`extract_parameter_features_raw_stacked` so the fleet
+    calibrator can stack the parts its devices' pool forwards already
+    collected, without running a forward.
     """
     from repro.quantization.arena import SegmentLayout
 
@@ -445,7 +436,7 @@ def _stack_raw_parts(
     signature = [parts.signature for parts in reference]
     for model_parts in all_parts[1:]:
         if [parts.signature for parts in model_parts] != signature:
-            raise HeterogeneousModelsError(
+            raise ValueError(
                 "stacked feature extraction requires homogeneous models "
                 "(same parameter names and shapes)"
             )
@@ -499,8 +490,9 @@ class CalibrationRoundState:
     """Everything a calibration round's outcome depends on, snapshot-able.
 
     A device's edge-calibration trajectory is a pure function of (a) its
-    integer codes, (b) its BatchNorm running statistics (refreshed in
-    training mode at round start, so they carry state *across* rounds), and
+    integer codes, (b) its BatchNorm running statistics (refreshed at round
+    start with only BatchNorm in training mode, so they carry state *across*
+    rounds and the refresh draws no randomness), and
     (c) the calibration pool + the read-only BF package.  Capturing (a) and
     (b) therefore pins the mutable half: restoring a
     :class:`CalibrationRoundState` and re-running a round reproduces the
@@ -854,16 +846,46 @@ class BitFlipTrainer:
 
 @dataclass
 class BitFlipCalibrationStats:
-    """Diagnostics of one edge-side calibration run (Algorithm 3)."""
+    """Diagnostics of one edge-side calibration run (Algorithm 3).
+
+    ``flips_per_epoch`` counts, per iteration, the flips selected and kept —
+    including flips clipped at the code range, which move no code — and 0
+    for a reverted iteration.  ``inference_iterations`` counts the
+    iterations that ran BF inference; the rest replayed a stall.
+    """
 
     epochs: int
     flips_per_epoch: List[int] = field(default_factory=list)
     reverted_epochs: int = 0
     pool_accuracy: float = 0.0
+    inference_iterations: int = 0
 
     @property
     def total_flips(self) -> int:
         return int(sum(self.flips_per_epoch))
+
+
+@dataclass
+class PoolState:
+    """The calibration pool as one model state sees it, from one forward.
+
+    The edge calibrator runs one eval-mode forward over the pool per
+    distinct model state.  Pool accuracy (0.0 when the calibrator does not
+    validate), the predictions the miss observer records and the activation
+    summaries the next BF features are built from all come from it.
+    ``parts`` is ``None`` for a state no later iteration infers from.
+
+    ``stall`` is set once an iteration leaves the codes unchanged: no flip
+    proposed, every flip clipped, or the flips reverted.  The model is then
+    back in this state, so every later iteration of the round repeats that
+    one exactly; ``stall`` holds its bookkeeping, ``(flips recorded,
+    reverted)``, which the later iterations replay.
+    """
+
+    accuracy: float
+    predictions: np.ndarray
+    parts: Optional[List[_RawFeatureParts]] = None
+    stall: Optional[Tuple[int, bool]] = None
 
 
 class BitFlipCalibrator:
@@ -893,16 +915,22 @@ class BitFlipCalibrator:
         Feature standardisation fitted while the BF network was trained
         (shipped with it to the edge).
     batchnorm_refresh_passes:
-        Number of training-mode forward passes over the calibration pool that
-        refresh the BatchNorm running statistics before flipping starts (0 to
-        disable).  This is inference-only (no gradients) and corresponds to the
-        statistics refresh any calibration pass performs implicitly.
+        Number of forward passes over the calibration pool, with only the
+        BatchNorm layers in training mode, that refresh their running
+        statistics before flipping starts (0 to disable).  Such passes all
+        compute the same activations, so one pass runs, followed by
+        ``passes - 1`` more steps of the running-statistics recurrence on its
+        batch moments; a model without BatchNorm runs none.  This is
+        inference-only (no gradients) and corresponds to the statistics
+        refresh any calibration pass performs implicitly.
 
     Each calibration iteration runs one BF inference over the concatenated
     features of *all* parameter tensors.  The BF network operates row-wise,
-    so the flip decisions equal those of one inference per tensor (the seed
-    path, :func:`repro.reference.calibrate_per_tensor`); only the per-tensor
-    call overhead is gone.
+    so the flip decisions equal those of one inference per tensor.  Each
+    distinct model state costs one pool forward (:class:`PoolState`), and
+    once an iteration leaves the codes unchanged the remaining iterations
+    replay it without inference.  At float64 the result equals the seed
+    loop, :func:`repro.reference.calibrate_per_tensor`, bit for bit.
     """
 
     def __init__(
@@ -932,20 +960,54 @@ class BitFlipCalibrator:
         self.batchnorm_refresh_passes = batchnorm_refresh_passes
 
     def _refresh_batchnorm_statistics(self, qmodel: QuantizedModel, data: Dataset) -> None:
-        """Update BatchNorm running statistics with training-mode forward passes."""
-        qmodel.sync()
-        qmodel.model.train()
-        for _ in range(self.batchnorm_refresh_passes):
-            qmodel.model.forward(data.features)
-        qmodel.model.eval()
+        """Refresh the BatchNorm running statistics on the calibration pool.
 
-    def _predict_per_name(
-        self, qmodel: QuantizedModel, data: Dataset
-    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-parameter ``(flips, confidence)`` from one fused BF inference."""
-        fused = extract_parameter_features_fused(
-            qmodel, data.features, normalizer=self.normalizer
+        Only BatchNorm layers enter training mode (Dropout stays off, so the
+        refresh draws no randomness).  Train-mode BatchNorm normalises with
+        batch moments, so every refresh pass computes the same activations:
+        one pass plus ``passes - 1`` recurrence steps on its batch moments
+        equals ``passes`` passes.
+        """
+        layers = [
+            layer for layer in qmodel.model.modules() if isinstance(layer, nn.BatchNorm)
+        ]
+        if not layers:
+            return
+        qmodel.sync()
+        qmodel.model.eval()
+        for layer in layers:
+            layer.training = True
+        qmodel.model.forward(data.features)
+        qmodel.model.eval()
+        for layer in layers:
+            for _ in range(self.batchnorm_refresh_passes - 1):
+                layer.update_running_statistics(*layer.last_batch_moments)
+
+    def _pool_state(self, qmodel: QuantizedModel, data: Dataset) -> PoolState:
+        """One eval-mode forward of the current model state over the pool.
+
+        ``evaluate`` and ``predict`` run ``EVAL_BATCH_SIZE``-row chunks while
+        the feature forward runs the whole pool, so above that size the
+        predictions keep a chunked forward of their own.  The layer caches
+        hold the whole-pool forward afterwards, so the state's activation
+        summaries can be taken until the next forward runs.
+        """
+        qmodel.sync()
+        model = qmodel.model
+        model.eval()
+        if len(data) <= EVAL_BATCH_SIZE:
+            predictions = np.argmax(model.forward(data.features), axis=1)
+        else:
+            predictions = predict_labels(model, data.features)
+            model.forward(data.features)
+        accuracy = (
+            int(np.sum(predictions == data.labels)) / len(data) if self.validate else 0.0
         )
+        return PoolState(accuracy=accuracy, predictions=predictions)
+
+    def _predict_per_name(self, pool: PoolState) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Per-parameter ``(flips, confidence)`` from one fused BF inference."""
+        fused = _assemble_fused(_normalized_feature_blocks(pool.parts, self.normalizer, False))
         flips, confidence = self.network.predict_flips_with_confidence(
             fused.matrix, confidence_threshold=self.confidence_threshold
         )
@@ -992,57 +1054,72 @@ class BitFlipCalibrator:
 
     def begin_calibration(
         self, qmodel: QuantizedModel, data: Dataset
-    ) -> Tuple[BitFlipCalibrationStats, float]:
+    ) -> Tuple[BitFlipCalibrationStats, PoolState]:
         """Pre-loop setup shared by :meth:`calibrate` and the fleet calibrator.
 
-        Refreshes the BatchNorm running statistics and measures the initial
-        pool accuracy (when validation is enabled).  Returns the stats record
-        the calibration loop will fill and the starting pool accuracy.
+        Refreshes the BatchNorm running statistics and runs the start state's
+        pool forward.  Returns the stats record the calibration loop will fill
+        and the start state's :class:`PoolState`.
         """
         if len(data) == 0:
             raise ValueError("calibration data must contain at least one example")
         stats = BitFlipCalibrationStats(epochs=self.epochs)
         if self.batchnorm_refresh_passes > 0:
             self._refresh_batchnorm_statistics(qmodel, data)
-        pool_accuracy = (
-            qmodel.evaluate(data.features, data.labels) if self.validate else 0.0
-        )
-        return stats, pool_accuracy
+        pool = self._pool_state(qmodel, data)
+        pool.parts = _summarize_last_forward(qmodel)
+        return stats, pool
 
     def calibration_step(
         self,
         qmodel: QuantizedModel,
         data: Dataset,
-        per_name: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        per_name: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]],
         stats: BitFlipCalibrationStats,
-        pool_accuracy: float,
+        pool: PoolState,
         epoch: int,
         epoch_callback=None,
-    ) -> float:
-        """Apply one iteration's predictions: select, flip, validate, revert.
+    ) -> PoolState:
+        """One calibration iteration: select, flip, validate, revert.
 
         Everything after the BF inference of one calibration iteration —
         shared verbatim between the per-device loop in :meth:`calibrate` and
         the batched fleet path, which computes ``per_name`` from a single
-        fleet-wide inference.  Returns the (possibly updated) pool accuracy.
+        fleet-wide inference.  A stalled ``pool`` replays its bookkeeping
+        instead (``per_name`` is then unused).  Returns the :class:`PoolState`
+        of the state the iteration ended in; ``epoch_callback(epoch, qmodel,
+        predictions)`` receives that state's pool predictions.
         """
-        flips, flip_count = self._select_flips(qmodel, per_name)
-        snapshot = qmodel.snapshot_codes() if self.validate else None
-        if flips:
-            qmodel.apply_flips(flips)
-        accepted = True
-        if self.validate and flips:
-            new_accuracy = qmodel.evaluate(data.features, data.labels)
-            if new_accuracy + 1e-9 < pool_accuracy:
-                qmodel.restore_codes(snapshot)
-                stats.reverted_epochs += 1
-                accepted = False
-            else:
-                pool_accuracy = new_accuracy
-        stats.flips_per_epoch.append(flip_count if accepted else 0)
+        if pool.stall is not None:
+            flips_recorded, reverted = pool.stall
+        else:
+            stats.inference_iterations += 1
+            flips, flips_recorded = self._select_flips(qmodel, per_name)
+            snapshot = qmodel.snapshot_codes() if self.validate else None
+            moved = qmodel.apply_flips(flips) if flips else 0
+            reverted = False
+            # The validation forward is the new state's pool forward.  When no
+            # code moved it is skipped: its accuracy would equal
+            # pool.accuracy, so the iteration is accepted.
+            if moved:
+                candidate = self._pool_state(qmodel, data)
+                if self.validate and candidate.accuracy + 1e-9 < pool.accuracy:
+                    qmodel.restore_codes(snapshot)
+                    flips_recorded, reverted = 0, True
+                else:
+                    pool = candidate
+                    if epoch + 1 < self.epochs:
+                        # Summaries only for a kept state the next iteration
+                        # infers from; no forward has run since this one.
+                        pool.parts = _summarize_last_forward(qmodel)
+            if not moved or reverted:
+                # The codes ended unchanged: every later iteration repeats this one.
+                pool.stall = (flips_recorded, reverted)
+        stats.flips_per_epoch.append(flips_recorded)
+        stats.reverted_epochs += int(reverted)
         if epoch_callback is not None:
-            epoch_callback(epoch, qmodel)
-        return pool_accuracy
+            epoch_callback(epoch, qmodel, pool.predictions)
+        return pool
 
     def calibrate(
         self,
@@ -1053,15 +1130,17 @@ class BitFlipCalibrator:
         """Update ``qmodel``'s integer codes using BF inference only.
 
         ``data`` is the union of the QCore and the incoming stream batch
-        (Algorithm 3, line 3).  ``epoch_callback(epoch, qmodel)`` is invoked
-        after every iteration; the QCore updater uses it to track quantization
-        misses while calibration is running (Algorithm 4 runs in parallel).
+        (Algorithm 3, line 3).  ``epoch_callback(epoch, qmodel, predictions)``
+        is invoked after every iteration with the pool predictions of the
+        state the iteration ended in; the QCore updater uses it to track
+        quantization misses while calibration is running (Algorithm 4 runs
+        in parallel).
         """
-        stats, pool_accuracy = self.begin_calibration(qmodel, data)
+        stats, pool = self.begin_calibration(qmodel, data)
         for epoch in range(self.epochs):
-            per_name = self._predict_per_name(qmodel, data)
-            pool_accuracy = self.calibration_step(
-                qmodel, data, per_name, stats, pool_accuracy, epoch, epoch_callback
+            per_name = self._predict_per_name(pool) if pool.stall is None else None
+            pool = self.calibration_step(
+                qmodel, data, per_name, stats, pool, epoch, epoch_callback
             )
-        stats.pool_accuracy = pool_accuracy
+        stats.pool_accuracy = pool.accuracy
         return stats

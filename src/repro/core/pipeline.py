@@ -142,7 +142,7 @@ class EdgeDeployment:
             confidence_threshold=confidence_threshold,
             normalizer=feature_normalizer,
         )
-        self.updater = QCoreUpdater(epochs=calibration_epochs, rng=self.rng)
+        self.updater = QCoreUpdater(rng=self.rng)
         self._batches_processed = 0
 
     @property
@@ -202,9 +202,11 @@ class EdgeDeployment:
             flips_applied = stats.total_flips
         else:
             # NoBF ablation: the model is frozen on the edge; we still observe
-            # misses so the QCore update has a signal to work with.
+            # its predictions once per iteration so the QCore update has a
+            # signal to work with.
+            predictions = self.qmodel.predict(context.pool.features)
             for epoch in range(self.calibrator.epochs):
-                context.observer(epoch, self.qmodel)
+                context.observer(epoch, self.qmodel, predictions)
         return self.finish_batch(context, flips_applied)
 
     def clone(self, rng: Optional[np.random.Generator] = None) -> "EdgeDeployment":

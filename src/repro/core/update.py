@@ -35,21 +35,17 @@ class QCoreUpdateResult:
 class QCoreUpdater:
     """Merges incoming stream batches into the QCore (Algorithm 4).
 
+    Quantization misses are observed once per edge calibration iteration
+    through :meth:`make_observer`; :meth:`observe_and_resample` then draws the
+    new QCore.
+
     Parameters
     ----------
-    epochs:
-        Number of inference iterations over which quantization misses are
-        observed.  When the updater is driven by the bit-flip calibrator
-        (the normal deployment), the calibrator's iterations provide these
-        observations instead and ``epochs`` only applies to standalone use.
     rng:
         Generator used for the re-sampling step.
     """
 
-    def __init__(self, epochs: int = 3, rng: Optional[np.random.Generator] = None):
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        self.epochs = epochs
+    def __init__(self, rng: Optional[np.random.Generator] = None):
         self.rng = default_rng_fallback(rng)
 
     # ------------------------------------------------------------------ pools
@@ -96,27 +92,6 @@ class QCoreUpdater:
             pool_size=len(pool),
         )
 
-    def update(
-        self,
-        qcore: QCoreSet,
-        batch: Dataset,
-        qmodel: QuantizedModel,
-        level: Optional[int] = None,
-    ) -> QCoreUpdateResult:
-        """Standalone Algorithm 4: observe misses over ``epochs`` inference passes.
-
-        This is used when the bit-flip calibrator is disabled (the ``NoBF``
-        ablation); in the full framework the calibration loop drives the
-        observations through :meth:`make_observer`.
-        """
-        level = level if level is not None else qmodel.bits
-        pool = self.build_pool(qcore, batch)
-        tracker = QuantizationMissTracker(len(pool), [level])
-        for _ in range(self.epochs):
-            predictions = qmodel.predict(pool.features)
-            tracker.observe_predictions(level, predictions, pool.labels)
-        return self.observe_and_resample(qcore, batch, tracker, pool, level)
-
     def make_observer(self, pool: Dataset, level: int):
         """Build a ``(tracker, callback)`` pair for calibration-driven observation.
 
@@ -124,12 +99,12 @@ class QCoreUpdater:
         :meth:`repro.core.bitflip.BitFlipCalibrator.calibrate`, so quantization
         misses are recorded exactly once per calibration iteration — the
         "update occurs in parallel with model calibration" behaviour of
-        Section 3.4.
+        Section 3.4.  It records the ``predictions`` over ``pool`` it is given,
+        which the calibrator takes from its own forward of the model state.
         """
         tracker = QuantizationMissTracker(len(pool), [level])
 
-        def callback(epoch: int, qmodel: QuantizedModel) -> None:
-            predictions = qmodel.predict(pool.features)
+        def callback(epoch: int, qmodel: QuantizedModel, predictions: np.ndarray) -> None:
             tracker.observe_predictions(level, predictions, pool.labels)
 
         return tracker, callback

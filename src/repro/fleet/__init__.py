@@ -12,11 +12,11 @@ for.  This package exploits it:
   :class:`~repro.core.pipeline.EdgeDeployment` devices (heterogeneous
   bit-widths and architectures are fine).
 * :class:`FleetCalibrator` — calibrates every device in one pass: per round it
-  concatenates every device's fused feature blocks and runs **one**
-  :class:`~repro.core.bitflip.BitFlipNetwork` forward per distinct network,
-  then scatters the flip decisions back through each device's incremental
-  quantized-state sync.  Bit-identical at float64 to calibrating each device
-  serially.
+  concatenates the fused feature blocks of every device still inferring and
+  runs **one** :class:`~repro.core.bitflip.BitFlipNetwork` forward per
+  distinct network, then scatters the flip decisions back through each
+  device's incremental quantized-state sync; stalled devices only replay.
+  Bit-identical at float64 to calibrating each device serially.
 * :func:`run_fleet_stream` — shards a fleet across the persistent
   :class:`~repro.eval.parallel.WorkerPool`, each worker batch-calibrating its
   shard through the whole stream (devices pickled once per pool lifetime).

@@ -22,11 +22,10 @@ from repro.core.bitflip import (
     NUM_FEATURES,
     BitFlipCalibrationStats,
     FeatureNormalizer,
-    HeterogeneousModelsError,
-    _collect_raw_parts,
+    FusedParameterFeatures,
+    PoolState,
     _fused_from_parts,
     _stack_raw_parts,
-    extract_parameter_features_raw,
 )
 from repro.data.dataset import Dataset
 from repro.fleet.registry import Fleet
@@ -47,8 +46,8 @@ class FleetCalibrationResult:
 
     @property
     def serial_forward_calls(self) -> int:
-        """BF forwards the per-device loop would have needed (one per device per round)."""
-        return sum(stat.epochs for stat in self.stats.values())
+        """BF forwards the per-device loop would have needed (one per inference iteration)."""
+        return sum(stat.inference_iterations for stat in self.stats.values())
 
 
 @dataclass
@@ -67,9 +66,9 @@ class _DeviceState:
     device_id: str
     deployment: object
     stats: BitFlipCalibrationStats
-    pool_accuracy: float
     pool: Dataset
-    fused: Optional[object] = None
+    record: PoolState
+    fused: Optional[FusedParameterFeatures] = None
     per_name: Optional[dict] = None
 
 
@@ -86,10 +85,15 @@ class FleetCalibrator:
 
     Heterogeneous fleets are grouped by bit-flip network: devices sharing one
     network (the replicated-deployment case) share one forward per round;
-    a fleet with ``G`` distinct networks runs ``G`` forwards per round instead
-    of one per device.  Devices sharing an architecture also share their raw
-    feature *construction*: the elementwise feature math runs once per
-    parameter with the devices stacked along a leading axis
+    a fleet with ``G`` distinct networks runs at most ``G`` forwards per round
+    instead of one per device.  A device whose calibration stalled (its
+    :class:`~repro.core.bitflip.PoolState` says so) leaves the batched
+    inference and only replays its remaining iterations, so a network's
+    forwards number the most inference iterations any of its devices ran.
+    Features come from each device's cached pool forward; devices sharing an
+    architecture also share their raw feature *construction*: the elementwise
+    feature math runs once per parameter with the devices stacked along a
+    leading axis
     (:func:`~repro.core.bitflip.extract_parameter_features_raw_stacked`),
     bit-identical to the per-device extractor.
     """
@@ -114,7 +118,7 @@ class FleetCalibrator:
 
         states: List[_DeviceState] = []
         for device_id, deployment in fleet.items():
-            stats, accuracy = deployment.calibrator.begin_calibration(
+            stats, record = deployment.calibrator.begin_calibration(
                 deployment.qmodel, pools[device_id]
             )
             states.append(
@@ -122,8 +126,8 @@ class FleetCalibrator:
                     device_id=device_id,
                     deployment=deployment,
                     stats=stats,
-                    pool_accuracy=accuracy,
                     pool=pools[device_id],
+                    record=record,
                 )
             )
 
@@ -132,24 +136,26 @@ class FleetCalibrator:
             (state.deployment.calibrator.epochs for state in states), default=0
         )
         # Normalisation templates are a pure function of each device's block
-        # layout and fitted moments, both constant across rounds — build once
-        # per active device set and reuse.
-        template_cache: Dict[tuple, tuple] = {}
+        # layout and fitted moments, both constant across rounds — build one
+        # per device and reuse it in every round the device infers.
+        templates: Dict[str, tuple] = {}
         for round_index in range(max_rounds):
             active = [
                 state
                 for state in states
                 if state.deployment.calibrator.epochs > round_index
             ]
-            result.bf_forward_calls += self._predict_round(active, template_cache)
+            result.bf_forward_calls += self._predict_round(
+                [state for state in active if state.record.stall is None], templates
+            )
             for state in active:
                 calibrator = state.deployment.calibrator
-                state.pool_accuracy = calibrator.calibration_step(
+                state.record = calibrator.calibration_step(
                     state.deployment.qmodel,
                     state.pool,
                     state.per_name,
                     state.stats,
-                    state.pool_accuracy,
+                    state.record,
                     round_index,
                     epoch_callbacks.get(state.device_id),
                 )
@@ -157,71 +163,38 @@ class FleetCalibrator:
             result.rounds += 1
 
         for state in states:
-            state.stats.pool_accuracy = state.pool_accuracy
+            state.stats.pool_accuracy = state.record.accuracy
             result.stats[state.device_id] = state.stats
         return result
 
     def _predict_round(
-        self, active: List[_DeviceState], template_cache: Dict[tuple, tuple]
+        self, inferring: List[_DeviceState], templates: Dict[str, tuple]
     ) -> int:
-        """One calibration round's BF inference for every active device.
+        """One calibration round's BF inference for every device that infers.
 
-        Extracts each device's raw fused features (a forward pass of *that
-        device's* model over *its* pool — inherently per-device, though the
-        feature *construction* after the forwards is stacked across
-        homogeneous devices), then batches everything per-row across the
-        fleet: one affine normalisation over the concatenated blocks of all
-        devices with fully-fitted normalisers (the moments are per parameter,
-        so this is elementwise identical to transforming block by block) and
-        one BF network forward per distinct network.  Predictions are
-        scattered back as the per-name ``(flips, confidence)`` maps the
-        shared selection logic consumes.  Returns the number of BF forwards.
+        Builds each device's raw fused features from its cached pool forward
+        (the construction is stacked across homogeneous devices), then
+        batches everything per-row across the fleet: each device's features
+        are normalised with its own fitted moments (elementwise identical to
+        transforming block by block), and one BF network forward runs per
+        distinct network.  Predictions are scattered back as the per-name
+        ``(flips, confidence)`` maps the shared selection logic consumes.
+        Returns the number of BF forwards.
         """
-        self._extract_features(active)
+        self._extract_features(inferring)
         groups: Dict[int, List[_DeviceState]] = {}
-        for state in active:
+        for state in inferring:
             groups.setdefault(id(state.deployment.calibrator.network), []).append(state)
 
         for members in groups.values():
             network = members[0].deployment.calibrator.network
-            templated = []
-            fallback = []
-            for state in members:
-                normalizer = state.deployment.calibrator.normalizer
-                if normalizer is not None and normalizer.covers(state.fused.names):
-                    templated.append(state)
-                else:
-                    fallback.append(state)
-            ordered = templated + fallback
-            matrices: List[np.ndarray] = []
-            if templated:
-                raw = (
-                    templated[0].fused.matrix
-                    if len(templated) == 1
-                    else np.concatenate([state.fused.matrix for state in templated])
-                )
-                mean, std = self._normalization_template(templated, template_cache)
-                matrices.append((raw - mean) / std)
-            for state in fallback:
-                # Devices without (complete) fitted statistics re-normalise on
-                # the fly, exactly like the serial extractor — including its
-                # RuntimeWarning about washing out the domain shift.
-                normalizer = state.deployment.calibrator.normalizer
-                if normalizer is None:
-                    normalizer = FeatureNormalizer()
-                blocks = [
-                    normalizer.transform(name, block)
-                    for name, block in state.fused.blocks(state.fused.matrix)
-                ]
-                matrices.append(
-                    np.concatenate(blocks) if blocks else state.fused.matrix
-                )
+            matrices = [self._normalized(state, templates) for state in members]
             matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
             flips, confidence = network.predict_flips_with_confidence(
                 matrix, confidence_threshold=0.0
             )
             start = 0
-            for state in ordered:
+            for state in members:
                 stop = start + state.fused.num_rows
                 device_flips = flips[start:stop]
                 device_confidence = confidence[start:stop]
@@ -244,85 +217,59 @@ class FleetCalibrator:
                 start = stop
         return len(groups)
 
-    def _extract_features(self, active: List[_DeviceState]) -> None:
-        """Fill each active device's raw fused features.
+    def _extract_features(self, inferring: List[_DeviceState]) -> None:
+        """Fill each inferring device's raw fused features from its cached forward.
 
-        Devices sharing an architecture (same parameter names and shapes, the
-        replicated-fleet case) run their elementwise feature construction as
-        one stacked pass; singletons and heterogeneous stragglers fall back
-        to the per-device extractor.  Both produce bit-identical features.
+        Devices with the same parameter layout (the replicated-fleet case)
+        run their elementwise feature construction as one stacked pass;
+        singletons use the per-device construction.  Both produce
+        bit-identical features, and neither runs a forward.
         """
-        pending = list(active)
-        if len(active) > 1:
-            arch_groups: Dict[tuple, List[_DeviceState]] = {}
-            for state in active:
-                qmodel = state.deployment.qmodel
-                signature = (
-                    type(qmodel.model).__name__,
-                    tuple(
-                        (name, qt.codes.shape) for name, qt in qmodel.qtensors.items()
-                    ),
-                )
-                arch_groups.setdefault(signature, []).append(state)
-            pending = []
-            for members in arch_groups.values():
-                if len(members) < 2:
-                    pending.extend(members)
-                    continue
-                # Forwards run once here; stacking reuses the collected parts,
-                # and so does the fallback below — no forward runs twice.
-                all_parts = [
-                    _collect_raw_parts(
-                        state.deployment.qmodel, state.pool.features
-                    )
-                    for state in members
-                ]
-                try:
-                    fused_list = _stack_raw_parts(all_parts)
-                except HeterogeneousModelsError:
-                    # Same outer signature but diverging BF traversal — build
-                    # each device's features from its already-collected parts.
-                    for state, parts in zip(members, all_parts):
-                        state.fused = _fused_from_parts(parts)
-                    continue
-                for state, fused in zip(members, fused_list):
-                    state.fused = fused
-        for state in pending:
-            state.fused = extract_parameter_features_raw(
-                state.deployment.qmodel, state.pool.features
-            )
+        layouts: Dict[tuple, List[_DeviceState]] = {}
+        for state in inferring:
+            signature = tuple(parts.signature for parts in state.record.parts)
+            layouts.setdefault(signature, []).append(state)
+        for members in layouts.values():
+            if len(members) == 1:
+                members[0].fused = _fused_from_parts(members[0].record.parts)
+                continue
+            fused_list = _stack_raw_parts([state.record.parts for state in members])
+            for state, fused in zip(members, fused_list):
+                state.fused = fused
 
     @staticmethod
-    def _normalization_template(
-        templated: List[_DeviceState], cache: Dict[tuple, tuple]
-    ) -> tuple:
-        """Row-expanded ``(mean, std)`` covering every templated device's blocks.
+    def _normalized(state: _DeviceState, templates: Dict[str, tuple]) -> np.ndarray:
+        """One device's normalised feature matrix.
 
-        Each parameter's fitted moments are repeated across its rows, in the
-        exact concatenation order of the raw matrices, so one vectorised
-        ``(raw - mean) / std`` normalises the whole batch.
+        With moments fitted for every parameter, one ``(raw - mean) / std``
+        against the device's row-expanded template (built on first use);
+        otherwise the device re-normalises block by block on the fly,
+        exactly like the serial extractor — including its RuntimeWarning
+        about washing out the domain shift.
         """
-        key = tuple(state.device_id for state in templated)
-        if key not in cache:
+        normalizer = state.deployment.calibrator.normalizer
+        fused = state.fused
+        if normalizer is None or not normalizer.covers(fused.names):
+            normalizer = normalizer or FeatureNormalizer()
+            blocks = [
+                normalizer.transform(name, block)
+                for name, block in fused.blocks(fused.matrix)
+            ]
+            return np.concatenate(blocks) if blocks else fused.matrix
+        if state.device_id not in templates:
             mean_parts: List[np.ndarray] = []
             std_parts: List[np.ndarray] = []
-            for state in templated:
-                normalizer = state.deployment.calibrator.normalizer
-                fused = state.fused
-                for index, name in enumerate(fused.names):
-                    rows = int(fused.offsets[index + 1] - fused.offsets[index])
-                    mean, std = normalizer.moments(name)
-                    mean_parts.append(np.broadcast_to(mean, (rows, NUM_FEATURES)))
-                    std_parts.append(np.broadcast_to(std, (rows, NUM_FEATURES)))
-            if mean_parts:
-                cache[key] = (
-                    np.concatenate(mean_parts),
-                    np.concatenate(std_parts),
-                )
-            else:
-                empty = np.zeros((0, NUM_FEATURES))
-                cache[key] = (empty, np.ones((0, NUM_FEATURES)))
-        return cache[key]
+            for index, name in enumerate(fused.names):
+                rows = int(fused.offsets[index + 1] - fused.offsets[index])
+                mean, std = normalizer.moments(name)
+                mean_parts.append(np.broadcast_to(mean, (rows, NUM_FEATURES)))
+                std_parts.append(np.broadcast_to(std, (rows, NUM_FEATURES)))
+            templates[state.device_id] = (
+                np.concatenate(mean_parts) if mean_parts else np.zeros((0, NUM_FEATURES)),
+                np.concatenate(std_parts) if std_parts else np.ones((0, NUM_FEATURES)),
+            )
+        mean, std = templates[state.device_id]
+        return (fused.matrix - mean) / std
 
     # ------------------------------------------------------- stream interface
     def process_batches(
@@ -366,8 +313,10 @@ class FleetCalibrator:
                 flips_applied = calibration.stats[device_id].total_flips
             else:
                 flips_applied = 0
+                context = contexts[device_id]
+                predictions = deployment.qmodel.predict(context.pool.features)
                 for epoch in range(deployment.calibrator.epochs):
-                    contexts[device_id].observer(epoch, deployment.qmodel)
+                    context.observer(epoch, deployment.qmodel, predictions)
             report.reports[device_id] = deployment.finish_batch(
                 contexts[device_id], flips_applied
             )

@@ -9,7 +9,7 @@ relies on these activation snapshots to compute the per-parameter feature
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -310,12 +310,19 @@ class BatchNorm(Module):
         self._cache: Optional[tuple] = None
         self.last_input: Optional[np.ndarray] = None
         self.last_output: Optional[np.ndarray] = None
+        #: ``(mean, var)`` the last training-mode forward normalised with.
+        self.last_batch_moments: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _reduce_axes(self, x: np.ndarray) -> tuple:
         return (0,) + tuple(range(2, x.ndim))
 
     def _shape_for_broadcast(self, x: np.ndarray) -> tuple:
         return (1, self.num_features) + (1,) * (x.ndim - 2)
+
+    def update_running_statistics(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """One step of the running-statistics recurrence on batch moments."""
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = runtime.asarray(x)
@@ -329,8 +336,8 @@ class BatchNorm(Module):
         if self.training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.last_batch_moments = (mean, var)
+            self.update_running_statistics(mean, var)
         else:
             mean = self.running_mean
             var = self.running_var

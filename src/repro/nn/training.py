@@ -19,6 +19,12 @@ from repro.nn.optim import Optimizer
 #: same shuffle order — pass an explicit generator for varied epochs.
 DEFAULT_SHUFFLE_SEED = 0
 
+#: Rows per forward in :func:`evaluate`, :func:`predict_proba` and
+#: :func:`predict_labels`.  A pool of at most this many rows runs as one
+#: forward over the whole pool, which is what lets the edge calibrator take
+#: accuracy, predictions and activation summaries from a single forward.
+EVAL_BATCH_SIZE = 256
+
 
 def iterate_minibatches(
     features: np.ndarray,
@@ -135,7 +141,7 @@ def train_classifier(
     return history
 
 
-def evaluate(model: Module, features: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:
+def evaluate(model: Module, features: np.ndarray, labels: np.ndarray, batch_size: int = EVAL_BATCH_SIZE) -> float:
     """Return the accuracy of ``model`` on ``(features, labels)`` in eval mode."""
     model.eval()
     if features.shape[0] == 0:
@@ -149,7 +155,7 @@ def evaluate(model: Module, features: np.ndarray, labels: np.ndarray, batch_size
     return correct / features.shape[0]
 
 
-def predict_proba(model: Module, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_proba(model: Module, features: np.ndarray, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     """Return softmax class probabilities for every row of ``features``."""
     model.eval()
     outputs = []
@@ -161,7 +167,7 @@ def predict_proba(model: Module, features: np.ndarray, batch_size: int = 256) ->
     return np.concatenate(outputs, axis=0)
 
 
-def predict_labels(model: Module, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_labels(model: Module, features: np.ndarray, batch_size: int = EVAL_BATCH_SIZE) -> np.ndarray:
     """Return arg-max class predictions for every row of ``features``."""
     model.eval()
     outputs = []

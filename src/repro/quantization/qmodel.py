@@ -235,13 +235,15 @@ class QuantizedModel:
             return
         self._sync_and_collapse_latent()
 
-    def apply_flips(self, flips: Dict[str, np.ndarray]) -> None:
+    def apply_flips(self, flips: Dict[str, np.ndarray]) -> int:
         """Apply per-parameter flips in ``{-1, 0, +1}`` to the integer codes.
 
         Unknown parameter names are rejected; parameters without an entry are
         left untouched.  After the update the latent view and the wrapped
         model are re-synchronised so subsequent inference uses the new codes —
         incrementally, so tensors that received no flips are not rewritten.
+        Returns how many codes moved (flips clipped at the code range move
+        none).
         """
         unknown = set(flips) - set(self.qtensors)
         if unknown:
@@ -259,13 +261,15 @@ class QuantizedModel:
             if flip.size and np.max(np.abs(flip)) > 1:
                 raise ValueError("flips must only contain values in {-1, 0, +1}")
         self._materialize_codes()
+        moved = 0
         for name, flip in flips.items():
-            self.qtensors[name].apply_flips(flip)
+            moved += self.qtensors[name].apply_flips(flip)
             self._dirty.add(name)
         if self.arena is not None:
             self._arena_after_code_mutation(codes_changed=bool(flips))
-            return
-        self._sync_and_collapse_latent()
+        else:
+            self._sync_and_collapse_latent()
+        return moved
 
     def _sync_and_collapse_latent(self) -> None:
         """Sync the model, then collapse every latent tensor to its dequantized value.

@@ -79,11 +79,12 @@ class QuantizedTensor:
         """Map the integer codes back to real values (at the active compute dtype)."""
         return self.scale * (self.codes.astype(runtime.get_dtype()) - self.zero_point)
 
-    def apply_flips(self, flips: np.ndarray) -> None:
+    def apply_flips(self, flips: np.ndarray) -> int:
         """Add integer ``flips`` (values in ``{-1, 0, +1}``) to the codes in place.
 
         The result is clipped to the representable range; this is the update
         primitive the bit-flipping network uses (Algorithm 3, line 8).
+        Returns how many codes moved: a flip clipped at the range moves none.
         """
         flips = np.asarray(flips)
         if flips.shape != self.codes.shape:
@@ -92,13 +93,13 @@ class QuantizedTensor:
             )
         if flips.size and np.max(np.abs(flips)) > 1:
             raise ValueError("flips must only contain values in {-1, 0, +1}")
-        # In place, so codes that are views into a parameter arena stay bound.
-        np.clip(
-            self.codes + flips.astype(np.int64),
-            self.config.qmin,
-            self.config.qmax,
-            out=self.codes,
+        updated = np.clip(
+            self.codes + flips.astype(np.int64), self.config.qmin, self.config.qmax
         )
+        moved = int(np.count_nonzero(updated != self.codes))
+        # In place, so codes that are views into a parameter arena stay bound.
+        self.codes[...] = updated
+        return moved
 
     def copy(self) -> "QuantizedTensor":
         """Return an independent copy of this quantized tensor."""

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import nn
 from repro.core.bitflip import (
     BitFlipCalibrationStats,
     BitFlipCalibrator,
@@ -101,18 +102,51 @@ def calibrate_per_tensor(
     data: Dataset,
     epoch_callback=None,
 ) -> BitFlipCalibrationStats:
-    """``calibrator.calibrate`` with :func:`predict_per_tensor` as its BF inference.
+    """The seed edge-calibration loop: every iteration recomputes everything.
 
-    Drives the public ``begin_calibration`` / ``calibration_step`` pair, as
-    the fleet calibrator does: flip selection, validation and revert are the
-    production code, and only the inference differs.
+    ``calibrator.calibrate`` with no forward reused: ``batchnorm_refresh_passes``
+    real refresh passes (only BatchNorm in training mode), ``evaluate`` for
+    the start accuracy, then per iteration :func:`predict_per_tensor` with its
+    own forward, the production flip selection, snapshot, ``apply_flips``,
+    ``evaluate`` and revert, and the callback with a fresh ``predict``.  Same
+    arguments, stats and callback shape as the production loop, which must
+    equal it bit for bit (``inference_iterations`` aside: this loop never
+    stops inferring).
     """
-    stats, pool_accuracy = calibrator.begin_calibration(qmodel, data)
+    if len(data) == 0:
+        raise ValueError("calibration data must contain at least one example")
+    stats = BitFlipCalibrationStats(epochs=calibrator.epochs)
+    if calibrator.batchnorm_refresh_passes > 0:
+        qmodel.sync()
+        qmodel.model.eval()
+        for layer in qmodel.model.modules():
+            if isinstance(layer, nn.BatchNorm):
+                layer.train()
+        for _ in range(calibrator.batchnorm_refresh_passes):
+            qmodel.model.forward(data.features)
+        qmodel.model.eval()
+    validate = calibrator.validate
+    pool_accuracy = qmodel.evaluate(data.features, data.labels) if validate else 0.0
     for epoch in range(calibrator.epochs):
-        pool_accuracy = calibrator.calibration_step(
-            qmodel, data, predict_per_tensor(calibrator, qmodel, data),
-            stats, pool_accuracy, epoch, epoch_callback,
+        stats.inference_iterations += 1
+        flips, flip_count = calibrator._select_flips(
+            qmodel, predict_per_tensor(calibrator, qmodel, data)
         )
+        snapshot = qmodel.snapshot_codes() if validate else None
+        if flips:
+            qmodel.apply_flips(flips)
+        accepted = True
+        if validate and flips:
+            new_accuracy = qmodel.evaluate(data.features, data.labels)
+            if new_accuracy + 1e-9 < pool_accuracy:
+                qmodel.restore_codes(snapshot)
+                stats.reverted_epochs += 1
+                accepted = False
+            else:
+                pool_accuracy = new_accuracy
+        stats.flips_per_epoch.append(flip_count if accepted else 0)
+        if epoch_callback is not None:
+            epoch_callback(epoch, qmodel, qmodel.predict(data.features))
     stats.pool_accuracy = pool_accuracy
     return stats
 

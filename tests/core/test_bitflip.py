@@ -160,7 +160,7 @@ class TestBitFlipCalibrator:
         calls = []
         stats = calibrator.calibrate(
             qmodel, target.train.subset(np.arange(20)),
-            epoch_callback=lambda epoch, qm: calls.append(epoch),
+            epoch_callback=lambda epoch, qm, predictions: calls.append(epoch),
         )
         assert stats.epochs == 2
         assert len(stats.flips_per_epoch) == 2
@@ -282,8 +282,9 @@ class TestFusedFeatureExtraction:
             normalizer=normalizer, batchnorm_refresh_passes=0,
         )
         pool = target.train.subset(np.arange(16))
+        _, start = calibrator.begin_calibration(qmodel, pool)
         flips_fused, count_fused = calibrator._select_flips(
-            qmodel, calibrator._predict_per_name(qmodel, pool)
+            qmodel, calibrator._predict_per_name(start)
         )
         flips_legacy, count_legacy = calibrator._select_flips(
             legacy, predict_per_tensor(calibrator, legacy, pool)
@@ -382,6 +383,36 @@ class TestCalibrationRoundState:
             restore_calibration_state(qmodel, bogus)
         # Validation failed up front: nothing was mutated.
         assert capture_calibration_state(qmodel).digest() == before
+
+    def test_refresh_is_a_pure_function_of_the_captured_state(self):
+        """A Dropout ahead of a BatchNorm must not make the refresh random:
+        two refreshes from one captured state end in the same state."""
+        from repro.core.bitflip import (
+            capture_calibration_state,
+            restore_calibration_state,
+        )
+        from repro.data import Dataset
+
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(
+            nn.Dense(6, 8, rng=rng), nn.Dropout(0.5, rng=rng), nn.BatchNorm(8),
+            nn.ReLU(), nn.Dense(8, 3, rng=rng),
+        )
+        qmodel = quantize_model(model, bits=4)
+        pool = Dataset(
+            features=rng.normal(size=(20, 6)), labels=rng.integers(0, 3, size=20),
+            num_classes=3,
+        )
+        calibrator = BitFlipCalibrator(
+            BitFlipNetwork(rng=rng), epochs=1, batchnorm_refresh_passes=5
+        )
+        start = capture_calibration_state(qmodel)
+        digests = []
+        for _ in range(2):
+            restore_calibration_state(qmodel, start)
+            calibrator.begin_calibration(qmodel, pool)
+            digests.append(capture_calibration_state(qmodel).digest())
+        assert digests[0] == digests[1] != start.digest()
 
     def test_restore_copies_do_not_alias(self, trained_setup):
         """Restoring must not alias the snapshot's arrays into the model —

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn, reference
 from repro.core import QCoreFramework, QCoreSet, QCoreUpdater
 from repro.data import SyntheticTimeSeriesConfig, build_stream_scenario, make_dsa_surrogate
 from repro.models import InceptionTimeSurrogate
@@ -44,24 +45,29 @@ class TestQCoreUpdater:
         factor = max(1, round(len(batch) / len(qcore)))
         assert len(pool) == factor * len(qcore) + len(batch)
 
+    def _frozen_deployment(self, framework, qcore):
+        """A NoBF deployment holding ``qcore``: the update runs on a frozen model."""
+        deployment = framework.deploy(bits=4, use_bitflip=False)
+        deployment.qcore = qcore.copy()
+        deployment.updater.rng = np.random.default_rng(0)
+        return deployment
+
     def test_update_preserves_budget(self, fitted_framework):
         framework, scenario, data = fitted_framework
         qcore = self._qcore(data)
-        deployment = framework.deploy(bits=4)
-        updater = QCoreUpdater(epochs=2, rng=np.random.default_rng(0))
-        result = updater.update(qcore, scenario.batches[0].data, deployment.qmodel)
-        assert result.qcore.size == qcore.budget
-        assert result.pool_size > qcore.size
+        deployment = self._frozen_deployment(framework, qcore)
+        report = deployment.process_batch(scenario.batches[0].data)
+        assert deployment.qcore.size == qcore.budget
+        assert report["qcore_size"] == qcore.budget
 
     def test_update_mixes_old_and_new_examples(self, fitted_framework):
         framework, scenario, data = fitted_framework
         qcore = self._qcore(data)
-        updater = QCoreUpdater(epochs=2, rng=np.random.default_rng(0))
-        deployment = framework.deploy(bits=4)
-        result = updater.update(qcore, scenario.batches[0].data, deployment.qmodel)
+        deployment = self._frozen_deployment(framework, qcore)
+        deployment.process_batch(scenario.batches[0].data)
         # At least one stored example must be new and the structure must be intact.
         old_rows = {tuple(np.round(row.ravel(), 6)) for row in qcore.features}
-        new_rows = [tuple(np.round(row.ravel(), 6)) for row in result.qcore.features]
+        new_rows = [tuple(np.round(row.ravel(), 6)) for row in deployment.qcore.features]
         assert any(row not in old_rows for row in new_rows)
 
     def test_empty_qcore_rejected(self, fitted_framework):
@@ -72,10 +78,6 @@ class TestQCoreUpdater:
         )
         with pytest.raises(ValueError):
             QCoreUpdater().build_pool(empty, scenario.batches[0].data)
-
-    def test_invalid_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            QCoreUpdater(epochs=0)
 
 
 class TestFramework:
@@ -146,3 +148,63 @@ class TestFramework:
             scenario.source.test.features, scenario.source.test.labels
         )
         assert accuracy > 1.0 / TINY_TS.num_classes
+
+
+def _capture_trackers(deployment):
+    """Record the miss tracker of every batch ``deployment`` opens."""
+    trackers = []
+    make_observer = deployment.updater.make_observer
+
+    def capturing(pool, level):
+        tracker, callback = make_observer(pool, level)
+        trackers.append(tracker)
+        return tracker, callback
+
+    deployment.updater.make_observer = capturing
+    return trackers
+
+
+def _seed_process_batch(deployment, batch):
+    """``process_batch`` with the seed calibration loop and a fresh predict per
+    NoBF observation."""
+    context = deployment.begin_batch(batch)
+    flips_applied = 0
+    if deployment.use_bitflip:
+        flips_applied = reference.calibrate_per_tensor(
+            deployment.calibrator, deployment.qmodel, context.pool,
+            epoch_callback=context.observer,
+        ).total_flips
+    else:
+        for epoch in range(deployment.calibrator.epochs):
+            predictions = deployment.qmodel.predict(context.pool.features)
+            context.observer(epoch, deployment.qmodel, predictions)
+    return deployment.finish_batch(context, flips_applied)
+
+
+class TestProcessBatchEqualsSeedLoop:
+    """``process_batch`` reuses forwards and replays stalls, bit-identically."""
+
+    @pytest.mark.parametrize("bits,use_bitflip", [(2, True), (8, True), (4, False)])
+    def test_stream_matches(self, fitted_framework, bits, use_bitflip):
+        framework, scenario, _ = fitted_framework
+        packaged = framework.deploy(bits=bits, use_bitflip=use_bitflip)
+        packaged.calibrator.epochs = 4
+        fast, seed = packaged.clone(), packaged.clone()
+        fast_trackers, seed_trackers = _capture_trackers(fast), _capture_trackers(seed)
+        for batch in scenario.batches:
+            report = fast.process_batch(batch.data)
+            expected = _seed_process_batch(seed, batch.data)
+            for key in ("flips_applied", "misses_observed", "qcore_size"):
+                assert report[key] == expected[key]
+            assert fast.qmodel.codes_digest() == seed.qmodel.codes_digest()
+            for mine, theirs in zip(fast.qmodel.model.modules(), seed.qmodel.model.modules()):
+                if isinstance(mine, nn.BatchNorm):
+                    np.testing.assert_array_equal(mine.running_mean, theirs.running_mean)
+                    np.testing.assert_array_equal(mine.running_var, theirs.running_var)
+            np.testing.assert_array_equal(fast.qcore.features, seed.qcore.features)
+            np.testing.assert_array_equal(fast.qcore.labels, seed.qcore.labels)
+            np.testing.assert_array_equal(fast.qcore.miss_counts, seed.qcore.miss_counts)
+        assert len(fast_trackers) == len(seed_trackers) == scenario.num_batches
+        for mine, theirs in zip(fast_trackers, seed_trackers):
+            np.testing.assert_array_equal(mine.misses[bits], theirs.misses[bits])
+            assert mine.steps_observed == theirs.steps_observed == {bits: 4}

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.pipeline import EdgeDeployment, QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.eval.parallel import WorkerError
@@ -146,9 +149,11 @@ class TestFleetCalibrator:
 
         assert fleet.codes_digests() == serial.codes_digests()
         assert result.rounds == deployment.calibrator.epochs
-        # One shared network -> one forward per round for the whole fleet.
-        assert result.bf_forward_calls == result.rounds
-        assert result.serial_forward_calls == 4 * result.rounds
+        # One shared network -> one forward per round in which any device
+        # still infers: as many as the longest-inferring device ran.
+        iterations = [stats.inference_iterations for stats in result.stats.values()]
+        assert result.bf_forward_calls == max(iterations)
+        assert result.serial_forward_calls == sum(iterations)
         assert result.total_flips > 0
 
     def test_stacked_feature_construction_bit_identical(self, packaged):
@@ -218,8 +223,62 @@ class TestFleetCalibrator:
         result = FleetCalibrator().calibrate(fleet, pools)
 
         assert fleet.codes_digests() == serial.codes_digests()
-        # Two distinct BF networks -> two forwards per round, not three.
-        assert result.bf_forward_calls == 2 * result.rounds
+        # Two distinct BF networks -> per network, one forward per round in
+        # which any of its devices still infers; never one per device.
+        iterations = {i: stats.inference_iterations for i, stats in result.stats.items()}
+        assert result.bf_forward_calls == (
+            max(iterations["a4"], iterations["c4"]) + iterations["b2"]
+        )
+
+    def test_devices_stalling_in_different_rounds(self, packaged):
+        """Device k starts k code steps below the top of every code range, under
+        a network proposing +1 everywhere: it moves k times, then every flip
+        clips and it stalls in round k and leaves the batched inference."""
+        data, _, deployment = packaged
+        base = deployment.clone()
+        network = copy.deepcopy(base.bitflip)
+        state = network.state_dict()
+        for name, values in state.items():
+            if "bf.head" in name:
+                state[name] = np.zeros_like(values)
+                if name.endswith("bias"):
+                    state[name][2] = 12.0  # class +1
+        network.load_state_dict(state)
+        base.bitflip = base.calibrator.network = network
+        base.calibrator.epochs = 4
+        base.calibrator.validate = False
+        fleet = Fleet.replicate(base, 3, seed=0)
+        for steps_below, device_id in enumerate(fleet.ids):
+            qmodel = fleet.get(device_id).qmodel
+            qmodel.restore_codes({
+                name: np.full_like(qt.codes, qt.config.qmax - steps_below)
+                for name, qt in qmodel.qtensors.items()
+            })
+        serial = Fleet({i: d.clone() for i, d in fleet.items()})
+        seed = Fleet({i: d.clone() for i, d in fleet.items()})
+        pools = _pools(data, fleet.ids)
+
+        serial_stats = {
+            i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pools[i])
+            for i in serial.ids
+        }
+        seed_stats = {
+            i: reference.calibrate_per_tensor(
+                seed.get(i).calibrator, seed.get(i).qmodel, pools[i]
+            )
+            for i in seed.ids
+        }
+        result = FleetCalibrator().calibrate(fleet, pools)
+
+        assert [result.stats[i].inference_iterations for i in fleet.ids] == [1, 2, 3]
+        assert result.rounds == 4
+        assert result.bf_forward_calls == 3
+        assert fleet.codes_digests() == serial.codes_digests() == seed.codes_digests()
+        for device_id, stats in result.stats.items():
+            for expected in (serial_stats[device_id], seed_stats[device_id]):
+                assert stats.flips_per_epoch == expected.flips_per_epoch
+                assert stats.reverted_epochs == expected.reverted_epochs
+                assert stats.pool_accuracy == expected.pool_accuracy
 
     def test_missing_pool_raises(self, packaged):
         data, _, deployment = packaged

@@ -87,7 +87,7 @@ def calibrate_with_digests(deployment, pool, calibrate=None):
     """
     digests = []
 
-    def callback(epoch, qmodel):
+    def callback(epoch, qmodel, predictions):
         digests.append(qmodel.codes_digest())
 
     calibrate = calibrate or deployment.calibrator.calibrate

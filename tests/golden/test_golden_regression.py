@@ -81,7 +81,7 @@ class TestFlipDecisionGoldens:
         pool = gs.build_calibration_pool(data)
         digests = {device_id: [] for device_id in fleet.ids}
         callbacks = {
-            device_id: (lambda e, qm, _d=digests[device_id]: _d.append(qm.codes_digest()))
+            device_id: (lambda e, qm, p, _d=digests[device_id]: _d.append(qm.codes_digest()))
             for device_id in fleet.ids
         }
         result = FleetCalibrator().calibrate(
