@@ -26,11 +26,12 @@ float64 — final integer codes, per-epoch code snapshots and latent weights —
 is asserted, not just measured.
 
 The ``conv_kernels`` entry measures the **strided conv-kernel backend**
-(:mod:`repro.nn.kernels`: ``as_strided`` window views + fused blocked
-tap-loop col2im) against the ``naive`` gather/bincount baseline on the
-conv-backbone QAT workload (InceptionTime) at float32, and asserts at
-float64 that edge-calibration flip decisions and QAT integer codes are
-bit-identical across backends.
+(:mod:`repro.nn.kernels`: tap-loop im2col + fused blocked tap-loop col2im)
+against the ``naive`` gather/bincount baseline on the conv-backbone QAT
+workload (InceptionTime) at float32, and asserts at float64 that
+edge-calibration flip decisions and QAT integer codes are bit-identical
+across backends.  The edge flip decisions are asserted at float32 too:
+edge calibration runs no col2im, and im2col is a copy in both backends.
 
 The run exits non-zero if any equivalence boolean is false.
 
@@ -209,46 +210,61 @@ def _measure_conv_kernel(config: dict, backend: str) -> float:
 
 
 def _check_conv_kernel_equivalence(config: dict) -> dict:
-    """At float64 the strided conv backend must equal the naive one exactly.
+    """The strided conv backend must equal the naive one exactly.
 
     Compares the decisions that matter to the paper: edge-calibration flip
     decisions (integer codes + per-epoch flip counts, through the conv
     backbone's forward activations feeding the BF features) and QAT
     integer codes after STE calibration, each run under both backends from
-    identical deep-copied starting states.
+    identical deep-copied starting states.  Both run at float64; the edge
+    calibration runs again at float32, the production dtype, where it is
+    exact too because its only conv primitive is im2col, a copy.
     """
+
+    def same_codes(a, b):
+        return all(np.array_equal(a[name], b[name]) for name in a)
+
+    def edge_run(setup, backend):
+        qmodel, network, normalizer, pool, _ = setup
+        edge_q = copy.deepcopy(qmodel)
+        with kernels.use_backend(backend):
+            calibrator = BitFlipCalibrator(
+                network, epochs=max(2, config["edge_epochs"]),
+                confidence_threshold=0.4, max_flip_fraction=0.1,
+                normalizer=normalizer, validate=False,
+                batchnorm_refresh_passes=1,
+            )
+            stats = calibrator.calibrate(edge_q, pool)
+        return stats.flips_per_epoch, edge_q.snapshot_codes()
+
+    def qat_run(setup, backend):
+        qmodel, _, _, _, source = setup
+        qat_q = copy.deepcopy(qmodel)
+        with kernels.use_backend(backend):
+            calibrate_with_backprop(
+                qat_q, source.features, source.labels,
+                epochs=config["conv_kernel_epochs"], lr=0.01, batch_size=32,
+                rng=np.random.default_rng(0),
+            )
+        return qat_q.snapshot_codes()
+
+    def edge_identical(setup):
+        (flips_s, codes_s), (flips_n, codes_n) = (
+            edge_run(setup, "strided"), edge_run(setup, "naive")
+        )
+        return flips_s == flips_n and same_codes(codes_s, codes_n)
+
     with runtime.use_dtype(np.float64):
-        qmodel, network, normalizer, pool, source = _build_setup(config)
-
-        def run(backend):
-            edge_q = copy.deepcopy(qmodel)
-            qat_q = copy.deepcopy(qmodel)
-            with kernels.use_backend(backend):
-                calibrator = BitFlipCalibrator(
-                    network, epochs=max(2, config["edge_epochs"]),
-                    confidence_threshold=0.4, max_flip_fraction=0.1,
-                    normalizer=normalizer, validate=False,
-                    batchnorm_refresh_passes=1,
-                )
-                stats = calibrator.calibrate(edge_q, pool)
-                calibrate_with_backprop(
-                    qat_q, source.features, source.labels,
-                    epochs=config["conv_kernel_epochs"], lr=0.01, batch_size=32,
-                    rng=np.random.default_rng(0),
-                )
-            return stats, edge_q.snapshot_codes(), qat_q.snapshot_codes()
-
-        stats_s, edge_s, qat_s = run("strided")
-        stats_n, edge_n, qat_n = run("naive")
-        return {
-            "flip_decisions_identical": bool(
-                stats_s.flips_per_epoch == stats_n.flips_per_epoch
-                and all(np.array_equal(edge_s[name], edge_n[name]) for name in edge_s)
-            ),
-            "qat_codes_identical": bool(
-                all(np.array_equal(qat_s[name], qat_n[name]) for name in qat_s)
-            ),
-        }
+        setup = _build_setup(config)
+        flips_identical = edge_identical(setup)
+        qat_identical = same_codes(qat_run(setup, "strided"), qat_run(setup, "naive"))
+    with runtime.use_dtype(np.float32):
+        flips_identical_float32 = edge_identical(_build_setup(config))
+    return {
+        "flip_decisions_identical": flips_identical,
+        "qat_codes_identical": qat_identical,
+        "edge_flips_identical_float32": flips_identical_float32,
+    }
 
 
 def _moment_features(features: np.ndarray) -> np.ndarray:
@@ -435,7 +451,8 @@ def main(argv=None) -> int:
     qat_equivalence = _check_qat_fused_equivalence(config)
     print(f"  {qat_equivalence}")
 
-    print("verifying strided conv kernels are exact at float64 (flips + QAT codes)...")
+    print("verifying strided conv kernels are exact (flips + QAT codes at float64, "
+          "flips at float32)...")
     conv_equivalence = _check_conv_kernel_equivalence(config)
     print(f"  {conv_equivalence}")
 
@@ -474,7 +491,7 @@ def main(argv=None) -> int:
         "conv_kernels": {
             "workload": (
                 "conv-backbone (InceptionTime) QAT epochs at float32 — "
-                "strided conv kernels (as_strided im2col + fused blocked "
+                "strided conv kernels (tap-loop im2col + fused blocked "
                 "tap-loop col2im) vs the naive gather/bincount baseline"
             ),
             "epochs": config["conv_kernel_epochs"],
@@ -496,14 +513,15 @@ def main(argv=None) -> int:
 
     diverged = False
     for label, block in (
-        ("the production edge path diverged from the per-tensor full-sync reference",
-         equivalence),
-        ("the fused QAT engine diverged from the per-tensor STE loop", qat_equivalence),
+        ("the production edge path diverged from the per-tensor full-sync reference "
+         "at float64", equivalence),
+        ("the fused QAT engine diverged from the per-tensor STE loop at float64",
+         qat_equivalence),
         ("the strided conv kernels diverged from the naive backend", conv_equivalence),
     ):
         false = [key for key, value in block.items() if value is False]
         if false:
-            print(f"ERROR: {label} at float64: {', '.join(false)}", file=sys.stderr)
+            print(f"ERROR: {label}: {', '.join(false)}", file=sys.stderr)
             diverged = True
     if diverged:
         return 1

@@ -4,10 +4,10 @@
 forward and backward passes are built from.  Two backends ship with the repo:
 
 ``strided`` (the one production runs)
-    Zero-copy ``np.lib.stride_tricks.as_strided`` window views feeding a
-    single GEMM (copies only when padding forces one), and a fused, cache-
-    blocked kernel-tap loop for the col2im backward — no scatter-index
-    arrays at all.  See :mod:`repro.nn.kernels.strided`.
+    im2col as one strided slab copy per kernel tap from a channels-last
+    source, feeding a single GEMM, and a fused, cache-blocked kernel-tap
+    loop for the col2im backward — no gather or scatter-index arrays at
+    all.  See :mod:`repro.nn.kernels.strided`.
 ``naive``
     The original gather/bincount implementation, retained verbatim as the
     equivalence baseline every backend must match bit-for-bit at float64.

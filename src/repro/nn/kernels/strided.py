@@ -1,18 +1,24 @@
-"""The ``strided`` conv-kernel backend: zero-copy window views + fused col2im.
+"""The ``strided`` conv-kernel backend: tap-loop im2col + fused col2im.
 
-Default backend since PR 5.  Two ideas replace the naive gather/scatter:
+The default backend.  Two ideas replace the naive gather/scatter:
 
-**im2col as a stride trick.**  A sliding window over the length (or H/W)
-axis is expressible purely in strides: ``as_strided`` builds a ``(N, C,
-L_out, K)`` (or ``(N, C, H_out, W_out, K, K)``) *view* of the input without
-touching a byte — this works for non-contiguous inputs too, because the view
-is derived from whatever strides the input already has.  The only copies on
-the forward path are (a) ``np.pad`` when ``padding > 0`` and (b) the single
-materialisation of the window view into the position-major ``(N, positions,
-fan_in)`` layout that feeds the conv GEMM (and is cached by the layers for
-the weight gradient and the bit-flip feature extractor).  That one copy is a
-plain strided memcpy, which is several times faster than the naive backend's
-advanced-indexing gather producing the identical array.
+**im2col as one slab copy per kernel tap.**  The columns are position-major
+``(N, positions, C * K)`` (``C * K * K`` in 2-D), channel-major and tap-minor
+within a row.  Kernel tap ``k`` of every window reads the strided input
+slice ``[k : k + (L_out-1)*stride + 1 : stride]``, so the columns of one tap
+are a single strided slab of a channels-last ``(N, L, C)`` source, and the
+whole im2col is ``K`` (or ``K x K``) slab copies whose innermost loop runs
+over the ``C`` channels.  (Copying the ``(N, C, L_out, K)`` window view in
+one go would run that loop over the 1-5 taps instead, ``N x L_out x C``
+times.)  Without padding the source is a view of the input: every conv
+returns a transposed view of its ``(N, L_out, C_out)`` GEMM output, so a
+conv fed by another conv (through BatchNorm, ReLU, residual adds or
+concatenation) already reads channels-last memory.  With
+``padding > 0`` the input is copied once into a zeroed channels-last
+buffer.  A 1-D ``kernel_size == 1`` conv without padding has one tap, so
+its columns are the strided source itself, copied only when that view is not
+already contiguous.  A copy is exact at every dtype: the columns equal the
+naive gather byte for byte.
 
 **col2im as a fused tap loop.**  Instead of building a flat scatter-index
 array and handing ``rows x L_out x K`` weighted entries to ``bincount``, the
@@ -46,7 +52,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro import runtime
 from repro.nn.kernels.base import ConvKernel, conv_output_size
@@ -74,7 +79,8 @@ class ConvLayout1d:
     padded_len: int
     #: Number of window positions.
     out_len: int
-    #: Scatter slices, one per kernel tap, in descending-tap order.
+    #: Window-tap slices of the padded axis, one per kernel tap, in
+    #: descending-tap order (im2col reads them, col2im scatters to them).
     taps: Tuple[slice, ...]
     #: Batch rows per col2im block (cache blocking).
     block: int
@@ -93,37 +99,22 @@ class ConvLayout2d:
     padded_hw: Tuple[int, int]
     #: Window-position grid ``(H_out, W_out)``.
     out_hw: Tuple[int, int]
-    #: Row scatter slices in descending-tap order.
+    #: Row-tap slices in descending-tap order.
     row_taps: Tuple[slice, ...]
-    #: Column scatter slices in descending-tap order.
+    #: Column-tap slices in descending-tap order.
     col_taps: Tuple[slice, ...]
     #: Batch rows per col2im block (cache blocking).
     block: int
 
 
-def _pad_last_axes(x: np.ndarray, padding: int, axes: int) -> np.ndarray:
-    """Zero-pad the trailing ``axes`` axes of ``x`` by ``padding`` on each side.
-
-    A zeros-allocate + interior-assign, bit-identical to ``np.pad`` but
-    without its per-axis Python machinery (measurably cheaper on the conv
-    hot path, where every "same"-padded layer pays it once per forward).
-    """
-    pad_width = ((0, 0),) * (x.ndim - axes) + ((padding, padding),) * axes
-    out = np.zeros(tuple(s + lo + hi for s, (lo, hi) in zip(x.shape, pad_width)), dtype=x.dtype)
-    interior = tuple(
-        slice(lo, lo + s) if lo or hi else slice(None)
-        for s, (lo, hi) in zip(x.shape, pad_width)
-    )
-    out[interior] = x
-    return out
-
-
 def _tap_slices(out_len: int, kernel_size: int, stride: int) -> Tuple[slice, ...]:
-    """One strided output slice per kernel tap, descending tap order.
+    """One strided slice of the padded axis per kernel tap, descending tap order.
 
-    Descending order makes contributions to any output element arrive in
-    ascending window order — the accumulation order of the naive backend's
-    ``bincount`` — which is what keeps the backends bit-identical at float64.
+    Slice ``k`` selects what tap ``k`` of every window reads.  im2col
+    copies are order-free; for col2im, descending order makes contributions
+    to any output element arrive in ascending window order — the
+    accumulation order of the naive backend's ``bincount`` — which is what
+    keeps the backends bit-identical at float64.
     """
     span = (out_len - 1) * stride + 1
     return tuple(
@@ -184,12 +175,13 @@ def _layout_2d(
 
 
 class StridedKernel(ConvKernel):
-    """Fast conv backend: ``as_strided`` window views + blocked tap-loop col2im.
+    """Fast conv backend: tap-loop im2col + blocked tap-loop col2im.
 
     Bit-identical to :class:`~repro.nn.kernels.naive.NaiveKernel` at float64
     (asserted by the property tests, the ``conv_kernels`` benchmark and the CI
-    smoke); ~1.5-2x conv-backbone QAT epoch throughput at float32 on the
-    benchmark workload.
+    smoke); its im2col equals the naive one at every dtype.  The measured
+    speedup over ``naive`` is the ``conv_kernels`` entry of
+    ``BENCH_perf.json``.
     """
 
     name = "strided"
@@ -197,19 +189,19 @@ class StridedKernel(ConvKernel):
     def _im2col_1d(self, x, kernel_size, stride, padding):
         n, c, length = x.shape
         layout = _layout_1d((n, c, length), kernel_size, stride, padding, x.dtype)
+        src = x.transpose(0, 2, 1)  # channels-last (N, L, C) view
+        if kernel_size == 1 and padding == 0:
+            # One tap: the columns are the source itself (no copy when the
+            # strided view is already contiguous).
+            return np.ascontiguousarray(src[:, ::stride])
         if padding > 0:
-            # The only unavoidable copy: padded borders need real memory.
-            x = _pad_last_axes(x, padding, axes=1)
-        s0, s1, s2 = x.strides
-        view = as_strided(
-            x,
-            shape=(n, c, layout.out_len, kernel_size),
-            strides=(s0, s1, s2 * stride, s2),
-        )
-        # Materialise position-major (N, L_out, C, K) once: this single
-        # strided memcpy both feeds the conv GEMM and becomes the cached
-        # ``cols`` the weight gradient / BF feature extractor reuse.
-        patches = np.ascontiguousarray(view.transpose(0, 2, 1, 3))
+            padded = np.zeros((n, layout.padded_len, c), dtype=x.dtype)
+            padded[:, padding:-padding] = src
+            src = padded
+        # Position-major (N, L_out, C, K), filled one tap slab at a time.
+        patches = np.empty((n, layout.out_len, c, kernel_size), dtype=x.dtype)
+        for tap, k in zip(layout.taps, range(kernel_size - 1, -1, -1)):
+            patches[:, :, :, k] = src[:, tap]
         return patches.reshape(n, layout.out_len, c * kernel_size)
 
     def _col2im_1d(self, cols, input_shape, kernel_size, stride, padding):
@@ -232,16 +224,17 @@ class StridedKernel(ConvKernel):
     def _im2col_2d(self, x, kernel_size, stride, padding):
         n, c, h, w = x.shape
         layout = _layout_2d((n, c, h, w), kernel_size, stride, padding, x.dtype)
-        if padding > 0:
-            x = _pad_last_axes(x, padding, axes=2)
         out_h, out_w = layout.out_hw
-        s0, s1, s2, s3 = x.strides
-        view = as_strided(
-            x,
-            shape=(n, c, out_h, out_w, kernel_size, kernel_size),
-            strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        )
-        patches = np.ascontiguousarray(view.transpose(0, 2, 3, 1, 4, 5))
+        src = x.transpose(0, 2, 3, 1)  # channels-last (N, H, W, C) view
+        if padding > 0:
+            padded = np.zeros((n, *layout.padded_hw, c), dtype=x.dtype)
+            padded[:, padding:-padding, padding:-padding] = src
+            src = padded
+        patches = np.empty((n, out_h, out_w, c, kernel_size, kernel_size), dtype=x.dtype)
+        k_desc = range(kernel_size - 1, -1, -1)
+        for row_tap, kh in zip(layout.row_taps, k_desc):
+            for col_tap, kw in zip(layout.col_taps, k_desc):
+                patches[:, :, :, :, kh, kw] = src[:, row_tap, col_tap]
         return patches.reshape(n, out_h * out_w, c * kernel_size * kernel_size)
 
     def _col2im_2d(self, cols, input_shape, kernel_size, stride, padding):

@@ -25,6 +25,14 @@ def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
     return default_rng_fallback(rng)
 
 
+def _validate_channels(in_channels: int, out_channels: int) -> None:
+    """Reject a conv layer with no input or output channels, naming the argument."""
+    if in_channels <= 0:
+        raise ValueError(f"in_channels must be positive, got {in_channels}")
+    if out_channels <= 0:
+        raise ValueError(f"out_channels must be positive, got {out_channels}")
+
+
 class Identity(Module):
     """Pass-through layer (useful as a default shortcut in residual blocks)."""
 
@@ -129,6 +137,7 @@ class Conv1d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding if padding is not None else kernel_size // 2
+        _validate_channels(in_channels, out_channels)
         kernels.validate_conv_geometry(kernel_size, stride, self.padding)
         fan_in = in_channels * kernel_size
         self.weight = self.register_parameter(
@@ -215,6 +224,7 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding if padding is not None else kernel_size // 2
+        _validate_channels(in_channels, out_channels)
         kernels.validate_conv_geometry(kernel_size, stride, self.padding)
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = self.register_parameter(

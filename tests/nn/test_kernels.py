@@ -2,8 +2,10 @@
 
 Covers the ``use_backend`` test seam, the geometry-validation regression (stride <= 0 / padding < 0 used to produce
 garbage shapes silently), edge-case geometries through both backends, the
-strided path on non-contiguous inputs, and the float64 bit-identity property
-between the strided backend and the naive reference across random shapes.
+strided path on non-contiguous inputs, the bit-identity property between
+the strided backend and the naive reference across random shapes and input
+layouts (im2col at float64 and float32, col2im at float64), and whole conv
+models of the zoo run under both backends.
 """
 
 from __future__ import annotations
@@ -12,12 +14,30 @@ import numpy as np
 import pytest
 
 from repro import nn, runtime
+from repro.models import build_model
 from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn.kernels import ConvKernel, NaiveKernel, StridedKernel
 
 NAIVE = NaiveKernel()
 STRIDED = StridedKernel()
+
+#: Memory layouts a conv input arrives in: the model input, the transposed
+#: view every conv hands the next layer, and a strided slice.
+LAYOUTS = ("channels_first", "channels_last", "sliced")
+
+
+def _in_layout(x, layout):
+    """``x`` with the same values, stored in one of :data:`LAYOUTS`."""
+    if layout == "channels_first":
+        return x
+    if layout == "channels_last":
+        axes = (0, *range(2, x.ndim), 1)
+        return np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
+    base = np.zeros(tuple(2 * size for size in x.shape), dtype=x.dtype)
+    view = base[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return view
 
 
 def _random_cols_1d(rng, shape, kernel, stride, padding):
@@ -110,6 +130,24 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match="padding must be non-negative"):
             nn.Conv2d(2, 3, kernel_size=3, padding=-2)
 
+    @pytest.mark.parametrize("layer", [nn.Conv1d, nn.Conv2d])
+    @pytest.mark.parametrize(
+        "in_channels,out_channels,message",
+        [
+            (0, 3, "in_channels must be positive, got 0"),
+            (-2, 3, "in_channels must be positive, got -2"),
+            (3, 0, "out_channels must be positive, got 0"),
+            (3, -1, "out_channels must be positive, got -1"),
+        ],
+    )
+    def test_conv_layers_reject_nonpositive_channels(
+        self, layer, in_channels, out_channels, message
+    ):
+        """Regression: ``out_channels=0`` built a ``(fan_in, 0)`` weight and
+        ``in_channels=0`` failed inside the initializer without naming it."""
+        with pytest.raises(ValueError, match=message):
+            layer(in_channels, out_channels, kernel_size=3)
+
 
 class TestEdgeCaseGeometries:
     """Edge geometries through both backends, checked against each other and
@@ -172,8 +210,10 @@ class TestEdgeCaseGeometries:
 
 class TestNonContiguousInputs:
     """The strided path must read non-contiguous (transposed/sliced) inputs
-    correctly — ``as_strided`` derives the window view from whatever strides
-    the input has, so no copy is needed and no garbage may appear."""
+    correctly.  Its tap slices are views of the input whatever its strides,
+    but the position-major columns they fill are a copy (except for a 1-D
+    ``kernel_size == 1`` conv whose view is already contiguous), and no
+    garbage may appear either way."""
 
     def test_transposed_input_1d(self, rng):
         base = rng.normal(size=(3, 9, 2))          # (C, L, N) storage
@@ -202,6 +242,19 @@ class TestNonContiguousInputs:
             NAIVE.im2col_2d(np.ascontiguousarray(x), 3, 1, 1),
         )
 
+    def test_pointwise_columns_share_memory_with_contiguous_input(self, rng):
+        """A ``kernel_size == 1`` conv without padding copies nothing when its
+        windows are already position-major: the bit-flip network's
+        ``(rows, 5, 1)`` input, and the channels-last view a conv hands on."""
+        features = rng.normal(size=(40, 5))
+        cols = STRIDED.im2col_1d(features[:, :, None], 1, 1, 0)
+        assert cols.shape == (40, 1, 5)
+        assert np.shares_memory(cols, features)
+        base = rng.normal(size=(3, 9, 4))           # (N, L, C) GEMM output
+        cols = STRIDED.im2col_1d(base.transpose(0, 2, 1), 1, 1, 0)
+        assert np.shares_memory(cols, base)
+        np.testing.assert_array_equal(cols, base)
+
     def test_conv1d_layer_on_non_contiguous_input(self, rng):
         layer = nn.Conv1d(3, 4, kernel_size=3, rng=rng)
         base = rng.normal(size=(3, 10, 2))
@@ -214,7 +267,23 @@ class TestNonContiguousInputs:
 class TestStridedNaiveBitIdentity:
     """Property test: at float64 the strided backend is bit-identical to the
     naive reference — forward windows, backward scatter, 1-D and 2-D —
-    across randomly drawn geometries."""
+    across randomly drawn geometries.  im2col is a copy in both backends, so
+    it is also exact at float32 and for every input layout."""
+
+    @staticmethod
+    def _check_im2col(rng, x, primitive, kernel, stride, padding):
+        """Strided im2col equals naive at both dtypes, for a drawn layout,
+        and is a C-contiguous array of the input's dtype."""
+        layout = LAYOUTS[int(rng.integers(len(LAYOUTS)))]
+        for dtype in (np.float64, np.float32):
+            with runtime.use_dtype(dtype):
+                x_in = _in_layout(x.astype(dtype), layout)
+                cols = getattr(STRIDED, primitive)(x_in, kernel, stride, padding)
+                assert cols.flags.c_contiguous, layout
+                assert cols.dtype == dtype
+                np.testing.assert_array_equal(
+                    cols, getattr(NAIVE, primitive)(x_in, kernel, stride, padding)
+                )
 
     def test_random_geometries_1d(self, rng):
         for _ in range(25):
@@ -227,9 +296,7 @@ class TestStridedNaiveBitIdentity:
             length = int(rng.integers(min_len, min_len + 14))
             shape = (n, c, length)
             x = rng.normal(size=shape)
-            fwd_naive = NAIVE.im2col_1d(x, kernel, stride, padding)
-            fwd_strided = STRIDED.im2col_1d(x, kernel, stride, padding)
-            np.testing.assert_array_equal(fwd_strided, fwd_naive)
+            self._check_im2col(rng, x, "im2col_1d", kernel, stride, padding)
             cols = _random_cols_1d(rng, shape, kernel, stride, padding)
             bwd_naive = NAIVE.col2im_1d(cols, shape, kernel, stride, padding)
             bwd_strided = STRIDED.col2im_1d(cols, shape, kernel, stride, padding)
@@ -247,10 +314,7 @@ class TestStridedNaiveBitIdentity:
             w = int(rng.integers(min_hw, min_hw + 7))
             shape = (n, c, h, w)
             x = rng.normal(size=shape)
-            np.testing.assert_array_equal(
-                STRIDED.im2col_2d(x, kernel, stride, padding),
-                NAIVE.im2col_2d(x, kernel, stride, padding),
-            )
+            self._check_im2col(rng, x, "im2col_2d", kernel, stride, padding)
             cols = _random_cols_2d(rng, shape, kernel, stride, padding)
             np.testing.assert_array_equal(
                 STRIDED.col2im_2d(cols, shape, kernel, stride, padding),
@@ -305,6 +369,40 @@ class TestConvLayerIntegration:
             results[name] = (out, grad_in, layer.weight.grad.copy())
         for a, b in zip(results["strided"], results["naive"]):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "name,input_shape",
+        [
+            ("InceptionTime", (3, 20)),
+            ("OmniScaleCNN", (3, 20)),
+            ("ResNet18", (3, 12, 12)),
+            ("VGG16", (3, 12, 12)),
+        ],
+    )
+    def test_model_zoo_identical_across_backends(self, name, input_shape):
+        """A whole conv model (channels-last views between convs, pools,
+        residual adds, branch concatenation) gives identical logits, input
+        gradient and parameter gradients under both backends at float64."""
+        results = {}
+        for backend in ("strided", "naive"):
+            rng = np.random.default_rng(5)
+            model = build_model(name, input_shape, 4, rng=rng)
+            x = rng.normal(size=(3, *input_shape))
+            with kernels.use_backend(backend):
+                logits = model.forward(x)
+                grad_in = model.backward(rng.normal(size=logits.shape))
+            grads = {n: p.grad.copy() for n, p in model.named_parameters()}
+            results[backend] = (logits, grad_in, grads)
+        (logits_s, grad_in_s, grads_s), (logits_n, grad_in_n, grads_n) = (
+            results["strided"], results["naive"]
+        )
+        np.testing.assert_array_equal(logits_s, logits_n)
+        np.testing.assert_array_equal(grad_in_s, grad_in_n)
+        assert grads_s.keys() == grads_n.keys()
+        for param_name in grads_s:
+            np.testing.assert_array_equal(
+                grads_s[param_name], grads_n[param_name], err_msg=param_name
+            )
 
     def test_backward_reuses_forward_backend(self, rng):
         """Switching backends between forward and backward must not mix
