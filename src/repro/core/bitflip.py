@@ -646,14 +646,30 @@ class BitFlipNetwork(Module):
     def predict_flips_with_confidence(
         self, features: np.ndarray, confidence_threshold: float = 0.0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predict flips together with the softmax confidence of each prediction."""
-        logits = self.forward(features)
-        probabilities = nn.functional.softmax(logits, axis=1)
-        flips = np.argmax(probabilities, axis=1) - 1
-        confidence = probabilities.max(axis=1)
+        """Predict flips together with the softmax confidence of each prediction.
+
+        The softmax, argmax and max run elementwise over the three logit
+        columns, because NumPy reduces a length-3 axis slowly.  Each step is
+        the one the axis reductions take, in their order: the running max, the
+        left-to-right sum ``(e0 + e1) + e2``, and ``np.argmax``'s first
+        maximum (a later class wins only when strictly greater).  Flips and
+        confidences therefore equal the softmax-argmax-max form in
+        :mod:`repro.reference` bit for bit.
+        """
+        logits = runtime.asarray(self.forward(features))
+        columns = logits.T.copy()
+        peak = np.maximum(np.maximum(columns[0], columns[1]), columns[2])
+        np.subtract(columns, peak, out=columns)
+        np.exp(columns, out=columns)
+        np.divide(columns, (columns[0] + columns[1]) + columns[2], out=columns)
+        p_minus, p_zero, p_plus = columns
+        leader = np.maximum(p_minus, p_zero)
+        confidence = np.maximum(leader, p_plus)
+        flips = (p_zero > p_minus).astype(np.int64) - 1
+        np.putmask(flips, p_plus > leader, 1)
         if confidence_threshold > 0.0:
             flips = np.where(confidence >= confidence_threshold, flips, 0)
-        return flips.astype(np.int64), confidence
+        return flips, confidence
 
     def quantize_(self, bits: int) -> "BitFlipNetwork":
         """Quantize the BF network's own weights in place (it is inference-only)."""

@@ -135,10 +135,11 @@ class FleetCalibrator:
         max_rounds = max(
             (state.deployment.calibrator.epochs for state in states), default=0
         )
-        # Normalisation templates are a pure function of each device's block
+        # Normalisation templates are a pure function of a device's block
         # layout and fitted moments, both constant across rounds — build one
-        # per device and reuse it in every round the device infers.
-        templates: Dict[str, tuple] = {}
+        # per normaliser and layout, shared by every device with both, and
+        # reuse it in every round.
+        templates: Dict[tuple, tuple] = {}
         for round_index in range(max_rounds):
             active = [
                 state
@@ -168,7 +169,7 @@ class FleetCalibrator:
         return result
 
     def _predict_round(
-        self, inferring: List[_DeviceState], templates: Dict[str, tuple]
+        self, inferring: List[_DeviceState], templates: Dict[tuple, tuple]
     ) -> int:
         """One calibration round's BF inference for every device that infers.
 
@@ -238,11 +239,12 @@ class FleetCalibrator:
                 state.fused = fused
 
     @staticmethod
-    def _normalized(state: _DeviceState, templates: Dict[str, tuple]) -> np.ndarray:
+    def _normalized(state: _DeviceState, templates: Dict[tuple, tuple]) -> np.ndarray:
         """One device's normalised feature matrix.
 
         With moments fitted for every parameter, one ``(raw - mean) / std``
-        against the device's row-expanded template (built on first use);
+        against the row-expanded template of the device's normaliser and
+        block layout (built on first use);
         otherwise the device re-normalises block by block on the fly,
         exactly like the serial extractor — including its RuntimeWarning
         about washing out the domain shift.
@@ -256,7 +258,8 @@ class FleetCalibrator:
                 for name, block in fused.blocks(fused.matrix)
             ]
             return np.concatenate(blocks) if blocks else fused.matrix
-        if state.device_id not in templates:
+        key = (id(normalizer), tuple(fused.names), fused.offsets.tobytes())
+        if key not in templates:
             mean_parts: List[np.ndarray] = []
             std_parts: List[np.ndarray] = []
             for index, name in enumerate(fused.names):
@@ -264,11 +267,11 @@ class FleetCalibrator:
                 mean, std = normalizer.moments(name)
                 mean_parts.append(np.broadcast_to(mean, (rows, NUM_FEATURES)))
                 std_parts.append(np.broadcast_to(std, (rows, NUM_FEATURES)))
-            templates[state.device_id] = (
+            templates[key] = (
                 np.concatenate(mean_parts) if mean_parts else np.zeros((0, NUM_FEATURES)),
                 np.concatenate(std_parts) if std_parts else np.ones((0, NUM_FEATURES)),
             )
-        mean, std = templates[state.device_id]
+        mean, std = templates[key]
         return (fused.matrix - mean) / std
 
     # ------------------------------------------------------- stream interface

@@ -9,6 +9,7 @@ relies on these activation snapshots to compute the per-parameter feature
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -490,7 +491,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
@@ -588,17 +589,27 @@ class MaxPool2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"MaxPool2d expected (N, C, H, W), got {x.shape}")
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         p = self.pool_size
         out_h, out_w = h // p, w // p
         if out_h == 0 or out_w == 0:
             raise ValueError(f"input {h}x{w} is smaller than pool size {p}")
-        trimmed = x[:, :, : out_h * p, : out_w * p]
-        windows = trimmed.reshape(n, c, out_h, p, out_w, p).transpose(0, 1, 2, 4, 3, 5)
-        flat = windows.reshape(n, c, out_h, out_w, p * p)
-        argmax = flat.argmax(axis=4)
+        # Fold one strided view per window tap, in window order dy * p + dx:
+        # NumPy reduces a short trailing window axis slowly, and building that
+        # axis copies a channels-last input.  A tap takes the argmax on
+        # np.argmax's rule, ``not tap <= out`` while ``out`` is not yet NaN:
+        # strictly greater, or the first NaN.
+        out = x[:, :, : out_h * p : p, : out_w * p : p].copy()
+        argmax = np.zeros(out.shape, dtype=np.intp)
+        for index in range(1, p * p):
+            dy, dx = divmod(index, p)
+            tap = x[:, :, dy : out_h * p : p, dx : out_w * p : p]
+            wins = ~(tap <= out)
+            wins &= out == out
+            np.putmask(argmax, wins, index)
+            np.maximum(out, tap, out=out)
         self._cache = (x.shape, out_h, out_w, argmax)
-        return flat.max(axis=4)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -19,6 +19,7 @@ from repro import nn
 from repro.core.bitflip import (
     BitFlipCalibrationStats,
     BitFlipCalibrator,
+    BitFlipNetwork,
     extract_parameter_features,
 )
 from repro.data.dataset import Dataset
@@ -76,21 +77,60 @@ def calibrate_with_backprop_per_tensor(
     return result
 
 
+def predict_flips_with_confidence(
+    network: BitFlipNetwork, features: np.ndarray, confidence_threshold: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed BF post-processing: softmax, argmax and max along the class axis.
+
+    :meth:`~repro.core.bitflip.BitFlipNetwork.predict_flips_with_confidence`
+    computes the same over the three logit columns and must equal this bit
+    for bit: flips exactly, confidences byte for byte on every finite row,
+    and NaN on the same rows.
+    """
+    logits = network.forward(features)
+    probabilities = nn.functional.softmax(logits, axis=1)
+    flips = np.argmax(probabilities, axis=1) - 1
+    confidence = probabilities.max(axis=1)
+    if confidence_threshold > 0.0:
+        flips = np.where(confidence >= confidence_threshold, flips, 0)
+    return flips.astype(np.int64), confidence
+
+
+def max_pool2d(x: np.ndarray, pool_size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed ``MaxPool2d`` forward: ``(out, argmax)`` from one window axis.
+
+    Trims ``x`` to whole windows, reshapes and transposes it into a trailing
+    axis of ``pool_size ** 2`` taps in window order ``dy * p + dx``, and
+    reduces that axis.  :meth:`~repro.nn.layers.MaxPool2d.forward` must return
+    the same values (NaN in the same cells) and cache the same argmax.  Only
+    the sign of a ``+0.0``/``-0.0`` tie may differ, where NumPy reduces the
+    axis in vector lanes (nine float64 taps, for example).
+    """
+    n, c, h, w = x.shape
+    p = pool_size
+    out_h, out_w = h // p, w // p
+    trimmed = x[:, :, : out_h * p, : out_w * p]
+    windows = trimmed.reshape(n, c, out_h, p, out_w, p).transpose(0, 1, 2, 4, 3, 5)
+    flat = windows.reshape(n, c, out_h, out_w, p * p)
+    return flat.max(axis=4), flat.argmax(axis=4)
+
+
 def predict_per_tensor(
     calibrator: BitFlipCalibrator, qmodel: QuantizedModel, data: Dataset
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Per-parameter ``(flips, confidence)`` from one BF inference per tensor.
 
     The seed form of the calibrator's fused inference over the concatenated
-    features of every tensor.  The BF network is row-wise, so both must give
-    the same flips and confidences.
+    features of every tensor, post-processed by the seed
+    :func:`predict_flips_with_confidence`.  The BF network is row-wise, so
+    both must give the same flips and confidences.
     """
     features = extract_parameter_features(
         qmodel, data.features, normalizer=calibrator.normalizer
     )
     return {
-        name: calibrator.network.predict_flips_with_confidence(
-            block, confidence_threshold=calibrator.confidence_threshold
+        name: predict_flips_with_confidence(
+            calibrator.network, block, calibrator.confidence_threshold
         )
         for name, block in features.items()
     }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, reference, runtime
 from repro.core import (
     BitFlipCalibrator,
     BitFlipNetwork,
@@ -68,6 +68,17 @@ class TestFeatureExtraction:
         assert max(diffs) > 0.0
 
 
+class _FixedLogits(BitFlipNetwork):
+    """A BF network whose forward returns given logits, whatever the features."""
+
+    def __init__(self, logits: np.ndarray):
+        super().__init__(rng=np.random.default_rng(0))
+        self.logits = logits
+
+    def forward(self, features: np.ndarray) -> np.ndarray:
+        return self.logits
+
+
 class TestBitFlipNetwork:
     def test_forward_shape_and_flip_range(self, rng):
         network = BitFlipNetwork(rng=rng)
@@ -88,6 +99,75 @@ class TestBitFlipNetwork:
         flips_all = network.predict_flips(feats, confidence_threshold=0.0)
         flips_strict = network.predict_flips(feats, confidence_threshold=0.99)
         assert np.sum(flips_strict != 0) <= np.sum(flips_all != 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_post_processing_equals_seed_byte_for_byte(self, dtype):
+        """Column-wise softmax, argmax and max equal the seed's axis reductions:
+        a last-bit change in one confidence rarely moves a flip decision, so
+        the confidences are compared as bytes."""
+        rng = np.random.default_rng(5)
+        with runtime.use_dtype(dtype):
+            for case, rows in enumerate((0, 1, 2, 7, 64, 500, 2999)):
+                logits = rng.normal(size=(rows, 3)) * rng.uniform(0.1, 20.0)
+                if case % 2:
+                    logits = np.round(logits)  # ties between classes
+                network = _FixedLogits(logits.astype(dtype))
+                features = np.zeros((rows, NUM_FEATURES))
+                for threshold in (0.0, 0.6, float(rng.uniform(0.34, 1.0))):
+                    flips, confidence = network.predict_flips_with_confidence(
+                        features, confidence_threshold=threshold
+                    )
+                    seed_flips, seed_confidence = reference.predict_flips_with_confidence(
+                        network, features, threshold
+                    )
+                    assert flips.dtype == np.int64 and confidence.dtype == dtype
+                    assert flips.shape == confidence.shape == (rows,)
+                    assert np.array_equal(flips, seed_flips)
+                    assert confidence.tobytes() == seed_confidence.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_post_processing_ties_and_non_finite_rows_match_seed(self, dtype):
+        """Ties go to the first maximum, as with np.argmax.  A NaN or infinite
+        logit makes the whole row NaN on both sides; such a row never passes a
+        positive threshold."""
+        logits = np.array([
+            [1, 1, 1], [2, 2, 1], [1, 2, 2], [2, 1, 2],
+            [np.nan, 0, 0], [0, np.nan, 1], [np.inf, 0, 0], [0, np.inf, np.inf],
+            [-np.inf, 0, 0], [-np.inf, -np.inf, -np.inf], [np.inf, -np.inf, np.nan],
+        ], dtype=dtype)
+        features = np.zeros((len(logits), NUM_FEATURES))
+        network = _FixedLogits(logits)
+        with runtime.use_dtype(dtype), np.errstate(invalid="ignore"):
+            for threshold in (0.0, 0.3):
+                flips, confidence = network.predict_flips_with_confidence(
+                    features, confidence_threshold=threshold
+                )
+                seed_flips, seed_confidence = reference.predict_flips_with_confidence(
+                    network, features, threshold
+                )
+                assert np.array_equal(flips, seed_flips)
+                nan = np.isnan(seed_confidence)
+                assert np.array_equal(np.isnan(confidence), nan)
+                assert confidence[~nan].tobytes() == seed_confidence[~nan].tobytes()
+                assert list(flips[:4]) == [-1, -1, 0, -1]
+                assert list(nan) == [False] * 4 + [True, True, True, True, False, True, True]
+                if threshold > 0.0:
+                    assert not flips[nan].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predicts_on_an_empty_feature_matrix(self, rng, dtype):
+        """A model without quantized tensors fuses a (0, NUM_FEATURES) matrix."""
+        with runtime.use_dtype(dtype):
+            network = BitFlipNetwork(rng=rng)
+            features = np.zeros((0, NUM_FEATURES))
+            flips, confidence = network.predict_flips_with_confidence(features, 0.6)
+            seed_flips, seed_confidence = reference.predict_flips_with_confidence(
+                network, features, 0.6
+            )
+        assert flips.shape == confidence.shape == (0,)
+        assert flips.dtype == np.int64 and confidence.dtype == dtype
+        assert np.array_equal(flips, seed_flips)
+        assert confidence.tobytes() == seed_confidence.tobytes()
 
     def test_quantize_in_place(self, rng):
         network = BitFlipNetwork(rng=rng)

@@ -230,6 +230,42 @@ class TestFleetCalibrator:
             max(iterations["a4"], iterations["c4"]) + iterations["b2"]
         )
 
+    def test_devices_sharing_a_network_keep_their_own_normalizers(self, packaged):
+        """One BF network, one layout, one pool, but the second device's
+        normaliser moments are shifted by one std: its flips change, so a
+        template shared by layout alone would hand it the first's flips."""
+        from repro.core.bitflip import FeatureNormalizer
+
+        data, _, deployment = packaged
+        normalizer = deployment.calibrator.normalizer
+        shifted = FeatureNormalizer()
+        for name in deployment.qmodel.qtensors:
+            moments = normalizer.moments(name)
+            if moments is not None:
+                mean, std = moments
+                # Rows mean and mean + 2 std have moments (mean + std, std).
+                shifted.fit_update(name, np.concatenate([mean, mean + 2 * std]))
+        fleet = Fleet({"first": deployment.clone(), "second": deployment.clone()})
+        fleet.get("second").calibrator.normalizer = shifted
+        serial = Fleet({i: d.clone() for i, d in fleet.items()})
+        pool = _pools(data, ["pool"])["pool"]
+        pools = {"first": pool, "second": pool}
+
+        serial_stats = {
+            i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pool)
+            for i in serial.ids
+        }
+        digests = serial.codes_digests()
+        assert digests["first"] != digests["second"]
+        result = FleetCalibrator().calibrate(fleet, pools)
+
+        assert fleet.codes_digests() == digests
+        for device_id, stats in result.stats.items():
+            assert stats.flips_per_epoch == serial_stats[device_id].flips_per_epoch
+        assert result.bf_forward_calls == max(
+            stats.inference_iterations for stats in result.stats.values()
+        )
+
     def test_devices_stalling_in_different_rounds(self, packaged):
         """Device k starts k code steps below the top of every code range, under
         a network proposing +1 everywhere: it moves k times, then every flip

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, reference
 
 
 def _numeric_grad_wrt_input(layer: nn.Module, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -157,6 +157,46 @@ def test_maxpool2d_gradients(rng):
     _check_layer(layer, x)
 
 
+def _scatter_to_argmax(input_shape, argmax, grad_output, p):
+    """Route each pooled gradient to its window's argmax cell (windows never overlap)."""
+    grad = np.zeros(input_shape, dtype=grad_output.dtype)
+    n, c, oh, ow = np.indices(argmax.shape)
+    grad[n, c, oh * p + argmax // p, ow * p + argmax % p] = grad_output
+    return grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_maxpool2d_equals_seed_reduction(dtype):
+    """The tap-by-tap forward equals the seed's reshape-and-reduce form: values
+    (NaN in the same cells), the cached argmax under np.argmax's first-maximum
+    and first-NaN rule, and the backward gradient; for channels-first inputs
+    and for ResNet18's channels-last views, with trimmed edges and ties."""
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        p = int(rng.integers(1, 4))
+        n, c = (int(v) for v in rng.integers(1, 4, size=2))
+        h, w = (int(p * rng.integers(1, 4) + rng.integers(0, p)) for _ in range(2))
+        # Integer values from a narrow range make ties within a window common.
+        cells = rng.integers(-3, 3, size=(n, h, w, c)).astype(dtype)
+        cells[rng.uniform(size=cells.shape) < 0.08] = np.nan
+        x = cells.transpose(0, 3, 1, 2)
+        if case % 2 == 0:
+            x = np.ascontiguousarray(x)
+        layer = nn.MaxPool2d(p)
+        out = layer.forward(x)
+        seed_out, seed_argmax = reference.max_pool2d(x, p)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, seed_out)
+        argmax = layer._cache[-1]
+        assert argmax.dtype == seed_argmax.dtype
+        np.testing.assert_array_equal(argmax, seed_argmax)
+        grad_output = rng.normal(size=out.shape).astype(dtype)
+        np.testing.assert_array_equal(
+            layer.backward(grad_output),
+            _scatter_to_argmax(x.shape, seed_argmax, grad_output, p),
+        )
+
+
 def test_global_avg_pool_1d_and_2d(rng):
     _check_layer(nn.GlobalAvgPool1d(), rng.normal(size=(2, 3, 6)))
     _check_layer(nn.GlobalAvgPool2d(), rng.normal(size=(2, 3, 4, 4)))
@@ -169,6 +209,10 @@ def test_flatten_round_trip(rng):
     assert out.shape == (2, 12)
     back = layer.backward(out)
     np.testing.assert_allclose(back, x)
+
+
+def test_flatten_accepts_empty_batch():
+    assert nn.Flatten().forward(np.zeros((0, 3, 4))).shape == (0, 12)
 
 
 def test_sequential_gradients(rng):
