@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro import nn, runtime
 from repro.core.coreset import QCoreSet
 from repro.data.dataset import Dataset
+from repro.nn.functional import channel_mean
 from repro.nn.module import Module
 from repro.nn.training import EVAL_BATCH_SIZE, predict_labels
 from repro.quantization.calibration import CalibrationResult, calibrate_with_backprop
@@ -39,7 +40,9 @@ def _layer_activation_summaries(layer: Module) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(a_in, a_out)`` where ``a_in`` has one entry per input slot of
     the layer's weight matrix and ``a_out`` one entry per output unit.  For
     convolutions the input slots are the im2col columns (channel x kernel
-    offset), matching the layout of the weight matrix.
+    offset), matching the layout of the weight matrix.  Every summary is a
+    per-channel mean over all other axes, equal byte for byte to the seed's
+    ``np.mean`` forms (:func:`repro.reference.layer_activation_summaries`).
     """
     last_input = layer.last_input
     last_output = layer.last_output
@@ -47,23 +50,14 @@ def _layer_activation_summaries(layer: Module) -> Tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(
             f"layer {type(layer).__name__} has no cached activations; run a forward pass first"
         )
-    if isinstance(layer, nn.Dense):
-        a_in = last_input.mean(axis=0)
-        a_out = last_output.mean(axis=0)
-    elif isinstance(layer, (nn.Conv1d, nn.Conv2d)):
+    if isinstance(layer, (nn.Conv1d, nn.Conv2d)):
         cols = layer._cols
         if cols is None:
             raise RuntimeError("convolution has no cached im2col columns")
-        a_in = cols.reshape(-1, cols.shape[-1]).mean(axis=0)
-        out = last_output
-        a_out = out.reshape(out.shape[0], out.shape[1], -1).mean(axis=(0, 2))
-    elif isinstance(layer, nn.BatchNorm):
-        reduce_axes = (0,) + tuple(range(2, last_input.ndim))
-        a_in = last_input.mean(axis=reduce_axes)
-        a_out = last_output.mean(axis=reduce_axes)
-    else:
+        last_input = cols.reshape(-1, cols.shape[-1])  # one column per input slot
+    elif not isinstance(layer, (nn.Dense, nn.BatchNorm)):
         raise TypeError(f"unsupported weighted layer type {type(layer).__name__}")
-    return runtime.asarray(a_in), runtime.asarray(a_out)
+    return runtime.asarray(channel_mean(last_input)), runtime.asarray(channel_mean(last_output))
 
 
 def _features_for_weight(
@@ -230,12 +224,19 @@ def _summarize_last_forward(qmodel: QuantizedModel) -> List[_RawFeatureParts]:
     references the live parameter array, which is only read again while the
     model is in the state this forward saw.
     """
+    return _parts_from_summaries(qmodel, _layer_activation_summaries)
+
+
+def _parts_from_summaries(
+    qmodel: QuantizedModel, summarize: Callable[[Module], Tuple[np.ndarray, np.ndarray]]
+) -> List[_RawFeatureParts]:
+    """:func:`_summarize_last_forward` with the per-layer ``(a_in, a_out)`` from ``summarize``."""
     param_to_name = {
         id(param): name for name, param in qmodel.model.named_parameters()
     }
     parts: List[_RawFeatureParts] = []
     for layer in qmodel.model.weighted_layers():
-        a_in, a_out = _layer_activation_summaries(layer)
+        a_in, a_out = summarize(layer)
         a_in_mean = float(a_in.mean()) if a_in.size else 0.0
         for attr in ("weight", "bias", "beta"):
             param = getattr(layer, attr, None)
@@ -773,6 +774,8 @@ class BitFlipTrainer:
                 target[delta < -threshold] = -1.0
                 collected_features.append(feats)
                 collected_targets.append(target)
+            if epoch + 1 == calibration_epochs:
+                return  # no later epoch pairs with this state's features
             state["features"] = extract_parameter_features(
                 qm, calibration_data.features, normalizer=normalizer, fit_normalizer=True
             )
@@ -788,6 +791,9 @@ class BitFlipTrainer:
             rng=self.rng,
             epoch_hook=hook,
         )
+        # The state a final feature extraction would have left.
+        qmodel.sync()
+        qmodel.model.eval()
 
         features = np.concatenate(collected_features, axis=0) if collected_features else np.zeros((0, NUM_FEATURES))
         targets = np.concatenate(collected_targets, axis=0) if collected_targets else np.zeros((0,))

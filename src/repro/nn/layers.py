@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import runtime
+from repro.nn import functional as F
 from repro.nn import initializers
 from repro.nn import kernels
 from repro.nn.module import Module
@@ -96,7 +97,7 @@ class Dense(Module):
         self.last_input = x
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out = F.broadcast_rows(np.add, out, self.bias.data, in_place=True)
         self.last_output = out
         return out
 
@@ -172,13 +173,12 @@ class Conv1d(Module):
         self._cols = cols
         n, out_len, fan_in = cols.shape
         # One flat GEMM over all windows beats N batched GEMMs (bit-identical:
-        # each output element is the same fan_in-length dot product).
-        out = (cols.reshape(-1, fan_in) @ self.weight.data).reshape(
-            n, out_len, self.out_channels
-        )
+        # each output element is the same fan_in-length dot product).  The
+        # bias goes onto the fresh GEMM output in place, in row blocks.
+        out = cols.reshape(-1, fan_in) @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
-        out = out.transpose(0, 2, 1)                                        # (N, C_out, L_out)
+            out = F.broadcast_rows(np.add, out, self.bias.data, in_place=True)
+        out = out.reshape(n, out_len, self.out_channels).transpose(0, 2, 1)  # (N, C_out, L_out)
         self.last_output = out
         return out
 
@@ -263,13 +263,12 @@ class Conv2d(Module):
         cols = kernel.im2col_2d(x, self.kernel_size, self.stride, self.padding)
         self._cols = cols
         fan_in = cols.shape[-1]
-        # One flat GEMM over all windows (see Conv1d.forward).
-        out = (cols.reshape(-1, fan_in) @ self.weight.data).reshape(
-            n, out_h * out_w, self.out_channels
-        )
+        # One flat GEMM over all windows, bias added in place (see Conv1d.forward).
+        out = cols.reshape(-1, fan_in) @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
-        out = out.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
+            out = F.broadcast_rows(np.add, out, self.bias.data, in_place=True)
+        out = out.reshape(n, out_h * out_w, self.out_channels).transpose(0, 2, 1)
+        out = out.reshape(n, self.out_channels, out_h, out_w)
         self.last_output = out
         return out
 
@@ -344,17 +343,37 @@ class BatchNorm(Module):
         self.last_input = x
         axes = self._reduce_axes(x)
         shape = self._shape_for_broadcast(x)
+        # With the channel axis innermost in memory, every per-channel mean
+        # and broadcast runs on the (rows, C) view (see repro.nn.functional).
+        rows = F.channel_rows(x)
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            if rows is None:
+                mean = x.mean(axis=axes)
+                var = x.var(axis=axes, mean=mean.reshape(shape))
+            else:
+                mean = F.column_mean(rows)
+                centered = F.broadcast_rows(np.subtract, rows, mean)
+                # np.var's own formula: the mean of the squared centred values.
+                var = F.column_mean(np.square(centered))
             self.last_batch_moments = (mean, var)
             self.update_running_statistics(mean, var)
         else:
             mean = self.running_mean
             var = self.running_var
+            if rows is not None:
+                centered = F.broadcast_rows(np.subtract, rows, mean)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        out = normalized * self.gamma.data.reshape(shape) + self.beta.data.reshape(shape)
+        if rows is None:
+            normalized = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+            out = normalized * self.gamma.data.reshape(shape) + self.beta.data.reshape(shape)
+        else:
+            # The same broadcasts; the results keep the strides the broadcast
+            # form gives a channels-last input.
+            centered = F.broadcast_rows(np.multiply, centered, inv_std, in_place=True)
+            scaled = F.broadcast_rows(np.multiply, centered, self.gamma.data)
+            scaled = F.broadcast_rows(np.add, scaled, self.beta.data, in_place=True)
+            normalized = F.from_channel_rows(centered, x.shape)
+            out = F.from_channel_rows(scaled, x.shape)
         self._cache = (normalized, inv_std, axes, shape)
         self.last_output = out
         return out
@@ -510,7 +529,7 @@ class GlobalAvgPool1d(Module):
         if x.ndim != 3:
             raise ValueError(f"GlobalAvgPool1d expected (N, C, L), got {x.shape}")
         self._length = x.shape[2]
-        return x.mean(axis=2)
+        return F.spatial_mean(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._length is None:
@@ -529,7 +548,7 @@ class GlobalAvgPool2d(Module):
         if x.ndim != 4:
             raise ValueError(f"GlobalAvgPool2d expected (N, C, H, W), got {x.shape}")
         self._hw = x.shape[2:]
-        return x.mean(axis=(2, 3))
+        return F.spatial_mean(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._hw is None:

@@ -23,10 +23,28 @@ class Module:
     for arbitrary compositions.
     """
 
+    #: Per-forward caches: each forward overwrites them, and only the
+    #: backward or the activation summaries after it read them.  Copies and
+    #: pickles carry ``None`` instead (:meth:`__getstate__`).
+    FORWARD_CACHES = ("last_input", "last_output", "_cols", "_cache", "_mask", "_output")
+
     def __init__(self):
         self._parameters: List[Parameter] = []
         self._modules: List[Tuple[str, "Module"]] = []
         self.training = True
+
+    def __getstate__(self) -> dict:
+        """The state ``copy.deepcopy`` and ``pickle`` copy, without the forward caches.
+
+        A trained model's caches can outweigh its parameters many times over,
+        and the next forward overwrites them anyway; until then the copy
+        behaves like a module that has not run a forward.
+        """
+        state = self.__dict__.copy()
+        for name in self.FORWARD_CACHES:
+            if name in state:
+                state[name] = None
+        return state
 
     # -- registration -----------------------------------------------------
     def register_parameter(self, param: Parameter) -> Parameter:

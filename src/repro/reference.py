@@ -15,12 +15,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import nn
+from repro import nn, runtime
 from repro.core.bitflip import (
     BitFlipCalibrationStats,
     BitFlipCalibrator,
     BitFlipNetwork,
-    extract_parameter_features,
+    _normalized_feature_blocks,
+    _parts_from_summaries,
 )
 from repro.data.dataset import Dataset
 from repro.nn.losses import CrossEntropyLoss
@@ -115,24 +116,85 @@ def max_pool2d(x: np.ndarray, pool_size: int) -> Tuple[np.ndarray, np.ndarray]:
     return flat.max(axis=4), flat.argmax(axis=4)
 
 
+def layer_activation_summaries(layer: nn.Module) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed ``(a_in, a_out)`` of a weighted layer: ``np.mean`` over the reduced axes.
+
+    :func:`~repro.core.bitflip._layer_activation_summaries` takes the same
+    per-channel means on the channels-last ``(rows, C)`` view and must equal
+    these byte for byte.
+    """
+    last_input = layer.last_input
+    last_output = layer.last_output
+    if last_input is None or last_output is None:
+        raise RuntimeError(
+            f"layer {type(layer).__name__} has no cached activations; run a forward pass first"
+        )
+    if isinstance(layer, nn.Dense):
+        a_in = last_input.mean(axis=0)
+        a_out = last_output.mean(axis=0)
+    elif isinstance(layer, (nn.Conv1d, nn.Conv2d)):
+        cols = layer._cols
+        a_in = cols.reshape(-1, cols.shape[-1]).mean(axis=0)
+        out = last_output
+        a_out = out.reshape(out.shape[0], out.shape[1], -1).mean(axis=(0, 2))
+    elif isinstance(layer, nn.BatchNorm):
+        reduce_axes = (0,) + tuple(range(2, last_input.ndim))
+        a_in = last_input.mean(axis=reduce_axes)
+        a_out = last_output.mean(axis=reduce_axes)
+    else:
+        raise TypeError(f"unsupported weighted layer type {type(layer).__name__}")
+    return runtime.asarray(a_in), runtime.asarray(a_out)
+
+
+def batch_norm_forward(
+    layer: nn.BatchNorm, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The seed BatchNorm formula: ``(out, normalized, batch moments)``.
+
+    Broadcasts ``(1, C, 1, ...)``-shaped statistics over ``x``; a
+    training-mode layer normalises with ``x.mean`` and ``x.var`` over every
+    axis but 1 and returns them as the moments, an eval-mode layer with its
+    running statistics (moments ``None``).  Reads ``layer`` without changing
+    it.  :meth:`~repro.nn.layers.BatchNorm.forward` must return the same
+    ``out`` and cache the same ``normalized`` and moments, byte for byte and
+    in the same memory layout; only a NaN computed from two NaNs may be the
+    other NaN (docs/kernels.md).
+    """
+    x = runtime.asarray(x)
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, layer.num_features) + (1,) * (x.ndim - 2)
+    moments = None
+    if layer.training:
+        moments = (x.mean(axis=axes), x.var(axis=axes))
+        mean, var = moments
+    else:
+        mean, var = layer.running_mean, layer.running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    normalized = (x - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = normalized * layer.gamma.data.reshape(shape) + layer.beta.data.reshape(shape)
+    return out, normalized, moments
+
+
 def predict_per_tensor(
     calibrator: BitFlipCalibrator, qmodel: QuantizedModel, data: Dataset
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Per-parameter ``(flips, confidence)`` from one BF inference per tensor.
 
     The seed form of the calibrator's fused inference over the concatenated
-    features of every tensor, post-processed by the seed
+    features of every tensor: one eval forward, the features built from the
+    seed :func:`layer_activation_summaries`, post-processed by the seed
     :func:`predict_flips_with_confidence`.  The BF network is row-wise, so
     both must give the same flips and confidences.
     """
-    features = extract_parameter_features(
-        qmodel, data.features, normalizer=calibrator.normalizer
-    )
+    qmodel.sync()
+    qmodel.model.eval()
+    qmodel.model.forward(data.features)
+    parts = _parts_from_summaries(qmodel, layer_activation_summaries)
     return {
         name: predict_flips_with_confidence(
             calibrator.network, block, calibrator.confidence_threshold
         )
-        for name, block in features.items()
+        for name, block in _normalized_feature_blocks(parts, calibrator.normalizer, False)
     }
 
 

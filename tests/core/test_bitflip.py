@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn, reference, runtime
+from repro.core import bitflip
 from repro.core import (
     BitFlipCalibrator,
     BitFlipNetwork,
@@ -15,7 +16,7 @@ from repro.core import (
 )
 from repro.core.bitflip import NUM_FEATURES, FeatureNormalizer
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
-from repro.models import InceptionTimeSurrogate
+from repro.models import InceptionTimeSurrogate, build_model
 from repro.nn.training import train_classifier
 from repro.quantization import QuantizationConfig, quantize_model
 from repro.reference import (
@@ -46,6 +47,26 @@ def trained_setup():
 
 
 class TestFeatureExtraction:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_activation_summaries_equal_seed_byte_for_byte(self, dtype):
+        """Every weighted layer's (a_in, a_out) after an eval forward equals the
+        seed's np.mean forms byte for byte.  Conv and BatchNorm activations
+        are channels-last, so their means take the (rows, C) column path."""
+        rng = np.random.default_rng(8)
+        with runtime.use_dtype(dtype):
+            for name, shape in (("InceptionTime", (3, 40)), ("ResNet18", (3, 8, 8)), ("MLP", (12,))):
+                model = build_model(name, shape, 4, rng=rng)
+                model.eval()
+                model.forward(rng.normal(size=(20,) + shape))
+                for layer in model.weighted_layers():
+                    if isinstance(layer, (nn.Conv1d, nn.Conv2d, nn.BatchNorm)):
+                        assert nn.functional.channel_rows(layer.last_output) is not None
+                    fast = bitflip._layer_activation_summaries(layer)
+                    seed = reference.layer_activation_summaries(layer)
+                    for fast_mean, seed_mean in zip(fast, seed):
+                        assert fast_mean.dtype == seed_mean.dtype == dtype
+                        assert fast_mean.tobytes() == seed_mean.tobytes()
+
     def test_features_cover_all_weighted_parameters(self, trained_setup, rng):
         model, train, _ = trained_setup
         qmodel = quantize_model(model, bits=4)
@@ -226,6 +247,27 @@ class TestBitFlipTrainer:
         trainer = BitFlipTrainer(bits=2, bf_epochs=5, rng=rng)
         result = trainer.train(qmodel, train.subset(np.arange(20)), calibration_epochs=4)
         assert set(result.class_counts).issubset({-1, 0, 1})
+
+    def test_extracts_features_once_per_epoch(self, trained_setup, rng, monkeypatch):
+        """Each epoch pairs the features extracted before it with its movement,
+        so no extraction follows the last epoch; the model still ends synced
+        and in eval mode, the state that extraction left."""
+        model, train, _ = trained_setup
+        import copy
+
+        calls = []
+
+        def counting_extract(*args, **kwargs):
+            calls.append(1)
+            return extract_parameter_features(*args, **kwargs)
+
+        monkeypatch.setattr(bitflip, "extract_parameter_features", counting_extract)
+        qmodel = quantize_model(copy.deepcopy(model), bits=4)
+        trainer = BitFlipTrainer(bits=4, bf_epochs=2, rng=rng)
+        trainer.train(qmodel, train.subset(np.arange(20)), calibration_epochs=5)
+        assert len(calls) == 5
+        assert not any(module.training for module in qmodel.model.modules())
+        assert not qmodel._dirty
 
 
 class TestBitFlipCalibrator:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.bitflip import _layer_activation_summaries
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import (
     InceptionTimeSurrogate,
@@ -117,3 +121,32 @@ class TestRegistry:
         assert len(layers) >= 4
         for layer in layers:
             assert layer.weight is not None
+
+
+def _pickle_round_trip(model):
+    return pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestCopies:
+    @pytest.mark.parametrize("copier", [copy.deepcopy, _pickle_round_trip], ids=["deepcopy", "pickle"])
+    def test_copies_drop_forward_caches(self, copier, rng):
+        """A copy of a model that ran a training forward holds no per-forward
+        cache; after a forward of its own it matches the original byte for
+        byte, activation summaries included."""
+        for name, shape in (("InceptionTime", (3, 20)), ("ResNet18", (3, 8, 8)), ("MLP", (8,))):
+            model = build_model(name, shape, 4, rng=rng)
+            model.train()
+            model.forward(rng.normal(size=(5,) + shape))
+            duplicate = copier(model)
+            for module in duplicate.modules():
+                for attr in nn.Module.FORWARD_CACHES:
+                    assert getattr(module, attr, None) is None, (name, type(module).__name__, attr)
+            layer = duplicate.weighted_layers()[0]
+            with pytest.raises(RuntimeError, match="run a forward pass first"):
+                _layer_activation_summaries(layer)
+            x = rng.normal(size=(6,) + shape)
+            outputs = [m.eval().forward(x) for m in (model, duplicate)]
+            assert outputs[0].tobytes() == outputs[1].tobytes()
+            for original, copied in zip(model.weighted_layers(), duplicate.weighted_layers()):
+                for a, b in zip(_layer_activation_summaries(original), _layer_activation_summaries(copied)):
+                    assert a.tobytes() == b.tobytes()

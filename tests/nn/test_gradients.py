@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn, reference
+from repro import nn, reference, runtime
 
 
 def _numeric_grad_wrt_input(layer: nn.Module, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -200,6 +200,100 @@ def test_maxpool2d_equals_seed_reduction(dtype):
 def test_global_avg_pool_1d_and_2d(rng):
     _check_layer(nn.GlobalAvgPool1d(), rng.normal(size=(2, 3, 6)))
     _check_layer(nn.GlobalAvgPool2d(), rng.normal(size=(2, 3, 4, 4)))
+
+
+def _both_layouts(cells):
+    """The channels-last ``(N, C, ...)`` view of ``(N, ..., C)`` cells and a
+    channels-first copy of it."""
+    channels_last = cells.transpose((0, cells.ndim - 1, *range(1, cells.ndim - 1)))
+    return channels_last, np.ascontiguousarray(channels_last)
+
+
+def _with_special_cells(cells, rng):
+    """Integer values (exact ties), an all -0.0 channel, NaN and ±inf cells."""
+    cells = np.round(cells)
+    cells[..., 0] = -0.0
+    picks = rng.uniform(size=cells.shape)
+    cells[picks < 0.02] = np.nan
+    cells[(picks >= 0.02) & (picks < 0.04)] = np.inf
+    cells[(picks >= 0.04) & (picks < 0.06)] = -np.inf
+    return cells
+
+
+def _assert_same_array(fast, seed, any_nan=False):
+    """Same dtype, shape, memory layout and bytes.  The stride of an axis of
+    length 1 never moves a pointer, and NumPy picks it freely.  With
+    ``any_nan``, NaN cells match any NaN: an addition or product of two NaNs
+    may keep either one (docs/kernels.md)."""
+    assert fast.dtype == seed.dtype and fast.shape == seed.shape
+    for stride, seed_stride, length in zip(fast.strides, seed.strides, fast.shape):
+        assert length == 1 or stride == seed_stride
+    if any_nan:
+        assert np.array_equal(np.isnan(fast), np.isnan(seed))
+        fast, seed = (np.where(np.isnan(a), np.nan, a) for a in (fast, seed))
+    assert fast.tobytes() == seed.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batchnorm_forward_equals_seed_formula(dtype):
+    """Train and eval forwards on channels-last, channels-first and 2-D
+    inputs equal reference.batch_norm_forward byte for byte: the output and
+    the cached normalized values (with their strides; NaN where the seed
+    has NaN), the batch moments and the running statistics."""
+    rng = np.random.default_rng(17)
+    with runtime.use_dtype(dtype):
+        for shape in [(6, 4), (1, 5), (300, 3), (5, 3, 7), (20, 18, 125), (2, 6, 1),
+                      (300, 4, 1), (4, 3, 5, 6), (20, 8, 16, 16), (3, 2, 1, 1)]:
+            channels = shape[1]
+            for special in (False, True):
+                cells = rng.normal(size=(shape[0], *shape[2:], channels)) * 3.0 + 1.0
+                if special:
+                    cells = _with_special_cells(cells, rng)
+                for x in _both_layouts(cells.astype(dtype)):
+                    layer = nn.BatchNorm(channels, momentum=0.3)
+                    layer.running_mean = runtime.asarray(rng.normal(size=channels))
+                    layer.running_var = runtime.asarray(rng.uniform(0.5, 2.0, size=channels))
+                    layer.gamma.data[...] = rng.normal(size=channels)
+                    layer.beta.data[...] = rng.normal(size=channels)
+                    for training in (True, False):
+                        layer.training = training
+                        running = (layer.running_mean, layer.running_var)
+                        with np.errstate(invalid="ignore"):
+                            seed_out, seed_normalized, moments = reference.batch_norm_forward(layer, x)
+                            out = layer.forward(x)
+                        _assert_same_array(out, seed_out, any_nan=special)
+                        _assert_same_array(layer._cache[0], seed_normalized, any_nan=special)
+                        if not training:
+                            assert layer.running_mean is running[0]
+                            assert layer.running_var is running[1]
+                            continue
+                        for fast, seed in zip(layer.last_batch_moments, moments):
+                            _assert_same_array(fast, seed)
+                        for fast, old, seed in zip(
+                            (layer.running_mean, layer.running_var), running, moments
+                        ):
+                            expected = (1 - layer.momentum) * old + layer.momentum * seed
+                            _assert_same_array(fast, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_global_avg_pool_equals_numpy_mean(dtype):
+    """GlobalAvgPool1d/2d equal x.mean over the spatial axes byte for byte,
+    on channels-last and channels-first inputs, one channel or many."""
+    rng = np.random.default_rng(19)
+    for shape in [(2, 3, 6), (20, 24, 125), (4, 1, 9), (40, 1, 200), (3, 5, 1), (300, 2, 1),
+                  (2, 3, 4, 4), (20, 16, 8, 8), (3, 1, 2, 2), (16, 1, 16, 16), (2, 4, 1, 1)]:
+        layer = nn.GlobalAvgPool1d() if len(shape) == 3 else nn.GlobalAvgPool2d()
+        for special in (False, True):
+            cells = rng.normal(size=(shape[0], *shape[2:], shape[1])) * 10.0
+            if special:
+                cells = _with_special_cells(cells, rng)
+            for x in _both_layouts(cells.astype(dtype)):
+                with np.errstate(invalid="ignore"):
+                    out = layer.forward(x)
+                    expected = x.mean(axis=tuple(range(2, x.ndim)))
+                assert out.dtype == expected.dtype == dtype
+                assert out.tobytes() == expected.tobytes()
 
 
 def test_flatten_round_trip(rng):
