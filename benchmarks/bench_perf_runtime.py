@@ -5,19 +5,20 @@ implementation, run *in the same process* from :mod:`repro.reference`:
 
 * **baseline** — float64 compute, the seed edge loop with per-tensor BF
   inference and a fresh forward for every use (``calibrate_per_tensor``),
-  rewrite-everything synchronisation (``FullSyncQuantizedModel``);
+  on the seed's per-tensor storage with rewrite-everything synchronisation
+  (``PerTensorQuantizedModel``);
 * **fast** — the production path: float32 compute (the :mod:`repro.runtime`
   default), one fused BF inference per calibration iteration, one pool
-  forward per model state, dirty-tensor incremental sync.
+  forward per model state, flat parameter-arena storage.
 
 It also verifies that at float64 the production path proposes *numerically
-identical* flips to the reference and leaves identical model weights, so the
-speedup is free.
+identical* flips to the reference and leaves identical model and latent
+weights, so the speedup is free.
 
 The ``qat_fused`` entry measures the **fused QAT engine** (flat parameter
 arena + segmented quantization + lazy code materialization) against the
-per-tensor STE loop (``calibrate_with_backprop_per_tensor``), both at
-float32, on the workload the ROADMAP flagged:
+per-tensor STE loop (``calibrate_with_backprop_per_tensor`` on the seed
+storage), both at float32, on the workload the ROADMAP flagged:
 small-batch calibration of a compact MLP head, where the per-batch Python
 overhead of walking every tensor dominates.  Conv-heavy backbones are
 compute-bound in forward/backward and gain correspondingly less (the ``qat``
@@ -76,7 +77,7 @@ from repro.quantization import (
     quantize_model,
 )
 from repro.reference import (
-    FullSyncQuantizedModel,
+    PerTensorQuantizedModel,
     calibrate_per_tensor,
     calibrate_with_backprop_per_tensor,
 )
@@ -107,12 +108,12 @@ SMOKE_CONFIG = dict(
 )
 
 
-def _build_setup(config: dict, full_sync: bool = False):
+def _build_setup(config: dict, seed_storage: bool = False):
     """Dataset, trained backbone, quantized model, BF network and normalizer.
 
     Built under the *active* compute dtype so each mode measures a coherent
-    single-precision stack.  ``full_sync`` wraps the backbone in the seed's
-    :class:`~repro.reference.FullSyncQuantizedModel`; the build is seeded, so
+    single-precision stack.  ``seed_storage`` wraps the backbone in the seed's
+    :class:`~repro.reference.PerTensorQuantizedModel`; the build is seeded, so
     both wrappers start from identical codes.
     """
     ts = SyntheticTimeSeriesConfig(
@@ -131,7 +132,7 @@ def _build_setup(config: dict, full_sync: bool = False):
         source.features, source.labels,
         epochs=config["train_epochs"], batch_size=32, rng=rng,
     )
-    wrapper = FullSyncQuantizedModel if full_sync else QuantizedModel
+    wrapper = PerTensorQuantizedModel if seed_storage else QuantizedModel
     qmodel = wrapper(model, QuantizationConfig(bits=config["bits"]))
     normalizer = FeatureNormalizer()
     extract_parameter_features(
@@ -145,11 +146,11 @@ def _build_setup(config: dict, full_sync: bool = False):
 def _measure_edge(config: dict, dtype, reference: bool) -> float:
     """Edge-calibration steps (BF iterations) per second for one mode.
 
-    ``reference`` runs the seed path: per-tensor BF inference over a
-    full-sync model.
+    ``reference`` runs the seed path: per-tensor BF inference over the seed
+    storage.
     """
     with runtime.use_dtype(dtype):
-        qmodel, network, normalizer, pool, _ = _build_setup(config, full_sync=reference)
+        qmodel, network, normalizer, pool, _ = _build_setup(config, seed_storage=reference)
         calibrator = BitFlipCalibrator(
             network, epochs=config["edge_epochs"], confidence_threshold=0.4,
             max_flip_fraction=0.1, normalizer=normalizer,
@@ -310,11 +311,20 @@ def _build_qat_fused_setup(config: dict):
     return model, flat[:pool_size], source.labels[:pool_size]
 
 
-def _measure_qat_fused(config: dict, calibrate) -> float:
-    """Seconds per QAT epoch at float32 for one STE loop (fused or per-tensor)."""
+#: The QAT engines compared: (storage, STE loop) for production and the seed.
+QAT_FUSED = (quantize_model, calibrate_with_backprop)
+QAT_SERIAL = (
+    lambda model, bits: PerTensorQuantizedModel(model, QuantizationConfig(bits=bits)),
+    calibrate_with_backprop_per_tensor,
+)
+
+
+def _measure_qat_fused(config: dict, engine) -> float:
+    """Seconds per QAT epoch at float32 for one engine (fused or per-tensor)."""
+    wrap, calibrate = engine
     with runtime.use_dtype(np.float32):
         model, pool, labels = _build_qat_fused_setup(config)
-        qmodel = quantize_model(model, bits=config["bits"])
+        qmodel = wrap(model, config["bits"])
         timings = []
         for repeat in range(config["qat_fused_repeats"]):
             start = time.perf_counter()
@@ -338,8 +348,9 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
     with runtime.use_dtype(np.float64):
         model, pool, labels = _build_qat_fused_setup(config)
 
-        def run(calibrate):
-            qmodel = quantize_model(copy.deepcopy(model), bits=config["bits"])
+        def run(engine):
+            wrap, calibrate = engine
+            qmodel = wrap(copy.deepcopy(model), config["bits"])
             snapshots = []
 
             def hook(epoch, qm, before, after):
@@ -353,8 +364,8 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
             )
             return qmodel, snapshots
 
-        fused_q, fused_snaps = run(calibrate_with_backprop)
-        serial_q, serial_snaps = run(calibrate_with_backprop_per_tensor)
+        fused_q, fused_snaps = run(QAT_FUSED)
+        serial_q, serial_snaps = run(QAT_SERIAL)
         snapshots_identical = len(fused_snaps) == len(serial_snaps) and all(
             np.array_equal(fb[name], sb[name]) and np.array_equal(fa[name], sa[name])
             for (fb, fa), (sb, sa) in zip(fused_snaps, serial_snaps)
@@ -368,17 +379,21 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
             ),
             "epoch_snapshots_identical": bool(snapshots_identical),
             "latent_identical": all(
-                np.array_equal(np.asarray(fused_q.latent[name]), serial_q.latent[name])
+                np.array_equal(fused_q.latent[name], serial_q.latent[name])
                 for name in serial_q.latent
             ),
         }
 
 
 def _check_equivalence(config: dict) -> dict:
-    """At float64: the production edge path must equal the seed reference exactly."""
+    """At float64: the production edge path must equal the seed reference exactly.
+
+    Flip decisions, model weights and latent weights, against the seed loop
+    on the seed storage.
+    """
     with runtime.use_dtype(np.float64):
         qmodel, network, normalizer, pool, _ = _build_setup(config)
-        legacy = _build_setup(config, full_sync=True)[0]
+        legacy = _build_setup(config, seed_storage=True)[0]
         # validate=False so proposed flips are applied unconditionally and
         # the comparison covers codes that actually moved.
         calibrator = BitFlipCalibrator(
@@ -407,6 +422,10 @@ def _check_equivalence(config: dict) -> dict:
                 and stats_fast.flips_per_epoch == stats_legacy.flips_per_epoch
             ),
             "model_weights_identical": bool(weights_identical),
+            "latent_identical": all(
+                np.array_equal(qmodel.latent[name], legacy.latent[name])
+                for name in legacy.latent
+            ),
             "flips_per_epoch": stats_fast.flips_per_epoch,
         }
 
@@ -424,7 +443,7 @@ def main(argv=None) -> int:
     print("measuring edge calibration (baseline: float64, per-tensor BF, full sync)...")
     edge_baseline = _measure_edge(config, np.float64, reference=True)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float64 baseline arm
     print(f"  baseline: {edge_baseline:.2f} steps/s")
-    print("measuring edge calibration (fast: float32, fused BF, incremental sync)...")
+    print("measuring edge calibration (fast: float32, fused BF, arena storage)...")
     edge_fast = _measure_edge(config, np.float32, reference=False)  # repro-lint: disable=dtype-discipline -- the benchmark's explicit float32 fast arm
     print(f"  fast:     {edge_fast:.2f} steps/s")
 
@@ -434,8 +453,8 @@ def main(argv=None) -> int:
     print(f"  baseline: {qat_baseline * 1e3:.1f} ms/epoch   fast: {qat_fast * 1e3:.1f} ms/epoch")
 
     print("measuring fused QAT engine (flat arena vs per-tensor STE, both float32)...")
-    qat_serial = _measure_qat_fused(config, calibrate_with_backprop_per_tensor)
-    qat_arena = _measure_qat_fused(config, calibrate_with_backprop)
+    qat_serial = _measure_qat_fused(config, QAT_SERIAL)
+    qat_arena = _measure_qat_fused(config, QAT_FUSED)
     print(f"  per-tensor: {qat_serial * 1e3:.2f} ms/epoch   fused arena: {qat_arena * 1e3:.2f} ms/epoch")
 
     print("measuring conv-kernel backends (conv-backbone QAT, naive vs strided, float32)...")
@@ -513,8 +532,8 @@ def main(argv=None) -> int:
 
     diverged = False
     for label, block in (
-        ("the production edge path diverged from the per-tensor full-sync reference "
-         "at float64", equivalence),
+        ("the production edge path diverged from the seed loop on the per-tensor "
+         "storage at float64", equivalence),
         ("the fused QAT engine diverged from the per-tensor STE loop at float64",
          qat_equivalence),
         ("the strided conv kernels diverged from the naive backend", conv_equivalence),

@@ -347,9 +347,7 @@ class BackpropContinualMethod(ContinualMethod):
         assert self.qmodel is not None
         if self.edge_full_precision:
             return
-        self.qmodel.latent = {
-            name: qt.dequantize() for name, qt in self.qmodel.qtensors.items()
-        }
+        self.qmodel.collapse_latent()
 
     def _gradient_vector(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Flattened cross-entropy gradient (used by A-GEM's projection)."""

@@ -89,9 +89,9 @@ class DeepCompression(BackpropContinualMethod):
         """Re-impose the pruning masks on the latent weights after an update."""
         assert self.qmodel is not None
         for name, mask in self._masks.items():
-            self.qmodel.latent[name] = self.qmodel.latent[name] * mask
+            latent = self.qmodel.latent[name]
+            latent *= mask  # in place, through the arena view
         self.qmodel.refresh_codes()
-        self.qmodel.sync()
 
     def sparsity(self) -> float:
         """Fraction of pruned (zeroed) parameters across all masks."""

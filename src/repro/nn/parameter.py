@@ -67,12 +67,6 @@ class Parameter:
         self.data = view
         self._shared = True
 
-    def release_view(self) -> None:
-        """Detach from shared storage, keeping an owned copy of the values."""
-        if self._shared:
-            self.data = self.data.copy()
-            self._shared = False
-
     def assign(self, values: np.ndarray) -> None:
         """Replace the parameter values, preserving shared (arena) storage.
 

@@ -4,21 +4,21 @@ The paper quantizes full-precision classifier parameters to low bit-widths
 (2, 4, 8 bits) and calibrates the quantized models.  This package provides:
 
 ``UniformQuantizer``
-    Symmetric or asymmetric uniform quantization of a tensor to integer codes
-    plus a scale / zero-point (Figure 2 of the paper).
+    Symmetric uniform quantization of a tensor to integer codes plus one
+    max-abs scale (Figure 2 of the paper).
 ``QuantizationConfig``
-    Bit-width and scheme settings shared across a deployment.
+    The bit-width shared across a deployment.
 ``QuantizedModel``
     A wrapper around a full-precision model that stores per-parameter integer
-    codes, materialises the dequantized weights for inference, and exposes the
-    integer codes for bit-flip updates.
+    codes, keeps the dequantized weights current for inference, and exposes
+    the integer codes for bit-flip updates.
 ``calibrate_with_backprop``
     Quantization-aware calibration using the straight-through estimator, the
-    paper's server-side (one-time) calibration path.  Runs over a flat
-    parameter arena by default (fused STE with lazy code materialization).
+    paper's server-side (one-time) calibration path: a fused STE over the
+    model's flat parameter arena, with lazy code materialization.
 ``ParameterArena`` / ``SegmentLayout``
-    Flat multi-tensor storage with zero-copy per-parameter views, the engine
-    behind the fused QAT path.
+    Flat multi-tensor storage with zero-copy per-parameter views: the only
+    storage of a ``QuantizedModel``.
 """
 
 from repro.quantization.arena import ParameterArena, SegmentLayout

@@ -1,18 +1,20 @@
 """Flat parameter arena: contiguous multi-tensor storage with zero-copy views.
 
-Server-side QAT walks every parameter tensor once per mini-batch.  With the
-per-tensor representation each step pays a Python-level loop over tensors —
-one ``quantize`` (range reduction, scale arithmetic, rounding) and one
-dequantizing write-back per tensor — even though integer codes are only *read*
-at epoch boundaries.  The arena concatenates every latent weight into one
-contiguous buffer, so a straight-through-estimator step collapses into
+A quantized model's parameters live in three flat buffers that share one
+:class:`SegmentLayout`: full-precision latent weights, integer codes, and
+the dequantized weights the wrapped model computes with (its parameters are
+zero-copy views into that buffer).  Every per-tensor view the rest of the
+program reads is a slice of one of them.
+
+Server-side QAT walks every parameter tensor once per mini-batch.  Over the
+arena a straight-through-estimator step collapses into
 
 1. a single vectorized subtract over the latent buffer,
 2. one segmented range reduction (``np.maximum.reduceat`` over segment
-   boundaries; see :meth:`UniformQuantizer.quantize_segments`), and
+   boundaries) feeding :func:`~repro.quantization.quantizer.max_abs_scale`,
+   and
 3. one fused round / clip / dequantize pass written straight through the
-   wrapped model's parameters, which are zero-copy views into the arena's
-   weight buffer.
+   weights buffer.
 
 Integer codes are materialized lazily — :meth:`ParameterArena.materialize`
 runs only when somebody actually reads codes (``snapshot_codes`` /
@@ -21,21 +23,21 @@ runs only when somebody actually reads codes (``snapshot_codes`` /
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro import runtime
-from repro.quantization.quantizer import QuantizationConfig, UniformQuantizer
+from repro.quantization.quantizer import QuantizationConfig, max_abs_scale
 
 
 class SegmentLayout:
     """Immutable map between named tensors and segments of a flat buffer.
 
     The layout is shared by every buffer of a :class:`ParameterArena` (latent,
-    weights, codes) and reusable for any other per-parameter flat storage —
-    the fleet calibrator uses the same segment arithmetic to stack raw
-    bit-flip features across homogeneous devices.
+    weights, codes) and by the copies of the model that owns it.  The fleet
+    calibrator uses the same segment arithmetic to stack raw bit-flip
+    features across homogeneous devices.  Every segment holds at least one
+    element.
     """
 
     def __init__(self, names: Sequence[str], shapes: Sequence[Tuple[int, ...]]) -> None:
@@ -46,14 +48,23 @@ class SegmentLayout:
         self.names: List[str] = list(names)
         self.shapes: List[Tuple[int, ...]] = [tuple(shape) for shape in shapes]
         sizes = [int(np.prod(shape)) if shape else 1 for shape in self.shapes]
+        empty = [name for name, size in zip(self.names, sizes) if size <= 0]
+        if empty:
+            raise ValueError(f"segments must not be empty: {empty}")
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
         self._index = {name: i for i, name in enumerate(self.names)}
+        bounds = self.offsets.tolist()
+        self._slices = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "SegmentLayout":
         """Layout matching a name → array mapping, in iteration order."""
         return cls(list(arrays), [np.shape(a) for a in arrays.values()])
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "SegmentLayout":
+        """Copies share the layout: nothing mutates it after construction."""
+        return self
 
     @property
     def size(self) -> int:
@@ -72,38 +83,12 @@ class SegmentLayout:
     def view(self, buffer: np.ndarray, name: str) -> np.ndarray:
         """Zero-copy view of ``name``'s segment, reshaped to the tensor shape."""
         i = self._index[name]
-        return buffer[self.offsets[i] : self.offsets[i + 1]].reshape(self.shapes[i])
-
-    def views(self, buffer: np.ndarray) -> Dict[str, np.ndarray]:
-        """All segment views of ``buffer``, keyed by name."""
-        return {name: self.view(buffer, name) for name in self.names}
+        return buffer[self._slices[i]].reshape(self.shapes[i])
 
     def split(self, buffer: np.ndarray) -> Iterator[Tuple[str, np.ndarray]]:
         """Yield ``(name, flat_segment)`` views without reshaping."""
-        for i, name in enumerate(self.names):
-            yield name, buffer[self.offsets[i] : self.offsets[i + 1]]
-
-    def flatten(
-        self, arrays: Mapping[str, np.ndarray], out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Write named arrays into a flat buffer in layout order.
-
-        Every segment must be covered; shapes must match the layout.
-        """
-        if out is None:
-            out = runtime.zeros(self.size)
-        missing = set(self.names) - set(arrays)
-        if missing:
-            raise KeyError(f"missing segments: {sorted(missing)}")
-        for name, segment in self.split(out):
-            values = np.asarray(arrays[name])
-            if values.shape != self.view(out, name).shape:
-                raise ValueError(
-                    f"shape mismatch for segment {name!r}: expected "
-                    f"{self.shapes[self._index[name]]}, got {values.shape}"
-                )
-            segment[...] = values.reshape(-1)
-        return out
+        for name, segment in zip(self.names, self._slices):
+            yield name, buffer[segment]
 
 
 class ParameterArena:
@@ -122,41 +107,40 @@ class ParameterArena:
         Integer codes (int64), materialized lazily from ``latent`` by
         :meth:`materialize` — per-batch QAT never touches them.
 
-    ``scales`` / ``zero_points`` hold the per-segment affine parameters of the
-    most recent (fake-)quantization pass.
+    ``scales`` (float64) holds the per-segment scales of the most recent
+    (fake-)quantization pass.  The arena adopts the ``latent``, ``codes``
+    and ``scales`` buffers it is given; the weights buffer starts at zero
+    for its owner to fill.
     """
 
     def __init__(
         self,
         layout: SegmentLayout,
         config: QuantizationConfig,
-        dtype: Optional[np.dtype] = None,
+        latent: np.ndarray,
+        codes: np.ndarray,
+        scales: np.ndarray,
     ) -> None:
+        shapes = (latent.shape, codes.shape, scales.shape)
+        if shapes != ((layout.size,), (layout.size,), (layout.num_segments,)):
+            raise ValueError(
+                f"buffer shapes {shapes} do not fit a layout of {layout.size} "
+                f"elements in {layout.num_segments} segments"
+            )
         self.layout = layout
         self.config = config
-        dtype = np.dtype(dtype) if dtype is not None else runtime.get_dtype()
-        self.latent = np.zeros(layout.size, dtype=dtype)
-        self.weights = np.zeros(layout.size, dtype=dtype)
-        self.codes = np.zeros(layout.size, dtype=np.int64)
-        self.scales = np.ones(layout.num_segments, dtype=np.float64)  # repro-lint: disable=dtype-discipline -- scale arithmetic is float64 by the bit-identity contract
-        self.zero_points = np.zeros(layout.num_segments, dtype=np.int64)
-        self._quantizer = UniformQuantizer(config)
-        # Hot-path caches for the symmetric fast path below: all
-        # intermediates live in preallocated compute-dtype scratch, and the
-        # per-segment affine passes go through cached flat views.
-        self._scratch = np.empty(layout.size, dtype=dtype)
+        self.latent = latent
+        self.codes = codes
+        self.scales = scales
+        self.weights = np.zeros_like(latent)
+        # Hot-path caches: every intermediate lives in preallocated
+        # compute-dtype scratch, and the per-segment affine passes go through
+        # cached flat views.
+        self._scratch = np.empty_like(latent)
+        self._starts = layout.offsets[:-1]
         self._latent_segments = [seg for _, seg in layout.split(self.latent)]
         self._scratch_segments = [seg for _, seg in layout.split(self._scratch)]
         self._weight_segments = [seg for _, seg in layout.split(self.weights)]
-        # reduceat starts for the all-segments-non-empty common case; the
-        # symmetric inline range pass below requires it.
-        self._dense_starts = (
-            layout.offsets[:-1] if np.all(layout.sizes > 0) and layout.size else None
-        )
-        #: Whether the allocation-free symmetric passes apply; otherwise the
-        #: fused passes delegate to the quantizer's generic flat operations
-        #: (``fake_quantize_flat`` / ``quantize_flat``).
-        self._fast = config.symmetric and self._dense_starts is not None
 
     # -- convenience views --------------------------------------------------
     @property
@@ -181,59 +165,48 @@ class ParameterArena:
         """Zero-copy view of ``name``'s integer codes."""
         return self.layout.view(self.codes, name)
 
-    def scale_of(self, name: str) -> float:
-        """Scale of ``name``'s most recent (fake-)quantization pass."""
-        return float(self.scales[self.layout.index(name)])
-
-    def zero_point_of(self, name: str) -> int:
-        """Zero point of ``name``'s most recent (fake-)quantization pass."""
-        return int(self.zero_points[self.layout.index(name)])
-
     # -- fused passes -------------------------------------------------------
     #
-    # Symmetric dense layouts (the repo-wide default) take an allocation-free
-    # fast path: the affine (scale) application runs per segment with
-    # *python-scalar* operands through cached flat views — a scalar-operand
-    # ufunc moves half the memory of an array-operand one, which is what lets
-    # the fused path beat the per-tensor loop on large tensors while still
-    # collapsing the per-batch Python overhead on many-tensor models (two
-    # calls per segment instead of the serial loop's dozen).  Rounding and
-    # clipping stay whole-buffer.  At float64 a python-float scale is the
-    # same float64 the per-tensor path uses, so the passes are bit-identical;
-    # at float32 NumPy casts the scalar to float32 first, exactly like the
-    # per-tensor path's ``values / scale``.  Everything else (asymmetric
-    # configs, layouts with empty segments) delegates to the quantizer's
-    # generic flat operations, so there is exactly one implementation of the
-    # generic math.
+    # The affine (scale) application runs per segment with *python-scalar*
+    # operands through cached flat views — a scalar-operand ufunc moves half
+    # the memory of an array-operand one, which is what lets the fused path
+    # beat a per-tensor loop on large tensors while still collapsing the
+    # per-batch Python overhead on many-tensor models (two calls per segment
+    # instead of the serial loop's dozen).  Rounding and clipping stay
+    # whole-buffer.  At float64 a python-float scale is the same float64
+    # :meth:`UniformQuantizer.quantize` uses, so the passes are
+    # bit-identical to it; at float32 NumPy casts the scalar to float32
+    # first, exactly like its ``values / scale``.
 
-    def _refresh_scales_fast(self) -> None:
-        """Symmetric per-segment scales from the current latent buffer.
+    def refresh_scales(self) -> None:
+        """Per-segment scales from the current latent buffer.
 
-        |latent| into scratch, one ``reduceat``, float64 scale arithmetic on
-        the tiny per-segment array — identical math to
-        ``quantize_segments``.
+        |latent| into scratch, one ``reduceat``, then the float64
+        :func:`~repro.quantization.quantizer.max_abs_scale` rule on the tiny
+        per-segment array.
         """
         np.abs(self.latent, out=self._scratch)
-        max_abs = np.maximum.reduceat(self._scratch, self._dense_starts).astype(
+        max_abs = np.maximum.reduceat(self._scratch, self._starts).astype(
             np.float64  # repro-lint: disable=dtype-discipline -- scale arithmetic is float64 by the bit-identity contract
         )
-        np.divide(max_abs, self.config.qmax, out=self.scales)
-        if not self.scales.all():
-            # All-zero segments and subnormal-range underflow both fall
-            # back to unit scale, exactly like ``quantize_segments``.
-            self.scales[self.scales == 0.0] = 1.0
+        self.scales[...] = max_abs_scale(max_abs, self.config.qmax)
 
-    def _divide_segments(
-        self, source_segments: Sequence[np.ndarray], scales: Sequence[float]
-    ) -> None:
-        """``scratch[seg] = source[seg] / scale[seg]`` with scalar operands."""
-        for seg_in, seg_out, scale in zip(source_segments, self._scratch_segments, scales):
+    def _divide_segments(self, scales: Sequence[float]) -> None:
+        """``scratch[seg] = latent[seg] / scale[seg]`` with scalar operands."""
+        for seg_in, seg_out, scale in zip(self._latent_segments, self._scratch_segments, scales):
             np.divide(seg_in, scale, out=seg_out)
 
     def _multiply_into_weights(self, scales: Sequence[float]) -> None:
         """``weights[seg] = scratch[seg] * scale[seg]`` with scalar operands."""
         for seg_in, seg_out, scale in zip(self._scratch_segments, self._weight_segments, scales):
             np.multiply(seg_in, scale, out=seg_out)
+
+    def _round_codes_into_scratch(self) -> None:
+        """``scratch = clip(round(latent / scale))`` under the stored scales."""
+        cfg = self.config
+        self._divide_segments(self.scales.tolist())
+        np.round(self._scratch, out=self._scratch)
+        np.clip(self._scratch, cfg.qmin, cfg.qmax, out=self._scratch)
 
     def requantize(self) -> None:
         """One fused STE write-back: latent → fake-quantized ``weights``.
@@ -242,19 +215,9 @@ class ParameterArena:
         writes the dequantized values through ``weights`` (and therefore
         through every model parameter view) without materializing codes.
         """
-        if not self._fast:
-            _, self.scales, self.zero_points = self._quantizer.fake_quantize_flat(
-                self.latent, self.layout.offsets, out=self.weights
-            )
-            return
-        self._refresh_scales_fast()
-        cfg = self.config
-        scratch = self._scratch
-        scales = self.scales.tolist()
-        self._divide_segments(self._latent_segments, scales)
-        np.round(scratch, out=scratch)
-        np.clip(scratch, cfg.qmin, cfg.qmax, out=scratch)
-        self._multiply_into_weights(scales)
+        self.refresh_scales()
+        self._round_codes_into_scratch()
+        self._multiply_into_weights(self.scales.tolist())
 
     def materialize(self) -> None:
         """Materialize integer codes from ``latent`` under the stored scales.
@@ -264,18 +227,8 @@ class ParameterArena:
         :meth:`requantize` used, so the codes agree bit-for-bit with the
         weights the model has been computing with.
         """
-        if not self._fast:
-            self._quantizer.quantize_flat(
-                self.latent, self.layout.offsets, self.scales, self.zero_points,
-                out=self.codes,
-            )
-            return
-        cfg = self.config
-        scratch = self._scratch
-        self._divide_segments(self._latent_segments, self.scales.tolist())
-        np.round(scratch, out=scratch)
-        np.clip(scratch, cfg.qmin, cfg.qmax, out=scratch)
-        self.codes[...] = scratch  # exact integers; the int64 cast is lossless
+        self._round_codes_into_scratch()
+        self.codes[...] = self._scratch  # exact integers; the int64 cast is lossless
 
     def write_weights_from_codes(self) -> None:
         """Dequantize the integer codes into the ``weights`` buffer.
@@ -284,21 +237,9 @@ class ParameterArena:
         rollback mutate the codes, one vectorized affine pass refreshes every
         parameter view.
         """
-        if not self._fast:
-            seg_scale, seg_zero = self._quantizer._expand_segments(
-                self.layout.offsets, self.scales, self.zero_points
-            )
-            self.weights[...] = seg_scale * (self.codes - seg_zero)
-            return
-        scratch = self._scratch
-        scratch[...] = self.codes
+        self._scratch[...] = self.codes
         self._multiply_into_weights(self.scales.tolist())
 
     def collapse_latent(self) -> None:
-        """Collapse the latent buffer onto the dequantized weights.
-
-        Edge-side mutations discard sub-quantization-step residuals — the
-        same semantics :class:`~repro.quantization.qmodel.QuantizedModel`
-        enforces per tensor in non-arena mode, as one buffer copy.
-        """
+        """Collapse the latent buffer onto the dequantized weights (one copy)."""
         self.latent[...] = self.weights

@@ -63,15 +63,14 @@ def calibrate_with_backprop(
 ) -> CalibrationResult:
     """Calibrate ``qmodel`` on ``(features, labels)`` using STE back-propagation.
 
-    The STE loop runs over a flat parameter arena: gradients are gathered
-    into one contiguous buffer, the latent update is a single vectorized
-    subtract, and re-quantization is one segmented fake-quantization pass —
-    integer codes are materialized lazily at epoch boundaries, exactly where
-    ``snapshot_codes`` / ``epoch_hook`` read them.  The arena is enabled for
-    the duration of the call and released afterwards unless the model was
-    already arena-backed.  At float64 this is bit-identical to the per-tensor
-    loop it replaced,
-    :func:`repro.reference.calibrate_with_backprop_per_tensor`.
+    The STE loop runs over the model's flat parameter arena: gradients are
+    gathered into one contiguous buffer, the latent update is a single
+    vectorized subtract, and re-quantization is one segmented
+    fake-quantization pass — integer codes are materialized lazily at epoch
+    boundaries, exactly where ``snapshot_codes`` / ``epoch_hook`` read them.
+    It is bit-identical to the per-tensor loop it replaced,
+    :func:`repro.reference.calibrate_with_backprop_per_tensor`, run on the
+    seed's per-tensor storage.
 
     Parameters
     ----------
@@ -110,40 +109,33 @@ def calibrate_with_backprop(
     result = CalibrationResult()
     rng = default_rng_fallback(rng)
 
-    owns_arena = qmodel.arena is None
-    if owns_arena:
-        qmodel.enable_arena()
-    try:
-        step = _FusedSTEStep(qmodel, lr)
-        for epoch in range(epochs):
-            # Code snapshots exist solely for the epoch hook; without one,
-            # skipping them keeps integer codes unmaterialized across the
-            # whole run (they are reconstructed on first read).
-            codes_before = qmodel.snapshot_codes() if epoch_hook is not None else None
-            epoch_loss = 0.0
-            epoch_correct = 0
-            count = 0
-            qmodel.model.train()
-            for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=rng):
-                qmodel.sync()  # forward pass sees quantized weights
-                qmodel.model.zero_grad()
-                logits = qmodel.model.forward(batch_x)
-                loss = loss_fn.forward(logits, batch_y)
-                qmodel.model.backward(loss_fn.backward())
-                # Straight-through estimator: the gradient w.r.t. the quantized
-                # weights is applied directly to the latent full-precision
-                # weights.
-                step.apply()
-                epoch_loss += loss * batch_x.shape[0]
-                epoch_correct += int(np.sum(np.argmax(logits, axis=1) == batch_y))
-                count += batch_x.shape[0]
-            result.losses.append(epoch_loss / count)
-            result.accuracies.append(epoch_correct / count)
-            if epoch_hook is not None:
-                epoch_hook(epoch, qmodel, codes_before, qmodel.snapshot_codes())
-    finally:
-        if owns_arena:
-            qmodel.disable_arena()
+    step = _FusedSTEStep(qmodel, lr)
+    for epoch in range(epochs):
+        # Code snapshots exist solely for the epoch hook; without one,
+        # skipping them keeps integer codes unmaterialized across the
+        # whole run (they are reconstructed on first read).
+        codes_before = qmodel.snapshot_codes() if epoch_hook is not None else None
+        epoch_loss = 0.0
+        epoch_correct = 0
+        count = 0
+        qmodel.model.train()
+        for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=rng):
+            qmodel.model.zero_grad()
+            # The forward pass sees the quantized weights.
+            logits = qmodel.model.forward(batch_x)
+            loss = loss_fn.forward(logits, batch_y)
+            qmodel.model.backward(loss_fn.backward())
+            # Straight-through estimator: the gradient w.r.t. the quantized
+            # weights is applied directly to the latent full-precision
+            # weights.
+            step.apply()
+            epoch_loss += loss * batch_x.shape[0]
+            epoch_correct += int(np.sum(np.argmax(logits, axis=1) == batch_y))
+            count += batch_x.shape[0]
+        result.losses.append(epoch_loss / count)
+        result.accuracies.append(epoch_correct / count)
+        if epoch_hook is not None:
+            epoch_hook(epoch, qmodel, codes_before, qmodel.snapshot_codes())
     return result
 
 
@@ -158,8 +150,6 @@ class _FusedSTEStep:
     """
 
     def __init__(self, qmodel: QuantizedModel, lr: float):
-        if qmodel.arena is None:
-            raise RuntimeError("fused STE requires an arena-backed model")
         self.qmodel = qmodel
         self.lr = lr
         layout = qmodel.arena.layout
@@ -167,8 +157,9 @@ class _FusedSTEStep:
         # (flat grad view, flat grad-destination view) pairs in arena order.
         # Gradient arrays mutate strictly in place (see Parameter.zero_grad /
         # accumulate_grad), so both sides can be cached for the whole run.
+        params = dict(qmodel.model.named_parameters())
         self.slots = [
-            (qmodel._params[name].grad.reshape(-1), segment)
+            (params[name].grad.reshape(-1), segment)
             for name, segment in layout.split(self.buffer)
         ]
 
@@ -178,6 +169,4 @@ class _FusedSTEStep:
         # whole-arena subtract and one fused requantization pass.
         for grad, segment in self.slots:
             np.multiply(grad, self.lr, out=segment)
-        arena = self.qmodel.arena
-        np.subtract(arena.latent, self.buffer, out=arena.latent)
-        self.qmodel._arena_after_latent_update()
+        self.qmodel.update_latent_flat(self.buffer)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy as _copy
+import hashlib
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, Mapping
 
 import numpy as np
 
+from repro import runtime
 from repro.nn.module import Module
 from repro.nn.training import evaluate as _evaluate
 from repro.nn.training import predict_labels, predict_proba
@@ -22,230 +25,174 @@ from repro.quantization.quantizer import (
 class QuantizedModel:
     """A classifier whose parameters are stored as low-bit integer codes.
 
-    The wrapper keeps three synchronised views of the parameters:
+    The wrapper keeps three views of the parameters, each a set of zero-copy
+    per-tensor views into one flat buffer of a
+    :class:`~repro.quantization.arena.ParameterArena`:
 
     * ``latent`` — full-precision master weights.  Only used during server-side
       QAT calibration (where the straight-through estimator updates them); on
       the edge they are conceptually unavailable.
     * ``qtensors`` — per-parameter integer codes plus scales (the deployed
       representation).
-    * the wrapped ``model`` — receives the *dequantized* values before every
-      forward pass so that inference uses exactly the quantized weights.
+    * the wrapped ``model`` — its parameters hold the *dequantized* values,
+      so inference uses exactly the quantized weights.
 
-    Edge-side continual calibration only touches ``qtensors`` through
-    :meth:`apply_flips`, mirroring the paper's constraint that full-precision
-    values and back-propagation are unavailable after deployment.
+    Both mappings are read-only: rebinding an entry would detach it from the
+    arena.  Every mutation keeps the model's weights current, so :meth:`sync`
+    has nothing left to do.  A QAT step (:meth:`update_latent`,
+    :meth:`update_latent_flat`) is one vectorized subtract plus one segmented
+    fake-quantization pass; its integer codes are materialized only when
+    something reads them.  Edge-side continual calibration only touches the
+    codes, through :meth:`apply_flips` and :meth:`restore_codes`, mirroring
+    the paper's constraint that full-precision values and back-propagation
+    are unavailable after deployment.
 
-    Synchronisation is *incremental*: every mutation of the integer codes
-    marks the affected tensors dirty, and :meth:`sync` re-dequantizes and
-    writes back only those.  Since edge calibration flips a handful of tensors
-    per iteration (and inference flips none), the repeated ``sync()`` calls in
-    the hot loop become near no-ops instead of full-model rewrites.  The
-    rewrite-everything seed behaviour is
-    :class:`repro.reference.FullSyncQuantizedModel`, the comparison baseline.
-
-    **Arena mode** (:meth:`enable_arena`) replaces the
-    per-tensor dictionaries with one flat
-    :class:`~repro.quantization.arena.ParameterArena`: latent weights, integer
-    codes and the wrapped model's parameters all become zero-copy views into
-    contiguous buffers.  A full STE step is then a single vectorized subtract
-    plus one segmented fake-quantization pass (:meth:`update_latent_flat`),
-    and integer codes are materialized lazily only when read.  At float64 the
-    arena path is bit-identical to the per-tensor path; the public API
-    (``latent``, ``qtensors``, flips, snapshots) keeps working unchanged.
+    The seed's per-tensor storage is
+    :class:`repro.reference.PerTensorQuantizedModel`, the comparison
+    baseline; the two end every operation with identical codes, scales,
+    latent and weights.
     """
 
     def __init__(self, model: Module, config: QuantizationConfig):
         self.model = model
         self.config = config
-        self._quantizer = UniformQuantizer(config)
-        self._params = dict(model.named_parameters())
-        self.latent: Dict[str, np.ndarray] = {
-            name: param.data.copy() for name, param in self._params.items()
-        }
-        self.qtensors: Dict[str, QuantizedTensor] = {}
-        self._dirty: Set[str] = set()
-        self._latent_stale: Set[str] = set()
-        self.arena: Optional[ParameterArena] = None
-        self._arena_codes_stale = False
+        values = {name: param.data for name, param in model.named_parameters()}
+        layout = SegmentLayout.from_arrays(values)
+        latent = runtime.empty(layout.size)
+        for name, segment in layout.split(latent):
+            segment[...] = values[name].reshape(-1)
+        # Codes and scales are placeholders until refresh_codes derives them.
+        codes = np.zeros(layout.size, dtype=np.int64)
+        scales = np.ones(layout.num_segments, dtype=np.float64)  # repro-lint: disable=dtype-discipline -- scale arithmetic is float64 by the bit-identity contract
+        self._bind(ParameterArena(layout, config, latent, codes, scales))
         self.refresh_codes()
-        self.sync()
 
-    # -- arena mode ---------------------------------------------------------
-    def enable_arena(self) -> ParameterArena:
-        """Switch to flat-arena storage (idempotent).
-
-        All three parameter representations move into contiguous buffers
-        (:class:`~repro.quantization.arena.ParameterArena`); ``latent``
-        values, ``qtensors[...].codes`` and the wrapped model's parameter
-        ``data`` become zero-copy views into them.  A QAT step then reduces
-        to one vectorized subtract plus one segmented fake-quantization pass
-        (:meth:`update_latent_flat`), with integer codes materialized lazily
-        when something actually reads them (:meth:`snapshot_codes` at epoch
-        boundaries, or the edge-side flip machinery).
-        """
-        if self.arena is not None:
-            return self.arena
-        self.sync()  # flush any pending per-tensor state first
-        layout = SegmentLayout.from_arrays(self.latent)
-        arena = ParameterArena(layout, self.config)
-        for name, segment in layout.split(arena.latent):
-            segment[...] = self.latent[name].reshape(-1)
-            self.latent[name] = arena.latent_view(name)
-        for name, segment in layout.split(arena.codes):
-            qt = self.qtensors[name]
-            segment[...] = qt.codes.reshape(-1)
-            qt.codes = arena.codes_view(name)
-            arena.scales[layout.index(name)] = qt.scale
-            arena.zero_points[layout.index(name)] = qt.zero_point
-        for name, param in self._params.items():
-            param.adopt_view(arena.weights_view(name))
+    def _bind(self, arena: ParameterArena) -> None:
+        """Make ``arena`` this model's storage and rebuild every view into it."""
         self.arena = arena
-        self._arena_codes_stale = False
-        self._dirty.clear()
-        self._latent_stale.clear()
-        return arena
+        latent, qtensors = {}, {}
+        scales = arena.scales.tolist()
+        for (name, param), scale in zip(self.model.named_parameters(), scales):
+            param.adopt_view(arena.weights_view(name))
+            latent[name] = arena.latent_view(name)
+            qtensors[name] = QuantizedTensor(arena.codes_view(name), scale, self.config, name)
+        self._latent = MappingProxyType(latent)
+        self._qtensors = MappingProxyType(qtensors)
 
-    def disable_arena(self) -> None:
-        """Return to per-tensor owned storage (idempotent).
+    # -- copies and pickles -------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        """The state copies and pickles carry: flat buffers, not views.
 
-        Codes are materialized first; every view is replaced by an owned
-        copy, so the model is byte-for-byte the one the arena represented.
+        Copying a view would give an owned array detached from the copy's
+        buffers.  The weights buffer is left out: the copied model's
+        parameters hold the same values, and :meth:`__setstate__` adopts
+        them back into the new arena.
         """
-        if self.arena is None:
-            return
+        state = self.__dict__.copy()
+        for key in ("arena", "_latent", "_qtensors"):
+            del state[key]
+        arena = self.arena
+        state["buffers"] = (arena.layout, arena.latent, arena.codes, arena.scales)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Rebuild the arena from the carried buffers and re-adopt the views."""
+        layout, latent, codes, scales = state.pop("buffers")
+        self.__dict__.update(state)
+        self._bind(ParameterArena(layout, self.config, latent, codes, scales))
+
+    def clone(self) -> "QuantizedModel":
+        """Deep copy sharing nothing with the original (used per-stream in Fig. 7)."""
+        return _copy.deepcopy(self)
+
+    # -- views ----------------------------------------------------------------
+    @property
+    def latent(self) -> Mapping[str, np.ndarray]:
+        """Read-only ``name → view`` of the full-precision master weights."""
+        return self._latent
+
+    @property
+    def qtensors(self) -> Mapping[str, QuantizedTensor]:
+        """Read-only ``name → codes and scale``, materialized on access."""
         self._materialize_codes()
-        for name in list(self.latent):
-            self.latent[name] = np.array(self.latent[name])
-        for qt in self.qtensors.values():
-            qt.codes = np.array(qt.codes)
-        for param in self._params.values():
-            param.release_view()
-        self.arena = None
-        self._dirty = set()
-        # The latent buffer may carry sub-step residuals relative to the
-        # codes, exactly as after a per-tensor QAT step.
-        self._latent_stale = set(self.qtensors)
+        return self._qtensors
 
     def _materialize_codes(self) -> None:
-        """Lazily materialize integer codes (and per-tensor scales) in arena mode."""
-        if self.arena is None or not self._arena_codes_stale:
+        """Materialize integer codes and per-tensor scales after a QAT step."""
+        if not self._codes_stale:
             return
         self.arena.materialize()
-        for name, qt in self.qtensors.items():
-            qt.scale = self.arena.scale_of(name)
-            qt.zero_point = self.arena.zero_point_of(name)
-        self._arena_codes_stale = False
-
-    def _arena_after_code_mutation(self, codes_changed: bool = True) -> None:
-        """Refresh weights and collapse latent after edge-side code edits.
-
-        Even when no code actually moved, edge mutations collapse the latent
-        buffer onto the dequantized weights (discarding sub-step residuals) —
-        the exact semantics of the per-tensor path.
-        """
-        if codes_changed:
-            self.arena.write_weights_from_codes()
-        self.arena.collapse_latent()
-        self._dirty.clear()
-        self._latent_stale.clear()
+        for qt, scale in zip(self._qtensors.values(), self.arena.scales.tolist()):
+            qt.scale = scale
+        self._codes_stale = False
 
     # -- representation management ----------------------------------------
     def refresh_codes(self) -> None:
-        """Re-quantize the latent weights into integer codes (marks all dirty)."""
-        if self.arena is not None:
-            self.arena.requantize()
-            self._arena_codes_stale = True
-            self._materialize_codes()
-            return
-        self.qtensors = {
-            name: self._quantizer.quantize(values, name=name)
-            for name, values in self.latent.items()
-        }
-        self._dirty = set(self.qtensors)
-        # Quantization rounds, so every latent tensor may now carry residuals
-        # relative to its codes.
-        self._latent_stale = set(self.qtensors)
+        """Re-quantize the latent weights: new scales, codes and model weights."""
+        self.arena.refresh_scales()
+        self._codes_stale = True
+        self._materialize_codes()
+        self.arena.write_weights_from_codes()
+        # Quantization rounds, so the latent may now carry residuals
+        # relative to the codes.
+        self._collapsed = False
 
-    def sync(self, force: bool = False) -> None:
-        """Write the dequantized weights into the wrapped model's parameters.
+    def sync(self) -> None:
+        """Kept for callers: the model's weights are already current.
 
-        Only tensors whose codes changed since the last sync are rewritten;
-        ``force=True`` rewrites every tensor unconditionally.  In arena mode
-        the weights buffer is kept current by every mutation, so ``sync`` is
-        a no-op unless forced.
+        Every mutation writes the weights buffer the model's parameters view,
+        so there is nothing to synchronise.
         """
-        if self.arena is not None:
-            if force:
-                self._materialize_codes()
-                self.arena.write_weights_from_codes()
-            return
-        if force:
-            dequantized = {name: qt.dequantize() for name, qt in self.qtensors.items()}
-            self.model.load_state_dict(dequantized)
-            self._dirty.clear()
-            return
-        if not self._dirty:
-            return
-        for name in self._dirty:
-            # update_data: rebinds owned storage, writes through shared views.
-            self._params[name].update_data(self.qtensors[name].dequantize())
-        self._dirty.clear()
 
     def snapshot_codes(self) -> Dict[str, np.ndarray]:
         """Return a copy of every parameter's integer codes (for diffing)."""
-        self._materialize_codes()
         return {name: qt.codes.copy() for name, qt in self.qtensors.items()}
 
-    def restore_codes(self, snapshot: Dict[str, np.ndarray]) -> None:
+    def restore_codes(self, snapshot: Mapping[str, np.ndarray]) -> None:
         """Restore integer codes from a :meth:`snapshot_codes` snapshot.
 
         Used by the edge calibrator to roll back a calibration iteration that
-        degraded accuracy on the labelled calibration pool.  Only tensors
-        whose codes actually differ from the snapshot are re-dequantized.
+        degraded accuracy on the labelled calibration pool, and by the fleet
+        service to restore stored snapshots.  Every entry is validated (name,
+        shape, codes inside ``[qmin, qmax]``) before anything is mutated, so
+        a failed call leaves the model untouched.
         """
-        unknown = set(snapshot) - set(self.qtensors)
+        unknown = set(snapshot) - set(self._qtensors)
         if unknown:
             raise KeyError(f"unknown parameters in snapshot: {sorted(unknown)}")
-        # Validate every entry before mutating anything, so a failed call
-        # leaves the model untouched (same guarantee as update_latent).
-        validated: Dict[str, np.ndarray] = {}
+        self._materialize_codes()
+        cfg = self.config
+        changed: Dict[str, np.ndarray] = {}
         for name, codes in snapshot.items():
             codes = np.asarray(codes, dtype=np.int64)
-            if codes.shape != self.qtensors[name].codes.shape:
+            current = self._qtensors[name].codes
+            if codes.shape != current.shape:
                 raise ValueError(
                     f"snapshot shape {codes.shape} does not match codes shape "
-                    f"{self.qtensors[name].codes.shape} for parameter {name!r}"
+                    f"{current.shape} for parameter {name!r}"
                 )
-            validated[name] = codes
-        self._materialize_codes()
-        changed = False
-        for name, codes in validated.items():
-            qt = self.qtensors[name]
-            if np.array_equal(qt.codes, codes):
-                continue
-            if self.arena is not None:
-                qt.codes[...] = codes  # write through the arena view
-            else:
-                qt.codes = codes.copy()
-            changed = True
-            self._dirty.add(name)
-        if self.arena is not None:
-            self._arena_after_code_mutation(codes_changed=changed)
-            return
-        self._sync_and_collapse_latent()
+            if np.array_equal(current, codes):
+                continue  # the current codes are in range
+            low, high = int(codes.min()), int(codes.max())
+            if low < cfg.qmin or high > cfg.qmax:
+                raise ValueError(
+                    f"snapshot codes of parameter {name!r} span [{low}, {high}], "
+                    f"outside the {cfg.bits}-bit range [{cfg.qmin}, {cfg.qmax}]"
+                )
+            changed[name] = codes
+        for name, codes in changed.items():
+            self._qtensors[name].codes[...] = codes  # write through the arena view
+        self._collapse(codes_changed=bool(changed))
 
-    def apply_flips(self, flips: Dict[str, np.ndarray]) -> int:
+    def apply_flips(self, flips: Mapping[str, np.ndarray]) -> int:
         """Apply per-parameter flips in ``{-1, 0, +1}`` to the integer codes.
 
         Unknown parameter names are rejected; parameters without an entry are
-        left untouched.  After the update the latent view and the wrapped
-        model are re-synchronised so subsequent inference uses the new codes —
-        incrementally, so tensors that received no flips are not rewritten.
-        Returns how many codes moved (flips clipped at the code range move
-        none).
+        left untouched.  The model's weights are rewritten from the new codes
+        and the latent weights collapse onto them.  Returns how many codes
+        moved (flips clipped at the code range move none).
         """
-        unknown = set(flips) - set(self.qtensors)
+        unknown = set(flips) - set(self._qtensors)
         if unknown:
             raise KeyError(f"unknown parameters in flips: {sorted(unknown)}")
         # Validate every entry before mutating anything (mirrors the checks
@@ -253,85 +200,69 @@ class QuantizedModel:
         # model untouched instead of half-flipped.
         for name, flip in flips.items():
             flip = np.asarray(flip)
-            if flip.shape != self.qtensors[name].codes.shape:
+            shape = self._qtensors[name].codes.shape
+            if flip.shape != shape:
                 raise ValueError(
                     f"flip shape {flip.shape} does not match code shape "
-                    f"{self.qtensors[name].codes.shape} for parameter {name!r}"
+                    f"{shape} for parameter {name!r}"
                 )
             if flip.size and np.max(np.abs(flip)) > 1:
                 raise ValueError("flips must only contain values in {-1, 0, +1}")
         self._materialize_codes()
         moved = 0
         for name, flip in flips.items():
-            moved += self.qtensors[name].apply_flips(flip)
-            self._dirty.add(name)
-        if self.arena is not None:
-            self._arena_after_code_mutation(codes_changed=bool(flips))
-        else:
-            self._sync_and_collapse_latent()
+            moved += self._qtensors[name].apply_flips(flip)
+        self._collapse(codes_changed=moved > 0)
         return moved
 
-    def _sync_and_collapse_latent(self) -> None:
-        """Sync the model, then collapse every latent tensor to its dequantized value.
+    def collapse_latent(self) -> None:
+        """Discard sub-quantization-step residuals: latent := dequantized codes.
 
-        Edge-side mutations (flips, rollbacks) discard sub-quantization-step
-        residuals in *all* tensors — the seed semantics, which
-        :class:`repro.reference.FullSyncQuantizedModel` keeps verbatim.  Only
-        tensors whose latent could differ from their dequantized codes are
-        refreshed: the ones whose codes just changed (``_dirty``) plus the
-        ones still carrying quantization or QAT residuals (``_latent_stale``).
-        Everything else was already collapsed by a previous call, so the
-        steady-state edge iteration touches only the flipped tensors.  The
-        refresh copies the just-synchronised model weights, which is cheaper
-        than a second dequantization.
+        The collapse every edge mutation performs.  On the edge only the
+        integer codes exist, so any part of an update that did not move a
+        code is lost.
         """
-        refresh = self._dirty | self._latent_stale
-        self.sync()
-        for name in refresh:
-            self.latent[name] = self._params[name].data.copy()
-        self._latent_stale.clear()
+        self._materialize_codes()
+        self._collapse(codes_changed=False)
 
-    def update_latent(self, updates: Dict[str, np.ndarray]) -> None:
+    def _collapse(self, codes_changed: bool) -> None:
+        """Rewrite the weights from the codes and collapse the latent onto them.
+
+        Nothing to do when no code moved and the latent already equals the
+        dequantized codes.
+        """
+        if codes_changed or not self._collapsed:
+            self.arena.write_weights_from_codes()
+            self.arena.collapse_latent()
+            self._collapsed = True
+
+    def update_latent(self, updates: Mapping[str, np.ndarray]) -> None:
         """Subtract ``updates`` from the latent weights (QAT / STE step) and requantize.
 
-        All parameter names are validated up front, so a call containing an
-        unknown name raises :class:`KeyError` *before* any latent weight is
-        touched and leaves the model in its previous state.
+        ``updates`` holds one delta per parameter.  Names and shapes are
+        validated up front, so a call with an unknown, missing or misshapen
+        entry raises *before* any latent weight is touched and leaves the
+        model in its previous state.
         """
-        unknown = set(updates) - set(self.latent)
+        unknown = set(updates) - set(self._latent)
         if unknown:
             raise KeyError(f"unknown parameters in updates: {sorted(unknown)}")
-        if self.arena is not None:
-            full = len(updates) == len(self.latent)
-            if not full:
-                # Untouched tensors must keep their codes *and* scales, so
-                # concretise everything before the partial refresh below.
-                self._materialize_codes()
-            for name, delta in updates.items():
-                self.latent[name] -= delta  # in place, through the arena view
-            if full:
-                self._arena_after_latent_update()
-            else:
-                for name in updates:
-                    fresh = self._quantizer.quantize(self.latent[name], name=name)
-                    qt = self.qtensors[name]
-                    qt.codes[...] = fresh.codes
-                    qt.scale = fresh.scale
-                    qt.zero_point = fresh.zero_point
-                    index = self.arena.layout.index(name)
-                    self.arena.scales[index] = fresh.scale
-                    self.arena.zero_points[index] = fresh.zero_point
-                    self.arena.weights_view(name)[...] = fresh.dequantize()
-            return
+        missing = set(self._latent) - set(updates)
+        if missing:
+            raise ValueError(f"updates must cover every parameter; missing: {sorted(missing)}")
         for name, delta in updates.items():
-            self.latent[name] = self.latent[name] - delta
-            self.qtensors[name] = self._quantizer.quantize(self.latent[name], name=name)
-            self._dirty.add(name)
-            self._latent_stale.add(name)
-        self.sync()
+            if np.shape(delta) != self._latent[name].shape:
+                raise ValueError(
+                    f"update shape {np.shape(delta)} does not match latent shape "
+                    f"{self._latent[name].shape} for parameter {name!r}"
+                )
+        for name, delta in updates.items():
+            latent = self._latent[name]
+            latent -= delta  # in place, through the arena view
+        self._requantize()
 
     def update_latent_flat(self, flat_delta: np.ndarray) -> None:
-        """Arena-mode STE step: subtract a flat delta from the whole latent buffer.
+        """STE step: subtract a flat delta from the whole latent buffer.
 
         ``flat_delta`` must be laid out like the arena's latent buffer
         (:attr:`ParameterArena.layout` order — the wrapped model's
@@ -339,8 +270,6 @@ class QuantizedModel:
         segmented fake-quantization replaces the per-tensor loop; integer
         codes stay unmaterialized until something reads them.
         """
-        if self.arena is None:
-            raise RuntimeError("update_latent_flat requires arena mode (enable_arena())")
         flat_delta = np.asarray(flat_delta).reshape(-1)
         if flat_delta.shape != self.arena.latent.shape:
             raise ValueError(
@@ -348,34 +277,29 @@ class QuantizedModel:
                 f"{self.arena.latent.shape[0]}"
             )
         np.subtract(self.arena.latent, flat_delta, out=self.arena.latent)
-        self._arena_after_latent_update()
+        self._requantize()
 
-    def _arena_after_latent_update(self) -> None:
+    def _requantize(self) -> None:
         """Fused requantize after a latent mutation; codes become lazily stale."""
         self.arena.requantize()
-        self._arena_codes_stale = True
-        self._dirty.clear()
-        self._latent_stale.clear()
+        self._codes_stale = True
+        self._collapsed = False
 
     # -- inference ----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass with dequantized weights."""
-        self.sync()
         return self.model.forward(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Arg-max class predictions."""
-        self.sync()
         return predict_labels(self.model, x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities."""
-        self.sync()
         return predict_proba(self.model, x)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
         """Accuracy of the quantized model on ``(x, y)``."""
-        self.sync()
         return _evaluate(self.model, x, y)
 
     # -- introspection -------------------------------------------------------
@@ -386,11 +310,11 @@ class QuantizedModel:
 
     def num_parameters(self) -> int:
         """Total number of quantized scalar parameters."""
-        return sum(qt.num_parameters for qt in self.qtensors.values())
+        return self.arena.size
 
     def memory_bits(self) -> int:
         """Total storage of the integer codes in bits."""
-        return sum(qt.memory_bits() for qt in self.qtensors.values())
+        return self.arena.size * self.config.bits
 
     def codes_digest(self) -> str:
         """Stable SHA-256 fingerprint of every parameter's integer codes.
@@ -402,74 +326,31 @@ class QuantizedModel:
         codes are exact, so the digest is reproducible across platforms in a
         way raw float weights are not.
         """
-        import hashlib
-
-        self._materialize_codes()
+        qtensors = self.qtensors
         digest = hashlib.sha256()
-        for name in sorted(self.qtensors):
-            qt = self.qtensors[name]
+        for name in sorted(qtensors):
+            codes = qtensors[name].codes
             digest.update(name.encode())
-            digest.update(str(qt.codes.shape).encode())
-            digest.update(np.ascontiguousarray(qt.codes, dtype=np.int64).tobytes())
+            digest.update(str(codes.shape).encode())
+            digest.update(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
         return digest.hexdigest()
 
     def quantization_error(self) -> float:
         """Mean absolute difference between latent and dequantized weights."""
-        self._materialize_codes()
         errors = [
-            np.abs(self.latent[name] - qt.dequantize()).mean()
+            np.abs(self._latent[name] - qt.dequantize()).mean()
             for name, qt in self.qtensors.items()
-            if qt.num_parameters
         ]
         return float(np.mean(errors)) if errors else 0.0
 
-    def __deepcopy__(self, memo: dict) -> "QuantizedModel":
-        """Deep copy that keeps arena mode intact.
 
-        A naive field-wise deepcopy of an arena-backed wrapper would turn
-        every view (latent, codes, parameter data) into an owned array while
-        the copied arena buffers sit disconnected — updates would then
-        silently stop reaching the model weights.  Instead, codes are
-        materialized, the non-arena state is deep-copied with the memo (so
-        aliasing inside the object graph is preserved), and the copy rebuilds
-        its own arena.
-        """
-        self._materialize_codes()
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "arena":
-                continue
-            setattr(clone, key, _copy.deepcopy(value, memo))
-        clone.arena = None
-        if self.arena is not None:
-            # The copied views became owned arrays; reflect that, then give
-            # the copy a fresh arena of its own.
-            for param in clone._params.values():
-                param._shared = False
-            clone._arena_codes_stale = False
-            clone._dirty = set()
-            clone._latent_stale = set(clone.qtensors)
-            clone.enable_arena()
-        return clone
-
-    def clone(self) -> "QuantizedModel":
-        """Deep copy sharing nothing with the original (used per-stream in Fig. 7).
-
-        Delegates to :meth:`__deepcopy__`, the single copy path that knows
-        how to rebuild arena-backed storage; a clone of an arena-backed model
-        is itself arena-backed (with its own buffers).
-        """
-        return _copy.deepcopy(self)
-
-
-def quantize_model(model: Module, bits: int, symmetric: bool = True) -> QuantizedModel:
+def quantize_model(model: Module, bits: int) -> QuantizedModel:
     """Convenience constructor: quantize ``model`` at ``bits`` bits."""
-    return QuantizedModel(model, QuantizationConfig(bits=bits, symmetric=symmetric))
+    return QuantizedModel(model, QuantizationConfig(bits=bits))
 
 
 @contextmanager
-def temporarily_quantized(model: Module, bits: int, symmetric: bool = True) -> Iterator[Module]:
+def temporarily_quantized(model: Module, bits: int) -> Iterator[Module]:
     """Temporarily replace a model's weights with their fake-quantized values.
 
     Algorithm 1 of the paper quantizes the full-precision model *online* at
@@ -478,7 +359,7 @@ def temporarily_quantized(model: Module, bits: int, symmetric: bool = True) -> I
     inside the ``with`` block the model behaves like the quantized model; on
     exit the original full-precision weights are restored.
     """
-    quantizer = UniformQuantizer(QuantizationConfig(bits=bits, symmetric=symmetric))
+    quantizer = UniformQuantizer(QuantizationConfig(bits=bits))
     saved = model.state_dict()
     try:
         fake = {name: quantizer.fake_quantize(values) for name, values in saved.items()}

@@ -11,6 +11,7 @@ import DAG (``tools/lint/config.py``), so no production module can import it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -25,14 +26,19 @@ from repro.core.bitflip import (
 )
 from repro.data.dataset import Dataset
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.training import iterate_minibatches
+from repro.nn.training import evaluate, iterate_minibatches, predict_labels
 from repro.quantization.calibration import CalibrationResult, EpochHook
 from repro.quantization.qmodel import QuantizedModel
+from repro.quantization.quantizer import (
+    QuantizationConfig,
+    QuantizedTensor,
+    UniformQuantizer,
+)
 from repro.utils.seeding import default_rng_fallback
 
 
 def calibrate_with_backprop_per_tensor(
-    qmodel: QuantizedModel,
+    qmodel: "PerTensorQuantizedModel",
     features: np.ndarray,
     labels: np.ndarray,
     epochs: int = 10,
@@ -47,8 +53,8 @@ def calibrate_with_backprop_per_tensor(
     :func:`~repro.quantization.calibration.calibrate_with_backprop`, with the
     same arguments and result, so the two stay independent implementations.
     Every batch builds one ``{name: lr * grad}`` dict and hands it to
-    :meth:`~repro.quantization.qmodel.QuantizedModel.update_latent`, which
-    re-quantizes tensor by tensor.
+    ``qmodel.update_latent``; on a :class:`PerTensorQuantizedModel` that
+    re-quantizes tensor by tensor, the seed form the fused engine must equal.
     """
     loss_fn = CrossEntropyLoss()
     result = CalibrationResult()
@@ -253,22 +259,110 @@ def calibrate_per_tensor(
     return stats
 
 
-class FullSyncQuantizedModel(QuantizedModel):
-    """A :class:`QuantizedModel` with the seed's rewrite-everything sync.
+class PerTensorQuantizedModel:
+    """The seed's per-tensor storage for a quantized model.
 
-    :meth:`sync` dequantizes and loads every tensor, and each edge mutation
-    (flips, rollbacks) collapses every latent tensor onto its codes.  The
-    production model rewrites only the tensors whose codes or latent moved;
-    the two must end with identical codes, scales, latent and weights.  In
-    arena mode the production path already rewrites whole buffers, so it is
-    kept.
+    Owned arrays per tensor: a ``latent`` dict of master weights and a
+    ``qtensors`` dict of :class:`~repro.quantization.quantizer.QuantizedTensor`.
+    Every update re-quantizes tensor by tensor through
+    :meth:`UniformQuantizer.quantize`, :meth:`sync` loads every dequantized
+    tensor into the wrapped model, and each edge mutation (flips, rollbacks)
+    collapses every latent tensor onto its codes.  It never touches a
+    parameter arena.  :class:`~repro.quantization.qmodel.QuantizedModel`
+    keeps all three representations in one arena and must end every
+    operation with the same codes, scales, latent and weights.
     """
 
-    def sync(self, force: bool = False) -> None:
-        """Write every dequantized tensor into the wrapped model."""
-        super().sync(force=force or self.arena is None)
+    def __init__(self, model: nn.Module, config: QuantizationConfig):
+        self.model = model
+        self.config = config
+        self._quantizer = UniformQuantizer(config)
+        self.latent: Dict[str, np.ndarray] = {
+            name: param.data.copy() for name, param in model.named_parameters()
+        }
+        self.qtensors: Dict[str, QuantizedTensor] = {}
+        self.refresh_codes()
+        self.sync()
 
-    def _sync_and_collapse_latent(self) -> None:
+    @property
+    def bits(self) -> int:
+        """Bit-width of the deployment."""
+        return self.config.bits
+
+    def refresh_codes(self) -> None:
+        """Re-quantize every latent tensor (the caller syncs)."""
+        self.qtensors = {
+            name: self._quantizer.quantize(values, name=name)
+            for name, values in self.latent.items()
+        }
+
+    def sync(self) -> None:
+        """Write every dequantized tensor into the wrapped model."""
+        self.model.load_state_dict(
+            {name: qt.dequantize() for name, qt in self.qtensors.items()}
+        )
+
+    def collapse_latent(self) -> None:
         """Collapse every latent tensor onto its codes, then sync everything."""
         self.latent = {name: qt.dequantize() for name, qt in self.qtensors.items()}
         self.sync()
+
+    def snapshot_codes(self) -> Dict[str, np.ndarray]:
+        """A copy of every parameter's integer codes."""
+        return {name: qt.codes.copy() for name, qt in self.qtensors.items()}
+
+    def restore_codes(self, snapshot: Dict[str, np.ndarray]) -> None:
+        """Replace the codes of every snapshot entry, then collapse."""
+        for name, codes in snapshot.items():
+            self.qtensors[name].codes = np.asarray(codes, dtype=np.int64).copy()
+        self.collapse_latent()
+
+    def apply_flips(self, flips: Dict[str, np.ndarray]) -> int:
+        """Flip each listed tensor's codes, then collapse; returns codes moved."""
+        moved = sum(self.qtensors[name].apply_flips(flip) for name, flip in flips.items())
+        self.collapse_latent()
+        return moved
+
+    def update_latent(self, updates: Dict[str, np.ndarray]) -> None:
+        """Subtract each update from its latent tensor and re-quantize it."""
+        for name, delta in updates.items():
+            self.latent[name] = self.latent[name] - delta
+            self.qtensors[name] = self._quantizer.quantize(self.latent[name], name=name)
+        self.sync()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass with dequantized weights."""
+        self.sync()
+        return self.model.forward(x)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Arg-max class predictions."""
+        self.sync()
+        return predict_labels(self.model, x)
+
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Accuracy of the quantized model on ``(x, y)``."""
+        self.sync()
+        return evaluate(self.model, x, y)
+
+    def num_parameters(self) -> int:
+        """Total number of quantized scalar parameters."""
+        return sum(qt.num_parameters for qt in self.qtensors.values())
+
+    def codes_digest(self) -> str:
+        """SHA-256 of every parameter's name, shape and codes, in name order."""
+        digest = hashlib.sha256()
+        for name in sorted(self.qtensors):
+            codes = self.qtensors[name].codes
+            digest.update(name.encode())
+            digest.update(str(codes.shape).encode())
+            digest.update(np.ascontiguousarray(codes, dtype=np.int64).tobytes())
+        return digest.hexdigest()
+
+    def quantization_error(self) -> float:
+        """Mean absolute difference between latent and dequantized weights."""
+        errors = [
+            np.abs(self.latent[name] - qt.dequantize()).mean()
+            for name, qt in self.qtensors.items()
+        ]
+        return float(np.mean(errors)) if errors else 0.0

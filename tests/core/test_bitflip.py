@@ -20,7 +20,7 @@ from repro.models import InceptionTimeSurrogate, build_model
 from repro.nn.training import train_classifier
 from repro.quantization import QuantizationConfig, quantize_model
 from repro.reference import (
-    FullSyncQuantizedModel,
+    PerTensorQuantizedModel,
     calibrate_per_tensor,
     predict_per_tensor,
 )
@@ -267,7 +267,8 @@ class TestBitFlipTrainer:
         trainer.train(qmodel, train.subset(np.arange(20)), calibration_epochs=5)
         assert len(calls) == 5
         assert not any(module.training for module in qmodel.model.modules())
-        assert not qmodel._dirty
+        for name, param in qmodel.model.named_parameters():
+            np.testing.assert_array_equal(param.data, qmodel.qtensors[name].dequantize())
 
 
 class TestBitFlipCalibrator:
@@ -388,12 +389,12 @@ class TestFusedFeatureExtraction:
     def test_fused_and_per_tensor_calibrators_propose_identical_flips(
         self, trained_setup, rng
     ):
-        """Acceptance: fused BF + incremental sync == per-tensor reference at float64."""
+        """Acceptance: fused BF + arena storage == per-tensor reference at float64."""
         model, train, target = trained_setup
         import copy
 
         qmodel = quantize_model(copy.deepcopy(model), bits=4)
-        legacy = FullSyncQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
+        legacy = PerTensorQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
         normalizer = FeatureNormalizer()
         extract_parameter_features(
             qmodel, train.features[:16], normalizer=normalizer, fit_normalizer=True
@@ -432,7 +433,7 @@ class TestFusedFeatureExtraction:
             normalizer=normalizer, batchnorm_refresh_passes=1,
         )
         qmodel = quantize_model(copy.deepcopy(model), bits=4)
-        legacy = FullSyncQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
+        legacy = PerTensorQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
         stats_fast = calibrator.calibrate(qmodel, pool)
         stats_legacy = calibrate_per_tensor(calibrator, legacy, pool)
         codes_fast, codes_legacy = qmodel.snapshot_codes(), legacy.snapshot_codes()
@@ -464,7 +465,7 @@ class TestCalibrationRoundState:
         # Drift both halves of the mutable state: codes and BN statistics.
         name = next(iter(qmodel.snapshot_codes()))
         drifted = qmodel.snapshot_codes()
-        drifted[name] = np.clip(drifted[name] + 1, 0, qmodel.config.num_levels - 1)
+        drifted[name] = np.clip(drifted[name] + 1, qmodel.config.qmin, qmodel.config.qmax)
         qmodel.restore_codes(drifted)
         for layer in qmodel.model.modules():
             if isinstance(layer, nn.BatchNorm):
@@ -505,6 +506,28 @@ class TestCalibrationRoundState:
             restore_calibration_state(qmodel, bogus)
         # Validation failed up front: nothing was mutated.
         assert capture_calibration_state(qmodel).digest() == before
+
+    def test_restore_rejects_codes_outside_the_bit_range(self, trained_setup):
+        """An 8-bit state restored onto a 4-bit model is rejected up front."""
+        import copy
+
+        from repro.core.bitflip import (
+            capture_calibration_state,
+            restore_calibration_state,
+        )
+
+        model, _, _ = trained_setup
+        eight_bit = capture_calibration_state(quantize_model(copy.deepcopy(model), bits=8))
+        qmodel = self._qmodel(trained_setup)
+        for layer in qmodel.model.modules():
+            if isinstance(layer, nn.BatchNorm):
+                layer.running_mean = layer.running_mean + 0.5
+        before = capture_calibration_state(qmodel).digest()
+        weights = qmodel.arena.weights.copy()
+        with pytest.raises(ValueError, match=r"outside the 4-bit range \[-7, 7\]"):
+            restore_calibration_state(qmodel, eight_bit)
+        assert capture_calibration_state(qmodel).digest() == before
+        np.testing.assert_array_equal(qmodel.arena.weights, weights)
 
     def test_refresh_is_a_pure_function_of_the_captured_state(self):
         """A Dropout ahead of a BatchNorm must not make the refresh random:

@@ -21,6 +21,7 @@ import golden_scenario as gs
 from repro import reference, runtime
 from repro.eval import ParallelEvaluator
 from repro.fleet import Fleet, FleetCalibrator
+from repro.quantization import QuantizationConfig
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +101,22 @@ class TestFusedQATGoldens:
     def test_serial_qat_packaging_matches_pinned_digest(
         self, fixture, data, packaged, monkeypatch
     ):
-        """The per-tensor STE loop and the fused arena engine must package
-        byte-identical deployments (same integer codes, same BF supervision),
-        both equal to the committed golden."""
+        """The per-tensor STE loop on the seed's per-tensor storage and the
+        fused arena engine must package byte-identical deployments (same
+        integer codes, same BF supervision), both equal to the committed
+        golden."""
         monkeypatch.setattr(
             "repro.core.bitflip.calibrate_with_backprop",
             reference.calibrate_with_backprop_per_tensor,
         )
+        monkeypatch.setattr(
+            "repro.core.pipeline.quantize_model",
+            lambda model, bits: reference.PerTensorQuantizedModel(
+                model, QuantizationConfig(bits=bits)
+            ),
+        )
         serial = gs.build_packaged_deployment(data)
+        assert isinstance(serial.qmodel, reference.PerTensorQuantizedModel)
         golden = fixture["flip_decisions"]["initial_digest"]
         assert packaged.qmodel.codes_digest() == golden
         assert serial.qmodel.codes_digest() == golden

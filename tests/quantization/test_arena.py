@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import nn, runtime
 from repro.quantization import (
+    ParameterArena,
     QuantizationConfig,
     QuantizedModel,
     SegmentLayout,
     UniformQuantizer,
     quantize_model,
 )
+from repro.reference import PerTensorQuantizedModel
 
 
 def _make_model(rng, in_features=5, classes=3):
@@ -21,10 +26,24 @@ def _make_model(rng, in_features=5, classes=3):
     )
 
 
-def _arena(qmodel):
-    """``qmodel`` switched to flat-arena storage."""
-    qmodel.enable_arena()
-    return qmodel
+def _segment_arena(tensors, bits):
+    """An arena over ``tensors`` (named ``t0``, ``t1``, ...) at the compute dtype."""
+    names = [f"t{i}" for i in range(len(tensors))]
+    layout = SegmentLayout(names, [t.shape for t in tensors])
+    flat = np.concatenate([t.reshape(-1) for t in tensors]) if tensors else np.zeros(0)
+    return ParameterArena(
+        layout, QuantizationConfig(bits=bits), runtime.asarray(flat),
+        np.zeros(layout.size, dtype=np.int64), np.ones(layout.num_segments),
+    )
+
+
+def _mixed_tensors(rng):
+    return [
+        rng.normal(size=(7, 3)),
+        rng.uniform(2.0, 9.0, size=(11,)),  # skewed all-positive band
+        np.zeros(5),
+        rng.normal(size=(1,)),
+    ]
 
 
 class TestSegmentLayout:
@@ -43,91 +62,63 @@ class TestSegmentLayout:
         assert layout.size == 8
         assert layout.num_segments == 3
 
-    def test_flatten_round_trip(self):
-        rng = np.random.default_rng(0)
-        arrays = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
-        layout = SegmentLayout.from_arrays(arrays)
-        flat = layout.flatten(arrays)
-        for name, value in arrays.items():
-            np.testing.assert_array_equal(
-                layout.view(flat, name), value.astype(flat.dtype)
-            )
-
-    def test_flatten_rejects_missing_and_mismatched(self):
-        layout = SegmentLayout(["a"], [(2,)])
-        with pytest.raises(KeyError):
-            layout.flatten({})
-        with pytest.raises(ValueError):
-            layout.flatten({"a": np.zeros((3,))})
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             SegmentLayout(["a", "a"], [(1,), (2,)])
 
+    def test_empty_segment_rejected(self):
+        with pytest.raises(ValueError, match="'b'"):
+            SegmentLayout(["a", "b"], [(2,), (0, 3)])
+
 
 class TestQuantizeSegments:
-    @pytest.mark.parametrize("symmetric", [True, False])
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_matches_scalar_path(self, rng, symmetric, bits):
-        """Segmented scales/zero-points equal the per-tensor scalar path."""
-        quantizer = UniformQuantizer(QuantizationConfig(bits=bits, symmetric=symmetric))
-        tensors = [
-            rng.normal(size=(7, 3)),
-            rng.uniform(2.0, 9.0, size=(11,)),  # skewed all-positive band
-            np.zeros(5),
-            rng.normal(size=(1,)),
-        ]
-        flat = np.concatenate([t.reshape(-1) for t in tensors])
-        offsets = np.concatenate([[0], np.cumsum([t.size for t in tensors])])
-        scales, zero_points = quantizer.quantize_segments(flat, offsets)
-        for index, tensor in enumerate(tensors):
-            qt = quantizer.quantize(tensor)
-            assert scales[index] == qt.scale, index
-            assert zero_points[index] == qt.zero_point, index
+    """The arena's segmented passes equal the per-tensor scalar path at both dtypes."""
 
-    def test_empty_segments_get_unit_scale(self):
-        quantizer = UniformQuantizer(QuantizationConfig(bits=4))
-        flat = np.array([1.0, -2.0])
-        offsets = np.array([0, 0, 2, 2])
-        scales, zero_points = quantizer.quantize_segments(flat, offsets)
-        assert scales[0] == 1.0 and scales[2] == 1.0
-        assert scales[1] == quantizer.quantize(flat).scale
-        np.testing.assert_array_equal(zero_points, 0)
+    @pytest.mark.parametrize("float32", [True, False])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_matches_scalar_path(self, rng, float32, bits):
+        """Segmented scales equal the per-tensor scalar path's."""
+        tensors = _mixed_tensors(rng)
+        with runtime.use_dtype(np.float32 if float32 else np.float64):
+            quantizer = UniformQuantizer(QuantizationConfig(bits=bits))
+            arena = _segment_arena(tensors, bits)
+            arena.refresh_scales()
+            for index, tensor in enumerate(tensors):
+                assert arena.scales[index] == quantizer.quantize(tensor).scale, index
 
     def test_empty_buffer(self):
-        quantizer = UniformQuantizer(QuantizationConfig(bits=4))
-        scales, zero_points = quantizer.quantize_segments(np.zeros(0), np.array([0, 0]))
-        np.testing.assert_array_equal(scales, 1.0)
-        np.testing.assert_array_equal(zero_points, 0)
+        """A layout without segments (a parameter-free model) quantizes to nothing."""
+        arena = _segment_arena([], bits=4)
+        arena.requantize()
+        arena.materialize()
+        assert arena.scales.shape == (0,) and arena.codes.shape == (0,)
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_fake_quantize_flat_matches_per_tensor(self, rng, symmetric):
-        quantizer = UniformQuantizer(QuantizationConfig(bits=4, symmetric=symmetric))
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_fake_quantize_flat_matches_per_tensor(self, rng, float32):
         tensors = [rng.normal(size=(6, 2)), rng.normal(size=(9,)) + 3.0]
-        flat = np.concatenate([t.reshape(-1) for t in tensors])
-        offsets = np.concatenate([[0], np.cumsum([t.size for t in tensors])])
-        values, _, _ = quantizer.fake_quantize_flat(flat, offsets)
-        expected = np.concatenate(
-            [quantizer.fake_quantize(t).reshape(-1) for t in tensors]
-        )
-        np.testing.assert_array_equal(values, expected)
+        with runtime.use_dtype(np.float32 if float32 else np.float64):
+            quantizer = UniformQuantizer(QuantizationConfig(bits=4))
+            arena = _segment_arena(tensors, bits=4)
+            arena.requantize()
+            expected = np.concatenate(
+                [quantizer.fake_quantize(t).reshape(-1) for t in tensors]
+            )
+            assert arena.weights.dtype == expected.dtype
+            np.testing.assert_array_equal(arena.weights, expected)
 
     def test_quantize_flat_matches_per_tensor_codes(self, rng):
+        tensors = _mixed_tensors(rng)
         quantizer = UniformQuantizer(QuantizationConfig(bits=4))
-        tensors = [rng.normal(size=(5, 4)), rng.normal(size=(3,))]
-        flat = np.concatenate([t.reshape(-1) for t in tensors])
-        offsets = np.concatenate([[0], np.cumsum([t.size for t in tensors])])
-        scales, zero_points = quantizer.quantize_segments(flat, offsets)
-        codes = quantizer.quantize_flat(flat, offsets, scales, zero_points)
-        expected = np.concatenate(
-            [quantizer.quantize(t).codes.reshape(-1) for t in tensors]
-        )
-        np.testing.assert_array_equal(codes, expected)
+        arena = _segment_arena(tensors, bits=4)
+        arena.refresh_scales()
+        arena.materialize()
+        expected = np.concatenate([quantizer.quantize(t).codes.reshape(-1) for t in tensors])
+        np.testing.assert_array_equal(arena.codes, expected)
 
 
 class TestArenaMode:
     def test_views_share_storage(self, rng):
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
+        qmodel = quantize_model(_make_model(rng), bits=4)
         arena = qmodel.arena
         for name, param in qmodel.model.named_parameters():
             assert param.is_shared
@@ -135,33 +126,27 @@ class TestArenaMode:
             assert qmodel.latent[name].base is arena.latent
             assert qmodel.qtensors[name].codes.base is arena.codes
 
-    def test_enable_disable_round_trip(self, rng, small_classification_data):
-        x, _ = small_classification_data
-        qmodel = quantize_model(_make_model(rng, in_features=3), bits=4)
-        digest = qmodel.codes_digest()
-        reference = qmodel.forward(x)
-        qmodel.enable_arena()
-        assert qmodel.codes_digest() == digest
-        np.testing.assert_array_equal(qmodel.forward(x), reference)
-        qmodel.disable_arena()
-        assert qmodel.codes_digest() == digest
-        np.testing.assert_array_equal(qmodel.forward(x), reference)
-        for param in qmodel.model.parameters():
-            assert not param.is_shared
-
-    def test_enable_is_idempotent(self, rng):
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
-        assert qmodel.enable_arena() is qmodel.arena
+    def test_latent_and_qtensors_are_read_only(self, rng):
+        """Rebinding an entry would detach it from the arena, so it raises."""
+        qmodel = quantize_model(_make_model(rng), bits=4)
+        name = next(iter(qmodel.latent))
+        with pytest.raises(TypeError):
+            qmodel.latent[name] = np.zeros_like(qmodel.latent[name])
+        with pytest.raises(TypeError):
+            qmodel.qtensors[name] = qmodel.qtensors[name]
+        with pytest.raises(AttributeError):
+            qmodel.latent = {}
+        with pytest.raises(AttributeError):
+            qmodel.qtensors = {}
+        assert qmodel.latent[name].base is qmodel.arena.latent
 
     def test_edge_ops_match_per_tensor_path(self, rng, small_classification_data):
-        """Flips and rollbacks through arena views equal the owned-storage path."""
+        """Flips and rollbacks through arena views equal the seed's owned storage."""
         x, _ = small_classification_data
         model = _make_model(np.random.default_rng(5), in_features=3)
-        import copy
-
         pristine = copy.deepcopy(model)
-        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
-        plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
+        arena_q = QuantizedModel(model, QuantizationConfig(bits=4))
+        plain_q = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = {
             name: rng.integers(-1, 2, size=qt.codes.shape)
             for name, qt in plain_q.qtensors.items()
@@ -175,17 +160,13 @@ class TestArenaMode:
         plain_q.restore_codes(snap_p)
         assert arena_q.codes_digest() == plain_q.codes_digest()
         for name in plain_q.latent:
-            np.testing.assert_array_equal(
-                np.asarray(arena_q.latent[name]), plain_q.latent[name]
-            )
+            np.testing.assert_array_equal(arena_q.latent[name], plain_q.latent[name])
 
     def test_update_latent_matches_per_tensor_path(self, rng):
         model = _make_model(np.random.default_rng(6))
-        import copy
-
         pristine = copy.deepcopy(model)
-        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
-        plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
+        arena_q = QuantizedModel(model, QuantizationConfig(bits=4))
+        plain_q = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         updates = {
             name: 0.01 * rng.normal(size=values.shape)
             for name, values in plain_q.latent.items()
@@ -194,56 +175,48 @@ class TestArenaMode:
         plain_q.update_latent({k: v.copy() for k, v in updates.items()})
         assert arena_q.codes_digest() == plain_q.codes_digest()
         for name in plain_q.latent:
-            np.testing.assert_array_equal(
-                np.asarray(arena_q.latent[name]), plain_q.latent[name]
-            )
+            np.testing.assert_array_equal(arena_q.latent[name], plain_q.latent[name])
             assert arena_q.qtensors[name].scale == plain_q.qtensors[name].scale
 
-    def test_partial_update_latent_keeps_other_tensors(self, rng):
-        model = _make_model(np.random.default_rng(7))
-        import copy
-
-        pristine = copy.deepcopy(model)
-        arena_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
-        plain_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
-        name = next(iter(plain_q.latent))
-        delta = {name: 0.05 * rng.normal(size=plain_q.latent[name].shape)}
-        arena_q.update_latent({name: delta[name].copy()})
-        plain_q.update_latent({name: delta[name].copy()})
-        assert arena_q.codes_digest() == plain_q.codes_digest()
-        for key in plain_q.qtensors:
-            assert arena_q.qtensors[key].scale == plain_q.qtensors[key].scale, key
+    def test_partial_update_latent_rejected(self, rng):
+        """A QAT step must cover every tensor; a partial one changes nothing."""
+        qmodel = quantize_model(_make_model(np.random.default_rng(7)), bits=4)
+        first, *rest = qmodel.latent
+        before = qmodel.arena.latent.copy()
+        with pytest.raises(ValueError) as excinfo:
+            qmodel.update_latent({first: np.ones_like(qmodel.latent[first])})
+        for name in rest:
+            assert name in str(excinfo.value)
+        with pytest.raises(ValueError, match="shape"):
+            qmodel.update_latent(
+                {name: np.zeros((1,) + values.shape) for name, values in qmodel.latent.items()}
+            )
+        np.testing.assert_array_equal(qmodel.arena.latent, before)
 
     def test_update_latent_flat_matches_dict_update(self, rng):
         model = _make_model(np.random.default_rng(8))
-        import copy
-
         pristine = copy.deepcopy(model)
-        flat_q = _arena(QuantizedModel(model, QuantizationConfig(bits=4)))
-        dict_q = _arena(QuantizedModel(pristine, QuantizationConfig(bits=4)))
+        flat_q = QuantizedModel(model, QuantizationConfig(bits=4))
+        dict_q = QuantizedModel(pristine, QuantizationConfig(bits=4))
         updates = {
             name: 0.01 * rng.normal(size=values.shape)
             for name, values in dict_q.latent.items()
         }
-        flat_delta = flat_q.arena.layout.flatten(updates)
-        flat_q.update_latent_flat(flat_delta)
+        flat_q.update_latent_flat(
+            np.concatenate([updates[name].reshape(-1) for name in flat_q.arena.names])
+        )
         dict_q.update_latent(updates)
         assert flat_q.codes_digest() == dict_q.codes_digest()
         np.testing.assert_array_equal(flat_q.arena.latent, dict_q.arena.latent)
 
-    def test_update_latent_flat_requires_arena_and_size(self, rng):
-        plain = quantize_model(_make_model(rng), bits=4)
-        with pytest.raises(RuntimeError):
-            plain.update_latent_flat(np.zeros(plain.num_parameters()))
-        arena_q = _arena(quantize_model(_make_model(rng), bits=4))
+    def test_update_latent_flat_rejects_wrong_size(self, rng):
+        qmodel = quantize_model(_make_model(rng), bits=4)
         with pytest.raises(ValueError):
-            arena_q.update_latent_flat(np.zeros(3))
+            qmodel.update_latent_flat(np.zeros(3))
 
     def test_deepcopy_keeps_arena_wired(self, rng):
         """copy.deepcopy of an arena-backed wrapper must not detach views."""
-        import copy
-
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
+        qmodel = quantize_model(_make_model(rng), bits=4)
         dup = copy.deepcopy(qmodel)
         assert dup.arena is not None and dup.arena is not qmodel.arena
         assert dup.codes_digest() == qmodel.codes_digest()
@@ -261,8 +234,37 @@ class TestArenaMode:
         )
         assert dup.codes_digest() != qmodel.codes_digest()
 
+    def test_pickle_round_trip_rebinds_views(self, rng, small_classification_data):
+        """An unpickled model computes with its own arena, mid-QAT state included."""
+        x, _ = small_classification_data
+        qmodel = quantize_model(_make_model(rng, in_features=3), bits=4)
+        qmodel.update_latent(
+            {name: 0.05 * np.ones_like(v) for name, v in qmodel.latent.items()}
+        )
+        restored = pickle.loads(pickle.dumps(qmodel))
+        assert restored.arena is not qmodel.arena
+        for name, param in restored.model.named_parameters():
+            assert param.data.base is restored.arena.weights, name
+            assert restored.latent[name].base is restored.arena.latent, name
+            assert restored.qtensors[name].codes.base is restored.arena.codes, name
+        assert restored.codes_digest() == qmodel.codes_digest()
+        np.testing.assert_array_equal(restored.arena.weights, qmodel.arena.weights)
+        np.testing.assert_array_equal(restored.forward(x), qmodel.forward(x))
+        # A later update reaches the restored model's weights, and only its.
+        before = qmodel.arena.weights.copy()
+        restored.update_latent(
+            {name: 0.5 * np.ones_like(v) for name, v in restored.latent.items()}
+        )
+        state = dict(restored.model.named_parameters())
+        for name in restored.latent:
+            np.testing.assert_array_equal(
+                state[name].data, restored.qtensors[name].dequantize()
+            )
+        assert restored.codes_digest() != qmodel.codes_digest()
+        np.testing.assert_array_equal(qmodel.arena.weights, before)
+
     def test_clone_preserves_arena_and_independence(self, rng):
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
+        qmodel = quantize_model(_make_model(rng), bits=4)
         clone = qmodel.clone()
         assert clone.arena is not None
         assert clone.arena is not qmodel.arena
@@ -274,7 +276,7 @@ class TestArenaMode:
         assert clone.codes_digest() != qmodel.codes_digest()
 
     def test_load_state_dict_writes_through_views(self, rng):
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
+        qmodel = quantize_model(_make_model(rng), bits=4)
         state = {
             name: np.zeros_like(param.data)
             for name, param in qmodel.model.named_parameters()
@@ -287,7 +289,7 @@ class TestArenaMode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_arena_buffers_use_compute_dtype(self, dtype):
         with runtime.use_dtype(dtype):
-            qmodel = _arena(quantize_model(_make_model(np.random.default_rng(0)), bits=4))
+            qmodel = quantize_model(_make_model(np.random.default_rng(0)), bits=4)
             assert qmodel.arena.latent.dtype == np.dtype(dtype)
             assert qmodel.arena.weights.dtype == np.dtype(dtype)
             assert qmodel.arena.codes.dtype == np.int64
@@ -295,7 +297,7 @@ class TestArenaMode:
 
 class TestParameterViewSafety:
     def test_optimizer_step_writes_through_shared_storage(self, rng):
-        qmodel = _arena(quantize_model(_make_model(rng), bits=4))
+        qmodel = quantize_model(_make_model(rng), bits=4)
         params = list(qmodel.model.parameters())
         optimizer = nn.SGD(params, lr=0.1)
         for param in params:
@@ -306,16 +308,14 @@ class TestParameterViewSafety:
             assert param.data is buffer  # still the arena view
         assert qmodel.arena is not None
 
-    def test_adopt_and_release_view(self):
+    def test_adopt_view_shares_storage(self):
         param = nn.Parameter(np.arange(4.0))
         buffer = np.zeros(4, dtype=param.data.dtype)
         param.adopt_view(buffer)
         assert param.is_shared
         np.testing.assert_array_equal(buffer, np.arange(4.0))
-        param.release_view()
-        assert not param.is_shared
         buffer[...] = 7.0
-        np.testing.assert_array_equal(param.data, np.arange(4.0))
+        np.testing.assert_array_equal(param.data, 7.0)
 
     def test_adopt_view_rejects_shape_mismatch(self):
         param = nn.Parameter(np.zeros((2, 2)))

@@ -15,13 +15,18 @@ from repro.quantization import (
     quantize_model,
 )
 from repro.quantization.qmodel import temporarily_quantized
-from repro.reference import FullSyncQuantizedModel
+from repro.reference import PerTensorQuantizedModel, calibrate_with_backprop_per_tensor
 
 
 def _make_trained_model(x, y, rng):
     model = nn.Sequential(nn.Dense(3, 16, rng=rng), nn.ReLU(), nn.Dense(16, 3, rng=rng))
     train_classifier(model, nn.SGD(model.parameters(), lr=0.1), x, y, epochs=40, rng=rng)
     return model
+
+
+def _qat_step(qmodel):
+    """One STE update large enough to move codes; leaves them unmaterialized."""
+    qmodel.update_latent({name: 0.05 * np.ones_like(v) for name, v in qmodel.latent.items()})
 
 
 class TestQuantizedModel:
@@ -58,26 +63,29 @@ class TestQuantizedModel:
         with pytest.raises(KeyError):
             qmodel.apply_flips({"nope": np.zeros(3)})
 
-    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("after_qat", [False, True])
     def test_apply_flips_bad_entry_leaves_model_untouched(
-        self, small_classification_data, rng, arena
+        self, small_classification_data, rng, after_qat
     ):
-        """A failed flip call must not partially apply earlier dict entries."""
+        """A failed flip call must not partially apply earlier dict entries.
+
+        ``after_qat`` starts from a QAT step: its codes are not yet
+        materialized and its latent weights not collapsed.
+        """
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
-        if arena:
-            qmodel.enable_arena()
-        valid_name = next(iter(qmodel.qtensors))
-        digest_before = qmodel.codes_digest()
+        if after_qat:
+            _qat_step(qmodel)
+        valid_name, *_, last_name = qmodel.latent
+        digest_before = qmodel.clone().codes_digest()
         weights_before = {
             name: param.data.copy() for name, param in qmodel.model.named_parameters()
         }
-        good = np.ones_like(qmodel.qtensors[valid_name].codes)
+        good = np.ones(qmodel.latent[valid_name].shape, dtype=np.int64)
         for bad in (
             {valid_name: good, "nope": np.zeros(3)},                        # unknown name
-            {valid_name: good, list(qmodel.qtensors)[-1]: np.zeros((1, 1))},  # bad shape
-            {valid_name: good, list(qmodel.qtensors)[-1]:                   # bad values
-             np.full_like(qmodel.qtensors[list(qmodel.qtensors)[-1]].codes, 2)},
+            {valid_name: good, last_name: np.zeros((1, 1))},                # bad shape
+            {valid_name: good, last_name: np.full(qmodel.latent[last_name].shape, 2)},  # bad values
         ):
             with pytest.raises((KeyError, ValueError)):
                 qmodel.apply_flips(bad)
@@ -85,20 +93,20 @@ class TestQuantizedModel:
             for name, param in qmodel.model.named_parameters():
                 np.testing.assert_array_equal(param.data, weights_before[name])
 
-    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("after_qat", [False, True])
     def test_update_latent_unknown_name_leaves_model_untouched(
-        self, small_classification_data, rng, arena
+        self, small_classification_data, rng, after_qat
     ):
         """A failed update must not partially apply earlier dict entries."""
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
-        if arena:
-            qmodel.enable_arena()
+        if after_qat:
+            _qat_step(qmodel)
         valid_name = next(iter(qmodel.latent))
         latent_before = {
             name: np.array(values) for name, values in qmodel.latent.items()
         }
-        digest_before = qmodel.codes_digest()
+        digest_before = qmodel.clone().codes_digest()
         # The valid entry comes first: without up-front validation it would
         # have been applied before the unknown name raised.
         updates = {valid_name: np.ones_like(latent_before[valid_name]), "nope": np.zeros(3)}
@@ -142,6 +150,9 @@ class TestQuantizedModel:
 
 
 class TestIncrementalSync:
+    """Edge mutations and QAT steps keep the model's weights current, and
+    equal the seed's per-tensor storage, which syncs everything."""
+
     def _flips_for_one_tensor(self, qmodel, rng):
         name = next(
             name for name, qt in qmodel.qtensors.items() if qt.codes.ndim == 2
@@ -173,7 +184,7 @@ class TestIncrementalSync:
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
         incremental = QuantizedModel(model, QuantizationConfig(bits=4))
-        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
+        full = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = self._flips_for_one_tensor(incremental, np.random.default_rng(3))
         incremental.apply_flips({k: v.copy() for k, v in flips.items()})
         full.apply_flips({k: v.copy() for k, v in flips.items()})
@@ -186,11 +197,10 @@ class TestIncrementalSync:
     def test_sync_is_noop_when_clean(self, small_classification_data, rng):
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
-        assert not qmodel._dirty
         arrays_before = [param.data for param in qmodel.model.parameters()]
         qmodel.sync()
         arrays_after = [param.data for param in qmodel.model.parameters()]
-        # A clean incremental sync must not even reallocate the weight arrays.
+        # sync has nothing to do: it must not even reallocate the weight arrays.
         assert all(a is b for a, b in zip(arrays_before, arrays_after))
 
     def test_restore_codes_round_trip(self, small_classification_data, rng):
@@ -210,13 +220,14 @@ class TestIncrementalSync:
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
         incremental = QuantizedModel(model, QuantizationConfig(bits=4))
-        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
+        full = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = self._flips_for_one_tensor(incremental, np.random.default_rng(7))
-        for qmodel in (incremental, full):
+        for qmodel, calibrate in (
+            (incremental, calibrate_with_backprop),
+            (full, calibrate_with_backprop_per_tensor),
+        ):
             qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
-            calibrate_with_backprop(
-                qmodel, x, y, epochs=2, lr=0.05, rng=np.random.default_rng(11)
-            )
+            calibrate(qmodel, x, y, epochs=2, lr=0.05, rng=np.random.default_rng(11))
         for name in incremental.qtensors:
             np.testing.assert_array_equal(
                 incremental.qtensors[name].codes, full.qtensors[name].codes
@@ -233,7 +244,7 @@ class TestIncrementalSync:
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
         incremental = QuantizedModel(model, QuantizationConfig(bits=8))
-        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=8))
+        full = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=8))
         for qmodel in (incremental, full):
             snapshot = qmodel.snapshot_codes()
             # A delta too small to move any 8-bit code: codes match the
@@ -246,14 +257,10 @@ class TestIncrementalSync:
         for name in incremental.latent:
             np.testing.assert_array_equal(incremental.latent[name], full.latent[name])
 
-    def test_partial_update_latent_after_flips_matches_full_sync(
-        self, small_classification_data, rng
-    ):
-        """A QAT step on one tensor must leave every other tensor alone.
+    def test_update_latent_after_flips_matches_seed(self, small_classification_data, rng):
+        """A QAT step after edge flips on every tensor re-quantizes like the seed.
 
-        After edge flips on every tensor, an ``update_latent`` on one tensor
-        must re-quantize that tensor only, in both sync modes: identical
-        codes, scales, latent and model weights everywhere.
+        Identical codes, scales, latent and model weights everywhere.
         """
         x, y = small_classification_data
         model = _make_trained_model(x, y, rng)
@@ -261,17 +268,20 @@ class TestIncrementalSync:
 
         pristine = copy.deepcopy(model)  # before either wrapper mutates the weights
         incremental = QuantizedModel(model, QuantizationConfig(bits=4))
-        full = FullSyncQuantizedModel(pristine, QuantizationConfig(bits=4))
+        full = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         flip_rng = np.random.default_rng(13)
         flips = {
             name: flip_rng.integers(-1, 2, size=qt.codes.shape)
             for name, qt in incremental.qtensors.items()
         }
-        name = next(iter(incremental.latent))
-        delta = 0.05 * np.random.default_rng(17).normal(size=incremental.latent[name].shape)
+        delta_rng = np.random.default_rng(17)
+        deltas = {
+            name: 0.05 * delta_rng.normal(size=values.shape)
+            for name, values in incremental.latent.items()
+        }
         for qmodel in (incremental, full):
             qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
-            qmodel.update_latent({name: delta.copy()})
+            qmodel.update_latent({k: v.copy() for k, v in deltas.items()})
         weights = full.model.state_dict()
         for key, param in incremental.model.named_parameters():
             np.testing.assert_array_equal(
@@ -281,17 +291,28 @@ class TestIncrementalSync:
             np.testing.assert_array_equal(incremental.latent[key], full.latent[key])
             np.testing.assert_array_equal(param.data, weights[key])
 
-    def test_force_sync_still_rewrites_everything(self, small_classification_data, rng):
+    @pytest.mark.parametrize("after_qat", [False, True])
+    def test_restore_codes_rejects_out_of_range_codes(
+        self, small_classification_data, rng, after_qat
+    ):
+        """Codes outside [qmin, qmax] are rejected before anything moves."""
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
-        # Corrupt a model weight behind the wrapper's back; force=True repairs it.
-        param = next(iter(qmodel.model.parameters()))
-        param.data = param.data + 1.0
-        qmodel.sync()  # incremental: clean, so the corruption survives
-        assert np.max(np.abs(param.data)) > 0.9
-        qmodel.sync(force=True)
-        name = next(name for name, p in qmodel.model.named_parameters() if p is param)
-        np.testing.assert_array_equal(param.data, qmodel.qtensors[name].dequantize())
+        if after_qat:
+            _qat_step(qmodel)
+        snapshot = qmodel.clone().snapshot_codes()
+        weights_before = qmodel.arena.weights.copy()
+        first, last = list(snapshot)[0], list(snapshot)[-1]
+        for bad_code in (qmodel.config.qmax + 1, qmodel.config.qmin - 1):
+            bad = {name: codes.copy() for name, codes in snapshot.items()}
+            bad[first] = np.zeros_like(bad[first])  # a valid change ahead of the bad entry
+            bad[last].reshape(-1)[0] = bad_code
+            with pytest.raises(ValueError, match=repr(last)):
+                qmodel.restore_codes(bad)
+            np.testing.assert_array_equal(qmodel.arena.weights, weights_before)
+        codes = qmodel.snapshot_codes()
+        for name in snapshot:
+            np.testing.assert_array_equal(codes[name], snapshot[name])
 
 
 class TestDtypeRoundTrips:
