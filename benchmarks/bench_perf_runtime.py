@@ -385,49 +385,61 @@ def _check_qat_fused_equivalence(config: dict) -> dict:
         }
 
 
-def _check_equivalence(config: dict) -> dict:
-    """At float64: the production edge path must equal the seed reference exactly.
+def _edge_calibrations(config: dict):
+    """Production ``calibrate`` and the seed loop on the seed storage, at the active dtype.
 
-    Flip decisions, model weights and latent weights, against the seed loop
-    on the seed storage.
+    Returns ``((qmodel, stats), (seed_qmodel, seed_stats))``.
+    ``validate=False`` so proposed flips are applied unconditionally and the
+    comparison covers codes that actually moved.
+    """
+    qmodel, network, normalizer, pool, _ = _build_setup(config)
+    legacy = _build_setup(config, seed_storage=True)[0]
+    calibrator = BitFlipCalibrator(
+        network, epochs=max(2, config["edge_epochs"]), confidence_threshold=0.4,
+        max_flip_fraction=0.1, normalizer=normalizer, validate=False,
+        batchnorm_refresh_passes=1,
+    )
+    fast = (qmodel, calibrator.calibrate(qmodel, pool))
+    return fast, (legacy, calibrate_per_tensor(calibrator, legacy, pool))
+
+
+def _flip_decisions_identical(fast, seed) -> bool:
+    """Same codes after calibration and the same flips per iteration."""
+    (qmodel, stats_fast), (legacy, stats_legacy) = fast, seed
+    codes_fast, codes_legacy = qmodel.snapshot_codes(), legacy.snapshot_codes()
+    return bool(
+        all(np.array_equal(codes_fast[name], codes_legacy[name]) for name in codes_fast)
+        and stats_fast.flips_per_epoch == stats_legacy.flips_per_epoch
+    )
+
+
+def _check_equivalence(config: dict) -> dict:
+    """The production edge path must equal the seed reference exactly.
+
+    At float64: flip decisions, model weights and latent weights, against
+    the seed loop on the seed storage.  At float32, the dtype every
+    perfbench workload runs: the flip decisions.
     """
     with runtime.use_dtype(np.float64):
-        qmodel, network, normalizer, pool, _ = _build_setup(config)
-        legacy = _build_setup(config, seed_storage=True)[0]
-        # validate=False so proposed flips are applied unconditionally and
-        # the comparison covers codes that actually moved.
-        calibrator = BitFlipCalibrator(
-            network, epochs=max(2, config["edge_epochs"]), confidence_threshold=0.4,
-            max_flip_fraction=0.1, normalizer=normalizer, validate=False,
-            batchnorm_refresh_passes=1,
-        )
-
-        def run(qm, calibrate):
-            stats = calibrate(qm, pool)
-            return stats, qm.snapshot_codes(), qm.model.state_dict()
-
-        stats_fast, codes_fast, state_fast = run(qmodel, calibrator.calibrate)
-        stats_legacy, codes_legacy, state_legacy = run(
-            legacy, functools.partial(calibrate_per_tensor, calibrator)
-        )
-        codes_identical = all(
-            np.array_equal(codes_fast[name], codes_legacy[name]) for name in codes_fast
-        )
-        weights_identical = all(
-            np.array_equal(state_fast[name], state_legacy[name]) for name in state_fast
-        )
-        return {
-            "flip_decisions_identical": bool(
-                codes_identical
-                and stats_fast.flips_per_epoch == stats_legacy.flips_per_epoch
+        fast, seed = _edge_calibrations(config)
+        (qmodel, stats_fast), (legacy, _) = fast, seed
+        state_fast, state_legacy = qmodel.model.state_dict(), legacy.model.state_dict()
+        equivalence = {
+            "flip_decisions_identical": _flip_decisions_identical(fast, seed),
+            "model_weights_identical": all(
+                np.array_equal(state_fast[name], state_legacy[name]) for name in state_fast
             ),
-            "model_weights_identical": bool(weights_identical),
             "latent_identical": all(
                 np.array_equal(qmodel.latent[name], legacy.latent[name])
                 for name in legacy.latent
             ),
             "flips_per_epoch": stats_fast.flips_per_epoch,
         }
+    with runtime.use_dtype(np.float32):
+        equivalence["flip_decisions_identical_float32"] = _flip_decisions_identical(
+            *_edge_calibrations(config)
+        )
+    return equivalence
 
 
 def main(argv=None) -> int:
@@ -462,7 +474,7 @@ def main(argv=None) -> int:
     conv_strided = _measure_conv_kernel(config, "strided")
     print(f"  naive: {conv_naive * 1e3:.2f} ms/epoch   strided: {conv_strided * 1e3:.2f} ms/epoch")
 
-    print("verifying the production edge path is exact at float64...")
+    print("verifying the production edge path is exact (float64; flips at float32 too)...")
     equivalence = _check_equivalence(config)
     print(f"  {equivalence}")
 

@@ -304,7 +304,6 @@ class BackpropContinualMethod(ContinualMethod):
     # ------------------------------------------------------------- primitives
     def _logits(self, features: np.ndarray) -> np.ndarray:
         assert self.qmodel is not None
-        self.qmodel.sync()
         self.qmodel.model.eval()
         return self.qmodel.model.forward(features)
 
@@ -321,7 +320,6 @@ class BackpropContinualMethod(ContinualMethod):
         must return the extra loss value for logging.
         """
         assert self.qmodel is not None
-        self.qmodel.sync()
         self.qmodel.model.train()
         self.qmodel.model.zero_grad()
         logits = self.qmodel.model.forward(features)
@@ -352,7 +350,6 @@ class BackpropContinualMethod(ContinualMethod):
     def _gradient_vector(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Flattened cross-entropy gradient (used by A-GEM's projection)."""
         assert self.qmodel is not None
-        self.qmodel.sync()
         self.qmodel.model.train()
         self.qmodel.model.zero_grad()
         logits = self.qmodel.model.forward(features)

@@ -29,7 +29,6 @@ class ERACE(BackpropContinualMethod):
 
     def _masked_step(self, features: np.ndarray, labels: np.ndarray, replay) -> float:
         assert self.qmodel is not None
-        self.qmodel.sync()
         self.qmodel.model.train()
         self.qmodel.model.zero_grad()
         logits = self.qmodel.model.forward(features)

@@ -28,9 +28,7 @@ from repro.core.bitflip import (
     BitFlipNetwork,
     BitFlipTrainer,
     BitFlipCalibrator,
-    FusedParameterFeatures,
     extract_parameter_features,
-    extract_parameter_features_fused,
 )
 from repro.core.update import QCoreUpdater
 from repro.core.pipeline import QCoreFramework, EdgeDeployment, StreamRunResult
@@ -48,8 +46,6 @@ __all__ = [
     "BitFlipTrainer",
     "BitFlipCalibrator",
     "extract_parameter_features",
-    "extract_parameter_features_fused",
-    "FusedParameterFeatures",
     "QCoreUpdater",
     "QCoreFramework",
     "EdgeDeployment",

@@ -60,71 +60,6 @@ def _layer_activation_summaries(layer: Module) -> Tuple[np.ndarray, np.ndarray]:
     return runtime.asarray(channel_mean(last_input)), runtime.asarray(channel_mean(last_output))
 
 
-def _features_for_weight(
-    weight: np.ndarray, a_in: np.ndarray, a_out: np.ndarray
-) -> np.ndarray:
-    """Per-parameter features for weight matrices ``(..., fan_in, out)``.
-
-    The third feature is the paper's ``Δa = (w ★ act) - act`` computed per
-    parameter; the remaining features give the BF network the context it
-    needs to resolve the direction of the update.
-
-    The formulas broadcast over any leading batch axes (``a_in`` shaped
-    ``(..., fan_in)``, ``a_out`` shaped ``(..., out)``): the serial extractor
-    passes a single 2-D matrix, the fleet's stacked extractor the same
-    arrays with the devices stacked along axis 0 — one implementation, so
-    the two cannot drift.  Returns ``(..., fan_in * out, NUM_FEATURES)``.
-    """
-    fan_in = weight.shape[-2]
-    a_in_mat = np.broadcast_to(a_in[..., :, None], weight.shape)
-    a_out_mat = np.broadcast_to(a_out[..., None, :], weight.shape)
-    weighted = weight * a_in_mat
-    features = np.stack(
-        [
-            weight,
-            a_in_mat,
-            weighted - a_in_mat,  # Δa of Algorithm 2, line 9
-            a_out_mat,
-            weighted - a_out_mat / max(fan_in, 1),
-        ],
-        axis=-1,
-    )
-    return features.reshape(weight.shape[:-2] + (-1, NUM_FEATURES))
-
-
-def _vector_features(
-    values: np.ndarray, a_in_mean, a_out: np.ndarray
-) -> np.ndarray:
-    """Shared feature math for flat parameters ``(..., n)``.
-
-    ``a_in_mean`` may be a python float (serial path) or an array
-    broadcastable to ``values`` (stacked path, one mean per device); NumPy's
-    scalar promotion makes the two elementwise identical.
-    """
-    a_in_full = np.broadcast_to(
-        np.asarray(a_in_mean, dtype=values.dtype), values.shape
-    )
-    weighted = values * a_in_full
-    return np.stack(
-        [
-            values,
-            a_in_full,
-            weighted - a_in_full,
-            a_out,
-            weighted - a_out,
-        ],
-        axis=-1,
-    )
-
-
-def _features_for_vector(values: np.ndarray, a_in_mean: float, a_out: np.ndarray) -> np.ndarray:
-    """Per-parameter features for 1-D parameters (biases, BatchNorm scale/shift)."""
-    values = values.reshape(-1)
-    if a_out.shape[0] != values.shape[0]:
-        a_out = np.full(values.shape[0], float(np.mean(a_out)) if a_out.size else 0.0)
-    return _vector_features(values, a_in_mean, a_out)
-
-
 class FeatureNormalizer:
     """Per-parameter feature standardisation fitted at BF-training time.
 
@@ -137,6 +72,17 @@ class FeatureNormalizer:
 
     def __init__(self):
         self._stats: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._templates: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fitted statistics, not the templates built from them."""
+        state = self.__dict__.copy()
+        del state["_templates"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._templates = {}
 
     @staticmethod
     def _moments(features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,19 +98,37 @@ class FeatureNormalizer:
         self._stats[name] = self._moments(features)
 
     def moments(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The fitted ``(mean, std)`` for a parameter, or ``None`` if unfitted.
-
-        The batched fleet path uses this to pre-assemble each device's
-        normalisation template instead of transforming block by block.
-        """
+        """The fitted ``(mean, std)`` for a parameter, or ``None`` if unfitted."""
         return self._stats.get(name)
 
     def covers(self, names) -> bool:
         """Whether statistics are fitted for *every* one of ``names``."""
         return all(name in self._stats for name in names)
 
+    def template(self, plan: "FeaturePlan") -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Row-expanded ``(mean, std)`` for every row of ``plan``; ``None`` unless fitted for all.
+
+        Built on first use and kept per architecture (``plan.key``), so the
+        replicas of one deployment, which share their normalizer, share one
+        template; a fitted parameter's moments never change.
+        ``(raw - mean) / std`` against it is elementwise the per-block
+        :meth:`transform`.
+        """
+        template = self._templates.get(plan.key)
+        if template is None and self.covers(plan.names):
+            if not plan.names:
+                return runtime.zeros((0, NUM_FEATURES)), runtime.ones((0, NUM_FEATURES))
+            means, stds = [], []
+            for name, rows in zip(plan.names, np.diff(plan.bounds).tolist()):
+                mean, std = self._stats[name]
+                means.append(np.broadcast_to(mean, (rows, NUM_FEATURES)))
+                stds.append(np.broadcast_to(std, (rows, NUM_FEATURES)))
+            template = (np.concatenate(means), np.concatenate(stds))
+            self._templates[plan.key] = template
+        return template
+
     def transform(self, name: str, features: np.ndarray) -> np.ndarray:
-        """Standardise ``features`` with the stored statistics.
+        """Standardise one parameter's ``features`` with the stored statistics.
 
         Falls back to on-the-fly moments for unknown parameters — the very
         hazard the class docstring warns about — and emits a
@@ -188,103 +152,261 @@ class FeatureNormalizer:
         return (features - mean) / std
 
 
+class FeaturePlan:
+    """Where every BF feature row of one architecture reads its ingredients.
+
+    Feature rows follow ``weighted_layers()`` and, within a layer, its
+    ``weight``, ``bias`` and ``beta`` parameters, one row per element in
+    ``reshape(-1)`` order.  One forward's ingredients are three flat vectors
+    (:class:`_RawFeatureParts`): the parameter values in row order, ``a_in``
+    (one mean per layer, then the ``a_in`` of every layer with a weight
+    matrix) and ``a_out`` (every layer's).  Per row the plan records its
+    ``a_in`` slot (the layer's mean for a 1-D parameter), its ``a_out``
+    slot, its divisor (``fan_in`` for a weight row, 1 for a vector row,
+    where ``x / 1`` is exact) and its position in the model's parameter
+    arena (``named_parameters`` order).  A parameter outside every weighted
+    layer has no row and is never flipped.
+
+    Built once per model (:func:`feature_plan`); ``layers`` holds each
+    weighted layer with its ``(name, parameter)`` pairs and ``bounds`` each
+    parameter's first row (and, last, the row count).
+    """
+
+    def __init__(self, model: Module) -> None:
+        arena_starts: Dict[int, Tuple[str, int]] = {}
+        size = 0
+        for name, param in model.named_parameters():
+            arena_starts[id(param)] = (name, size)
+            size += param.data.size
+        self.layers: List[Tuple[Module, List[Tuple[str, nn.Parameter]]]] = []
+        for layer in model.weighted_layers():
+            candidates = (getattr(layer, attr, None) for attr in ("weight", "bias", "beta"))
+            params = [
+                (arena_starts[id(param)][0], param)
+                for param in candidates
+                if param is not None and id(param) in arena_starts
+            ]
+            if params:
+                self.layers.append((layer, params))
+        #: Per layer: its ``a_in`` length (0 where only the mean is read) and ``a_out`` length.
+        self.in_sizes: List[int] = []
+        self.out_sizes: List[int] = []
+        names: List[str] = []
+        shapes: List[Tuple[int, ...]] = []
+        in_index, out_index, divisor, arena_index = [], [], [], []
+        in_slot, out_slot = len(self.layers), 0
+        for layer_index, (layer, params) in enumerate(self.layers):
+            in_size = out_size = 0
+            for name, param in params:
+                shape = param.data.shape
+                if len(shape) == 2:
+                    in_size, width = shape
+                    in_index.append(in_slot + np.repeat(np.arange(in_size), width))
+                    out_index.append(out_slot + np.tile(np.arange(width), in_size))
+                    divisor.append(np.full(in_size * width, in_size))
+                else:
+                    width = param.data.size
+                    in_index.append(np.full(width, layer_index))
+                    out_index.append(out_slot + np.arange(width))
+                    divisor.append(np.ones(width, dtype=np.int64))
+                if out_size and width != out_size:
+                    raise ValueError(
+                        f"parameter {name!r} needs {width} activation outputs, but "
+                        f"its {type(layer).__name__} layer's other parameters need {out_size}"
+                    )
+                out_size = width
+                names.append(name)
+                shapes.append(shape)
+                arena_index.append(arena_starts[id(param)][1] + np.arange(param.data.size))
+            self.in_sizes.append(in_size)
+            self.out_sizes.append(out_size)
+            in_slot += in_size
+            out_slot += out_size
+        self.names = names
+        #: Equal keys mean equal plans: the fleet stacks such devices.
+        self.key = tuple(zip(names, shapes))
+        self.bounds: List[int] = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+        self.in_index = _concat(in_index, np.intp)
+        self.out_index = _concat(out_index, np.intp)
+        self.divisor = _concat(divisor, runtime.get_dtype())
+        self.arena_size = size
+        arena = _concat(arena_index, np.intp)
+        #: ``None`` when row ``i`` is arena position ``i`` (every model in the zoo).
+        self.arena_index = None if np.array_equal(arena, np.arange(size)) else arena
+
+    @property
+    def num_rows(self) -> int:
+        """Number of feature rows (one per flippable parameter element)."""
+        return self.bounds[-1]
+
+    def blocks(self, rows: np.ndarray) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(name, row slice)`` of a ``(num_rows, ...)`` array, per parameter."""
+        bounds = self.bounds
+        for name, start, stop in zip(self.names, bounds, bounds[1:]):
+            yield name, rows[start:stop]
+
+    def to_arena(self, rows: np.ndarray) -> np.ndarray:
+        """Scatter a per-row vector to arena positions, zero where no row reads."""
+        if self.arena_index is None:
+            return rows
+        flat = np.zeros(self.arena_size, dtype=rows.dtype)
+        flat[self.arena_index] = rows
+        return flat
+
+
+def _concat(pieces: List[np.ndarray], dtype) -> np.ndarray:
+    """The pieces concatenated into one ``dtype`` vector (empty for none)."""
+    return np.concatenate(pieces).astype(dtype) if pieces else np.zeros(0, dtype=dtype)
+
+
+def feature_plan(qmodel: QuantizedModel) -> FeaturePlan:
+    """The :class:`FeaturePlan` of ``qmodel``'s architecture, built on first use.
+
+    Kept in ``qmodel.derived``, which copies and pickles leave behind: a
+    copy's plan must point at the copy's layers.
+    """
+    plan = qmodel.derived.get("feature_plan")
+    if plan is None:
+        plan = qmodel.derived["feature_plan"] = FeaturePlan(qmodel.model)
+    return plan
+
+
 @dataclass
 class _RawFeatureParts:
-    """One parameter's pre-feature ingredients from a single forward pass."""
+    """One model state's BF feature ingredients from a single forward, flat in plan order."""
 
-    name: str
+    plan: FeaturePlan
     values: np.ndarray
     a_in: np.ndarray
     a_out: np.ndarray
-    a_in_mean: float
-
-    @property
-    def signature(self) -> Tuple[str, Tuple[int, ...]]:
-        return (self.name, self.values.shape)
 
 
-def _collect_raw_parts(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> List[_RawFeatureParts]:
+def _feature_matrix(
+    plan: FeaturePlan, values: np.ndarray, a_in: np.ndarray, a_out: np.ndarray
+) -> np.ndarray:
+    """Raw ``(..., rows, NUM_FEATURES)`` features from flat ingredients.
+
+    Per row: the value ``w``, its ``a_in``, the paper's
+    ``Δa = w * a_in - a_in`` (Algorithm 2, line 9), its ``a_out``, and
+    ``w * a_in - a_out / divisor``; the remaining features give the BF
+    network the context it needs to resolve the direction of the update.
+    Elementwise these are the seed's per-tensor formulas
+    (:func:`repro.reference.features_for_weight`,
+    :func:`repro.reference.vector_features`).  Leading axes (the fleet's
+    devices) broadcast, so the serial and the stacked builder are one
+    implementation and cannot drift.
+    """
+    a_in_rows = np.take(a_in, plan.in_index, axis=-1)
+    a_out_rows = np.take(a_out, plan.out_index, axis=-1)
+    weighted = values * a_in_rows
+    features = np.empty(
+        weighted.shape + (NUM_FEATURES,), dtype=np.result_type(weighted, a_out_rows)
+    )
+    features[..., 0] = values
+    features[..., 1] = a_in_rows
+    np.subtract(weighted, a_in_rows, out=features[..., 2])
+    features[..., 3] = a_out_rows
+    np.divide(a_out_rows, plan.divisor.astype(a_out_rows.dtype, copy=False), out=a_out_rows)
+    np.subtract(weighted, a_out_rows, out=features[..., 4])
+    return features
+
+
+def _collect_raw_parts(qmodel: QuantizedModel, features_batch: np.ndarray) -> _RawFeatureParts:
     """Forward pass + per-layer activation summaries, without the feature math.
 
     Shared between the serial extractor and the fleet-stacked one so both see
     exactly the same parameter order and activation statistics.
     """
-    qmodel.sync()
     qmodel.model.eval()
     qmodel.model.forward(features_batch)
     return _summarize_last_forward(qmodel)
 
 
-def _summarize_last_forward(qmodel: QuantizedModel) -> List[_RawFeatureParts]:
-    """Per-parameter activation summaries of the forward the model ran last.
+def _summarize_last_forward(qmodel: QuantizedModel) -> _RawFeatureParts:
+    """The BF feature ingredients of the forward the model ran last.
 
-    Must run before the next forward overwrites the layer caches.  ``values``
-    references the live parameter array, which is only read again while the
-    model is in the state this forward saw.
+    Must run before the next forward overwrites the layer caches.
     """
     return _parts_from_summaries(qmodel, _layer_activation_summaries)
 
 
 def _parts_from_summaries(
     qmodel: QuantizedModel, summarize: Callable[[Module], Tuple[np.ndarray, np.ndarray]]
-) -> List[_RawFeatureParts]:
-    """:func:`_summarize_last_forward` with the per-layer ``(a_in, a_out)`` from ``summarize``."""
-    param_to_name = {
-        id(param): name for name, param in qmodel.model.named_parameters()
-    }
-    parts: List[_RawFeatureParts] = []
-    for layer in qmodel.model.weighted_layers():
+) -> _RawFeatureParts:
+    """:func:`_summarize_last_forward` with the per-layer ``(a_in, a_out)`` from ``summarize``.
+
+    Each layer's ``a_in`` mean is ``float(a_in.mean())``, as in the seed:
+    a segmented sum would add in another order.
+    """
+    plan = feature_plan(qmodel)
+    means: List[float] = []
+    a_ins: List[np.ndarray] = []
+    a_outs: List[np.ndarray] = []
+    values: List[np.ndarray] = []
+    for (layer, params), in_size, out_size in zip(plan.layers, plan.in_sizes, plan.out_sizes):
         a_in, a_out = summarize(layer)
-        a_in_mean = float(a_in.mean()) if a_in.size else 0.0
-        for attr in ("weight", "bias", "beta"):
-            param = getattr(layer, attr, None)
-            if param is None:
-                continue
-            name = param_to_name.get(id(param))
-            if name is None or name not in qmodel.qtensors:
-                continue
-            parts.append(
-                _RawFeatureParts(
-                    name=name, values=param.data,
-                    a_in=a_in, a_out=a_out, a_in_mean=a_in_mean,
-                )
+        if a_out.shape[0] != out_size or (in_size and a_in.shape[0] != in_size):
+            raise ValueError(
+                f"{type(layer).__name__} activations summarise {a_in.shape[0]} inputs and "
+                f"{a_out.shape[0]} outputs; its parameters need {in_size or 'any'} and {out_size}"
             )
-    return parts
+        means.append(float(a_in.mean()) if a_in.size else 0.0)
+        if in_size:
+            a_ins.append(a_in)
+        a_outs.append(a_out)
+        values.extend(param.data.reshape(-1) for _, param in params)
+    if not values:
+        empty = runtime.empty(0)
+        return _RawFeatureParts(plan, empty, empty, empty)
+    flat_values = np.concatenate(values)
+    a_ins.insert(0, np.asarray(means, dtype=flat_values.dtype))
+    return _RawFeatureParts(plan, flat_values, np.concatenate(a_ins), np.concatenate(a_outs))
 
 
-def _features_for_parts(parts: _RawFeatureParts) -> np.ndarray:
-    """The serial feature math for one parameter's collected parts."""
-    if parts.values.ndim == 2:
-        return _features_for_weight(parts.values, parts.a_in, parts.a_out)
-    return _features_for_vector(parts.values, parts.a_in_mean, parts.a_out)
+def _fused_from_parts(parts: _RawFeatureParts) -> np.ndarray:
+    """Raw ``(rows, NUM_FEATURES)`` features of one model state (no forward, no normalisation)."""
+    return _feature_matrix(parts.plan, parts.values, parts.a_in, parts.a_out)
 
 
-def _fused_from_parts(parts: List[_RawFeatureParts]) -> "FusedParameterFeatures":
-    """Serial feature construction over already-collected parts (no forward)."""
-    return _assemble_fused(
-        [(entry.name, _features_for_parts(entry)) for entry in parts]
-    )
+def _normalize_features(
+    plan: FeaturePlan, raw: np.ndarray, normalizer: Optional[FeatureNormalizer]
+) -> np.ndarray:
+    """Standardise one model state's raw features.
+
+    One ``(raw - mean) / std`` against the normalizer's template for the
+    plan when it is fitted for every parameter.  Otherwise block by block
+    with :meth:`FeatureNormalizer.transform`: fitted moments where present,
+    on-the-fly moments and its RuntimeWarning elsewhere.
+    """
+    if normalizer is None:
+        normalizer = FeatureNormalizer()
+    template = normalizer.template(plan)
+    if template is None:
+        return _assemble_fused(
+            [(name, normalizer.transform(name, block)) for name, block in plan.blocks(raw)]
+        )
+    mean, std = template
+    normalized = raw - mean
+    return np.divide(normalized, std, out=normalized)
 
 
 def _normalized_feature_blocks(
-    parts: List[_RawFeatureParts],
+    parts: _RawFeatureParts,
     normalizer: Optional[FeatureNormalizer],
     fit_normalizer: bool,
-) -> List[Tuple[str, np.ndarray]]:
-    """Shared feature pipeline behind the per-tensor and fused extractors."""
-    if normalizer is None:
-        # One hoisted (unfitted) normalizer for the whole extraction; its
-        # transform fallback warns about the on-the-fly re-normalization.
-        normalizer = FeatureNormalizer()
-    blocks: List[Tuple[str, np.ndarray]] = []
-    for entry in parts:
-        features = _features_for_parts(entry)
-        if fit_normalizer:
-            normalizer.fit_update(entry.name, features)
-        blocks.append((entry.name, normalizer.transform(entry.name, features)))
-    return blocks
+) -> np.ndarray:
+    """The normalised ``(rows, NUM_FEATURES)`` BF input of one model state.
+
+    Raw features in one pass; with ``fit_normalizer``, unseen parameters'
+    moments are recorded from their row slices first.
+    """
+    raw = _fused_from_parts(parts)
+    if fit_normalizer:
+        if normalizer is None:
+            normalizer = FeatureNormalizer()
+        for name, block in parts.plan.blocks(raw):
+            normalizer.fit_update(name, block)
+    return _normalize_features(parts.plan, raw, normalizer)
 
 
 def extract_parameter_features(
@@ -308,182 +430,44 @@ def extract_parameter_features(
 
     Returns a mapping ``parameter_name -> (num_parameters, NUM_FEATURES)``
     whose row order matches ``codes.reshape(-1)`` of the corresponding
-    :class:`~repro.quantization.quantizer.QuantizedTensor`.
+    :class:`~repro.quantization.quantizer.QuantizedTensor`: row slices of
+    the one matrix the edge calibrator infers from.
     """
     parts = _collect_raw_parts(qmodel, features_batch)
-    return dict(_normalized_feature_blocks(parts, normalizer, fit_normalizer))
+    return dict(parts.plan.blocks(_normalized_feature_blocks(parts, normalizer, fit_normalizer)))
 
 
-@dataclass
-class FusedParameterFeatures:
-    """All per-parameter feature blocks concatenated into one matrix.
-
-    ``matrix`` has shape ``(total_params, NUM_FEATURES)``; block ``i`` covers
-    rows ``offsets[i]:offsets[i + 1]`` and belongs to parameter ``names[i]``.
-    The fused layout lets the edge calibrator run a *single* BF forward pass
-    per calibration iteration instead of one per parameter tensor.
-    """
-
-    names: List[str]
-    offsets: np.ndarray
-    matrix: np.ndarray
-
-    def blocks(self, values: np.ndarray) -> Iterator[Tuple[str, np.ndarray]]:
-        """Split a ``(total_params, ...)`` array back into per-parameter views."""
-        for index, name in enumerate(self.names):
-            yield name, values[self.offsets[index] : self.offsets[index + 1]]
-
-    @property
-    def num_rows(self) -> int:
-        """Total number of parameter rows across every block.
-
-        The BF network is row-wise, so fused matrices of several models can be
-        vertically stacked and served by one forward; the fleet calibrator
-        (:mod:`repro.fleet`) uses this row count to scatter the batched
-        predictions back per device.
-        """
-        return int(self.offsets[-1])
-
-
-def extract_parameter_features_fused(
-    qmodel: QuantizedModel,
-    features_batch: np.ndarray,
-    normalizer: Optional[FeatureNormalizer] = None,
-    fit_normalizer: bool = False,
-) -> FusedParameterFeatures:
-    """Fused variant of :func:`extract_parameter_features`.
-
-    Produces the same normalised features, concatenated in extraction order,
-    so one BF inference covers every parameter of the model.  Row order within
-    each block matches the per-tensor extractor exactly.
-    """
-    parts = _collect_raw_parts(qmodel, features_batch)
-    return _assemble_fused(_normalized_feature_blocks(parts, normalizer, fit_normalizer))
-
-
-def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> FusedParameterFeatures:
-    """Concatenate named feature blocks into the fused layout."""
+def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> np.ndarray:
+    """Concatenate named feature blocks into one ``(rows, NUM_FEATURES)`` matrix."""
     if not blocks:
-        return FusedParameterFeatures(
-            names=[], offsets=np.zeros(1, dtype=np.int64),
-            matrix=np.zeros((0, NUM_FEATURES), dtype=runtime.get_dtype()),
+        return runtime.zeros((0, NUM_FEATURES))
+    return np.concatenate([features for _, features in blocks], axis=0)
+
+
+def _stack_raw_parts(all_parts: List[_RawFeatureParts]) -> List[np.ndarray]:
+    """Raw features of homogeneous model states, built with the devices stacked.
+
+    The fleet calibrator stacks the parts its devices' pool forwards
+    already collected, without running a forward: the serial builder's
+    elementwise operations run once with a leading device axis, so each
+    returned ``(rows, NUM_FEATURES)`` matrix equals :func:`_fused_from_parts`
+    of its parts bit for bit.  All parts must come from one architecture
+    (same parameter names and shapes in the same order); :class:`ValueError`
+    is raised otherwise.
+    """
+    plan = all_parts[0].plan
+    if any(parts.plan.key != plan.key for parts in all_parts[1:]):
+        raise ValueError(
+            "stacked feature extraction requires homogeneous models "
+            "(same parameter names and shapes)"
         )
-    names = [name for name, _ in blocks]
-    sizes = [features.shape[0] for _, features in blocks]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    matrix = np.concatenate([features for _, features in blocks], axis=0)
-    return FusedParameterFeatures(names=names, offsets=offsets, matrix=matrix)
-
-
-def extract_parameter_features_raw(
-    qmodel: QuantizedModel, features_batch: np.ndarray
-) -> FusedParameterFeatures:
-    """Fused layout of *unnormalised* per-parameter features.
-
-    Same forward pass, feature math, block order and row order as
-    :func:`extract_parameter_features_fused`, but normalisation is left to the
-    caller.  The fleet calibrator uses this to apply one batched affine
-    transform (assembled from the fitted normaliser moments) across every
-    device's blocks at once — elementwise identical to transforming each
-    block separately.
-    """
-    return _fused_from_parts(_collect_raw_parts(qmodel, features_batch))
-
-
-def extract_parameter_features_raw_stacked(
-    qmodels: List[QuantizedModel], feature_batches: List[np.ndarray]
-) -> List[FusedParameterFeatures]:
-    """Batched raw feature construction across homogeneous models.
-
-    Each model still runs its own forward pass (the activations depend on its
-    weights and its pool), but the per-parameter feature *construction* — the
-    elementwise broadcast math of ``_features_for_weight`` /
-    ``_features_for_vector`` — is executed once per parameter with the
-    devices stacked along a leading axis, instead of once per device per
-    parameter.  This is the ROADMAP's "batch the raw feature construction
-    across homogeneous devices" lever, built on the same segment-offset
-    arithmetic as the parameter arena
-    (:class:`~repro.quantization.arena.SegmentLayout`).
-
-    All models must share an architecture (same parameter names and shapes in
-    the same traversal order); :class:`ValueError` is raised otherwise.  The stacked math performs exactly the serial elementwise
-    operations (it calls the same kernels with a leading batch axis), so each
-    returned :class:`FusedParameterFeatures` is bit-identical to
-    :func:`extract_parameter_features_raw` of the corresponding model.
-    """
-    if len(qmodels) != len(feature_batches):
-        raise ValueError("qmodels and feature_batches must pair up")
-    if not qmodels:
-        return []
-    all_parts = [
-        _collect_raw_parts(qmodel, batch)
-        for qmodel, batch in zip(qmodels, feature_batches)
-    ]
-    return _stack_raw_parts(all_parts)
-
-
-def _stack_raw_parts(
-    all_parts: List[List[_RawFeatureParts]],
-) -> List[FusedParameterFeatures]:
-    """Stacked feature construction over already-collected per-model parts.
-
-    Split from :func:`extract_parameter_features_raw_stacked` so the fleet
-    calibrator can stack the parts its devices' pool forwards already
-    collected, without running a forward.
-    """
-    from repro.quantization.arena import SegmentLayout
-
-    reference = all_parts[0]
-    signature = [parts.signature for parts in reference]
-    for model_parts in all_parts[1:]:
-        if [parts.signature for parts in model_parts] != signature:
-            raise ValueError(
-                "stacked feature extraction requires homogeneous models "
-                "(same parameter names and shapes)"
-            )
-    layout = SegmentLayout(
-        [parts.name for parts in reference],
-        [parts.values.shape for parts in reference],
+    stacked = _feature_matrix(
+        plan,
+        np.stack([parts.values for parts in all_parts]),
+        np.stack([parts.a_in for parts in all_parts]),
+        np.stack([parts.a_out for parts in all_parts]),
     )
-    num_models = len(all_parts)
-    offsets = layout.offsets
-    stacked = np.empty(
-        (num_models, layout.size, NUM_FEATURES), dtype=runtime.get_dtype()
-    )
-    for index, parts in enumerate(reference):
-        start, stop = int(offsets[index]), int(offsets[index + 1])
-        block = stacked[:, start:stop, :]
-        entries = [model_parts[index] for model_parts in all_parts]
-        if parts.values.ndim == 2:
-            # The same kernel the serial extractor uses, with the devices as
-            # a leading batch axis.
-            block[...] = _features_for_weight(
-                np.stack([entry.values for entry in entries]),
-                np.stack([entry.a_in for entry in entries]),
-                np.stack([entry.a_out for entry in entries]),
-            )
-        else:
-            size = int(parts.values.reshape(-1).shape[0])
-            values = np.stack([entry.values.reshape(-1) for entry in entries])
-            a_outs = []
-            for entry in entries:
-                # The serial wrapper's a_out fix-up, applied per device.
-                a_out = entry.a_out
-                if a_out.shape[0] != size:
-                    a_out = np.full(
-                        size, float(np.mean(a_out)) if a_out.size else 0.0
-                    )
-                a_outs.append(a_out)
-            means = np.asarray(
-                [entry.a_in_mean for entry in entries], dtype=values.dtype
-            )
-            block[...] = _vector_features(values, means[:, None], np.stack(a_outs))
-    return [
-        FusedParameterFeatures(
-            names=list(layout.names), offsets=offsets, matrix=stacked[i]
-        )
-        for i in range(num_models)
-    ]
+    return list(stacked)
 
 
 @dataclass
@@ -629,26 +613,15 @@ class BitFlipNetwork(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return self.network.backward(grad_output)
 
-    def predict_flips(
+    def predict_flips_with_confidence(
         self, features: np.ndarray, confidence_threshold: float = 0.0
-    ) -> np.ndarray:
-        """Predict per-parameter flips in ``{-1, 0, +1}``.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Predict per-parameter flips in ``{-1, 0, +1}`` and their softmax confidence.
 
         ``confidence_threshold`` suppresses non-zero flips whose softmax
         probability is below the threshold; this keeps edge calibration stable
         when the BF network is uncertain (the paper notes that most parameter
         changes stay within one bit and that calibration uses few iterations).
-        """
-        flips, _ = self.predict_flips_with_confidence(
-            features, confidence_threshold=confidence_threshold
-        )
-        return flips
-
-    def predict_flips_with_confidence(
-        self, features: np.ndarray, confidence_threshold: float = 0.0
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predict flips together with the softmax confidence of each prediction.
-
         The softmax, argmax and max run elementwise over the three logit
         columns, because NumPy reduces a length-3 axis slowly.  Each step is
         the one the axis reductions take, in their order: the running max, the
@@ -792,7 +765,6 @@ class BitFlipTrainer:
             epoch_hook=hook,
         )
         # The state a final feature extraction would have left.
-        qmodel.sync()
         qmodel.model.eval()
 
         features = np.concatenate(collected_features, axis=0) if collected_features else np.zeros((0, NUM_FEATURES))
@@ -906,7 +878,7 @@ class PoolState:
 
     accuracy: float
     predictions: np.ndarray
-    parts: Optional[List[_RawFeatureParts]] = None
+    parts: Optional[_RawFeatureParts] = None
     stall: Optional[Tuple[int, bool]] = None
 
 
@@ -946,13 +918,16 @@ class BitFlipCalibrator:
         inference-only (no gradients) and corresponds to the statistics
         refresh any calibration pass performs implicitly.
 
-    Each calibration iteration runs one BF inference over the concatenated
-    features of *all* parameter tensors.  The BF network operates row-wise,
-    so the flip decisions equal those of one inference per tensor.  Each
-    distinct model state costs one pool forward (:class:`PoolState`), and
-    once an iteration leaves the codes unchanged the remaining iterations
-    replay it without inference.  At float64 the result equals the seed
-    loop, :func:`repro.reference.calibrate_per_tensor`, bit for bit.
+    Each calibration iteration is a fixed handful of whole-model array
+    operations: the features of *all* parameter tensors built in one pass
+    from the model's :class:`FeaturePlan`, one BF inference over them (the
+    network operates row-wise, so the decisions equal those of one
+    inference per tensor), one partition selecting the flips and one
+    validated clip applying them to the arena's codes.  Each distinct model
+    state costs one pool forward (:class:`PoolState`), and once an iteration
+    leaves the codes unchanged the remaining iterations replay it without
+    inference.  The result equals the seed loop,
+    :func:`repro.reference.calibrate_per_tensor`, bit for bit.
     """
 
     def __init__(
@@ -995,7 +970,6 @@ class BitFlipCalibrator:
         ]
         if not layers:
             return
-        qmodel.sync()
         qmodel.model.eval()
         for layer in layers:
             layer.training = True
@@ -1014,7 +988,6 @@ class BitFlipCalibrator:
         hold the whole-pool forward afterwards, so the state's activation
         summaries can be taken until the next forward runs.
         """
-        qmodel.sync()
         model = qmodel.model
         model.eval()
         if len(data) <= EVAL_BATCH_SIZE:
@@ -1027,52 +1000,35 @@ class BitFlipCalibrator:
         )
         return PoolState(accuracy=accuracy, predictions=predictions)
 
-    def _predict_per_name(self, pool: PoolState) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Per-parameter ``(flips, confidence)`` from one fused BF inference."""
-        fused = _assemble_fused(_normalized_feature_blocks(pool.parts, self.normalizer, False))
-        flips, confidence = self.network.predict_flips_with_confidence(
-            fused.matrix, confidence_threshold=self.confidence_threshold
+    def _predict(self, pool: PoolState) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat ``(flips, confidence)``, one entry per feature row, from one BF inference."""
+        features = _normalized_feature_blocks(pool.parts, self.normalizer, False)
+        return self.network.predict_flips_with_confidence(
+            features, confidence_threshold=self.confidence_threshold
         )
-        return {
-            name: (flip_block, conf_block)
-            for (name, flip_block), (_, conf_block) in zip(
-                fused.blocks(flips), fused.blocks(confidence)
-            )
-        }
 
     def _select_flips(
-        self, qmodel: QuantizedModel, per_name: Dict[str, Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[Dict[str, np.ndarray], int]:
+        self, flips: np.ndarray, confidence: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
         """Keep the most confident non-zero proposals, capped per iteration.
 
-        ``per_name`` maps parameter names to ``(flips, confidence)`` arrays as
-        produced by :meth:`_predict_per_name` — or by a batched fleet-wide BF
-        inference that scattered its rows back per device (:mod:`repro.fleet`);
-        the selection logic is shared so both paths accept identical flips.
+        ``flips`` and ``confidence`` hold one entry per feature row, as
+        :meth:`_predict` returns them or as a batched fleet-wide BF inference
+        slices them per device (:mod:`repro.fleet`); both paths share this
+        selection, so they accept identical flips.  One partition over the
+        flat proposals finds the confidence of the ``budget``-th best, and a
+        proposal at least that confident is kept.  Returns the kept flips
+        (zero elsewhere) and their count.
         """
-        all_confidences = []
-        total_parameters = 0
-        for name, (flips, confidence) in per_name.items():
-            total_parameters += flips.shape[0]
-            all_confidences.append(np.where(flips != 0, confidence, -np.inf))
-        budget = max(1, int(self.max_flip_fraction * total_parameters))
-        # Keep only the `budget` most confident non-zero proposals globally.
-        stacked = np.concatenate(all_confidences) if all_confidences else np.zeros(0)
-        nonzero_total = int(np.sum(np.isfinite(stacked)))
-        if nonzero_total > budget:
-            threshold = np.partition(stacked, -budget)[-budget]
+        budget = max(1, int(self.max_flip_fraction * flips.shape[0]))
+        proposed = flips != 0
+        ranked = np.where(proposed, confidence, -np.inf)
+        if np.count_nonzero(np.isfinite(ranked)) > budget:
+            threshold = np.partition(ranked, -budget)[-budget]
         else:
             threshold = -np.inf
-        flip_map: Dict[str, np.ndarray] = {}
-        applied = 0
-        for name, (flips, confidence) in per_name.items():
-            keep = (flips != 0) & (confidence >= threshold)
-            if not np.any(keep):
-                continue
-            selected = np.where(keep, flips, 0)
-            applied += int(np.sum(selected != 0))
-            flip_map[name] = selected.reshape(qmodel.qtensors[name].codes.shape)
-        return flip_map, applied
+        keep = proposed & (confidence >= threshold)
+        return np.where(keep, flips, 0), int(np.count_nonzero(keep))
 
     def begin_calibration(
         self, qmodel: QuantizedModel, data: Dataset
@@ -1096,7 +1052,7 @@ class BitFlipCalibrator:
         self,
         qmodel: QuantizedModel,
         data: Dataset,
-        per_name: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]],
+        proposals: Optional[Tuple[np.ndarray, np.ndarray]],
         stats: BitFlipCalibrationStats,
         pool: PoolState,
         epoch: int,
@@ -1106,9 +1062,11 @@ class BitFlipCalibrator:
 
         Everything after the BF inference of one calibration iteration —
         shared verbatim between the per-device loop in :meth:`calibrate` and
-        the batched fleet path, which computes ``per_name`` from a single
-        fleet-wide inference.  A stalled ``pool`` replays its bookkeeping
-        instead (``per_name`` is then unused).  Returns the :class:`PoolState`
+        the batched fleet path, which slices ``proposals``, the flat
+        ``(flips, confidence)`` pair, from a single fleet-wide inference.
+        The kept flips reach the codes through the feature plan's arena
+        scatter.  A stalled ``pool`` replays its bookkeeping instead
+        (``proposals`` is then unused).  Returns the :class:`PoolState`
         of the state the iteration ended in; ``epoch_callback(epoch, qmodel,
         predictions)`` receives that state's pool predictions.
         """
@@ -1116,9 +1074,9 @@ class BitFlipCalibrator:
             flips_recorded, reverted = pool.stall
         else:
             stats.inference_iterations += 1
-            flips, flips_recorded = self._select_flips(qmodel, per_name)
+            flips, flips_recorded = self._select_flips(*proposals)
             snapshot = qmodel.snapshot_codes() if self.validate else None
-            moved = qmodel.apply_flips(flips) if flips else 0
+            moved = qmodel.apply_flips(pool.parts.plan.to_arena(flips)) if flips_recorded else 0
             reverted = False
             # The validation forward is the new state's pool forward.  When no
             # code moved it is skipped: its accuracy would equal
@@ -1160,9 +1118,9 @@ class BitFlipCalibrator:
         """
         stats, pool = self.begin_calibration(qmodel, data)
         for epoch in range(self.epochs):
-            per_name = self._predict_per_name(pool) if pool.stall is None else None
+            proposals = self._predict(pool) if pool.stall is None else None
             pool = self.calibration_step(
-                qmodel, data, per_name, stats, pool, epoch, epoch_callback
+                qmodel, data, proposals, stats, pool, epoch, epoch_callback
             )
         stats.pool_accuracy = pool.accuracy
         return stats

@@ -1,30 +1,28 @@
 """Batched bit-flip calibration of a whole fleet (one inference, many devices).
 
-Serial edge calibration runs, per device and per iteration, a fused BF
-inference over that device's parameter features.  The BF network is row-wise,
-so the per-device matrices of one iteration can be vertically concatenated and
-served by a *single* forward pass; the flip decisions are then scattered back
-and applied through each device's own incremental quantized-state sync,
+Serial edge calibration runs, per device and per iteration, one BF inference
+over that device's parameter features.  The BF network is row-wise, so the
+per-device matrices of one iteration can be vertically concatenated and
+served by a *single* forward pass; each device then takes its row slice of
+the flat ``(flips, confidence)`` pair through its own selection, flips,
 validation and revert logic — which is shared code with the serial
 :class:`~repro.core.bitflip.BitFlipCalibrator`, making the batched path
-bit-identical at float64 to calibrating every device one after another.
+bit-identical to calibrating every device one after another.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bitflip import (
-    NUM_FEATURES,
     BitFlipCalibrationStats,
-    FeatureNormalizer,
-    FusedParameterFeatures,
     PoolState,
     _fused_from_parts,
+    _normalize_features,
     _stack_raw_parts,
 )
 from repro.data.dataset import Dataset
@@ -68,8 +66,8 @@ class _DeviceState:
     stats: BitFlipCalibrationStats
     pool: Dataset
     record: PoolState
-    fused: Optional[FusedParameterFeatures] = None
-    per_name: Optional[dict] = None
+    features: Optional[np.ndarray] = None
+    proposals: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 class FleetCalibrator:
@@ -91,11 +89,10 @@ class FleetCalibrator:
     inference and only replays its remaining iterations, so a network's
     forwards number the most inference iterations any of its devices ran.
     Features come from each device's cached pool forward; devices sharing an
-    architecture also share their raw feature *construction*: the elementwise
-    feature math runs once per parameter with the devices stacked along a
-    leading axis
-    (:func:`~repro.core.bitflip.extract_parameter_features_raw_stacked`),
-    bit-identical to the per-device extractor.
+    architecture also share their raw feature *construction*: the feature
+    math runs once with the devices stacked along a leading axis
+    (:func:`~repro.core.bitflip._stack_raw_parts`), bit-identical to the
+    per-device builder.
     """
 
     def calibrate(
@@ -135,11 +132,6 @@ class FleetCalibrator:
         max_rounds = max(
             (state.deployment.calibrator.epochs for state in states), default=0
         )
-        # Normalisation templates are a pure function of a device's block
-        # layout and fitted moments, both constant across rounds — build one
-        # per normaliser and layout, shared by every device with both, and
-        # reuse it in every round.
-        templates: Dict[tuple, tuple] = {}
         for round_index in range(max_rounds):
             active = [
                 state
@@ -147,20 +139,20 @@ class FleetCalibrator:
                 if state.deployment.calibrator.epochs > round_index
             ]
             result.bf_forward_calls += self._predict_round(
-                [state for state in active if state.record.stall is None], templates
+                [state for state in active if state.record.stall is None]
             )
             for state in active:
                 calibrator = state.deployment.calibrator
                 state.record = calibrator.calibration_step(
                     state.deployment.qmodel,
                     state.pool,
-                    state.per_name,
+                    state.proposals,
                     state.stats,
                     state.record,
                     round_index,
                     epoch_callbacks.get(state.device_id),
                 )
-                state.per_name = None
+                state.proposals = None
             result.rounds += 1
 
         for state in states:
@@ -168,18 +160,15 @@ class FleetCalibrator:
             result.stats[state.device_id] = state.stats
         return result
 
-    def _predict_round(
-        self, inferring: List[_DeviceState], templates: Dict[tuple, tuple]
-    ) -> int:
+    def _predict_round(self, inferring: List[_DeviceState]) -> int:
         """One calibration round's BF inference for every device that infers.
 
-        Builds each device's raw fused features from its cached pool forward
-        (the construction is stacked across homogeneous devices), then
-        batches everything per-row across the fleet: each device's features
-        are normalised with its own fitted moments (elementwise identical to
-        transforming block by block), and one BF network forward runs per
-        distinct network.  Predictions are scattered back as the per-name
-        ``(flips, confidence)`` maps the shared selection logic consumes.
+        Builds each device's raw features from its cached pool forward (the
+        construction is stacked across homogeneous devices) and normalises
+        them with its own normalizer (against one template per architecture
+        once it is fitted), then runs one BF network forward per distinct network over
+        the concatenated rows.  Each device keeps its row slice as the flat
+        ``(flips, confidence)`` proposals the shared selection consumes.
         Returns the number of BF forwards.
         """
         self._extract_features(inferring)
@@ -189,14 +178,19 @@ class FleetCalibrator:
 
         for members in groups.values():
             network = members[0].deployment.calibrator.network
-            matrices = [self._normalized(state, templates) for state in members]
+            matrices = [
+                _normalize_features(
+                    state.record.parts.plan, state.features, state.deployment.calibrator.normalizer
+                )
+                for state in members
+            ]
             matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
             flips, confidence = network.predict_flips_with_confidence(
                 matrix, confidence_threshold=0.0
             )
             start = 0
             for state in members:
-                stop = start + state.fused.num_rows
+                stop = start + state.features.shape[0]
                 device_flips = flips[start:stop]
                 device_confidence = confidence[start:stop]
                 threshold = state.deployment.calibrator.confidence_threshold
@@ -207,72 +201,29 @@ class FleetCalibrator:
                     device_flips = np.where(
                         device_confidence >= threshold, device_flips, 0
                     )
-                state.per_name = {
-                    name: (flip_block, confidence_block)
-                    for (name, flip_block), (_, confidence_block) in zip(
-                        state.fused.blocks(device_flips),
-                        state.fused.blocks(device_confidence),
-                    )
-                }
-                state.fused = None
+                state.proposals = (device_flips, device_confidence)
+                state.features = None
                 start = stop
         return len(groups)
 
     def _extract_features(self, inferring: List[_DeviceState]) -> None:
-        """Fill each inferring device's raw fused features from its cached forward.
+        """Fill each inferring device's raw features from its cached forward.
 
-        Devices with the same parameter layout (the replicated-fleet case)
-        run their elementwise feature construction as one stacked pass;
-        singletons use the per-device construction.  Both produce
-        bit-identical features, and neither runs a forward.
+        Devices with the same feature plan (the replicated-fleet case) run
+        their feature construction as one stacked pass; singletons use the
+        per-device construction.  Both produce bit-identical features, and
+        neither runs a forward.
         """
         layouts: Dict[tuple, List[_DeviceState]] = {}
         for state in inferring:
-            signature = tuple(parts.signature for parts in state.record.parts)
-            layouts.setdefault(signature, []).append(state)
+            layouts.setdefault(state.record.parts.plan.key, []).append(state)
         for members in layouts.values():
             if len(members) == 1:
-                members[0].fused = _fused_from_parts(members[0].record.parts)
+                members[0].features = _fused_from_parts(members[0].record.parts)
                 continue
-            fused_list = _stack_raw_parts([state.record.parts for state in members])
-            for state, fused in zip(members, fused_list):
-                state.fused = fused
-
-    @staticmethod
-    def _normalized(state: _DeviceState, templates: Dict[tuple, tuple]) -> np.ndarray:
-        """One device's normalised feature matrix.
-
-        With moments fitted for every parameter, one ``(raw - mean) / std``
-        against the row-expanded template of the device's normaliser and
-        block layout (built on first use);
-        otherwise the device re-normalises block by block on the fly,
-        exactly like the serial extractor — including its RuntimeWarning
-        about washing out the domain shift.
-        """
-        normalizer = state.deployment.calibrator.normalizer
-        fused = state.fused
-        if normalizer is None or not normalizer.covers(fused.names):
-            normalizer = normalizer or FeatureNormalizer()
-            blocks = [
-                normalizer.transform(name, block)
-                for name, block in fused.blocks(fused.matrix)
-            ]
-            return np.concatenate(blocks) if blocks else fused.matrix
-        key = (id(normalizer), tuple(fused.names), fused.offsets.tobytes())
-        if key not in templates:
-            mean_parts: List[np.ndarray] = []
-            std_parts: List[np.ndarray] = []
-            for index, name in enumerate(fused.names):
-                rows = int(fused.offsets[index + 1] - fused.offsets[index])
-                mean, std = normalizer.moments(name)
-                mean_parts.append(np.broadcast_to(mean, (rows, NUM_FEATURES)))
-                std_parts.append(np.broadcast_to(std, (rows, NUM_FEATURES)))
-            templates[key] = (
-                np.concatenate(mean_parts) if mean_parts else np.zeros((0, NUM_FEATURES)),
-                np.concatenate(std_parts) if std_parts else np.ones((0, NUM_FEATURES)),
-            )
-        mean, std = templates[key]
-        return (fused.matrix - mean) / std
+            stacked = _stack_raw_parts([state.record.parts for state in members])
+            for state, features in zip(members, stacked):
+                state.features = features
 
     # ------------------------------------------------------- stream interface
     def process_batches(

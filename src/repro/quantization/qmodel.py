@@ -51,11 +51,16 @@ class QuantizedModel:
     :class:`repro.reference.PerTensorQuantizedModel`, the comparison
     baseline; the two end every operation with identical codes, scales,
     latent and weights.
+
+    ``derived`` holds state other layers derive from the model's
+    architecture (the bit-flip feature plan); copies and pickles start
+    without it.
     """
 
     def __init__(self, model: Module, config: QuantizationConfig):
         self.model = model
         self.config = config
+        self.derived: Dict[str, Any] = {}
         values = {name: param.data for name, param in model.named_parameters()}
         layout = SegmentLayout.from_arrays(values)
         latent = runtime.empty(layout.size)
@@ -86,10 +91,11 @@ class QuantizedModel:
         Copying a view would give an owned array detached from the copy's
         buffers.  The weights buffer is left out: the copied model's
         parameters hold the same values, and :meth:`__setstate__` adopts
-        them back into the new arena.
+        them back into the new arena.  ``derived`` is left out too: it
+        points at the original's layers.
         """
         state = self.__dict__.copy()
-        for key in ("arena", "_latent", "_qtensors"):
+        for key in ("arena", "_latent", "_qtensors", "derived"):
             del state[key]
         arena = self.arena
         state["buffers"] = (arena.layout, arena.latent, arena.codes, arena.scales)
@@ -99,6 +105,7 @@ class QuantizedModel:
         """Rebuild the arena from the carried buffers and re-adopt the views."""
         layout, latent, codes, scales = state.pop("buffers")
         self.__dict__.update(state)
+        self.derived = {}
         self._bind(ParameterArena(layout, self.config, latent, codes, scales))
 
     def clone(self) -> "QuantizedModel":
@@ -184,34 +191,31 @@ class QuantizedModel:
             self._qtensors[name].codes[...] = codes  # write through the arena view
         self._collapse(codes_changed=bool(changed))
 
-    def apply_flips(self, flips: Mapping[str, np.ndarray]) -> int:
-        """Apply per-parameter flips in ``{-1, 0, +1}`` to the integer codes.
+    def apply_flips(self, flips: np.ndarray) -> int:
+        """Apply flips in ``{-1, 0, +1}`` to the integer codes.
 
-        Unknown parameter names are rejected; parameters without an entry are
-        left untouched.  The model's weights are rewritten from the new codes
-        and the latent weights collapse onto them.  Returns how many codes
-        moved (flips clipped at the code range move none).
+        ``flips`` holds one entry per code, laid out like ``arena.codes``
+        (the wrapped model's ``named_parameters`` order).  Its shape and
+        values are validated once, before anything is mutated, so a failed
+        call leaves the model untouched.  Then one add and one clip to the
+        code range; the model's weights are rewritten from the new codes and
+        the latent weights collapse onto them.  Returns how many codes moved
+        (flips clipped at the code range move none).
         """
-        unknown = set(flips) - set(self._qtensors)
-        if unknown:
-            raise KeyError(f"unknown parameters in flips: {sorted(unknown)}")
-        # Validate every entry before mutating anything (mirrors the checks
-        # QuantizedTensor.apply_flips makes), so a failed call leaves the
-        # model untouched instead of half-flipped.
-        for name, flip in flips.items():
-            flip = np.asarray(flip)
-            shape = self._qtensors[name].codes.shape
-            if flip.shape != shape:
-                raise ValueError(
-                    f"flip shape {flip.shape} does not match code shape "
-                    f"{shape} for parameter {name!r}"
-                )
-            if flip.size and np.max(np.abs(flip)) > 1:
-                raise ValueError("flips must only contain values in {-1, 0, +1}")
+        flips = np.asarray(flips)
+        codes = self.arena.codes
+        if flips.shape != codes.shape:
+            raise ValueError(
+                f"flip shape {flips.shape} does not match the {codes.shape} "
+                "codes of the parameter arena"
+            )
+        if flips.size and np.max(np.abs(flips)) > 1:
+            raise ValueError("flips must only contain values in {-1, 0, +1}")
         self._materialize_codes()
-        moved = 0
-        for name, flip in flips.items():
-            moved += self._qtensors[name].apply_flips(flip)
+        cfg = self.config
+        updated = np.clip(codes + flips.astype(np.int64, copy=False), cfg.qmin, cfg.qmax)
+        moved = int(np.count_nonzero(updated != codes))
+        codes[...] = updated
         self._collapse(codes_changed=moved > 0)
         return moved
 

@@ -73,7 +73,8 @@ class QuantizedTensor:
 
     ``dequantize`` reconstructs ``scale * codes``; ``codes`` are stored as
     ``int64`` to avoid overflow during bit-flip updates, and are always
-    clipped to the configured ``[qmin, qmax]`` range.
+    clipped to the configured ``[qmin, qmax]`` range.  Bit flips reach them
+    through :meth:`~repro.quantization.qmodel.QuantizedModel.apply_flips`.
     """
 
     codes: np.ndarray
@@ -84,28 +85,6 @@ class QuantizedTensor:
     def dequantize(self) -> np.ndarray:
         """Map the integer codes back to real values (at the active compute dtype)."""
         return self.scale * self.codes.astype(runtime.get_dtype())
-
-    def apply_flips(self, flips: np.ndarray) -> int:
-        """Add integer ``flips`` (values in ``{-1, 0, +1}``) to the codes in place.
-
-        The result is clipped to the representable range; this is the update
-        primitive the bit-flipping network uses (Algorithm 3, line 8).
-        Returns how many codes moved: a flip clipped at the range moves none.
-        """
-        flips = np.asarray(flips)
-        if flips.shape != self.codes.shape:
-            raise ValueError(
-                f"flip shape {flips.shape} does not match code shape {self.codes.shape}"
-            )
-        if flips.size and np.max(np.abs(flips)) > 1:
-            raise ValueError("flips must only contain values in {-1, 0, +1}")
-        updated = np.clip(
-            self.codes + flips.astype(np.int64), self.config.qmin, self.config.qmax
-        )
-        moved = int(np.count_nonzero(updated != self.codes))
-        # In place, so codes that are views into a parameter arena stay bound.
-        self.codes[...] = updated
-        return moved
 
     @property
     def num_parameters(self) -> int:

@@ -12,17 +12,17 @@ import DAG (``tools/lint/config.py``), so no production module can import it.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import nn, runtime
 from repro.core.bitflip import (
+    NUM_FEATURES,
     BitFlipCalibrationStats,
     BitFlipCalibrator,
     BitFlipNetwork,
-    _normalized_feature_blocks,
-    _parts_from_summaries,
+    FeatureNormalizer,
 )
 from repro.data.dataset import Dataset
 from repro.nn.losses import CrossEntropyLoss
@@ -181,32 +181,202 @@ def batch_norm_forward(
     return out, normalized, moments
 
 
+def features_for_weight(weight: np.ndarray, a_in: np.ndarray, a_out: np.ndarray) -> np.ndarray:
+    """The seed BF features of a weight matrix ``(..., fan_in, out)``.
+
+    Broadcasts ``a_in`` along the output axis and ``a_out`` along the input
+    axis and stacks the five features per element; returns
+    ``(..., fan_in * out, NUM_FEATURES)``.
+    """
+    fan_in = weight.shape[-2]
+    a_in_mat = np.broadcast_to(a_in[..., :, None], weight.shape)
+    a_out_mat = np.broadcast_to(a_out[..., None, :], weight.shape)
+    weighted = weight * a_in_mat
+    features = np.stack(
+        [
+            weight,
+            a_in_mat,
+            weighted - a_in_mat,  # Δa of Algorithm 2, line 9
+            a_out_mat,
+            weighted - a_out_mat / max(fan_in, 1),
+        ],
+        axis=-1,
+    )
+    return features.reshape(weight.shape[:-2] + (-1, NUM_FEATURES))
+
+
+def vector_features(values: np.ndarray, a_in_mean: float, a_out: np.ndarray) -> np.ndarray:
+    """The seed BF features of a flat parameter ``(n,)`` (bias, BatchNorm scale/shift)."""
+    a_in_full = np.broadcast_to(np.asarray(a_in_mean, dtype=values.dtype), values.shape)
+    weighted = values * a_in_full
+    return np.stack(
+        [values, a_in_full, weighted - a_in_full, a_out, weighted - a_out], axis=-1
+    )
+
+
+def raw_feature_blocks(
+    qmodel: Any,
+    summarize: Callable[[nn.Module], Tuple[np.ndarray, np.ndarray]] = layer_activation_summaries,
+) -> List[Tuple[str, np.ndarray]]:
+    """The seed per-tensor raw BF features of the forward the model ran last.
+
+    Walks ``weighted_layers()`` and each layer's ``weight``, ``bias`` and
+    ``beta``, and builds every parameter's block with
+    :func:`features_for_weight` or :func:`vector_features`.  The production
+    builder (:func:`repro.core.bitflip._fused_from_parts`) concatenates the
+    same rows in the same order and must equal them byte for byte.
+    """
+    param_to_name = {id(param): name for name, param in qmodel.model.named_parameters()}
+    blocks: List[Tuple[str, np.ndarray]] = []
+    for layer in qmodel.model.weighted_layers():
+        a_in, a_out = summarize(layer)
+        a_in_mean = float(a_in.mean()) if a_in.size else 0.0
+        for attr in ("weight", "bias", "beta"):
+            param = getattr(layer, attr, None)
+            name = param_to_name.get(id(param)) if param is not None else None
+            if name is None or name not in qmodel.qtensors:
+                continue
+            if param.data.ndim == 2:
+                features = features_for_weight(param.data, a_in, a_out)
+            else:
+                features = vector_features(param.data.reshape(-1), a_in_mean, a_out)
+            blocks.append((name, features))
+    return blocks
+
+
+def normalize_blocks(
+    blocks: List[Tuple[str, np.ndarray]],
+    normalizer: Optional[FeatureNormalizer],
+    fit_normalizer: bool = False,
+) -> List[Tuple[str, np.ndarray]]:
+    """The seed normalisation: one :meth:`FeatureNormalizer.transform` per block.
+
+    With ``fit_normalizer``, each block first records its moments.  The
+    production template form, ``(raw - mean) / std`` over the whole
+    matrix, must equal the concatenated blocks byte for byte.
+    """
+    if normalizer is None:
+        normalizer = FeatureNormalizer()
+    normalized = []
+    for name, features in blocks:
+        if fit_normalizer:
+            normalizer.fit_update(name, features)
+        normalized.append((name, normalizer.transform(name, features)))
+    return normalized
+
+
 def predict_per_tensor(
-    calibrator: BitFlipCalibrator, qmodel: QuantizedModel, data: Dataset
+    calibrator: BitFlipCalibrator, qmodel: Any, data: Dataset
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Per-parameter ``(flips, confidence)`` from one BF inference per tensor.
 
-    The seed form of the calibrator's fused inference over the concatenated
-    features of every tensor: one eval forward, the features built from the
-    seed :func:`layer_activation_summaries`, post-processed by the seed
-    :func:`predict_flips_with_confidence`.  The BF network is row-wise, so
-    both must give the same flips and confidences.
+    The seed form of the calibrator's inference over the flat features of
+    every tensor: one eval forward, the features built per tensor from the
+    seed :func:`layer_activation_summaries` and normalised per block,
+    post-processed by the seed :func:`predict_flips_with_confidence`.  The
+    BF network is row-wise, so both must give the same flips and
+    confidences.
     """
     qmodel.sync()
     qmodel.model.eval()
     qmodel.model.forward(data.features)
-    parts = _parts_from_summaries(qmodel, layer_activation_summaries)
+    blocks = normalize_blocks(raw_feature_blocks(qmodel), calibrator.normalizer)
     return {
         name: predict_flips_with_confidence(
             calibrator.network, block, calibrator.confidence_threshold
         )
-        for name, block in _normalized_feature_blocks(parts, calibrator.normalizer, False)
+        for name, block in blocks
     }
+
+
+def select_flips_per_tensor(
+    calibrator: BitFlipCalibrator,
+    qmodel: Any,
+    per_name: Mapping[str, Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[Dict[str, np.ndarray], int]:
+    """The seed flip selection: per-name proposals in, per-name flips out.
+
+    Concatenates every tensor's confidences (``-inf`` where no flip is
+    proposed) for one ``np.partition`` that finds the confidence of the
+    ``budget``-th best proposal, then keeps, tensor by tensor, the proposals
+    at least that confident.  Tensors with nothing kept get no entry.
+    Returns the flips, shaped like each tensor's codes, and their count;
+    :meth:`BitFlipCalibrator._select_flips` does the same over one flat
+    vector.
+    """
+    all_confidences = []
+    total_parameters = 0
+    for flips, confidence in per_name.values():
+        total_parameters += flips.shape[0]
+        all_confidences.append(np.where(flips != 0, confidence, -np.inf))
+    budget = max(1, int(calibrator.max_flip_fraction * total_parameters))
+    stacked = np.concatenate(all_confidences) if all_confidences else np.zeros(0)
+    nonzero_total = int(np.sum(np.isfinite(stacked)))
+    if nonzero_total > budget:
+        threshold = np.partition(stacked, -budget)[-budget]
+    else:
+        threshold = -np.inf
+    flip_map: Dict[str, np.ndarray] = {}
+    applied = 0
+    for name, (flips, confidence) in per_name.items():
+        keep = (flips != 0) & (confidence >= threshold)
+        if not np.any(keep):
+            continue
+        selected = np.where(keep, flips, 0)
+        applied += int(np.sum(selected != 0))
+        flip_map[name] = selected.reshape(qmodel.qtensors[name].codes.shape)
+    return flip_map, applied
+
+
+def apply_tensor_flips(qtensor: QuantizedTensor, flips: np.ndarray) -> int:
+    """The seed flip primitive on one tensor: add, clip, count moved codes.
+
+    Validates the shape and ``|flip| <= 1``, adds the flips to the codes in
+    place and clips them to the representable range (Algorithm 3, line 8).
+    Returns how many codes moved: a flip clipped at the range moves none.
+    """
+    flips = np.asarray(flips)
+    if flips.shape != qtensor.codes.shape:
+        raise ValueError(
+            f"flip shape {flips.shape} does not match code shape {qtensor.codes.shape}"
+        )
+    if flips.size and np.max(np.abs(flips)) > 1:
+        raise ValueError("flips must only contain values in {-1, 0, +1}")
+    cfg = qtensor.config
+    updated = np.clip(qtensor.codes + flips.astype(np.int64), cfg.qmin, cfg.qmax)
+    moved = int(np.count_nonzero(updated != qtensor.codes))
+    qtensor.codes[...] = updated
+    return moved
+
+
+def arena_flips(qmodel: QuantizedModel, flips: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Per-name flips laid out like ``qmodel.arena.codes``, zero elsewhere.
+
+    Unknown names raise :class:`KeyError` and misshapen entries
+    :class:`ValueError`.
+    """
+    flat = np.zeros(qmodel.arena.size, dtype=np.int64)
+    for name, flip in flips.items():
+        view = qmodel.arena.layout.view(flat, name)
+        if np.shape(flip) != view.shape:
+            raise ValueError(
+                f"flip shape {np.shape(flip)} does not match code shape "
+                f"{view.shape} for parameter {name!r}"
+            )
+        view[...] = flip
+    return flat
+
+
+def apply_flips_per_tensor(qmodel: Any, flips: Mapping[str, np.ndarray]) -> int:
+    """Apply per-name flips to either storage; returns how many codes moved."""
+    if isinstance(qmodel, PerTensorQuantizedModel):
+        return qmodel.apply_flips(flips)
+    return qmodel.apply_flips(arena_flips(qmodel, flips))
 
 
 def calibrate_per_tensor(
     calibrator: BitFlipCalibrator,
-    qmodel: QuantizedModel,
+    qmodel: Any,
     data: Dataset,
     epoch_callback=None,
 ) -> BitFlipCalibrationStats:
@@ -215,11 +385,12 @@ def calibrate_per_tensor(
     ``calibrator.calibrate`` with no forward reused: ``batchnorm_refresh_passes``
     real refresh passes (only BatchNorm in training mode), ``evaluate`` for
     the start accuracy, then per iteration :func:`predict_per_tensor` with its
-    own forward, the production flip selection, snapshot, ``apply_flips``,
-    ``evaluate`` and revert, and the callback with a fresh ``predict``.  Same
-    arguments, stats and callback shape as the production loop, which must
-    equal it bit for bit (``inference_iterations`` aside: this loop never
-    stops inferring).
+    own forward, the seed :func:`select_flips_per_tensor`, snapshot,
+    per-name flips, ``evaluate`` and revert, and the callback with a fresh
+    ``predict``.  Runs on a :class:`~repro.quantization.qmodel.QuantizedModel`
+    or the seed :class:`PerTensorQuantizedModel`.  Same arguments, stats and
+    callback shape as the production loop, which must equal it bit for bit
+    (``inference_iterations`` aside: this loop never stops inferring).
     """
     if len(data) == 0:
         raise ValueError("calibration data must contain at least one example")
@@ -237,12 +408,12 @@ def calibrate_per_tensor(
     pool_accuracy = qmodel.evaluate(data.features, data.labels) if validate else 0.0
     for epoch in range(calibrator.epochs):
         stats.inference_iterations += 1
-        flips, flip_count = calibrator._select_flips(
-            qmodel, predict_per_tensor(calibrator, qmodel, data)
+        flips, flip_count = select_flips_per_tensor(
+            calibrator, qmodel, predict_per_tensor(calibrator, qmodel, data)
         )
         snapshot = qmodel.snapshot_codes() if validate else None
         if flips:
-            qmodel.apply_flips(flips)
+            apply_flips_per_tensor(qmodel, flips)
         accepted = True
         if validate and flips:
             new_accuracy = qmodel.evaluate(data.features, data.labels)
@@ -281,6 +452,7 @@ class PerTensorQuantizedModel:
             name: param.data.copy() for name, param in model.named_parameters()
         }
         self.qtensors: Dict[str, QuantizedTensor] = {}
+        self.derived: Dict[str, Any] = {}
         self.refresh_codes()
         self.sync()
 
@@ -319,7 +491,7 @@ class PerTensorQuantizedModel:
 
     def apply_flips(self, flips: Dict[str, np.ndarray]) -> int:
         """Flip each listed tensor's codes, then collapse; returns codes moved."""
-        moved = sum(self.qtensors[name].apply_flips(flip) for name, flip in flips.items())
+        moved = sum(apply_tensor_flips(self.qtensors[name], flip) for name, flip in flips.items())
         self.collapse_latent()
         return moved
 

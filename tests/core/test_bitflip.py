@@ -12,7 +12,6 @@ from repro.core import (
     BitFlipNetwork,
     BitFlipTrainer,
     extract_parameter_features,
-    extract_parameter_features_fused,
 )
 from repro.core.bitflip import NUM_FEATURES, FeatureNormalizer
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
@@ -23,6 +22,7 @@ from repro.reference import (
     PerTensorQuantizedModel,
     calibrate_per_tensor,
     predict_per_tensor,
+    select_flips_per_tensor,
 )
 
 TINY_TS = SyntheticTimeSeriesConfig(
@@ -106,7 +106,7 @@ class TestBitFlipNetwork:
         feats = rng.normal(size=(17, NUM_FEATURES))
         logits = network.forward(feats)
         assert logits.shape == (17, 3)
-        flips = network.predict_flips(feats)
+        flips, _ = network.predict_flips_with_confidence(feats)
         assert set(np.unique(flips)).issubset({-1, 0, 1})
 
     def test_rejects_wrong_feature_width(self, rng):
@@ -117,8 +117,8 @@ class TestBitFlipNetwork:
     def test_confidence_threshold_suppresses_flips(self, rng):
         network = BitFlipNetwork(rng=rng)
         feats = rng.normal(size=(50, NUM_FEATURES))
-        flips_all = network.predict_flips(feats, confidence_threshold=0.0)
-        flips_strict = network.predict_flips(feats, confidence_threshold=0.99)
+        flips_all, _ = network.predict_flips_with_confidence(feats, confidence_threshold=0.0)
+        flips_strict, _ = network.predict_flips_with_confidence(feats, confidence_threshold=0.99)
         assert np.sum(flips_strict != 0) <= np.sum(flips_all != 0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -372,19 +372,22 @@ class TestFeatureNormalizer:
 
 class TestFusedFeatureExtraction:
     def test_fused_matrix_matches_per_tensor_blocks(self, trained_setup):
+        """The one normalised matrix the calibrator infers from equals the
+        seed's per-tensor blocks, concatenated."""
         model, train, _ = trained_setup
         qmodel = quantize_model(model, bits=4)
         normalizer = FeatureNormalizer()
-        per_tensor = extract_parameter_features(
+        extract_parameter_features(
             qmodel, train.features[:8], normalizer=normalizer, fit_normalizer=True
         )
-        fused = extract_parameter_features_fused(
-            qmodel, train.features[:8], normalizer=normalizer
-        )
-        assert set(fused.names) == set(per_tensor)
-        assert fused.matrix.shape == (qmodel.num_parameters(), NUM_FEATURES)
-        for name, block in fused.blocks(fused.matrix):
-            np.testing.assert_array_equal(block, per_tensor[name])
+        parts = bitflip._collect_raw_parts(qmodel, train.features[:8])
+        fused = bitflip._normalized_feature_blocks(parts, normalizer, False)
+        blocks = reference.normalize_blocks(reference.raw_feature_blocks(qmodel), normalizer)
+        assert parts.plan.names == [name for name, _ in blocks]
+        assert fused.shape == (qmodel.num_parameters(), NUM_FEATURES)
+        for (name, block), (seed_name, seed_block) in zip(parts.plan.blocks(fused), blocks):
+            assert name == seed_name
+            np.testing.assert_array_equal(block, seed_block)
 
     def test_fused_and_per_tensor_calibrators_propose_identical_flips(
         self, trained_setup, rng
@@ -406,16 +409,16 @@ class TestFusedFeatureExtraction:
         )
         pool = target.train.subset(np.arange(16))
         _, start = calibrator.begin_calibration(qmodel, pool)
-        flips_fused, count_fused = calibrator._select_flips(
-            qmodel, calibrator._predict_per_name(start)
+        flips_fused, count_fused = calibrator._select_flips(*calibrator._predict(start))
+        flips_legacy, count_legacy = select_flips_per_tensor(
+            calibrator, legacy, predict_per_tensor(calibrator, legacy, pool)
         )
-        flips_legacy, count_legacy = calibrator._select_flips(
-            legacy, predict_per_tensor(calibrator, legacy, pool)
-        )
-        assert count_fused == count_legacy
-        assert set(flips_fused) == set(flips_legacy)
-        for name in flips_fused:
-            np.testing.assert_array_equal(flips_fused[name], flips_legacy[name])
+        assert count_fused > 0 and count_fused == count_legacy
+        blocks = dict(start.parts.plan.blocks(flips_fused))
+        assert set(flips_legacy) == {name for name, block in blocks.items() if block.any()}
+        for name, block in blocks.items():
+            expected = flips_legacy.get(name, np.zeros(legacy.qtensors[name].codes.shape))
+            np.testing.assert_array_equal(block, expected.reshape(-1))
 
     def test_full_calibration_identical_between_paths(self, trained_setup, rng):
         model, train, target = trained_setup

@@ -157,26 +157,25 @@ class TestFleetCalibrator:
         assert result.total_flips > 0
 
     def test_stacked_feature_construction_bit_identical(self, packaged):
-        """Stacked raw feature construction equals the per-device extractor."""
-        from repro.core.bitflip import (
-            extract_parameter_features_raw,
-            extract_parameter_features_raw_stacked,
-        )
+        """Stacked raw feature construction equals the per-device builder."""
+        from repro.core.bitflip import _collect_raw_parts, _fused_from_parts, _stack_raw_parts
 
         data, _, deployment = packaged
         fleet = Fleet.replicate(deployment, 3, seed=0)
         pools = _pools(data, fleet.ids)
-        qmodels = [fleet.get(i).qmodel for i in fleet.ids]
-        batches = [pools[i].features for i in fleet.ids]
-        stacked = extract_parameter_features_raw_stacked(qmodels, batches)
-        for qmodel, batch, fused in zip(qmodels, batches, stacked):
-            reference = extract_parameter_features_raw(qmodel, batch)
-            assert fused.names == reference.names
-            np.testing.assert_array_equal(fused.offsets, reference.offsets)
-            np.testing.assert_array_equal(fused.matrix, reference.matrix)
+        all_parts = [
+            _collect_raw_parts(fleet.get(i).qmodel, pools[i].features) for i in fleet.ids
+        ]
+        stacked = _stack_raw_parts(all_parts)
+        assert len(stacked) == 3
+        for parts, features in zip(all_parts, stacked):
+            reference = _fused_from_parts(parts)
+            assert features.flags.c_contiguous
+            assert features.dtype == reference.dtype
+            assert features.tobytes() == reference.tobytes()
 
     def test_stacked_extraction_rejects_heterogeneous_models(self, packaged):
-        from repro.core.bitflip import extract_parameter_features_raw_stacked
+        from repro.core.bitflip import _collect_raw_parts, _stack_raw_parts
         from repro.models import build_model
         from repro.quantization import quantize_model
 
@@ -185,10 +184,12 @@ class TestFleetCalibrator:
             build_model("MLP", (6,), 3, rng=np.random.default_rng(0)), bits=4
         )
         with pytest.raises(ValueError):
-            extract_parameter_features_raw_stacked(
-                [deployment.qmodel, other],
-                [data[data.domain_names[1]].train.features[:4], np.zeros((4, 6))],
-            )
+            _stack_raw_parts([
+                _collect_raw_parts(
+                    deployment.qmodel, data[data.domain_names[1]].train.features[:4]
+                ),
+                _collect_raw_parts(other, np.zeros((4, 6))),
+            ])
 
     def test_stats_match_serial_calibrator(self, packaged):
         data, _, deployment = packaged

@@ -17,7 +17,7 @@ from repro.quantization import (
     UniformQuantizer,
     quantize_model,
 )
-from repro.reference import PerTensorQuantizedModel
+from repro.reference import PerTensorQuantizedModel, arena_flips
 
 
 def _make_model(rng, in_features=5, classes=3):
@@ -152,7 +152,7 @@ class TestArenaMode:
             for name, qt in plain_q.qtensors.items()
         }
         snap_a, snap_p = arena_q.snapshot_codes(), plain_q.snapshot_codes()
-        arena_q.apply_flips({k: v.copy() for k, v in flips.items()})
+        arena_q.apply_flips(arena_flips(arena_q, flips))
         plain_q.apply_flips({k: v.copy() for k, v in flips.items()})
         assert arena_q.codes_digest() == plain_q.codes_digest()
         np.testing.assert_array_equal(arena_q.forward(x), plain_q.forward(x))
@@ -269,9 +269,7 @@ class TestArenaMode:
         assert clone.arena is not None
         assert clone.arena is not qmodel.arena
         assert clone.codes_digest() == qmodel.codes_digest()
-        clone.apply_flips(
-            {name: np.ones_like(qt.codes) for name, qt in clone.qtensors.items()}
-        )
+        clone.apply_flips(np.ones_like(clone.arena.codes))
         # The original must be untouched by the clone's mutation.
         assert clone.codes_digest() != qmodel.codes_digest()
 

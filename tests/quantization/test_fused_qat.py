@@ -22,7 +22,11 @@ import pytest
 from repro import runtime
 from repro.models import MODEL_REGISTRY, build_model
 from repro.quantization import QuantizationConfig, calibrate_with_backprop, quantize_model
-from repro.reference import PerTensorQuantizedModel, calibrate_with_backprop_per_tensor
+from repro.reference import (
+    PerTensorQuantizedModel,
+    apply_flips_per_tensor,
+    calibrate_with_backprop_per_tensor,
+)
 
 #: Small input shapes per registry kind so every backbone stays test-sized.
 MODEL_SHAPES = {
@@ -119,7 +123,7 @@ def test_fused_interleaves_with_edge_flips():
         calibrate(
             qmodel, features, labels, epochs=2, lr=0.05, rng=np.random.default_rng(4)
         )
-        qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
+        apply_flips_per_tensor(qmodel, {k: v.copy() for k, v in flips.items()})
         calibrate(
             qmodel, features, labels, epochs=1, lr=0.05, rng=np.random.default_rng(6)
         )
@@ -170,11 +174,11 @@ def test_storage_equals_seed_at_float32(name):
         }
         snapshots = [fused_q.snapshot_codes(), serial_q.snapshot_codes()]
         for qmodel in (fused_q, serial_q):
-            qmodel.apply_flips({key: flip.copy() for key, flip in flips.items()})
+            apply_flips_per_tensor(qmodel, {key: flip.copy() for key, flip in flips.items()})
         _assert_same_storage(fused_q, serial_q, "after flips")
 
         for qmodel in (fused_q, serial_q):
-            qmodel.apply_flips({key: -flip for key, flip in flips.items()})
+            apply_flips_per_tensor(qmodel, {key: -flip for key, flip in flips.items()})
         for qmodel, snapshot in zip((fused_q, serial_q), snapshots):
             qmodel.restore_codes(snapshot)
         _assert_same_storage(fused_q, serial_q, "after rollback")

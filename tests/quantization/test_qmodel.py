@@ -15,7 +15,12 @@ from repro.quantization import (
     quantize_model,
 )
 from repro.quantization.qmodel import temporarily_quantized
-from repro.reference import PerTensorQuantizedModel, calibrate_with_backprop_per_tensor
+from repro.reference import (
+    PerTensorQuantizedModel,
+    apply_flips_per_tensor,
+    arena_flips,
+    calibrate_with_backprop_per_tensor,
+)
 
 
 def _make_trained_model(x, y, rng):
@@ -48,27 +53,28 @@ class TestQuantizedModel:
         model = _make_trained_model(x, y, rng)
         qmodel = quantize_model(model, bits=8)
         before = qmodel.predict(x)
-        flips = {
-            name: rng.integers(-1, 2, size=qt.codes.shape)
-            for name, qt in qmodel.qtensors.items()
-        }
-        qmodel.apply_flips(flips)
+        qmodel.apply_flips(rng.integers(-1, 2, size=qmodel.arena.codes.shape))
         after = qmodel.predict(x)
         # Single-step bit flips perturb an 8-bit model only mildly.
         assert np.mean(before == after) > 0.5
 
-    def test_apply_flips_unknown_name_rejected(self, small_classification_data, rng):
+    def test_apply_flips_rejects_misshapen_vector(self, small_classification_data, rng):
+        """Flips are one arena-ordered vector: a per-name dict, a vector of
+        another length or another shape raises ValueError."""
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
-        with pytest.raises(KeyError):
-            qmodel.apply_flips({"nope": np.zeros(3)})
+        size = qmodel.arena.size
+        for bad in ({"nope": np.zeros(3)}, np.zeros(size - 1), np.zeros((1, size))):
+            with pytest.raises(ValueError, match="does not match"):
+                qmodel.apply_flips(bad)
 
     @pytest.mark.parametrize("after_qat", [False, True])
     def test_apply_flips_bad_entry_leaves_model_untouched(
         self, small_classification_data, rng, after_qat
     ):
-        """A failed flip call must not partially apply earlier dict entries.
+        """A failed flip call must not apply the valid entries before the bad one.
 
+        Codes, weights and latent weights are all unchanged after the error.
         ``after_qat`` starts from a QAT step: its codes are not yet
         materialized and its latent weights not collapsed.
         """
@@ -76,22 +82,34 @@ class TestQuantizedModel:
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
         if after_qat:
             _qat_step(qmodel)
-        valid_name, *_, last_name = qmodel.latent
         digest_before = qmodel.clone().codes_digest()
-        weights_before = {
-            name: param.data.copy() for name, param in qmodel.model.named_parameters()
-        }
-        good = np.ones(qmodel.latent[valid_name].shape, dtype=np.int64)
-        for bad in (
-            {valid_name: good, "nope": np.zeros(3)},                        # unknown name
-            {valid_name: good, last_name: np.zeros((1, 1))},                # bad shape
-            {valid_name: good, last_name: np.full(qmodel.latent[last_name].shape, 2)},  # bad values
-        ):
-            with pytest.raises((KeyError, ValueError)):
+        weights_before = qmodel.arena.weights.copy()
+        latent_before = qmodel.arena.latent.copy()
+        size = qmodel.arena.size
+        bad_value = np.ones(size, dtype=np.int64)
+        bad_value[-1] = 2
+        for bad in (np.ones(size + 1, dtype=np.int64), np.ones((size, 1), dtype=np.int64), bad_value):
+            with pytest.raises(ValueError):
                 qmodel.apply_flips(bad)
             assert qmodel.codes_digest() == digest_before
-            for name, param in qmodel.model.named_parameters():
-                np.testing.assert_array_equal(param.data, weights_before[name])
+            assert qmodel.arena.weights.tobytes() == weights_before.tobytes()
+            assert qmodel.arena.latent.tobytes() == latent_before.tobytes()
+
+    def test_apply_flips_counts_clipped_codes_as_unmoved(self, small_classification_data, rng):
+        """A flip clipped at the code range moves nothing and is not counted."""
+        x, y = small_classification_data
+        qmodel = quantize_model(_make_trained_model(x, y, rng), bits=2)
+        cfg = qmodel.config
+        codes = qmodel.arena.codes
+        flips = np.zeros_like(codes)
+        at_max, at_min, inside = codes == cfg.qmax, codes == cfg.qmin, (codes > cfg.qmin) & (codes < cfg.qmax)
+        assert at_max.any() and at_min.any() and inside.any()
+        flips[at_max], flips[at_min], flips[inside] = 1, -1, 1
+        before = codes.copy()
+        moved = qmodel.apply_flips(flips)
+        assert moved == int(np.count_nonzero(inside))
+        np.testing.assert_array_equal(codes, np.clip(before + flips, cfg.qmin, cfg.qmax))
+        assert qmodel.apply_flips(np.where(at_max | at_min, flips, 0)) == 0
 
     @pytest.mark.parametrize("after_qat", [False, True])
     def test_update_latent_unknown_name_leaves_model_untouched(
@@ -120,8 +138,7 @@ class TestQuantizedModel:
         x, y = small_classification_data
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
         clone = qmodel.clone()
-        flips = {name: np.ones_like(qt.codes) for name, qt in clone.qtensors.items()}
-        clone.apply_flips(flips)
+        clone.apply_flips(np.ones_like(clone.arena.codes))
         for name in qmodel.qtensors:
             assert not np.array_equal(clone.qtensors[name].codes, qmodel.qtensors[name].codes) or np.all(
                 qmodel.qtensors[name].codes == qmodel.qtensors[name].config.qmax
@@ -170,7 +187,7 @@ class TestIncrementalSync:
             name: param.data.copy() for name, param in qmodel.model.named_parameters()
         }
         codes_before = qmodel.snapshot_codes()
-        qmodel.apply_flips(flips)
+        qmodel.apply_flips(arena_flips(qmodel, flips))
         for name, param in qmodel.model.named_parameters():
             if name == flipped_name:
                 continue
@@ -186,7 +203,7 @@ class TestIncrementalSync:
         incremental = QuantizedModel(model, QuantizationConfig(bits=4))
         full = PerTensorQuantizedModel(pristine, QuantizationConfig(bits=4))
         flips = self._flips_for_one_tensor(incremental, np.random.default_rng(3))
-        incremental.apply_flips({k: v.copy() for k, v in flips.items()})
+        apply_flips_per_tensor(incremental, {k: v.copy() for k, v in flips.items()})
         full.apply_flips({k: v.copy() for k, v in flips.items()})
         state_a = incremental.model.state_dict()
         state_b = full.model.state_dict()
@@ -208,7 +225,7 @@ class TestIncrementalSync:
         qmodel = quantize_model(_make_trained_model(x, y, rng), bits=4)
         reference = qmodel.forward(x)
         snapshot = qmodel.snapshot_codes()
-        qmodel.apply_flips(self._flips_for_one_tensor(qmodel, rng))
+        apply_flips_per_tensor(qmodel, self._flips_for_one_tensor(qmodel, rng))
         qmodel.restore_codes(snapshot)
         np.testing.assert_array_equal(qmodel.forward(x), reference)
 
@@ -226,7 +243,7 @@ class TestIncrementalSync:
             (incremental, calibrate_with_backprop),
             (full, calibrate_with_backprop_per_tensor),
         ):
-            qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
+            apply_flips_per_tensor(qmodel, {k: v.copy() for k, v in flips.items()})
             calibrate(qmodel, x, y, epochs=2, lr=0.05, rng=np.random.default_rng(11))
         for name in incremental.qtensors:
             np.testing.assert_array_equal(
@@ -280,7 +297,7 @@ class TestIncrementalSync:
             for name, values in incremental.latent.items()
         }
         for qmodel in (incremental, full):
-            qmodel.apply_flips({k: v.copy() for k, v in flips.items()})
+            apply_flips_per_tensor(qmodel, {k: v.copy() for k, v in flips.items()})
             qmodel.update_latent({k: v.copy() for k, v in deltas.items()})
         weights = full.model.state_dict()
         for key, param in incremental.model.named_parameters():
