@@ -5,11 +5,10 @@ network), replicates it into a small heterogeneous fleet (4-bit and 2-bit
 devices), then drives the whole fleet through a target-domain stream with
 :class:`repro.fleet.FleetCalibrator` — each calibration round runs one batched
 BF forward per bit-width instead of one per device.  A serially-calibrated
-twin fleet verifies the batched decisions are identical, and the sharded
-runner shows the same stream going through the persistent worker pool.
+twin fleet verifies the batched decisions are identical; the script exits
+non-zero if they are not.
 
     PYTHONPATH=src python examples/fleet_calibration_demo.py
-    REPRO_EVAL_WORKERS=4 PYTHONPATH=src python examples/fleet_calibration_demo.py
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.eval import ResultsTable
-from repro.fleet import Fleet, FleetCalibrator, run_fleet_stream
+from repro.fleet import Fleet, FleetCalibrator
 from repro.models import build_model
 
 TS = SyntheticTimeSeriesConfig(
@@ -87,7 +86,7 @@ def main() -> None:
     print()
     print(table.render())
 
-    # The batched decisions match calibrating each device one by one ...
+    # The batched decisions match calibrating each device one by one.
     serial_calibrator = FleetCalibrator()
     for step in range(3):
         batches = device_batches(data, twin, step)
@@ -95,16 +94,8 @@ def main() -> None:
             serial_calibrator.process_batches(twin.subset([device_id]), batches)
     identical = fleet.codes_digests() == twin.codes_digests()
     print(f"\nbatched fleet == per-device loop (codes bit-identical): {identical}")
-
-    # ... and the same stream can be sharded over the persistent worker pool
-    # (REPRO_EVAL_WORKERS controls the worker count; 1 runs in-process).
-    sharded_fleet = build_fleet()[1]
-    stream = [device_batches(data, sharded_fleet, step) for step in range(3)]
-    reports = run_fleet_stream(sharded_fleet, stream)
-    total_flips = sum(
-        diag["flips_applied"] for step in reports for diag in step.values()
-    )
-    print(f"sharded runner processed {len(reports)} steps, {int(total_flips)} flips")
+    if not identical:
+        raise SystemExit("batched fleet codes differ from the per-device loop")
 
 
 if __name__ == "__main__":

@@ -1075,7 +1075,7 @@ class BitFlipCalibrator:
         else:
             stats.inference_iterations += 1
             flips, flips_recorded = self._select_flips(*proposals)
-            snapshot = qmodel.snapshot_codes() if self.validate else None
+            snapshot = qmodel.snapshot_codes() if self.validate and flips_recorded else None
             moved = qmodel.apply_flips(pool.parts.plan.to_arena(flips)) if flips_recorded else 0
             reverted = False
             # The validation forward is the new state's pool forward.  When no

@@ -234,18 +234,6 @@ class EdgeDeployment:
             dup.updater.rng = rng
         return dup
 
-    def adopt_shared_package(self, original: "EdgeDeployment") -> None:
-        """Re-point the read-only package at another deployment's objects.
-
-        After a deployment crosses a process boundary (pickled to a worker and
-        back) its BF network and normalizer are bitwise-equal *copies* of the
-        fleet-shared originals; re-attaching the originals restores the
-        object-identity sharing that fleet-wide batched inference groups by.
-        """
-        self.bitflip = original.bitflip
-        self.calibrator.network = original.bitflip
-        self.calibrator.normalizer = original.calibrator.normalizer
-
 
 class QCoreFramework:
     """High-level API covering the full QCore life cycle.

@@ -693,34 +693,17 @@ class ParallelEvaluator:
                         f"scenario targets {missing}; dataset has {sorted(names)}"
                     )
 
-    def make_pool(
-        self, dataset: MultiDomainDataset, model: Module
-    ) -> WorkerPool:
-        """A persistent :class:`WorkerPool` preloaded with this sweep's state.
-
-        The dataset and model are pickled into the workers once; every
-        subsequent :meth:`run` call that passes this pool ships only its
-        specs.  Close the pool (or use it as a context manager) when the
-        sweeps are done.
-        """
-        return WorkerPool(
-            payload=(dataset, model), workers=self.workers, mp_context=self.mp_context
-        )
-
     def run(
         self,
         specs: Sequence[RunSpec],
         dataset: MultiDomainDataset,
         model: Module,
-        pool: Optional[WorkerPool] = None,
     ) -> List[MethodRunResult]:
         """Execute every spec and return results in spec order.
 
         Output order — and every value in it — is independent of the worker
-        count; only wall-clock time changes.  ``pool`` routes the specs
-        through an existing :meth:`make_pool` pool (its payload must have been
-        built from the same dataset and model); by default an ephemeral pool
-        is created and torn down around the call.
+        count; only wall-clock time changes.  An ephemeral pool is created
+        and torn down around the call.
 
         A failing run raises :class:`WorkerError` carrying the offending
         :class:`RunSpec` and the worker's full traceback.
@@ -731,21 +714,6 @@ class ParallelEvaluator:
             return []
         items = [(spec, self.num_batches) for spec in specs]
         describe = lambda item: f"spec {item[0].describe()!r}"
-        if pool is not None:
-            payload = pool._payload
-            if not (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] is dataset
-                and payload[1] is model
-            ):
-                raise ValueError(
-                    "pool was not built from this run's dataset and model "
-                    "(runs execute against the pool's payload, so a mismatch "
-                    "would silently produce results for the wrong sweep) — "
-                    "create it via make_pool(dataset, model)"
-                )
-            return pool.map(_run_spec_item, items, describe=describe)
         # An ephemeral pool never needs more workers than it has specs.
         ephemeral = WorkerPool(
             payload=(dataset, model),
@@ -754,33 +722,6 @@ class ParallelEvaluator:
         )
         with ephemeral:
             return ephemeral.map(_run_spec_item, items, describe=describe)
-
-    def run_all(
-        self,
-        spec_queues: Sequence[Sequence[RunSpec]],
-        dataset: MultiDomainDataset,
-        model: Module,
-    ) -> List[List[MethodRunResult]]:
-        """Run several spec queues through one persistent worker pool.
-
-        The workers stay alive across the queues, so the dataset and model are
-        pickled once per pool lifetime instead of once per queue — the
-        amortisation that matters when a sweep is issued as many small batches
-        (per-table, per-bit-width, or per fleet shard).
-        """
-        with self.make_pool(dataset, model) as pool:
-            return [self.run(queue, dataset, model, pool=pool) for queue in spec_queues]
-
-    def run_to_table(
-        self,
-        specs: Sequence[RunSpec],
-        dataset: MultiDomainDataset,
-        model: Module,
-        title: str = "",
-        metric: str = "average_accuracy",
-    ) -> ResultsTable:
-        """Convenience: :meth:`run` then :func:`results_to_table`."""
-        return results_to_table(self.run(specs, dataset, model), title=title, metric=metric)
 
 
 def merge_results(

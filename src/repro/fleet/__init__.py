@@ -16,14 +16,13 @@ for.  This package exploits it:
   runs **one** :class:`~repro.core.bitflip.BitFlipNetwork` forward per
   distinct network, then scatters the flip decisions back through each
   device's incremental quantized-state sync; stalled devices only replay.
-  Bit-identical at float64 to calibrating each device serially.
-* :func:`run_fleet_stream` — shards a fleet across the persistent
-  :class:`~repro.eval.parallel.WorkerPool`, each worker batch-calibrating its
-  shard through the whole stream (devices pickled once per pool lifetime).
+  Bit-identical at float64 to calibrating each device serially.  A fleet
+  stream is :meth:`FleetCalibrator.process_batches` in a loop.
 * :class:`FleetService` (+ :class:`DeviceStateStore`, :class:`RetryPolicy`,
   :class:`FaultPlan`) — the durable service tier: crash-safe rounds with
   per-device resume, retry/backoff/timeout, quarantine, and deterministic
-  fault injection.  Several submitter processes may each open the same
+  fault injection.  ``FleetService(workers>1)`` is the fleet's one
+  multi-process path.  Several submitter processes may each open the same
   store file; SQLite WAL serialises their writes.  See
   :mod:`repro.fleet.service`.
 
@@ -33,12 +32,6 @@ leases, chaos harness) layers *above* this package — import it from
 """
 
 from repro.fleet.registry import Fleet
-from repro.fleet.assignment import (
-    assign_scenarios,
-    assignment_digests,
-    build_device_scenarios,
-    fleet_scenario_stream,
-)
 from repro.fleet.calibrator import (
     FleetBatchReport,
     FleetCalibrationResult,
@@ -52,7 +45,6 @@ from repro.fleet.service import (
     RoundStatus,
     dataset_digest,
 )
-from repro.fleet.sharded import run_fleet_stream
 from repro.fleet.store import (
     DeviceRoundRecord,
     DeviceStateStore,
@@ -77,10 +69,5 @@ __all__ = [
     "RoundStatus",
     "StoreError",
     "TransientFault",
-    "assign_scenarios",
-    "assignment_digests",
-    "build_device_scenarios",
     "dataset_digest",
-    "fleet_scenario_stream",
-    "run_fleet_stream",
 ]

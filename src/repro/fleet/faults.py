@@ -4,10 +4,11 @@ Robustness claims are only as good as the failures they were tested against,
 and real failures are rare and irreproducible.  This harness makes them
 neither: a :class:`FaultPlan` is a *seeded, deterministic* schedule of
 injected faults — the same plan injects the same faults at the same points on
-every run — so every recovery path in :mod:`repro.fleet.service` is exercised
-by ordinary unit tests and the crash-recovery CI smoke.
+every run — so every recovery path in :mod:`repro.fleet.service` and the
+gateway is exercised by ordinary unit tests and the crash-recovery CI smoke.
+One vocabulary, :data:`FAULT_KINDS`, names every fault.
 
-Fault classes (mirroring the service's failure model):
+Execution fault classes (mirroring the service's failure model):
 
 ``transient``
     The device work function raises :class:`TransientFault` — the shape of a
@@ -27,10 +28,11 @@ Fault classes (mirroring the service's failure model):
     or briefly unavailable database file.  Recovery: the store's own bounded
     write retry (:meth:`repro.fleet.store.DeviceStateStore._execute`).
 
-Gateway-level fault classes (consumed via :meth:`FaultPlan.gateway_event` by
-the ingestion layer in :mod:`repro.fleet.gateway` — these describe *delivery*
-failures, not execution failures, so the plan only reports whether they
-fire; the gateway and chaos harness implement the behaviour):
+Delivery fault classes.  These describe failures of the transport or the
+scheduler, not of execution, so the plan does not act on them: the gateway
+(:mod:`repro.fleet.gateway`) and its chaos harness ask
+:meth:`FaultPlan.should_fire` whether one fires and implement the
+consequence (drop, re-deliver, swap, force-expire) themselves:
 
 ``stall``
     A device goes quiet: its report is never delivered and its heartbeats
@@ -70,7 +72,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "GATEWAY_FAULT_KINDS",
     "InjectedCrash",
     "TransientFault",
 ]
@@ -80,15 +81,6 @@ FAULT_KINDS = (
     "crash",
     "slow",
     "store_write",
-    "stall",
-    "duplicate",
-    "reorder",
-    "flood",
-    "lease_expiry",
-)
-
-#: The delivery-level kinds consumed through :meth:`FaultPlan.gateway_event`.
-GATEWAY_FAULT_KINDS = (
     "stall",
     "duplicate",
     "reorder",
@@ -186,7 +178,11 @@ class FaultPlan:
 
     def should_fire(self, kind: str, site: str) -> Optional[FaultSpec]:
         """Consume one potential injection at ``site``; returns the spec that
-        fires, or ``None``.  Call sites use the convenience wrappers below."""
+        fires, or ``None``.  ``ValueError`` for a kind outside
+        :data:`FAULT_KINDS`, so a typo'd call site fails instead of never
+        firing."""
+        if kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}")
         occurrence = self._site_counts.get(site, 0)
         self._site_counts[site] = occurrence + 1
         for index, spec in enumerate(self.specs):
@@ -230,17 +226,3 @@ class FaultPlan:
         spec = self.should_fire("store_write", sql.split(None, 1)[0].lower())
         if spec is not None:
             raise sqlite3.OperationalError("injected store-write failure")
-
-    def gateway_event(self, kind: str, site: str) -> Optional[FaultSpec]:
-        """Injection point for delivery-level gateway faults.
-
-        Unlike :meth:`on_device_work`, the plan does not *act* here — a
-        delivery fault is behaviour of the transport or scheduler, so the
-        gateway / chaos harness asks whether the fault fires and implements
-        the consequence (drop, re-deliver, swap, force-expire) itself.
-        """
-        if kind not in GATEWAY_FAULT_KINDS:
-            raise ValueError(
-                f"unknown gateway fault kind {kind!r}; expected one of {GATEWAY_FAULT_KINDS}"
-            )
-        return self.should_fire(kind, site)

@@ -107,7 +107,7 @@ def perturb_schedule(
     for device_id, items in by_device.items():
         for position, item in enumerate(items[:-1]):
             site = f"deliver:{device_id}:s{item.report.seq}"
-            if plan.gateway_event("reorder", site) is not None:
+            if plan.should_fire("reorder", site) is not None:
                 successor = items[position + 1]
                 arrival[id(item)], arrival[id(successor)] = (
                     arrival[id(successor)],
@@ -122,14 +122,14 @@ def perturb_schedule(
         if device_id in stalled and at >= stalled[device_id]:
             continue
         site = f"deliver:{device_id}:s{item.report.seq}"
-        if plan.gateway_event("stall", site) is not None:
+        if plan.should_fire("stall", site) is not None:
             # The device dies before this report leaves it: nothing from
             # here on arrives, heartbeats included.
             stalled[device_id] = min(at, stalled.get(device_id, at))
             continue
         out.append(ScheduledReport(at=at, report=item.report))
         for kind in ("duplicate", "flood"):
-            spec = plan.gateway_event(kind, site)
+            spec = plan.should_fire(kind, site)
             if spec is not None:
                 for copy_index in range(spec.copies):
                     out.append(
@@ -177,10 +177,11 @@ def _drive(
 
     def heartbeat_healthy() -> None:
         now = clock()
+        quarantined = gateway.service.store.quarantined_devices()
         for device_id in gateway.fleet.ids:
             if device_id in stalled and now >= stalled[device_id]:
                 continue
-            if device_id in gateway.quarantined:
+            if device_id in quarantined:
                 continue
             gateway.heartbeat(device_id)
 

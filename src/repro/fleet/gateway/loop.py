@@ -18,12 +18,15 @@ round.  Two structural rules keep the bit-identity contract intact:
 Liveness is tracked with **heartbeat leases**: every offer or explicit
 :meth:`heartbeat` renews a device's lease for ``lease_s`` seconds.  A device
 whose lease is expired when its work comes up is not dispatched; its report
-is expired back to the parked slot (*requeued*, at most
-``requeue_limit`` times) and, if the lease is still expired next time, the
-device is quarantined through the store's existing states.  The lease is
-re-checked between batch collection and execution, closing the race where a
-device dies after being scheduled (the ``lease_expiry`` fault targets
-exactly that window).
+is expired back to the parked slot (*requeued*, exactly once) and, if the
+lease is still expired next time, the device is quarantined in the store.
+The lease is re-checked between batch collection and execution, closing the
+race where a device dies after being scheduled (the ``lease_expiry`` fault
+targets exactly that window).
+
+The store is the only quarantine record: :meth:`FleetGateway.offer` asks it,
+so ``store.release_device`` re-admits a device.  A quarantine, by lease or by
+the service's retry policy, drops the device's buffered reports.
 
 The clock is injectable (``clock=ManualClock()``) so every lease behaviour is
 deterministic in tests; the default is ``time.monotonic``.
@@ -91,15 +94,11 @@ class GatewayConfig:
         Hard bound of the ingress queue.  Mirrors ``REPRO_FLEET_QUEUE_MAX``.
     max_batch:
         Most devices dispatched into one service round per tick.
-    requeue_limit:
-        How many times one report may be expired back to the queue before
-        its device is quarantined (the "requeues exactly once" contract).
     """
 
     lease_s: float = 30.0
     queue_max: int = 64
     max_batch: int = 32
-    requeue_limit: int = 1
 
     def __post_init__(self) -> None:
         """Validate every knob eagerly (env values already validated too)."""
@@ -109,8 +108,6 @@ class GatewayConfig:
             raise ValueError(f"queue_max must be >= 1, got {self.queue_max}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.requeue_limit < 0:
-            raise ValueError(f"requeue_limit must be >= 0, got {self.requeue_limit}")
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "GatewayConfig":
@@ -230,7 +227,6 @@ class FleetGateway:
         self._parked: Dict[str, _Entry] = {}
         self._leases: Dict[str, float] = {}
         self._last_dispatched: Dict[str, int] = {}
-        self._quarantined = set(self.service.store.quarantined_devices())
         self._snapshots: Dict[str, Any] = {}
         self._round_index = 0
 
@@ -251,11 +247,6 @@ class FleetGateway:
         """Current lease expiry for a device; None if it never reported."""
         return self._leases.get(device_id)
 
-    @property
-    def quarantined(self) -> frozenset:
-        """Devices this gateway currently refuses reports from."""
-        return frozenset(self._quarantined)
-
     def _now(self, now: Optional[float]) -> float:
         return self.clock() if now is None else float(now)
 
@@ -274,7 +265,7 @@ class FleetGateway:
         if report.device_id not in self.fleet.ids:
             self.stats.rejected += 1
             return Rejected(reason=f"unknown device {report.device_id!r}")
-        if report.device_id in self._quarantined:
+        if report.device_id in self.service.store.quarantined_devices():
             self.stats.rejected += 1
             return Rejected(
                 reason=f"device {report.device_id!r} is quarantined; release it first"
@@ -380,20 +371,17 @@ class FleetGateway:
                 self._queue.remove(entry)
 
     def _expire(self, entry: _Entry, log: RoundLog) -> None:
-        """Lease-expired report: requeue up to ``requeue_limit``, then quarantine."""
+        """Lease-expired report: requeue it once, then quarantine its device."""
         device_id = entry.report.device_id
-        if entry.requeues < self.config.requeue_limit:
+        if entry.requeues == 0:
             self._remove_entry(entry)
             entry.requeues += 1
             self._parked[device_id] = entry
             self.stats.requeued += 1
             log.requeued.append(device_id)
             return
-        # The device stayed quiet through its requeue budget: quarantine it
-        # through the store (the same states the service tier uses), and
-        # drop every report it still has buffered.
-        for stale in self._entries_for(device_id):
-            self._remove_entry(stale)
+        # The device stayed quiet through its one requeue: quarantine it in
+        # the store (the same states the service tier uses).
         message = (
             f"lease expired {entry.requeues + 1}x waiting on report "
             f"seq {entry.report.seq} (lease_s={self.config.lease_s})"
@@ -402,7 +390,17 @@ class FleetGateway:
         # dispatch ever created its store row, and quarantine must persist.
         self.service.store.register_device(device_id)
         self.service.store.quarantine_device(device_id, message)
-        self._quarantined.add(device_id)
+        self._quarantine(device_id, log)
+
+    def _quarantine(self, device_id: str, log: RoundLog) -> None:
+        """Forget a device the store has just quarantined.
+
+        Its buffered reports are dropped (the service refuses quarantined
+        devices) and its cached snapshot goes; ``offer`` rejects it until
+        ``store.release_device`` lifts the quarantine.
+        """
+        for stale in self._entries_for(device_id):
+            self._remove_entry(stale)
         self._snapshots.pop(device_id, None)
         self.stats.quarantined += 1
         log.quarantined.append(device_id)
@@ -416,7 +414,7 @@ class FleetGateway:
             device_id = entry.report.device_id
             if self.fault_plan is not None:
                 site = f"round{self._round_index}:{device_id}"
-                if self.fault_plan.gateway_event("lease_expiry", site) is not None:
+                if self.fault_plan.should_fire("lease_expiry", site) is not None:
                     # Force the race: the device's lease lapses between
                     # collection and execution.
                     self._leases[device_id] = now
@@ -448,10 +446,7 @@ class FleetGateway:
                 # round it joins can skip the capture walk (snapshot reuse).
                 self._snapshots[device_id] = outcome.result_states[device_id]
             elif status == "quarantined":
-                self._quarantined.add(device_id)
-                self._snapshots.pop(device_id, None)
-                self.stats.quarantined += 1
-                log.quarantined.append(device_id)
+                self._quarantine(device_id, log)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

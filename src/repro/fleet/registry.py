@@ -13,11 +13,10 @@ class Fleet:
     """An ordered registry of named :class:`EdgeDeployment` devices.
 
     Device order is registration order and is part of the fleet's identity:
-    the batched calibrator concatenates feature blocks in this order, and
-    sharding splits it contiguously.  Devices may be heterogeneous — different
-    bit-widths, architectures, even different bit-flip networks; the
-    calibrator groups devices per network so each distinct network still runs
-    a single batched forward.
+    the batched calibrator concatenates feature blocks in this order.
+    Devices may be heterogeneous — different bit-widths, architectures, even
+    different bit-flip networks; the calibrator groups devices per network so
+    each distinct network still runs a single batched forward.
     """
 
     def __init__(self, devices: Optional[Dict[str, EdgeDeployment]] = None):
@@ -38,12 +37,6 @@ class Fleet:
             )
         self._devices[device_id] = deployment
         return deployment
-
-    def replace(self, device_id: str, deployment: EdgeDeployment) -> None:
-        """Swap the deployment behind an existing id (keeps fleet order)."""
-        if device_id not in self._devices:
-            raise KeyError(f"unknown device {device_id!r}")
-        self._devices[device_id] = deployment
 
     @classmethod
     def replicate(
@@ -122,25 +115,6 @@ class Fleet:
         if duplicates:
             raise ValueError(f"duplicate device ids in subset: {duplicates!r}")
         return Fleet({device_id: self._devices[device_id] for device_id in device_ids})
-
-    def shard(self, num_shards: int) -> List["Fleet"]:
-        """Split into at most ``num_shards`` contiguous sub-fleets.
-
-        Devices are shared, not copied, and every device lands in exactly one
-        shard; empty shards are dropped when the fleet is smaller than the
-        requested shard count.  Devices are independent, so processing shards
-        in any order (or in parallel) matches processing the whole fleet.
-        """
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        ids = self.ids
-        bounds = np.linspace(0, len(ids), num=min(num_shards, len(ids)) + 1)
-        bounds = np.unique(np.round(bounds).astype(int))
-        return [
-            self.subset(ids[start:stop])
-            for start, stop in zip(bounds[:-1], bounds[1:])
-            if stop > start
-        ]
 
     # ------------------------------------------------------------ diagnostics
     def codes_digests(self) -> Dict[str, str]:

@@ -528,17 +528,19 @@ class FleetService:
 
             if self.workers > 1:
                 failed = self._run_wave_pooled(round_id, eligible, pools, outcome)
-            elif (
-                len(eligible) >= 2
-                and policy.timeout is None
-                and all(group.attempts == 0 for group in eligible)
-            ):
-                failed = self._run_wave_batched(round_id, eligible, pools, outcome)
             else:
-                failed = []
-                for group in eligible:
-                    if not self._run_group_isolated(round_id, group, pools, outcome):
-                        failed.append(group)
+                # The optimistic first wave batches every group; a retry or a
+                # timed attempt runs one group per wave, so one bad device
+                # cannot fail the healthy groups twice.
+                batched = policy.timeout is None and all(
+                    group.attempts == 0 for group in eligible
+                )
+                waves = [eligible] if batched else [[group] for group in eligible]
+                failed = [
+                    group
+                    for wave in waves
+                    for group in self._run_wave(round_id, wave, pools, outcome)
+                ]
             groups = failed
 
     def _mark_group_running(self, round_id: int, group: _Group) -> None:
@@ -592,67 +594,38 @@ class FleetService:
         """Fault-injection site label: stable, attempt-addressable."""
         return f"round{round_id}:{group.rep_id}:a{group.attempts}"
 
-    def _run_group_isolated(
-        self,
-        round_id: int,
-        group: _Group,
-        pools: Mapping[str, Dataset],
-        outcome: RoundOutcome,
-    ) -> bool:
-        """Run one group in-process; returns True on success."""
-        self._mark_group_running(round_id, group)
-        deployment = self.fleet.get(group.rep_id)
-        started = time.perf_counter()
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.on_device_work(self._site(round_id, group))
-            result = self.calibrator.calibrate(
-                Fleet({group.rep_id: deployment}), {group.rep_id: pools[group.rep_id]}
-            )
-            elapsed = time.perf_counter() - started
-            timeout = self.retry_policy.timeout
-            if timeout is not None and elapsed > timeout:
-                raise TimeoutError(
-                    f"group {group.key} took {elapsed:.3f}s, over the "
-                    f"{timeout}s per-attempt timeout"
-                )
-        except Exception:
-            restore_calibration_state(deployment.qmodel, group.snapshot)
-            self._fail_group(round_id, group, traceback.format_exc())
-            return False
-        self._finish_group(
-            round_id,
-            group,
-            capture_calibration_state(deployment.qmodel),
-            result.stats[group.rep_id],
-            outcome,
-        )
-        return True
-
-    def _run_wave_batched(
+    def _run_wave(
         self,
         round_id: int,
         groups: List[_Group],
         pools: Mapping[str, Dataset],
         outcome: RoundOutcome,
     ) -> List[_Group]:
-        """Optimistic first wave: all groups in ONE batched calibrate call.
+        """Run groups in-process in ONE batched calibrate call; returns the failed.
 
-        This is the hot path — representatives share BF forwards through the
-        batched calibrator exactly like a plain fleet round.  Any failure
-        falls back to isolated per-group execution (after restoring every
-        representative's snapshot), so one bad device cannot poison the wave
-        twice; the healthy groups then succeed on their isolated retry.
+        Representatives share BF forwards through the batched calibrator
+        exactly like a plain fleet round.  An exception, or an attempt over
+        the per-attempt timeout, restores every representative's snapshot and
+        fails every group of the wave.
         """
         for group in groups:
             self._mark_group_running(round_id, group)
         reps = Fleet({group.rep_id: self.fleet.get(group.rep_id) for group in groups})
         rep_pools = {group.rep_id: pools[group.rep_id] for group in groups}
+        started = time.perf_counter()
         try:
             if self.fault_plan is not None:
                 for group in groups:
                     self.fault_plan.on_device_work(self._site(round_id, group))
             result = self.calibrator.calibrate(reps, rep_pools)
+            elapsed = time.perf_counter() - started
+            timeout = self.retry_policy.timeout
+            if timeout is not None and elapsed > timeout:
+                keys = ", ".join(group.key for group in groups)
+                raise TimeoutError(
+                    f"group(s) {keys} took {elapsed:.3f}s, over the "
+                    f"{timeout}s per-attempt timeout"
+                )
         except Exception:
             error = traceback.format_exc()
             for group in groups:

@@ -30,14 +30,6 @@ def he_normal(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.ndarray
     return rng.normal(0.0, std, size=shape).astype(runtime.get_dtype())
 
 
-def xavier_uniform(shape: tuple, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Xavier/Glorot uniform initialisation, suited to tanh/sigmoid layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(runtime.get_dtype())
-
-
 def zeros(shape: tuple) -> np.ndarray:
     """All-zero initialisation (used for biases and BatchNorm shifts)."""
     return runtime.zeros(shape)

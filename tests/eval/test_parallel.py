@@ -443,41 +443,36 @@ class TestWorkerFailureSurfacing:
         assert "exploding_factory" in excinfo.value.worker_traceback
 
 
-class TestPersistentPoolEvaluator:
-    def test_run_all_through_one_pool_matches_independent_runs(self, sweep_setup):
+class TestEvaluatorReuse:
+    """Every ``run`` builds and tears down its own pool, so one evaluator
+    serves any number of calls and a sweep may be split across them."""
+
+    def test_split_sweep_matches_one_run(self, sweep_setup):
         data, model, specs = sweep_setup
         evaluator = ParallelEvaluator(num_batches=2, workers=1)
-        independent = [
-            evaluator.run(specs[:2], data, model),
-            evaluator.run(specs[2:], data, model),
-        ]
-        pooled = evaluator.run_all([specs[:2], specs[2:]], data, model)
-        assert [[_identity(r) for r in batch] for batch in pooled] == [
-            [_identity(r) for r in batch] for batch in independent
-        ]
+        whole = evaluator.run(specs, data, model)
+        split = evaluator.run(specs[:2], data, model) + evaluator.run(
+            specs[2:], data, model
+        )
+        assert [_identity(r) for r in split] == [_identity(r) for r in whole]
 
-    def test_run_all_with_workers_matches_serial(self, sweep_setup):
+    def test_pooled_split_sweep_matches_serial(self, sweep_setup):
         data, model, specs = sweep_setup
         serial = ParallelEvaluator(num_batches=2, workers=1).run(specs, data, model)
-        pooled = ParallelEvaluator(
-            num_batches=2, workers=2, mp_context="fork"
-        ).run_all([specs[:2], specs[2:]], data, model)
-        flattened = [r for batch in pooled for r in batch]
-        assert [_identity(r) for r in flattened] == [_identity(r) for r in serial]
+        evaluator = ParallelEvaluator(num_batches=2, workers=2, mp_context="fork")
+        split = [
+            result
+            for part in (specs[:2], specs[2:])
+            for result in evaluator.run(part, data, model)
+        ]
+        assert [_identity(r) for r in split] == [_identity(r) for r in serial]
 
-    def test_explicit_pool_reuse(self, sweep_setup):
+    def test_pooled_evaluator_runs_again_after_a_failed_run(self, sweep_setup):
         data, model, specs = sweep_setup
-        evaluator = ParallelEvaluator(num_batches=2, workers=1)
-        with evaluator.make_pool(data, model) as pool:
-            first = evaluator.run(specs[:2], data, model, pool=pool)
-            second = evaluator.run(specs[:2], data, model, pool=pool)
-        assert [_identity(r) for r in first] == [_identity(r) for r in second]
-
-    def test_mismatched_pool_payload_rejected(self, sweep_setup):
-        """Runs execute against the pool's payload — passing a pool built from
-        a different dataset/model must raise, not silently use the wrong one."""
-        data, model, specs = sweep_setup
-        evaluator = ParallelEvaluator(num_batches=2, workers=1)
-        with WorkerPool(payload=("not", "this sweep"), workers=1) as pool:
-            with pytest.raises(ValueError, match="make_pool"):
-                evaluator.run(specs[:1], data, model, pool=pool)
+        evaluator = ParallelEvaluator(num_batches=2, workers=2, mp_context="fork")
+        boom = RunSpec("BOOM", exploding_factory, "Subj. 1", "Subj. 3", bits=4)
+        with pytest.raises(WorkerError, match="the factory exploded"):
+            evaluator.run([specs[0], boom], data, model)
+        expected = ParallelEvaluator(num_batches=2, workers=1).run(specs[:1], data, model)
+        again = evaluator.run(specs[:1], data, model)
+        assert [_identity(r) for r in again] == [_identity(r) for r in expected]

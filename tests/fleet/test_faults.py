@@ -82,6 +82,32 @@ class TestFiring:
         assert pattern(seed=12) != first  # different seed → different one
         assert any(first) and not all(first)  # genuinely fractional
 
+    def test_should_fire_rejects_unknown_kind(self):
+        """A typo'd call site fails loudly instead of never firing."""
+        plan = FaultPlan([FaultSpec(kind="stall")])
+        with pytest.raises(ValueError, match="unknown fault kind 'stal'"):
+            plan.should_fire("stal", "deliver:device-0:s0")
+        assert plan.should_fire("stall", "deliver:device-0:s0") is not None
+
+    def test_execution_sites_ignore_delivery_kinds(self):
+        """Delivery kinds share the one vocabulary, but only the gateway acts
+        on them: the execution sites neither fire nor spend them."""
+        delivery = ("stall", "duplicate", "reorder", "flood", "lease_expiry")
+        plan = FaultPlan([FaultSpec(kind=kind, target="device-0") for kind in delivery])
+        plan.on_device_work("round1:device-0:a1")
+        plan.on_store_write("UPDATE devices SET x = 1")
+        assert plan.fires == 0
+        for kind, spec in zip(delivery, plan.specs):
+            assert plan.should_fire(kind, "deliver:device-0:s0") is spec
+        assert plan.fires == len(delivery)
+
+    def test_should_fire_spends_only_the_matching_kind(self):
+        plan = FaultPlan([FaultSpec(kind="duplicate", copies=2), FaultSpec(kind="reorder")])
+        assert plan.should_fire("reorder", "s") is plan.specs[1]
+        assert plan.should_fire("reorder", "s") is None  # its budget is spent
+        assert plan.should_fire("duplicate", "s") is plan.specs[0]
+        assert plan.fires == 2
+
     def test_plan_is_picklable(self):
         """Plans travel to worker processes inside task payloads."""
         plan = FaultPlan([FaultSpec(kind="crash", hard=True, target="a1")], seed=3)

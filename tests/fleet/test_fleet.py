@@ -1,4 +1,4 @@
-"""Tests for the fleet calibration subsystem (registry, batched calibrator, sharding)."""
+"""Tests for the fleet calibration subsystem (registry, batched calibrator)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import pytest
 from repro import reference
 from repro.core.pipeline import EdgeDeployment, QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
-from repro.eval.parallel import WorkerError
-from repro.fleet import Fleet, FleetCalibrator, run_fleet_stream
+from repro.fleet import Fleet, FleetCalibrator
 from repro.models import build_model
 
 TINY_TS = SyntheticTimeSeriesConfig(
@@ -97,19 +96,6 @@ class TestFleetRegistry:
         with pytest.raises(ValueError):
             Fleet.replicate(deployment, 0)
 
-    def test_shard_partitions_in_order(self, packaged):
-        _, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 5, seed=0)
-        shards = fleet.shard(2)
-        assert [i for shard in shards for i in shard.ids] == fleet.ids
-        assert {len(shard) for shard in shards} <= {2, 3}
-        # Shards share device objects with the parent fleet.
-        assert shards[0].get(shards[0].ids[0]) is fleet.get(fleet.ids[0])
-        # More shards than devices: one device per shard, none empty.
-        assert [len(s) for s in fleet.shard(9)] == [1] * 5
-        with pytest.raises(ValueError):
-            fleet.shard(0)
-
     def test_subset_unknown_device(self, packaged):
         _, _, deployment = packaged
         fleet = Fleet.replicate(deployment, 2, seed=0)
@@ -121,6 +107,15 @@ class TestFleetRegistry:
         fleet = Fleet.replicate(deployment, 2, seed=0)
         with pytest.raises(ValueError, match=r"'ghost-a'.*'ghost-b'"):
             fleet.subset(["ghost-a", "device-1", "ghost-b"])
+
+    def test_subset_keeps_the_given_order_and_shares_devices(self, packaged):
+        _, _, deployment = packaged
+        fleet = Fleet.replicate(deployment, 4, seed=0)
+        view = fleet.subset(["device-3", "device-1"])
+        assert view.ids == ["device-3", "device-1"]
+        assert view.get("device-3") is fleet.get("device-3")
+        assert "device-0" not in view
+        assert fleet.ids == [f"device-{k}" for k in range(4)]
 
     def test_subset_rejects_duplicates(self, packaged):
         _, _, deployment = packaged
@@ -364,83 +359,3 @@ class TestFleetCalibrator:
         fleet = Fleet.replicate(deployment, 2, seed=0)
         with pytest.raises(KeyError, match="device-1"):
             FleetCalibrator().process_batches(fleet, _batches(data, fleet.ids[:1]))
-
-
-class TestShardedFleet:
-    def _stream(self, data, device_ids, steps=2):
-        return [_batches(data, device_ids, step=step) for step in range(steps)]
-
-    def test_single_worker_matches_in_process_calibrator(self, packaged):
-        data, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 4, seed=0)
-        reference = Fleet({i: d.clone() for i, d in fleet.items()})
-        stream = self._stream(data, fleet.ids)
-
-        calibrator = FleetCalibrator()
-        expected = [calibrator.process_batches(reference, b).reports for b in stream]
-        reports = run_fleet_stream(fleet, stream, workers=1)
-
-        assert fleet.codes_digests() == reference.codes_digests()
-        for merged, exp in zip(reports, expected):
-            assert set(merged) == set(exp)
-            for device_id in merged:
-                for key in ("flips_applied", "misses_observed", "qcore_size"):
-                    assert merged[device_id][key] == exp[device_id][key]
-
-    def test_two_workers_match_single_worker(self, packaged):
-        data, _, deployment = packaged
-        fleet_serial = Fleet.replicate(deployment, 4, seed=0)
-        fleet_sharded = Fleet(
-            {i: d.clone() for i, d in fleet_serial.items()}
-        )
-        stream = self._stream(data, fleet_serial.ids)
-
-        run_fleet_stream(fleet_serial, stream, workers=1)
-        run_fleet_stream(fleet_sharded, stream, workers=2, mp_context="fork")
-
-        assert fleet_sharded.codes_digests() == fleet_serial.codes_digests()
-        # Unpickling shards must not split the fleet-wide BF-network sharing:
-        # a later batched calibration still runs one forward per round.
-        assert len({id(dep.bitflip) for dep in fleet_sharded.devices()}) == 1
-        assert all(
-            dep.calibrator.network is dep.bitflip for dep in fleet_sharded.devices()
-        )
-
-    def test_empty_fleet_and_missing_batches_rejected(self, packaged):
-        data, _, deployment = packaged
-        with pytest.raises(ValueError, match="empty"):
-            run_fleet_stream(Fleet(), [], workers=1)
-        fleet = Fleet.replicate(deployment, 2, seed=0)
-        with pytest.raises(KeyError, match="stream step 0"):
-            run_fleet_stream(fleet, [_batches(data, fleet.ids[:1])], workers=1)
-
-    def test_empty_stream_is_noop(self, packaged):
-        _, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 2, seed=0)
-        before = fleet.codes_digests()
-        assert run_fleet_stream(fleet, [], workers=1) == []
-        assert fleet.codes_digests() == before
-
-    def test_worker_failure_names_the_shard(self, packaged):
-        data, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 2, seed=0)
-        target = data[data.domain_names[1]].train
-        empty = target.subset(np.array([], dtype=np.int64))
-        stream = [{i: empty for i in fleet.ids}]
-        # Empty batches blow up inside begin_batch, in the "worker".
-        with pytest.raises(WorkerError, match="fleet shard"):
-            run_fleet_stream(fleet, stream, workers=1)
-
-    def test_failed_stream_leaves_fleet_untouched(self, packaged):
-        """Failure atomicity must not depend on the worker count: a stream
-        that fails mid-way leaves the caller's fleet in its pre-call state."""
-        data, _, deployment = packaged
-        fleet = Fleet.replicate(deployment, 2, seed=0)
-        target = data[data.domain_names[1]].train
-        empty = target.subset(np.array([], dtype=np.int64))
-        before = fleet.codes_digests()
-        # Step 0 succeeds (and would flip codes); step 1 fails.
-        stream = [_batches(data, fleet.ids), {i: empty for i in fleet.ids}]
-        with pytest.raises(WorkerError):
-            run_fleet_stream(fleet, stream, workers=1)
-        assert fleet.codes_digests() == before

@@ -304,6 +304,65 @@ class TestLeases:
         assert gateway.lease_expires_at("device-0") == pytest.approx(first + 1.0)
 
 
+class TestQuarantine:
+    """The store is the gateway's only quarantine record."""
+
+    def test_service_quarantine_drops_the_devices_queued_reports(self, packaged):
+        """Round one quarantines device-0 through the retry policy; its queued
+        seq-1 report goes with it, so round two serves the others."""
+        deployment, target = packaged
+        raw = _fleet(deployment)
+        calibrator = FleetCalibrator()
+        for wave in range(2):
+            calibrator.calibrate(raw, _pools(target, raw.ids, wave))
+
+        plan = FaultPlan(
+            [FaultSpec(kind="transient", target="device-0", max_fires=10)], seed=0
+        )
+        fleet = _fleet(deployment)
+        gateway = _gateway(fleet, ManualClock(), fault_plan=plan)
+        for wave in range(2):
+            pools = _pools(target, fleet.ids, wave)
+            for device_id in fleet.ids:
+                gateway.offer(
+                    DeviceReport(device_id=device_id, seq=wave, pool=pools[device_id])
+                )
+        logs = gateway.pump()
+        assert [log.quarantined for log in logs] == [["device-0"], []]
+        assert sorted(logs[1].devices) == ["device-1", "device-2"]
+        assert gateway.stats.completed_reports == 4
+        survivors = ["device-1", "device-2"]
+        digests, expected = fleet.codes_digests(), raw.codes_digests()
+        assert [digests[d] for d in survivors] == [expected[d] for d in survivors]
+        late = gateway.offer(
+            DeviceReport(device_id="device-0", seq=2, pool=_pool(target, 3))
+        )
+        assert isinstance(late, Rejected)
+        assert "quarantined" in late.reason
+
+    def test_release_readmits_a_lease_quarantined_device(self, packaged):
+        deployment, target = packaged
+        pool = _pool(target, 0)
+        raw = _fleet(deployment)
+        FleetCalibrator().calibrate(raw.subset(["device-0"]), {"device-0": pool})
+
+        clock = ManualClock()
+        fleet = _fleet(deployment)
+        gateway = _gateway(fleet, clock)
+        gateway.offer(DeviceReport(device_id="device-0", seq=0, pool=pool))
+        clock.advance(LEASE_S + 1.0)
+        gateway.tick()  # requeue
+        log = gateway.tick()  # still silent: quarantine
+        assert log is not None and log.quarantined == ["device-0"]
+        gateway.service.store.release_device("device-0")
+        again = gateway.offer(DeviceReport(device_id="device-0", seq=0, pool=pool))
+        assert isinstance(again, Accepted)
+        logs = gateway.pump()
+        assert [log.statuses for log in logs] == [{"device-0": "done"}]
+        assert gateway.stats.completed_reports == 1
+        assert fleet.codes_digests()["device-0"] == raw.codes_digests()["device-0"]
+
+
 class TestBitIdentity:
     def test_gateway_matches_raw_calibrator_over_waves(self, packaged):
         deployment, target = packaged
@@ -375,8 +434,6 @@ class TestValidation:
             GatewayConfig(queue_max=0)
         with pytest.raises(ValueError, match="max_batch"):
             GatewayConfig(max_batch=0)
-        with pytest.raises(ValueError, match="requeue_limit"):
-            GatewayConfig(requeue_limit=-1)
 
     def test_device_report_validates(self, packaged):
         _, target = packaged

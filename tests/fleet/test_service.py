@@ -10,6 +10,8 @@ machinery trustworthy: recovery may cost time, never correctness.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ TINY_TS = SyntheticTimeSeriesConfig(
 )
 
 NUM_DEVICES = 3
+DEVICE_IDS = [f"device-{k}" for k in range(NUM_DEVICES)]
 
 #: A retry policy with no sleeping — tests exercise logic, not clocks.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
@@ -82,6 +85,18 @@ def golden(packaged):
 def _drain_round(service, pools):
     round_id = service.submit(pools)
     return round_id, service.drain(round_id, pools)
+
+
+class _RecordingCalibrator(FleetCalibrator):
+    """Records the devices of every in-process ``calibrate`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def calibrate(self, fleet, pools, epoch_callbacks=None):
+        self.calls.append(fleet.ids)
+        return super().calibrate(fleet, pools, epoch_callbacks)
 
 
 class TestHappyPath:
@@ -142,6 +157,55 @@ class TestHappyPath:
         pools.pop("device-2")
         with pytest.raises(KeyError, match="device-2"):
             service.submit(pools)
+
+    def test_explicit_subset_is_validated(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        pools = _pools(data, fleet.ids)
+        with pytest.raises(ValueError, match="duplicate device ids"):
+            service.submit(pools, device_ids=["device-0", "device-0"])
+        with pytest.raises(KeyError, match="ghost"):
+            service.submit(pools, device_ids=["device-0", "ghost"])
+        service.store.register_device("device-1")
+        service.store.quarantine_device("device-1", "flaky sensor")
+        with pytest.raises(ValueError, match="release them first"):
+            service.submit(pools, device_ids=["device-0", "device-1"])
+        round_id = service.submit(pools, device_ids=["device-2", "device-0"])
+        rows = service.store.device_rounds(round_id)
+        assert sorted(row.device_id for row in rows) == ["device-0", "device-2"]
+
+    def test_whole_fleet_quarantined_is_rejected(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        for device_id in fleet.ids:
+            service.store.register_device(device_id)
+            service.store.quarantine_device(device_id, "recalled")
+        with pytest.raises(ValueError, match="no eligible devices"):
+            service.submit(_pools(data, fleet.ids))
+        assert service.store.list_rounds() == []
+
+    def test_result_states_as_snapshots_match_a_fresh_capture(self, packaged):
+        """Round two submitted with round one's ``result_states`` (the
+        gateway's steady state) walks the same trajectory as a round whose
+        snapshots are captured from the models."""
+        data, _, deployment = packaged
+        first_pools = _pools(data, DEVICE_IDS)
+        second_pools = _pools(data, DEVICE_IDS, shared=True)
+
+        captured = FleetService(_fleet(deployment))
+        _drain_round(captured, first_pools)
+        _drain_round(captured, second_pools)
+
+        handed = FleetService(_fleet(deployment))
+        _, outcome = _drain_round(handed, first_pools)
+        round_id = handed.submit(second_pools, snapshots=outcome.result_states)
+        assert [row.state_digest for row in handed.store.device_rounds(round_id)] == [
+            outcome.result_states[device_id].digest() for device_id in DEVICE_IDS
+        ]
+        handed.drain(round_id, second_pools)
+        assert handed.fleet.codes_digests() == captured.fleet.codes_digests()
 
 
 class TestFaultInjection:
@@ -251,6 +315,168 @@ class TestFaultInjection:
         }
 
 
+class TestWaves:
+    """In-process execution: the untimed first wave batches every group; a
+    retry, or any attempt under a timeout, runs one group per wave."""
+
+    TIMED = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0, timeout=60.0)
+
+    def test_first_wave_batches_every_group(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        calibrator = _RecordingCalibrator()
+        service = FleetService(fleet, calibrator=calibrator)
+        _, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert calibrator.calls == [DEVICE_IDS]
+        assert outcome.num_groups == NUM_DEVICES
+        assert fleet.codes_digests() == golden
+
+    def test_timed_round_runs_one_group_per_wave(self, packaged, golden):
+        data, _, deployment = packaged
+        _, batched = _drain_round(
+            FleetService(_fleet(deployment)), _pools(data, DEVICE_IDS)
+        )
+        fleet = _fleet(deployment)
+        calibrator = _RecordingCalibrator()
+        service = FleetService(fleet, retry_policy=self.TIMED, calibrator=calibrator)
+        _, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert calibrator.calls == [[device_id] for device_id in DEVICE_IDS]
+        assert outcome.retries == 0
+        assert outcome.stats == batched.stats
+        assert fleet.codes_digests() == golden
+
+    def test_retry_waves_isolate_the_failing_group(self, packaged, golden):
+        """device-0 fails its first two attempts.  Its failure fails the whole
+        batched first wave; the retries run one group per wave, so the healthy
+        groups finish on attempt 2 while device-0 alone needs a third."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        calibrator = _RecordingCalibrator()
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-0", max_fires=2)])
+        service = FleetService(
+            fleet, retry_policy=FAST_RETRY, calibrator=calibrator, fault_plan=plan
+        )
+        round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert calibrator.calls == [["device-1"], ["device-2"], ["device-0"]]
+        assert outcome.retries == NUM_DEVICES + 1
+        assert service.poll(round_id).attempts == {
+            "device-0": 3, "device-1": 2, "device-2": 2,
+        }
+        assert fleet.codes_digests() == golden
+
+    def test_timed_wave_failure_touches_only_its_group(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-0:a1")])
+        service = FleetService(fleet, retry_policy=self.TIMED, fault_plan=plan)
+        round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert outcome.retries == 1
+        assert service.poll(round_id).attempts == {
+            "device-0": 2, "device-1": 1, "device-2": 1,
+        }
+        assert fleet.codes_digests() == golden
+
+    def test_timed_out_device_quarantines_at_its_round_start_codes(
+        self, packaged, golden
+    ):
+        """An attempt over the timeout has already calibrated the device;
+        failed attempts and the quarantine restore its round-start snapshot,
+        so the quarantined device keeps serving the codes it had before."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        assert before["device-1"] != golden["device-1"]  # a round moves codes
+        plan = FaultPlan(
+            [FaultSpec(kind="slow", target="device-1", delay=0.35, max_fires=99)]
+        )
+        policy = RetryPolicy(
+            max_attempts=2, backoff_base=0.0, jitter=0.0, timeout=0.3
+        )
+        service = FleetService(fleet, retry_policy=policy, fault_plan=plan)
+        _, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert set(outcome.quarantined) == {"device-1"}
+        assert "TimeoutError" in outcome.quarantined["device-1"]
+        digests = fleet.codes_digests()
+        assert digests["device-1"] == before["device-1"]
+        healthy = ["device-0", "device-2"]
+        assert [digests[d] for d in healthy] == [golden[d] for d in healthy]
+
+
+class TestPooledService:
+    """``workers > 1``: the service's one multi-process path."""
+
+    @staticmethod
+    def _service(fleet, **kwargs):
+        return FleetService(fleet, workers=2, mp_context="fork", **kwargs)
+
+    def test_two_workers_match_in_process(self, packaged, golden):
+        data, _, deployment = packaged
+        _, in_process = _drain_round(
+            FleetService(_fleet(deployment)), _pools(data, DEVICE_IDS)
+        )
+        fleet = _fleet(deployment)
+        with self._service(fleet) as service:
+            _, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert outcome.retries == 0 and outcome.quarantined == {}
+        assert outcome.stats == in_process.stats
+        assert fleet.codes_digests() == golden
+
+    def test_pooled_round_keeps_the_fleet_wide_bf_network(self, packaged):
+        """Workers calibrate pickled copies and the parent restores their
+        result states into its own devices, so the fleet still shares one BF
+        network: a later batched round runs one forward per iteration."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        with self._service(fleet) as service:
+            _drain_round(service, _pools(data, fleet.ids))
+        assert all(dep.bitflip is deployment.bitflip for dep in fleet.devices())
+        assert all(
+            dep.calibrator.network is deployment.bitflip for dep in fleet.devices()
+        )
+        result = FleetCalibrator().calibrate(fleet, _pools(data, fleet.ids, shared=True))
+        assert result.bf_forward_calls == max(
+            stats.inference_iterations for stats in result.stats.values()
+        )
+
+    def test_worker_fault_quarantines_with_the_worker_traceback(
+        self, packaged, golden
+    ):
+        """The plan travels inside every task, so a worker-side fault fires
+        on every attempt.  The device quarantines with the worker's traceback
+        and keeps its round-start codes; the others match the golden run."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-0")])
+        with self._service(fleet, retry_policy=FAST_RETRY, fault_plan=plan) as service:
+            round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+            attempts = service.poll(round_id).attempts
+        assert set(outcome.quarantined) == {"device-0"}
+        error = outcome.quarantined["device-0"]
+        assert error.startswith("[exception] TransientFault")
+        assert "on_device_work" in error
+        assert attempts == {"device-0": 3, "device-1": 1, "device-2": 1}
+        assert plan.fires == 0  # the fires were counted in the workers
+        digests = fleet.codes_digests()
+        assert digests["device-0"] == before["device-0"]
+        healthy = ["device-1", "device-2"]
+        assert [digests[d] for d in healthy] == [golden[d] for d in healthy]
+
+    def test_straggler_worker_is_terminated_then_retried(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="slow", target="device-1:a1", delay=20.0)])
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0, timeout=1.0)
+        started = time.perf_counter()
+        with self._service(fleet, retry_policy=policy, fault_plan=plan) as service:
+            round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+            attempts = service.poll(round_id).attempts
+        assert time.perf_counter() - started < 10.0  # preempted, not waited out
+        assert outcome.quarantined == {}
+        assert attempts["device-1"] == 2
+        assert fleet.codes_digests() == golden
+
+
 class TestResume:
     def test_interrupted_round_resumes_bit_identical(self, packaged, golden, tmp_path):
         """The headline durability claim: a round interrupted mid-flight and
@@ -313,6 +539,37 @@ class TestResume:
         round_id = service.submit(_pools(data, fleet.ids))
         with pytest.raises(ValueError, match="bit-identity"):
             service.drain(round_id, _pools(data, fleet.ids, shared=True))
+
+    def test_drain_needs_a_pool_for_every_device(self, packaged, golden):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        pools = _pools(data, fleet.ids)
+        round_id = service.submit(pools)
+        partial = {d: pool for d, pool in pools.items() if d != "device-1"}
+        with pytest.raises(KeyError, match="needs a pool for device 'device-1'"):
+            service.drain(round_id, partial)
+        with pytest.raises(KeyError, match="unknown round"):
+            service.drain(round_id + 1, pools)
+        assert service.poll(round_id).counts == {"pending": NUM_DEVICES}
+        service.drain(round_id, pools)
+        assert fleet.codes_digests() == golden
+
+    def test_resume_closes_a_round_without_device_rows(self, packaged, tmp_path):
+        """A submitter that died between ``create_round`` and its first
+        ``init_device_round`` left a round with nothing to drain."""
+        data, _, deployment = packaged
+        path = tmp_path / "fleet.db"
+        with DeviceStateStore(path) as store:
+            empty = store.create_round(list(DEVICE_IDS))
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        service = FleetService(fleet, store=DeviceStateStore(path))
+        assert service.resume(_pools(data, fleet.ids)) == []
+        assert service.store.get_round(empty).status == "done"
+        assert service.store.unfinished_rounds() == []
+        assert fleet.codes_digests() == before
+        service.close()
 
 
 class TestRetryPolicy:
