@@ -31,7 +31,7 @@ from repro.core.bitflip import (
     extract_parameter_features,
 )
 from repro.core.update import QCoreUpdater
-from repro.core.pipeline import QCoreFramework, EdgeDeployment, StreamRunResult
+from repro.core.pipeline import QCoreFramework, EdgeDeployment
 
 __all__ = [
     "QuantizationMissTracker",
@@ -49,5 +49,4 @@ __all__ = [
     "QCoreUpdater",
     "QCoreFramework",
     "EdgeDeployment",
-    "StreamRunResult",
 ]

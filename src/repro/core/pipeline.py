@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.core.coreset import QCoreSet
 from repro.core.qcore_builder import QCoreBuildResult, QCoreBuilder
 from repro.core.update import QCoreUpdater
 from repro.data.dataset import Dataset
-from repro.data.streams import StreamScenario
 from repro.nn.module import Module
 from repro.quantization.calibration import calibrate_with_backprop
 from repro.quantization.qmodel import QuantizedModel, quantize_model
@@ -57,48 +56,6 @@ class BatchContext:
     tracker: object
     observer: object
     start: float
-
-
-@dataclass
-class BatchReport:
-    """Diagnostics for one processed stream batch."""
-
-    batch_index: int
-    accuracy: float
-    calibration_seconds: float
-    flips_applied: int
-    misses_observed: int
-    qcore_size: int
-
-
-@dataclass
-class StreamRunResult:
-    """Result of running a full continual-calibration stream."""
-
-    scenario: str
-    bits: int
-    reports: List[BatchReport] = field(default_factory=list)
-
-    @property
-    def batch_accuracies(self) -> List[float]:
-        return [report.accuracy for report in self.reports]
-
-    @property
-    def average_accuracy(self) -> float:
-        """Average accuracy across stream batches (the paper's headline metric)."""
-        if not self.reports:
-            return 0.0
-        return float(np.mean(self.batch_accuracies))
-
-    @property
-    def total_calibration_seconds(self) -> float:
-        return float(sum(report.calibration_seconds for report in self.reports))
-
-    @property
-    def average_calibration_seconds(self) -> float:
-        if not self.reports:
-            return 0.0
-        return self.total_calibration_seconds / len(self.reports)
 
 
 class EdgeDeployment:
@@ -377,37 +334,3 @@ class QCoreFramework:
             rng=self.rng,
         )
         return quantized
-
-    # ------------------------------------------------------------ run stream
-    def run_stream(
-        self,
-        model: Module,
-        scenario: StreamScenario,
-        bits: int,
-        use_bitflip: bool = True,
-        use_update: bool = True,
-    ) -> StreamRunResult:
-        """Execute the complete continual-calibration protocol for one scenario.
-
-        Trains on the scenario's source domain (if :meth:`fit` has not been
-        called), deploys at ``bits`` bits, then processes the 10 stream
-        batches, evaluating on each batch's test slice after calibration.
-        """
-        if self.build_result is None:
-            self.fit(model, scenario.source.train)
-        deployment = self.deploy(bits, use_bitflip=use_bitflip, use_update=use_update)
-        result = StreamRunResult(scenario=scenario.description, bits=bits)
-        for batch in scenario.batches:
-            diagnostics = deployment.process_batch(batch.data)
-            accuracy = deployment.evaluate(batch.test)
-            result.reports.append(
-                BatchReport(
-                    batch_index=batch.index,
-                    accuracy=accuracy,
-                    calibration_seconds=diagnostics["seconds"],
-                    flips_applied=int(diagnostics["flips_applied"]),
-                    misses_observed=int(diagnostics["misses_observed"]),
-                    qcore_size=int(diagnostics["qcore_size"]),
-                )
-            )
-        return result

@@ -150,8 +150,8 @@ def default_scenario_grid(
 
     Uses the dataset's first domain as source and the next one or two as
     targets (by each family's arity), in sorted family order — the grid the
-    golden fixtures pin and ``bench_scenarios`` sweeps.  Needs at least
-    three domains.
+    golden fixtures pin and ``tests/eval/test_scenario_sweep.py`` sweeps
+    sharded.  Needs at least three domains.
     """
     names = dataset.domain_names
     if len(names) < 3:

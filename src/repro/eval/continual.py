@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -146,25 +146,3 @@ class ContinualEvaluator:
             result.batch_accuracies.append(method.evaluate(batch.test))
         result.memory_bytes = method.memory_bytes()
         return result
-
-    def run_many(
-        self,
-        methods: Sequence[ContinualMethod],
-        scenario: StreamScenario,
-        model: Module,
-        bits_list: Sequence[int],
-    ) -> Dict[str, Dict[int, MethodRunResult]]:
-        """Run several methods across several bit-widths on the same scenario.
-
-        Returns ``results[method_name][bits]``.  Because :meth:`run` deep
-        copies the method and the model, every run starts from the same frozen
-        full-precision model and a pristine method instance — results do not
-        depend on the order the (method, bits) grid is traversed.
-        """
-        results: Dict[str, Dict[int, MethodRunResult]] = {}
-        for method in methods:
-            per_bits: Dict[int, MethodRunResult] = {}
-            for bits in bits_list:
-                per_bits[bits] = self.run(method, scenario, model, bits)
-            results[method.name] = per_bits
-        return results

@@ -59,8 +59,9 @@ def scenario_grid_specs(
 
     Convenience composition of
     :func:`~repro.data.scenarios.default_scenario_grid` and
-    :func:`build_scenario_specs` — the full drift-zoo sweep the benchmark
-    and the CI smoke run ship as one sharded grid.
+    :func:`build_scenario_specs` — the full drift-zoo sweep, which
+    ``tests/eval/test_scenario_sweep.py`` runs sharded under ``fork`` and
+    ``spawn``.
     """
     grid = default_scenario_grid(
         dataset, num_batches=num_batches, seed=seed, noise_rate=noise_rate

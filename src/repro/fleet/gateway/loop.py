@@ -25,8 +25,11 @@ race where a device dies after being scheduled (the ``lease_expiry`` fault
 targets exactly that window).
 
 The store is the only quarantine record: :meth:`FleetGateway.offer` asks it,
-so ``store.release_device`` re-admits a device.  A quarantine, by lease or by
-the service's retry policy, drops the device's buffered reports.
+so ``store.release_device`` re-admits a device, and every tick asks it
+again, so a device quarantined after its report was queued (by an operator
+or another process on the same store file) is dropped, not dispatched.  A
+quarantine, by lease, by the store or by the service's retry policy, drops
+the device's buffered reports.
 
 The clock is injectable (``clock=ManualClock()``) so every lease behaviour is
 deterministic in tests; the default is ``time.monotonic``.
@@ -146,7 +149,8 @@ class RoundLog:
     """What one :meth:`FleetGateway.tick` did.
 
     ``round_id`` is ``None`` when the tick dispatched nothing (every
-    collected report was requeued or quarantined by lease checks).
+    collected report was requeued or quarantined, by lease checks or by the
+    store).
     """
 
     round_id: Optional[int]
@@ -336,8 +340,10 @@ class FleetGateway:
         """Pick at most one report per device (lowest ``seq``), lease-checked.
 
         Parked (previously requeued) entries get priority — they have been
-        waiting longest.  Entries whose device's lease is expired are
-        requeued once, then their device is quarantined.
+        waiting longest.  A device the store has quarantined since its
+        report was queued is dropped (the service would refuse it).  Entries
+        whose device's lease is expired are requeued once, then their device
+        is quarantined.
         """
         best: Dict[str, _Entry] = {}
         order: List[str] = []
@@ -349,9 +355,13 @@ class FleetGateway:
             elif entry.report.seq < best[device_id].report.seq:
                 best[device_id] = entry
         batch: List[_Entry] = []
+        quarantined = self.service.store.quarantined_devices()
         for device_id in order:
             if len(batch) >= self.config.max_batch:
                 break
+            if device_id in quarantined:
+                self._quarantine(device_id, log)
+                continue
             entry = best[device_id]
             if not self._lease_live(device_id, now):
                 self._expire(entry, log)

@@ -23,7 +23,6 @@ See ``docs/performance.md`` for the schema and a query cookbook.
 from repro.results.regression import RegressionVerdict, check_regression
 from repro.results.report import (
     GOLDEN_DIGEST_KIND,
-    REPORT_PSEUDO_BENCHMARK,
     golden_digest_items,
     ingest_entry,
     ingest_golden_digests,
@@ -35,7 +34,6 @@ from repro.results.store import (
     Digest,
     DigestConflictError,
     DigestRecord,
-    MergeStats,
     PruneStats,
     ResultsStore,
     RunRecord,
@@ -53,9 +51,7 @@ __all__ = [
     "DigestConflictError",
     "DigestRecord",
     "GOLDEN_DIGEST_KIND",
-    "MergeStats",
     "PruneStats",
-    "REPORT_PSEUDO_BENCHMARK",
     "RegressionVerdict",
     "ResultsStore",
     "ResultsWriter",

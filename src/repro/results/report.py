@@ -3,7 +3,7 @@
 Two JSON shapes meet the store:
 
 * ``BENCH_perf.json`` — the merged perf report (one top-level entry per
-  benchmark plus report-wide scalars like ``mode``);
+  benchmark plus report-wide ``mode`` and ``config``);
 * ``tests/golden/fixtures/golden.json`` — the float64 golden fixture whose
   flip-decision and stream-split digests pin the bit-identity contract.
 
@@ -24,17 +24,12 @@ from repro.results.store import ResultsStore
 
 __all__ = [
     "GOLDEN_DIGEST_KIND",
-    "REPORT_PSEUDO_BENCHMARK",
     "golden_digest_items",
     "ingest_entry",
     "ingest_golden_digests",
     "ingest_report",
     "load_json_report",
 ]
-
-#: Pseudo-benchmark under which report-wide scalars (``mode``) and the
-#: report-wide ``config`` block are stored.
-REPORT_PSEUDO_BENCHMARK = "__report__"
 
 #: ``digests.kind`` of the pinned golden rows.
 GOLDEN_DIGEST_KIND = "golden"
@@ -129,47 +124,25 @@ def ingest_report(
     label: str = "",
     lever: str = "",
 ) -> List[int]:
-    """Record a (partial) JSON report: every entry plus the report scalars.
+    """Record a (partial) JSON report: one ``entry`` run per benchmark.
 
-    Mapping-valued top-level keys become ``entry`` runs; scalar keys
-    (``mode``) and the report-wide ``config`` block become one ``report``
-    run.
+    Mapping-valued top-level keys other than the report-wide ``config``
+    become ``entry`` runs.  Each is stamped with ``mode``, which defaults to
+    the report's own ``mode`` scalar: the regression gate reads only
+    ``mode="full"`` rows.  The report-wide ``config`` lives in the JSON
+    export only.
     """
-    scalars = {
-        key: value for key, value in report.items() if not isinstance(value, Mapping)
-    }
-    report_config = report.get("config")
-    if not isinstance(report_config, Mapping):
-        report_config = None
-    if not mode and isinstance(scalars.get("mode"), str):
-        mode = str(scalars["mode"])
-    run_ids: List[int] = []
-    if scalars or report_config is not None:
-        run_ids.append(
-            store.record_run(
-                REPORT_PSEUDO_BENCHMARK,
-                metrics=scalars,
-                config=report_config,
-                kind="report",
-                host=host,
-                git_sha=git_sha,
-                timestamp=timestamp,
-                mode=mode,
-                label=label,
-                lever=lever,
-            )
+    if not mode and isinstance(report.get("mode"), str):
+        mode = str(report["mode"])
+    return [
+        ingest_entry(
+            store, name, payload,
+            host=host, git_sha=git_sha, timestamp=timestamp,
+            mode=mode, label=label, lever=lever,
         )
-    for name, payload in report.items():
-        if name == "config" or not isinstance(payload, Mapping):
-            continue
-        run_ids.append(
-            ingest_entry(
-                store, name, payload,
-                host=host, git_sha=git_sha, timestamp=timestamp,
-                mode=mode, label=label, lever=lever,
-            )
-        )
-    return run_ids
+        for name, payload in report.items()
+        if name != "config" and isinstance(payload, Mapping)
+    ]
 
 
 # --------------------------------------------------------------------------

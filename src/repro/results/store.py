@@ -11,9 +11,9 @@ Schema (see ``docs/performance.md`` for the operator view)::
 
     runs      one row per recorded experiment, keyed by
               (benchmark, series, host, git_sha, timestamp).  ``kind``
-              separates benchmark entries, whole-report scalars, per-method
-              table rows and legacy trajectory seeds; ``label``/``lever``
-              carry the PR-trajectory annotations.
+              separates benchmark entries, per-method table rows and
+              legacy trajectory seeds; ``label``/``lever`` carry the
+              PR-trajectory annotations.
     configs   one (run_id, key) row per configuration value of a run —
               the run → config lineage, queryable and indexed.
     metrics   one (run_id, key) row per measured value.  Nested payloads
@@ -53,7 +53,6 @@ __all__ = [
     "Digest",
     "DigestConflictError",
     "DigestRecord",
-    "MergeStats",
     "ResultsStore",
     "RunRecord",
     "SCHEMA_VERSION",
@@ -68,11 +67,12 @@ __all__ = [
 #: non-zero version is treated as incompatible (backed up, started fresh).
 SCHEMA_VERSION = 1
 
-#: Kinds a run row may carry.  ``entry`` — one benchmark's payload in the
-#: JSON report; ``report`` — top-level report scalars (``mode``) and the
-#: report-wide config; ``method`` — one method's paper-table row;
+#: Kinds a new run row may carry.  ``entry`` — one benchmark's payload in
+#: the JSON report; ``method`` — one method's paper-table row;
 #: ``trajectory`` — a legacy summary row seeded from the pre-store era.
-RUN_KINDS = ("entry", "report", "method", "trajectory")
+#: Older stores also hold ``report`` rows (a retired pseudo-run of report
+#: scalars); reads accept any kind, so those stay readable as history.
+RUN_KINDS = ("entry", "method", "trajectory")
 
 
 class DigestConflictError(ValueError):
@@ -218,16 +218,6 @@ class DigestRecord:
     pinned: bool
     run_id: Optional[int]
     created_at: str
-
-
-@dataclass
-class MergeStats:
-    """What :meth:`ResultsStore.merge_from` did: new vs. collapsed rows."""
-
-    runs_added: int
-    runs_collapsed: int
-    digests_added: int
-    digests_collapsed: int
 
 
 @dataclass
@@ -508,7 +498,7 @@ class ResultsStore:
             f"conflicting results for run ({benchmark!r}, {series!r}, {host!r}, "
             f"{git_sha!r}, {timestamp!r}): stored and new payloads differ — runs "
             "of the same identity must be identical (check compute dtype and "
-            "code versions across hosts)"
+            "code versions)"
         )
 
     def runs(
@@ -583,7 +573,7 @@ class ResultsStore:
         """A metric's history over a benchmark's runs, oldest first.
 
         This is the regression gate's input: one ``run_metrics_view`` query,
-        ordered by (timestamp, run_id) so replays and merges cannot reorder
+        ordered by (timestamp, run_id) so replayed recordings cannot reorder
         the trend.  ``mode`` and ``kind`` filter the trajectory (the gate
         passes ``mode="full", kind="entry"`` so smoke-sized runs and
         transcribed-history rows cannot poison the trend).
@@ -684,14 +674,6 @@ class ResultsStore:
         sql += " ORDER BY name"
         return {row["name"]: row["digest"] for row in self._conn.execute(sql, params)}
 
-    def run_digests(self, run_id: int) -> Dict[str, str]:
-        """Digests attached to one run (unpinned provenance rows)."""
-        rows = self._conn.execute(
-            "SELECT name, digest FROM digests WHERE run_id = ? ORDER BY digest_id",
-            (run_id,),
-        ).fetchall()
-        return {row["name"]: row["digest"] for row in rows}
-
     def digest_records(self) -> List[DigestRecord]:
         """Every digest row, pinned and per-run, in insertion order."""
         rows = self._conn.execute("SELECT * FROM digests ORDER BY digest_id").fetchall()
@@ -707,64 +689,6 @@ class ResultsStore:
             )
             for row in rows
         ]
-
-    # ------------------------------------------------------------------ merge
-    def merge_from(self, other: "ResultsStore") -> MergeStats:
-        """Merge another store's runs and pinned digests into this one.
-
-        Identical duplicate runs (same identity, same payload) collapse;
-        conflicting duplicates raise ``ValueError``.  Pinned digests merge
-        the same way: an equal pin is a no-op, a *conflicting* pin raises
-        :class:`DigestConflictError` — the cross-host merge safety net.
-        """
-        runs_added = runs_collapsed = 0
-        for record in other.runs():
-            before = self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            run_id = self.record_run(
-                record.benchmark,
-                metrics=other.run_metrics(record.run_id),
-                config=other.run_config(record.run_id),
-                series=record.series,
-                kind=record.kind,
-                host=record.host,
-                git_sha=record.git_sha,
-                timestamp=record.timestamp,
-                mode=record.mode,
-                label=record.label,
-                lever=record.lever,
-            )
-            after = self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            if after > before:
-                runs_added += 1
-                run_digests = other.run_digests(record.run_id)
-                if run_digests:
-                    stamp = record.timestamp
-
-                    def mutate(conn: sqlite3.Connection) -> None:
-                        for name, digest in run_digests.items():
-                            conn.execute(
-                                "INSERT INTO digests (name, digest, kind, pinned,"
-                                " run_id, created_at) VALUES (?,?,?,0,?,?)",
-                                (name, digest, "run", run_id, stamp),
-                            )
-
-                    self._write(mutate)
-            else:
-                runs_collapsed += 1
-        digests_added = digests_collapsed = 0
-        mine = self.pinned_digests()
-        for name, digest in other.pinned_digests().items():
-            if name in mine:
-                if mine[name] != digest:
-                    raise DigestConflictError(
-                        f"stores disagree on pinned digest {name!r}: "
-                        f"{mine[name]!r} vs {digest!r} — refusing to merge"
-                    )
-                digests_collapsed += 1
-            else:
-                self.pin_digest(name, digest)
-                digests_added += 1
-        return MergeStats(runs_added, runs_collapsed, digests_added, digests_collapsed)
 
     # ------------------------------------------------------------------ prune
     def prune(self, keep_last_per_benchmark: int, *, vacuum: bool = True) -> PruneStats:
@@ -827,7 +751,7 @@ class ResultsStore:
 
     # ------------------------------------------------------------------ stats
     def counts(self) -> Dict[str, int]:
-        """Row counts per table (ingest/merge accounting)."""
+        """Row counts per table (ingest accounting)."""
         return {
             table: int(self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
             for table in ("runs", "configs", "metrics", "digests")

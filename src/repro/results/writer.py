@@ -36,7 +36,7 @@ def current_git_sha(cwd: Optional[Union[str, Path]] = None) -> str:
 
 
 def current_host() -> str:
-    """Hostname recorded on runs (the cross-host merge key component)."""
+    """Hostname recorded on runs (a component of the run identity)."""
     return platform.node() or "unknown"
 
 
@@ -103,7 +103,7 @@ class ResultsWriter:
         lever: str = "",
         timestamp: Optional[str] = None,
     ) -> List[int]:
-        """Record several entries plus report scalars in one write."""
+        """Record every entry of a report, stamped with its ``mode``; update the JSON."""
         run_ids = ingest_report(
             self.store, report,
             host=self.host, git_sha=self.git_sha, timestamp=timestamp,

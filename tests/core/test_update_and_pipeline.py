@@ -132,15 +132,6 @@ class TestFramework:
         no_update.process_batch(scenario.batches[0].data)
         np.testing.assert_allclose(stored_before, no_update.qcore.features)
 
-    def test_run_stream_end_to_end(self, fitted_framework):
-        framework, scenario, data = fitted_framework
-        model = framework.model
-        result = framework.run_stream(model, scenario, bits=4)
-        assert len(result.reports) == scenario.num_batches
-        assert 0.0 <= result.average_accuracy <= 1.0
-        assert result.total_calibration_seconds > 0
-        assert result.bits == 4
-
     def test_calibrate_only_returns_quantized_model(self, fitted_framework):
         framework, scenario, data = fitted_framework
         qmodel = framework.calibrate_only(bits=8)

@@ -157,7 +157,7 @@ class TestContinualEvaluator:
         evaluator.run(er, scenario, model, bits=4)
         assert er.qmodel is None and er.buffer is None
 
-    def test_run_many_results_independent_of_run_order(self, setup):
+    def test_run_results_independent_of_run_order(self, setup):
         """Regression for shared-state reuse: re-preparing one method instance
         across bit-widths must not make results depend on traversal order."""
         data, model = setup
@@ -167,7 +167,7 @@ class TestContinualEvaluator:
         def sweep(bits_list):
             method = ER(buffer_size=8, adapt_epochs=1, lr=0.05, batch_size=16,
                         initial_calibration_epochs=2, seed=0)
-            return evaluator.run_many([method], scenario, model, bits_list)["ER"]
+            return {bits: evaluator.run(method, scenario, model, bits) for bits in bits_list}
 
         ascending = sweep((2, 4))
         descending = sweep((4, 2))

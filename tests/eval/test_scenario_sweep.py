@@ -97,11 +97,13 @@ def test_scenario_labels_are_distinct_per_family(serial_results):
     assert len(set(labels)) == len(labels)
 
 
-def test_sharded_grid_merges_to_serial_exactly(sweep_setup, serial_results):
-    """workers=2 fork: bit-identical results, merged == serial at float64."""
+@pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+def test_sharded_grid_merges_to_serial_exactly(sweep_setup, serial_results, mp_context):
+    """workers=2: bit-identical results, merged == serial at float64.  Under
+    ``spawn`` each worker re-imports the registry and inherits the dtype."""
     data, model, specs = sweep_setup
     sharded = ParallelEvaluator(
-        num_batches=NUM_BATCHES, workers=2, mp_context="fork"
+        num_batches=NUM_BATCHES, workers=2, mp_context=mp_context
     ).run(specs, data, model)
     assert [_identity(r) for r in sharded] == [_identity(r) for r in serial_results]
     merged = merge_results(serial_results, sharded)

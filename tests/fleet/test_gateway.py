@@ -340,6 +340,68 @@ class TestQuarantine:
         assert isinstance(late, Rejected)
         assert "quarantined" in late.reason
 
+    @pytest.mark.parametrize("quarantiner", ["gateway_store", "second_connection"])
+    def test_store_quarantine_after_queueing_drops_only_that_report(
+        self, packaged, tmp_path, quarantiner
+    ):
+        """device-0 is quarantined in the store after its report was queued,
+        through the gateway's own store or by another process on the same
+        store file: the tick drops that report instead of raising out of
+        ``pump`` and losing the others, which were already dequeued."""
+        deployment, target = packaged
+        pristine = _fleet(deployment)
+        raw = _fleet(deployment)
+        FleetCalibrator().calibrate(raw, _pools(target, raw.ids, 0))
+
+        path = tmp_path / "fleet.db"
+        fleet = _fleet(deployment)
+        gateway = _gateway(fleet, ManualClock(), store=DeviceStateStore(path))
+        pools = _pools(target, fleet.ids, 0)
+        for device_id in fleet.ids:
+            gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
+        store = gateway.service.store
+        operator = store if quarantiner == "gateway_store" else DeviceStateStore(path)
+        operator.register_device("device-0")
+        operator.quarantine_device("device-0", "operator: sensor fault")
+        if operator is not store:
+            operator.close()
+        logs = gateway.pump()
+        assert [log.quarantined for log in logs] == [["device-0"]]
+        assert sorted(logs[0].devices) == ["device-1", "device-2"]
+        stats = gateway.stats
+        assert stats.completed_reports == 2
+        assert stats.accepted == stats.completed_reports + stats.quarantined
+        digests, expected = fleet.codes_digests(), raw.codes_digests()
+        assert [digests[d] for d in ("device-1", "device-2")] == [
+            expected[d] for d in ("device-1", "device-2")
+        ]
+        assert digests["device-0"] == pristine.codes_digests()["device-0"]
+        assert store.quarantined_devices() == {"device-0": "operator: sensor fault"}
+        gateway.close()
+
+    def test_store_quarantine_of_every_queued_device_dispatches_no_round(self, packaged):
+        """Every queued device is quarantined in the store before the tick:
+        the tick drops all of them and submits no empty round."""
+        deployment, target = packaged
+        pristine = _fleet(deployment).codes_digests()
+        fleet = _fleet(deployment)
+        gateway = _gateway(fleet, ManualClock())
+        pools = _pools(target, fleet.ids, 0)
+        for device_id in fleet.ids:
+            gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
+        store = gateway.service.store
+        for device_id in fleet.ids:
+            store.register_device(device_id)
+            store.quarantine_device(device_id, "operator: recall")
+        logs = gateway.pump()
+        assert [(log.round_id, log.devices) for log in logs] == [(None, [])]
+        assert sorted(logs[0].quarantined) == sorted(fleet.ids)
+        stats = gateway.stats
+        assert (stats.rounds, stats.completed_reports) == (0, 0)
+        assert stats.accepted == stats.quarantined == NUM_DEVICES
+        assert fleet.codes_digests() == pristine
+        assert gateway.tick() is None
+
     def test_release_readmits_a_lease_quarantined_device(self, packaged):
         deployment, target = packaged
         pool = _pool(target, 0)

@@ -149,9 +149,12 @@ class TestAccuracyGoldens:
         )
         self._assert_matches(results, fixture)
 
-    def test_parallel_sharded_sweep_matches_goldens(self, fixture, data, backbone):
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_parallel_sharded_sweep_matches_goldens(
+        self, fixture, data, backbone, mp_context
+    ):
         results = ParallelEvaluator(
-            num_batches=gs.NUM_BATCHES, workers=2, mp_context="fork"
+            num_batches=gs.NUM_BATCHES, workers=2, mp_context=mp_context
         ).run(gs.build_accuracy_specs(), data, backbone)
         self._assert_matches(results, fixture)
 

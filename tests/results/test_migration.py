@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.results import (
-    REPORT_PSEUDO_BENCHMARK,
     ResultsStore,
     golden_digest_items,
     ingest_golden_digests,
@@ -47,13 +46,10 @@ class TestBenchReportMigration:
         with ResultsStore() as store:
             ingest_report(store, report, timestamp="t0")
             counts = store.counts()
-            # One run per benchmark entry + one pseudo-run for the report
-            # scalars/config.
-            assert counts["runs"] == len(entries) + 1
+            # One run per benchmark entry.
+            assert counts["runs"] == len(entries)
             assert counts["metrics"] > 0 and counts["configs"] > 0
             assert store.benchmarks(kind="entry") == entries
-            report_runs = store.runs(REPORT_PSEUDO_BENCHMARK, kind="report")
-            assert len(report_runs) == 1
 
     def test_reingest_is_idempotent(self, report):
         with ResultsStore() as store:

@@ -261,60 +261,6 @@ class TestPinnedDigests:
             assert store.pinned_digests() == {"flip/final": "DIFFERENT"}
 
 
-class TestMerge:
-    """merge_from mirrors merge_results: collapse identical, reject conflicts."""
-
-    def _make(self, value: float, timestamp: str = "t0") -> ResultsStore:
-        store = ResultsStore()
-        store.record_run("bench", {"v": value}, timestamp=timestamp)
-        return store
-
-    def test_merge_collapses_identical_runs(self):
-        a, b = self._make(1.0), self._make(1.0)
-        try:
-            stats = a.merge_from(b)
-            assert (stats.runs_added, stats.runs_collapsed) == (0, 1)
-            assert a.counts()["runs"] == 1
-        finally:
-            a.close()
-            b.close()
-
-    def test_merge_adds_new_runs(self):
-        a, b = self._make(1.0, "t0"), self._make(2.0, "t1")
-        try:
-            stats = a.merge_from(b)
-            assert (stats.runs_added, stats.runs_collapsed) == (1, 0)
-            assert [v for _, v in a.metric_trajectory("bench", "v")] == [1.0, 2.0]
-        finally:
-            a.close()
-            b.close()
-
-    def test_merge_rejects_conflicting_runs(self):
-        a, b = self._make(1.0), self._make(2.0)
-        try:
-            with pytest.raises(ValueError, match="conflicting"):
-                a.merge_from(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_merge_rejects_conflicting_pinned_digests(self):
-        with ResultsStore() as a, ResultsStore() as b:
-            a.pin_digest("flip/final", "abc")
-            b.pin_digest("flip/final", "DIFFERENT")
-            with pytest.raises(DigestConflictError, match="disagree"):
-                a.merge_from(b)
-
-    def test_merge_collapses_identical_pins_and_adds_new(self):
-        with ResultsStore() as a, ResultsStore() as b:
-            a.pin_digest("flip/final", "abc")
-            b.pin_digest("flip/final", "abc")
-            b.pin_digest("flip/initial", "xyz")
-            stats = a.merge_from(b)
-            assert (stats.digests_added, stats.digests_collapsed) == (1, 1)
-            assert a.pinned_digests() == {"flip/final": "abc", "flip/initial": "xyz"}
-
-
 class TestQueries:
     def test_metric_trajectory_ordering_and_filters(self):
         with ResultsStore() as store:

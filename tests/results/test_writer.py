@@ -67,6 +67,23 @@ class TestWriterSurfaces:
             writer.record_report(report)
         assert json.loads(json_path.read_text()) == report
 
+    def test_record_report_stamps_its_mode_on_every_entry_run(self, tmp_path):
+        """The regression gate filters on ``mode="full"``: a report's mode
+        must reach every entry run, and the report itself records no run."""
+        report = {
+            "mode": "full",
+            "config": {"seed": 0},
+            "qat": {"speedup": 1.5},
+            "conv": {"speedup": 1.4},
+        }
+        with ResultsWriter(tmp_path / "report.json", host="h", git_sha="sha") as writer:
+            writer.record_report(report)
+            runs = writer.store.runs()
+        assert [(run.benchmark, run.kind, run.mode) for run in runs] == [
+            ("qat", "entry", "full"),
+            ("conv", "entry", "full"),
+        ]
+
     def test_mode_picked_up_from_payload(self, tmp_path):
         with ResultsWriter(tmp_path / "r.json", host="h", git_sha="sha") as writer:
             writer.record_entry("qat", {"speedup": 1.5, "mode": "smoke"})

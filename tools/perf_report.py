@@ -37,10 +37,10 @@ TRAJECTORY_BEGIN = "<!-- trajectory:begin (emitted by `python -m tools.perf_repo
 TRAJECTORY_END = "<!-- trajectory:end -->"
 
 #: Benchmarks the regression gate covers, with their headline metric.
-#: ``parallel_eval`` and ``scenarios`` (1-core hosts record overhead by
-#: design) and ``fleet_service`` (records durability overhead, not
-#: speedup) are deliberately not gated; their trends are still recorded
-#: and queryable.
+#: The store also holds history rows of retired, never-gated scripts:
+#: ``parallel_eval`` and ``scenarios`` (1-core overhead) and
+#: ``fleet_service`` / ``fleet_gateway`` (overhead ratios, now timed end to
+#: end by perfbench ``fleet_ingest``).
 GATED_BENCHMARKS: Dict[str, str] = {
     "edge_calibration": "speedup",
     "qat": "speedup",
@@ -50,8 +50,7 @@ GATED_BENCHMARKS: Dict[str, str] = {
 }
 
 #: Metric shown in the trajectory table per benchmark (default: speedup).
-#: ``fleet_gateway``, like ``fleet_service``, records an overhead ratio and
-#: is therefore recorded-but-not-gated.
+#: These two render the retired scripts' historical overhead rows.
 HEADLINE_METRICS: Dict[str, str] = {
     "fleet_service": "durability_overhead",
     "fleet_gateway": "gateway_overhead",
