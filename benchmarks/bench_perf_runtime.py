@@ -34,6 +34,12 @@ edge-calibration flip decisions and QAT integer codes are bit-identical
 across backends.  The edge flip decisions are asserted at float32 too:
 edge calibration runs no col2im, and im2col is a copy in both backends.
 
+The ``equivalence`` entry also checks the **fused BF-network fit**: on the
+balanced set the bench's own 8-bit ``BitFlipTrainer.train`` records,
+``BitFlipTrainer._fit`` must leave the same parameter bytes, accuracy and
+trainer rng state as the seed fit (:func:`repro.reference.fit_bitflip_network`)
+at float64 and at float32.
+
 The run exits non-zero if any equivalence boolean is false.
 
 Usage::
@@ -64,6 +70,7 @@ from repro.nn import kernels
 from repro.core.bitflip import (
     BitFlipCalibrator,
     BitFlipNetwork,
+    BitFlipTrainer,
     FeatureNormalizer,
     extract_parameter_features,
 )
@@ -80,6 +87,7 @@ from repro.reference import (
     PerTensorQuantizedModel,
     calibrate_per_tensor,
     calibrate_with_backprop_per_tensor,
+    fit_bitflip_network,
 )
 from repro.results import ResultsWriter
 
@@ -413,12 +421,45 @@ def _flip_decisions_identical(fast, seed) -> bool:
     )
 
 
+class _RecordingTrainer(BitFlipTrainer):
+    """Keeps copies of what ``train`` hands to ``_fit``: itself, the network and the set."""
+
+    def _fit(self, network, features, targets):
+        self.recorded = (
+            copy.deepcopy(self), copy.deepcopy(network), features.copy(), targets.copy()
+        )
+        return super()._fit(network, features, targets)
+
+
+def _bf_fit_identical(config: dict) -> bool:
+    """Production ``_fit`` equals the seed fit on the bench's 8-bit BF set, at the active dtype.
+
+    Parameter bytes, the returned training accuracy and the trainer's rng
+    state afterwards, from copies of the trainer and network ``train`` fitted.
+    """
+    qmodel, _, _, _, source = _build_setup(dict(config, bits=8))
+    recorder = _RecordingTrainer(bits=8, rng=np.random.default_rng(2))
+    recorder.train(qmodel, source, calibration_epochs=4)
+    trainer, network, features, targets = recorder.recorded
+    seed_trainer, seed_network = copy.deepcopy(trainer), copy.deepcopy(network)
+    accuracy = trainer._fit(network, features, targets)
+    seed_accuracy = fit_bitflip_network(seed_trainer, seed_network, features, targets)
+    return bool(
+        accuracy == seed_accuracy
+        and trainer.rng.bit_generator.state == seed_trainer.rng.bit_generator.state
+        and all(
+            param.data.tobytes() == seed_param.data.tobytes()
+            for param, seed_param in zip(network.parameters(), seed_network.parameters())
+        )
+    )
+
+
 def _check_equivalence(config: dict) -> dict:
-    """The production edge path must equal the seed reference exactly.
+    """The production edge path and BF fit must equal their seed references exactly.
 
     At float64: flip decisions, model weights and latent weights, against
-    the seed loop on the seed storage.  At float32, the dtype every
-    perfbench workload runs: the flip decisions.
+    the seed loop on the seed storage, and the BF fit.  At float32, the
+    dtype every perfbench workload runs: the flip decisions and the BF fit.
     """
     with runtime.use_dtype(np.float64):
         fast, seed = _edge_calibrations(config)
@@ -434,11 +475,13 @@ def _check_equivalence(config: dict) -> dict:
                 for name in legacy.latent
             ),
             "flips_per_epoch": stats_fast.flips_per_epoch,
+            "bf_fit_identical": _bf_fit_identical(config),
         }
     with runtime.use_dtype(np.float32):
         equivalence["flip_decisions_identical_float32"] = _flip_decisions_identical(
             *_edge_calibrations(config)
         )
+        equivalence["bf_fit_identical_float32"] = _bf_fit_identical(config)
     return equivalence
 
 
@@ -474,7 +517,8 @@ def main(argv=None) -> int:
     conv_strided = _measure_conv_kernel(config, "strided")
     print(f"  naive: {conv_naive * 1e3:.2f} ms/epoch   strided: {conv_strided * 1e3:.2f} ms/epoch")
 
-    print("verifying the production edge path is exact (float64; flips at float32 too)...")
+    print("verifying the production edge path and BF fit are exact (float64; flips and fit "
+          "at float32 too)...")
     equivalence = _check_equivalence(config)
     print(f"  {equivalence}")
 
@@ -544,8 +588,7 @@ def main(argv=None) -> int:
 
     diverged = False
     for label, block in (
-        ("the production edge path diverged from the seed loop on the per-tensor "
-         "storage at float64", equivalence),
+        ("the production edge path or BF fit diverged from its seed form", equivalence),
         ("the fused QAT engine diverged from the per-tensor STE loop at float64",
          qat_equivalence),
         ("the strided conv kernels diverged from the naive backend", conv_equivalence),

@@ -14,6 +14,7 @@ gradient computation.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -169,7 +170,8 @@ class FeaturePlan:
 
     Built once per model (:func:`feature_plan`); ``layers`` holds each
     weighted layer with its ``(name, parameter)`` pairs and ``bounds`` each
-    parameter's first row (and, last, the row count).
+    parameter's first row (and, last, the row count).  The per-row arrays
+    live in ``index``, which every plan of the same layout shares.
     """
 
     def __init__(self, model: Module) -> None:
@@ -193,7 +195,7 @@ class FeaturePlan:
         self.out_sizes: List[int] = []
         names: List[str] = []
         shapes: List[Tuple[int, ...]] = []
-        in_index, out_index, divisor, arena_index = [], [], [], []
+        layout: List[_Block] = []
         in_slot, out_slot = len(self.layers), 0
         for layer_index, (layer, params) in enumerate(self.layers):
             in_size = out_size = 0
@@ -201,14 +203,8 @@ class FeaturePlan:
                 shape = param.data.shape
                 if len(shape) == 2:
                     in_size, width = shape
-                    in_index.append(in_slot + np.repeat(np.arange(in_size), width))
-                    out_index.append(out_slot + np.tile(np.arange(width), in_size))
-                    divisor.append(np.full(in_size * width, in_size))
                 else:
                     width = param.data.size
-                    in_index.append(np.full(width, layer_index))
-                    out_index.append(out_slot + np.arange(width))
-                    divisor.append(np.ones(width, dtype=np.int64))
                 if out_size and width != out_size:
                     raise ValueError(
                         f"parameter {name!r} needs {width} activation outputs, but "
@@ -217,7 +213,7 @@ class FeaturePlan:
                 out_size = width
                 names.append(name)
                 shapes.append(shape)
-                arena_index.append(arena_starts[id(param)][1] + np.arange(param.data.size))
+                layout.append((layer_index, in_slot, out_slot, shape, arena_starts[id(param)][1]))
             self.in_sizes.append(in_size)
             self.out_sizes.append(out_size)
             in_slot += in_size
@@ -226,13 +222,8 @@ class FeaturePlan:
         #: Equal keys mean equal plans: the fleet stacks such devices.
         self.key = tuple(zip(names, shapes))
         self.bounds: List[int] = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
-        self.in_index = _concat(in_index, np.intp)
-        self.out_index = _concat(out_index, np.intp)
-        self.divisor = _concat(divisor, runtime.get_dtype())
         self.arena_size = size
-        arena = _concat(arena_index, np.intp)
-        #: ``None`` when row ``i`` is arena position ``i`` (every model in the zoo).
-        self.arena_index = None if np.array_equal(arena, np.arange(size)) else arena
+        self.index = _row_index(tuple(layout), size)
 
     @property
     def num_rows(self) -> int:
@@ -247,11 +238,75 @@ class FeaturePlan:
 
     def to_arena(self, rows: np.ndarray) -> np.ndarray:
         """Scatter a per-row vector to arena positions, zero where no row reads."""
-        if self.arena_index is None:
+        arena_index = self.index.arena_index
+        if arena_index is None:
             return rows
         flat = np.zeros(self.arena_size, dtype=rows.dtype)
-        flat[self.arena_index] = rows
+        flat[arena_index] = rows
         return flat
+
+
+#: One parameter's place in a plan: its layer's index, ``a_in`` and
+#: ``a_out`` slots, its shape and its arena start.
+_Block = Tuple[int, int, int, Tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class RowIndex:
+    """A plan's read-only per-row arrays: ``a_in`` and ``a_out`` slots, divisor, arena position.
+
+    ``arena_index`` is ``None`` when row ``i`` is arena position ``i``
+    (every model in the zoo).
+    """
+
+    in_index: np.ndarray
+    out_index: np.ndarray
+    divisor: np.ndarray
+    arena_index: Optional[np.ndarray]
+
+
+#: The row index of every layout some live plan holds.  Replicas of one
+#: architecture (the fleet's devices) share one instead of 20 bytes per
+#: row each; an entry goes with its last plan.  An entry is read-only and
+#: a function of its key, so sharing it couples no two callers.
+_ROW_INDICES: "weakref.WeakValueDictionary[tuple, RowIndex]" = weakref.WeakValueDictionary()
+
+
+def _row_index(layout: Tuple[_Block, ...], arena_size: int) -> RowIndex:
+    """The shared :class:`RowIndex` of a layout, built on first use.
+
+    The key is the whole layout, not just ``plan.key``: slots, arena starts
+    and the compute dtype (the divisor's) decide the arrays too.
+    """
+    key = (layout, arena_size, runtime.get_dtype().str)
+    index = _ROW_INDICES.get(key)
+    if index is not None:
+        return index
+    in_index, out_index, divisor, arena_index = [], [], [], []
+    for layer_index, in_slot, out_slot, shape, arena_start in layout:
+        size = int(np.prod(shape))
+        if len(shape) == 2:
+            in_size, width = shape
+            in_index.append(in_slot + np.repeat(np.arange(in_size), width))
+            out_index.append(out_slot + np.tile(np.arange(width), in_size))
+            divisor.append(np.full(size, in_size))
+        else:
+            in_index.append(np.full(size, layer_index))
+            out_index.append(out_slot + np.arange(size))
+            divisor.append(np.ones(size, dtype=np.int64))
+        arena_index.append(arena_start + np.arange(size))
+    arena = _concat(arena_index, np.intp)
+    index = RowIndex(
+        _concat(in_index, np.intp),
+        _concat(out_index, np.intp),
+        _concat(divisor, runtime.get_dtype()),
+        None if np.array_equal(arena, np.arange(arena_size)) else arena,
+    )
+    for array in (index.in_index, index.out_index, index.divisor, index.arena_index):
+        if array is not None:
+            array.flags.writeable = False
+    _ROW_INDICES[key] = index
+    return index
 
 
 def _concat(pieces: List[np.ndarray], dtype) -> np.ndarray:
@@ -296,8 +351,9 @@ def _feature_matrix(
     devices) broadcast, so the serial and the stacked builder are one
     implementation and cannot drift.
     """
-    a_in_rows = np.take(a_in, plan.in_index, axis=-1)
-    a_out_rows = np.take(a_out, plan.out_index, axis=-1)
+    index = plan.index
+    a_in_rows = np.take(a_in, index.in_index, axis=-1)
+    a_out_rows = np.take(a_out, index.out_index, axis=-1)
     weighted = values * a_in_rows
     features = np.empty(
         weighted.shape + (NUM_FEATURES,), dtype=np.result_type(weighted, a_out_rows)
@@ -306,7 +362,7 @@ def _feature_matrix(
     features[..., 1] = a_in_rows
     np.subtract(weighted, a_in_rows, out=features[..., 2])
     features[..., 3] = a_out_rows
-    np.divide(a_out_rows, plan.divisor.astype(a_out_rows.dtype, copy=False), out=a_out_rows)
+    np.divide(a_out_rows, index.divisor.astype(a_out_rows.dtype, copy=False), out=a_out_rows)
     np.subtract(weighted, a_out_rows, out=features[..., 4])
     return features
 
@@ -610,9 +666,6 @@ class BitFlipNetwork(Module):
             )
         return self.network.forward(features[:, :, None])
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.network.backward(grad_output)
-
     def predict_flips_with_confidence(
         self, features: np.ndarray, confidence_threshold: float = 0.0
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -684,6 +737,10 @@ class BitFlipTrainer:
     max_samples:
         Cap on the number of recorded parameter observations (keeps the BF
         fitting cost negligible, as intended by the paper).
+
+    Settings that would ship an untrained network or fail only after the
+    whole server calibration (no epoch, no sample, no hidden channel, a
+    learning rate that is not positive) raise ``ValueError`` here.
     """
 
     def __init__(
@@ -695,6 +752,15 @@ class BitFlipTrainer:
         max_samples: int = 20000,
         rng: Optional[np.random.Generator] = None,
     ):
+        for name, value in (
+            ("hidden_channels", hidden_channels),
+            ("bf_epochs", bf_epochs),
+            ("max_samples", max_samples),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not bf_lr > 0:
+            raise ValueError(f"bf_lr must be positive, got {bf_lr}")
         self.bits = bits
         self.hidden_channels = hidden_channels
         self.bf_epochs = bf_epochs
@@ -815,27 +881,96 @@ class BitFlipTrainer:
         return features[selected], targets[selected]
 
     def _fit(self, network: BitFlipNetwork, features: np.ndarray, targets: np.ndarray) -> float:
-        """Fit the BF classifier; returns its final training accuracy."""
+        """Fit the BF classifier; returns its last epoch's training accuracy.
+
+        The network is a two-layer MLP (a K=1 convolution is a dense layer),
+        so each Adam step is one fused pass over a flat vector holding
+        ``bf.conv.weight``, ``bf.conv.bias``, ``bf.head.weight`` and
+        ``bf.head.bias``, with a flat gradient and flat moments.  Every
+        operation is the one the seed form in :mod:`repro.reference` runs
+        through the network's layers, ``CrossEntropyLoss`` and ``nn.Adam``,
+        on operands of the same shapes and C-contiguity, in the same order:
+        the two forward GEMMs with their bias adds and ReLU; the softmax
+        gradient over the three logit columns, with the max and the
+        left-to-right sum the axis reductions take; the backward down to the
+        first layer's weight and bias gradients, accumulated into a zeroed
+        buffer as ``Parameter.accumulate_grad`` does; and ``nn.Adam.step``'s
+        update.  The trained parameters therefore equal the seed's byte for
+        byte.  The layers' forward caches and ``Parameter.grad`` stay unused.
+        """
         if targets.size == 0:
             return 0.0
         labels = (targets + 1).astype(np.int64)
-        optimizer = nn.Adam(network.parameters(), lr=self.bf_lr)
-        loss_fn = nn.CrossEntropyLoss()
+        features = runtime.asarray(features)
+        params = network.parameters()
+        bounds = np.cumsum([0] + [param.size for param in params]).tolist()
+
+        def views(vector: np.ndarray) -> List[np.ndarray]:
+            return [
+                vector[start:stop].reshape(param.shape)
+                for param, start, stop in zip(params, bounds, bounds[1:])
+            ]
+
+        flat = np.concatenate([param.data.reshape(-1) for param in params])
+        grad, m, v = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+        w1, b1, w2, b2 = views(flat)
+        g_w1, g_b1, g_w2, g_b2 = views(grad)
+        # Class-major one-hot rows, to subtract from the logit columns.
+        onehot = np.zeros((3, labels.size), dtype=flat.dtype)
+        onehot[labels, np.arange(labels.size)] = 1.0
+        beta1, beta2, eps = 0.9, 0.999, 1e-8  # nn.Adam's defaults
         batch_size = min(256, labels.size)
-        last_accuracy = 0.0
-        for _ in range(self.bf_epochs):
+        step = 0
+        correct = 0
+        for epoch in range(self.bf_epochs):
             order = self.rng.permutation(labels.size)
-            correct = 0
+            epoch_x, epoch_onehot = features[order], onehot[:, order]
+            last_epoch = epoch + 1 == self.bf_epochs
             for start in range(0, labels.size, batch_size):
-                batch = order[start : start + batch_size]
-                optimizer.zero_grad()
-                logits = network.forward(features[batch])
-                loss_fn.forward(logits, labels[batch])
-                network.backward(loss_fn.backward())
-                optimizer.step()
-                correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
-            last_accuracy = correct / labels.size
-        return last_accuracy
+                x = epoch_x[start : start + batch_size]
+                rows = x.shape[0]
+                # Forward: Conv1d (K=1) as a GEMM, ReLU, Dense.
+                hidden = x @ w1
+                hidden += b1
+                np.maximum(hidden, 0.0, out=hidden)
+                logits = hidden @ w2
+                logits += b2
+                if last_epoch:
+                    predicted = np.argmax(logits, axis=1)
+                    correct += int(np.sum(predicted == labels[order[start : start + rows]]))
+                # CrossEntropyLoss's gradient, (softmax - onehot) / rows, per
+                # logit column; the max and the sum in the axis reductions' order.
+                columns = logits.T.copy()
+                peak = np.maximum(np.maximum(columns[0], columns[1]), columns[2])
+                np.subtract(columns, peak, out=columns)
+                exp = np.exp(columns)
+                total = (exp[0] + exp[1]) + exp[2]
+                np.subtract(columns, np.log(total), out=columns)
+                np.exp(columns, out=columns)
+                np.subtract(columns, epoch_onehot[:, start : start + rows], out=columns)
+                columns /= rows
+                # Backward to the first layer's parameter gradients, added
+                # to zeros as Parameter.accumulate_grad adds (-0.0 turns +0.0).
+                grad_logits = columns.T.copy()
+                grad.fill(0.0)
+                g_w2 += hidden.T @ grad_logits
+                g_b2 += grad_logits.sum(axis=0)
+                grad_hidden = grad_logits @ w2.T
+                grad_hidden *= hidden > 0
+                g_w1 += x.T @ grad_hidden
+                g_b1 += grad_hidden.sum(axis=0)
+                # nn.Adam.step over the flat vectors.
+                step += 1
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad ** 2
+                m_hat = m / (1 - beta1 ** step)
+                v_hat = v / (1 - beta2 ** step)
+                flat -= self.bf_lr * m_hat / (np.sqrt(v_hat) + eps)
+        for param, trained in zip(params, views(flat)):
+            param.update_data(trained.copy())
+        return correct / labels.size
 
 
 @dataclass

@@ -22,6 +22,7 @@ from repro.core.bitflip import (
     BitFlipCalibrationStats,
     BitFlipCalibrator,
     BitFlipNetwork,
+    BitFlipTrainer,
     FeatureNormalizer,
 )
 from repro.data.dataset import Dataset
@@ -101,6 +102,38 @@ def predict_flips_with_confidence(
     if confidence_threshold > 0.0:
         flips = np.where(confidence >= confidence_threshold, flips, 0)
     return flips.astype(np.int64), confidence
+
+
+def fit_bitflip_network(
+    trainer: BitFlipTrainer, network: BitFlipNetwork, features: np.ndarray, targets: np.ndarray
+) -> float:
+    """The seed BF fit: ``nn.Adam`` and ``CrossEntropyLoss`` through the network's layers.
+
+    :meth:`~repro.core.bitflip.BitFlipTrainer._fit` runs each step as one
+    fused pass over a flat parameter vector and must leave the same
+    parameter bytes, return the same last-epoch accuracy and draw the same
+    permutations from ``trainer.rng``.
+    """
+    if targets.size == 0:
+        return 0.0
+    labels = (targets + 1).astype(np.int64)
+    optimizer = nn.Adam(network.parameters(), lr=trainer.bf_lr)
+    loss_fn = CrossEntropyLoss()
+    batch_size = min(256, labels.size)
+    last_accuracy = 0.0
+    for _ in range(trainer.bf_epochs):
+        order = trainer.rng.permutation(labels.size)
+        correct = 0
+        for start in range(0, labels.size, batch_size):
+            batch = order[start : start + batch_size]
+            optimizer.zero_grad()
+            logits = network.forward(features[batch])
+            loss_fn.forward(logits, labels[batch])
+            network.network.backward(loss_fn.backward())
+            optimizer.step()
+            correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
+        last_accuracy = correct / labels.size
+    return last_accuracy
 
 
 def max_pool2d(x: np.ndarray, pool_size: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -218,13 +218,131 @@ class TestBitFlipNetwork:
             optimizer.zero_grad()
             logits = network.forward(feats)
             loss_fn.forward(logits, targets)
-            network.backward(loss_fn.backward())
+            network.network.backward(loss_fn.backward())
             optimizer.step()
         accuracy = np.mean(np.argmax(network.forward(feats), axis=1) == targets)
         assert accuracy > 0.8
 
 
+class _RecordingTrainer(BitFlipTrainer):
+    """Keeps the balanced ``(features, targets)`` set ``train`` hands to ``_fit``."""
+
+    def _fit(self, network, features, targets):
+        self.recorded = (features.copy(), targets.copy())
+        return super()._fit(network, features, targets)
+
+
+@pytest.fixture(scope="module")
+def bf_training_sets(trained_setup):
+    """Balanced BF sets recorded from ``BitFlipTrainer.train`` at 2, 4 and 8 bits."""
+    import copy
+
+    model, train, _ = trained_setup
+    sets = {}
+    for bits in (2, 4, 8):
+        trainer = _RecordingTrainer(bits=bits, bf_epochs=1, rng=np.random.default_rng(bits))
+        trainer.train(
+            quantize_model(copy.deepcopy(model), bits=bits), train,
+            calibration_epochs=8, calibration_lr=0.2,
+        )
+        sets[f"{bits}-bit"] = trainer.recorded
+    return sets
+
+
+def _synthetic_set(rows: int, seed: int, classes=(-1.0, 0.0, 1.0)):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, NUM_FEATURES)), rng.choice(classes, size=rows)
+
+
 class TestBitFlipTrainer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_equals_seed_byte_for_byte(self, bf_training_sets, dtype):
+        """The fused fit equals the seed's layers + CrossEntropyLoss + nn.Adam
+        fit: parameter bytes, the returned accuracy and the rng state after,
+        across the ``min(256, n)`` batch boundary, a single-class set and a
+        non-default hidden width."""
+        import copy
+
+        cases = [(name, data, 8) for name, data in bf_training_sets.items()]
+        for rows in (1, 255, 256, 257, 513):
+            cases.append((f"{rows} rows", _synthetic_set(rows, rows), 8))
+        cases.append(("single class", _synthetic_set(300, 7, classes=(1.0,)), 8))
+        cases.append(("16 hidden channels", _synthetic_set(300, 8), 16))
+        for _, targets in bf_training_sets.values():
+            assert sorted(set(targets)) == [-1.0, 0.0, 1.0]
+        assert bf_training_sets["8-bit"][1].size > 513
+        with runtime.use_dtype(dtype):
+            for seed, (name, (features, targets), hidden) in enumerate(cases):
+                rng = np.random.default_rng(seed)
+                trainer = BitFlipTrainer(bits=4, hidden_channels=hidden, rng=rng)
+                network = BitFlipNetwork(hidden_channels=hidden, rng=np.random.default_rng(seed))
+                seed_trainer, seed_network = copy.deepcopy(trainer), copy.deepcopy(network)
+                accuracy = trainer._fit(network, features, targets)
+                seed_accuracy = reference.fit_bitflip_network(
+                    seed_trainer, seed_network, features, targets
+                )
+                assert accuracy == seed_accuracy, name
+                assert trainer.rng.bit_generator.state == seed_trainer.rng.bit_generator.state, name
+                for param, seed_param in zip(network.parameters(), seed_network.parameters()):
+                    assert param.data.dtype == seed_param.data.dtype == dtype, name
+                    assert param.data.shape == seed_param.data.shape, name
+                    assert param.data.tobytes() == seed_param.data.tobytes(), (name, param.name)
+                assert network.state_dict().keys() == seed_network.state_dict().keys()
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("bf_epochs", 0), ("bf_lr", 0.0), ("bf_lr", -0.01),
+            ("max_samples", 0), ("hidden_channels", 0),
+        ],
+    )
+    def test_rejects_degenerate_settings(self, setting, value):
+        """No epoch or sample would ship an untrained network; no hidden
+        channel or a non-positive rate would fail after the whole server
+        calibration.  All four fail at construction, naming the argument."""
+        with pytest.raises(ValueError, match=setting):
+            BitFlipTrainer(bits=4, **{setting: value})
+
+    def test_balance_keeps_flips_and_caps_zeros_and_total(self):
+        """Every ±1 row stays; zeros are cut to 3 × the larger flip class (at
+        least 3); ``max_samples`` caps the total.  Rows keep their features."""
+        ids = np.arange(400, dtype=float)
+        targets = np.zeros(400)
+        targets[:7], targets[7:12] = -1.0, 1.0
+        features = np.repeat(ids[:, None], NUM_FEATURES, axis=1)
+        cases = ((targets, 20000, 12 + 21), (np.zeros(400), 20000, 3), (targets, 10, 10))
+        for labels, cap, expected in cases:
+            trainer = BitFlipTrainer(bits=4, max_samples=cap, rng=np.random.default_rng(0))
+            kept_features, kept = trainer._balance(features, labels)
+            rows = kept_features[:, 0].astype(int)
+            assert kept.size == expected == len(set(rows))
+            np.testing.assert_array_equal(kept, labels[rows])
+            assert np.all(kept_features == rows[:, None])
+            if cap >= 400:
+                assert set(np.flatnonzero(labels)) <= set(rows)
+                assert np.sum(kept == 0) <= 3 * max(np.sum(kept == -1), np.sum(kept == 1), 1)
+
+    def test_balance_draws_only_from_the_trainer_rng(self):
+        """The same trainer rng state gives the same rows in the same order,
+        whatever the global NumPy state; the rng advances the same way."""
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(500, NUM_FEATURES))
+        targets = rng.choice([-1.0, 0.0, 0.0, 0.0, 0.0, 1.0], size=500)
+        runs = []
+        global_state = np.random.get_state()
+        try:
+            for global_seed in (0, 1):
+                np.random.seed(global_seed)
+                trainer = BitFlipTrainer(bits=4, max_samples=100, rng=np.random.default_rng(9))
+                runs.append((*trainer._balance(features, targets), trainer.rng.bit_generator.state))
+        finally:
+            np.random.set_state(global_state)
+        (features_a, targets_a, state_a), (features_b, targets_b, state_b) = runs
+        assert features_a.tobytes() == features_b.tobytes()
+        assert targets_a.tobytes() == targets_b.tobytes()
+        assert state_a == state_b
+        assert features_a.shape == (100, NUM_FEATURES)
+
     def test_training_produces_quantized_network(self, trained_setup, rng):
         model, train, _ = trained_setup
         import copy

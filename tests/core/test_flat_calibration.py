@@ -100,7 +100,7 @@ class TestFlatFeatures:
         with runtime.use_dtype(dtype):
             qmodel, normalizer, rng = _setup(name, shape, dtype)
             plan = feature_plan(qmodel)
-            assert plan.arena_index is None and plan.num_rows == qmodel.arena.size
+            assert plan.index.arena_index is None and plan.num_rows == qmodel.arena.size
             batch = rng.normal(size=(6,) + shape)
             parts = _collect_raw_parts(qmodel, batch)
             raw = _fused_from_parts(parts)
@@ -185,6 +185,30 @@ class TestFlatFeatures:
         for copied in (copy.deepcopy(normalizer), pickle.loads(pickle.dumps(normalizer))):
             assert copied._templates == {}
             assert copied.template(plan)[0].tobytes() == template[0].tobytes()
+
+    def test_replicas_share_one_read_only_row_index(self):
+        """Plans of one layout hold the same read-only row arrays over their
+        own layers; another architecture or compute dtype gets its own; each
+        replica's features still equal its seed blocks."""
+        qmodel, _, rng = _setup("MLP", (12,), np.float64)
+        replicas = [qmodel, copy.deepcopy(qmodel), pickle.loads(pickle.dumps(qmodel))]
+        replicas[1].apply_flips(rng.integers(-1, 2, size=qmodel.arena.size))
+        plans = [feature_plan(replica) for replica in replicas]
+        index = plans[0].index
+        assert all(plan.index is index for plan in plans[1:])
+        assert len({id(plan.layers[0][0]) for plan in plans}) == 3
+        for array in (index.in_index, index.out_index, index.divisor):
+            assert not array.flags.writeable
+        wider = quantize_model(build_model("MLP", (16,), 4, rng=rng), bits=4)
+        assert feature_plan(wider).index is not index
+        with runtime.use_dtype(np.float32):
+            single = _setup("MLP", (12,), np.float32)[0]
+            assert feature_plan(single).key == plans[0].key
+            assert feature_plan(single).index is not index
+            assert feature_plan(single).index.divisor.dtype == np.float32
+        for replica in replicas:
+            raw = _fused_from_parts(_collect_raw_parts(replica, rng.normal(size=(6, 12))))
+            _assert_same(raw, _concat(reference.raw_feature_blocks(replica)))
 
 
 def _random_proposals(rng, rows, dtype, nonzero=None, integer=False, nan=False):
@@ -279,7 +303,7 @@ class TestParameterOutsideWeightedLayers:
         qmodel = quantize_model(model, bits=4)
         plan = feature_plan(qmodel)
         factor = qmodel.arena.layout.index("layer0.factor")
-        assert plan.arena_index is not None and plan.num_rows == qmodel.arena.size - 12
+        assert plan.index.arena_index is not None and plan.num_rows == qmodel.arena.size - 12
         assert factor == 0 and "layer0.factor" not in plan.names
         normalizer = FeatureNormalizer()
         features = rng.normal(size=(30, 12))
