@@ -398,7 +398,7 @@ class FleetGateway:
         )
         # Register first: a device can be quarantined before its first
         # dispatch ever created its store row, and quarantine must persist.
-        self.service.store.register_device(device_id)
+        self.service.store.register_devices([device_id])
         self.service.store.quarantine_device(device_id, message)
         self._quarantine(device_id, log)
 

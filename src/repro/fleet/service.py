@@ -34,15 +34,19 @@ tier a production fleet needs:
 
 Device round state machine (persisted per ``(round, device)`` row)::
 
-    pending ──mark_running──▶ running ──success──▶ done
+    pending ──mark_running──▶ running ──mark_done──▶ done
        ▲                         │
        └────────mark_failed──────┘ (attempt < max_attempts)
                                  │
                                  └──attempts exhausted──▶ quarantined
 
-``running`` rows found at drain time are, by construction, interrupted
-attempts: the service restores their round-start snapshot and retries them —
-that restoration is what makes resume bit-identical.
+Every transition is written for a whole phase at once: one store commit
+moves every device of a wave (or of a round's submit) through it, so a
+wave costs seven commits however many devices it holds, and a round's
+device rows land all or none.  ``running`` rows found at drain time are,
+by construction, interrupted attempts: the service restores their
+round-start snapshot and retries them — that restoration is what makes
+resume bit-identical.
 """
 
 from __future__ import annotations
@@ -359,10 +363,8 @@ class FleetService:
                 "no eligible devices: the whole fleet is quarantined "
                 f"({sorted(quarantined)})"
             )
-        for device_id in selected:
-            self.store.register_device(device_id)
-        round_id = self.store.create_round(selected)
         pool_digests: Dict[int, str] = {}
+        starts: Dict[str, Tuple[str, str, Any]] = {}
         for device_id in selected:
             pool = pools[device_id]
             key = id(pool)
@@ -372,13 +374,10 @@ class FleetService:
                 snapshot = snapshots[device_id]
             else:
                 snapshot = capture_calibration_state(self.fleet.get(device_id).qmodel)
-            self.store.init_device_round(
-                round_id,
-                device_id,
-                state_digest=snapshot.digest(),
-                pool_digest=pool_digests[key],
-                snapshot=snapshot,
-            )
+            starts[device_id] = (snapshot.digest(), pool_digests[key], snapshot)
+        self.store.register_devices(selected)
+        round_id = self.store.create_round(selected)
+        self.store.init_device_rounds(round_id, starts)
         return round_id
 
     def poll(self, round_id: int) -> RoundStatus:
@@ -404,9 +403,10 @@ class FleetService:
     def resume(self, pools: Mapping[str, Dataset]) -> List[RoundOutcome]:
         """Drain every unfinished round in the store (crash-recovery entry).
 
-        A round with no device rows comes from a submitter that died between
-        ``create_round`` and its first ``init_device_round``: there is
-        nothing to resume, so it is closed out rather than drained.
+        A round with no device rows comes from a submitter that died, or
+        whose device-row write failed, between ``create_round`` and
+        ``init_device_rounds``: there is nothing to resume, so it is closed
+        out rather than drained.
         """
         outcomes: List[RoundOutcome] = []
         for round_id in self.store.unfinished_rounds():
@@ -509,12 +509,10 @@ class FleetService:
         policy = self.retry_policy
         first_wave = True
         while groups:
-            eligible: List[_Group] = []
-            for group in groups:
-                if group.attempts >= policy.max_attempts:
-                    self._quarantine_group(round_id, group, outcome)
-                else:
-                    eligible.append(group)
+            exhausted = [group for group in groups if group.attempts >= policy.max_attempts]
+            if exhausted:
+                self._quarantine_groups(round_id, exhausted, outcome)
+            eligible = [group for group in groups if group.attempts < policy.max_attempts]
             if not eligible:
                 break
             delay = max(
@@ -543,52 +541,67 @@ class FleetService:
                 ]
             groups = failed
 
-    def _mark_group_running(self, round_id: int, group: _Group) -> None:
-        group.attempts += 1
-        for device_id in group.member_ids:
-            self.store.mark_running(round_id, device_id)
+    def _mark_running(self, round_id: int, groups: List[_Group]) -> None:
+        for group in groups:
+            group.attempts += 1
+        self.store.mark_running(
+            round_id, [device_id for group in groups for device_id in group.member_ids]
+        )
 
-    def _finish_group(
+    def _finish_groups(
         self,
         round_id: int,
-        group: _Group,
-        result_state: Any,
-        rep_stats: BitFlipCalibrationStats,
+        results: List[Tuple[_Group, Any, BitFlipCalibrationStats]],
         outcome: RoundOutcome,
     ) -> None:
-        """Scatter the representative's result to every member, durably.
+        """Scatter each representative's result to its members, durably.
 
-        Members share the representative's exact start state and pool, so
-        restoring its resulting :class:`CalibrationRoundState` is bit-identical
-        to calibrating each member separately — that equivalence is what the
-        dedupe economics rest on (and what the tests pin).
+        ``results`` holds ``(group, result_state, rep_stats)`` per finished
+        group; every member's row moves to ``done`` in one commit.  Members
+        share the representative's exact start state and pool, so
+        restoring its resulting :class:`CalibrationRoundState` is
+        bit-identical to calibrating each member separately — that
+        equivalence is what the dedupe economics rest on (and what the
+        tests pin).
         """
-        for device_id in group.member_ids:
-            stats = copy.deepcopy(rep_stats)
-            restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
-            self.store.mark_done(round_id, device_id, result_state, stats)
+        done: Dict[str, Tuple[Any, BitFlipCalibrationStats]] = {}
+        for group, result_state, rep_stats in results:
+            for device_id in group.member_ids:
+                restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
+                done[device_id] = (result_state, copy.deepcopy(rep_stats))
+        self.store.mark_done(round_id, done)
+        for device_id, (result_state, stats) in done.items():
             outcome.stats[device_id] = stats
             outcome.statuses[device_id] = "done"
             outcome.result_states[device_id] = result_state
 
-    def _fail_group(self, round_id: int, group: _Group, error: str) -> None:
-        for device_id in group.member_ids:
-            self.store.mark_failed(round_id, device_id, error)
+    def _fail_groups(self, round_id: int, failures: List[Tuple[_Group, str]]) -> None:
+        """Record ``(group, error)`` failures for every member in one commit."""
+        self.store.mark_failed(
+            round_id,
+            {
+                device_id: error
+                for group, error in failures
+                for device_id in group.member_ids
+            },
+        )
 
-    def _quarantine_group(
-        self, round_id: int, group: _Group, outcome: RoundOutcome
+    def _quarantine_groups(
+        self, round_id: int, groups: List[_Group], outcome: RoundOutcome
     ) -> None:
-        for device_id in group.member_ids:
-            row = self.store.get_device_round(round_id, device_id)
-            error = row.last_error or "attempts exhausted"
-            self.store.mark_quarantined(round_id, device_id, error)
-            outcome.statuses[device_id] = "quarantined"
-            outcome.quarantined[device_id] = error
-            # Leave the in-memory device at its round-start snapshot: a
-            # quarantined device keeps serving its last good calibration.
-            restore_calibration_state(
-                self.fleet.get(device_id).qmodel, group.snapshot
-            )
+        errors: Dict[str, str] = {}
+        for group in groups:
+            for device_id in group.member_ids:
+                row = self.store.get_device_round(round_id, device_id)
+                errors[device_id] = row.last_error or "attempts exhausted"
+        self.store.mark_quarantined(round_id, errors)
+        for group in groups:
+            for device_id in group.member_ids:
+                outcome.statuses[device_id] = "quarantined"
+                outcome.quarantined[device_id] = errors[device_id]
+                # Leave the in-memory device at its round-start snapshot: a
+                # quarantined device keeps serving its last good calibration.
+                restore_calibration_state(self.fleet.get(device_id).qmodel, group.snapshot)
 
     def _site(self, round_id: int, group: _Group) -> str:
         """Fault-injection site label: stable, attempt-addressable."""
@@ -608,8 +621,7 @@ class FleetService:
         the per-attempt timeout, restores every representative's snapshot and
         fails every group of the wave.
         """
-        for group in groups:
-            self._mark_group_running(round_id, group)
+        self._mark_running(round_id, groups)
         reps = Fleet({group.rep_id: self.fleet.get(group.rep_id) for group in groups})
         rep_pools = {group.rep_id: pools[group.rep_id] for group in groups}
         started = time.perf_counter()
@@ -632,16 +644,20 @@ class FleetService:
                 restore_calibration_state(
                     self.fleet.get(group.rep_id).qmodel, group.snapshot
                 )
-                self._fail_group(round_id, group, error)
+            self._fail_groups(round_id, [(group, error) for group in groups])
             return groups
-        for group in groups:
-            self._finish_group(
-                round_id,
-                group,
-                capture_calibration_state(self.fleet.get(group.rep_id).qmodel),
-                result.stats[group.rep_id],
-                outcome,
-            )
+        self._finish_groups(
+            round_id,
+            [
+                (
+                    group,
+                    capture_calibration_state(self.fleet.get(group.rep_id).qmodel),
+                    result.stats[group.rep_id],
+                )
+                for group in groups
+            ],
+            outcome,
+        )
         return []
 
     def _run_wave_pooled(
@@ -660,8 +676,7 @@ class FleetService:
         respawned).
         """
         pool = self._worker_pool()
-        for group in groups:
-            self._mark_group_running(round_id, group)
+        self._mark_running(round_id, groups)
         tasks = [
             (
                 self._site(round_id, group),
@@ -675,13 +690,17 @@ class FleetService:
         outcomes = pool.map_outcomes(
             _run_group_in_worker, tasks, timeout=self.retry_policy.timeout
         )
-        failed: List[_Group] = []
+        failed: List[Tuple[_Group, str]] = []
+        finished: List[Tuple[_Group, Any, BitFlipCalibrationStats]] = []
         for group, result in zip(groups, outcomes):
             if isinstance(result, WorkerFailure):
                 error = f"[{result.kind}] {result.exception}\n{result.worker_traceback}"
-                self._fail_group(round_id, group, error)
-                failed.append(group)
+                failed.append((group, error))
             else:
                 result_state, rep_stats = result
-                self._finish_group(round_id, group, result_state, rep_stats, outcome)
-        return failed
+                finished.append((group, result_state, rep_stats))
+        if failed:
+            self._fail_groups(round_id, failed)
+        if finished:
+            self._finish_groups(round_id, finished, outcome)
+        return [group for group, _ in failed]

@@ -20,12 +20,24 @@ Schema (see ``docs/operations.md`` for the operator view)::
                    pool_digest) that let N identical replicas share one BF
                    forward.
 
-Each mutating method is one commit.  Its statements run in the deferred
-transaction that :mod:`sqlite3` opens implicitly before the first write (a
-plain ``BEGIN``), and :meth:`DeviceStateStore._execute` wraps the whole
-commit in the bounded retry of :mod:`repro.utils.sqlite`, so an injected or
-real transient ``sqlite3.OperationalError`` (locked file, interrupted write)
-rolls it back and retries it rather than poisoning the round — the
+Each mutating method is one commit.  The round path commits once per round
+phase, whatever the number of devices (group commit): the per-phase methods
+(``register_devices``, ``init_device_rounds``, ``mark_running``,
+``mark_done``, ``mark_failed``, ``mark_quarantined``) take every device of
+the phase and run one statement over all their rows (``executemany``).  A
+gateway wave therefore commits seven times (register, round row, device
+rows, round running, wave running, wave done, round done), and a round's
+device rows land all or none.  The grain is one phase, not one wave:
+``resume`` keys on the ``running`` marks, so they must be durable before
+the work starts, and a wave-long transaction would hold the write lock
+that other submitter processes wait on.
+
+The statements run in the deferred transaction that :mod:`sqlite3` opens
+implicitly before the first write (a plain ``BEGIN``), and
+:meth:`DeviceStateStore._execute` wraps the whole commit in the bounded
+retry of :mod:`repro.utils.sqlite`, so an injected or real transient
+``sqlite3.OperationalError`` (locked file, interrupted write) rolls it back
+and retries it, every row again, rather than poisoning the round — the
 store-write fault class of :mod:`repro.fleet.faults` exercises exactly this
 path.
 
@@ -46,7 +58,7 @@ import pickle
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.sqlite import StoreError, connect, retry, utcnow
 
@@ -62,13 +74,18 @@ DEVICE_STATUSES = ("pending", "running", "done", "quarantined")
 #: Lifecycle of a round as a whole.
 ROUND_STATUSES = ("submitted", "running", "done")
 
-#: One mutating statement: SQL text and its bound parameters.
-_Statement = Tuple[str, Tuple[Any, ...]]
+#: One mutating statement: SQL text and the parameter rows it runs over.  A
+#: sequence, never a one-shot iterator: a retried commit replays it.
+_Statement = Tuple[str, Sequence[Tuple[Any, ...]]]
 
 _QUARANTINE_SQL = (
     "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ? "
     "WHERE device_id = ?"
 )
+
+
+def _blob(value: Any) -> bytes:
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 @dataclass
@@ -169,23 +186,23 @@ class DeviceStateStore:
         self.before_write: Optional[Callable[[str], None]] = None
 
     # --------------------------------------------------------------- plumbing
-    def _execute(self, *statements: _Statement) -> sqlite3.Cursor:
-        """Run ``(sql, params)`` statements as one commit with bounded retry.
+    def _execute(self, *statements: _Statement) -> None:
+        """Run ``(sql, rows)`` statements as one commit with bounded retry.
 
-        A transient ``sqlite3.OperationalError`` on any statement rolls the
-        whole commit back and retries it, so a method's statements land
-        together or not at all.  Returns the last statement's cursor.
+        Each statement runs once per parameter row (``executemany``).  A
+        transient ``sqlite3.OperationalError`` on any statement rolls the
+        whole commit back and retries it, replaying every row, so a
+        method's rows land together or not at all.
         """
 
-        def commit() -> sqlite3.Cursor:
-            for sql, params in statements:
+        def commit() -> None:
+            for sql, rows in statements:
                 if self.before_write is not None:
                     self.before_write(sql)
-                cursor = self._conn.execute(sql, params)
+                self._conn.executemany(sql, rows)
             self._conn.commit()
-            return cursor
 
-        return retry(self._conn, commit, attempts=self.write_retries, sleep=self.retry_sleep)
+        retry(self._conn, commit, attempts=self.write_retries, sleep=self.retry_sleep)
 
     def close(self) -> None:
         """Close the SQLite connection; idempotent (sqlite3 allows re-close)."""
@@ -198,24 +215,25 @@ class DeviceStateStore:
         self.close()
 
     # ---------------------------------------------------------------- devices
-    def register_device(self, device_id: str) -> None:
-        """Idempotently ensure a device row exists (keeps quarantine state)."""
+    def register_devices(self, device_ids: Sequence[str]) -> None:
+        """Idempotently ensure each device has a row (keeps quarantine state)."""
+        now = utcnow()
         self._execute((
             "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
             "ON CONFLICT(device_id) DO NOTHING",
-            (device_id, utcnow()),
+            [(device_id, now) for device_id in device_ids],
         ))
 
     def quarantine_device(self, device_id: str, error: str) -> None:
         """Mark a device quarantined, persisting its last traceback."""
-        self._execute((_QUARANTINE_SQL, (error, utcnow(), device_id)))
+        self._execute((_QUARANTINE_SQL, [(error, utcnow(), device_id)]))
 
     def release_device(self, device_id: str) -> None:
         """Lift a quarantine (operator action after fixing the device)."""
         self._execute((
             "UPDATE devices SET quarantined = 0, last_error = NULL, "
             "updated_at = ? WHERE device_id = ?",
-            (utcnow(), device_id),
+            [(utcnow(), device_id)],
         ))
 
     def quarantined_devices(self) -> Dict[str, str]:
@@ -231,13 +249,13 @@ class DeviceStateStore:
         if not device_ids:
             raise ValueError("a round needs at least one device")
         now = utcnow()
-        cursor = self._execute((
+        self._execute((
             "INSERT INTO rounds (status, num_devices, created_at, updated_at) "
             "VALUES ('submitted', ?, ?, ?)",
-            (len(device_ids), now, now),
+            [(len(device_ids), now, now)],
         ))
-        assert cursor.lastrowid is not None  # INSERT always assigns a rowid
-        return int(cursor.lastrowid)
+        # executemany leaves Cursor.lastrowid unset; the connection keeps it.
+        return int(self._conn.execute("SELECT last_insert_rowid()").fetchone()[0])
 
     def set_round_status(self, round_id: int, status: str) -> None:
         """Move a round through submitted → running → done."""
@@ -245,7 +263,7 @@ class DeviceStateStore:
             raise ValueError(f"unknown round status {status!r}; expected one of {ROUND_STATUSES}")
         self._execute((
             "UPDATE rounds SET status = ?, updated_at = ? WHERE round_id = ?",
-            (status, utcnow(), round_id),
+            [(status, utcnow(), round_id)],
         ))
 
     def get_round(self, round_id: int) -> RoundRecord:
@@ -276,67 +294,64 @@ class DeviceStateStore:
         return [int(row["round_id"]) for row in rows]
 
     # ---------------------------------------------------------- device rounds
-    def init_device_round(
-        self,
-        round_id: int,
-        device_id: str,
-        state_digest: str,
-        pool_digest: str,
-        snapshot: Any,
+    def init_device_rounds(
+        self, round_id: int, starts: Mapping[str, Tuple[str, str, Any]]
     ) -> None:
-        """Create the pending row for one device, persisting its round-start
-        snapshot — the anchor every retry and resume restores to."""
+        """Create the round's pending rows, one per device, in one commit.
+
+        ``starts`` maps each device id to ``(state_digest, pool_digest,
+        snapshot)``; the snapshot is the round-start state every retry and
+        resume restores to.  The rows land all or none, so a failed write
+        never leaves a round holding only some of its devices.
+        """
+        now = utcnow()
         self._execute((
             "INSERT OR REPLACE INTO device_rounds "
             "(round_id, device_id, status, attempts, state_digest, pool_digest,"
             " snapshot, updated_at) VALUES (?, ?, 'pending', 0, ?, ?, ?, ?)",
-            (
-                round_id,
-                device_id,
-                state_digest,
-                pool_digest,
-                pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL),
-                utcnow(),
-            ),
+            [
+                (round_id, device_id, state_digest, pool_digest, _blob(snapshot), now)
+                for device_id, (state_digest, pool_digest, snapshot) in starts.items()
+            ],
         ))
 
-    def mark_running(self, round_id: int, device_id: str) -> None:
-        """Transition to ``running`` and count the attempt.  A row found in
-        ``running`` on resume is, by construction, an interrupted attempt."""
+    def mark_running(self, round_id: int, device_ids: Sequence[str]) -> None:
+        """Move the devices to ``running`` and count the attempt.  A row found
+        in ``running`` on resume is, by construction, an interrupted attempt."""
+        now = utcnow()
         self._execute((
             "UPDATE device_rounds SET status = 'running', attempts = attempts + 1,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (utcnow(), round_id, device_id),
+            [(now, round_id, device_id) for device_id in device_ids],
         ))
 
-    def mark_done(
-        self, round_id: int, device_id: str, result_state: Any, stats: Any
-    ) -> None:
-        """Persist the final snapshot + stats and transition to ``done``."""
+    def mark_done(self, round_id: int, results: Mapping[str, Tuple[Any, Any]]) -> None:
+        """Persist each device's ``(result_state, stats)`` and move it to ``done``."""
+        now = utcnow()
         self._execute((
             "UPDATE device_rounds SET status = 'done', result_state = ?, stats = ?,"
             " last_error = NULL, updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (
-                pickle.dumps(result_state, protocol=pickle.HIGHEST_PROTOCOL),
-                pickle.dumps(stats, protocol=pickle.HIGHEST_PROTOCOL),
-                utcnow(),
-                round_id,
-                device_id,
-            ),
+            [
+                (_blob(result_state), _blob(stats), now, round_id, device_id)
+                for device_id, (result_state, stats) in results.items()
+            ],
         ))
 
-    def mark_failed(self, round_id: int, device_id: str, error: str) -> None:
-        """Record a failed attempt (back to ``pending`` for the next try)."""
+    def mark_failed(self, round_id: int, errors: Mapping[str, str]) -> None:
+        """Record failed attempts, device id → error (back to ``pending`` for
+        the next try)."""
+        now = utcnow()
         self._execute((
             "UPDATE device_rounds SET status = 'pending', last_error = ?,"
             " updated_at = ? WHERE round_id = ? AND device_id = ?",
-            (error, utcnow(), round_id, device_id),
+            [(error, now, round_id, device_id) for device_id, error in errors.items()],
         ))
 
-    def mark_quarantined(self, round_id: int, device_id: str, error: str) -> None:
-        """Give up on a device for this round and quarantine it globally.
+    def mark_quarantined(self, round_id: int, errors: Mapping[str, str]) -> None:
+        """Give up on the devices for this round and quarantine them globally
+        (device id → error).
 
-        Both rows change in one commit, so a round row never says
+        Both tables change in one commit, so a round row never says
         ``quarantined`` while the device itself stays admissible.
         """
         now = utcnow()
@@ -344,9 +359,9 @@ class DeviceStateStore:
             (
                 "UPDATE device_rounds SET status = 'quarantined', last_error = ?,"
                 " updated_at = ? WHERE round_id = ? AND device_id = ?",
-                (error, now, round_id, device_id),
+                [(error, now, round_id, device_id) for device_id, error in errors.items()],
             ),
-            (_QUARANTINE_SQL, (error, now, device_id)),
+            (_QUARANTINE_SQL, [(error, now, device_id) for device_id, error in errors.items()]),
         )
 
     def get_device_round(self, round_id: int, device_id: str) -> DeviceRoundRecord:

@@ -52,7 +52,8 @@ class ResultsWriter:
     store_path:
         The SQLite store; defaults to ``json_path`` with a ``.sqlite``
         suffix, so smoke runs pointed at ``/tmp`` get their own throwaway
-        store instead of touching the committed one.
+        store instead of touching the committed one.  Missing parent
+        directories of both paths are created.
     host, git_sha:
         Run identity components; default to the current host and the git
         SHA of the json's directory.
@@ -70,6 +71,8 @@ class ResultsWriter:
         self.store_path = (
             self.json_path.with_suffix(".sqlite") if store_path is None else Path(store_path)
         )
+        for directory in (self.json_path.parent, self.store_path.parent):
+            directory.mkdir(parents=True, exist_ok=True)
         self.host = current_host() if host is None else host
         self.git_sha = current_git_sha(self.json_path.parent) if git_sha is None else git_sha
         self.store = ResultsStore(self.store_path)

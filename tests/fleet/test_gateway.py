@@ -196,7 +196,7 @@ class TestAdmission:
     def test_quarantined_device_rejected(self, packaged):
         deployment, target = packaged
         store = DeviceStateStore()
-        store.register_device("device-0")
+        store.register_devices(["device-0"])
         store.quarantine_device("device-0", "flaky sensor")
         gateway = _gateway(_fleet(deployment), ManualClock(), store=store)
         result = gateway.offer(
@@ -361,7 +361,7 @@ class TestQuarantine:
             gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
         store = gateway.service.store
         operator = store if quarantiner == "gateway_store" else DeviceStateStore(path)
-        operator.register_device("device-0")
+        operator.register_devices(["device-0"])
         operator.quarantine_device("device-0", "operator: sensor fault")
         if operator is not store:
             operator.close()
@@ -390,8 +390,8 @@ class TestQuarantine:
         for device_id in fleet.ids:
             gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
         store = gateway.service.store
+        store.register_devices(fleet.ids)
         for device_id in fleet.ids:
-            store.register_device(device_id)
             store.quarantine_device(device_id, "operator: recall")
         logs = gateway.pump()
         assert [(log.round_id, log.devices) for log in logs] == [(None, [])]
@@ -446,6 +446,40 @@ class TestBitIdentity:
         # Snapshot reuse kicked in after round one: the gateway knows every
         # device's post-round state exactly and skips the capture walk.
         assert len(gateway._snapshots) == NUM_DEVICES
+
+
+class TestStoreCommits:
+    @pytest.mark.parametrize("num_devices", [3, 12])
+    def test_one_gateway_round_commits_once_per_phase(
+        self, packaged, tmp_path, monkeypatch, num_devices
+    ):
+        """A round writes each phase in one commit whatever its size:
+        register, round row, device rows, round running, wave running, wave
+        done, round done.  Each commit is one statement, one ``before_write``."""
+        deployment, target = packaged
+        fleet = Fleet.replicate(deployment, num_devices, seed=0)
+        config = GatewayConfig(lease_s=LEASE_S, queue_max=num_devices, max_batch=num_devices)
+        store = DeviceStateStore(tmp_path / "fleet.sqlite")
+        gateway = _gateway(fleet, ManualClock(), store=store, config=config)
+        pools = _pools(target, fleet.ids, 0)
+        for device_id in fleet.ids:
+            gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
+
+        commits, writes = [], []
+        execute = DeviceStateStore._execute
+
+        def counted(self, *statements):
+            commits.append(len(statements))
+            return execute(self, *statements)
+
+        monkeypatch.setattr(DeviceStateStore, "_execute", counted)
+        store.before_write = writes.append
+        logs = gateway.pump()
+        assert [len(log.devices) for log in logs] == [num_devices]
+        assert gateway.stats.completed_reports == num_devices
+        assert commits == [1] * 7
+        assert len(writes) == len(commits)
+        gateway.close()
 
 
 class TestEnvKnobs:

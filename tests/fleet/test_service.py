@@ -10,6 +10,7 @@ machinery trustworthy: recovery may cost time, never correctness.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.fleet import (
     RetryPolicy,
     dataset_digest,
 )
-from repro.fleet.store import DeviceStateStore
+from repro.fleet.store import DeviceStateStore, StoreError
 from repro.models import build_model
 
 TINY_TS = SyntheticTimeSeriesConfig(
@@ -167,7 +168,7 @@ class TestHappyPath:
             service.submit(pools, device_ids=["device-0", "device-0"])
         with pytest.raises(KeyError, match="ghost"):
             service.submit(pools, device_ids=["device-0", "ghost"])
-        service.store.register_device("device-1")
+        service.store.register_devices(["device-1"])
         service.store.quarantine_device("device-1", "flaky sensor")
         with pytest.raises(ValueError, match="release them first"):
             service.submit(pools, device_ids=["device-0", "device-1"])
@@ -179,8 +180,8 @@ class TestHappyPath:
         data, _, deployment = packaged
         fleet = _fleet(deployment)
         service = FleetService(fleet)
+        service.store.register_devices(fleet.ids)
         for device_id in fleet.ids:
-            service.store.register_device(device_id)
             service.store.quarantine_device(device_id, "recalled")
         with pytest.raises(ValueError, match="no eligible devices"):
             service.submit(_pools(data, fleet.ids))
@@ -491,8 +492,7 @@ class TestResume:
         fleet_a = _fleet(deployment)
         service_a = FleetService(fleet_a, store=DeviceStateStore(path))
         round_id = service_a.submit(pools_by(fleet_a))
-        for device_id in fleet_a.ids:
-            service_a.store.mark_running(round_id, device_id)
+        service_a.store.mark_running(round_id, fleet_a.ids)
         drift_pools = _pools(data, fleet_a.ids, shared=True)
         FleetCalibrator().calibrate(fleet_a, drift_pools)  # simulated partial work
         service_a.store.close()  # the "crash": nothing else is cleaned up
@@ -557,7 +557,7 @@ class TestResume:
 
     def test_resume_closes_a_round_without_device_rows(self, packaged, tmp_path):
         """A submitter that died between ``create_round`` and its first
-        ``init_device_round`` left a round with nothing to drain."""
+        ``init_device_rounds`` left a round with nothing to drain."""
         data, _, deployment = packaged
         path = tmp_path / "fleet.db"
         with DeviceStateStore(path) as store:
@@ -570,6 +570,43 @@ class TestResume:
         assert service.store.unfinished_rounds() == []
         assert fleet.codes_digests() == before
         service.close()
+
+    @pytest.mark.parametrize("first_failing", ["first", "second", "last"])
+    def test_failed_submit_leaves_no_partial_round(self, packaged, golden, first_failing):
+        """Device-row writes fail from the ``first_failing`` one on, past
+        the store's retries.  The round then holds all of its device rows
+        or none, and ``resume`` leaves every device at its state before the
+        round or at the golden state after it, never a subset drained as
+        if it were the whole round."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        pools = _pools(data, fleet.ids)
+        service = FleetService(fleet, store=DeviceStateStore(retry_sleep=0.0))
+        fail_from = {"first": 1, "second": 2, "last": NUM_DEVICES}[first_failing]
+        device_row_writes = []
+
+        def fail_device_rows(sql):
+            if "INTO device_rounds" in sql:
+                device_row_writes.append(sql)
+                if len(device_row_writes) >= fail_from:
+                    raise sqlite3.OperationalError("injected: disk I/O error")
+
+        service.store.before_write = fail_device_rows
+        try:
+            service.submit(pools)
+        except StoreError:
+            raised = True
+        else:
+            raised = False
+        service.store.before_write = None
+        (record,) = service.store.list_rounds()
+        rows = service.store.device_rounds(record.round_id)
+        assert len(rows) == (0 if raised else record.num_devices)
+
+        service.resume(pools)
+        assert service.store.unfinished_rounds() == []
+        assert fleet.codes_digests() == (before if raised else golden)
 
 
 class TestRetryPolicy:

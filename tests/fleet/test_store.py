@@ -30,11 +30,11 @@ def _write_rounds(path, writer, rounds):
     with DeviceStateStore(path) as store:
         for index in itertools.count() if rounds is None else range(rounds):
             device_id = f"w{writer}-d{index}"
-            store.register_device(device_id)
+            store.register_devices([device_id])
             round_id = store.create_round([device_id])
-            store.init_device_round(round_id, device_id, "state", "pool", _snapshot(index))
-            store.mark_running(round_id, device_id)
-            store.mark_done(round_id, device_id, _snapshot(index + 1), {"writer": writer})
+            store.init_device_rounds(round_id, {device_id: ("state", "pool", _snapshot(index))})
+            store.mark_running(round_id, [device_id])
+            store.mark_done(round_id, {device_id: (_snapshot(index + 1), {"writer": writer})})
 
 
 def _done_rows(path):
@@ -58,37 +58,37 @@ def _assert_consistent(path):
 class TestLifecycle:
     def test_round_and_device_round_lifecycle(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
-            store.register_device("d1")
+            store.register_devices(["d0", "d1"])
             round_id = store.create_round(["d0", "d1"])
             assert store.get_round(round_id).status == "submitted"
             assert store.get_round(round_id).num_devices == 2
 
-            for device_id in ("d0", "d1"):
-                store.init_device_round(
-                    round_id, device_id, "digest-a", "pool-a", _snapshot()
-                )
+            store.init_device_rounds(
+                round_id,
+                {device_id: ("digest-a", "pool-a", _snapshot()) for device_id in ("d0", "d1")},
+            )
             rows = store.device_rounds(round_id)
             assert [row.device_id for row in rows] == ["d0", "d1"]
             assert all(row.status == "pending" and row.attempts == 0 for row in rows)
 
-            store.mark_running(round_id, "d0")
+            store.mark_running(round_id, ["d0"])
             assert store.get_device_round(round_id, "d0").status == "running"
             assert store.get_device_round(round_id, "d0").attempts == 1
+            assert store.get_device_round(round_id, "d1").status == "pending"
 
-            store.mark_done(round_id, "d0", _snapshot(1), {"flips": 3})
+            store.mark_done(round_id, {"d0": (_snapshot(1), {"flips": 3})})
             row = store.get_device_round(round_id, "d0")
             assert row.status == "done"
             assert row.stats == {"flips": 3}
 
     def test_attempts_accumulate_across_retries(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
-            store.init_device_round(round_id, "d0", "x", "y", None)
+            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
             for _ in range(3):
-                store.mark_running(round_id, "d0")
-                store.mark_failed(round_id, "d0", "boom")
+                store.mark_running(round_id, ["d0"])
+                store.mark_failed(round_id, {"d0": "boom"})
             row = store.get_device_round(round_id, "d0")
             assert row.attempts == 3
             assert row.status == "pending"
@@ -96,18 +96,18 @@ class TestLifecycle:
 
     def test_mark_done_clears_last_error(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
-            store.init_device_round(round_id, "d0", "x", "y", None)
-            store.mark_running(round_id, "d0")
-            store.mark_failed(round_id, "d0", "first attempt blew up")
-            store.mark_running(round_id, "d0")
-            store.mark_done(round_id, "d0", None, None)
+            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            store.mark_running(round_id, ["d0"])
+            store.mark_failed(round_id, {"d0": "first attempt blew up"})
+            store.mark_running(round_id, ["d0"])
+            store.mark_done(round_id, {"d0": (None, None)})
             assert store.get_device_round(round_id, "d0").last_error is None
 
     def test_unfinished_rounds_and_status_transitions(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             first = store.create_round(["d0"])
             second = store.create_round(["d0"])
             assert store.unfinished_rounds() == [first, second]
@@ -133,10 +133,10 @@ class TestSnapshotRoundTrip:
         """Pickled blobs must round-trip numpy state losslessly — the
         bit-identity contract forbids any decimal-text detour."""
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
             snapshot = _snapshot(7)
-            store.init_device_round(round_id, "d0", "x", "y", snapshot)
+            store.init_device_rounds(round_id, {"d0": ("x", "y", snapshot)})
             loaded = store.get_device_round(round_id, "d0").snapshot
             assert loaded["codes"].dtype == snapshot["codes"].dtype
             np.testing.assert_array_equal(loaded["codes"], snapshot["codes"])
@@ -146,10 +146,10 @@ class TestSnapshotRoundTrip:
 class TestQuarantine:
     def test_quarantine_and_release(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
-            store.init_device_round(round_id, "d0", "x", "y", None)
-            store.mark_quarantined(round_id, "d0", "Traceback: kaboom")
+            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            store.mark_quarantined(round_id, {"d0": "Traceback: kaboom"})
             assert store.quarantined_devices() == {"d0": "Traceback: kaboom"}
             assert store.get_device_round(round_id, "d0").status == "quarantined"
             store.release_device("d0")
@@ -160,10 +160,10 @@ class TestQuarantine:
         outlive the process (simulated by close + reopen)."""
         path = tmp_path / "fleet.db"
         with DeviceStateStore(path) as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
-            store.init_device_round(round_id, "d0", "x", "y", _snapshot())
-            store.mark_quarantined(round_id, "d0", "poisoned")
+            store.init_device_rounds(round_id, {"d0": ("x", "y", _snapshot())})
+            store.mark_quarantined(round_id, {"d0": "poisoned"})
         with DeviceStateStore(path) as reopened:
             assert reopened.quarantined_devices() == {"d0": "poisoned"}
             assert reopened.unfinished_rounds() == [round_id]
@@ -175,9 +175,10 @@ class TestQuarantine:
 
     def test_register_preserves_quarantine(self):
         with DeviceStateStore() as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             store.quarantine_device("d0", "bad")
-            store.register_device("d0")
+            store.register_devices(["d0", "d1"])
+            assert store.quarantined_devices() == {"d0": "bad"}
             assert "d0" in store.quarantined_devices()
 
     def test_mark_quarantined_is_one_commit(self):
@@ -185,9 +186,9 @@ class TestQuarantine:
         otherwise the round says quarantined while the next submit would
         re-admit the device."""
         with DeviceStateStore(write_retries=2, retry_sleep=0.0) as store:
-            store.register_device("d0")
+            store.register_devices(["d0"])
             round_id = store.create_round(["d0"])
-            store.init_device_round(round_id, "d0", "x", "y", None)
+            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
 
             def fail_devices_update(sql):
                 if sql.startswith("UPDATE devices"):
@@ -195,12 +196,12 @@ class TestQuarantine:
 
             store.before_write = fail_devices_update
             with pytest.raises(StoreError):
-                store.mark_quarantined(round_id, "d0", "poisoned")
+                store.mark_quarantined(round_id, {"d0": "poisoned"})
             assert store.get_device_round(round_id, "d0").status == "pending"
             assert store.quarantined_devices() == {}
 
             store.before_write = None
-            store.mark_quarantined(round_id, "d0", "poisoned")
+            store.mark_quarantined(round_id, {"d0": "poisoned"})
             assert store.get_device_round(round_id, "d0").status == "quarantined"
             assert store.quarantined_devices() == {"d0": "poisoned"}
 
@@ -216,11 +217,59 @@ class TestWriteRetry:
                     raise sqlite3.OperationalError("injected: database is locked")
 
             store.before_write = flaky
-            store.register_device("d0")
+            store.register_devices(["d0"])
             store.before_write = None
             assert failures["left"] == 0
             round_id = store.create_round(["d0"])
             assert store.get_round(round_id).num_devices == 1
+
+    @pytest.mark.parametrize("failure", ["before_statement", "mid_statement"])
+    def test_retried_batched_write_lands_every_row(self, failure):
+        """The done write for three devices fails once, then succeeds on its
+        retry.  The retry must replay all three rows, also when the failed
+        attempt had already read some of them (a one-shot row iterator
+        would come back short)."""
+        devices = ["d0", "d1", "d2"]
+        with DeviceStateStore(retry_sleep=0.0) as store:
+            store.register_devices(devices)
+            round_id = store.create_round(devices)
+            store.init_device_rounds(
+                round_id, {device_id: ("x", "y", None) for device_id in devices}
+            )
+            store.mark_running(round_id, devices)
+            failed = []
+
+            def fail_done_write_once(sql):
+                if "status = 'done'" in sql and not failed:
+                    failed.append(sql)
+                    raise sqlite3.OperationalError("injected: database is locked")
+
+            def fail_second_row_once(device_id):
+                if device_id == "d1" and not failed:
+                    failed.append(device_id)
+                    raise RuntimeError("injected: disk I/O error")
+                return 0
+
+            if failure == "before_statement":
+                store.before_write = fail_done_write_once
+            else:
+                # The write fails at its second row, after reading two rows.
+                store._conn.create_function("fail_second_row_once", 1, fail_second_row_once)
+                store._conn.execute(
+                    "CREATE TEMP TRIGGER fail_done AFTER UPDATE OF status ON device_rounds"
+                    " WHEN NEW.status = 'done' BEGIN"
+                    " SELECT fail_second_row_once(NEW.device_id); END"
+                )
+            store.mark_done(
+                round_id,
+                {device_id: (_snapshot(k), {"flips": k}) for k, device_id in enumerate(devices)},
+            )
+            assert failed
+            rows = store.device_rounds(round_id)
+            assert [row.status for row in rows] == ["done"] * 3
+            for k, row in enumerate(rows):
+                assert row.stats == {"flips": k}
+                np.testing.assert_array_equal(row.result_state["codes"], _snapshot(k)["codes"])
 
     def test_persistent_write_failure_raises_store_error(self):
         with DeviceStateStore(write_retries=3, retry_sleep=0.0) as store:
@@ -232,7 +281,7 @@ class TestWriteRetry:
 
             store.before_write = always_fail
             with pytest.raises(StoreError, match="after 3 attempts"):
-                store.register_device("d0")
+                store.register_devices(["d0"])
             assert calls["n"] == 3
 
 
@@ -286,7 +335,7 @@ class TestConcurrentWriters:
 
         with DeviceStateStore(path) as store:
             assert len(store.list_rounds()) >= 5
-            store.register_device("after-crash")  # the file still takes writes
+            store.register_devices(["after-crash"])  # the file still takes writes
         _assert_consistent(path)
 
     def test_wal_switch_retries_when_another_opener_wins(self, tmp_path, lose_wal_race):
@@ -296,6 +345,6 @@ class TestConcurrentWriters:
         connect = lose_wal_race()
         with DeviceStateStore(tmp_path / "fleet.db", retry_sleep=0.0) as store:
             assert store._conn.raced
-            store.register_device("d0")
+            store.register_devices(["d0"])
         with contextlib.closing(connect(tmp_path / "fleet.db")) as conn:
             assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)

@@ -45,6 +45,19 @@ class TestWriterSurfaces:
         finally:
             writer.close()
 
+    @pytest.mark.parametrize("store_dir", [None, "stores/nested"])
+    def test_missing_directories_are_created(self, tmp_path, store_dir):
+        """A report path in a directory that does not exist yet must not
+        fail when the writer opens its store."""
+        json_path = tmp_path / "new" / "nested" / "report.json"
+        store_path = None if store_dir is None else tmp_path / store_dir / "x.sqlite"
+        with ResultsWriter(json_path, store_path, host="h", git_sha="sha") as writer:
+            writer.record_entry("qat", {"speedup": 1.5})
+            store_path = writer.store_path
+        assert json.loads(json_path.read_text()) == {"qat": {"speedup": 1.5}}
+        with ResultsStore(store_path) as store:
+            assert len(store.runs("qat", kind="entry")) == 1
+
     def test_json_merge_preserves_other_entries(self, tmp_path):
         json_path = tmp_path / "report.json"
         json_path.write_text(json.dumps({"other": {"speedup": 2.0}, "mode": "full"}))
