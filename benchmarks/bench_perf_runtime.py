@@ -26,13 +26,14 @@ entry tracks that configuration).  Bit-identity of the fused engine at
 float64 — final integer codes, per-epoch code snapshots and latent weights —
 is asserted, not just measured.
 
-The ``conv_kernels`` entry measures the **strided conv-kernel backend**
+The ``conv_kernels`` entry measures the **strided conv kernel**
 (:mod:`repro.nn.kernels`: tap-loop im2col + fused blocked tap-loop col2im)
-against the ``naive`` gather/bincount baseline on the conv-backbone QAT
+against the naive gather/bincount reference kernel
+(:func:`repro.reference.use_naive_kernel`) on the conv-backbone QAT
 workload (InceptionTime) at float32, and asserts at float64 that
 edge-calibration flip decisions and QAT integer codes are bit-identical
-across backends.  The edge flip decisions are asserted at float32 too:
-edge calibration runs no col2im, and im2col is a copy in both backends.
+across the two kernels.  The edge flip decisions are asserted at float32 too:
+edge calibration runs no col2im, and im2col is a copy in both kernels.
 
 The ``equivalence`` entry also checks the **fused BF-network fit**: on the
 balanced set the bench's own 8-bit ``BitFlipTrainer.train`` records,
@@ -54,6 +55,7 @@ entries written by the other benchmarks are preserved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import sys
@@ -66,7 +68,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np
 
 from repro import nn, runtime
-from repro.nn import kernels
 from repro.core.bitflip import (
     BitFlipCalibrator,
     BitFlipNetwork,
@@ -88,6 +89,7 @@ from repro.reference import (
     calibrate_per_tensor,
     calibrate_with_backprop_per_tensor,
     fit_bitflip_network,
+    use_naive_kernel,
 )
 from repro.results import ResultsWriter
 
@@ -197,14 +199,19 @@ def _measure_qat(config: dict, dtype) -> float:
         return float(np.median(timings)) / config["qat_epochs"]
 
 
-def _measure_conv_kernel(config: dict, backend: str) -> float:
-    """Conv-backbone QAT seconds per epoch at float32 for one conv backend.
+def _conv_kernel(naive: bool):
+    """A ``with`` block on the naive reference kernel, or on the production one."""
+    return use_naive_kernel() if naive else contextlib.nullcontext()
+
+
+def _measure_conv_kernel(config: dict, naive: bool) -> float:
+    """Conv-backbone QAT seconds per epoch at float32 on one conv kernel.
 
     The whole stack — backbone training, quantization and the calibration
-    epochs — runs under the named backend so each mode measures a coherent
-    configuration (mirrors ``_measure_edge``).
+    epochs — runs on the naive reference kernel or on the production one, so
+    each mode measures a coherent configuration (mirrors ``_measure_edge``).
     """
-    with runtime.use_dtype(np.float32), kernels.use_backend(backend):
+    with runtime.use_dtype(np.float32), _conv_kernel(naive):
         qmodel, _, _, _, source = _build_setup(config)
         timings = []
         for repeat in range(config["conv_kernel_repeats"]):
@@ -219,12 +226,12 @@ def _measure_conv_kernel(config: dict, backend: str) -> float:
 
 
 def _check_conv_kernel_equivalence(config: dict) -> dict:
-    """The strided conv backend must equal the naive one exactly.
+    """The strided conv kernel must equal the naive reference kernel exactly.
 
     Compares the decisions that matter to the paper: edge-calibration flip
     decisions (integer codes + per-epoch flip counts, through the conv
     backbone's forward activations feeding the BF features) and QAT
-    integer codes after STE calibration, each run under both backends from
+    integer codes after STE calibration, each run on both kernels from
     identical deep-copied starting states.  Both run at float64; the edge
     calibration runs again at float32, the production dtype, where it is
     exact too because its only conv primitive is im2col, a copy.
@@ -233,10 +240,10 @@ def _check_conv_kernel_equivalence(config: dict) -> dict:
     def same_codes(a, b):
         return all(np.array_equal(a[name], b[name]) for name in a)
 
-    def edge_run(setup, backend):
+    def edge_run(setup, naive):
         qmodel, network, normalizer, pool, _ = setup
         edge_q = copy.deepcopy(qmodel)
-        with kernels.use_backend(backend):
+        with _conv_kernel(naive):
             calibrator = BitFlipCalibrator(
                 network, epochs=max(2, config["edge_epochs"]),
                 confidence_threshold=0.4, max_flip_fraction=0.1,
@@ -246,10 +253,10 @@ def _check_conv_kernel_equivalence(config: dict) -> dict:
             stats = calibrator.calibrate(edge_q, pool)
         return stats.flips_per_epoch, edge_q.snapshot_codes()
 
-    def qat_run(setup, backend):
+    def qat_run(setup, naive):
         qmodel, _, _, _, source = setup
         qat_q = copy.deepcopy(qmodel)
-        with kernels.use_backend(backend):
+        with _conv_kernel(naive):
             calibrate_with_backprop(
                 qat_q, source.features, source.labels,
                 epochs=config["conv_kernel_epochs"], lr=0.01, batch_size=32,
@@ -259,14 +266,14 @@ def _check_conv_kernel_equivalence(config: dict) -> dict:
 
     def edge_identical(setup):
         (flips_s, codes_s), (flips_n, codes_n) = (
-            edge_run(setup, "strided"), edge_run(setup, "naive")
+            edge_run(setup, naive=False), edge_run(setup, naive=True)
         )
         return flips_s == flips_n and same_codes(codes_s, codes_n)
 
     with runtime.use_dtype(np.float64):
         setup = _build_setup(config)
         flips_identical = edge_identical(setup)
-        qat_identical = same_codes(qat_run(setup, "strided"), qat_run(setup, "naive"))
+        qat_identical = same_codes(qat_run(setup, naive=False), qat_run(setup, naive=True))
     with runtime.use_dtype(np.float32):
         flips_identical_float32 = edge_identical(_build_setup(config))
     return {
@@ -512,9 +519,9 @@ def main(argv=None) -> int:
     qat_arena = _measure_qat_fused(config, QAT_FUSED)
     print(f"  per-tensor: {qat_serial * 1e3:.2f} ms/epoch   fused arena: {qat_arena * 1e3:.2f} ms/epoch")
 
-    print("measuring conv-kernel backends (conv-backbone QAT, naive vs strided, float32)...")
-    conv_naive = _measure_conv_kernel(config, "naive")
-    conv_strided = _measure_conv_kernel(config, "strided")
+    print("measuring conv kernels (conv-backbone QAT, naive vs strided, float32)...")
+    conv_naive = _measure_conv_kernel(config, naive=True)
+    conv_strided = _measure_conv_kernel(config, naive=False)
     print(f"  naive: {conv_naive * 1e3:.2f} ms/epoch   strided: {conv_strided * 1e3:.2f} ms/epoch")
 
     print("verifying the production edge path and BF fit are exact (float64; flips and fit "
@@ -591,7 +598,7 @@ def main(argv=None) -> int:
         ("the production edge path or BF fit diverged from its seed form", equivalence),
         ("the fused QAT engine diverged from the per-tensor STE loop at float64",
          qat_equivalence),
-        ("the strided conv kernels diverged from the naive backend", conv_equivalence),
+        ("the strided conv kernel diverged from the naive reference kernel", conv_equivalence),
     ):
         false = [key for key, value in block.items() if value is False]
         if false:

@@ -35,7 +35,6 @@ a float64-pinned sweep stays float64 inside the pool.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -50,6 +49,7 @@ from repro.data.scenarios import ScenarioSpec, build_scenario
 from repro.eval.continual import ContinualEvaluator, MethodRunResult
 from repro.eval.tables import ResultsTable
 from repro.nn.module import Module
+from repro.utils.env import env_int
 
 #: Environment variable consulted when ``workers`` is not given explicitly.
 WORKERS_ENV_VAR = "REPRO_EVAL_WORKERS"
@@ -58,16 +58,7 @@ WORKERS_ENV_VAR = "REPRO_EVAL_WORKERS"
 def resolve_workers(workers: Optional[int] = None, default: int = 1) -> int:
     """Resolve the worker count: explicit argument, else ``REPRO_EVAL_WORKERS``, else ``default``."""
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError as error:
-                raise ValueError(
-                    f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-                ) from error
-        else:
-            workers = default
+        workers = env_int(WORKERS_ENV_VAR, default, minimum=1)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers

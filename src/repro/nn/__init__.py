@@ -19,8 +19,8 @@ Public entry points
 ``SGD``, ``Adam``
     Optimisers used for full-precision training and QAT calibration.
 ``kernels``
-    Pluggable conv-kernel backends (strided fast path, naive baseline)
-    behind every ``Conv1d`` / ``Conv2d`` forward and backward pass.
+    The conv kernel (im2col/col2im) behind every ``Conv1d`` / ``Conv2d``
+    forward and backward pass.
 """
 
 from repro.nn.parameter import Parameter

@@ -1,21 +1,16 @@
-"""Conv-kernel backends (the compute layer under every convolution).
+"""The conv kernel: the compute layer under every convolution.
 
 ``repro.nn.kernels`` owns the im2col/col2im primitives that Conv1d/Conv2d
-forward and backward passes are built from.  Two backends ship with the repo:
+forward and backward passes are built from.  Production runs one kernel,
+:class:`StridedKernel`: im2col as one strided slab copy per kernel tap from
+a channels-last source, feeding a single GEMM, and a fused, cache-blocked
+kernel-tap loop for the col2im backward, with no gather or scatter-index
+arrays at all.  See :mod:`repro.nn.kernels.strided`.
 
-``strided`` (the one production runs)
-    im2col as one strided slab copy per kernel tap from a channels-last
-    source, feeding a single GEMM, and a fused, cache-blocked kernel-tap
-    loop for the col2im backward — no gather or scatter-index arrays at
-    all.  See :mod:`repro.nn.kernels.strided`.
-``naive``
-    The original gather/bincount implementation, retained verbatim as the
-    equivalence baseline every backend must match bit-for-bit at float64.
-    See :mod:`repro.nn.kernels.naive`.
-
-Tests and benchmarks compare the two with :func:`use_backend`.
-``docs/kernels.md`` documents the backend contract and the checklist for
-adding new ones.
+Its reference is the original gather/bincount kernel in
+:mod:`repro.reference`, which it must match bit for bit at float64;
+:func:`repro.reference.use_naive_kernel` runs a block of code on it.
+``docs/kernels.md`` documents the kernel contract.
 """
 
 from repro.nn.kernels.base import (
@@ -23,18 +18,13 @@ from repro.nn.kernels.base import (
     conv_output_size,
     validate_conv_geometry,
 )
-from repro.nn.kernels.config import get_backend, use_backend
-from repro.nn.kernels.naive import NaiveKernel
 from repro.nn.kernels.strided import ConvLayout1d, ConvLayout2d, StridedKernel
 
 __all__ = [
     "ConvKernel",
     "ConvLayout1d",
     "ConvLayout2d",
-    "NaiveKernel",
     "StridedKernel",
     "conv_output_size",
-    "get_backend",
-    "use_backend",
     "validate_conv_geometry",
 ]

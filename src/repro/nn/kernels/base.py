@@ -1,15 +1,14 @@
-"""Backend contract and shared geometry arithmetic for conv kernels.
+"""Kernel contract and shared geometry arithmetic for conv kernels.
 
-A *conv kernel* is a backend object implementing the four primitives every
-convolution in the substrate is built from: ``im2col_1d`` / ``im2col_2d``
-(window extraction feeding one GEMM) and ``col2im_1d`` / ``col2im_2d``
-(the scatter-add adjoint used by the backward pass).  The public methods on
-:class:`ConvKernel` validate the convolution geometry once and delegate to
-backend-specific ``_impl`` hooks, so every backend rejects degenerate
-geometry the same way.
+A *conv kernel* implements the four primitives every convolution in the
+substrate is built from: ``im2col_1d`` / ``im2col_2d`` (window extraction
+feeding one GEMM) and ``col2im_1d`` / ``col2im_2d`` (the scatter-add adjoint
+used by the backward pass).  The public methods on :class:`ConvKernel`
+validate the convolution geometry once and delegate to kernel-specific
+``_impl`` hooks, so the production kernel and its reference reject
+degenerate geometry the same way.
 
-The contract a backend must honour (see ``docs/kernels.md`` for the full
-checklist):
+The contract a kernel honours (see ``docs/kernels.md``):
 
 * ``im2col`` returns ``(N, positions, fan_in)`` patches in the layout the
   rest of the repo assumes: position-major, channel x kernel-offset minor.
@@ -17,8 +16,9 @@ checklist):
   bit-flip feature extractor (which averages the cached columns).
 * ``col2im`` sums overlapping window contributions and returns an array of
   the active compute dtype (:func:`repro.runtime.get_dtype`).
-* At float64 every backend must be **bit-identical** to the ``naive``
-  reference backend, element order of floating-point accumulation included.
+* At float64 the production kernel is **bit-identical** to the naive
+  reference kernel in :mod:`repro.reference`, element order of
+  floating-point accumulation included.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def validate_conv_geometry(kernel_size: int, stride: int, padding: int) -> None:
     non-negative; the offending argument is named in the error message.
     Historically ``im2col_1d/2d`` silently accepted ``stride <= 0`` /
     ``padding < 0`` and produced garbage shapes — this guard runs on every
-    dispatch so no backend can regress that.
+    call so no kernel can regress that.
     """
     if kernel_size <= 0:
         raise ValueError(f"kernel_size must be positive, got {kernel_size}")
@@ -64,15 +64,11 @@ def conv_output_size(size: int, kernel_size: int, stride: int, padding: int) -> 
 
 
 class ConvKernel:
-    """Base class for conv-kernel backends.
+    """Base class for conv kernels.
 
-    Subclasses set :attr:`name` and implement the four
-    ``_im2col/_col2im`` hooks; geometry validation is handled here so all
-    backends share it.
+    Subclasses implement the four ``_im2col/_col2im`` hooks; geometry
+    validation is handled here so every kernel shares it.
     """
-
-    #: Name of the backend (``"naive"`` or ``"strided"``).
-    name: str = "abstract"
 
     def im2col_1d(
         self, x: np.ndarray, kernel_size: int, stride: int, padding: int
@@ -125,7 +121,7 @@ class ConvKernel:
         validate_conv_geometry(kernel_size, stride, padding)
         return self._col2im_2d(cols, input_shape, kernel_size, stride, padding)
 
-    # -- backend hooks -----------------------------------------------------
+    # -- kernel hooks ------------------------------------------------------
 
     def _im2col_1d(self, x, kernel_size, stride, padding):
         raise NotImplementedError
@@ -138,6 +134,3 @@ class ConvKernel:
 
     def _col2im_2d(self, cols, input_shape, kernel_size, stride, padding):
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -1,6 +1,7 @@
-"""The ``strided`` conv-kernel backend: tap-loop im2col + fused col2im.
+"""The production conv kernel: tap-loop im2col + fused col2im.
 
-The default backend.  Two ideas replace the naive gather/scatter:
+Every ``Conv1d`` / ``Conv2d`` runs this kernel.  Two ideas replace the
+gather/scatter of the naive reference kernel in :mod:`repro.reference`:
 
 **im2col as one slab copy per kernel tap.**  The columns are position-major
 ``(N, positions, C * K)`` (``C * K * K`` in 2-D), channel-major and tap-minor
@@ -27,9 +28,9 @@ output slice ``[k : k + (L_out-1)*stride + 1 : stride]`` exactly once, so the
 whole scatter is ``K`` (or ``K x K``) vectorised slice-additions with **no
 index arrays at all**.  Taps are applied in *descending* ``k`` order, which
 reproduces ``bincount``'s per-element accumulation order (contributions
-arrive in ascending window order) — that is what makes this backend
-bit-identical to ``naive`` at float64 despite floating-point addition being
-non-associative.  The loop is additionally *blocked* over the batch axis so
+arrive in ascending window order) — that is what makes this kernel
+bit-identical to the naive reference at float64 despite floating-point
+addition being non-associative.  The loop is additionally *blocked* over the batch axis so
 each gradient block stays cache-resident across all taps (the unblocked loop
 re-streams the whole gradient from memory once per tap; blocking cut another
 ~2x on the benchmark workload).
@@ -38,9 +39,9 @@ Per-geometry constants (output sizes, tap slices, batch block) are cached in
 immutable :class:`ConvLayout1d` / :class:`ConvLayout2d` objects keyed by
 ``(shape, kernel, stride, padding, dtype)``.
 
-One documented numeric difference: ``naive`` accumulates its scatter in
-float64 (a ``bincount`` constraint) even under float32 compute, then casts;
-this backend accumulates natively in the compute dtype.  At float64 the two
+One documented numeric difference: the naive reference accumulates its
+scatter in float64 (a ``bincount`` constraint) even under float32 compute,
+then casts; this kernel accumulates natively in the compute dtype.  At float64 the two
 are bit-identical (asserted in CI); at float32 they may differ in the last
 bit, consistent with the repo-wide "bit-identical at float64" contract.
 """
@@ -113,8 +114,8 @@ def _tap_slices(out_len: int, kernel_size: int, stride: int) -> Tuple[slice, ...
     Slice ``k`` selects what tap ``k`` of every window reads.  im2col
     copies are order-free; for col2im, descending order makes contributions
     to any output element arrive in ascending window order — the
-    accumulation order of the naive backend's ``bincount`` — which is what
-    keeps the backends bit-identical at float64.
+    accumulation order of the naive reference's ``bincount`` — which is
+    what keeps the two kernels bit-identical at float64.
     """
     span = (out_len - 1) * stride + 1
     return tuple(
@@ -175,16 +176,14 @@ def _layout_2d(
 
 
 class StridedKernel(ConvKernel):
-    """Fast conv backend: tap-loop im2col + blocked tap-loop col2im.
+    """The production conv kernel: tap-loop im2col + blocked tap-loop col2im.
 
-    Bit-identical to :class:`~repro.nn.kernels.naive.NaiveKernel` at float64
-    (asserted by the property tests, the ``conv_kernels`` benchmark and the CI
-    smoke); its im2col equals the naive one at every dtype.  The measured
-    speedup over ``naive`` is the ``conv_kernels`` entry of
-    ``BENCH_perf.json``.
+    Bit-identical at float64 to the naive reference kernel in
+    :mod:`repro.reference` (asserted by the property tests, the
+    ``conv_kernels`` benchmark and the CI smoke); its im2col equals the naive
+    one at every dtype.  The measured speedup over the naive kernel is the
+    ``conv_kernels`` entry of ``BENCH_perf.json``.
     """
-
-    name = "strided"
 
     def _im2col_1d(self, x, kernel_size, stride, padding):
         n, c, length = x.shape

@@ -10,7 +10,7 @@ relies on these activation snapshots to compute the per-parameter feature
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -116,10 +116,13 @@ class Conv1d(Module):
 
     Implemented through ``im2col`` so that the convolution reduces to a matrix
     product, which keeps both forward and backward passes vectorised.  The
-    im2col/col2im primitives come from the active :mod:`repro.nn.kernels`
-    backend; the backend observed at forward time is reused by the matching
-    backward pass so a mid-step backend switch cannot mix implementations.
+    im2col/col2im primitives come from :attr:`kernel`.
     """
+
+    #: The conv kernel of every forward and backward pass, shared with
+    #: :class:`Conv2d`; :func:`repro.reference.use_naive_kernel` swaps in the
+    #: reference kernel for a block.
+    kernel: ClassVar[kernels.ConvKernel] = kernels.StridedKernel()
 
     def __init__(
         self,
@@ -157,7 +160,6 @@ class Conv1d(Module):
         self.last_output: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
         self._input_shape: Optional[tuple] = None
-        self._kernel: Optional[kernels.ConvKernel] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = runtime.asarray(x)
@@ -167,9 +169,7 @@ class Conv1d(Module):
             )
         self.last_input = x
         self._input_shape = x.shape
-        kernel = kernels.get_backend()
-        self._kernel = kernel
-        cols = kernel.im2col_1d(x, self.kernel_size, self.stride, self.padding)  # (N, L_out, fan_in)
+        cols = self.kernel.im2col_1d(x, self.kernel_size, self.stride, self.padding)  # (N, L_out, fan_in)
         self._cols = cols
         n, out_len, fan_in = cols.shape
         # One flat GEMM over all windows beats N batched GEMMs (bit-identical:
@@ -183,7 +183,7 @@ class Conv1d(Module):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._input_shape is None or self._kernel is None:
+        if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward on Conv1d")
         grad_output = runtime.asarray(grad_output).transpose(0, 2, 1)  # (N, L_out, C_out)
         n, out_len, _ = grad_output.shape
@@ -195,7 +195,7 @@ class Conv1d(Module):
         # Reuse the contiguous grad_flat for one flat GEMM (the batched form
         # would re-buffer the transposed view once per batch row).
         grad_cols = (grad_flat @ self.weight.data.T).reshape(n, out_len, -1)
-        return self._kernel.col2im_1d(
+        return self.kernel.col2im_1d(
             grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
         )
 
@@ -203,9 +203,12 @@ class Conv1d(Module):
 class Conv2d(Module):
     """2-D convolution over inputs of shape ``(N, C, H, W)`` (square kernels).
 
-    Like :class:`Conv1d`, built on the active :mod:`repro.nn.kernels`
-    backend; forward and backward always use the same backend instance.
+    Like :class:`Conv1d`, built on the im2col/col2im primitives of
+    :attr:`kernel`.
     """
+
+    #: The conv kernel of every forward and backward pass (see :class:`Conv1d`).
+    kernel: ClassVar[kernels.ConvKernel] = Conv1d.kernel
 
     def __init__(
         self,
@@ -244,7 +247,6 @@ class Conv2d(Module):
         self._cols: Optional[np.ndarray] = None
         self._input_shape: Optional[tuple] = None
         self._out_hw: Optional[tuple] = None
-        self._kernel: Optional[kernels.ConvKernel] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = runtime.asarray(x)
@@ -258,9 +260,7 @@ class Conv2d(Module):
         out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
         out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
         self._out_hw = (out_h, out_w)
-        kernel = kernels.get_backend()
-        self._kernel = kernel
-        cols = kernel.im2col_2d(x, self.kernel_size, self.stride, self.padding)
+        cols = self.kernel.im2col_2d(x, self.kernel_size, self.stride, self.padding)
         self._cols = cols
         fan_in = cols.shape[-1]
         # One flat GEMM over all windows, bias added in place (see Conv1d.forward).
@@ -273,7 +273,7 @@ class Conv2d(Module):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._input_shape is None or self._out_hw is None or self._kernel is None:
+        if self._cols is None or self._input_shape is None or self._out_hw is None:
             raise RuntimeError("backward called before forward on Conv2d")
         n = grad_output.shape[0]
         out_h, out_w = self._out_hw
@@ -285,7 +285,7 @@ class Conv2d(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_flat.sum(axis=0))
         grad_cols = (grad_flat @ self.weight.data.T).reshape(n, out_h * out_w, -1)
-        return self._kernel.col2im_2d(
+        return self.kernel.col2im_2d(
             grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
         )
 

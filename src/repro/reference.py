@@ -4,15 +4,17 @@ Production code runs one path per job; the seed paths it replaced live here,
 so tests and benchmarks can compare the two in one process (rule 1 of the
 bit-identity contract in ``docs/performance.md``).  At float64 each must
 equal its fast path bit for bit.  The conv-kernel reference is
-:class:`~repro.nn.kernels.naive.NaiveKernel`, run through
-:func:`repro.nn.kernels.use_backend`.  This module is the top layer of the
-import DAG (``tools/lint/config.py``), so no production module can import it.
+:class:`NaiveKernel`; :func:`use_naive_kernel` runs every ``Conv1d`` /
+``Conv2d`` on it for a block.  This module is the top layer of the import
+DAG (``tools/lint/config.py``), so no production module can import it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from repro.core.bitflip import (
     FeatureNormalizer,
 )
 from repro.data.dataset import Dataset
+from repro.nn.kernels import ConvKernel, conv_output_size
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.training import evaluate, iterate_minibatches, predict_labels
 from repro.quantization.calibration import CalibrationResult, EpochHook
@@ -571,3 +574,147 @@ class PerTensorQuantizedModel:
             for name, qt in self.qtensors.items()
         ]
         return float(np.mean(errors)) if errors else 0.0
+
+
+@lru_cache(maxsize=512)
+def _patch_indices_1d(out_len: int, kernel_size: int, stride: int) -> np.ndarray:
+    """Window-gather indices of shape ``(L_out, K)`` into the padded length axis."""
+    starts = np.arange(out_len) * stride
+    idx = starts[:, None] + np.arange(kernel_size)[None, :]
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=512)
+def _patch_indices_2d(out_h: int, out_w: int, kernel_size: int, stride: int):
+    """Row/column gather indices ``(H_out, K)`` and ``(W_out, K)`` for 2-D windows."""
+    row_idx = np.arange(out_h)[:, None] * stride + np.arange(kernel_size)[None, :]
+    col_idx = np.arange(out_w)[:, None] * stride + np.arange(kernel_size)[None, :]
+    row_idx.setflags(write=False)
+    col_idx.setflags(write=False)
+    return row_idx, col_idx
+
+
+@lru_cache(maxsize=512)
+def _scatter_positions_1d(out_len: int, kernel_size: int, stride: int) -> np.ndarray:
+    """Flat scatter targets (length ``L_out * K``) within one padded row."""
+    positions = np.ascontiguousarray(
+        _patch_indices_1d(out_len, kernel_size, stride)
+    ).reshape(-1)
+    positions.setflags(write=False)
+    return positions
+
+
+@lru_cache(maxsize=512)
+def _scatter_positions_2d(
+    out_h: int, out_w: int, kernel_size: int, stride: int, padded_w: int
+) -> np.ndarray:
+    """Flat scatter targets within one padded ``(H, W)`` plane.
+
+    Position order matches ``cols`` laid out as ``(H_out, K, W_out, K)``.
+    """
+    row_idx, col_idx = _patch_indices_2d(out_h, out_w, kernel_size, stride)
+    positions = row_idx[:, :, None, None] * padded_w + col_idx[None, None, :, :]
+    positions = np.ascontiguousarray(positions).reshape(-1)
+    positions.setflags(write=False)
+    return positions
+
+
+def _scatter_add_rows(
+    values: np.ndarray, positions: np.ndarray, row_length: int
+) -> np.ndarray:
+    """Scatter-add ``values`` of shape ``(rows, len(positions))`` into ``(rows, row_length)``.
+
+    Every row uses the same ``positions``; overlaps sum.  Implemented with one
+    :func:`numpy.bincount` over row-offset flattened positions, which is far
+    faster than ``np.add.at`` for the overlapping windows of a convolution.
+    """
+    rows = values.shape[0]
+    offsets = np.arange(rows, dtype=np.intp)[:, None] * row_length
+    flat_positions = (offsets + positions[None, :]).reshape(-1)
+    accumulated = np.bincount(
+        flat_positions, weights=values.reshape(-1), minlength=rows * row_length
+    )
+    return accumulated.reshape(rows, row_length).astype(runtime.get_dtype(), copy=False)
+
+
+class NaiveKernel(ConvKernel):
+    """The seed conv kernel: fancy-indexing gather + bincount scatter.
+
+    The reproduction's original conv implementation, kept verbatim as the
+    equivalence baseline of :class:`~repro.nn.kernels.StridedKernel`, which
+    must match it bit for bit at float64.  Its gather/scatter index arrays
+    depend only on the geometry ``(output size, kernel, stride)``, so they
+    are memoised per geometry (:func:`_patch_indices_1d` and friends).  Its
+    ``col2im`` accumulates with :func:`numpy.bincount`, always in float64,
+    then casts to the compute dtype; that accumulation order is the
+    ordering contract, and at float32 the strided kernel, which accumulates
+    natively, may differ from it in the last bit.
+    """
+
+    def _im2col_1d(self, x, kernel_size, stride, padding):
+        n, c, length = x.shape
+        if padding > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        out_len = conv_output_size(length, kernel_size, stride, padding)
+        idx = _patch_indices_1d(out_len, kernel_size, stride)
+        patches = x[:, :, idx]                       # (N, C, L_out, K)
+        patches = patches.transpose(0, 2, 1, 3)      # (N, L_out, C, K)
+        return patches.reshape(n, out_len, c * kernel_size)
+
+    def _col2im_1d(self, cols, input_shape, kernel_size, stride, padding):
+        n, c, length = input_shape
+        padded_len = length + 2 * padding
+        out_len = conv_output_size(length, kernel_size, stride, padding)
+        cols = cols.reshape(n, out_len, c, kernel_size).transpose(0, 2, 1, 3)  # (N, C, L_out, K)
+        positions = _scatter_positions_1d(out_len, kernel_size, stride)
+        grad_padded = _scatter_add_rows(
+            cols.reshape(n * c, out_len * kernel_size), positions, padded_len
+        ).reshape(n, c, padded_len)
+        if padding > 0:
+            return grad_padded[:, :, padding:-padding]
+        return grad_padded
+
+    def _im2col_2d(self, x, kernel_size, stride, padding):
+        n, c, h, w = x.shape
+        if padding > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        out_h = conv_output_size(h, kernel_size, stride, padding)
+        out_w = conv_output_size(w, kernel_size, stride, padding)
+        row_idx, col_idx = _patch_indices_2d(out_h, out_w, kernel_size, stride)
+        # (N, C, H_out, K, W_out, K)
+        patches = x[:, :, row_idx[:, :, None, None], col_idx[None, None, :, :]]
+        patches = patches.transpose(0, 2, 4, 1, 3, 5)  # (N, H_out, W_out, C, K, K)
+        return patches.reshape(n, out_h * out_w, c * kernel_size * kernel_size)
+
+    def _col2im_2d(self, cols, input_shape, kernel_size, stride, padding):
+        n, c, h, w = input_shape
+        ph, pw = h + 2 * padding, w + 2 * padding
+        out_h = conv_output_size(h, kernel_size, stride, padding)
+        out_w = conv_output_size(w, kernel_size, stride, padding)
+        cols = cols.reshape(n, out_h, out_w, c, kernel_size, kernel_size)
+        cols = cols.transpose(0, 3, 1, 4, 2, 5)  # (N, C, H_out, K, W_out, K)
+        positions = _scatter_positions_2d(out_h, out_w, kernel_size, stride, pw)
+        grad_padded = _scatter_add_rows(
+            cols.reshape(n * c, -1), positions, ph * pw
+        ).reshape(n, c, ph, pw)
+        if padding > 0:
+            return grad_padded[:, :, padding:-padding, padding:-padding]
+        return grad_padded
+
+
+@contextmanager
+def use_naive_kernel() -> Iterator[NaiveKernel]:
+    """Run every ``Conv1d`` / ``Conv2d`` on a :class:`NaiveKernel` for a ``with`` block.
+
+    Covers every conv of the block, the bit-flip network's included, forward
+    and backward.  The kernels the two classes ran before come back on exit,
+    also when the block raises.
+    """
+    previous = nn.Conv1d.kernel, nn.Conv2d.kernel
+    kernel = NaiveKernel()
+    nn.Conv1d.kernel = nn.Conv2d.kernel = kernel
+    try:
+        yield kernel
+    finally:
+        nn.Conv1d.kernel, nn.Conv2d.kernel = previous

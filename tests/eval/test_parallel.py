@@ -163,6 +163,11 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers(0)
 
+    def test_non_positive_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EVAL_WORKERS", "0")
+        with pytest.raises(ValueError, match="REPRO_EVAL_WORKERS must be >= 1, got 0"):
+            resolve_workers(None)
+
 
 class TestParallelEvaluator:
     def test_rejects_bad_num_batches(self):

@@ -1,4 +1,9 @@
-"""Tests for the im2col/col2im fast paths (cached indices, bincount scatter)."""
+"""Tests for ``repro.nn.functional`` and for the conv kernels' scatter-add.
+
+Both conv kernels' ``col2im`` (the production strided kernel and the naive
+bincount reference) are checked against an ``np.add.at`` oracle, and the
+reference kernel's memoised index helpers are checked for caching.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import reference, runtime
 from repro.nn import functional as F
+from repro.nn.kernels import StridedKernel
+
+#: The production kernel and its reference; every scatter test runs both.
+KERNELS = (StridedKernel(), reference.NaiveKernel())
 
 
 def _col2im_1d_reference(cols, input_shape, kernel_size, stride, padding):
@@ -60,9 +69,10 @@ class TestCol2ImBincount:
         n, c, length = shape
         out_len = (length + 2 * padding - kernel) // stride + 1
         cols = rng.normal(size=(n, out_len, c * kernel))
-        fast = F.col2im_1d(cols, shape, kernel, stride, padding)
-        reference = _col2im_1d_reference(cols, shape, kernel, stride, padding)
-        np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=0)
+        oracle = _col2im_1d_reference(cols, shape, kernel, stride, padding)
+        for kernel_impl in KERNELS:
+            fast = kernel_impl.col2im_1d(cols, shape, kernel, stride, padding)
+            np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "shape,kernel,stride,padding",
@@ -77,44 +87,47 @@ class TestCol2ImBincount:
         out_h = (h + 2 * padding - kernel) // stride + 1
         out_w = (w + 2 * padding - kernel) // stride + 1
         cols = rng.normal(size=(n, out_h * out_w, c * kernel * kernel))
-        fast = F.col2im_2d(cols, shape, kernel, stride, padding)
-        reference = _col2im_2d_reference(cols, shape, kernel, stride, padding)
-        np.testing.assert_allclose(fast, reference, rtol=1e-12, atol=0)
+        oracle = _col2im_2d_reference(cols, shape, kernel, stride, padding)
+        for kernel_impl in KERNELS:
+            fast = kernel_impl.col2im_2d(cols, shape, kernel, stride, padding)
+            np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0)
 
     def test_im2col_col2im_adjoint_1d(self, rng):
         """<im2col(x), cols> == <x, col2im(cols)> — the defining adjoint identity."""
         x = rng.normal(size=(2, 3, 10))
         cols = rng.normal(size=(2, 10, 9))  # kernel 3, stride 1, padding 1
-        lhs = float(np.sum(F.im2col_1d(x, 3, 1, 1) * cols))
-        rhs = float(np.sum(x * F.col2im_1d(cols, x.shape, 3, 1, 1)))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        for kernel in KERNELS:
+            lhs = float(np.sum(kernel.im2col_1d(x, 3, 1, 1) * cols))
+            rhs = float(np.sum(x * kernel.col2im_1d(cols, x.shape, 3, 1, 1)))
+            assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_output_follows_runtime_dtype(self, rng):
         cols64 = rng.normal(size=(1, 5, 4))  # kernel 2, stride 1 over length 6
-        with runtime.use_dtype(np.float32):
-            out = F.col2im_1d(cols64.astype(np.float32), (1, 2, 6), 2, 1, 0)
-            assert out.dtype == np.float32
-        out64 = F.col2im_1d(cols64, (1, 2, 6), 2, 1, 0)
-        assert out64.dtype == np.float64
+        for kernel in KERNELS:
+            with runtime.use_dtype(np.float32):
+                out = kernel.col2im_1d(cols64.astype(np.float32), (1, 2, 6), 2, 1, 0)
+                assert out.dtype == np.float32
+            out64 = kernel.col2im_1d(cols64, (1, 2, 6), 2, 1, 0)
+            assert out64.dtype == np.float64
 
 
 class TestIndexCaching:
     def test_patch_indices_are_memoised(self):
-        first = F._patch_indices_1d(13, 3, 2)
-        second = F._patch_indices_1d(13, 3, 2)
+        first = reference._patch_indices_1d(13, 3, 2)
+        second = reference._patch_indices_1d(13, 3, 2)
         assert first is second
 
     def test_cached_indices_are_read_only(self):
-        idx = F._patch_indices_1d(7, 3, 1)
+        idx = reference._patch_indices_1d(7, 3, 1)
         with pytest.raises(ValueError):
             idx[0, 0] = 99
-        positions = F._scatter_positions_2d(4, 4, 3, 1, 8)
+        positions = reference._scatter_positions_2d(4, 4, 3, 1, 8)
         with pytest.raises(ValueError):
             positions[0] = 1
 
     def test_different_geometries_get_different_indices(self):
-        assert F._patch_indices_1d(5, 3, 1)[-1, -1] == 6
-        assert F._patch_indices_1d(5, 3, 2)[-1, -1] == 10
+        assert reference._patch_indices_1d(5, 3, 1)[-1, -1] == 6
+        assert reference._patch_indices_1d(5, 3, 2)[-1, -1] == 10
 
 
 def _channels_last(cells):

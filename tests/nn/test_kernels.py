@@ -1,23 +1,40 @@
-"""Tests for the pluggable conv-kernel backend layer (``repro.nn.kernels``).
+"""Tests for the conv kernel (``repro.nn.kernels``) and its naive reference.
 
-Covers the ``use_backend`` test seam, the geometry-validation regression (stride <= 0 / padding < 0 used to produce
-garbage shapes silently), edge-case geometries through both backends, the
-strided path on non-contiguous inputs, the bit-identity property between
-the strided backend and the naive reference across random shapes and input
-layouts (im2col at float64 and float32, col2im at float64), and whole conv
-models of the zoo run under both backends.
+Covers the one kernel every conv layer runs and the ``use_naive_kernel``
+seam of ``repro.reference``, the geometry-validation regression (stride <= 0
+/ padding < 0 used to produce garbage shapes silently), edge-case geometries
+through both kernels, the strided path on non-contiguous inputs, the
+bit-identity property between the strided kernel and the naive reference
+across random shapes and input layouts (im2col at float64 and float32,
+col2im at float64), whole conv models of the zoo run on both kernels, and
+the tier-1 twins of the benchmark's ``conv_kernels`` equivalence keys.
 """
 
 from __future__ import annotations
+
+import contextlib
+import copy
 
 import numpy as np
 import pytest
 
 from repro import nn, runtime
+from repro.core.bitflip import (
+    BitFlipCalibrator,
+    BitFlipNetwork,
+    FeatureNormalizer,
+    extract_parameter_features,
+)
+from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import build_model
-from repro.nn import functional as F
-from repro.nn import kernels
-from repro.nn.kernels import ConvKernel, NaiveKernel, StridedKernel
+from repro.nn.kernels import ConvKernel, StridedKernel
+from repro.nn.training import train_classifier
+from repro.quantization import (
+    QuantizationConfig,
+    QuantizedModel,
+    calibrate_with_backprop,
+)
+from repro.reference import NaiveKernel, use_naive_kernel
 
 NAIVE = NaiveKernel()
 STRIDED = StridedKernel()
@@ -40,6 +57,11 @@ def _in_layout(x, layout):
     return view
 
 
+def _on_kernel(naive):
+    """A ``with`` block on the naive reference kernel, or on the production one."""
+    return use_naive_kernel() if naive else contextlib.nullcontext()
+
+
 def _random_cols_1d(rng, shape, kernel, stride, padding):
     n, c, length = shape
     out_len = (length + 2 * padding - kernel) // stride + 1
@@ -53,30 +75,27 @@ def _random_cols_2d(rng, shape, kernel, stride, padding):
     return rng.normal(size=(n, out_h * out_w, c * kernel * kernel))
 
 
-class TestBackendSelection:
-    def test_default_backend_is_strided(self):
-        assert isinstance(kernels.get_backend(), StridedKernel)
+class TestKernelSeam:
+    def test_conv_layers_run_strided_kernel(self):
+        assert isinstance(nn.Conv1d.kernel, StridedKernel)
+        assert nn.Conv2d.kernel is nn.Conv1d.kernel
 
-    def test_use_backend_restores_on_exit(self):
-        before = kernels.get_backend()
-        with kernels.use_backend("naive") as backend:
-            assert isinstance(backend, NaiveKernel)
-            assert kernels.get_backend() is backend
-        assert kernels.get_backend() is before
+    def test_use_naive_kernel_restores_on_exit(self):
+        before = nn.Conv1d.kernel
+        layer = nn.Conv1d(2, 3, kernel_size=1)  # built before the block
+        with use_naive_kernel() as kernel:
+            assert isinstance(kernel, NaiveKernel)
+            assert nn.Conv1d.kernel is kernel and nn.Conv2d.kernel is kernel
+            assert layer.kernel is kernel
+        assert nn.Conv1d.kernel is before and nn.Conv2d.kernel is before
+        assert layer.kernel is before
 
-    def test_use_backend_restores_on_error(self):
-        before = kernels.get_backend()
+    def test_use_naive_kernel_restores_on_error(self):
+        before = nn.Conv1d.kernel
         with pytest.raises(RuntimeError):
-            with kernels.use_backend("naive"):
+            with use_naive_kernel():
                 raise RuntimeError("boom")
-        assert kernels.get_backend() is before
-
-    def test_unknown_backend_raises(self):
-        before = kernels.get_backend()
-        with pytest.raises(ValueError, match="unknown conv-kernel backend.*naive, strided"):
-            with kernels.use_backend("does-not-exist"):
-                pass
-        assert kernels.get_backend() is before
+        assert nn.Conv1d.kernel is before and nn.Conv2d.kernel is before
 
 
 class TestGeometryValidation:
@@ -87,28 +106,28 @@ class TestGeometryValidation:
     def test_im2col_1d_rejects_nonpositive_stride(self, rng, bad_stride):
         x = rng.normal(size=(1, 2, 8))
         with pytest.raises(ValueError, match=f"stride must be positive, got {bad_stride}"):
-            F.im2col_1d(x, 3, bad_stride, 1)
+            STRIDED.im2col_1d(x, 3, bad_stride, 1)
 
     @pytest.mark.parametrize("bad_padding", [-1, -2])
     def test_im2col_1d_rejects_negative_padding(self, rng, bad_padding):
         x = rng.normal(size=(1, 2, 8))
         with pytest.raises(ValueError, match=f"padding must be non-negative, got {bad_padding}"):
-            F.im2col_1d(x, 3, 1, bad_padding)
+            STRIDED.im2col_1d(x, 3, 1, bad_padding)
 
     @pytest.mark.parametrize("bad_stride", [0, -2])
     def test_im2col_2d_rejects_nonpositive_stride(self, rng, bad_stride):
         x = rng.normal(size=(1, 2, 6, 6))
         with pytest.raises(ValueError, match="stride must be positive"):
-            F.im2col_2d(x, 3, bad_stride, 1)
+            STRIDED.im2col_2d(x, 3, bad_stride, 1)
 
     def test_im2col_2d_rejects_negative_padding(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
         with pytest.raises(ValueError, match="padding must be non-negative, got -1"):
-            F.im2col_2d(x, 3, 1, -1)
+            STRIDED.im2col_2d(x, 3, 1, -1)
 
     def test_im2col_rejects_nonpositive_kernel(self, rng):
         with pytest.raises(ValueError, match="kernel_size must be positive"):
-            F.im2col_1d(rng.normal(size=(1, 2, 8)), 0, 1, 0)
+            STRIDED.im2col_1d(rng.normal(size=(1, 2, 8)), 0, 1, 0)
 
     @pytest.mark.parametrize("backend", [NAIVE, STRIDED])
     def test_col2im_validates_too(self, rng, backend):
@@ -150,7 +169,7 @@ class TestGeometryValidation:
 
 
 class TestEdgeCaseGeometries:
-    """Edge geometries through both backends, checked against each other and
+    """Edge geometries through both kernels, checked against each other and
     for the analytically known shapes."""
 
     @pytest.mark.parametrize("backend", [NAIVE, STRIDED])
@@ -265,9 +284,9 @@ class TestNonContiguousInputs:
 
 
 class TestStridedNaiveBitIdentity:
-    """Property test: at float64 the strided backend is bit-identical to the
+    """Property test: at float64 the strided kernel is bit-identical to the
     naive reference — forward windows, backward scatter, 1-D and 2-D —
-    across randomly drawn geometries.  im2col is a copy in both backends, so
+    across randomly drawn geometries.  im2col is a copy in both kernels, so
     it is also exact at float32 and for every input layout."""
 
     @staticmethod
@@ -322,7 +341,7 @@ class TestStridedNaiveBitIdentity:
             )
 
     def test_adjoint_identity_strided(self, rng):
-        """<im2col(x), cols> == <x, col2im(cols)> through the strided backend."""
+        """<im2col(x), cols> == <x, col2im(cols)> through the strided kernel."""
         x = rng.normal(size=(2, 3, 10))
         cols = rng.normal(size=(2, 10, 9))  # kernel 3, stride 1, padding 1
         lhs = float(np.sum(STRIDED.im2col_1d(x, 3, 1, 1) * cols))
@@ -339,35 +358,36 @@ class TestStridedNaiveBitIdentity:
 
 
 class TestConvLayerIntegration:
-    """Conv1d/Conv2d thread the active backend through forward AND backward."""
+    """Conv1d/Conv2d run the same kernel forward AND backward, and give the
+    same bytes on the strided kernel and on the naive reference."""
 
-    def _run_conv1d(self, rng_seed, backend_name):
+    def _run_conv1d(self, rng_seed, naive):
         rng = np.random.default_rng(rng_seed)
         layer = nn.Conv1d(3, 4, kernel_size=3, stride=2, rng=rng)
         x = rng.normal(size=(2, 3, 11))
-        with kernels.use_backend(backend_name):
+        with _on_kernel(naive):
             out = layer.forward(x)
             grad_in = layer.backward(np.ones_like(out))
         return out, grad_in, layer.weight.grad.copy()
 
     def test_conv1d_identical_across_backends(self):
-        out_s, gin_s, gw_s = self._run_conv1d(7, "strided")
-        out_n, gin_n, gw_n = self._run_conv1d(7, "naive")
+        out_s, gin_s, gw_s = self._run_conv1d(7, naive=False)
+        out_n, gin_n, gw_n = self._run_conv1d(7, naive=True)
         np.testing.assert_array_equal(out_s, out_n)
         np.testing.assert_array_equal(gin_s, gin_n)
         np.testing.assert_array_equal(gw_s, gw_n)
 
     def test_conv2d_identical_across_backends(self):
         results = {}
-        for name in ("strided", "naive"):
+        for naive in (False, True):
             rng = np.random.default_rng(3)
             layer = nn.Conv2d(2, 3, kernel_size=3, rng=rng)
             x = rng.normal(size=(2, 2, 7, 7))
-            with kernels.use_backend(name):
+            with _on_kernel(naive):
                 out = layer.forward(x)
                 grad_in = layer.backward(np.ones_like(out))
-            results[name] = (out, grad_in, layer.weight.grad.copy())
-        for a, b in zip(results["strided"], results["naive"]):
+            results[naive] = (out, grad_in, layer.weight.grad.copy())
+        for a, b in zip(results[False], results[True]):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -382,19 +402,19 @@ class TestConvLayerIntegration:
     def test_model_zoo_identical_across_backends(self, name, input_shape):
         """A whole conv model (channels-last views between convs, pools,
         residual adds, branch concatenation) gives identical logits, input
-        gradient and parameter gradients under both backends at float64."""
+        gradient and parameter gradients on both kernels at float64."""
         results = {}
-        for backend in ("strided", "naive"):
+        for naive in (False, True):
             rng = np.random.default_rng(5)
             model = build_model(name, input_shape, 4, rng=rng)
             x = rng.normal(size=(3, *input_shape))
-            with kernels.use_backend(backend):
+            with _on_kernel(naive):
                 logits = model.forward(x)
                 grad_in = model.backward(rng.normal(size=logits.shape))
             grads = {n: p.grad.copy() for n, p in model.named_parameters()}
-            results[backend] = (logits, grad_in, grads)
+            results[naive] = (logits, grad_in, grads)
         (logits_s, grad_in_s, grads_s), (logits_n, grad_in_n, grads_n) = (
-            results["strided"], results["naive"]
+            results[False], results[True]
         )
         np.testing.assert_array_equal(logits_s, logits_n)
         np.testing.assert_array_equal(grad_in_s, grad_in_n)
@@ -404,23 +424,12 @@ class TestConvLayerIntegration:
                 grads_s[param_name], grads_n[param_name], err_msg=param_name
             )
 
-    def test_backward_reuses_forward_backend(self, rng):
-        """Switching backends between forward and backward must not mix
-        implementations within one step."""
-        layer = nn.Conv1d(2, 3, kernel_size=3, rng=rng)
-        x = rng.normal(size=(1, 2, 8))
-        with kernels.use_backend("naive"):
-            out = layer.forward(x)
-        assert isinstance(layer._kernel, NaiveKernel)
-        layer.backward(np.ones_like(out))  # outside the context: still naive
-        assert isinstance(layer._kernel, NaiveKernel)
+    def test_calibrate_with_backprop_identical_on_naive_kernel(self, rng):
+        """QAT on either kernel gives identical losses, and the conv layers
+        run the production kernel again afterwards."""
+        from repro.quantization import quantize_model
 
-    def test_calibrate_with_backprop_conv_kernel_knob(self, rng):
-        """QAT under either backend gives identical losses, and the previous
-        backend is active again afterwards."""
-        from repro.quantization import calibrate_with_backprop, quantize_model
-
-        before = kernels.get_backend()
+        before = nn.Conv1d.kernel
         model = nn.Sequential(
             nn.Conv1d(2, 3, kernel_size=3, rng=rng, name="c1"),
             nn.ReLU(),
@@ -430,15 +439,99 @@ class TestConvLayerIntegration:
         x = rng.normal(size=(12, 2, 9))
         y = rng.integers(0, 2, size=12)
         results = {}
-        for name in ("naive", "strided"):
-            qmodel = quantize_model(__import__("copy").deepcopy(model), bits=4)
-            with kernels.use_backend(name):
-                results[name] = calibrate_with_backprop(
+        for naive in (True, False):
+            qmodel = quantize_model(copy.deepcopy(model), bits=4)
+            with _on_kernel(naive):
+                results[naive] = calibrate_with_backprop(
                     qmodel, x, y, epochs=2, lr=0.01, batch_size=4,
                     rng=np.random.default_rng(0),
                 )
-            assert kernels.get_backend() is before
-        np.testing.assert_array_equal(results["naive"].losses, results["strided"].losses)
+            assert nn.Conv1d.kernel is before
+        np.testing.assert_array_equal(results[True].losses, results[False].losses)
+
+
+def _bench_smoke_setup():
+    """``benchmarks/bench_perf_runtime.py``'s ``--smoke`` setup, under the active dtype.
+
+    ``make_dsa_surrogate(seed=0)`` at the bench's ``SMOKE_CONFIG`` sizes, an
+    InceptionTime trained one epoch and quantized to 4 bits, a fitted
+    feature normalizer, the BF network of seed 1 and the 12-window target pool.
+    """
+    ts = SyntheticTimeSeriesConfig(
+        num_classes=3, num_domains=2, channels=3, length=16,
+        train_per_class=6, val_per_class=1, test_per_class=1,
+    )
+    data = make_dsa_surrogate(seed=0, config=ts)
+    source = data[data.domain_names[0]].train
+    target = data[data.domain_names[1]].train
+    rng = np.random.default_rng(0)
+    model = build_model("InceptionTime", data.input_shape, data.num_classes, rng=rng)
+    train_classifier(
+        model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
+        source.features, source.labels, epochs=1, batch_size=32, rng=rng,
+    )
+    qmodel = QuantizedModel(model, QuantizationConfig(bits=4))
+    normalizer = FeatureNormalizer()
+    extract_parameter_features(
+        qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
+    )
+    network = BitFlipNetwork(rng=np.random.default_rng(1))
+    pool = target.subset(np.arange(min(12, len(target))))
+    return qmodel, network, normalizer, pool, source
+
+
+def _assert_same_codes(codes, naive_codes):
+    assert codes.keys() == naive_codes.keys()
+    for name in codes:
+        np.testing.assert_array_equal(codes[name], naive_codes[name], err_msg=name)
+
+
+class TestConvKernelsBenchTwins:
+    """Tier-1 twins of the ``conv_kernels`` equivalence keys that
+    ``bench_perf_runtime.py --smoke`` reports: its setup run on the production
+    kernel and on the naive reference kernel must decide the same."""
+
+    @staticmethod
+    def _edge_run(setup, naive):
+        qmodel, network, normalizer, pool, _ = setup
+        edge_q = copy.deepcopy(qmodel)
+        with _on_kernel(naive):
+            calibrator = BitFlipCalibrator(
+                network, epochs=2, confidence_threshold=0.4,
+                max_flip_fraction=0.1, normalizer=normalizer, validate=False,
+                batchnorm_refresh_passes=1,
+            )
+            stats = calibrator.calibrate(edge_q, pool)
+        return stats.flips_per_epoch, edge_q.snapshot_codes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_edge_flips_identical_on_naive_kernel(self, dtype):
+        """``flip_decisions_identical`` (float64) and
+        ``edge_flips_identical_float32``: flips per epoch and final codes."""
+        with runtime.use_dtype(dtype):
+            setup = _bench_smoke_setup()
+            flips, codes = self._edge_run(setup, naive=False)
+            naive_flips, naive_codes = self._edge_run(setup, naive=True)
+        assert min(flips) > 0  # an epoch that flips nothing would compare nothing
+        assert flips == naive_flips
+        _assert_same_codes(codes, naive_codes)
+
+    def test_qat_codes_identical_on_naive_kernel(self):
+        """``qat_codes_identical``: codes after one STE epoch at float64."""
+        qmodel, _, _, _, source = _bench_smoke_setup()
+        start = qmodel.snapshot_codes()
+        results = {}
+        for naive in (False, True):
+            qat_q = copy.deepcopy(qmodel)
+            with _on_kernel(naive):
+                calibrate_with_backprop(
+                    qat_q, source.features, source.labels,
+                    epochs=1, lr=0.01, batch_size=32, rng=np.random.default_rng(0),
+                )
+            results[naive] = qat_q.snapshot_codes()
+        # The epoch must move some code, or the comparison would show nothing.
+        assert any(not np.array_equal(results[False][n], start[n]) for n in start)
+        _assert_same_codes(results[False], results[True])
 
 
 class TestKernelContract(object):
@@ -448,7 +541,3 @@ class TestKernelContract(object):
         kernel = ConvKernel()
         with pytest.raises(NotImplementedError):
             kernel.im2col_1d(rng.normal(size=(1, 1, 5)), 3, 1, 1)
-
-    def test_repr_names_backend(self):
-        assert "strided" in repr(STRIDED)
-        assert "naive" in repr(NAIVE)

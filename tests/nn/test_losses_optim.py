@@ -250,9 +250,3 @@ class TestFunctional:
     def test_accuracy(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert F.accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_clip_gradients_limits_norm(self, rng):
-        grads = [rng.normal(size=(4, 4)) * 100 for _ in range(3)]
-        F.clip_gradients(grads, max_norm=1.0)
-        total = np.sqrt(sum(np.sum(g ** 2) for g in grads))
-        assert total <= 1.0 + 1e-9

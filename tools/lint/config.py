@@ -28,7 +28,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: strictly lower layers only; same-layer and upward imports are findings.
 #: Sub-packages not named here inherit their parent's layer, except
 #: ``repro.nn.kernels`` which is deliberately *below* ``repro.nn`` (the
-#: compute backends must never reach back into the layer API),
+#: conv kernel must never reach back into the layer API),
 #: ``repro.data.scenarios`` which is deliberately *above* ``repro.data``
 #: (the drift zoo composes datasets into streams; the data primitives never
 #: import the zoo back), and ``repro.fleet.gateway`` which is deliberately
@@ -200,10 +200,13 @@ QUEUE_UNBOUNDABLE_CONSTRUCTORS: FrozenSet[str] = frozenset({"SimpleQueue"})
 # --------------------------------------------------------------------------
 
 #: Path prefixes whose *public* functions, classes and methods must carry
-#: docstrings: the pluggable conv-backend surface, the operational fleet
-#: surface, the experiment-store API, and the linter itself (dogfood).
+#: docstrings: the conv kernels (the production kernel package and
+#: ``repro.reference``, which holds the naive reference kernel beside the
+#: other seed paths), the operational fleet surface, the experiment-store
+#: API, and the linter itself (dogfood).
 DOCSTRING_PATH_PREFIXES: Tuple[str, ...] = (
     "src/repro/nn/kernels/",
+    "src/repro/reference.py",
     "src/repro/fleet/",
     "src/repro/results/",
     "tools/lint/",

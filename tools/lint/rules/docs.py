@@ -4,8 +4,9 @@ Both run in the one analysis entry point (``python -m tools.lint src
 benchmarks tools``):
 
 * **docstring-coverage** — every *public* function, class and method in the
-  configured packages (the pluggable conv-backend surface, the operational
-  fleet surface, and the linter itself) must carry a docstring.  The check
+  configured paths (the conv kernels and ``repro.reference``, the
+  operational fleet surface, the experiment store, and the linter itself)
+  must carry a docstring.  The check
   is purely AST-based, so it runs without importing the code — which also
   means inherited docstrings do **not** count: each defined method
   documents itself, matching the old import-based gate's behaviour on
@@ -52,8 +53,9 @@ class DocstringCoverage(Rule):
 
     name = "docstring-coverage"
     description = (
-        "public functions/classes/methods in repro.nn.kernels, repro.fleet "
-        "and tools.lint must carry docstrings"
+        "public functions/classes/methods in repro.nn.kernels, "
+        "repro.reference, repro.fleet, repro.results and tools.lint must "
+        "carry docstrings"
     )
 
     def applies(self, ctx: FileContext) -> bool:

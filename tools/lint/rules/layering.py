@@ -1,8 +1,8 @@
 """import-layering: the architecture's layer DAG, checked against real imports.
 
 ``docs/architecture.md`` promises that dependencies point downward —
-``repro.nn`` can never grow a ``repro.fleet`` import, the conv-kernel
-backends can never reach back into the layer API.  This rule turns that
+``repro.nn`` can never grow a ``repro.fleet`` import, the conv kernel
+can never reach back into the layer API.  This rule turns that
 promise into a machine-checked invariant: every import statement in
 ``src/repro`` (module-level *and* deferred/function-level) is resolved to
 its layer package and checked against :data:`tools.lint.config.LAYERS`.
