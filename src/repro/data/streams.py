@@ -89,10 +89,6 @@ def split_into_batches(
     return [dataset.subset(chunk) for chunk in chunks]
 
 
-#: Backwards-compatible alias (the helper predates its public name).
-_split_into_batches = split_into_batches
-
-
 def _spawn_children(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
     """Derive ``count`` independent child generators from ``rng``.
 

@@ -201,10 +201,6 @@ class WorkerFailure:
     kind: str = "exception"
 
 
-# Backwards-compatible alias (pre-durable-service name).
-_WorkerFailure = WorkerFailure
-
-
 def _call_guarded(fn: Callable, payload: Any, item: Any) -> Any:
     try:
         return fn(payload, item)
@@ -436,7 +432,7 @@ class WorkerPool:
                 "WorkerPool is closed — its workers have been shut down; "
                 "create a new pool to run more work"
             )
-        if timeout is not None and timeout <= 0:
+        if timeout is not None and not timeout > 0:  # NaN never expires
             raise ValueError(f"timeout must be positive, got {timeout}")
         items = list(items)
         if self._task_queue is None:

@@ -105,7 +105,7 @@ class GatewayConfig:
 
     def __post_init__(self) -> None:
         """Validate every knob eagerly (env values already validated too)."""
-        if self.lease_s <= 0:
+        if not self.lease_s > 0:  # NaN too: no lease would ever be live
             raise ValueError(f"lease_s must be > 0, got {self.lease_s}")
         if self.queue_max < 1:
             raise ValueError(f"queue_max must be >= 1, got {self.queue_max}")

@@ -67,7 +67,7 @@ from repro.core.bitflip import (
     restore_calibration_state,
 )
 from repro.data.dataset import Dataset
-from repro.eval.parallel import WorkerFailure, WorkerPool
+from repro.eval.parallel import WorkerFailure, WorkerPool, resolve_workers
 from repro.fleet.calibrator import FleetCalibrator
 from repro.fleet.faults import FaultPlan
 from repro.fleet.registry import Fleet
@@ -151,7 +151,7 @@ class RetryPolicy:
             raise ValueError("backoff delays must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # NaN never expires
             raise ValueError("timeout must be positive when set")
 
     def backoff(self, key: str, attempt: int) -> float:
@@ -265,6 +265,7 @@ class FleetService:
         ``1`` (default) calibrates in-process with one *batched* optimistic
         wave; ``> 1`` fans dedupe groups out over a fault-tolerant
         :class:`WorkerPool` (per-item timeout, death detection, respawn).
+        A count below 1 raises ``ValueError``.
     mp_context:
         Start method for pooled mode (``"spawn"`` is the portable default;
         tests injecting hard crashes use ``"fork"`` for speed).
@@ -280,12 +281,12 @@ class FleetService:
         workers: int = 1,
         mp_context: str = "spawn",
     ):
+        self.workers = resolve_workers(workers)
         self.fleet = fleet
         self.store = store if store is not None else DeviceStateStore()
         self.retry_policy = retry_policy or RetryPolicy()
         self.calibrator = calibrator or FleetCalibrator()
         self.fault_plan = fault_plan
-        self.workers = int(workers)
         self.mp_context = mp_context
         self._pool: Optional[WorkerPool] = None
         if self.fault_plan is not None:

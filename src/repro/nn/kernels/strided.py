@@ -179,10 +179,10 @@ class StridedKernel(ConvKernel):
     """The production conv kernel: tap-loop im2col + blocked tap-loop col2im.
 
     Bit-identical at float64 to the naive reference kernel in
-    :mod:`repro.reference` (asserted by the property tests, the
-    ``conv_kernels`` benchmark and the CI smoke); its im2col equals the naive
-    one at every dtype.  The measured speedup over the naive kernel is the
-    ``conv_kernels`` entry of ``BENCH_perf.json``.
+    :mod:`repro.reference` (asserted by the property tests and by edge
+    calibration and QAT on both kernels in ``tests/nn/test_kernels.py``); its
+    im2col equals the naive one at every dtype.  perfbench's traced runs
+    time it in their ``kernels.im2col`` and ``kernels.col2im`` rows.
     """
 
     def _im2col_1d(self, x, kernel_size, stride, padding):

@@ -1,8 +1,8 @@
 """Seed reference implementations the production fast paths are checked against.
 
 Production code runs one path per job; the seed paths it replaced live here,
-so tests and benchmarks can compare the two in one process (rule 1 of the
-bit-identity contract in ``docs/performance.md``).  At float64 each must
+so tests can compare the two in one process (rule 1 of the bit-identity
+contract in ``docs/performance.md``).  At float64 each must
 equal its fast path bit for bit.  The conv-kernel reference is
 :class:`NaiveKernel`; :func:`use_naive_kernel` runs every ``Conv1d`` /
 ``Conv2d`` on it for a block.  This module is the top layer of the import

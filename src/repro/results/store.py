@@ -1,11 +1,9 @@
 """Unified SQLite experiment store for benchmark results and golden digests.
 
-The repo used to keep three disconnected result silos — ``BENCH_perf.json``,
-the golden fixtures under ``tests/golden/fixtures/``, and the ad-hoc
-paper-table builders in ``benchmarks/`` — with the performance trajectory
-hand-copied into ``docs/performance.md``.  This module replaces those silos
-with one queryable store so trend regressions become a SQL query instead of
-a reviewer's memory (see ``tools/perf_report.py`` for the CI gate).
+One queryable store holds recorded benchmark runs, paper-table method runs
+and the pinned golden digests, so a trend regression is a SQL query (see
+``tools/perf_report.py`` for the CI gate) and the performance trajectory in
+``docs/performance.md`` is emitted from rows.
 
 Schema (see ``docs/performance.md`` for the operator view)::
 
@@ -34,8 +32,7 @@ retry that turns transient ``sqlite3.OperationalError`` into recovery
 instead of data loss.  On top, every write is one ``BEGIN IMMEDIATE``
 transaction, and a corrupt or incompatible store file is backed up as
 ``<name>.corrupt`` and replaced with a fresh one — evidence preserved, run
-not crashed — exactly like the resilient ``BENCH_perf.json`` loader this
-store subsumes.  A locked file is never taken for a corrupt one.
+not crashed.  A locked file is never taken for a corrupt one.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ __all__ = [
 #: non-zero version is treated as incompatible (backed up, started fresh).
 SCHEMA_VERSION = 1
 
-#: Kinds a new run row may carry.  ``entry`` — one benchmark's payload in
-#: the JSON report; ``method`` — one method's paper-table row;
+#: Kinds a new run row may carry.  ``entry`` — one benchmark's payload;
+#: ``method`` — one method's paper-table row;
 #: ``trajectory`` — a legacy summary row seeded from the pre-store era.
 #: Older stores also hold ``report`` rows (a retired pseudo-run of report
 #: scalars); reads accept any kind, so those stay readable as history.
@@ -343,11 +340,9 @@ class ResultsStore:
         """Connect, recovering from a corrupt/incompatible file on disk.
 
         The bad bytes are preserved as ``<path>.corrupt`` so a truncated or
-        foreign file is evidence, not a crash — the same contract the
-        resilient ``BENCH_perf.json`` loader established for the JSON
-        export (and which this store now provides for both formats).  An
-        ``OperationalError`` (a locked or unreachable file) says nothing
-        about the bytes and propagates without a backup.
+        foreign file is evidence, not a crash.  An ``OperationalError`` (a
+        locked or unreachable file) says nothing about the bytes and
+        propagates without a backup.
         """
         try:
             return self._connect()

@@ -1,12 +1,11 @@
 """Paper tables as store queries: method runs in, SQL aggregation out.
 
-The table builders in ``benchmarks/`` used to aggregate
-:class:`~repro.eval.continual.MethodRunResult` lists in Python with no
-durable trace.  Here each result becomes a ``method``-kind run (config rows
-carry the method / bits / source / target / seed lineage; metric rows carry
-the accuracies and timings), and the table cells come back out of one SQL
-join over ``runs × configs × metrics`` — so a committed table is always
-reproducible from rows, and any slice of it is one query away.
+Each :class:`~repro.eval.continual.MethodRunResult` becomes a
+``method``-kind run (config rows carry the method / bits / source / target /
+seed lineage; metric rows carry the accuracies and timings), and the table
+cells come back out of one SQL join over ``runs × configs × metrics`` — so a
+committed table is always reproducible from rows, and any slice of it is one
+query away.
 """
 
 from __future__ import annotations

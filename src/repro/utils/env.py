@@ -10,6 +10,7 @@ implemented; every ``REPRO_*`` knob goes through them.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -55,10 +56,10 @@ def env_float(
 ) -> float:
     """Read a float knob from ``os.environ[name]``, validated eagerly.
 
-    Unset (or blank) falls back to ``default``.  A non-numeric value raises
-    ``ValueError`` naming the variable and the value; ``minimum`` bounds the
-    result (strictly when ``exclusive`` is true, e.g. a lease duration must
-    be ``> 0``, not ``>= 0``).
+    Unset (or blank) falls back to ``default``.  A non-numeric value, NaN
+    included, raises ``ValueError`` naming the variable and the value;
+    ``minimum`` bounds the result (strictly when ``exclusive`` is true, e.g.
+    a lease duration must be ``> 0``, not ``>= 0``).  Infinity is a number.
     """
     raw = _raw(name)
     if raw is None:
@@ -66,9 +67,9 @@ def env_float(
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(
-            f"environment knob {name} must be a number, got {raw!r}"
-        ) from None
+        value = math.nan
+    if math.isnan(value):
+        raise ValueError(f"environment knob {name} must be a number, got {raw!r}")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise ValueError(

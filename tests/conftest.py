@@ -7,7 +7,20 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import nn, runtime
+from repro.core.bitflip import BitFlipNetwork, FeatureNormalizer, extract_parameter_features
+from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.models import MLPClassifier, build_model
+from repro.nn.training import train_classifier
+from repro.quantization import QuantizationConfig, QuantizedModel
+
+#: The smoke dataset the bit-identity tests share: ``make_dsa_surrogate(seed=0)``
+#: at three classes of 3-channel, 16-sample windows, 18 training windows per
+#: domain.
+SMOKE_DATA = SyntheticTimeSeriesConfig(
+    num_classes=3, num_domains=2, channels=3, length=16,
+    train_per_class=6, val_per_class=1, test_per_class=1,
+)
 
 
 class _LosesWalRace(sqlite3.Connection):
@@ -70,3 +83,69 @@ def small_classification_data(rng: np.random.Generator):
     y = np.concatenate(labels, axis=0)
     order = rng.permutation(x.shape[0])
     return x[order], y[order]
+
+
+def _smoke_domains():
+    """The smoke dataset's source and target training splits."""
+    data = make_dsa_surrogate(seed=0, config=SMOKE_DATA)
+    return data, data[data.domain_names[0]].train, data[data.domain_names[1]].train
+
+
+@pytest.fixture
+def smoke_setup():
+    """Builder of the smoke edge setup, under the active compute dtype.
+
+    ``smoke_setup(bits=4, storage=QuantizedModel)`` returns ``(qmodel,
+    network, normalizer, pool, source)``: an InceptionTime trained one epoch
+    on the source domain and wrapped in ``storage`` at ``bits``, a feature
+    normalizer fitted on 32 source windows, the BF network of seed 1 and the
+    first 12 target windows.  The build is seeded, so two storages start
+    from identical codes.
+    """
+
+    def build(bits=4, storage=QuantizedModel):
+        data, source, target = _smoke_domains()
+        rng = np.random.default_rng(0)
+        model = build_model("InceptionTime", data.input_shape, data.num_classes, rng=rng)
+        train_classifier(
+            model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
+            source.features, source.labels, epochs=1, batch_size=32, rng=rng,
+        )
+        qmodel = storage(model, QuantizationConfig(bits=bits))
+        normalizer = FeatureNormalizer()
+        extract_parameter_features(
+            qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
+        )
+        network = BitFlipNetwork(rng=np.random.default_rng(1))
+        pool = target.subset(np.arange(12))
+        return qmodel, network, normalizer, pool, source
+
+    return build
+
+
+@pytest.fixture
+def smoke_mlp_head():
+    """Builder of the smoke QAT setup, under the active compute dtype.
+
+    ``smoke_mlp_head()`` returns ``(model, features, labels)``: an MLP head
+    (hidden widths 16 and 8) trained one epoch on the source domain's
+    per-channel mean, std, min and max, and those 18 feature rows.
+    """
+
+    def build():
+        data, source, _ = _smoke_domains()
+        windows = source.features
+        features = np.concatenate(
+            [windows.mean(axis=2), windows.std(axis=2), windows.min(axis=2), windows.max(axis=2)],
+            axis=1,
+        )
+        model = MLPClassifier(
+            features.shape[1], data.num_classes, hidden=(16, 8), rng=np.random.default_rng(0)
+        )
+        train_classifier(
+            model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
+            features, source.labels, epochs=1, batch_size=32, rng=np.random.default_rng(0),
+        )
+        return model, features, source.labels
+
+    return build

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -225,18 +227,19 @@ class TestBitFlipNetwork:
 
 
 class _RecordingTrainer(BitFlipTrainer):
-    """Keeps the balanced ``(features, targets)`` set ``train`` hands to ``_fit``."""
+    """Keeps copies of what ``train`` hands to ``_fit``: itself, the network
+    and the balanced ``(features, targets)`` set."""
 
     def _fit(self, network, features, targets):
-        self.recorded = (features.copy(), targets.copy())
+        self.recorded = (
+            copy.deepcopy(self), copy.deepcopy(network), features.copy(), targets.copy()
+        )
         return super()._fit(network, features, targets)
 
 
 @pytest.fixture(scope="module")
 def bf_training_sets(trained_setup):
     """Balanced BF sets recorded from ``BitFlipTrainer.train`` at 2, 4 and 8 bits."""
-    import copy
-
     model, train, _ = trained_setup
     sets = {}
     for bits in (2, 4, 8):
@@ -245,7 +248,7 @@ def bf_training_sets(trained_setup):
             quantize_model(copy.deepcopy(model), bits=bits), train,
             calibration_epochs=8, calibration_lr=0.2,
         )
-        sets[f"{bits}-bit"] = trainer.recorded
+        sets[f"{bits}-bit"] = trainer.recorded[2:]
     return sets
 
 
@@ -256,13 +259,13 @@ def _synthetic_set(rows: int, seed: int, classes=(-1.0, 0.0, 1.0)):
 
 class TestBitFlipTrainer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fit_equals_seed_byte_for_byte(self, bf_training_sets, dtype):
+    def test_fit_equals_seed_byte_for_byte(self, bf_training_sets, smoke_setup, dtype):
         """The fused fit equals the seed's layers + CrossEntropyLoss + nn.Adam
         fit: parameter bytes, the returned accuracy and the rng state after,
-        across the ``min(256, n)`` batch boundary, a single-class set and a
-        non-default hidden width."""
-        import copy
-
+        across the ``min(256, n)`` batch boundary, a single-class set, a
+        non-default hidden width, and the 8-bit set, trainer and network that
+        ``train`` hands to ``_fit`` at the shared smoke setup (built at
+        ``dtype``)."""
         cases = [(name, data, 8) for name, data in bf_training_sets.items()]
         for rows in (1, 255, 256, 257, 513):
             cases.append((f"{rows} rows", _synthetic_set(rows, rows), 8))
@@ -272,11 +275,24 @@ class TestBitFlipTrainer:
             assert sorted(set(targets)) == [-1.0, 0.0, 1.0]
         assert bf_training_sets["8-bit"][1].size > 513
         with runtime.use_dtype(dtype):
-            for seed, (name, (features, targets), hidden) in enumerate(cases):
-                rng = np.random.default_rng(seed)
-                trainer = BitFlipTrainer(bits=4, hidden_channels=hidden, rng=rng)
-                network = BitFlipNetwork(hidden_channels=hidden, rng=np.random.default_rng(seed))
+            fits = [
+                (
+                    name,
+                    BitFlipTrainer(bits=4, hidden_channels=hidden, rng=np.random.default_rng(seed)),
+                    BitFlipNetwork(hidden_channels=hidden, rng=np.random.default_rng(seed)),
+                    features,
+                    targets,
+                )
+                for seed, (name, (features, targets), hidden) in enumerate(cases)
+            ]
+            qmodel, _, _, _, source = smoke_setup(bits=8)
+            recorder = _RecordingTrainer(bits=8, rng=np.random.default_rng(2))
+            recorder.train(qmodel, source, calibration_epochs=4)
+            fits.append(("smoke setup, 8-bit", *recorder.recorded))
+            assert sorted(set(recorder.recorded[3])) == [-1.0, 0.0, 1.0]
+            for name, trainer, network, features, targets in fits:
                 seed_trainer, seed_network = copy.deepcopy(trainer), copy.deepcopy(network)
+                start = [param.data.copy() for param in network.parameters()]
                 accuracy = trainer._fit(network, features, targets)
                 seed_accuracy = reference.fit_bitflip_network(
                     seed_trainer, seed_network, features, targets
@@ -288,6 +304,11 @@ class TestBitFlipTrainer:
                     assert param.data.shape == seed_param.data.shape, name
                     assert param.data.tobytes() == seed_param.data.tobytes(), (name, param.name)
                 assert network.state_dict().keys() == seed_network.state_dict().keys()
+                # A fit that left the network untouched would compare nothing.
+                assert any(
+                    not np.array_equal(param.data, before)
+                    for param, before in zip(network.parameters(), start)
+                ), name
 
     @pytest.mark.parametrize(
         "setting,value",
@@ -345,8 +366,6 @@ class TestBitFlipTrainer:
 
     def test_training_produces_quantized_network(self, trained_setup, rng):
         model, train, _ = trained_setup
-        import copy
-
         qmodel = quantize_model(copy.deepcopy(model), bits=4)
         trainer = BitFlipTrainer(bits=4, bf_epochs=10, rng=rng)
         calibration_subset = train.subset(np.arange(0, len(train), 3))
@@ -359,8 +378,6 @@ class TestBitFlipTrainer:
 
     def test_class_counts_only_contain_valid_flips(self, trained_setup, rng):
         model, train, _ = trained_setup
-        import copy
-
         qmodel = quantize_model(copy.deepcopy(model), bits=2)
         trainer = BitFlipTrainer(bits=2, bf_epochs=5, rng=rng)
         result = trainer.train(qmodel, train.subset(np.arange(20)), calibration_epochs=4)
@@ -371,8 +388,6 @@ class TestBitFlipTrainer:
         so no extraction follows the last epoch; the model still ends synced
         and in eval mode, the state that extraction left."""
         model, train, _ = trained_setup
-        import copy
-
         calls = []
 
         def counting_extract(*args, **kwargs):
@@ -392,8 +407,6 @@ class TestBitFlipTrainer:
 class TestBitFlipCalibrator:
     def test_calibration_applies_flips_and_runs_callbacks(self, trained_setup, rng):
         model, train, target = trained_setup
-        import copy
-
         qmodel = quantize_model(copy.deepcopy(model), bits=4)
         trainer = BitFlipTrainer(bits=4, bf_epochs=10, rng=rng)
         bf = trainer.train(qmodel, train.subset(np.arange(30)), calibration_epochs=6).network
@@ -409,8 +422,6 @@ class TestBitFlipCalibrator:
 
     def test_calibration_does_not_collapse_accuracy(self, trained_setup, rng):
         model, train, target = trained_setup
-        import copy
-
         qmodel = quantize_model(copy.deepcopy(model), bits=8)
         trainer = BitFlipTrainer(bits=8, bf_epochs=10, rng=rng)
         bf = trainer.train(qmodel, train.subset(np.arange(30)), calibration_epochs=6).network
@@ -512,8 +523,6 @@ class TestFusedFeatureExtraction:
     ):
         """Acceptance: fused BF + arena storage == per-tensor reference at float64."""
         model, train, target = trained_setup
-        import copy
-
         qmodel = quantize_model(copy.deepcopy(model), bits=4)
         legacy = PerTensorQuantizedModel(copy.deepcopy(model), QuantizationConfig(bits=4))
         normalizer = FeatureNormalizer()
@@ -540,8 +549,6 @@ class TestFusedFeatureExtraction:
 
     def test_full_calibration_identical_between_paths(self, trained_setup, rng):
         model, train, target = trained_setup
-        import copy
-
         normalizer = FeatureNormalizer()
         probe = quantize_model(copy.deepcopy(model), bits=4)
         extract_parameter_features(
@@ -562,14 +569,41 @@ class TestFusedFeatureExtraction:
         for name in codes_fast:
             np.testing.assert_array_equal(codes_fast[name], codes_legacy[name])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_smoke_calibration_equals_seed_loop(self, smoke_setup, dtype):
+        """At the shared smoke setup, built at ``dtype``, an unvalidated
+        production calibration on the arena storage equals the seed loop on
+        the seed storage: flips per epoch, codes, model weights and latent
+        weights."""
+        with runtime.use_dtype(dtype):
+            qmodel, network, normalizer, pool, _ = smoke_setup()
+            legacy = smoke_setup(storage=PerTensorQuantizedModel)[0]
+            calibrator = BitFlipCalibrator(
+                network, epochs=2, confidence_threshold=0.4, max_flip_fraction=0.1,
+                normalizer=normalizer, validate=False, batchnorm_refresh_passes=1,
+            )
+            stats_fast = calibrator.calibrate(qmodel, pool)
+            stats_legacy = calibrate_per_tensor(calibrator, legacy, pool)
+        assert min(stats_fast.flips_per_epoch) > 0  # an epoch without flips shows nothing
+        assert stats_fast.flips_per_epoch == stats_legacy.flips_per_epoch
+        codes_fast, codes_legacy = qmodel.snapshot_codes(), legacy.snapshot_codes()
+        assert codes_fast.keys() == codes_legacy.keys()
+        for name in codes_fast:
+            np.testing.assert_array_equal(codes_fast[name], codes_legacy[name], err_msg=name)
+        weights_fast, weights_legacy = qmodel.model.state_dict(), legacy.model.state_dict()
+        assert weights_fast.keys() == weights_legacy.keys()
+        for name in weights_fast:
+            np.testing.assert_array_equal(weights_fast[name], weights_legacy[name], err_msg=name)
+        assert qmodel.latent.keys() == legacy.latent.keys()
+        for name in legacy.latent:
+            np.testing.assert_array_equal(qmodel.latent[name], legacy.latent[name], err_msg=name)
+
 
 class TestCalibrationRoundState:
     """capture/restore of the state a calibration round mutates — the anchor
     the durable fleet service resumes from."""
 
     def _qmodel(self, trained_setup):
-        import copy
-
         model, _, _ = trained_setup
         return quantize_model(copy.deepcopy(model), bits=4)
 
@@ -630,8 +664,6 @@ class TestCalibrationRoundState:
 
     def test_restore_rejects_codes_outside_the_bit_range(self, trained_setup):
         """An 8-bit state restored onto a 4-bit model is rejected up front."""
-        import copy
-
         from repro.core.bitflip import (
             capture_calibration_state,
             restore_calibration_state,

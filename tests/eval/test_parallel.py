@@ -406,6 +406,8 @@ class TestWorkerPoolFaultTolerance:
         with WorkerPool(payload=None, workers=1) as pool:
             with pytest.raises(ValueError, match="timeout"):
                 pool.map_outcomes(_double, [1], timeout=0.0)
+            with pytest.raises(ValueError, match="timeout must be positive, got nan"):
+                pool.map_outcomes(_double, [1], timeout=float("nan"))
 
     def test_map_outcomes_collects_exceptions_without_raising(self):
         with WorkerPool(payload=None, workers=1) as pool:

@@ -10,8 +10,9 @@ import pytest
 from repro import reference
 from repro.core.pipeline import EdgeDeployment, QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.data.dataset import Dataset
 from repro.fleet import Fleet, FleetCalibrator
-from repro.models import build_model
+from repro.models import MLPClassifier, build_model
 
 TINY_TS = SyntheticTimeSeriesConfig(
     num_classes=3, num_domains=2, channels=3, length=16,
@@ -34,6 +35,49 @@ def packaged():
     framework.fit(model, data[data.domain_names[0]].train)
     deployment = framework.deploy(bits=4)
     return data, framework, deployment
+
+
+@pytest.fixture(scope="module")
+def smoke_fleet():
+    """The fleet smoke deployment and its four devices' pools.
+
+    An MLP (one hidden layer of 16) over flattened 3-channel, 12-sample
+    windows, fitted and deployed at 4 bits with one BatchNorm refresh pass;
+    device ``k`` calibrates on target windows ``4k .. 4k + 7``.
+    """
+    config = SyntheticTimeSeriesConfig(
+        num_classes=3, num_domains=2, channels=3, length=12,
+        train_per_class=8, val_per_class=1, test_per_class=3,
+    )
+    data = make_dsa_surrogate(seed=0, config=config)
+
+    def flat(split):
+        return Dataset(split.features.reshape(len(split), -1), split.labels, split.num_classes)
+
+    source, target = (flat(data[name].train) for name in data.domain_names)
+    model = MLPClassifier(
+        source.features.shape[1], data.num_classes, hidden=(16,),
+        rng=np.random.default_rng(0),
+    )
+    framework = QCoreFramework(
+        levels=(4,), qcore_size=16, train_epochs=2, calibration_epochs=3,
+        edge_calibration_epochs=2, seed=0,
+    )
+    framework.fit(model, source)
+    deployment = framework.deploy(bits=4)
+    deployment.calibrator.batchnorm_refresh_passes = 1
+    pools = {
+        f"device-{k}": target.subset(np.arange(k * 4, k * 4 + 8) % len(target))
+        for k in range(4)
+    }
+    return deployment, pools
+
+
+@pytest.fixture(scope="module")
+def packaged_fleet(packaged):
+    """The InceptionTime deployment and its four devices' pools."""
+    data, _, deployment = packaged
+    return deployment, _pools(data, [f"device-{k}" for k in range(4)])
 
 
 def _pools(data, device_ids):
@@ -131,11 +175,14 @@ class TestFleetRegistry:
 
 
 class TestFleetCalibrator:
-    def test_batched_bit_identical_to_serial(self, packaged):
-        data, _, deployment = packaged
+    @pytest.mark.parametrize("setup", ["packaged_fleet", "smoke_fleet"])
+    def test_batched_bit_identical_to_serial(self, setup, request):
+        """Four replicas of the InceptionTime deployment, and of the fleet
+        smoke deployment, each on its own pools."""
+        deployment, pools = request.getfixturevalue(setup)
         fleet = Fleet.replicate(deployment, 4, seed=0)
+        assert fleet.ids == list(pools)
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
-        pools = _pools(data, fleet.ids)
 
         for device_id in serial.ids:
             dev = serial.get(device_id)

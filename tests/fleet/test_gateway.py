@@ -483,10 +483,19 @@ class TestStoreCommits:
 
 
 class TestEnvKnobs:
-    def test_lease_env_must_be_numeric(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_LEASE_S", "soon")
-        with pytest.raises(ValueError, match="REPRO_FLEET_LEASE_S"):
+    @pytest.mark.parametrize("raw", ["soon", "nan"])
+    def test_lease_env_must_be_numeric(self, monkeypatch, raw):
+        """A NaN lease would never be live: every device would be requeued,
+        then quarantined on its first report."""
+        monkeypatch.setenv("REPRO_FLEET_LEASE_S", raw)
+        message = f"REPRO_FLEET_LEASE_S must be a number, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
             GatewayConfig.from_env()
+
+    def test_lease_env_accepts_infinity(self, monkeypatch):
+        """An infinite lease never lapses."""
+        monkeypatch.setenv("REPRO_FLEET_LEASE_S", "inf")
+        assert GatewayConfig.from_env().lease_s == float("inf")
 
     def test_lease_env_must_be_positive(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_LEASE_S", "0")
@@ -526,6 +535,8 @@ class TestValidation:
     def test_gateway_config_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="lease_s"):
             GatewayConfig(lease_s=0.0)
+        with pytest.raises(ValueError, match="lease_s must be > 0, got nan"):
+            GatewayConfig(lease_s=float("nan"))
         with pytest.raises(ValueError, match="queue_max"):
             GatewayConfig(queue_max=0)
         with pytest.raises(ValueError, match="max_batch"):

@@ -410,6 +410,12 @@ class TestPooledService:
     def _service(fleet, **kwargs):
         return FleetService(fleet, workers=2, mp_context="fork", **kwargs)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_worker_counts_below_one(self, workers):
+        """A count below one is an error, not a silent in-process run."""
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            FleetService(Fleet(), workers=workers)
+
     def test_two_workers_match_in_process(self, packaged, golden):
         data, _, deployment = packaged
         _, in_process = _drain_round(
@@ -617,6 +623,8 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError, match="timeout"):
             RetryPolicy(timeout=0.0)
+        with pytest.raises(ValueError, match="timeout"):
+            RetryPolicy(timeout=float("nan"))  # would never time a straggler out
         with pytest.raises(ValueError, match="non-negative"):
             RetryPolicy(backoff_base=-1.0)
 

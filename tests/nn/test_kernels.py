@@ -7,7 +7,7 @@ through both kernels, the strided path on non-contiguous inputs, the
 bit-identity property between the strided kernel and the naive reference
 across random shapes and input layouts (im2col at float64 and float32,
 col2im at float64), whole conv models of the zoo run on both kernels, and
-the tier-1 twins of the benchmark's ``conv_kernels`` equivalence keys.
+edge calibration and QAT on both kernels at the shared smoke setup.
 """
 
 from __future__ import annotations
@@ -19,21 +19,10 @@ import numpy as np
 import pytest
 
 from repro import nn, runtime
-from repro.core.bitflip import (
-    BitFlipCalibrator,
-    BitFlipNetwork,
-    FeatureNormalizer,
-    extract_parameter_features,
-)
-from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.core.bitflip import BitFlipCalibrator
 from repro.models import build_model
 from repro.nn.kernels import ConvKernel, StridedKernel
-from repro.nn.training import train_classifier
-from repro.quantization import (
-    QuantizationConfig,
-    QuantizedModel,
-    calibrate_with_backprop,
-)
+from repro.quantization import calibrate_with_backprop
 from repro.reference import NaiveKernel, use_naive_kernel
 
 NAIVE = NaiveKernel()
@@ -450,36 +439,6 @@ class TestConvLayerIntegration:
         np.testing.assert_array_equal(results[True].losses, results[False].losses)
 
 
-def _bench_smoke_setup():
-    """``benchmarks/bench_perf_runtime.py``'s ``--smoke`` setup, under the active dtype.
-
-    ``make_dsa_surrogate(seed=0)`` at the bench's ``SMOKE_CONFIG`` sizes, an
-    InceptionTime trained one epoch and quantized to 4 bits, a fitted
-    feature normalizer, the BF network of seed 1 and the 12-window target pool.
-    """
-    ts = SyntheticTimeSeriesConfig(
-        num_classes=3, num_domains=2, channels=3, length=16,
-        train_per_class=6, val_per_class=1, test_per_class=1,
-    )
-    data = make_dsa_surrogate(seed=0, config=ts)
-    source = data[data.domain_names[0]].train
-    target = data[data.domain_names[1]].train
-    rng = np.random.default_rng(0)
-    model = build_model("InceptionTime", data.input_shape, data.num_classes, rng=rng)
-    train_classifier(
-        model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
-        source.features, source.labels, epochs=1, batch_size=32, rng=rng,
-    )
-    qmodel = QuantizedModel(model, QuantizationConfig(bits=4))
-    normalizer = FeatureNormalizer()
-    extract_parameter_features(
-        qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
-    )
-    network = BitFlipNetwork(rng=np.random.default_rng(1))
-    pool = target.subset(np.arange(min(12, len(target))))
-    return qmodel, network, normalizer, pool, source
-
-
 def _assert_same_codes(codes, naive_codes):
     assert codes.keys() == naive_codes.keys()
     for name in codes:
@@ -487,9 +446,9 @@ def _assert_same_codes(codes, naive_codes):
 
 
 class TestConvKernelsBenchTwins:
-    """Tier-1 twins of the ``conv_kernels`` equivalence keys that
-    ``bench_perf_runtime.py --smoke`` reports: its setup run on the production
-    kernel and on the naive reference kernel must decide the same."""
+    """The shared smoke setup (``smoke_setup`` in ``tests/conftest.py``) run
+    on the production kernel and on the naive reference kernel must decide
+    the same: edge flips at float64 and float32, QAT codes at float64."""
 
     @staticmethod
     def _edge_run(setup, naive):
@@ -505,20 +464,19 @@ class TestConvKernelsBenchTwins:
         return stats.flips_per_epoch, edge_q.snapshot_codes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-    def test_edge_flips_identical_on_naive_kernel(self, dtype):
-        """``flip_decisions_identical`` (float64) and
-        ``edge_flips_identical_float32``: flips per epoch and final codes."""
+    def test_edge_flips_identical_on_naive_kernel(self, smoke_setup, dtype):
+        """Flips per epoch and final codes of an unvalidated edge calibration."""
         with runtime.use_dtype(dtype):
-            setup = _bench_smoke_setup()
+            setup = smoke_setup()
             flips, codes = self._edge_run(setup, naive=False)
             naive_flips, naive_codes = self._edge_run(setup, naive=True)
         assert min(flips) > 0  # an epoch that flips nothing would compare nothing
         assert flips == naive_flips
         _assert_same_codes(codes, naive_codes)
 
-    def test_qat_codes_identical_on_naive_kernel(self):
-        """``qat_codes_identical``: codes after one STE epoch at float64."""
-        qmodel, _, _, _, source = _bench_smoke_setup()
+    def test_qat_codes_identical_on_naive_kernel(self, smoke_setup):
+        """Codes after one STE epoch at float64."""
+        qmodel, _, _, _, source = smoke_setup()
         start = qmodel.snapshot_codes()
         results = {}
         for naive in (False, True):

@@ -5,11 +5,12 @@ The per-tensor loop is the seed reference,
 per-tensor storage, :class:`repro.reference.PerTensorQuantizedModel`.
 
 The property is asserted across every registered backbone and every paper
-bit-width: identical losses/accuracies, identical epoch-hook code snapshots
-(``codes_before`` / ``codes_after``), identical final integer codes, latent
-weights and synchronized model weights.  The suite-wide fixture pins float64,
-the precision the guarantee is made at; the storage comparison also runs at
-float32, the production dtype.
+bit-width, and at the shared smoke QAT setup (``smoke_mlp_head`` in
+``tests/conftest.py``): identical losses/accuracies, identical epoch-hook
+code snapshots (``codes_before`` / ``codes_after``), identical final integer
+codes, latent weights and synchronized model weights.  The suite-wide
+fixture pins float64, the precision the guarantee is made at; the storage
+comparison also runs at float32, the production dtype.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ FUSED = (quantize_model, calibrate_with_backprop)
 SERIAL = (_seed_model, calibrate_with_backprop_per_tensor)
 
 
-def _run(model, features, labels, path, bits, seed=11):
+def _run(model, features, labels, path, bits, lr=0.05, seed=11):
     wrap, calibrate = path
     qmodel = wrap(model, bits)
     snapshots = []
@@ -67,7 +68,7 @@ def _run(model, features, labels, path, bits, seed=11):
         features,
         labels,
         epochs=2,
-        lr=0.05,
+        lr=lr,
         batch_size=8,
         rng=np.random.default_rng(seed),
         epoch_hook=hook,
@@ -75,22 +76,43 @@ def _run(model, features, labels, path, bits, seed=11):
     return qmodel, result, snapshots
 
 
-@pytest.mark.parametrize("bits", [2, 4, 8])
-@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
-def test_fused_equals_serial_bit_identically(name, bits):
-    input_shape = MODEL_SHAPES[MODEL_REGISTRY[name]]
-    rng = np.random.default_rng(3)
-    features, labels = _make_data(input_shape, rng)
-    model = build_model(name, input_shape, NUM_CLASSES, rng=np.random.default_rng(5))
+#: The case that runs the shared smoke QAT setup (``smoke_mlp_head``).
+SMOKE_MLP_HEAD = "smoke-mlp-head"
+
+
+@pytest.mark.parametrize(
+    "name,bits",
+    [(name, bits) for name in sorted(MODEL_REGISTRY) for bits in (2, 4, 8)]
+    + [(SMOKE_MLP_HEAD, 4)],
+)
+def test_fused_equals_serial_bit_identically(name, bits, smoke_mlp_head):
+    """Every backbone at every width on random data, and the shared smoke QAT
+    setup at 4 bits with its own rate and seed (0.01, 0)."""
+    if name == SMOKE_MLP_HEAD:
+        model, features, labels = smoke_mlp_head()
+        run = dict(lr=0.01, seed=0)
+    else:
+        input_shape = MODEL_SHAPES[MODEL_REGISTRY[name]]
+        features, labels = _make_data(input_shape, np.random.default_rng(3))
+        model = build_model(name, input_shape, NUM_CLASSES, rng=np.random.default_rng(5))
+        run = {}
     serial_model = copy.deepcopy(model)
 
-    fused_q, fused_result, fused_snaps = _run(model, features, labels, FUSED, bits)
-    serial_q, serial_result, serial_snaps = _run(serial_model, features, labels, SERIAL, bits)
+    fused_q, fused_result, fused_snaps = _run(model, features, labels, FUSED, bits, **run)
+    serial_q, serial_result, serial_snaps = _run(
+        serial_model, features, labels, SERIAL, bits, **run
+    )
 
     assert fused_result.losses == serial_result.losses
     assert fused_result.accuracies == serial_result.accuracies
 
     assert len(fused_snaps) == len(serial_snaps) == 2
+    # Runs that moved no code would compare nothing.
+    assert any(
+        not np.array_equal(before[key], after[key])
+        for before, after in fused_snaps
+        for key in before
+    )
     for (fb, fa), (sb, sa) in zip(fused_snaps, serial_snaps):
         assert fb.keys() == sb.keys()
         for key in fb:

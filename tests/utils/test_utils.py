@@ -1,4 +1,4 @@
-"""Tests for the shared utilities (seeding, timing, validation)."""
+"""Tests for the shared utilities (seeding, timing, env knobs, validation)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import pytest
 
 from repro.utils import (
     Timer,
+    env_float,
+    env_int,
     ensure_fraction,
     ensure_positive_int,
     ensure_probability_vector,
@@ -41,6 +43,68 @@ class TestTimer:
         with Timer() as timer:
             sum(range(10000))
         assert timer.elapsed >= 0.0
+
+
+#: A knob name no deployment sets; each test sets or clears it itself.
+KNOB = "REPRO_TEST_KNOB"
+
+
+class TestEnvKnobs:
+    """``env_int`` / ``env_float``: the one parser every ``REPRO_*`` knob goes
+    through, failing at parse time with the variable and value named."""
+
+    @pytest.mark.parametrize("raw", [None, "", "   "], ids=["unset", "empty", "blank"])
+    def test_unset_or_blank_falls_back_to_default(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv(KNOB, raising=False)
+        else:
+            monkeypatch.setenv(KNOB, raw)
+        assert env_int(KNOB, 4, minimum=1) == 4
+        assert env_float(KNOB, 2.5, minimum=0.0, exclusive=True) == 2.5
+
+    def test_surrounding_whitespace_is_ignored(self, monkeypatch):
+        monkeypatch.setenv(KNOB, " 7\n")
+        assert env_int(KNOB, 1) == 7
+        assert env_float(KNOB, 1.0) == 7.0
+
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan", "soon"])
+    def test_float_must_be_a_number(self, monkeypatch, raw):
+        """NaN is rejected like text: it passes no ``minimum`` comparison, so
+        a NaN knob would slip through every bound."""
+        monkeypatch.setenv(KNOB, f" {raw} ")
+        with pytest.raises(ValueError, match=f"{KNOB} must be a number, got '{raw}'"):
+            env_float(KNOB, 1.0, minimum=0.0, exclusive=True)
+
+    def test_float_infinity_is_a_number(self, monkeypatch):
+        monkeypatch.setenv(KNOB, "inf")
+        assert env_float(KNOB, 1.0, minimum=0.0, exclusive=True) == float("inf")
+        monkeypatch.setenv(KNOB, "-inf")
+        with pytest.raises(ValueError, match=f"{KNOB} must be > 0.0, got -inf"):
+            env_float(KNOB, 1.0, minimum=0.0, exclusive=True)
+
+    def test_float_minimum_is_inclusive_unless_exclusive(self, monkeypatch):
+        monkeypatch.setenv(KNOB, "0")
+        assert env_float(KNOB, 1.0, minimum=0.0) == 0.0
+        with pytest.raises(ValueError, match=f"{KNOB} must be > 0.0, got 0.0"):
+            env_float(KNOB, 1.0, minimum=0.0, exclusive=True)
+        monkeypatch.setenv(KNOB, "-0.5")
+        with pytest.raises(ValueError, match=f"{KNOB} must be >= 0.0, got -0.5"):
+            env_float(KNOB, 1.0, minimum=0.0)
+
+    @pytest.mark.parametrize("raw", ["1.5", "ten"])
+    def test_int_must_be_an_integer(self, monkeypatch, raw):
+        monkeypatch.setenv(KNOB, raw)
+        with pytest.raises(ValueError, match=f"{KNOB} must be an integer, got '{raw}'"):
+            env_int(KNOB, 1)
+
+    def test_int_minimum_is_inclusive_and_optional(self, monkeypatch):
+        monkeypatch.setenv(KNOB, "1")
+        assert env_int(KNOB, 4, minimum=1) == 1
+        monkeypatch.setenv(KNOB, "0")
+        with pytest.raises(ValueError, match=f"{KNOB} must be >= 1, got 0"):
+            env_int(KNOB, 4, minimum=1)
+        monkeypatch.setenv(KNOB, "-3")
+        assert env_int(KNOB, 4) == -3
 
 
 class TestValidation:

@@ -1,9 +1,8 @@
 """Perf-trajectory and regression tooling over the unified experiment store.
 
-The store (``BENCH_perf.sqlite``, written through
-:class:`repro.results.ResultsWriter` by every benchmark merge site) replaces
-the hand-copied trajectory table in ``docs/performance.md`` and turns trend
-regressions into a CI query.  This tool is the operator surface:
+The committed store, ``BENCH_perf.sqlite``, holds the labeled runs that the
+trajectory table in ``docs/performance.md`` is emitted from and the
+full-mode rows the trend gate reads.  This tool is the operator surface:
 
     python -m tools.perf_report trajectory        # print the markdown table
     python -m tools.perf_report write-docs        # refresh it in docs/performance.md
