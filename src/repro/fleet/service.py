@@ -51,12 +51,12 @@ resume bit-identical.
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import math
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -108,8 +108,9 @@ class RetryPolicy:
     max_attempts:
         Attempts per device group before quarantine (must be >= 1).
     backoff_base:
-        Delay before the second attempt (seconds); attempt ``n`` waits
-        ``backoff_base * backoff_factor**(n - 2)``, capped at ``max_backoff``.
+        Delay before the second attempt (seconds, >= 0); attempt ``n`` waits
+        ``backoff_base * backoff_factor**(n - 2)``, capped at ``max_backoff``
+        (>= 0).  ``backoff_factor`` must be finite and >= 1.
     jitter:
         Fractional spread applied to each delay, drawn deterministically from
         ``(seed, group key, attempt)`` — retries are de-synchronised across
@@ -147,8 +148,12 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.max_backoff < 0:
+        if not self.backoff_base >= 0 or not self.max_backoff >= 0:  # NaN fails too
             raise ValueError("backoff delays must be non-negative")
+        # A factor below 1 shrinks later waits; an infinite one makes 0 * inf
+        # a NaN delay.
+        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1):
+            raise ValueError("backoff_factor must be finite and >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         if self.timeout is not None and not self.timeout > 0:  # NaN never expires
@@ -554,24 +559,30 @@ class FleetService:
         round_id: int,
         results: List[Tuple[_Group, Any, BitFlipCalibrationStats]],
         outcome: RoundOutcome,
+        reps_hold_results: bool,
     ) -> None:
         """Scatter each representative's result to its members, durably.
 
         ``results`` holds ``(group, result_state, rep_stats)`` per finished
-        group; every member's row moves to ``done`` in one commit.  Members
-        share the representative's exact start state and pool, so
-        restoring its resulting :class:`CalibrationRoundState` is
-        bit-identical to calibrating each member separately — that
-        equivalence is what the dedupe economics rest on (and what the
-        tests pin).
+        group; every member's row moves to ``done`` in one commit, with the
+        result's digest.  Members share the representative's exact start
+        state and pool, so restoring its resulting
+        :class:`CalibrationRoundState` is bit-identical to calibrating each
+        member separately — that equivalence is what the dedupe economics
+        rest on (and what the tests pin).  ``reps_hold_results`` says the
+        representatives were calibrated in this process and so already hold
+        their results; otherwise they get the restore too.
         """
-        done: Dict[str, Tuple[Any, BitFlipCalibrationStats]] = {}
+        done: Dict[str, Tuple[str, Any, BitFlipCalibrationStats]] = {}
         for group, result_state, rep_stats in results:
+            digest = result_state.digest()
             for device_id in group.member_ids:
-                restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
-                done[device_id] = (result_state, copy.deepcopy(rep_stats))
+                if device_id != group.rep_id or not reps_hold_results:
+                    restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
+                stats = replace(rep_stats, flips_per_epoch=list(rep_stats.flips_per_epoch))
+                done[device_id] = (digest, result_state, stats)
         self.store.mark_done(round_id, done)
-        for device_id, (result_state, stats) in done.items():
+        for device_id, (_, result_state, stats) in done.items():
             outcome.stats[device_id] = stats
             outcome.statuses[device_id] = "done"
             outcome.result_states[device_id] = result_state
@@ -658,6 +669,7 @@ class FleetService:
                 for group in groups
             ],
             outcome,
+            reps_hold_results=True,
         )
         return []
 
@@ -703,5 +715,5 @@ class FleetService:
         if failed:
             self._fail_groups(round_id, failed)
         if finished:
-            self._finish_groups(round_id, finished, outcome)
+            self._finish_groups(round_id, finished, outcome, reps_hold_results=False)
         return [group for group, _ in failed]

@@ -12,25 +12,38 @@ Schema (see ``docs/operations.md`` for the operator view)::
     devices        one row per registered device (id, quarantine status,
                    last error traceback, updated_at)
     rounds         one row per submitted calibration round (status, timing)
+    states         one row per distinct calibration state (codes + BatchNorm
+                   statistics, pickled), keyed by the digest its callers
+                   compute (``CalibrationRoundState.digest()``)
     device_rounds  one row per (round, device): the resume unit.  Tracks
                    status pending → running → done (or quarantined),
-                   attempts, the round-start snapshot (codes + BatchNorm
-                   statistics, pickled), the resulting snapshot once done,
-                   per-device stats, and the dedupe keys (state_digest,
-                   pool_digest) that let N identical replicas share one BF
-                   forward.
+                   attempts, the digests of the round-start state
+                   (state_digest) and of the resulting state once done
+                   (result_digest), per-device stats, and the pool digest;
+                   (state_digest, pool_digest) is the dedupe key that lets
+                   N identical replicas share one BF forward.
+
+States are content-addressed: a state is stored once, however many rounds
+and devices hold it, and a digest the store already holds is neither
+pickled nor written again.  A device's round-start state is usually its
+previous round's result, so a steady-state submit writes no state at all.
+States are immutable and never deleted, so a digest found stored stays
+stored.  The store never computes a digest: its callers pass them.
 
 Each mutating method is one commit.  The round path commits once per round
 phase, whatever the number of devices (group commit): the per-phase methods
 (``register_devices``, ``init_device_rounds``, ``mark_running``,
 ``mark_done``, ``mark_failed``, ``mark_quarantined``) take every device of
-the phase and run one statement over all their rows (``executemany``).  A
-gateway wave therefore commits seven times (register, round row, device
-rows, round running, wave running, wave done, round done), and a round's
-device rows land all or none.  The grain is one phase, not one wave:
-``resume`` keys on the ``running`` marks, so they must be durable before
-the work starts, and a wave-long transaction would hold the write lock
-that other submitter processes wait on.
+the phase and run one statement over all their rows (``executemany``);
+``init_device_rounds`` and ``mark_done`` run a second one first, inserting
+the states the store does not hold yet.  A gateway wave therefore commits
+seven times (register, round row, device rows, round running, wave running,
+wave done, round done), and a round's device rows land all or none.  No
+statement's parameter count depends on the round's size: every statement
+runs per row, and reads look states up one digest at a time.  The grain
+is one phase, not one wave: ``resume`` keys on the ``running`` marks, so
+they must be durable before the work starts, and a wave-long transaction
+would hold the write lock that other submitter processes wait on.
 
 The statements run in the deferred transaction that :mod:`sqlite3` opens
 implicitly before the first write (a plain ``BEGIN``), and
@@ -47,6 +60,12 @@ the write lock instead of failing (both set by
 :func:`repro.utils.sqlite.connect`).  A process killed mid-commit leaves
 only an uncommitted WAL tail, which the next opener ignores.
 
+A file's layout is stamped in ``PRAGMA user_version``.  Opening a file of
+another layout (version 0 with tables: the earlier layout that kept state
+blobs inline in ``device_rounds``; or an unknown version) raises
+:class:`StoreError` and leaves the file as it was.  There is no migration:
+drain open rounds before upgrading, then start a new file.
+
 Numpy state travels as pickled blobs: pickling preserves dtype, shape and
 byte-exact contents, which the bit-identity contract requires (JSON would
 round-trip floats through decimal text).
@@ -58,7 +77,7 @@ import pickle
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.utils.sqlite import StoreError, connect, retry, utcnow
 
@@ -66,6 +85,7 @@ __all__ = [
     "DeviceRoundRecord",
     "DeviceStateStore",
     "RoundRecord",
+    "SCHEMA_VERSION",
     "StoreError",
 ]
 
@@ -73,6 +93,9 @@ __all__ = [
 DEVICE_STATUSES = ("pending", "running", "done", "quarantined")
 #: Lifecycle of a round as a whole.
 ROUND_STATUSES = ("submitted", "running", "done")
+#: Layout version stamped into ``PRAGMA user_version``; a file carrying any
+#: other version, or version 0 with tables in it, is refused.
+SCHEMA_VERSION = 1
 
 #: One mutating statement: SQL text and the parameter rows it runs over.  A
 #: sequence, never a one-shot iterator: a retried commit replays it.
@@ -101,7 +124,12 @@ class RoundRecord:
 
 @dataclass
 class DeviceRoundRecord:
-    """One ``device_rounds`` row: a device's state within one round."""
+    """One ``device_rounds`` row: a device's state within one round.
+
+    ``snapshot`` and ``result_state`` are loaded from ``states`` by digest;
+    records of one read that share a digest share one object, which callers
+    treat as read-only.
+    """
 
     round_id: int
     device_id: str
@@ -109,44 +137,47 @@ class DeviceRoundRecord:
     attempts: int
     state_digest: str
     pool_digest: str
+    result_digest: Optional[str]
     last_error: Optional[str]
-    snapshot: Optional[Any]
+    snapshot: Any
     result_state: Optional[Any]
     stats: Optional[Any]
     updated_at: str
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS devices (
+_SCHEMA = (
+    """CREATE TABLE devices (
     device_id   TEXT PRIMARY KEY,
     quarantined INTEGER NOT NULL DEFAULT 0,
     last_error  TEXT,
     updated_at  TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS rounds (
+)""",
+    """CREATE TABLE rounds (
     round_id    INTEGER PRIMARY KEY AUTOINCREMENT,
     status      TEXT NOT NULL DEFAULT 'submitted',
     num_devices INTEGER NOT NULL,
     created_at  TEXT NOT NULL,
     updated_at  TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS device_rounds (
-    round_id     INTEGER NOT NULL REFERENCES rounds(round_id),
-    device_id    TEXT NOT NULL REFERENCES devices(device_id),
-    status       TEXT NOT NULL DEFAULT 'pending',
-    attempts     INTEGER NOT NULL DEFAULT 0,
-    state_digest TEXT NOT NULL,
-    pool_digest  TEXT NOT NULL,
-    last_error   TEXT,
-    snapshot     BLOB,
-    result_state BLOB,
-    stats        BLOB,
-    updated_at   TEXT NOT NULL,
+)""",
+    """CREATE TABLE states (
+    digest TEXT PRIMARY KEY,
+    state  BLOB NOT NULL
+)""",
+    """CREATE TABLE device_rounds (
+    round_id      INTEGER NOT NULL REFERENCES rounds(round_id),
+    device_id     TEXT NOT NULL REFERENCES devices(device_id),
+    status        TEXT NOT NULL DEFAULT 'pending',
+    attempts      INTEGER NOT NULL DEFAULT 0,
+    state_digest  TEXT NOT NULL REFERENCES states(digest),
+    pool_digest   TEXT NOT NULL,
+    result_digest TEXT REFERENCES states(digest),
+    last_error    TEXT,
+    stats         BLOB,
+    updated_at    TEXT NOT NULL,
     PRIMARY KEY (round_id, device_id)
-);
-CREATE INDEX IF NOT EXISTS idx_device_rounds_status
-    ON device_rounds (round_id, status);
-"""
+)""",
+    "CREATE INDEX idx_device_rounds_status ON device_rounds (round_id, status)",
+)
 
 
 class DeviceStateStore:
@@ -156,7 +187,8 @@ class DeviceStateStore:
     ----------
     path:
         Database file path, or ``":memory:"`` for an ephemeral store (used by
-        tests that only need the API, not durability).
+        tests that only need the API, not durability).  A file in another
+        layout raises :class:`StoreError` naming the path.
     write_retries:
         How many times a mutating method's commit is attempted on
         ``sqlite3.OperationalError`` before raising :class:`StoreError`.
@@ -178,14 +210,43 @@ class DeviceStateStore:
         if self.write_retries < 1:
             raise ValueError("write_retries must be >= 1")
         self._conn = connect(self.path, attempts=self.write_retries, sleep=self.retry_sleep)
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        try:
+            retry(
+                self._conn, self._create_schema,
+                attempts=self.write_retries, sleep=self.retry_sleep,
+            )
+        except BaseException:
+            self._conn.close()
+            raise
         #: Test hook: called before every mutating statement.  The
         #: fault-injection harness points this at a ``FaultPlan`` to make
         #: store writes fail transiently; production leaves it ``None``.
         self.before_write: Optional[Callable[[str], None]] = None
 
     # --------------------------------------------------------------- plumbing
+    def _create_schema(self) -> None:
+        """Create the schema in an empty file; refuse a file of another layout.
+
+        Runs under the write lock, so openers racing on a fresh file create
+        the schema once and never see it half made.
+        """
+        conn = self._conn
+        conn.execute("BEGIN IMMEDIATE")
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        tables = conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()[0]
+        if version == 0 and not tables:
+            for statement in _SCHEMA:
+                conn.execute(statement)
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        elif version != SCHEMA_VERSION:
+            layout = "the earlier inline-blob layout" if version == 0 else f"layout {version}"
+            raise StoreError(
+                f"{self.path} is a device-state store in {layout}; this build "
+                f"reads layout {SCHEMA_VERSION} only.  Drain its open rounds "
+                "with the build that wrote it, then start a new store file"
+            )
+        conn.commit()
+
     def _execute(self, *statements: _Statement) -> None:
         """Run ``(sql, rows)`` statements as one commit with bounded retry.
 
@@ -203,6 +264,33 @@ class DeviceStateStore:
             self._conn.commit()
 
         retry(self._conn, commit, attempts=self.write_retries, sleep=self.retry_sleep)
+
+    def _insert_states(self, states: Mapping[str, Any]) -> List[_Statement]:
+        """The insert of those ``states`` (digest → state) that the store does
+        not hold yet, or no statement if it holds them all.
+
+        Only those are pickled.  The insert skips a digest that another
+        writer stored since the lookup: equal digests mean equal states.
+        """
+        lookup = "SELECT 1 FROM states WHERE digest = ?"
+        rows = [
+            (digest, _blob(state))
+            for digest, state in states.items()
+            if self._conn.execute(lookup, (digest,)).fetchone() is None
+        ]
+        sql = "INSERT INTO states (digest, state) VALUES (?, ?) ON CONFLICT(digest) DO NOTHING"
+        return [(sql, rows)] if rows else []
+
+    def _load_states(self, digests: Iterable[Optional[str]]) -> Dict[str, Any]:
+        """Unpickle each distinct stored state among ``digests`` once."""
+        states: Dict[str, Any] = {}
+        for digest in digests:
+            if digest is not None and digest not in states:
+                row = self._conn.execute(
+                    "SELECT state FROM states WHERE digest = ?", (digest,)
+                ).fetchone()
+                states[digest] = pickle.loads(row[0])
+        return states
 
     def close(self) -> None:
         """Close the SQLite connection; idempotent (sqlite3 allows re-close)."""
@@ -301,19 +389,25 @@ class DeviceStateStore:
 
         ``starts`` maps each device id to ``(state_digest, pool_digest,
         snapshot)``; the snapshot is the round-start state every retry and
-        resume restores to.  The rows land all or none, so a failed write
-        never leaves a round holding only some of its devices.
+        resume restores to, stored under ``state_digest`` unless the store
+        already holds that digest.  The rows land all or none, so a failed
+        write never leaves a round holding only some of its devices.
         """
         now = utcnow()
-        self._execute((
-            "INSERT OR REPLACE INTO device_rounds "
-            "(round_id, device_id, status, attempts, state_digest, pool_digest,"
-            " snapshot, updated_at) VALUES (?, ?, 'pending', 0, ?, ?, ?, ?)",
-            [
-                (round_id, device_id, state_digest, pool_digest, _blob(snapshot), now)
-                for device_id, (state_digest, pool_digest, snapshot) in starts.items()
-            ],
-        ))
+        self._execute(
+            *self._insert_states(
+                {state_digest: snapshot for state_digest, _, snapshot in starts.values()}
+            ),
+            (
+                "INSERT OR REPLACE INTO device_rounds "
+                "(round_id, device_id, status, attempts, state_digest, pool_digest,"
+                " updated_at) VALUES (?, ?, 'pending', 0, ?, ?, ?)",
+                [
+                    (round_id, device_id, state_digest, pool_digest, now)
+                    for device_id, (state_digest, pool_digest, _) in starts.items()
+                ],
+            ),
+        )
 
     def mark_running(self, round_id: int, device_ids: Sequence[str]) -> None:
         """Move the devices to ``running`` and count the attempt.  A row found
@@ -325,17 +419,24 @@ class DeviceStateStore:
             [(now, round_id, device_id) for device_id in device_ids],
         ))
 
-    def mark_done(self, round_id: int, results: Mapping[str, Tuple[Any, Any]]) -> None:
-        """Persist each device's ``(result_state, stats)`` and move it to ``done``."""
+    def mark_done(self, round_id: int, results: Mapping[str, Tuple[str, Any, Any]]) -> None:
+        """Persist each device's ``(result_digest, result_state, stats)`` and
+        move it to ``done``.  A result state is stored under its digest
+        unless the store already holds it."""
         now = utcnow()
-        self._execute((
-            "UPDATE device_rounds SET status = 'done', result_state = ?, stats = ?,"
-            " last_error = NULL, updated_at = ? WHERE round_id = ? AND device_id = ?",
-            [
-                (_blob(result_state), _blob(stats), now, round_id, device_id)
-                for device_id, (result_state, stats) in results.items()
-            ],
-        ))
+        self._execute(
+            *self._insert_states(
+                {result_digest: result_state for result_digest, result_state, _ in results.values()}
+            ),
+            (
+                "UPDATE device_rounds SET status = 'done', result_digest = ?, stats = ?,"
+                " last_error = NULL, updated_at = ? WHERE round_id = ? AND device_id = ?",
+                [
+                    (result_digest, _blob(stats), now, round_id, device_id)
+                    for device_id, (result_digest, _, stats) in results.items()
+                ],
+            ),
+        )
 
     def mark_failed(self, round_id: int, errors: Mapping[str, str]) -> None:
         """Record failed attempts, device id → error (back to ``pending`` for
@@ -372,7 +473,7 @@ class DeviceStateStore:
         ).fetchone()
         if row is None:
             raise KeyError(f"no device-round row for round {round_id}, device {device_id!r}")
-        return self._to_record(row)
+        return self._to_records([row])[0]
 
     def device_rounds(self, round_id: int) -> List[DeviceRoundRecord]:
         """All device rows of a round, in device-id insertion order."""
@@ -380,23 +481,27 @@ class DeviceStateStore:
             "SELECT * FROM device_rounds WHERE round_id = ? ORDER BY rowid",
             (round_id,),
         ).fetchall()
-        return [self._to_record(row) for row in rows]
+        return self._to_records(rows)
 
-    @staticmethod
-    def _to_record(row: sqlite3.Row) -> DeviceRoundRecord:
-        def load(blob: Optional[bytes]) -> Any:
-            return pickle.loads(blob) if blob is not None else None
-
-        return DeviceRoundRecord(
-            round_id=row["round_id"],
-            device_id=row["device_id"],
-            status=row["status"],
-            attempts=row["attempts"],
-            state_digest=row["state_digest"],
-            pool_digest=row["pool_digest"],
-            last_error=row["last_error"],
-            snapshot=load(row["snapshot"]),
-            result_state=load(row["result_state"]),
-            stats=load(row["stats"]),
-            updated_at=row["updated_at"],
+    def _to_records(self, rows: Sequence[sqlite3.Row]) -> List[DeviceRoundRecord]:
+        """Records of ``rows``, loading each state they name once."""
+        states = self._load_states(
+            digest for row in rows for digest in (row["state_digest"], row["result_digest"])
         )
+        return [
+            DeviceRoundRecord(
+                round_id=row["round_id"],
+                device_id=row["device_id"],
+                status=row["status"],
+                attempts=row["attempts"],
+                state_digest=row["state_digest"],
+                pool_digest=row["pool_digest"],
+                result_digest=row["result_digest"],
+                last_error=row["last_error"],
+                snapshot=states[row["state_digest"]],
+                result_state=states.get(row["result_digest"]),
+                stats=pickle.loads(row["stats"]) if row["stats"] is not None else None,
+                updated_at=row["updated_at"],
+            )
+            for row in rows
+        ]

@@ -30,6 +30,7 @@ from repro.fleet.gateway import (
     Rejected,
     Shed,
 )
+import repro.fleet.store as store_module
 from repro.fleet.store import DeviceStateStore
 from repro.models.mlp import MLPClassifier
 
@@ -449,36 +450,68 @@ class TestBitIdentity:
 
 
 class TestStoreCommits:
+    @staticmethod
+    def _counted_wave(monkeypatch, gateway, target, wave):
+        """Offer and pump one wave.  Returns the SQL of each store commit
+        and the number of values pickled for it."""
+        pools = _pools(target, gateway.fleet.ids, wave)
+        for device_id in gateway.fleet.ids:
+            gateway.offer(DeviceReport(device_id=device_id, seq=wave, pool=pools[device_id]))
+        commits, pickles, pickled, writes = [], [], [], []
+        execute, blob = DeviceStateStore._execute, store_module._blob
+
+        def counted(self, *statements):
+            commits.append([sql.split(" (")[0] for sql, _ in statements])
+            pickles.append(len(pickled) - sum(pickles))
+            return execute(self, *statements)
+
+        monkeypatch.setattr(DeviceStateStore, "_execute", counted)
+        monkeypatch.setattr(
+            store_module, "_blob", lambda value: pickled.append(value) or blob(value)
+        )
+        gateway.service.store.before_write = writes.append
+        logs = gateway.pump()
+        monkeypatch.undo()
+        gateway.service.store.before_write = None
+        assert [len(log.devices) for log in logs] == [len(gateway.fleet)]
+        assert len(writes) == sum(len(commit) for commit in commits)
+        return commits, pickles
+
     @pytest.mark.parametrize("num_devices", [3, 12])
     def test_one_gateway_round_commits_once_per_phase(
         self, packaged, tmp_path, monkeypatch, num_devices
     ):
         """A round writes each phase in one commit whatever its size:
         register, round row, device rows, round running, wave running, wave
-        done, round done.  Each commit is one statement, one ``before_write``."""
+        done, round done.  Each statement is one ``before_write``.  On a new
+        store the device-row and done commits first store the states they
+        name, each distinct state once: the replicas start identical."""
         deployment, target = packaged
         fleet = Fleet.replicate(deployment, num_devices, seed=0)
         config = GatewayConfig(lease_s=LEASE_S, queue_max=num_devices, max_batch=num_devices)
         store = DeviceStateStore(tmp_path / "fleet.sqlite")
         gateway = _gateway(fleet, ManualClock(), store=store, config=config)
-        pools = _pools(target, fleet.ids, 0)
-        for device_id in fleet.ids:
-            gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
-
-        commits, writes = [], []
-        execute = DeviceStateStore._execute
-
-        def counted(self, *statements):
-            commits.append(len(statements))
-            return execute(self, *statements)
-
-        monkeypatch.setattr(DeviceStateStore, "_execute", counted)
-        store.before_write = writes.append
-        logs = gateway.pump()
-        assert [len(log.devices) for log in logs] == [num_devices]
+        commits, pickles = self._counted_wave(monkeypatch, gateway, target, 0)
         assert gateway.stats.completed_reports == num_devices
-        assert commits == [1] * 7
-        assert len(writes) == len(commits)
+        assert [len(commit) for commit in commits] == [1, 1, 2, 1, 1, 2, 1]
+        assert commits[2] == ["INSERT INTO states", "INSERT OR REPLACE INTO device_rounds"]
+        assert commits[5][0] == "INSERT INTO states"
+        assert pickles[2] == 1
+        gateway.close()
+
+    def test_next_wave_submit_writes_no_state(self, packaged, tmp_path, monkeypatch):
+        """The second wave's snapshots are the first wave's results, which
+        the store already holds: its submit pickles nothing and writes
+        device rows only."""
+        deployment, target = packaged
+        gateway = _gateway(
+            _fleet(deployment), ManualClock(), store=DeviceStateStore(tmp_path / "fleet.sqlite")
+        )
+        self._counted_wave(monkeypatch, gateway, target, 0)
+        commits, pickles = self._counted_wave(monkeypatch, gateway, target, 1)
+        assert len(commits) == 7
+        assert commits[2] == ["INSERT OR REPLACE INTO device_rounds"]
+        assert pickles[2] == 0
         gateway.close()
 
 

@@ -27,6 +27,7 @@ from repro.fleet import (
     RetryPolicy,
     dataset_digest,
 )
+import repro.fleet.service as service_module
 from repro.fleet.store import DeviceStateStore, StoreError
 from repro.models import build_model
 
@@ -88,6 +89,19 @@ def _drain_round(service, pools):
     return round_id, service.drain(round_id, pools)
 
 
+def _count_restores(monkeypatch):
+    """Record every ``restore_calibration_state`` call the service makes."""
+    restores = []
+    restore = service_module.restore_calibration_state
+
+    def counted(qmodel, state):
+        restores.append(qmodel)
+        restore(qmodel, state)
+
+    monkeypatch.setattr(service_module, "restore_calibration_state", counted)
+    return restores
+
+
 class _RecordingCalibrator(FleetCalibrator):
     """Records the devices of every in-process ``calibrate`` call."""
 
@@ -122,6 +136,18 @@ class TestHappyPath:
         # identical with identical pools, so they must all end identical.
         digests = set(fleet.codes_digests().values())
         assert len(digests) == 1
+
+    def test_identical_replicas_store_one_state(self, packaged):
+        """The store keys states by digest: N identical replicas store one
+        round-start state and, with one pool, one result."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        service = FleetService(fleet)
+        round_id, _ = _drain_round(service, _pools(data, fleet.ids, shared=True))
+        rows = service.store.device_rounds(round_id)
+        assert len({(row.state_digest, row.result_digest) for row in rows}) == 1
+        states = service.store._conn.execute("SELECT COUNT(*) FROM states").fetchone()[0]
+        assert states == 2
 
     def test_scatter_matches_per_device_calibration(self, packaged):
         """The dedupe shortcut (calibrate one representative, scatter the
@@ -403,6 +429,39 @@ class TestWaves:
         assert [digests[d] for d in healthy] == [golden[d] for d in healthy]
 
 
+class TestScatter:
+    def test_in_process_representatives_are_not_restored(self, packaged, monkeypatch):
+        """An all-distinct wave of 24 devices: drain restores each device to
+        its round-start snapshot and no more, since every device is a
+        representative that computed its result in this process."""
+        data, _, deployment = packaged
+        fleet = Fleet.replicate(deployment, 24, seed=0)
+        target = data[data.domain_names[1]].train
+        pools = {
+            device_id: target.subset(np.arange(k, k + 12) % len(target))
+            for k, device_id in enumerate(fleet.ids)
+        }
+        service = FleetService(fleet)
+        round_id = service.submit(pools)
+        restores = _count_restores(monkeypatch)
+        outcome = service.drain(round_id, pools)
+        assert outcome.num_groups == 24
+        assert len(restores) == 24
+        reference = Fleet.replicate(deployment, 24, seed=0)
+        result = FleetCalibrator().calibrate(reference, pools)
+        assert fleet.codes_digests() == reference.codes_digests()
+        assert outcome.stats == result.stats
+
+    def test_members_get_copies_of_the_representative_stats(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        _, outcome = _drain_round(FleetService(fleet), _pools(data, fleet.ids, shared=True))
+        first, second = (outcome.stats[device_id] for device_id in DEVICE_IDS[:2])
+        assert first == second
+        assert first is not second
+        assert first.flips_per_epoch is not second.flips_per_epoch
+
+
 class TestPooledService:
     """``workers > 1``: the service's one multi-process path."""
 
@@ -416,15 +475,21 @@ class TestPooledService:
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             FleetService(Fleet(), workers=workers)
 
-    def test_two_workers_match_in_process(self, packaged, golden):
+    def test_two_workers_match_in_process(self, packaged, golden, monkeypatch):
+        """Workers calibrate copies, so the parent restores every result,
+        representatives included: each device is restored to its
+        round-start snapshot, then to its result."""
         data, _, deployment = packaged
         _, in_process = _drain_round(
             FleetService(_fleet(deployment)), _pools(data, DEVICE_IDS)
         )
         fleet = _fleet(deployment)
+        restores = _count_restores(monkeypatch)
         with self._service(fleet) as service:
             _, outcome = _drain_round(service, _pools(data, fleet.ids))
         assert outcome.retries == 0 and outcome.quarantined == {}
+        assert outcome.num_groups == NUM_DEVICES
+        assert len(restores) == 2 * NUM_DEVICES
         assert outcome.stats == in_process.stats
         assert fleet.codes_digests() == golden
 
@@ -627,6 +692,14 @@ class TestRetryPolicy:
             RetryPolicy(timeout=float("nan"))  # would never time a straggler out
         with pytest.raises(ValueError, match="non-negative"):
             RetryPolicy(backoff_base=-1.0)
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="non-negative"):
+            RetryPolicy(backoff_base=nan)  # a NaN delay skips the backoff sleep
+        with pytest.raises(ValueError, match="non-negative"):
+            RetryPolicy(max_backoff=nan)
+        for factor in (-2.0, 0.5, inf, nan):  # negative, shrinking, 0 * inf = NaN
+            with pytest.raises(ValueError, match="backoff_factor"):
+                RetryPolicy(backoff_factor=factor)
 
     def test_backoff_shape_and_determinism(self):
         policy = RetryPolicy(

@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import multiprocessing
 import os
+import re
 import signal
 import sqlite3
 import time
@@ -13,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.fleet.store import DeviceStateStore, StoreError
+import repro.fleet.store as store_module
+from repro.fleet.store import SCHEMA_VERSION, DeviceStateStore, StoreError
 
 WRITERS = 3
 ROUNDS_PER_WRITER = 30
@@ -24,6 +26,12 @@ def _snapshot(seed=0):
     return {"codes": rng.integers(0, 16, size=(4, 3)), "moments": rng.normal(size=5)}
 
 
+def _digest(seed=0):
+    """The digest of ``_snapshot(seed)``: states are stored by digest, so
+    equal digests must name equal contents."""
+    return f"snapshot-{seed}"
+
+
 def _write_rounds(path, writer, rounds):
     """One submitter process: ``rounds`` full device-round lifecycles
     (``None`` = until killed), each device in its own round."""
@@ -32,9 +40,14 @@ def _write_rounds(path, writer, rounds):
             device_id = f"w{writer}-d{index}"
             store.register_devices([device_id])
             round_id = store.create_round([device_id])
-            store.init_device_rounds(round_id, {device_id: ("state", "pool", _snapshot(index))})
+            store.init_device_rounds(
+                round_id, {device_id: (_digest(index), "pool", _snapshot(index))}
+            )
             store.mark_running(round_id, [device_id])
-            store.mark_done(round_id, {device_id: (_snapshot(index + 1), {"writer": writer})})
+            store.mark_done(
+                round_id,
+                {device_id: (_digest(index + 1), _snapshot(index + 1), {"writer": writer})},
+            )
 
 
 def _done_rows(path):
@@ -45,13 +58,23 @@ def _done_rows(path):
 
 
 def _assert_consistent(path):
-    """What any store file must satisfy, however its writers ended."""
+    """What any store file must satisfy, however its writers ended: every
+    digest a row names resolves to a ``states`` row, and every ``done`` row
+    has a result and stats."""
     with contextlib.closing(sqlite3.connect(path)) as conn:
         assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        references = {
+            (row[3], row[2], row[4])  # (from column, table, to column)
+            for row in conn.execute("PRAGMA foreign_key_list(device_rounds)")
+        }
+        assert {
+            ("state_digest", "states", "digest"), ("result_digest", "states", "digest"),
+        } <= references
         assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
         assert conn.execute(
-            "SELECT COUNT(*) FROM device_rounds WHERE status = 'done'"
-            " AND (result_state IS NULL OR stats IS NULL)"
+            "SELECT COUNT(*) FROM device_rounds WHERE status = 'done' AND (stats IS NULL"
+            " OR result_digest IS NULL"
+            " OR result_digest NOT IN (SELECT digest FROM states))"
         ).fetchone()[0] == 0
 
 
@@ -76,10 +99,13 @@ class TestLifecycle:
             assert store.get_device_round(round_id, "d0").attempts == 1
             assert store.get_device_round(round_id, "d1").status == "pending"
 
-            store.mark_done(round_id, {"d0": (_snapshot(1), {"flips": 3})})
+            store.mark_done(round_id, {"d0": (_digest(1), _snapshot(1), {"flips": 3})})
             row = store.get_device_round(round_id, "d0")
             assert row.status == "done"
             assert row.stats == {"flips": 3}
+            assert row.result_digest == _digest(1)
+            np.testing.assert_array_equal(row.result_state["codes"], _snapshot(1)["codes"])
+            assert store.get_device_round(round_id, "d1").result_digest is None
 
     def test_attempts_accumulate_across_retries(self):
         with DeviceStateStore() as store:
@@ -102,7 +128,7 @@ class TestLifecycle:
             store.mark_running(round_id, ["d0"])
             store.mark_failed(round_id, {"d0": "first attempt blew up"})
             store.mark_running(round_id, ["d0"])
-            store.mark_done(round_id, {"d0": (None, None)})
+            store.mark_done(round_id, {"d0": ("x", None, None)})
             assert store.get_device_round(round_id, "d0").last_error is None
 
     def test_unfinished_rounds_and_status_transitions(self):
@@ -141,6 +167,160 @@ class TestSnapshotRoundTrip:
             assert loaded["codes"].dtype == snapshot["codes"].dtype
             np.testing.assert_array_equal(loaded["codes"], snapshot["codes"])
             assert loaded["moments"].tobytes() == snapshot["moments"].tobytes()
+
+
+def _state_count(store):
+    return store._conn.execute("SELECT COUNT(*) FROM states").fetchone()[0]
+
+
+class TestContentAddressedStates:
+    def test_identical_states_are_stored_and_loaded_once(self):
+        devices = [f"d{k}" for k in range(5)]
+        with DeviceStateStore() as store:
+            store.register_devices(devices)
+            round_id = store.create_round(devices)
+            store.init_device_rounds(
+                round_id, {device_id: (_digest(0), "pool", _snapshot(0)) for device_id in devices}
+            )
+            assert _state_count(store) == 1
+            store.mark_running(round_id, devices)
+            store.mark_done(
+                round_id,
+                {device_id: (_digest(1), _snapshot(1), {"flips": 1}) for device_id in devices},
+            )
+            assert _state_count(store) == 2
+            rows = store.device_rounds(round_id)
+            assert all(row.snapshot is rows[0].snapshot for row in rows)
+            assert all(row.result_state is rows[0].result_state for row in rows)
+            np.testing.assert_array_equal(rows[0].snapshot["codes"], _snapshot(0)["codes"])
+
+    def test_a_stored_state_is_neither_pickled_nor_written_again(self, monkeypatch):
+        """The next round starts from the last round's results: its submit
+        finds every state stored and writes its device rows alone."""
+        with DeviceStateStore() as store:
+            store.register_devices(["d0", "d1"])
+            first = store.create_round(["d0", "d1"])
+            store.init_device_rounds(first, {
+                "d0": (_digest(0), "pool", _snapshot(0)),
+                "d1": (_digest(1), "pool", _snapshot(1)),
+            })
+            store.mark_running(first, ["d0", "d1"])
+            store.mark_done(first, {
+                "d0": (_digest(2), _snapshot(2), {}),
+                "d1": (_digest(0), _snapshot(0), {}),
+            })
+            assert _state_count(store) == 3
+
+            pickled, writes = [], []
+            blob = store_module._blob
+            monkeypatch.setattr(
+                store_module, "_blob", lambda value: pickled.append(value) or blob(value)
+            )
+            store.before_write = writes.append
+            second = store.create_round(["d0", "d1"])
+            store.init_device_rounds(second, {
+                "d0": (_digest(2), "pool", _snapshot(2)),
+                "d1": (_digest(0), "pool", _snapshot(0)),
+            })
+            assert pickled == []
+            assert [sql.split(" (")[0] for sql in writes[1:]] == [
+                "INSERT OR REPLACE INTO device_rounds"
+            ]
+            assert _state_count(store) == 3
+            rows = store.device_rounds(second)
+            np.testing.assert_array_equal(rows[0].snapshot["codes"], _snapshot(2)["codes"])
+
+    def test_round_size_never_sets_a_parameter_count(self):
+        """A 20-device round runs every writer and reader with at most eight
+        bound parameters per statement."""
+        devices = [f"d{k}" for k in range(20)]
+        with DeviceStateStore() as store:
+            store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 8)
+            store.register_devices(devices)
+            round_id = store.create_round(devices)
+            store.init_device_rounds(
+                round_id,
+                {
+                    device_id: (_digest(k), "pool", _snapshot(k))
+                    for k, device_id in enumerate(devices)
+                },
+            )
+            store.mark_running(round_id, devices)
+            store.mark_failed(round_id, {device_id: "boom" for device_id in devices[:10]})
+            store.mark_quarantined(round_id, {device_id: "dead" for device_id in devices[:5]})
+            store.mark_running(round_id, devices[5:10])
+            store.mark_done(
+                round_id,
+                {
+                    device_id: (_digest(k + 20), _snapshot(k + 20), {"flips": k})
+                    for k, device_id in enumerate(devices[5:], start=5)
+                },
+            )
+            rows = store.device_rounds(round_id)
+            assert [row.status for row in rows] == ["quarantined"] * 5 + ["done"] * 15
+            for k, row in enumerate(rows):
+                np.testing.assert_array_equal(row.snapshot["codes"], _snapshot(k)["codes"])
+            np.testing.assert_array_equal(
+                store.get_device_round(round_id, "d19").result_state["codes"],
+                _snapshot(39)["codes"],
+            )
+            assert len(store.quarantined_devices()) == 5
+
+
+class TestLayoutVersion:
+    #: The inline-blob layout of earlier builds, which stamped no version.
+    INLINE_BLOB_DDL = """
+    CREATE TABLE devices (device_id TEXT PRIMARY KEY, quarantined INTEGER NOT NULL
+        DEFAULT 0, last_error TEXT, updated_at TEXT NOT NULL);
+    CREATE TABLE rounds (round_id INTEGER PRIMARY KEY AUTOINCREMENT, status TEXT
+        NOT NULL DEFAULT 'submitted', num_devices INTEGER NOT NULL, created_at TEXT
+        NOT NULL, updated_at TEXT NOT NULL);
+    CREATE TABLE device_rounds (round_id INTEGER NOT NULL REFERENCES rounds(round_id),
+        device_id TEXT NOT NULL REFERENCES devices(device_id), status TEXT NOT NULL
+        DEFAULT 'pending', attempts INTEGER NOT NULL DEFAULT 0, state_digest TEXT
+        NOT NULL, pool_digest TEXT NOT NULL, last_error TEXT, snapshot BLOB,
+        result_state BLOB, stats BLOB, updated_at TEXT NOT NULL,
+        PRIMARY KEY (round_id, device_id));
+    INSERT INTO devices VALUES ('d0', 0, NULL, 'then');
+    INSERT INTO rounds VALUES (1, 'running', 1, 'then', 'then');
+    INSERT INTO device_rounds VALUES (1, 'd0', 'running', 1, 's', 'p', NULL, x'00',
+        NULL, NULL, 'then');
+    """
+
+    @staticmethod
+    def _build(path, script):
+        """A store file as an earlier build left it: in WAL mode, closed."""
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.executescript(script)
+            conn.commit()
+
+    def test_a_new_store_is_stamped(self, tmp_path):
+        path = tmp_path / "fleet.db"
+        DeviceStateStore(path).close()
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (SCHEMA_VERSION,)
+        with DeviceStateStore(path) as store:  # and opens again
+            store.register_devices(["d0"])
+
+    @pytest.mark.parametrize("layout", ["inline_blobs", "unknown_version"])
+    def test_another_layout_is_refused_untouched(self, tmp_path, layout):
+        """Opening a file of another layout raises, naming the file, before
+        any round could fail inside ``mark_done`` (where a missing column is
+        an ``OperationalError`` that the write retry would replay)."""
+        path = tmp_path / "fleet.db"
+        script = {
+            "inline_blobs": self.INLINE_BLOB_DDL,
+            "unknown_version": f"PRAGMA user_version = {SCHEMA_VERSION + 1};",
+        }[layout]
+        self._build(path, script)
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match=re.escape(str(path))):
+            DeviceStateStore(path)
+        assert path.read_bytes() == before
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        assert "states" not in tables
 
 
 class TestQuarantine:
@@ -262,7 +442,10 @@ class TestWriteRetry:
                 )
             store.mark_done(
                 round_id,
-                {device_id: (_snapshot(k), {"flips": k}) for k, device_id in enumerate(devices)},
+                {
+                    device_id: (_digest(k), _snapshot(k), {"flips": k})
+                    for k, device_id in enumerate(devices)
+                },
             )
             assert failed
             rows = store.device_rounds(round_id)

@@ -26,6 +26,11 @@ store.  Then:
    store.  Round four runs with the survivors, and the quarantined device's
    late report is ``Rejected``.  Every survivor's digest must equal the
    golden run's after round four.
+3. **Store walk.**  The parent reads every round back through
+   :class:`~repro.fleet.store.DeviceStateStore`: every round must be done,
+   every row's round-start snapshot must load as the state its digest
+   names, and every ``done`` row must hold its result state (again matching
+   its digest) and its stats.
 
 Usage::
 
@@ -44,7 +49,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -52,6 +57,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np
 
 from repro import runtime
+from repro.core.bitflip import CalibrationRoundState
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.data.dataset import Dataset
@@ -210,6 +216,40 @@ def run_stall(
     return None
 
 
+def _holds(state: object, digest: Optional[str]) -> bool:
+    """True if ``state`` is a calibration state whose digest, recomputed from
+    its contents, is ``digest``."""
+    return isinstance(state, CalibrationRoundState) and (
+        CalibrationRoundState(codes=state.codes, batchnorm=state.batchnorm).digest()
+        == digest
+    )
+
+
+def check_store(store_path: str) -> Tuple[Optional[str], int]:
+    """Scenario 3: walk every round left in the store.
+
+    Returns a failure message (or None) and the number of rows walked.
+    """
+    walked = 0
+    with DeviceStateStore(store_path) as store:
+        rounds = store.list_rounds()
+        if not rounds:
+            return "the store holds no rounds", walked
+        for record in rounds:
+            if record.status != "done":
+                return f"round {record.round_id} was left {record.status!r}", walked
+            for row in store.device_rounds(record.round_id):
+                where = f"round {record.round_id}, {row.device_id}"
+                if not _holds(row.snapshot, row.state_digest):
+                    return f"{where}: the round-start snapshot does not load", walked
+                if row.status == "done" and (
+                    not _holds(row.result_state, row.result_digest) or row.stats is None
+                ):
+                    return f"{where}: done without its result state and stats", walked
+                walked += 1
+    return None, walked
+
+
 def run_parent(store_path: str) -> int:
     with runtime.use_dtype(np.float64):
         fleet, target = _build_fleet()
@@ -264,13 +304,18 @@ def run_parent(store_path: str) -> int:
     if failure is not None:
         print(failure)
         return 1
+    failure, walked = check_store(store_path)
+    if failure is not None:
+        print(f"store walk FAILED: {failure}")
+        return 1
 
     print(
         f"crash-recovery smoke ok: child killed mid-round (exit {CRASH_EXIT_CODE}), "
         f"round resumed from {store_path!r} with {resumed} interrupted device(s), "
         f"all {DEVICES} devices bit-identical to the golden run at float64; "
         f"then {STALLED!r} stalled -> requeued once -> quarantined, all "
-        f"{DEVICES - 1} survivors bit-identical after {ROUNDS} rounds"
+        f"{DEVICES - 1} survivors bit-identical after {ROUNDS} rounds; "
+        f"{walked} device rows read back whole"
     )
     return 0
 
