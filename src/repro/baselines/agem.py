@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.base import AdaptationReport, BackpropContinualMethod
@@ -26,7 +24,6 @@ class AGEM(BackpropContinualMethod):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
@@ -44,5 +41,4 @@ class AGEM(BackpropContinualMethod):
                 self._apply_gradient_vector(gradient)
                 report.steps += 1
         self.buffer.add_batch(batch.features, batch.labels, self._logits(batch.features))
-        report.seconds = time.perf_counter() - start
         return report

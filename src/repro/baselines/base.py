@@ -143,9 +143,12 @@ class ReplayBuffer:
 
 @dataclass
 class AdaptationReport:
-    """Diagnostics returned by one ``adapt`` call."""
+    """Diagnostics returned by one ``adapt`` call.
 
-    seconds: float = 0.0
+    Its wall-clock time is not one of them: the evaluation protocol times
+    every ``adapt`` call (:class:`repro.eval.continual.ContinualEvaluator`).
+    """
+
     steps: int = 0
     losses: List[float] = field(default_factory=list)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -64,7 +63,6 @@ class Camel(BackpropContinualMethod):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         subset_size = max(1, int(round(self.subset_fraction * len(batch))))
         indices = k_center_greedy(batch.features, subset_size, rng=self.rng)
         subset = batch.subset(indices, name="camel-subset")
@@ -79,5 +77,4 @@ class Camel(BackpropContinualMethod):
                 report.losses.append(self._gradient_step(features, labels))
                 report.steps += 1
         self.buffer.add_batch(subset.features, subset.labels, self._logits(subset.features))
-        report.seconds = time.perf_counter() - start
         return report

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -103,7 +102,6 @@ class DeepCompression(BackpropContinualMethod):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
@@ -116,5 +114,4 @@ class DeepCompression(BackpropContinualMethod):
                 self._apply_masks()
                 report.steps += 1
         self.buffer.add_batch(batch.features, batch.labels, self._logits(batch.features))
-        report.seconds = time.perf_counter() - start
         return report

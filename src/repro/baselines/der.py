@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.base import AdaptationReport, BackpropContinualMethod
@@ -49,7 +47,6 @@ class DER(BackpropContinualMethod):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
@@ -62,7 +59,6 @@ class DER(BackpropContinualMethod):
                 report.losses.append(loss)
                 report.steps += 1
         self.buffer.add_batch(batch.features, batch.labels, self._logits(batch.features))
-        report.seconds = time.perf_counter() - start
         return report
 
 
@@ -101,7 +97,6 @@ class DERpp(DER):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
@@ -121,5 +116,4 @@ class DERpp(DER):
                 report.losses.append(loss)
                 report.steps += 1
         self.buffer.add_batch(batch.features, batch.labels, self._logits(batch.features))
-        report.seconds = time.perf_counter() - start
         return report

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.base import AdaptationReport, BackpropContinualMethod
@@ -25,7 +23,6 @@ class ER(BackpropContinualMethod):
         if self.qmodel is None or self.buffer is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
@@ -39,7 +36,6 @@ class ER(BackpropContinualMethod):
                 report.losses.append(loss)
                 report.steps += 1
         self.buffer.add_batch(batch.features, batch.labels, self._logits(batch.features))
-        report.seconds = time.perf_counter() - start
         return report
 
 
@@ -52,12 +48,10 @@ class NaiveFineTune(BackpropContinualMethod):
         if self.qmodel is None:
             raise RuntimeError("prepare() must be called before adapt()")
         report = AdaptationReport()
-        start = time.perf_counter()
         for _ in range(self.adapt_epochs):
             for features, labels in iterate_minibatches(
                 batch.features, batch.labels, self.batch_size, rng=self.rng
             ):
                 report.losses.append(self._gradient_step(features, labels))
                 report.steps += 1
-        report.seconds = time.perf_counter() - start
         return report

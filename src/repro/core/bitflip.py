@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,7 +219,7 @@ class FeaturePlan:
             in_slot += in_size
             out_slot += out_size
         self.names = names
-        #: Equal keys mean equal plans: the fleet stacks such devices.
+        #: Equal keys mean equal plans: the calibration driver stacks such states.
         self.key = tuple(zip(names, shapes))
         self.bounds: List[int] = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
         self.arena_size = size
@@ -347,8 +347,8 @@ def _feature_matrix(
     network the context it needs to resolve the direction of the update.
     Elementwise these are the seed's per-tensor formulas
     (:func:`repro.reference.features_for_weight`,
-    :func:`repro.reference.vector_features`).  Leading axes (the fleet's
-    devices) broadcast, so the serial and the stacked builder are one
+    :func:`repro.reference.vector_features`).  Leading axes (stacked model
+    states) broadcast, so the one-state and the stacked builder are one
     implementation and cannot drift.
     """
     index = plan.index
@@ -370,8 +370,9 @@ def _feature_matrix(
 def _collect_raw_parts(qmodel: QuantizedModel, features_batch: np.ndarray) -> _RawFeatureParts:
     """Forward pass + per-layer activation summaries, without the feature math.
 
-    Shared between the serial extractor and the fleet-stacked one so both see
-    exactly the same parameter order and activation statistics.
+    The ingredients of :func:`extract_parameter_features`; the calibration
+    driver takes the same ones from the pool forwards it already ran
+    (:func:`_summarize_last_forward`).
     """
     qmodel.model.eval()
     qmodel.model.forward(features_batch)
@@ -501,11 +502,11 @@ def _assemble_fused(blocks: List[Tuple[str, np.ndarray]]) -> np.ndarray:
 
 
 def _stack_raw_parts(all_parts: List[_RawFeatureParts]) -> List[np.ndarray]:
-    """Raw features of homogeneous model states, built with the devices stacked.
+    """Raw features of homogeneous model states, built with the states stacked.
 
-    The fleet calibrator stacks the parts its devices' pool forwards
-    already collected, without running a forward: the serial builder's
-    elementwise operations run once with a leading device axis, so each
+    The calibration driver stacks the parts its jobs' pool forwards
+    already collected, without running a forward: the one-state builder's
+    elementwise operations run once with a leading state axis, so each
     returned ``(rows, NUM_FEATURES)`` matrix equals :func:`_fused_from_parts`
     of its parts bit for bit.  All parts must come from one architecture
     (same parameter names and shapes in the same order); :class:`ValueError`
@@ -1065,6 +1066,14 @@ class BitFlipCalibrator:
     :func:`repro.reference.calibrate_per_tensor`, bit for bit.
     """
 
+    #: Each setting's rule: ``(accepts, what an accepted value must do)``.
+    _RULES: Dict[str, Tuple[Callable[[float], bool], str]] = {
+        "epochs": (lambda value: value > 0, "be positive"),
+        "confidence_threshold": (lambda value: 0.0 <= value < 1.0, "lie in [0, 1)"),
+        "max_flip_fraction": (lambda value: 0.0 < value <= 1.0, "lie in (0, 1]"),
+        "batchnorm_refresh_passes": (lambda value: value >= 0, "be non-negative"),
+    }
+
     def __init__(
         self,
         network: BitFlipNetwork,
@@ -1075,14 +1084,13 @@ class BitFlipCalibrator:
         normalizer: Optional[FeatureNormalizer] = None,
         batchnorm_refresh_passes: int = 5,
     ):
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if not 0.0 <= confidence_threshold < 1.0:
-            raise ValueError("confidence_threshold must lie in [0, 1)")
-        if not 0.0 < max_flip_fraction <= 1.0:
-            raise ValueError("max_flip_fraction must lie in (0, 1]")
-        if batchnorm_refresh_passes < 0:
-            raise ValueError("batchnorm_refresh_passes must be non-negative")
+        for name, value in (
+            ("epochs", epochs),
+            ("confidence_threshold", confidence_threshold),
+            ("max_flip_fraction", max_flip_fraction),
+            ("batchnorm_refresh_passes", batchnorm_refresh_passes),
+        ):
+            self.check_setting(name, value)
         self.network = network
         self.epochs = epochs
         self.confidence_threshold = confidence_threshold
@@ -1090,6 +1098,17 @@ class BitFlipCalibrator:
         self.validate = validate
         self.normalizer = normalizer
         self.batchnorm_refresh_passes = batchnorm_refresh_passes
+
+    @classmethod
+    def check_setting(cls, name: str, value: float, argument: Optional[str] = None) -> None:
+        """Raise ``ValueError`` unless ``value`` is a valid setting ``name``.
+
+        The error names ``argument`` (default ``name``), so a caller that
+        takes the setting under another name reports its own argument.
+        """
+        accepts, rule = cls._RULES[name]
+        if not accepts(value):
+            raise ValueError(f"{argument or name} must {rule}, got {value!r}")
 
     def _refresh_batchnorm_statistics(self, qmodel: QuantizedModel, data: Dataset) -> None:
         """Refresh the BatchNorm running statistics on the calibration pool.
@@ -1135,25 +1154,16 @@ class BitFlipCalibrator:
         )
         return PoolState(accuracy=accuracy, predictions=predictions)
 
-    def _predict(self, pool: PoolState) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(flips, confidence)``, one entry per feature row, from one BF inference."""
-        features = _normalized_feature_blocks(pool.parts, self.normalizer, False)
-        return self.network.predict_flips_with_confidence(
-            features, confidence_threshold=self.confidence_threshold
-        )
-
     def _select_flips(
         self, flips: np.ndarray, confidence: np.ndarray
     ) -> Tuple[np.ndarray, int]:
         """Keep the most confident non-zero proposals, capped per iteration.
 
         ``flips`` and ``confidence`` hold one entry per feature row, as
-        :meth:`_predict` returns them or as a batched fleet-wide BF inference
-        slices them per device (:mod:`repro.fleet`); both paths share this
-        selection, so they accept identical flips.  One partition over the
-        flat proposals finds the confidence of the ``budget``-th best, and a
-        proposal at least that confident is kept.  Returns the kept flips
-        (zero elsewhere) and their count.
+        :func:`_propose_flips` slices them from a batched BF inference.  One
+        partition over the flat proposals finds the confidence of the
+        ``budget``-th best, and a proposal at least that confident is kept.
+        Returns the kept flips (zero elsewhere) and their count.
         """
         budget = max(1, int(self.max_flip_fraction * flips.shape[0]))
         proposed = flips != 0
@@ -1168,7 +1178,7 @@ class BitFlipCalibrator:
     def begin_calibration(
         self, qmodel: QuantizedModel, data: Dataset
     ) -> Tuple[BitFlipCalibrationStats, PoolState]:
-        """Pre-loop setup shared by :meth:`calibrate` and the fleet calibrator.
+        """Pre-loop setup of one job of :func:`calibrate_together`.
 
         Refreshes the BatchNorm running statistics and runs the start state's
         pool forward.  Returns the stats record the calibration loop will fill
@@ -1195,10 +1205,9 @@ class BitFlipCalibrator:
     ) -> PoolState:
         """One calibration iteration: select, flip, validate, revert.
 
-        Everything after the BF inference of one calibration iteration —
-        shared verbatim between the per-device loop in :meth:`calibrate` and
-        the batched fleet path, which slices ``proposals``, the flat
-        ``(flips, confidence)`` pair, from a single fleet-wide inference.
+        Everything after the BF inference of one calibration iteration;
+        ``proposals`` is the job's flat ``(flips, confidence)`` pair from
+        :func:`calibrate_together`'s batched inference.
         The kept flips reach the codes through the feature plan's arena
         scatter.  A stalled ``pool`` replays its bookkeeping instead
         (``proposals`` is then unused).  Returns the :class:`PoolState`
@@ -1249,13 +1258,95 @@ class BitFlipCalibrator:
         is invoked after every iteration with the pool predictions of the
         state the iteration ended in; the QCore updater uses it to track
         quantization misses while calibration is running (Algorithm 4 runs
-        in parallel).
+        in parallel).  This is the one-job call of :func:`calibrate_together`.
         """
-        stats, pool = self.begin_calibration(qmodel, data)
-        for epoch in range(self.epochs):
-            proposals = self._predict(pool) if pool.stall is None else None
-            pool = self.calibration_step(
-                qmodel, data, proposals, stats, pool, epoch, epoch_callback
-            )
-        stats.pool_accuracy = pool.accuracy
+        (stats,), _ = calibrate_together([(self, qmodel, data, epoch_callback)])
         return stats
+
+
+def calibrate_together(
+    jobs: Sequence[Tuple[BitFlipCalibrator, QuantizedModel, Dataset, Optional[Callable]]],
+) -> Tuple[List[BitFlipCalibrationStats], int]:
+    """Algorithm 3 for several models in lockstep, with batched BF inference.
+
+    Each job, ``(calibrator, qmodel, pool, epoch_callback)``, calibrates one
+    model on its pool with its calibrator's settings, exactly as
+    :meth:`BitFlipCalibrator.calibrate` describes.  Iteration ``k`` runs for
+    every job with more than ``k`` epochs: one batched inference
+    (:func:`_propose_flips`) serves the jobs that have not stalled, then
+    each job runs its own :meth:`~BitFlipCalibrator.calibration_step`.  Jobs
+    share no model state, so the interleaving cannot change any job's
+    trajectory: each ends bit-identical to calibrating it alone.
+
+    Returns each job's stats, in job order, and the number of BF forwards.
+    """
+    stats: List[BitFlipCalibrationStats] = []
+    pools: List[PoolState] = []
+    for calibrator, qmodel, data, _ in jobs:
+        job_stats, pool = calibrator.begin_calibration(qmodel, data)
+        stats.append(job_stats)
+        pools.append(pool)
+    forwards = 0
+    for epoch in range(max((job[0].epochs for job in jobs), default=0)):
+        active = [index for index, job in enumerate(jobs) if job[0].epochs > epoch]
+        proposals, calls = _propose_flips({
+            index: (jobs[index][0], pools[index].parts)
+            for index in active
+            if pools[index].stall is None
+        })
+        forwards += calls
+        for index in active:
+            calibrator, qmodel, data, callback = jobs[index]
+            pools[index] = calibrator.calibration_step(
+                qmodel, data, proposals.pop(index, None), stats[index], pools[index], epoch,
+                callback,
+            )
+    for job_stats, pool in zip(stats, pools):
+        job_stats.pool_accuracy = pool.accuracy
+    return stats, forwards
+
+
+def _propose_flips(
+    requests: Dict[int, Tuple[BitFlipCalibrator, _RawFeatureParts]],
+) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], int]:
+    """Each request's flat ``(flips, confidence)`` from batched BF inference.
+
+    A request is a calibrator and the feature parts of its model's current
+    state.  Raw features are built once per feature plan, stacked across
+    the requests that share one, and each request's are normalised with its
+    own calibrator's normalizer.  One forward per distinct BF network serves
+    the concatenated rows (the network is row-wise, so a row's decision does
+    not depend on its neighbours), and each request's confidence threshold
+    suppresses the flips of its own row slice.  Returns the proposals under
+    their requests' keys, and the number of BF forwards.
+    """
+    plans: Dict[tuple, List[int]] = {}
+    networks: Dict[int, List[int]] = {}
+    for key, (calibrator, parts) in requests.items():
+        plans.setdefault(parts.plan.key, []).append(key)
+        networks.setdefault(id(calibrator.network), []).append(key)
+    raw: Dict[int, np.ndarray] = {}
+    for members in plans.values():
+        if len(members) == 1:
+            raw[members[0]] = _fused_from_parts(requests[members[0]][1])
+        else:
+            raw.update(zip(members, _stack_raw_parts([requests[key][1] for key in members])))
+    proposals: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for members in networks.values():
+        matrices = [
+            _normalize_features(requests[key][1].plan, raw.pop(key), requests[key][0].normalizer)
+            for key in members
+        ]
+        matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+        network = requests[members[0]][0].network
+        flips, confidence = network.predict_flips_with_confidence(matrix)
+        stop = 0
+        for key, rows in zip(members, matrices):
+            start, stop = stop, stop + rows.shape[0]
+            threshold = requests[key][0].confidence_threshold
+            if threshold > 0.0:
+                # predict_flips_with_confidence's suppression, per slice; like
+                # it, this also suppresses a NaN confidence.
+                np.putmask(flips[start:stop], ~(confidence[start:stop] >= threshold), 0)
+            proposals[key] = (flips[start:stop], confidence[start:stop])
+    return proposals, len(networks)

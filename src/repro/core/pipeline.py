@@ -19,15 +19,17 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import nn
 from repro.core.bitflip import (
+    BitFlipCalibrationStats,
     BitFlipCalibrator,
     BitFlipNetwork,
     BitFlipTrainer,
+    calibrate_together,
 )
 from repro.core.coreset import QCoreSet
 from repro.core.qcore_builder import QCoreBuildResult, QCoreBuilder
@@ -45,10 +47,10 @@ class BatchContext:
 
     Produced by :meth:`EdgeDeployment.begin_batch` and consumed by
     :meth:`EdgeDeployment.finish_batch`.  Splitting the batch life cycle in
-    two lets the fleet calibrator (:mod:`repro.fleet`) run the bit-flip
-    inference of *many* deployments between the two halves as one batched
-    forward pass, while each deployment keeps its own pool, miss observer and
-    QCore update — the parts that are inherently per-device.
+    two lets :func:`absorb_batches` run the bit-flip calibration of *many*
+    deployments between the two halves with batched BF inference, while each
+    deployment keeps its own pool, miss observer and QCore update — the
+    parts that are inherently per-device.
     """
 
     batch: Dataset
@@ -148,23 +150,11 @@ class EdgeDeployment:
         """Absorb one labelled stream batch: calibrate the model, update the QCore.
 
         Returns a dictionary of diagnostics (elapsed seconds, number of bit
-        flips applied, misses observed during the update).
+        flips applied, misses observed during the update).  This is the
+        one-deployment call of :func:`absorb_batches`.
         """
-        context = self.begin_batch(batch)
-        flips_applied = 0
-        if self.use_bitflip:
-            stats = self.calibrator.calibrate(
-                self.qmodel, context.pool, epoch_callback=context.observer
-            )
-            flips_applied = stats.total_flips
-        else:
-            # NoBF ablation: the model is frozen on the edge; we still observe
-            # its predictions once per iteration so the QCore update has a
-            # signal to work with.
-            predictions = self.qmodel.predict(context.pool.features)
-            for epoch in range(self.calibrator.epochs):
-                context.observer(epoch, self.qmodel, predictions)
-        return self.finish_batch(context, flips_applied)
+        (report,), _, _ = absorb_batches([self], [batch])
+        return report
 
     def clone(self, rng: Optional[np.random.Generator] = None) -> "EdgeDeployment":
         """An independent deployment of the same packaged model.
@@ -173,11 +163,11 @@ class EdgeDeployment:
         device owns and mutates its own); the trained bit-flipping network and
         its feature normalizer are *shared* with the original — they are
         read-only at the edge, and sharing one network across a fleet of
-        clones is what lets :class:`~repro.fleet.FleetCalibrator` serve every
-        device from a single batched inference.  ``rng`` replaces the clone's
-        generator (and its updater's) so replicated devices can draw
-        independent randomness; by default the clone inherits a copy of the
-        original's generator state.
+        clones is what lets :func:`~repro.core.bitflip.calibrate_together`
+        serve every device from a single batched inference.  ``rng``
+        replaces the clone's generator (and its updater's) so replicated
+        devices can draw independent randomness; by default the clone
+        inherits a copy of the original's generator state.
         """
         # Pre-aliasing the shared package in the memo keeps deepcopy from
         # copying it at all (the clone receives the original objects).
@@ -190,6 +180,43 @@ class EdgeDeployment:
             dup.rng = rng
             dup.updater.rng = rng
         return dup
+
+
+def absorb_batches(
+    deployments: Sequence[EdgeDeployment], batches: Sequence[Dataset]
+) -> Tuple[List[Dict[str, float]], List[Optional[BitFlipCalibrationStats]], int]:
+    """Absorb one stream batch per deployment (Algorithm 4 around Algorithm 3).
+
+    Every deployment opens its batch (merged pool and miss observer).  The
+    ``use_bitflip`` deployments calibrate together, one batched BF inference
+    per iteration serving them all
+    (:func:`~repro.core.bitflip.calibrate_together`), with their observers
+    wired through.  The NoBF ablation's models stay frozen on the edge; each
+    still observes its predictions once per iteration, so the QCore update
+    has a signal to work with.  Every deployment then closes its batch.
+
+    Returns each deployment's diagnostics, its calibration stats (``None``
+    for a NoBF deployment) and the number of BF forwards, all in order.
+    """
+    if len(deployments) != len(batches):
+        raise ValueError(f"{len(deployments)} deployments but {len(batches)} stream batches")
+    contexts = [deployment.begin_batch(batch) for deployment, batch in zip(deployments, batches)]
+    calibrated, forwards = calibrate_together([
+        (deployment.calibrator, deployment.qmodel, context.pool, context.observer)
+        for deployment, context in zip(deployments, contexts)
+        if deployment.use_bitflip
+    ])
+    in_order = iter(calibrated)
+    stats = [next(in_order) if deployment.use_bitflip else None for deployment in deployments]
+    reports = []
+    for deployment, context, job_stats in zip(deployments, contexts, stats):
+        if job_stats is None:
+            predictions = deployment.qmodel.predict(context.pool.features)
+            for epoch in range(deployment.calibrator.epochs):
+                context.observer(epoch, deployment.qmodel, predictions)
+        flips_applied = 0 if job_stats is None else job_stats.total_flips
+        reports.append(deployment.finish_batch(context, flips_applied))
+    return reports, stats, forwards
 
 
 class QCoreFramework:
@@ -223,6 +250,11 @@ class QCoreFramework:
         BF confidence required to apply a non-zero flip on the edge.
     seed:
         Seed for all stochastic components of the framework.
+
+    Epoch counts and a confidence threshold that would fail only inside
+    :meth:`deploy`, after :meth:`fit` and the server calibration, raise
+    ``ValueError`` here; the edge settings follow
+    :meth:`BitFlipCalibrator.check_setting`'s rules.
     """
 
     def __init__(
@@ -238,6 +270,10 @@ class QCoreFramework:
         confidence_threshold: float = 0.6,
         seed: int = 0,
     ):
+        if not calibration_epochs > 0:
+            raise ValueError(f"calibration_epochs must be positive, got {calibration_epochs!r}")
+        BitFlipCalibrator.check_setting("epochs", edge_calibration_epochs, "edge_calibration_epochs")
+        BitFlipCalibrator.check_setting("confidence_threshold", confidence_threshold)
         self.levels = tuple(sorted(set(int(level) for level in levels)))
         self.qcore_size = qcore_size
         self.train_epochs = train_epochs

@@ -11,13 +11,14 @@ for.  This package exploits it:
 * :class:`Fleet` — an ordered registry of named
   :class:`~repro.core.pipeline.EdgeDeployment` devices (heterogeneous
   bit-widths and architectures are fine).
-* :class:`FleetCalibrator` — calibrates every device in one pass: per round it
-  concatenates the fused feature blocks of every device still inferring and
-  runs **one** :class:`~repro.core.bitflip.BitFlipNetwork` forward per
-  distinct network, then scatters the flip decisions back through each
-  device's incremental quantized-state sync; stalled devices only replay.
-  Bit-identical at float64 to calibrating each device serially.  A fleet
-  stream is :meth:`FleetCalibrator.process_batches` in a loop.
+* :class:`FleetCalibrator` — keys the fleet's devices into the one
+  calibration driver of :mod:`repro.core`
+  (:func:`~repro.core.bitflip.calibrate_together`,
+  :func:`~repro.core.pipeline.absorb_batches`), which a single deployment
+  runs as a fleet of one: per round, **one**
+  :class:`~repro.core.bitflip.BitFlipNetwork` forward per distinct network
+  serves every device still inferring; stalled devices only replay.  A
+  fleet stream is :meth:`FleetCalibrator.process_batches` in a loop.
 * :class:`FleetService` (+ :class:`DeviceStateStore`, :class:`RetryPolicy`,
   :class:`FaultPlan`) — the durable service tier: crash-safe rounds with
   per-device resume, retry/backoff/timeout, quarantine, and deterministic

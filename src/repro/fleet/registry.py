@@ -121,7 +121,7 @@ class Fleet:
         """Per-device fingerprints of the deployed integer codes.
 
         Equal digest maps mean bit-identical fleets — the assertion behind the
-        serial-vs-batched equivalence tests and the CI smoke.
+        fleet equivalence tests and the fleet demo.
         """
         return {
             device_id: deployment.qmodel.codes_digest()

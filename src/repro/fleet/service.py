@@ -239,12 +239,11 @@ def _run_group_in_worker(payload: Any, task: Tuple) -> Tuple[Any, Any]:
     :class:`CalibrationRoundState` is byte-exact, so scattering it in the
     parent reproduces what calibrating in the parent would have produced.
     """
-    site, rep_id, deployment, pool, plan = task
+    site, deployment, pool, plan = task
     if plan is not None:
         plan.on_device_work(site)
-    calibrator = FleetCalibrator()
-    result = calibrator.calibrate(Fleet({rep_id: deployment}), {rep_id: pool})
-    return capture_calibration_state(deployment.qmodel), result.stats[rep_id]
+    stats = deployment.calibrator.calibrate(deployment.qmodel, pool)
+    return capture_calibration_state(deployment.qmodel), stats
 
 
 class FleetService:
@@ -693,7 +692,6 @@ class FleetService:
         tasks = [
             (
                 self._site(round_id, group),
-                group.rep_id,
                 self.fleet.get(group.rep_id),
                 pools[group.rep_id],
                 self.fault_plan,

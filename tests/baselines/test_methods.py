@@ -61,7 +61,6 @@ class TestAllBaselinesShareProtocol:
         accuracy_after = method.evaluate(scenario.batches[0].test)
         assert 0.0 <= accuracy_before <= 1.0
         assert 0.0 <= accuracy_after <= 1.0
-        assert report.seconds > 0
         assert report.steps > 0
 
     @pytest.mark.parametrize("method_cls", ALL_METHODS)

@@ -7,7 +7,7 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro import nn, runtime
+from repro import nn, reference, runtime
 from repro.core.bitflip import BitFlipNetwork, FeatureNormalizer, extract_parameter_features
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.models import MLPClassifier, build_model
@@ -149,3 +149,29 @@ def smoke_mlp_head():
         return model, features, source.labels
 
     return build
+
+
+def _seed_process_batch(deployment, batch):
+    """``deployment.process_batch(batch)`` with the seed calibration loop,
+    ``reference.calibrate_per_tensor``, and a fresh predict per NoBF
+    observation."""
+    context = deployment.begin_batch(batch)
+    flips_applied = 0
+    if deployment.use_bitflip:
+        flips_applied = reference.calibrate_per_tensor(
+            deployment.calibrator, deployment.qmodel, context.pool,
+            epoch_callback=context.observer,
+        ).total_flips
+    else:
+        for epoch in range(deployment.calibrator.epochs):
+            predictions = deployment.qmodel.predict(context.pool.features)
+            context.observer(epoch, deployment.qmodel, predictions)
+    return deployment.finish_batch(context, flips_applied)
+
+
+@pytest.fixture
+def seed_process_batch():
+    """The seed batch loop, ``seed_process_batch(deployment, batch)``: the
+    independent oracle for ``EdgeDeployment.process_batch`` and the fleet's
+    ``process_batches``, which both run the one batch driver."""
+    return _seed_process_batch

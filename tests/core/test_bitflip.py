@@ -536,7 +536,9 @@ class TestFusedFeatureExtraction:
         )
         pool = target.train.subset(np.arange(16))
         _, start = calibrator.begin_calibration(qmodel, pool)
-        flips_fused, count_fused = calibrator._select_flips(*calibrator._predict(start))
+        proposals, forwards = bitflip._propose_flips({0: (calibrator, start.parts)})
+        assert forwards == 1
+        flips_fused, count_fused = calibrator._select_flips(*proposals[0])
         flips_legacy, count_legacy = select_flips_per_tensor(
             calibrator, legacy, predict_per_tensor(calibrator, legacy, pool)
         )

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn, reference
+from repro import nn
 from repro.core import QCoreFramework, QCoreSet, QCoreUpdater
+from repro.core.pipeline import absorb_batches
 from repro.data import SyntheticTimeSeriesConfig, build_stream_scenario, make_dsa_surrogate
 from repro.models import InceptionTimeSurrogate
 
@@ -86,6 +87,24 @@ class TestFramework:
         assert framework.qcore.size == 12
         assert framework.build_result is not None
 
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("edge_calibration_epochs", 0), ("confidence_threshold", 1.0),
+            ("confidence_threshold", float("nan")), ("calibration_epochs", 0),
+        ],
+    )
+    def test_rejects_settings_deploy_would_fail_on(self, setting, value):
+        """Each of these would raise only inside ``deploy()``, after ``fit``
+        trained the backbone; they fail at construction, naming the argument."""
+        with pytest.raises(ValueError, match=setting):
+            QCoreFramework(**{setting: value})
+
+    def test_absorb_batches_wants_one_batch_per_deployment(self, fitted_framework):
+        _, scenario, _ = fitted_framework
+        with pytest.raises(ValueError, match="0 deployments but 1 stream batches"):
+            absorb_batches([], [scenario.batches[0].data])
+
     def test_qcore_access_before_fit_raises(self):
         framework = QCoreFramework()
         with pytest.raises(RuntimeError):
@@ -155,28 +174,11 @@ def _capture_trackers(deployment):
     return trackers
 
 
-def _seed_process_batch(deployment, batch):
-    """``process_batch`` with the seed calibration loop and a fresh predict per
-    NoBF observation."""
-    context = deployment.begin_batch(batch)
-    flips_applied = 0
-    if deployment.use_bitflip:
-        flips_applied = reference.calibrate_per_tensor(
-            deployment.calibrator, deployment.qmodel, context.pool,
-            epoch_callback=context.observer,
-        ).total_flips
-    else:
-        for epoch in range(deployment.calibrator.epochs):
-            predictions = deployment.qmodel.predict(context.pool.features)
-            context.observer(epoch, deployment.qmodel, predictions)
-    return deployment.finish_batch(context, flips_applied)
-
-
 class TestProcessBatchEqualsSeedLoop:
     """``process_batch`` reuses forwards and replays stalls, bit-identically."""
 
     @pytest.mark.parametrize("bits,use_bitflip", [(2, True), (8, True), (4, False)])
-    def test_stream_matches(self, fitted_framework, bits, use_bitflip):
+    def test_stream_matches(self, fitted_framework, seed_process_batch, bits, use_bitflip):
         framework, scenario, _ = fitted_framework
         packaged = framework.deploy(bits=bits, use_bitflip=use_bitflip)
         packaged.calibrator.epochs = 4
@@ -184,7 +186,7 @@ class TestProcessBatchEqualsSeedLoop:
         fast_trackers, seed_trackers = _capture_trackers(fast), _capture_trackers(seed)
         for batch in scenario.batches:
             report = fast.process_batch(batch.data)
-            expected = _seed_process_batch(seed, batch.data)
+            expected = seed_process_batch(seed, batch.data)
             for key in ("flips_applied", "misses_observed", "qcore_size"):
                 assert report[key] == expected[key]
             assert fast.qmodel.codes_digest() == seed.qmodel.codes_digest()

@@ -99,6 +99,33 @@ def _batches(data, device_ids, step=0):
     }
 
 
+def _seed_loop(fleet, pools):
+    """Clones of ``fleet``'s devices calibrated by the seed loop,
+    ``reference.calibrate_per_tensor``: their codes digests and stats.
+
+    The independent oracle: the serial calibrator runs the same driver as
+    :class:`FleetCalibrator`.  Call it before calibrating ``fleet``.
+    """
+    seed = Fleet({i: d.clone() for i, d in fleet.items()})
+    stats = {
+        i: reference.calibrate_per_tensor(seed.get(i).calibrator, seed.get(i).qmodel, pools[i])
+        for i in seed.ids
+    }
+    return seed.codes_digests(), stats
+
+
+def _assert_equals_seed_loop(fleet, result, seed):
+    """``fleet`` after ``result`` ended where the seed loop did, every stat equal."""
+    digests, seed_stats = seed
+    assert fleet.codes_digests() == digests
+    assert result.stats.keys() == seed_stats.keys()
+    for device_id, stats in result.stats.items():
+        expected = seed_stats[device_id]
+        assert stats.flips_per_epoch == expected.flips_per_epoch
+        assert stats.reverted_epochs == expected.reverted_epochs
+        assert stats.pool_accuracy == expected.pool_accuracy
+
+
 class TestFleetRegistry:
     def test_register_and_order(self, packaged):
         _, _, deployment = packaged
@@ -183,6 +210,7 @@ class TestFleetCalibrator:
         fleet = Fleet.replicate(deployment, 4, seed=0)
         assert fleet.ids == list(pools)
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
+        seed = _seed_loop(fleet, pools)
 
         for device_id in serial.ids:
             dev = serial.get(device_id)
@@ -190,6 +218,7 @@ class TestFleetCalibrator:
         result = FleetCalibrator().calibrate(fleet, pools)
 
         assert fleet.codes_digests() == serial.codes_digests()
+        _assert_equals_seed_loop(fleet, result, seed)
         assert result.rounds == deployment.calibrator.epochs
         # One shared network -> one forward per round in which any device
         # still infers: as many as the longest-inferring device ran.
@@ -238,6 +267,7 @@ class TestFleetCalibrator:
         fleet = Fleet.replicate(deployment, 3, seed=0)
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
         pools = _pools(data, fleet.ids)
+        seed = _seed_loop(fleet, pools)
 
         serial_stats = {
             i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pools[i])
@@ -245,10 +275,11 @@ class TestFleetCalibrator:
         }
         result = FleetCalibrator().calibrate(fleet, pools)
         for device_id, stats in result.stats.items():
-            reference = serial_stats[device_id]
-            assert stats.flips_per_epoch == reference.flips_per_epoch
-            assert stats.reverted_epochs == reference.reverted_epochs
-            assert stats.pool_accuracy == reference.pool_accuracy
+            expected = serial_stats[device_id]
+            assert stats.flips_per_epoch == expected.flips_per_epoch
+            assert stats.reverted_epochs == expected.reverted_epochs
+            assert stats.pool_accuracy == expected.pool_accuracy
+        _assert_equals_seed_loop(fleet, result, seed)
 
     def test_heterogeneous_bits_group_per_network(self, packaged):
         data, framework, deployment = packaged
@@ -259,6 +290,7 @@ class TestFleetCalibrator:
         fleet.register("c4", deployment.clone())
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
         pools = _pools(data, fleet.ids)
+        seed = _seed_loop(fleet, pools)
 
         for device_id in serial.ids:
             dev = serial.get(device_id)
@@ -266,6 +298,7 @@ class TestFleetCalibrator:
         result = FleetCalibrator().calibrate(fleet, pools)
 
         assert fleet.codes_digests() == serial.codes_digests()
+        _assert_equals_seed_loop(fleet, result, seed)
         # Two distinct BF networks -> per network, one forward per round in
         # which any of its devices still infers; never one per device.
         iterations = {i: stats.inference_iterations for i, stats in result.stats.items()}
@@ -293,6 +326,7 @@ class TestFleetCalibrator:
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
         pool = _pools(data, ["pool"])["pool"]
         pools = {"first": pool, "second": pool}
+        seed = _seed_loop(fleet, pools)
 
         serial_stats = {
             i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pool)
@@ -305,9 +339,46 @@ class TestFleetCalibrator:
         assert fleet.codes_digests() == digests
         for device_id, stats in result.stats.items():
             assert stats.flips_per_epoch == serial_stats[device_id].flips_per_epoch
+        _assert_equals_seed_loop(fleet, result, seed)
         assert result.bf_forward_calls == max(
             stats.inference_iterations for stats in result.stats.values()
         )
+
+    def test_mixed_thresholds_and_epochs_in_one_call(self, packaged):
+        """Devices sharing one BF network and one pool but not its confidence
+        threshold or epoch count, calibrated in one call: each suppresses
+        flips with its own threshold on its own rows, and iteration k runs
+        only for the devices with more than k epochs."""
+        data, _, deployment = packaged
+        settings = {"a": (0.3, 2), "b": (0.6, 4), "c": (0.8, 2), "d": (0.3, 4)}
+        fleet = Fleet()
+        for device_id, (threshold, epochs) in settings.items():
+            device = fleet.register(device_id, deployment.clone())
+            device.calibrator.confidence_threshold = threshold
+            device.calibrator.epochs = epochs
+        pool = _pools(data, ["pool"])["pool"]
+        pools = {device_id: pool for device_id in fleet.ids}
+        alone = Fleet({i: d.clone() for i, d in fleet.items()})
+        seed = _seed_loop(fleet, pools)
+
+        alone_stats = {
+            i: alone.get(i).calibrator.calibrate(alone.get(i).qmodel, pool) for i in alone.ids
+        }
+        result = FleetCalibrator().calibrate(fleet, pools)
+
+        assert fleet.codes_digests() == alone.codes_digests()
+        for device_id, stats in result.stats.items():
+            expected = alone_stats[device_id]
+            assert stats.flips_per_epoch == expected.flips_per_epoch
+            assert stats.inference_iterations == expected.inference_iterations
+        _assert_equals_seed_loop(fleet, result, seed)
+        # Same start state and pool: the first iteration differs by threshold only.
+        assert len({result.stats[i].flips_per_epoch[0] for i in ("a", "b", "c")}) == 3
+        assert result.rounds == 4
+        # One shared network: one forward per round in which any device
+        # infers, and d infers in all four.
+        assert result.stats["d"].inference_iterations == 4
+        assert result.bf_forward_calls == 4
 
     def test_devices_stalling_in_different_rounds(self, packaged):
         """Device k starts k code steps below the top of every code range, under
@@ -334,30 +405,25 @@ class TestFleetCalibrator:
                 for name, qt in qmodel.qtensors.items()
             })
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
-        seed = Fleet({i: d.clone() for i, d in fleet.items()})
         pools = _pools(data, fleet.ids)
+        seed = _seed_loop(fleet, pools)
 
         serial_stats = {
             i: serial.get(i).calibrator.calibrate(serial.get(i).qmodel, pools[i])
             for i in serial.ids
-        }
-        seed_stats = {
-            i: reference.calibrate_per_tensor(
-                seed.get(i).calibrator, seed.get(i).qmodel, pools[i]
-            )
-            for i in seed.ids
         }
         result = FleetCalibrator().calibrate(fleet, pools)
 
         assert [result.stats[i].inference_iterations for i in fleet.ids] == [1, 2, 3]
         assert result.rounds == 4
         assert result.bf_forward_calls == 3
-        assert fleet.codes_digests() == serial.codes_digests() == seed.codes_digests()
+        assert fleet.codes_digests() == serial.codes_digests()
         for device_id, stats in result.stats.items():
-            for expected in (serial_stats[device_id], seed_stats[device_id]):
-                assert stats.flips_per_epoch == expected.flips_per_epoch
-                assert stats.reverted_epochs == expected.reverted_epochs
-                assert stats.pool_accuracy == expected.pool_accuracy
+            expected = serial_stats[device_id]
+            assert stats.flips_per_epoch == expected.flips_per_epoch
+            assert stats.reverted_epochs == expected.reverted_epochs
+            assert stats.pool_accuracy == expected.pool_accuracy
+        _assert_equals_seed_loop(fleet, result, seed)
 
     def test_missing_pool_raises(self, packaged):
         data, _, deployment = packaged
@@ -366,28 +432,34 @@ class TestFleetCalibrator:
         with pytest.raises(KeyError, match="device-1"):
             FleetCalibrator().calibrate(fleet, pools)
 
-    def test_process_batches_matches_per_device_process_batch(self, packaged):
+    def test_process_batches_matches_per_device_process_batch(
+        self, packaged, seed_process_batch
+    ):
+        """Equal to each device's own ``process_batch`` and to the seed batch loop."""
         data, _, deployment = packaged
         fleet = Fleet.replicate(deployment, 3, seed=0)
         serial = Fleet({i: d.clone() for i, d in fleet.items()})
+        seed = Fleet({i: d.clone() for i, d in fleet.items()})
         batches = _batches(data, fleet.ids)
 
         serial_reports = {
             i: serial.get(i).process_batch(batches[i]) for i in serial.ids
         }
+        seed_reports = {i: seed_process_batch(seed.get(i), batches[i]) for i in seed.ids}
         report = FleetCalibrator().process_batches(fleet, batches)
 
-        assert fleet.codes_digests() == serial.codes_digests()
+        assert fleet.codes_digests() == serial.codes_digests() == seed.codes_digests()
         for device_id, diagnostics in report.reports.items():
-            reference = serial_reports[device_id]
-            for key in ("flips_applied", "misses_observed", "qcore_size"):
-                assert diagnostics[key] == reference[key]
+            for expected in (serial_reports[device_id], seed_reports[device_id]):
+                for key in ("flips_applied", "misses_observed", "qcore_size"):
+                    assert diagnostics[key] == expected[key]
         # QCore updates must match too, not just the model codes.
         for device_id in fleet.ids:
             updated = fleet.get(device_id).qcore.as_dataset()
-            expected = serial.get(device_id).qcore.as_dataset()
-            np.testing.assert_array_equal(updated.features, expected.features)
-            np.testing.assert_array_equal(updated.labels, expected.labels)
+            for other in (serial, seed):
+                expected = other.get(device_id).qcore.as_dataset()
+                np.testing.assert_array_equal(updated.features, expected.features)
+                np.testing.assert_array_equal(updated.labels, expected.labels)
 
     def test_process_batches_honors_nobf_ablation(self, packaged):
         data, _, deployment = packaged

@@ -1,4 +1,4 @@
-"""Tests for the shared utilities (seeding, timing, env knobs, validation)."""
+"""Tests for the shared utilities (seeding, env knobs, validation)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    Timer,
     env_float,
     env_int,
     ensure_fraction,
@@ -36,13 +35,6 @@ class TestSeeding:
     def test_spawn_rngs_rejects_bad_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, 0)
-
-
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        with Timer() as timer:
-            sum(range(10000))
-        assert timer.elapsed >= 0.0
 
 
 #: A knob name no deployment sets; each test sets or clears it itself.
