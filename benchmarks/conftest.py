@@ -2,7 +2,10 @@
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-disable
+
+Name the files: pytest's default ``python_files`` does not match
+``bench_*.py``, so ``pytest benchmarks/`` collects nothing.
 
 Each benchmark regenerates one table or figure of the paper's evaluation
 section, prints it, and writes it to ``benchmarks/results/<name>.txt``.

@@ -4,9 +4,15 @@ Builds the paper's server-side package once (trained model, QCore, bit-flip
 network), replicates it into a small heterogeneous fleet (4-bit and 2-bit
 devices), then drives the whole fleet through a target-domain stream with
 :class:`repro.fleet.FleetCalibrator` — each calibration round runs one batched
-BF forward per bit-width instead of one per device.  A serially-calibrated
-twin fleet verifies the batched decisions are identical; the script exits
-non-zero if they are not.
+BF forward per bit-width instead of one per device.
+
+A twin fleet then absorbs the same stream one device at a time.  Both fleets
+run the one calibration driver (:func:`repro.core.bitflip.calibrate_together`),
+so the comparison checks only that the lockstep loop lets no device's state
+leak into another's (cross-device interference), not the driver itself; the
+script exits non-zero if the codes differ.  The driver's independent oracles
+are the tier-1 tests against ``repro.reference.calibrate_per_tensor`` and the
+``seed_process_batch`` fixture of ``tests/conftest.py``.
 
     PYTHONPATH=src python examples/fleet_calibration_demo.py
 """
@@ -86,16 +92,23 @@ def main() -> None:
     print()
     print(table.render())
 
-    # The batched decisions match calibrating each device one by one.
+    # One device at a time through the same driver: any difference is
+    # cross-device interference in the lockstep loop.
     serial_calibrator = FleetCalibrator()
     for step in range(3):
         batches = device_batches(data, twin, step)
         for device_id in twin.ids:
             serial_calibrator.process_batches(twin.subset([device_id]), batches)
     identical = fleet.codes_digests() == twin.codes_digests()
-    print(f"\nbatched fleet == per-device loop (codes bit-identical): {identical}")
+    print(
+        "\nno cross-device interference (lockstep fleet == one device at a "
+        f"time, codes bit-identical): {identical}"
+    )
     if not identical:
-        raise SystemExit("batched fleet codes differ from the per-device loop")
+        raise SystemExit(
+            "cross-device interference: lockstep fleet codes differ from "
+            "calibrating one device at a time"
+        )
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ a float64-pinned sweep stays float64 inside the pool.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -186,19 +185,14 @@ class WorkerError(RuntimeError):
 class WorkerFailure:
     """Picklable record of one failed work item.
 
-    ``kind`` distinguishes the failure classes the pool can observe:
-    ``"exception"`` (the work function raised), ``"worker-death"`` (the worker
-    process died — crashed, was killed, or called ``os._exit`` — while
-    executing the item) and ``"timeout"`` (the item exceeded the per-item
-    timeout and its worker was terminated).  Consumers that need per-item
-    outcomes without fail-fast semantics (the fleet service's retry loop) get
-    these records from :meth:`WorkerPool.map_outcomes`; :meth:`WorkerPool.map`
-    converts the first one into a raised :class:`WorkerError`.
+    The work function raised, or the worker process died (crashed, was
+    killed, or called ``os._exit``) while executing the item.
+    :meth:`WorkerPool.map` converts the first one, in item order, into a
+    raised :class:`WorkerError`.
     """
 
     exception: str
     worker_traceback: str
-    kind: str = "exception"
 
 
 def _call_guarded(fn: Callable, payload: Any, item: Any) -> Any:
@@ -220,9 +214,8 @@ def _worker_main(
 
     * The claim is written to ``claim_cell`` — a shared-memory integer —
       *before* execution starts, so the parent can attribute a worker death
-      or per-item timeout to the exact item being processed.  A direct memory
-      write is visible the instant it happens, whatever kills the process
-      next.
+      to the exact item being processed.  A direct memory write is visible
+      the instant it happens, whatever kills the process next.
     * Results go over a dedicated ``Pipe``: ``Connection.send`` writes
       synchronously into the kernel pipe, so once it returns the result is
       readable by the parent even if the worker dies immediately after.  A
@@ -254,16 +247,15 @@ class WorkerPool:
     """A persistent pool of worker processes holding a shared payload.
 
     The payload — typically the immutable bulk of a sweep, such as the dataset
-    and backbone model, or a whole device fleet — is pickled into each worker
-    exactly once, when the pool starts.  Subsequent :meth:`map` calls ship
-    only the (small) per-item work descriptions, so several sweeps can reuse
-    one pool without re-paying the model pickling cost per call.
+    and backbone model — is pickled into each worker exactly once, when the
+    pool starts.  Subsequent :meth:`map` calls ship only the (small) per-item
+    work descriptions, so several sweeps can reuse one pool without
+    re-paying the model pickling cost per call.
 
     ``workers=1`` runs in-process through the same guarded code path, with two
     deliberate differences from the pooled mode: the payload is shared by
-    reference (no pickling — mutations are visible to the caller, which is why
-    stateful users like the sharded fleet runner clone their work first), and
-    a failing item stops execution immediately instead of after the whole map
+    reference (no pickling — mutations are visible to the caller), and a
+    failing item stops execution immediately instead of after the whole map
     (serial fail-fast).  Map *results* for pure functions are identical either
     way.
 
@@ -275,12 +267,9 @@ class WorkerPool:
 
     * a worker that **dies while executing an item** (segfault, OOM kill,
       ``os._exit``) is attributed to that exact item — the item fails with a
-      ``worker-death`` :class:`WorkerFailure` and a replacement worker is
-      spawned so the remaining items still complete;
-    * a worker that **dies between items** is silently respawned;
-    * an item that exceeds the **per-item timeout** (``map_outcomes``'s
-      ``timeout``) has its worker terminated and replaced, and fails with a
-      ``timeout`` record instead of stalling the whole map.
+      :class:`WorkerFailure` and a replacement worker is spawned so the
+      remaining items still complete;
+    * a worker that **dies between items** is silently respawned.
 
     Use as a context manager, or call :meth:`close` explicitly::
 
@@ -289,7 +278,7 @@ class WorkerPool:
             second = pool.map(fn, second_queue)   # no re-pickling
     """
 
-    #: Seconds between liveness/timeout sweeps while waiting for results.
+    #: Seconds between liveness sweeps while waiting for results.
     POLL_SECONDS = 0.05
     #: Seconds a worker gets to exit voluntarily during :meth:`close`.
     SHUTDOWN_GRACE_SECONDS = 5.0
@@ -310,7 +299,6 @@ class WorkerPool:
         self._claims: Dict[int, Any] = {}
         self._conns: Dict[int, Any] = {}
         self._next_worker_id = 0
-        self._respawns = 0
         if self.workers > 1:
             self._context = multiprocessing.get_context(mp_context)
             # Depth is bounded by len(tasks) per map() call: the parent is the
@@ -355,19 +343,13 @@ class WorkerPool:
         self._conns[worker_id] = recv_conn
         return worker_id
 
-    @property
-    def respawns(self) -> int:
-        """Number of workers replaced after dying or being timed out."""
-        return self._respawns
-
     def _replace_worker(self, worker_id: int) -> None:
-        """Reap a dead/terminated worker and start its replacement."""
+        """Reap a dead worker and start its replacement."""
         self._processes.pop(worker_id, None)
         self._claims.pop(worker_id, None)
         conn = self._conns.pop(worker_id, None)
         if conn is not None:
             conn.close()
-        self._respawns += 1
         self._spawn_worker()
 
     # ------------------------------------------------------------------ maps
@@ -381,9 +363,9 @@ class WorkerPool:
 
         ``fn`` must be a module-level callable (workers unpickle it by
         reference).  If any item fails — including by killing its worker — a
-        :class:`WorkerError` is raised naming the item (via ``describe``) and
-        embedding the worker's traceback; remaining results are discarded.
-        Use :meth:`map_outcomes` to collect per-item failures instead.
+        :class:`WorkerError` is raised naming the first failed item in item
+        order (via ``describe``) and embedding the worker's traceback;
+        remaining results are discarded.
         """
         if self._closed:
             raise RuntimeError(
@@ -402,71 +384,19 @@ class WorkerPool:
                 self._raise_on_failure(item, outcome, describe)
                 outcomes.append(outcome)
             return outcomes
-        outcomes = self.map_outcomes(fn, items)
+        for index, item in enumerate(items):
+            self._task_queue.put((index, fn, item))
+        outcomes = self._collect(len(items))
         for item, outcome in zip(items, outcomes):
             self._raise_on_failure(item, outcome, describe)
         return outcomes
 
-    def map_outcomes(
-        self,
-        fn: Callable[[Any, Any], Any],
-        items: Iterable[Any],
-        timeout: Optional[float] = None,
-    ) -> List[Any]:
-        """Like :meth:`map`, but failures are *returned*, not raised.
-
-        Every item produces an entry in the result list: the work function's
-        return value on success, a :class:`WorkerFailure` (kinds
-        ``exception`` / ``worker-death`` / ``timeout``) otherwise.  One item's
-        failure never discards another item's result — the contract retry
-        layers (the fleet service) build on.
-
-        ``timeout`` caps the wall-clock seconds of each item.  In pooled mode
-        enforcement is preemptive: the offending worker is terminated and
-        replaced.  In-process (``workers=1``) there is no one to preempt, so
-        the item runs to completion and is then marked ``timeout``
-        (cooperative enforcement — same outcome, later detection).
-        """
-        if self._closed:
-            raise RuntimeError(
-                "WorkerPool is closed — its workers have been shut down; "
-                "create a new pool to run more work"
-            )
-        if timeout is not None and not timeout > 0:  # NaN never expires
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        items = list(items)
-        if self._task_queue is None:
-            outcomes = []
-            for item in items:
-                started = time.perf_counter()
-                outcome = _call_guarded(fn, self._payload, item)
-                elapsed = time.perf_counter() - started
-                if (
-                    timeout is not None
-                    and elapsed > timeout
-                    and not isinstance(outcome, WorkerFailure)
-                ):
-                    outcome = WorkerFailure(
-                        exception=(
-                            f"TimeoutError: item took {elapsed:.3f}s, over the "
-                            f"{timeout}s per-item timeout (cooperative, "
-                            "in-process enforcement)"
-                        ),
-                        worker_traceback="",
-                        kind="timeout",
-                    )
-                outcomes.append(outcome)
-            return outcomes
-        for index, item in enumerate(items):
-            self._task_queue.put((index, fn, item))
-        return self._collect(len(items), timeout)
-
-    def _collect(self, count: int, timeout: Optional[float]) -> List[Any]:
-        """Gather ``count`` outcomes, policing worker deaths and timeouts.
+    def _collect(self, count: int) -> List[Any]:
+        """Gather ``count`` outcomes, policing worker deaths.
 
         Every result pipe is fully drained *before* a liveness sweep runs, so
-        a completed item can never be misreported as a death or timeout just
-        because its result and its worker's demise raced: synchronous pipe
+        a completed item can never be misreported as a death just because
+        its result and its worker's demise raced: synchronous pipe
         sends guarantee that anything a worker finished is readable here even
         after it died, and the shared-memory claim cell identifies the one
         item that was genuinely in flight.
@@ -475,16 +405,6 @@ class WorkerPool:
 
         outcomes: List[Any] = [None] * count
         pending = set(range(count))
-        # worker_id -> (claimed index, wall-clock time the claim was first
-        # *observed*).  Observation time bounds timeout accuracy at one poll
-        # interval, which is far below any meaningful per-item timeout.
-        claim_seen: Dict[int, Tuple[int, float]] = {}
-
-        def fail(index: int, failure: WorkerFailure) -> None:
-            if index in pending:
-                pending.discard(index)
-                outcomes[index] = failure
-
         while pending:
             by_conn = {self._conns[worker_id]: worker_id for worker_id in self._processes}
             received = False
@@ -497,56 +417,28 @@ class WorkerPool:
                     # mid-send); the liveness sweep below attributes it.
                     continue
                 received = True
-                claim_seen.pop(worker_id, None)
                 if index in pending:
                     pending.discard(index)
                     outcomes[index] = outcome
             if received:
                 continue
-            now = time.perf_counter()
             for worker_id, process in list(self._processes.items()):
+                if process.is_alive():
+                    continue
                 claimed = int(self._claims[worker_id].value)
-                if claimed >= 0 and claimed in pending:
-                    seen = claim_seen.get(worker_id)
-                    if seen is None or seen[0] != claimed:
-                        claim_seen[worker_id] = (claimed, now)
-                if not process.is_alive():
-                    exitcode = process.exitcode
-                    claim_seen.pop(worker_id, None)
-                    if claimed >= 0:
-                        fail(
-                            claimed,
-                            WorkerFailure(
-                                exception=(
-                                    f"worker process died (exit code {exitcode}) "
-                                    "while executing the item"
-                                ),
-                                worker_traceback="",
-                                kind="worker-death",
-                            ),
-                        )
-                    # A worker that died *between* items is respawned
-                    # silently; its queued-but-unclaimed work stays in the
-                    # shared task queue for the replacement to pick up.
-                    self._replace_worker(worker_id)
-                elif timeout is not None and worker_id in claim_seen:
-                    index, since = claim_seen[worker_id]
-                    if now - since > timeout:
-                        process.terminate()
-                        process.join(self.SHUTDOWN_GRACE_SECONDS)
-                        claim_seen.pop(worker_id, None)
-                        fail(
-                            index,
-                            WorkerFailure(
-                                exception=(
-                                    f"TimeoutError: item exceeded the {timeout}s "
-                                    "per-item timeout; its worker was terminated"
-                                ),
-                                worker_traceback="",
-                                kind="timeout",
-                            ),
-                        )
-                        self._replace_worker(worker_id)
+                if claimed in pending:
+                    pending.discard(claimed)
+                    outcomes[claimed] = WorkerFailure(
+                        exception=(
+                            f"worker process died (exit code {process.exitcode}) "
+                            "while executing the item"
+                        ),
+                        worker_traceback="",
+                    )
+                # A worker that died *between* items is respawned silently;
+                # its queued-but-unclaimed work stays in the shared task queue
+                # for the replacement to pick up.
+                self._replace_worker(worker_id)
         return outcomes
 
     @staticmethod

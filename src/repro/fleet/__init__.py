@@ -21,10 +21,10 @@ for.  This package exploits it:
   fleet stream is :meth:`FleetCalibrator.process_batches` in a loop.
 * :class:`FleetService` (+ :class:`DeviceStateStore`, :class:`RetryPolicy`,
   :class:`FaultPlan`) — the durable service tier: crash-safe rounds with
-  per-device resume, retry/backoff/timeout, quarantine, and deterministic
-  fault injection.  ``FleetService(workers>1)`` is the fleet's one
-  multi-process path.  Several submitter processes may each open the same
-  store file; SQLite WAL serialises their writes.  See
+  per-device resume, retry/backoff, quarantine, and deterministic fault
+  injection.  A round runs in the process that drains it; a fleet scales
+  out through several submitter processes, each opening its own store on
+  the same file, whose writes SQLite WAL serialises.  See
   :mod:`repro.fleet.service`.
 
 The self-paced ingestion front end (bounded queue, backpressure, heartbeat

@@ -14,15 +14,13 @@ Execution fault classes (mirroring the service's failure model):
     The device work function raises :class:`TransientFault` — the shape of a
     flaky sensor read or an OOM-killed batch.  Recovery: retry with backoff.
 ``crash``
-    Hard process death.  ``hard=True`` calls ``os._exit(13)`` (no cleanup, no
-    exception propagation — indistinguishable from a segfault or kill -9) and
-    only makes sense inside a worker process; ``hard=False`` raises
+    Process death.  ``hard=True`` calls ``os._exit(13)`` and so kills the
+    process running the round (no cleanup, no exception propagation —
+    indistinguishable from a segfault or kill -9); the crash-recovery smoke
+    uses it on a child service process.  ``hard=False`` raises
     :class:`InjectedCrash` for in-process tests of the same code path.
-    Recovery: worker-death detection + respawn in the pool, retry in the
-    service, resume-from-store across process restarts.
-``slow``
-    The device work function sleeps ``delay`` seconds — a straggler.
-    Recovery: per-round timeout, terminate + retry.
+    Recovery: retry in the service, resume-from-store across process
+    restarts.
 ``store_write``
     The store raises ``sqlite3.OperationalError`` before a write — a locked
     or briefly unavailable database file.  Recovery: the store's own bounded
@@ -53,17 +51,13 @@ consequence (drop, re-deliver, swap, force-expire) themselves:
 
 Each spec fires a bounded number of times (``max_fires``), so a fault is
 transient by construction and tests terminate: retry loops eventually see the
-operation succeed.  Fire counting is process-local state; a plan shipped to a
-worker process counts independently there (which is exactly what a
-crash-inject test wants — the respawned worker's fresh plan fires again until
-its own budget is spent).
+operation succeed.  Fire counting is process-local state.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -79,7 +73,6 @@ __all__ = [
 FAULT_KINDS = (
     "transient",
     "crash",
-    "slow",
     "store_write",
     "stall",
     "duplicate",
@@ -115,9 +108,6 @@ class FaultSpec:
         Chance of firing when the site matches and budget remains.  ``1.0``
         (the default) is fully deterministic; fractional values draw from the
         plan's seeded stream, so they are *reproducibly* random.
-    delay:
-        Sleep seconds for ``slow`` faults; for ``stall``, how long the device
-        stays quiet (the chaos harness interprets it).
     hard:
         For ``crash``: ``True`` = ``os._exit`` (real process death),
         ``False`` = raise :class:`InjectedCrash`.
@@ -131,7 +121,6 @@ class FaultSpec:
     target: str = "*"
     max_fires: int = 1
     probability: float = 1.0
-    delay: float = 0.0
     hard: bool = False
     copies: int = 1
 
@@ -151,8 +140,7 @@ class FaultSpec:
 class FaultPlan:
     """A seeded schedule of :class:`FaultSpec` rules.
 
-    The plan is picklable (it travels to worker processes inside the service
-    payload) and deterministic: whether a given ``(site, occurrence)`` pair
+    The plan is deterministic: whether a given ``(site, occurrence)`` pair
     fires is a pure function of ``(seed, spec index, site, occurrence
     counter)`` — no global RNG state, no wall clock.
     """
@@ -205,13 +193,9 @@ class FaultPlan:
     def on_device_work(self, site: str) -> None:
         """Injection point inside a device's round execution.
 
-        Checks ``slow`` (sleep), then ``transient`` (raise), then ``crash``
-        (exit or raise) — at most one fault fires per call per kind in that
-        order, so a plan can combine a straggler and a crash on one device.
+        Checks ``transient`` (raise), then ``crash`` (exit or raise); one
+        call fires at most one fault.
         """
-        spec = self.should_fire("slow", site)
-        if spec is not None:
-            time.sleep(spec.delay)
         spec = self.should_fire("transient", site)
         if spec is not None:
             raise TransientFault(f"injected transient fault at {site}")

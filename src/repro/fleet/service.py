@@ -1,9 +1,11 @@
 """Durable fleet calibration service: submit / poll / drain with crash-safe resume.
 
-The batched :class:`~repro.fleet.calibrator.FleetCalibrator` (PR 3/4) is a
-synchronous in-process loop: one worker crash, one poisoned device, or one
-process restart loses the whole round.  This module wraps it in the service
-tier a production fleet needs:
+The batched :class:`~repro.fleet.calibrator.FleetCalibrator` is a
+synchronous in-process loop: one poisoned device or one process restart
+loses the whole round.  This module wraps it in the service tier a
+production fleet needs.  A round runs in the process that drains it; a
+fleet scales out through several submitter processes, each opening its own
+store on one shared file.
 
 * **Durability** — every round's per-device state lives in a
   :class:`~repro.fleet.store.DeviceStateStore` (SQLite WAL).  A round that
@@ -18,19 +20,17 @@ tier a production fleet needs:
   state to every member.  N identical replicas cost one BF trajectory + one
   scatter, exactly the batching economics of the paper's
   one-calibration-to-millions deployment story.
-* **Retry / timeout / backoff** — a :class:`RetryPolicy` drives bounded
-  retries with exponential backoff and deterministic seeded jitter; a
-  per-attempt timeout turns stragglers into retries instead of stalls
-  (preemptive worker termination in pooled mode, cooperative detection
-  in-process).
+* **Retry / backoff** — a :class:`RetryPolicy` drives bounded retries with
+  exponential backoff and deterministic seeded jitter.  The first wave
+  calibrates every dedupe group in one batched call; a retry runs one group
+  per wave, so one bad device cannot fail the healthy groups twice.
 * **Graceful degradation** — a device that fails ``max_attempts`` times is
   *quarantined* (status + last traceback persisted in the store) and the
   round completes for the healthy remainder instead of raising.  The hot
   calibration path keeps serving; failures are handled off to the side.
 * **Fault injection** — a :class:`~repro.fleet.faults.FaultPlan` can be
-  threaded through every execution path (device work, worker processes,
-  store writes), which is how the recovery tests and the CI crash smoke
-  prove each path rather than assuming it.
+  threaded through device work and store writes, which is how the recovery
+  tests and the CI crash smoke prove each path rather than assuming it.
 
 Device round state machine (persisted per ``(round, device)`` row)::
 
@@ -67,7 +67,6 @@ from repro.core.bitflip import (
     restore_calibration_state,
 )
 from repro.data.dataset import Dataset
-from repro.eval.parallel import WorkerFailure, WorkerPool, resolve_workers
 from repro.fleet.calibrator import FleetCalibrator
 from repro.fleet.faults import FaultPlan
 from repro.fleet.registry import Fleet
@@ -101,7 +100,7 @@ def dataset_digest(dataset: Dataset) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff, seeded jitter, and a timeout.
+    """Bounded retry with exponential backoff and seeded jitter.
 
     Attributes
     ----------
@@ -115,11 +114,6 @@ class RetryPolicy:
         Fractional spread applied to each delay, drawn deterministically from
         ``(seed, group key, attempt)`` — retries are de-synchronised across
         groups without sacrificing run-to-run reproducibility.
-    timeout:
-        Per-attempt wall-clock cap (seconds).  ``None`` disables it.  Pooled
-        execution enforces it preemptively (the straggler's worker is
-        terminated and respawned); in-process execution detects it after the
-        fact and still retries.
     """
 
     max_attempts: int = 3
@@ -127,7 +121,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff: float = 2.0
     jitter: float = 0.25
-    timeout: Optional[float] = None
     seed: int = 0
 
     @classmethod
@@ -156,8 +149,6 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be finite and >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        if self.timeout is not None and not self.timeout > 0:  # NaN never expires
-            raise ValueError("timeout must be positive when set")
 
     def backoff(self, key: str, attempt: int) -> float:
         """Delay in seconds before executing ``attempt`` (1-indexed).
@@ -231,23 +222,8 @@ class _Group:
     attempts: int = 0
 
 
-def _run_group_in_worker(payload: Any, task: Tuple) -> Tuple[Any, Any]:
-    """Worker-side execution of one dedupe group's representative.
-
-    Module-level so it pickles by reference under ``spawn``.  The deployment
-    arrives pickled at its round-start snapshot state; the returned
-    :class:`CalibrationRoundState` is byte-exact, so scattering it in the
-    parent reproduces what calibrating in the parent would have produced.
-    """
-    site, deployment, pool, plan = task
-    if plan is not None:
-        plan.on_device_work(site)
-    stats = deployment.calibrator.calibrate(deployment.qmodel, pool)
-    return capture_calibration_state(deployment.qmodel), stats
-
-
 class FleetService:
-    """Crash-safe calibration rounds over a :class:`Fleet`.
+    """Crash-safe calibration rounds over a :class:`Fleet`, run in-process.
 
     Parameters
     ----------
@@ -259,20 +235,12 @@ class FleetService:
         not crash-safe — pass a file-backed store for durability).  Several
         submitter processes may each open their own store on the same file.
     retry_policy:
-        Retry/backoff/timeout knobs; defaults to :class:`RetryPolicy()`.
+        Retry/backoff knobs; defaults to :class:`RetryPolicy()`.
     calibrator:
         The batched calibrator to route rounds through.
     fault_plan:
         Optional fault-injection plan (tests / chaos drills).  Wired into
         device execution sites and the store's write hook.
-    workers:
-        ``1`` (default) calibrates in-process with one *batched* optimistic
-        wave; ``> 1`` fans dedupe groups out over a fault-tolerant
-        :class:`WorkerPool` (per-item timeout, death detection, respawn).
-        A count below 1 raises ``ValueError``.
-    mp_context:
-        Start method for pooled mode (``"spawn"`` is the portable default;
-        tests injecting hard crashes use ``"fork"`` for speed).
     """
 
     def __init__(
@@ -282,26 +250,18 @@ class FleetService:
         retry_policy: Optional[RetryPolicy] = None,
         calibrator: Optional[FleetCalibrator] = None,
         fault_plan: Optional[FaultPlan] = None,
-        workers: int = 1,
-        mp_context: str = "spawn",
     ):
-        self.workers = resolve_workers(workers)
         self.fleet = fleet
         self.store = store if store is not None else DeviceStateStore()
         self.retry_policy = retry_policy or RetryPolicy()
         self.calibrator = calibrator or FleetCalibrator()
         self.fault_plan = fault_plan
-        self.mp_context = mp_context
-        self._pool: Optional[WorkerPool] = None
         if self.fault_plan is not None:
             self.store.before_write = self.fault_plan.on_store_write
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the worker pool (if any) and the store; idempotent."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Close the store; idempotent."""
         self.store.close()
 
     def __enter__(self) -> "FleetService":
@@ -309,13 +269,6 @@ class FleetService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _worker_pool(self) -> WorkerPool:
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(
-                payload=None, workers=self.workers, mp_context=self.mp_context
-            )
-        return self._pool
 
     # ------------------------------------------------------------------ rounds
     def submit(
@@ -529,22 +482,16 @@ class FleetService:
                 outcome.retries += len(eligible)
             first_wave = False
 
-            if self.workers > 1:
-                failed = self._run_wave_pooled(round_id, eligible, pools, outcome)
-            else:
-                # The optimistic first wave batches every group; a retry or a
-                # timed attempt runs one group per wave, so one bad device
-                # cannot fail the healthy groups twice.
-                batched = policy.timeout is None and all(
-                    group.attempts == 0 for group in eligible
-                )
-                waves = [eligible] if batched else [[group] for group in eligible]
-                failed = [
-                    group
-                    for wave in waves
-                    for group in self._run_wave(round_id, wave, pools, outcome)
-                ]
-            groups = failed
+            # The optimistic first wave batches every group; a retry runs one
+            # group per wave, so one bad device cannot fail the healthy groups
+            # twice.
+            batched = all(group.attempts == 0 for group in eligible)
+            waves = [eligible] if batched else [[group] for group in eligible]
+            groups = [
+                group
+                for wave in waves
+                for group in self._run_wave(round_id, wave, pools, outcome)
+            ]
 
     def _mark_running(self, round_id: int, groups: List[_Group]) -> None:
         for group in groups:
@@ -558,7 +505,6 @@ class FleetService:
         round_id: int,
         results: List[Tuple[_Group, Any, BitFlipCalibrationStats]],
         outcome: RoundOutcome,
-        reps_hold_results: bool,
     ) -> None:
         """Scatter each representative's result to its members, durably.
 
@@ -568,15 +514,14 @@ class FleetService:
         state and pool, so restoring its resulting
         :class:`CalibrationRoundState` is bit-identical to calibrating each
         member separately — that equivalence is what the dedupe economics
-        rest on (and what the tests pin).  ``reps_hold_results`` says the
-        representatives were calibrated in this process and so already hold
-        their results; otherwise they get the restore too.
+        rest on (and what the tests pin).  The representatives were calibrated
+        in this process and so already hold their results.
         """
         done: Dict[str, Tuple[str, Any, BitFlipCalibrationStats]] = {}
         for group, result_state, rep_stats in results:
             digest = result_state.digest()
             for device_id in group.member_ids:
-                if device_id != group.rep_id or not reps_hold_results:
+                if device_id != group.rep_id:
                     restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
                 stats = replace(rep_stats, flips_per_epoch=list(rep_stats.flips_per_epoch))
                 done[device_id] = (digest, result_state, stats)
@@ -586,15 +531,11 @@ class FleetService:
             outcome.statuses[device_id] = "done"
             outcome.result_states[device_id] = result_state
 
-    def _fail_groups(self, round_id: int, failures: List[Tuple[_Group, str]]) -> None:
-        """Record ``(group, error)`` failures for every member in one commit."""
+    def _fail_groups(self, round_id: int, groups: List[_Group], error: str) -> None:
+        """Record one wave's ``error`` for every member in one commit."""
         self.store.mark_failed(
             round_id,
-            {
-                device_id: error
-                for group, error in failures
-                for device_id in group.member_ids
-            },
+            {device_id: error for group in groups for device_id in group.member_ids},
         )
 
     def _quarantine_groups(
@@ -628,34 +569,24 @@ class FleetService:
         """Run groups in-process in ONE batched calibrate call; returns the failed.
 
         Representatives share BF forwards through the batched calibrator
-        exactly like a plain fleet round.  An exception, or an attempt over
-        the per-attempt timeout, restores every representative's snapshot and
-        fails every group of the wave.
+        exactly like a plain fleet round.  An exception restores every
+        representative's snapshot and fails every group of the wave.
         """
         self._mark_running(round_id, groups)
         reps = Fleet({group.rep_id: self.fleet.get(group.rep_id) for group in groups})
         rep_pools = {group.rep_id: pools[group.rep_id] for group in groups}
-        started = time.perf_counter()
         try:
             if self.fault_plan is not None:
                 for group in groups:
                     self.fault_plan.on_device_work(self._site(round_id, group))
             result = self.calibrator.calibrate(reps, rep_pools)
-            elapsed = time.perf_counter() - started
-            timeout = self.retry_policy.timeout
-            if timeout is not None and elapsed > timeout:
-                keys = ", ".join(group.key for group in groups)
-                raise TimeoutError(
-                    f"group(s) {keys} took {elapsed:.3f}s, over the "
-                    f"{timeout}s per-attempt timeout"
-                )
         except Exception:
             error = traceback.format_exc()
             for group in groups:
                 restore_calibration_state(
                     self.fleet.get(group.rep_id).qmodel, group.snapshot
                 )
-            self._fail_groups(round_id, [(group, error) for group in groups])
+            self._fail_groups(round_id, groups, error)
             return groups
         self._finish_groups(
             round_id,
@@ -668,50 +599,5 @@ class FleetService:
                 for group in groups
             ],
             outcome,
-            reps_hold_results=True,
         )
         return []
-
-    def _run_wave_pooled(
-        self,
-        round_id: int,
-        groups: List[_Group],
-        pools: Mapping[str, Dataset],
-        outcome: RoundOutcome,
-    ) -> List[_Group]:
-        """Fan groups out over the fault-tolerant worker pool.
-
-        Each task carries the representative deployment pickled at its
-        round-start snapshot, so a worker crash loses nothing: the parent's
-        copy is untouched and the group simply retries.  Timeouts are
-        enforced preemptively by the pool (straggler worker terminated and
-        respawned).
-        """
-        pool = self._worker_pool()
-        self._mark_running(round_id, groups)
-        tasks = [
-            (
-                self._site(round_id, group),
-                self.fleet.get(group.rep_id),
-                pools[group.rep_id],
-                self.fault_plan,
-            )
-            for group in groups
-        ]
-        outcomes = pool.map_outcomes(
-            _run_group_in_worker, tasks, timeout=self.retry_policy.timeout
-        )
-        failed: List[Tuple[_Group, str]] = []
-        finished: List[Tuple[_Group, Any, BitFlipCalibrationStats]] = []
-        for group, result in zip(groups, outcomes):
-            if isinstance(result, WorkerFailure):
-                error = f"[{result.kind}] {result.exception}\n{result.worker_traceback}"
-                failed.append((group, error))
-            else:
-                result_state, rep_stats = result
-                finished.append((group, result_state, rep_stats))
-        if failed:
-            self._fail_groups(round_id, failed)
-        if finished:
-            self._finish_groups(round_id, finished, outcome, reps_hold_results=False)
-        return [group for group, _ in failed]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from repro.eval import (
     ParallelEvaluator,
     RunSpec,
     WorkerError,
-    WorkerFailure,
     WorkerPool,
     build_specs,
     derive_seeds,
@@ -50,6 +52,11 @@ def exploding_factory():
     raise ExplodingMethodError("the factory exploded")
 
 
+def dying_factory():
+    """Module-level factory that kills its worker process (picklable)."""
+    os._exit(17)
+
+
 def _double(payload, item):
     """Module-level WorkerPool function (picklable under spawn)."""
     return payload * item
@@ -64,17 +71,36 @@ def _fail_on_three(payload, item):
 def _die_on_three(payload, item):
     """Hard process death (no exception, no cleanup) — like a segfault."""
     if item == 3:
-        import os
-
         os._exit(17)
     return item
 
 
-def _sleep_for(payload, item):
-    import time
-
-    time.sleep(item)
+def _fail_on_two_and_four(payload, item):
+    """Items 2 and 4 fail; item 2 pauses first, so item 4 fails earlier."""
+    if item == 2:
+        time.sleep(0.2)
+    if item in (2, 4):
+        raise ValueError(f"cannot process {item}")
     return item
+
+
+def _record_or_die_on_three(directory, item):
+    """Leaves a file named after each item it finishes; item 3 kills its worker."""
+    if item == 3:
+        os._exit(17)
+    open(os.path.join(directory, str(item)), "w").close()
+    return item
+
+
+def _echo_late_for_early_items(payload, item):
+    """Sleeps longer for earlier items, so later items finish first."""
+    time.sleep(0.02 * (payload - item))
+    return item
+
+
+def _bump(state, item):
+    state["calls"] += item
+    return state["calls"]
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +327,25 @@ class TestWorkerPool:
         with WorkerPool(payload=10, workers=2, mp_context="fork") as pool:
             assert pool.map(_double, [1, 2, 3, 4]) == [10, 20, 30, 40]
 
+    def test_pooled_payload_is_a_private_copy(self):
+        """Each worker holds its own copy of the payload, so unlike an
+        in-process run, its mutations never reach the caller's object."""
+        payload = {"calls": 0}
+        with WorkerPool(payload=payload, workers=2, mp_context="fork") as pool:
+            pool.map(_bump, [1, 2])
+        assert payload == {"calls": 0}
+
+    def test_pooled_map_keeps_item_order_when_completion_order_differs(self):
+        items = list(range(6))
+        with WorkerPool(payload=len(items), workers=2, mp_context="fork") as pool:
+            assert pool.map(_echo_late_for_early_items, items) == items
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_map_returns_at_once(self, workers):
+        with WorkerPool(payload=1, workers=workers, mp_context="fork") as pool:
+            assert pool.map(_double, []) == []
+            assert pool.map(_double, [4]) == [4]
+
     def test_pool_persists_across_map_calls(self):
         with WorkerPool(payload=2, workers=2, mp_context="fork") as pool:
             assert pool.map(_double, [1, 2]) == [2, 4]
@@ -348,7 +393,7 @@ class TestWorkerPool:
 
 class TestWorkerPoolFaultTolerance:
     """The claim/done protocol must turn every worker failure mode into a
-    descriptive error or per-item failure record — never a hang."""
+    descriptive error naming the failed item — never a hang."""
 
     def test_double_close_is_noop(self):
         pool = WorkerPool(payload=1, workers=2, mp_context="fork")
@@ -361,61 +406,52 @@ class TestWorkerPoolFaultTolerance:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(_double, [1])
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.map_outcomes(_double, [1])
-
-    def test_worker_death_fails_item_not_map(self):
-        """A worker killed mid-item (os._exit — no exception, no cleanup)
-        must fail exactly that item; the others still complete."""
-        with WorkerPool(payload=1, workers=2, mp_context="fork") as pool:
-            outcomes = pool.map_outcomes(_die_on_three, [1, 2, 3, 4, 5])
-        assert [o for o in outcomes if not isinstance(o, WorkerFailure)] == [1, 2, 4, 5]
-        failure = outcomes[2]
-        assert isinstance(failure, WorkerFailure)
-        assert failure.kind == "worker-death"
-        assert "died" in failure.exception
 
     def test_worker_death_raises_descriptive_error_from_map(self):
+        """A worker killed mid-item (os._exit — no exception, no cleanup)
+        fails the map with an error pinned on exactly that item."""
         with WorkerPool(payload=1, workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError, match="died"):
+            with pytest.raises(WorkerError, match="died") as excinfo:
                 pool.map(_die_on_three, [1, 2, 3, 4])
+        assert excinfo.value.item == 3
+
+    def test_worker_death_leaves_the_other_items_to_run(self, tmp_path):
+        """The death fails only its own item: the surviving and replacement
+        workers run every other item before the map raises."""
+        with WorkerPool(payload=str(tmp_path), workers=2, mp_context="fork") as pool:
+            with pytest.raises(WorkerError, match="died") as excinfo:
+                pool.map(_record_or_die_on_three, [1, 2, 3, 4, 5])
+        assert excinfo.value.item == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["1", "2", "4", "5"]
+
+    def test_first_failure_in_item_order_is_raised(self):
+        """Item 4 fails before item 2 does; the map still reports item 2,
+        the failure a serial run would have stopped at."""
+        with WorkerPool(payload=None, workers=2, mp_context="fork") as pool:
+            with pytest.raises(WorkerError, match="cannot process 2") as excinfo:
+                pool.map(_fail_on_two_and_four, [1, 2, 3, 4])
+        assert excinfo.value.item == 2
 
     def test_pool_survives_death_across_map_calls(self):
         """A worker that died during one map (between batches, from the
         caller's view) must be respawned: the next map still works."""
         with WorkerPool(payload=1, workers=2, mp_context="fork") as pool:
-            pool.map_outcomes(_die_on_three, [3])
-            assert pool.respawns >= 1
+            with pytest.raises(WorkerError, match="died"):
+                pool.map(_die_on_three, [3])
             assert pool.map(_double, [5, 6]) == [5, 6]
 
-    def test_timeout_terminates_straggler(self):
-        with WorkerPool(payload=None, workers=2, mp_context="fork") as pool:
-            outcomes = pool.map_outcomes(_sleep_for, [0.0, 5.0], timeout=0.5)
-        assert outcomes[0] == 0.0
-        assert isinstance(outcomes[1], WorkerFailure)
-        assert outcomes[1].kind == "timeout"
-
-    def test_in_process_timeout_is_cooperative(self):
-        with WorkerPool(payload=None, workers=1) as pool:
-            outcomes = pool.map_outcomes(_sleep_for, [0.0, 0.2], timeout=0.05)
-        assert outcomes[0] == 0.0
-        assert isinstance(outcomes[1], WorkerFailure)
-        assert outcomes[1].kind == "timeout"
-
-    def test_map_outcomes_rejects_bad_timeout(self):
-        with WorkerPool(payload=None, workers=1) as pool:
-            with pytest.raises(ValueError, match="timeout"):
-                pool.map_outcomes(_double, [1], timeout=0.0)
-            with pytest.raises(ValueError, match="timeout must be positive, got nan"):
-                pool.map_outcomes(_double, [1], timeout=float("nan"))
-
-    def test_map_outcomes_collects_exceptions_without_raising(self):
-        with WorkerPool(payload=None, workers=1) as pool:
-            outcomes = pool.map_outcomes(_fail_on_three, [1, 2, 3, 4])
-        assert outcomes[0:2] == [1, 2]
-        assert isinstance(outcomes[2], WorkerFailure)
-        assert outcomes[2].kind == "exception"
-        assert outcomes[3] == 4
+    def test_close_reaps_every_worker_after_a_death(self):
+        """``close`` stops the survivor and the replacement alike: no worker
+        process outlives its pool."""
+        pool = WorkerPool(payload=1, workers=2, mp_context="fork")
+        with pytest.raises(WorkerError, match="died"):
+            pool.map(_die_on_three, [3])
+        pool.close()
+        assert [
+            child.name
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-worker-")
+        ] == []
 
 
 class TestWorkerFailureSurfacing:
@@ -423,10 +459,10 @@ class TestWorkerFailureSurfacing:
     the worker's traceback (previously only the bare exception surfaced,
     making sharded failures impossible to attribute)."""
 
-    def _bad_specs(self):
+    def _bad_specs(self, factory=exploding_factory):
         return [
             RunSpec("ER", ER_FACTORY, "Subj. 1", "Subj. 2", bits=4),
-            RunSpec("BOOM", exploding_factory, "Subj. 1", "Subj. 3", bits=4, seed=7),
+            RunSpec("BOOM", factory, "Subj. 1", "Subj. 3", bits=4, seed=7),
         ]
 
     def test_in_process_failure_names_spec(self, sweep_setup):
@@ -441,13 +477,27 @@ class TestWorkerFailureSurfacing:
         spec, _ = excinfo.value.item
         assert spec.method == "BOOM"
 
-    def test_pooled_failure_names_spec(self, sweep_setup):
+    @pytest.mark.parametrize(
+        "factory, cause",
+        [
+            (exploding_factory, "ExplodingMethodError: the factory exploded"),
+            (dying_factory, "worker process died (exit code 17)"),
+        ],
+        ids=["raises", "dies"],
+    )
+    def test_pooled_failure_names_spec(self, sweep_setup, factory, cause):
+        """A worker whose run raises, or whose process dies mid-run, fails
+        the sweep with an error naming that run's spec."""
         data, model, _ = sweep_setup
         evaluator = ParallelEvaluator(num_batches=2, workers=2, mp_context="fork")
         with pytest.raises(WorkerError) as excinfo:
-            evaluator.run(self._bad_specs(), data, model)
+            evaluator.run(self._bad_specs(factory), data, model)
         assert "BOOM 4b Subj. 1→Subj. 3 #7" in str(excinfo.value)
-        assert "exploding_factory" in excinfo.value.worker_traceback
+        assert cause in str(excinfo.value)
+        spec, _ = excinfo.value.item
+        assert spec.method == "BOOM"
+        if factory is exploding_factory:
+            assert "exploding_factory" in excinfo.value.worker_traceback
 
 
 class TestEvaluatorReuse:

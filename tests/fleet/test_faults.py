@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pickle
 import sqlite3
-import time
 
 import pytest
 
@@ -46,15 +45,6 @@ class TestFiring:
         plan = FaultPlan([FaultSpec(kind="crash", hard=False)])
         with pytest.raises(InjectedCrash):
             plan.on_device_work("anywhere")
-
-    def test_slow_sleeps(self):
-        plan = FaultPlan([FaultSpec(kind="slow", delay=0.05)])
-        started = time.perf_counter()
-        plan.on_device_work("s")
-        assert time.perf_counter() - started >= 0.05
-        started = time.perf_counter()
-        plan.on_device_work("s")  # budget spent
-        assert time.perf_counter() - started < 0.05
 
     def test_store_write_raises_operational_error(self):
         plan = FaultPlan([FaultSpec(kind="store_write", target="update")])
@@ -109,7 +99,7 @@ class TestFiring:
         assert plan.fires == 2
 
     def test_plan_is_picklable(self):
-        """Plans travel to worker processes inside task payloads."""
+        """A plan is plain data: a pickled copy keeps its specs and seed."""
         plan = FaultPlan([FaultSpec(kind="crash", hard=True, target="a1")], seed=3)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.specs[0].kind == "crash"

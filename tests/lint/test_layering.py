@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from tools.lint import config
 from tools.lint.engine import lint_file
 
@@ -61,3 +63,23 @@ def test_production_module_may_not_import_reference() -> None:
     )
     assert [finding.rule for finding in findings] == ["import-layering"]
     assert "repro.reference" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "rel_path, statement, imported",
+    [
+        ("src/repro/fleet/_probe.py", "from repro.eval import parallel", "repro.eval"),
+        ("src/repro/eval/_probe.py", "from repro import fleet", "repro.fleet"),
+    ],
+    ids=["fleet-imports-eval", "eval-imports-fleet"],
+)
+def test_fleet_and_eval_may_not_import_each_other(rel_path, statement, imported) -> None:
+    """repro.fleet shares repro.eval's layer, so an import either way is a finding."""
+    assert config.layer_rank("repro.fleet") == config.layer_rank("repro.eval")
+    findings = lint_file(
+        config.REPO_ROOT / rel_path,
+        rel_path=rel_path,
+        source=f'"""Probe."""\n\n{statement}\n',
+    )
+    assert [finding.rule for finding in findings] == ["import-layering"]
+    assert imported in findings[0].message

@@ -34,6 +34,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: import the zoo back), and ``repro.fleet.gateway`` which is deliberately
 #: *above* ``repro.fleet`` (the ingestion front end orchestrates the
 #: service/store tier; nothing in the tier may reach up into the gateway).
+#: ``repro.fleet`` shares ``repro.eval``'s layer, so neither may import the
+#: other: the fleet tier runs its rounds in-process and stays off the
+#: evaluation stack (baselines, drift zoo, worker pool).
 #: ``repro.reference`` is the top layer: the seed reference implementations
 #: may import anything, and no production module may import them.
 LAYERS: Tuple[Tuple[str, ...], ...] = (
@@ -46,9 +49,8 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.models", "repro.quantization"),
     ("repro.baselines", "repro.core"),
     ("repro.coresets",),
-    ("repro.eval",),
+    ("repro.eval", "repro.fleet"),
     ("repro.results",),
-    ("repro.fleet",),
     ("repro.fleet.gateway",),
     ("repro.reference",),
 )
@@ -156,7 +158,7 @@ LIBRARY_PATH_PREFIXES: Tuple[str, ...] = ("src/",)
 
 #: Method names treated as pool submission sites.  ``fn`` arguments reaching
 #: these must be module-level callables (workers unpickle them by reference).
-POOL_SUBMIT_METHODS: FrozenSet[str] = frozenset({"map", "map_outcomes"})
+POOL_SUBMIT_METHODS: FrozenSet[str] = frozenset({"map"})
 
 #: Constructors whose arguments (payload included) travel to worker
 #: processes by pickling.

@@ -10,5 +10,5 @@ def run(pool, items):
         return item
 
     first = pool.map(local_fn, items)
-    second = pool.map_outcomes(lambda payload, item: item, items)
+    second = pool.map(lambda payload, item: item, items)
     return first, second

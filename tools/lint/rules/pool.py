@@ -1,11 +1,11 @@
 """pool-picklability: only module-level callables reach the worker pool.
 
 ``WorkerPool`` ships work to spawn-started processes, so everything it
-receives — the payload at construction, the ``fn`` of every
-``map``/``map_outcomes`` call — travels by pickle.  Pickle serialises
-functions *by reference* (module + qualname): lambdas and functions defined
-inside other functions unpickle as ``AttributeError`` at the worker, which
-surfaces as an opaque pool failure long after the submission site.
+receives — the payload at construction, the ``fn`` of every ``map`` call —
+travels by pickle.  Pickle serialises functions *by reference* (module +
+qualname): lambdas and functions defined inside other functions unpickle as
+``AttributeError`` at the worker, which surfaces as an opaque pool failure
+long after the submission site.
 
 This rule flags, at the submission site itself:
 
