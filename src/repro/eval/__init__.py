@@ -19,9 +19,9 @@ from repro.eval.parallel import (
     RunSpec,
     WorkerError,
     WorkerFailure,
-    WorkerPool,
     build_specs,
     derive_seeds,
+    map_in_workers,
     merge_results,
     resolve_workers,
     results_to_table,
@@ -42,9 +42,9 @@ __all__ = [
     "RunSpec",
     "WorkerError",
     "WorkerFailure",
-    "WorkerPool",
     "build_specs",
     "derive_seeds",
+    "map_in_workers",
     "merge_results",
     "resolve_workers",
     "results_to_table",

@@ -1,4 +1,4 @@
-"""Parallel sharded stream evaluation (one worker process per stream).
+"""Parallel sharded stream evaluation: a sweep's runs spread over worker processes.
 
 The paper's headline experiments (Tables 5–9, Fig. 7) sweep every ordered
 (source → target) domain pair across methods and bit-widths.  Each such run is
@@ -11,9 +11,10 @@ worker processes:
   scenario pair + bit-width + seed).  Factories must be picklable under the
   ``spawn`` start method: top-level functions, classes, or
   :func:`functools.partial` of either — not lambdas or closures.
-* :class:`ParallelEvaluator` — fans a list of specs out over a
-  ``multiprocessing`` pool.  With ``workers=1`` it runs in-process through the
-  exact same code path as :class:`~repro.eval.continual.ContinualEvaluator`,
+* :class:`ParallelEvaluator` — runs a list of specs through
+  :func:`map_in_workers`, which starts ``min(workers, len(specs))`` worker
+  processes for that call only.  With ``workers=1`` it runs in-process through
+  the exact same code path as :class:`~repro.eval.continual.ContinualEvaluator`,
   so serial and sharded sweeps are bit-identical.
 * :func:`merge_results` / :func:`results_to_table` — aggregation helpers that
   make sharded output a drop-in replacement for the serial table builders.
@@ -29,14 +30,16 @@ fields such as ``adapt_seconds`` are measurements, not derived values, and
 naturally vary between machines.)
 
 Workers inherit the parent's active compute dtype (:mod:`repro.runtime`), so
-a float64-pinned sweep stays float64 inside the pool.
+a float64-pinned sweep stays float64 inside the workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import traceback
 from dataclasses import dataclass, replace
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,7 +169,11 @@ def run_spec(
     return replace(result, method=spec.method)
 
 
-# ---------------------------------------------------------------- worker pool
+# ------------------------------------------------------------------- workers
+#: Seconds a worker gets to exit on its own once its call is over.
+SHUTDOWN_GRACE_SECONDS = 5.0
+
+
 class WorkerError(RuntimeError):
     """A worker failed while executing one work item.
 
@@ -187,7 +194,7 @@ class WorkerFailure:
 
     The work function raised, or the worker process died (crashed, was
     killed, or called ``os._exit``) while executing the item.
-    :meth:`WorkerPool.map` converts the first one, in item order, into a
+    :func:`map_in_workers` converts the first one, in item order, into a
     raised :class:`WorkerError`.
     """
 
@@ -205,295 +212,158 @@ def _call_guarded(fn: Callable, payload: Any, item: Any) -> Any:
         )
 
 
-def _worker_main(
-    worker_id: int, task_queue, result_conn, claim_cell, payload: Any, dtype_name: str
-) -> None:
-    """Worker-process loop: claim a task, run it guarded, report the outcome.
+def _worker_error(
+    item: Any, failure: WorkerFailure, describe: Callable[[Any], str]
+) -> WorkerError:
+    return WorkerError(
+        f"worker failed on {describe(item)}: {failure.exception}\n"
+        f"--- worker traceback ---\n{failure.worker_traceback}",
+        item=item,
+        worker_traceback=failure.worker_traceback,
+    )
 
-    Two channels, each chosen for what it must survive:
 
-    * The claim is written to ``claim_cell`` — a shared-memory integer —
-      *before* execution starts, so the parent can attribute a worker death
-      to the exact item being processed.  A direct memory write is visible
-      the instant it happens, whatever kills the process next.
-    * Results go over a dedicated ``Pipe``: ``Connection.send`` writes
-      synchronously into the kernel pipe, so once it returns the result is
-      readable by the parent even if the worker dies immediately after.  A
-      shared ``multiprocessing.Queue`` would NOT give that guarantee — its
-      ``put`` hands off to a feeder thread that a hard death (``os._exit``,
-      segfault, ``kill -9``) silently discards, losing *already completed*
-      results along with the in-flight one.  (``multiprocessing.Pool`` loses
-      in-flight items on worker death for exactly this class of reason — the
-      hang this pool replaces.)
+def _worker_main(conn: Connection, fn: Callable, payload: Any, dtype_name: str) -> None:
+    """Worker-process loop: run each item the parent sends, reply with its outcome.
+
+    Items arrive one at a time over the worker's own pipe, each wrapped in a
+    1-tuple (so ``None`` stays a valid item); a bare ``None`` stops the
+    worker.  ``Connection.send`` writes synchronously into the kernel pipe,
+    so an outcome sent before the worker dies is still readable by the parent.
     """
     # A spawned child starts from the repo-default dtype; inherit the parent's
     # active dtype before any computation touches runtime.asarray.
     runtime.set_dtype(dtype_name)
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        index, fn, item = task
-        claim_cell.value = index
-        outcome = _call_guarded(fn, payload, item)
-        result_conn.send((index, outcome))
-        # Clear only after the result is in the pipe: dying between the send
-        # and this write can at worst double-report the item (the drained
-        # result wins — see _collect), never lose it.
-        claim_cell.value = -1
+    for (item,) in iter(conn.recv, None):
+        conn.send(_call_guarded(fn, payload, item))
 
 
-class WorkerPool:
-    """A persistent pool of worker processes holding a shared payload.
+def _stop_workers(processes: Mapping[Connection, Any]) -> None:
+    """Stop every worker: a stop message, then a grace period, then SIGTERM."""
+    for conn in processes:
+        # A worker that died after its last item has closed its end.
+        with contextlib.suppress(OSError):
+            conn.send(None)
+    for conn, process in processes.items():
+        process.join(SHUTDOWN_GRACE_SECONDS)
+        if process.is_alive():
+            process.terminate()
+            process.join()
+        conn.close()
 
-    The payload — typically the immutable bulk of a sweep, such as the dataset
-    and backbone model — is pickled into each worker exactly once, when the
-    pool starts.  Subsequent :meth:`map` calls ship only the (small) per-item
-    work descriptions, so several sweeps can reuse one pool without
-    re-paying the model pickling cost per call.
 
-    ``workers=1`` runs in-process through the same guarded code path, with two
-    deliberate differences from the pooled mode: the payload is shared by
-    reference (no pickling — mutations are visible to the caller), and a
-    failing item stops execution immediately instead of after the whole map
-    (serial fail-fast).  Map *results* for pure functions are identical either
-    way.
+def map_in_workers(
+    fn: Callable[[Any, Any], Any],
+    payload: Any,
+    items: Iterable[Any],
+    workers: Optional[int] = None,
+    mp_context: str = "spawn",
+    describe: Callable[[Any], str] = repr,
+) -> List[Any]:
+    """Apply ``fn(payload, item)`` to every item in worker processes; results in item order.
 
-    Fault tolerance
-    ---------------
-    Workers are explicit processes driven through a claim/done protocol, so
-    the pool *detects* rather than inherits failure modes that make
-    ``multiprocessing.Pool`` hang or fail opaquely:
+    The call starts ``min(workers, len(items))`` processes (``workers=None``
+    reads ``REPRO_EVAL_WORKERS``) and stops them all before it returns or
+    raises, so no worker outlives it.  Each worker receives one pickled copy
+    of ``payload`` and of ``fn`` (so ``fn`` must be module-level) and the
+    parent's compute dtype.  Items go out in order, one at a time, over one
+    duplex pipe per worker; end-of-file on the pipe of a busy worker means
+    that worker died while executing its item.
 
-    * a worker that **dies while executing an item** (segfault, OOM kill,
-      ``os._exit``) is attributed to that exact item — the item fails with a
-      :class:`WorkerFailure` and a replacement worker is spawned so the
-      remaining items still complete;
-    * a worker that **dies between items** is silently respawned.
+    After the first failure nothing more is handed out; the running items
+    finish, and a :class:`WorkerError` is raised for the first failed item
+    in item order (named via ``describe``, with the worker's traceback), so
+    the error does not depend on timing.  An item that does not pickle fails
+    in the parent at hand-out, with the pickling error chained.
 
-    Use as a context manager, or call :meth:`close` explicitly::
-
-        with WorkerPool(payload=(data, model), workers=4) as pool:
-            first = pool.map(fn, first_queue)
-            second = pool.map(fn, second_queue)   # no re-pickling
+    With one worker the items run in-process instead: the payload is shared
+    by reference (mutations are visible to the caller), and execution stops
+    at the first failing item.  Results of pure functions are identical
+    either way.
     """
+    items = list(items)
+    workers = min(resolve_workers(workers), len(items))
+    if workers <= 1:
+        results = []
+        for item in items:
+            outcome = _call_guarded(fn, payload, item)
+            if isinstance(outcome, WorkerFailure):
+                raise _worker_error(item, outcome, describe)
+            results.append(outcome)
+        return results
 
-    #: Seconds between liveness sweeps while waiting for results.
-    POLL_SECONDS = 0.05
-    #: Seconds a worker gets to exit voluntarily during :meth:`close`.
-    SHUTDOWN_GRACE_SECONDS = 5.0
-
-    def __init__(
-        self,
-        payload: Any = None,
-        workers: Optional[int] = None,
-        mp_context: str = "spawn",
-    ):
-        self.workers = resolve_workers(workers)
-        self.mp_context = mp_context
-        self._payload = payload
-        self._closed = False
-        self._context = None
-        self._task_queue = None
-        self._processes: Dict[int, Any] = {}
-        self._claims: Dict[int, Any] = {}
-        self._conns: Dict[int, Any] = {}
-        self._next_worker_id = 0
-        if self.workers > 1:
-            self._context = multiprocessing.get_context(mp_context)
-            # Depth is bounded by len(tasks) per map() call: the parent is the
-            # only producer and it never has two maps in flight.
-            self._task_queue = self._context.Queue()  # repro-lint: disable=bounded-queue -- producer-bounded: one map() worth of tasks max
-            # The payload is pickled once per worker lifetime (here), not once
-            # per item — the amortisation that makes persistent pools cheap.
-            self._dtype_name = str(runtime.get_dtype())
-            for _ in range(self.workers):
-                self._spawn_worker()
-
-    # ------------------------------------------------------------- lifecycle
-    def _spawn_worker(self) -> int:
-        """Start one worker process; returns its (never reused) worker id."""
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        # The claim cell is the worker's "currently executing item index"
-        # (-1 = idle), written directly to shared memory so it survives any
-        # kind of process death.
-        claim_cell = self._context.Value("q", -1)
-        # A dedicated result pipe per worker: synchronous sends (survive hard
-        # death, unlike a shared Queue's feeder thread), and a worker killed
-        # mid-send can only corrupt its own channel, which dies with it.
-        recv_conn, send_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                self._task_queue,
-                send_conn,
-                claim_cell,
-                self._payload,
-                self._dtype_name,
-            ),
-            daemon=True,
-            name=f"repro-worker-{worker_id}",
-        )
-        process.start()
-        send_conn.close()
-        self._processes[worker_id] = process
-        self._claims[worker_id] = claim_cell
-        self._conns[worker_id] = recv_conn
-        return worker_id
-
-    def _replace_worker(self, worker_id: int) -> None:
-        """Reap a dead worker and start its replacement."""
-        self._processes.pop(worker_id, None)
-        self._claims.pop(worker_id, None)
-        conn = self._conns.pop(worker_id, None)
-        if conn is not None:
-            conn.close()
-        self._spawn_worker()
-
-    # ------------------------------------------------------------------ maps
-    def map(
-        self,
-        fn: Callable[[Any, Any], Any],
-        items: Iterable[Any],
-        describe: Callable[[Any], str] = repr,
-    ) -> List[Any]:
-        """Apply ``fn(payload, item)`` to every item, preserving item order.
-
-        ``fn`` must be a module-level callable (workers unpickle it by
-        reference).  If any item fails — including by killing its worker — a
-        :class:`WorkerError` is raised naming the first failed item in item
-        order (via ``describe``) and embedding the worker's traceback;
-        remaining results are discarded.
-        """
-        if self._closed:
-            raise RuntimeError(
-                "WorkerPool is closed — its workers have been shut down; "
-                "create a new pool to run more work"
+    context = multiprocessing.get_context(mp_context)
+    dtype_name = str(runtime.get_dtype())
+    processes: Dict[Connection, Any] = {}
+    outcomes: List[Any] = [None] * len(items)
+    failures: Dict[int, WorkerError] = {}
+    busy: Dict[Connection, int] = {}
+    next_index = 0
+    try:
+        for number in range(workers):
+            conn, child_conn = context.Pipe()
+            process = context.Process(
+                target=_worker_main,
+                args=(child_conn, fn, payload, dtype_name),
+                daemon=True,
+                name=f"repro-worker-{number}",
             )
-        items = list(items)
-        if self._task_queue is None:
-            # In-process execution fails fast: nothing after the first failing
-            # item runs (matching the old serial evaluator), which also keeps
-            # a shared-by-reference payload from being mutated further by
-            # items past the failure.
-            outcomes = []
-            for item in items:
-                outcome = _call_guarded(fn, self._payload, item)
-                self._raise_on_failure(item, outcome, describe)
-                outcomes.append(outcome)
-            return outcomes
-        for index, item in enumerate(items):
-            self._task_queue.put((index, fn, item))
-        outcomes = self._collect(len(items))
-        for item, outcome in zip(items, outcomes):
-            self._raise_on_failure(item, outcome, describe)
-        return outcomes
-
-    def _collect(self, count: int) -> List[Any]:
-        """Gather ``count`` outcomes, policing worker deaths.
-
-        Every result pipe is fully drained *before* a liveness sweep runs, so
-        a completed item can never be misreported as a death just because
-        its result and its worker's demise raced: synchronous pipe
-        sends guarantee that anything a worker finished is readable here even
-        after it died, and the shared-memory claim cell identifies the one
-        item that was genuinely in flight.
-        """
-        from multiprocessing.connection import wait as connection_wait
-
-        outcomes: List[Any] = [None] * count
-        pending = set(range(count))
-        while pending:
-            by_conn = {self._conns[worker_id]: worker_id for worker_id in self._processes}
-            received = False
-            for conn in connection_wait(list(by_conn), timeout=self.POLL_SECONDS):
-                worker_id = by_conn[conn]
+            process.start()
+            # Only the worker may hold its end, so the worker's death is
+            # end-of-file here.
+            child_conn.close()
+            processes[conn] = process
+        idle = list(processes)
+        while True:
+            while idle and next_index < len(items) and not failures:
+                conn, item = idle.pop(0), items[next_index]
                 try:
-                    index, outcome = conn.recv()
+                    conn.send((item,))
+                except Exception as error:  # noqa: BLE001 — re-raised below
+                    # The item does not pickle, or this worker died idle:
+                    # either way the item never ran.
+                    failure = WorkerError(
+                        f"could not send {describe(item)} to a worker: "
+                        f"{type(error).__name__}: {error}",
+                        item=item,
+                    )
+                    failure.__cause__ = error
+                    failures[next_index] = failure
+                else:
+                    busy[conn] = next_index
+                next_index += 1
+            if not busy:
+                break
+            for conn in wait(list(busy)):
+                index = busy.pop(conn)
+                try:
+                    outcome = conn.recv()
                 except (EOFError, OSError):
-                    # Dead worker's pipe hit end-of-stream (or was torn
-                    # mid-send); the liveness sweep below attributes it.
-                    continue
-                received = True
-                if index in pending:
-                    pending.discard(index)
-                    outcomes[index] = outcome
-            if received:
-                continue
-            for worker_id, process in list(self._processes.items()):
-                if process.is_alive():
-                    continue
-                claimed = int(self._claims[worker_id].value)
-                if claimed in pending:
-                    pending.discard(claimed)
-                    outcomes[claimed] = WorkerFailure(
+                    process = processes[conn]
+                    process.join(SHUTDOWN_GRACE_SECONDS)
+                    outcome = WorkerFailure(
                         exception=(
                             f"worker process died (exit code {process.exitcode}) "
                             "while executing the item"
                         ),
                         worker_traceback="",
                     )
-                # A worker that died *between* items is respawned silently;
-                # its queued-but-unclaimed work stays in the shared task queue
-                # for the replacement to pick up.
-                self._replace_worker(worker_id)
-        return outcomes
-
-    @staticmethod
-    def _raise_on_failure(item: Any, outcome: Any, describe: Callable[[Any], str]) -> None:
-        if isinstance(outcome, WorkerFailure):
-            raise WorkerError(
-                f"worker failed on {describe(item)}: {outcome.exception}\n"
-                f"--- worker traceback ---\n{outcome.worker_traceback}",
-                item=item,
-                worker_traceback=outcome.worker_traceback,
-            )
-
-    def close(self) -> None:
-        """Shut the workers down; idempotent, and the pool is unusable after.
-
-        Live workers receive a stop sentinel and get
-        :attr:`SHUTDOWN_GRACE_SECONDS` to exit on their own; stragglers (and
-        workers wedged in a dead queue) are terminated so ``close`` itself can
-        never hang.
-        """
-        if self._task_queue is not None:
-            for _ in self._processes:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):
-                    break
-            for process in self._processes.values():
-                process.join(self.SHUTDOWN_GRACE_SECONDS)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(self.SHUTDOWN_GRACE_SECONDS)
-            self._processes = {}
-            self._claims = {}
-            for conn in self._conns.values():
-                conn.close()
-            self._conns = {}
-            self._task_queue.close()
-            self._task_queue = None
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+                else:
+                    idle.append(conn)
+                if isinstance(outcome, WorkerFailure):
+                    failures[index] = _worker_error(items[index], outcome, describe)
+                outcomes[index] = outcome
+    finally:
+        _stop_workers(processes)
+    if failures:
+        raise failures[min(failures)]
+    return outcomes
 
 
 def _run_spec_item(
     payload: Tuple[MultiDomainDataset, Module], item: Tuple[RunSpec, int]
 ) -> MethodRunResult:
-    """Pool work function: one spec against the pool's shared dataset + model."""
+    """Work function: one spec against the workers' shared dataset + model."""
     dataset, model = payload
     spec, num_batches = item
     return run_spec(spec, dataset, model, num_batches)
@@ -510,8 +380,8 @@ class ParallelEvaluator:
     workers:
         Worker process count.  ``None`` consults the ``REPRO_EVAL_WORKERS``
         environment variable and falls back to 1.  ``workers=1`` executes
-        in-process (no pool) through the identical pure-run code path, so its
-        results are bit-identical to the serial evaluator.
+        in-process (no worker process) through the identical pure-run code
+        path, so its results are bit-identical to the serial evaluator.
     mp_context:
         ``multiprocessing`` start method; ``"spawn"`` (default) is safe on
         every platform and never inherits parent state by accident.  ``"fork"``
@@ -581,26 +451,23 @@ class ParallelEvaluator:
         """Execute every spec and return results in spec order.
 
         Output order — and every value in it — is independent of the worker
-        count; only wall-clock time changes.  An ephemeral pool is created
-        and torn down around the call.
+        count; only wall-clock time changes.  The call starts
+        ``min(workers, len(specs))`` worker processes and stops them before
+        it returns or raises (see :func:`map_in_workers`).
 
         A failing run raises :class:`WorkerError` carrying the offending
         :class:`RunSpec` and the worker's full traceback.
         """
         specs = list(specs)
         self._validate(specs, dataset)
-        if not specs:
-            return []
-        items = [(spec, self.num_batches) for spec in specs]
-        describe = lambda item: f"spec {item[0].describe()!r}"
-        # An ephemeral pool never needs more workers than it has specs.
-        ephemeral = WorkerPool(
-            payload=(dataset, model),
-            workers=min(self.workers, len(items)),
+        return map_in_workers(
+            _run_spec_item,
+            (dataset, model),
+            [(spec, self.num_batches) for spec in specs],
+            workers=self.workers,
             mp_context=self.mp_context,
+            describe=lambda item: f"spec {item[0].describe()!r}",
         )
-        with ephemeral:
-            return ephemeral.map(_run_spec_item, items, describe=describe)
 
 
 def merge_results(

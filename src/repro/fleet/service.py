@@ -21,9 +21,10 @@ store on one shared file.
   scatter, exactly the batching economics of the paper's
   one-calibration-to-millions deployment story.
 * **Retry / backoff** — a :class:`RetryPolicy` drives bounded retries with
-  exponential backoff and deterministic seeded jitter.  The first wave
-  calibrates every dedupe group in one batched call; a retry runs one group
-  per wave, so one bad device cannot fail the healthy groups twice.
+  exponential backoff and deterministic seeded jitter.  When a group has an
+  attempt to spare, the first wave calibrates every dedupe group in one
+  batched call; otherwise, and on every retry, a wave runs one group, so one
+  bad device cannot fail the healthy groups twice or spend their only attempt.
 * **Graceful degradation** — a device that fails ``max_attempts`` times is
   *quarantined* (status + last traceback persisted in the store) and the
   round completes for the healthy remainder instead of raising.  The hot
@@ -482,10 +483,13 @@ class FleetService:
                 outcome.retries += len(eligible)
             first_wave = False
 
-            # The optimistic first wave batches every group; a retry runs one
-            # group per wave, so one bad device cannot fail the healthy groups
-            # twice.
-            batched = all(group.attempts == 0 for group in eligible)
+            # The optimistic first wave batches every group when a group has
+            # an attempt to spare; otherwise, and on a retry, each group runs
+            # alone, so one bad device cannot fail the healthy groups twice or
+            # spend their only attempt.
+            batched = policy.max_attempts > 1 and all(
+                group.attempts == 0 for group in eligible
+            )
             waves = [eligible] if batched else [[group] for group in eligible]
             groups = [
                 group

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -20,9 +22,9 @@ from repro.eval import (
     ParallelEvaluator,
     RunSpec,
     WorkerError,
-    WorkerPool,
     build_specs,
     derive_seeds,
+    map_in_workers,
     merge_results,
     resolve_workers,
     results_to_table,
@@ -58,7 +60,7 @@ def dying_factory():
 
 
 def _double(payload, item):
-    """Module-level WorkerPool function (picklable under spawn)."""
+    """Module-level work function (picklable under spawn)."""
     return payload * item
 
 
@@ -84,11 +86,33 @@ def _fail_on_two_and_four(payload, item):
     return item
 
 
-def _record_or_die_on_three(directory, item):
-    """Leaves a file named after each item it finishes; item 3 kills its worker."""
-    if item == 3:
+def _die_on_zero_record_the_rest(directory, item):
+    """Item 0 kills its worker; every other item leaves a file named after it,
+    item 1 only after a pause, so item 0's death is seen while item 1 runs."""
+    if item == 0:
         os._exit(17)
+    if item == 1:
+        time.sleep(0.3)
     open(os.path.join(directory, str(item)), "w").close()
+    return item
+
+
+def _kill_item_ones_worker_once_it_returned(directory, item):
+    """Item 1 leaves its worker's pid and returns; item 0 waits for the pid,
+    gives item 1's result time to reach the pipe, SIGKILLs that now idle
+    worker, and returns only once the kill has landed."""
+    pid_file = os.path.join(directory, "pid")
+    if item == 1:
+        with open(pid_file + ".tmp", "w") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        return item
+    while not os.path.exists(pid_file):
+        time.sleep(0.01)
+    time.sleep(0.3)
+    with open(pid_file) as handle:
+        os.kill(int(handle.read()), signal.SIGKILL)
+    time.sleep(0.3)
     return item
 
 
@@ -307,49 +331,37 @@ class TestAggregation:
         assert restored[0].average_accuracy == results[0].average_accuracy
 
 
-class TestWorkerPool:
+class TestMapInWorkers:
     def test_in_process_map(self):
-        with WorkerPool(payload=10, workers=1) as pool:
-            assert pool.map(_double, [1, 2, 3]) == [10, 20, 30]
+        assert map_in_workers(_double, 10, [1, 2, 3], workers=1) == [10, 20, 30]
 
     def test_in_process_shares_payload_object(self):
         payload = {"calls": 0}
-
-        def bump(state, item):
-            state["calls"] += item
-            return state["calls"]
-
-        with WorkerPool(payload=payload, workers=1) as pool:
-            pool.map(bump, [1, 2])
+        map_in_workers(_bump, payload, [1, 2], workers=1)
         assert payload["calls"] == 3
 
     def test_pooled_map_matches_in_process(self):
-        with WorkerPool(payload=10, workers=2, mp_context="fork") as pool:
-            assert pool.map(_double, [1, 2, 3, 4]) == [10, 20, 30, 40]
+        assert map_in_workers(
+            _double, 10, [1, 2, 3, 4], workers=2, mp_context="fork"
+        ) == [10, 20, 30, 40]
 
     def test_pooled_payload_is_a_private_copy(self):
         """Each worker holds its own copy of the payload, so unlike an
         in-process run, its mutations never reach the caller's object."""
         payload = {"calls": 0}
-        with WorkerPool(payload=payload, workers=2, mp_context="fork") as pool:
-            pool.map(_bump, [1, 2])
+        map_in_workers(_bump, payload, [1, 2], workers=2, mp_context="fork")
         assert payload == {"calls": 0}
 
     def test_pooled_map_keeps_item_order_when_completion_order_differs(self):
         items = list(range(6))
-        with WorkerPool(payload=len(items), workers=2, mp_context="fork") as pool:
-            assert pool.map(_echo_late_for_early_items, items) == items
+        assert map_in_workers(
+            _echo_late_for_early_items, len(items), items, workers=2, mp_context="fork"
+        ) == items
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_empty_map_returns_at_once(self, workers):
-        with WorkerPool(payload=1, workers=workers, mp_context="fork") as pool:
-            assert pool.map(_double, []) == []
-            assert pool.map(_double, [4]) == [4]
-
-    def test_pool_persists_across_map_calls(self):
-        with WorkerPool(payload=2, workers=2, mp_context="fork") as pool:
-            assert pool.map(_double, [1, 2]) == [2, 4]
-            assert pool.map(_double, [3]) == [6]
+        assert map_in_workers(_double, 1, [], workers=workers, mp_context="fork") == []
+        assert map_in_workers(_double, 1, [4], workers=workers, mp_context="fork") == [4]
 
     def test_in_process_failure_is_fail_fast(self):
         """workers=1 must stop at the first failing item (serial semantics) —
@@ -362,91 +374,75 @@ class TestWorkerPool:
             executed.append(item)
             return item
 
-        with WorkerPool(payload=None, workers=1) as pool:
-            with pytest.raises(WorkerError):
-                pool.map(record_then_fail, [1, 2, 3, 4])
+        with pytest.raises(WorkerError):
+            map_in_workers(record_then_fail, None, [1, 2, 3, 4], workers=1)
         assert executed == [1, 2]
 
     def test_failure_raises_worker_error_with_traceback(self):
-        with WorkerPool(payload=None, workers=1) as pool:
-            with pytest.raises(WorkerError) as excinfo:
-                pool.map(_fail_on_three, [1, 2, 3, 4])
+        with pytest.raises(WorkerError) as excinfo:
+            map_in_workers(_fail_on_three, None, [1, 2, 3, 4], workers=1)
         assert "cannot process 3" in str(excinfo.value)
         assert "worker traceback" in str(excinfo.value)
         assert "_fail_on_three" in excinfo.value.worker_traceback
         assert excinfo.value.item == 3
 
     def test_pooled_failure_raises_worker_error(self):
-        with WorkerPool(payload=None, workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError) as excinfo:
-                pool.map(_fail_on_three, [1, 2, 3, 4])
+        with pytest.raises(WorkerError) as excinfo:
+            map_in_workers(_fail_on_three, None, [1, 2, 3, 4], workers=2, mp_context="fork")
         assert "ValueError: cannot process 3" in str(excinfo.value)
         assert excinfo.value.item == 3
 
-    def test_closed_pool_rejects_map(self):
-        pool = WorkerPool(payload=1, workers=1)
-        pool.close()
-        assert pool.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.map(_double, [1])
 
-
-class TestWorkerPoolFaultTolerance:
-    """The claim/done protocol must turn every worker failure mode into a
-    descriptive error naming the failed item — never a hang."""
-
-    def test_double_close_is_noop(self):
-        pool = WorkerPool(payload=1, workers=2, mp_context="fork")
-        pool.close()
-        pool.close()
-        assert pool.closed
-
-    def test_submit_after_close_pooled(self):
-        pool = WorkerPool(payload=1, workers=2, mp_context="fork")
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.map(_double, [1])
+class TestMapInWorkersFaultTolerance:
+    """Every way a worker can fail becomes a descriptive error naming the
+    failed item — never a hang, and never a worker left running."""
 
     def test_worker_death_raises_descriptive_error_from_map(self):
         """A worker killed mid-item (os._exit — no exception, no cleanup)
         fails the map with an error pinned on exactly that item."""
-        with WorkerPool(payload=1, workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError, match="died") as excinfo:
-                pool.map(_die_on_three, [1, 2, 3, 4])
+        with pytest.raises(WorkerError, match="died") as excinfo:
+            map_in_workers(_die_on_three, 1, [1, 2, 3, 4], workers=2, mp_context="fork")
         assert excinfo.value.item == 3
 
-    def test_worker_death_leaves_the_other_items_to_run(self, tmp_path):
-        """The death fails only its own item: the surviving and replacement
-        workers run every other item before the map raises."""
-        with WorkerPool(payload=str(tmp_path), workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError, match="died") as excinfo:
-                pool.map(_record_or_die_on_three, [1, 2, 3, 4, 5])
-        assert excinfo.value.item == 3
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["1", "2", "4", "5"]
+    def test_nothing_is_handed_out_after_a_death(self, tmp_path):
+        """Once item 0's worker dies, the running item 1 still finishes, but
+        items 2 and 3 are never handed out; the call names item 0."""
+        with pytest.raises(WorkerError, match="died") as excinfo:
+            map_in_workers(
+                _die_on_zero_record_the_rest, str(tmp_path), [0, 1, 2, 3],
+                workers=2, mp_context="fork",
+            )
+        assert excinfo.value.item == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["1"]
 
     def test_first_failure_in_item_order_is_raised(self):
         """Item 4 fails before item 2 does; the map still reports item 2,
         the failure a serial run would have stopped at."""
-        with WorkerPool(payload=None, workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError, match="cannot process 2") as excinfo:
-                pool.map(_fail_on_two_and_four, [1, 2, 3, 4])
+        with pytest.raises(WorkerError, match="cannot process 2") as excinfo:
+            map_in_workers(
+                _fail_on_two_and_four, None, [1, 2, 3, 4], workers=2, mp_context="fork"
+            )
         assert excinfo.value.item == 2
 
-    def test_pool_survives_death_across_map_calls(self):
-        """A worker that died during one map (between batches, from the
-        caller's view) must be respawned: the next map still works."""
-        with WorkerPool(payload=1, workers=2, mp_context="fork") as pool:
-            with pytest.raises(WorkerError, match="died"):
-                pool.map(_die_on_three, [3])
-            assert pool.map(_double, [5, 6]) == [5, 6]
+    @pytest.mark.timeout(60)
+    def test_worker_killed_after_its_last_item_neither_fails_nor_stalls(self, tmp_path):
+        assert map_in_workers(
+            _kill_item_ones_worker_once_it_returned, str(tmp_path), [0, 1],
+            workers=2, mp_context="fork",
+        ) == [0, 1]
 
-    def test_close_reaps_every_worker_after_a_death(self):
-        """``close`` stops the survivor and the replacement alike: no worker
-        process outlives its pool."""
-        pool = WorkerPool(payload=1, workers=2, mp_context="fork")
-        with pytest.raises(WorkerError, match="died"):
-            pool.map(_die_on_three, [3])
-        pool.close()
+    @pytest.mark.parametrize(
+        "fn, items",
+        [
+            (_double, [1, 2, 3, 4]),
+            (_fail_on_three, [1, 2, 3, 4]),
+            (_die_on_three, [1, 2, 3, 4]),
+        ],
+        ids=["succeeds", "raises", "dies"],
+    )
+    def test_no_worker_outlives_its_call(self, fn, items):
+        with contextlib.suppress(WorkerError):
+            map_in_workers(fn, 1, items, workers=2, mp_context="fork")
         assert [
             child.name
             for child in multiprocessing.active_children()
@@ -499,9 +495,23 @@ class TestWorkerFailureSurfacing:
         if factory is exploding_factory:
             assert "exploding_factory" in excinfo.value.worker_traceback
 
+    @pytest.mark.timeout(60)
+    def test_unpicklable_spec_fails_at_once_naming_it(self, sweep_setup):
+        """A lambda factory cannot be sent to a worker: the sweep raises
+        instead of waiting for a result that never comes, names the spec and
+        chains the pickling error."""
+        data, model, _ = sweep_setup
+        evaluator = ParallelEvaluator(num_batches=2, workers=2, mp_context="fork")
+        with pytest.raises(WorkerError) as excinfo:
+            evaluator.run(self._bad_specs(lambda: ER_FACTORY()), data, model)
+        assert "BOOM 4b Subj. 1→Subj. 3 #7" in str(excinfo.value)
+        assert excinfo.value.__cause__ is not None
+        spec, _ = excinfo.value.item
+        assert spec.method == "BOOM"
+
 
 class TestEvaluatorReuse:
-    """Every ``run`` builds and tears down its own pool, so one evaluator
+    """Every ``run`` starts and stops its own workers, so one evaluator
     serves any number of calls and a sweep may be split across them."""
 
     def test_split_sweep_matches_one_run(self, sweep_setup):

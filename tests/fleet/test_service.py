@@ -351,7 +351,8 @@ class TestFaultInjection:
 
 
 class TestWaves:
-    """The first wave batches every group; a retry runs one group per wave."""
+    """The first wave batches every group when a group has an attempt to
+    spare; a retry runs one group per wave."""
 
     def test_first_wave_batches_every_group(self, packaged, golden):
         data, _, deployment = packaged
@@ -362,6 +363,31 @@ class TestWaves:
         assert calibrator.calls == [DEVICE_IDS]
         assert outcome.num_groups == NUM_DEVICES
         assert fleet.codes_digests() == golden
+
+    def test_single_attempt_runs_each_group_alone(self, packaged, golden):
+        """With one attempt a batched first wave would let device-0's fault
+        spend every group's only attempt.  Each group runs alone instead:
+        device-0 quarantines at its round-start codes, and the healthy
+        groups finish with the golden codes."""
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        before = fleet.codes_digests()
+        calibrator = _RecordingCalibrator()
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-0", max_fires=100)])
+        service = FleetService(
+            fleet,
+            retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0, jitter=0.0),
+            calibrator=calibrator,
+            fault_plan=plan,
+        )
+        _, outcome = _drain_round(service, _pools(data, fleet.ids))
+        assert calibrator.calls == [["device-1"], ["device-2"]]
+        assert set(outcome.quarantined) == {"device-0"}
+        assert outcome.statuses["device-1"] == outcome.statuses["device-2"] == "done"
+        digests = fleet.codes_digests()
+        assert digests["device-0"] == before["device-0"]
+        healthy = ["device-1", "device-2"]
+        assert [digests[d] for d in healthy] == [golden[d] for d in healthy]
 
     def test_retry_waves_isolate_the_failing_group(self, packaged, golden):
         """device-0 fails its first two attempts.  Its failure fails the whole

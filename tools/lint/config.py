@@ -156,15 +156,12 @@ LIBRARY_PATH_PREFIXES: Tuple[str, ...] = ("src/",)
 # pool-picklability rule
 # --------------------------------------------------------------------------
 
-#: Method names treated as pool submission sites.  ``fn`` arguments reaching
-#: these must be module-level callables (workers unpickle them by reference).
-POOL_SUBMIT_METHODS: FrozenSet[str] = frozenset({"map"})
+#: Functions that ship their arguments to worker processes by pickling
+#: (``fn`` and payload once per worker, each item at hand-out), so every
+#: callable reaching them must be module-level.
+POOL_FUNCTIONS: FrozenSet[str] = frozenset({"map_in_workers"})
 
-#: Constructors whose arguments (payload included) travel to worker
-#: processes by pickling.
-POOL_CONSTRUCTORS: FrozenSet[str] = frozenset({"WorkerPool"})
-
-#: Keyword arguments at submission sites that stay in the *parent* process
+#: Keyword arguments of those functions that stay in the *parent* process
 #: (labelling hooks used for error messages) and therefore never pickle.
 POOL_PARENT_SIDE_KEYWORDS: FrozenSet[str] = frozenset({"describe"})
 

@@ -1,19 +1,19 @@
-"""pool-picklability: only module-level callables reach the worker pool.
+"""pool-picklability: only module-level callables reach worker processes.
 
-``WorkerPool`` ships work to spawn-started processes, so everything it
-receives — the payload at construction, the ``fn`` of every ``map`` call —
+``map_in_workers`` ships work to spawn-started processes, so everything it
+receives — ``fn`` and the payload once per worker, each item at hand-out —
 travels by pickle.  Pickle serialises functions *by reference* (module +
-qualname): lambdas and functions defined inside other functions unpickle as
-``AttributeError`` at the worker, which surfaces as an opaque pool failure
-long after the submission site.
+qualname): lambdas and functions defined inside other functions do not
+pickle, which surfaces as a failed sweep far from the call that caused it.
 
-This rule flags, at the submission site itself:
+This rule flags, at the call itself (any function named in
+:data:`tools.lint.config.POOL_FUNCTIONS`):
 
-* ``lambda`` expressions passed to a pool constructor or submission method;
+* ``lambda`` expressions passed as an argument;
 * names bound to a ``lambda`` anywhere in the module (a module-level
   ``f = lambda: …`` still has qualname ``<lambda>`` and does not pickle);
-* names of functions *defined inside another function* passed to a
-  submission site (their qualname contains ``<locals>``).
+* names of functions *defined inside another function* (their qualname
+  contains ``<locals>``).
 
 Keywords named in :data:`tools.lint.config.POOL_PARENT_SIDE_KEYWORDS`
 (currently ``describe``) are exempt: they are labelling hooks consumed in
@@ -54,30 +54,24 @@ def _collect_unpicklable_names(tree: ast.AST) -> Set[str]:
 
 @register
 class PoolPicklability(Rule):
-    """Lambdas/nested functions at WorkerPool submission sites."""
+    """Lambdas/nested functions passed to worker-process functions."""
 
     name = "pool-picklability"
     description = (
-        "WorkerPool/ParallelEvaluator submissions must be module-level "
-        "callables; lambdas and nested functions do not pickle by reference"
+        "arguments of map_in_workers must be module-level callables; "
+        "lambdas and nested functions do not pickle by reference"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Flag unpicklable callables in pool constructor/submission args."""
+        """Flag unpicklable callables among the arguments of pool calls."""
         findings: List[Finding] = []
         bad_names = _collect_unpicklable_names(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             callee = last_component(node.func)
-            is_ctor = isinstance(node.func, ast.Name) and callee in config.POOL_CONSTRUCTORS
-            is_submit = (
-                isinstance(node.func, ast.Attribute)
-                and callee in config.POOL_SUBMIT_METHODS
-            )
-            if not (is_ctor or is_submit):
+            if callee not in config.POOL_FUNCTIONS:
                 continue
-            site = "constructor" if is_ctor else f".{callee}()"
             checked = list(node.args) + [
                 kw.value
                 for kw in node.keywords
@@ -87,13 +81,13 @@ class PoolPicklability(Rule):
                 if isinstance(value, ast.Lambda):
                     findings.append(ctx.finding(
                         value, self.name,
-                        f"lambda passed to pool {site}; lambdas do not pickle "
+                        f"lambda passed to {callee}(); lambdas do not pickle "
                         "— use a module-level function",
                     ))
                 elif isinstance(value, ast.Name) and value.id in bad_names:
                     findings.append(ctx.finding(
                         value, self.name,
-                        f"{value.id!r} passed to pool {site} is a nested "
+                        f"{value.id!r} passed to {callee}() is a nested "
                         "function or lambda binding; workers unpickle "
                         "callables by reference, so it must be module-level",
                     ))
