@@ -192,8 +192,9 @@ class WorkerError(RuntimeError):
 class WorkerFailure:
     """Picklable record of one failed work item.
 
-    The work function raised, or the worker process died (crashed, was
-    killed, or called ``os._exit``) while executing the item.
+    The work function raised, its result did not pickle, or the worker
+    process died (crashed, was killed, or called ``os._exit``) while
+    executing the item.
     :func:`map_in_workers` converts the first one, in item order, into a
     raised :class:`WorkerError`.
     """
@@ -235,7 +236,15 @@ def _worker_main(conn: Connection, fn: Callable, payload: Any, dtype_name: str) 
     # active dtype before any computation touches runtime.asarray.
     runtime.set_dtype(dtype_name)
     for (item,) in iter(conn.recv, None):
-        conn.send(_call_guarded(fn, payload, item))
+        outcome = _call_guarded(fn, payload, item)
+        try:
+            conn.send(outcome)
+        except Exception as error:  # noqa: BLE001 — re-raised in the parent
+            # send pickles before it writes, so the pipe is still clean.
+            conn.send(WorkerFailure(
+                f"could not return the result: {type(error).__name__}: {error}",
+                traceback.format_exc(),
+            ))
 
 
 def _stop_workers(processes: Mapping[Connection, Any]) -> None:

@@ -396,9 +396,6 @@ class FleetGateway:
             f"lease expired {entry.requeues + 1}x waiting on report "
             f"seq {entry.report.seq} (lease_s={self.config.lease_s})"
         )
-        # Register first: a device can be quarantined before its first
-        # dispatch ever created its store row, and quarantine must persist.
-        self.service.store.register_devices([device_id])
         self.service.store.quarantine_device(device_id, message)
         self._quarantine(device_id, log)
 

@@ -42,12 +42,14 @@ Device round state machine (persisted per ``(round, device)`` row)::
                                  └──attempts exhausted──▶ quarantined
 
 Every transition is written for a whole phase at once: one store commit
-moves every device of a wave (or of a round's submit) through it, so a
-wave costs seven commits however many devices it holds, and a round's
-device rows land all or none.  ``running`` rows found at drain time are,
-by construction, interrupted attempts: the service restores their
-round-start snapshot and retries them — that restoration is what makes
-resume bit-identical.
+opens a round with every device's pending row, and one moves every device
+of a wave to ``running`` and one to ``done``, so a round whose first wave
+succeeds (a clean gateway wave) costs three commits however many devices
+it holds.  A round is finished when none of
+its rows is pending or running; the rows are its only progress record.
+``running`` rows found at drain time are, by construction, interrupted
+attempts: the service restores their round-start snapshot and retries
+them — that restoration is what makes resume bit-identical.
 """
 
 from __future__ import annotations
@@ -178,7 +180,6 @@ class RoundStatus:
     """Snapshot of a round's progress (what :meth:`FleetService.poll` returns)."""
 
     round_id: int
-    status: str
     counts: Dict[str, int]
     attempts: Dict[str, int]
     quarantined: Dict[str, str]
@@ -284,11 +285,12 @@ class FleetService:
         round; ``device_ids`` restricts it to a subset (the gateway batches
         whichever devices reported, not the whole fleet).  Each device's
         round-start snapshot and dedupe digests are persisted *before* any
-        work happens, which is what later makes retry and resume possible.
-        Already-quarantined devices are skipped (graceful degradation — the
-        round serves the healthy remainder); explicitly naming a quarantined
-        or unknown device raises instead, because an explicit subset is a
-        claim about who participates.
+        work happens, in the one commit that opens the round: that is what
+        later makes retry and resume possible, and a failed write leaves no
+        trace of the round.  Already-quarantined devices are skipped
+        (graceful degradation — the round serves the healthy remainder);
+        explicitly naming a quarantined or unknown device raises instead,
+        because an explicit subset is a claim about who participates.
 
         ``snapshots`` maps device ids to known-current
         :class:`~repro.core.bitflip.CalibrationRoundState` objects (e.g. the
@@ -334,14 +336,11 @@ class FleetService:
             else:
                 snapshot = capture_calibration_state(self.fleet.get(device_id).qmodel)
             starts[device_id] = (snapshot.digest(), pool_digests[key], snapshot)
-        self.store.register_devices(selected)
-        round_id = self.store.create_round(selected)
-        self.store.init_device_rounds(round_id, starts)
-        return round_id
+        return self.store.open_round(starts)
 
     def poll(self, round_id: int) -> RoundStatus:
         """Cheap, read-only progress snapshot of a round."""
-        record = self.store.get_round(round_id)
+        self.store.get_round(round_id)  # KeyError on an unknown round
         rows = self.store.device_rounds(round_id)
         counts: Dict[str, int] = {}
         attempts: Dict[str, int] = {}
@@ -353,27 +352,14 @@ class FleetService:
                 quarantined[row.device_id] = row.last_error or ""
         return RoundStatus(
             round_id=round_id,
-            status=record.status,
             counts=counts,
             attempts=attempts,
             quarantined=quarantined,
         )
 
     def resume(self, pools: Mapping[str, Dataset]) -> List[RoundOutcome]:
-        """Drain every unfinished round in the store (crash-recovery entry).
-
-        A round with no device rows comes from a submitter that died, or
-        whose device-row write failed, between ``create_round`` and
-        ``init_device_rounds``: there is nothing to resume, so it is closed
-        out rather than drained.
-        """
-        outcomes: List[RoundOutcome] = []
-        for round_id in self.store.unfinished_rounds():
-            if not self.store.device_rounds(round_id):
-                self.store.set_round_status(round_id, "done")
-                continue
-            outcomes.append(self.drain(round_id, pools))
-        return outcomes
+        """Drain every unfinished round in the store (crash-recovery entry)."""
+        return [self.drain(round_id, pools) for round_id in self.store.unfinished_rounds()]
 
     # ------------------------------------------------------------------- drain
     def drain(self, round_id: int, pools: Mapping[str, Dataset]) -> RoundOutcome:
@@ -385,12 +371,8 @@ class FleetService:
         Completes for the healthy remainder even when devices quarantine;
         never raises for per-device failures.
         """
-        self.store.get_round(round_id)
+        self.store.get_round(round_id)  # KeyError on an unknown round
         rows = self.store.device_rounds(round_id)
-        if not rows:
-            raise KeyError(f"round {round_id} has no device rows")
-        self.store.set_round_status(round_id, "running")
-
         outcome = RoundOutcome(round_id=round_id)
         pending_rows = []
         for row in rows:
@@ -436,7 +418,6 @@ class FleetService:
             }
         )
         self._execute_groups(round_id, groups, pools, outcome)
-        self.store.set_round_status(round_id, "done")
         return outcome
 
     @staticmethod

@@ -11,7 +11,8 @@ Schema (see ``docs/operations.md`` for the operator view)::
 
     devices        one row per registered device (id, quarantine status,
                    last error traceback, updated_at)
-    rounds         one row per submitted calibration round (status, timing)
+    rounds         one row per submitted calibration round (size, creation
+                   time); its device rows are its only progress record
     states         one row per distinct calibration state (codes + BatchNorm
                    statistics, pickled), keyed by the digest its callers
                    compute (``CalibrationRoundState.digest()``)
@@ -23,6 +24,8 @@ Schema (see ``docs/operations.md`` for the operator view)::
                    (state_digest, pool_digest) is the dedupe key that lets
                    N identical replicas share one BF forward.
 
+A round is unfinished while one of its device rows is pending or running.
+
 States are content-addressed: a state is stored once, however many rounds
 and devices hold it, and a digest the store already holds is neither
 pickled nor written again.  A device's round-start state is usually its
@@ -32,18 +35,19 @@ stored.  The store never computes a digest: its callers pass them.
 
 Each mutating method is one commit.  The round path commits once per round
 phase, whatever the number of devices (group commit): the per-phase methods
-(``register_devices``, ``init_device_rounds``, ``mark_running``,
-``mark_done``, ``mark_failed``, ``mark_quarantined``) take every device of
-the phase and run one statement over all their rows (``executemany``);
-``init_device_rounds`` and ``mark_done`` run a second one first, inserting
-the states the store does not hold yet.  A gateway wave therefore commits
-seven times (register, round row, device rows, round running, wave running,
-wave done, round done), and a round's device rows land all or none.  No
-statement's parameter count depends on the round's size: every statement
-runs per row, and reads look states up one digest at a time.  The grain
-is one phase, not one wave: ``resume`` keys on the ``running`` marks, so
-they must be durable before the work starts, and a wave-long transaction
-would hold the write lock that other submitter processes wait on.
+(``open_round``, ``mark_running``, ``mark_done``, ``mark_failed``,
+``mark_quarantined``) take every device of the phase and run one statement
+per table over all their rows (``executemany``); ``open_round`` and
+``mark_done`` first insert the states the store does not hold yet.
+``open_round`` writes the new states, the device registrations, the round
+row and its pending device rows together, so a round exists with all of
+its device rows or not at all.  A gateway wave therefore commits three
+times (open, wave running, wave done).  No statement's parameter count
+depends on the round's size: every statement runs per row, and reads look
+states up one digest at a time.  The grain is one phase, not one wave:
+``resume`` keys on the ``running`` marks, so they must be durable before
+the work starts, and a wave-long transaction would hold the write lock
+that other submitter processes wait on.
 
 The statements run in the deferred transaction that :mod:`sqlite3` opens
 implicitly before the first write (a plain ``BEGIN``), and
@@ -62,9 +66,10 @@ only an uncommitted WAL tail, which the next opener ignores.
 
 A file's layout is stamped in ``PRAGMA user_version``.  Opening a file of
 another layout (version 0 with tables: the earlier layout that kept state
-blobs inline in ``device_rounds``; or an unknown version) raises
-:class:`StoreError` and leaves the file as it was.  There is no migration:
-drain open rounds before upgrading, then start a new file.
+blobs inline in ``device_rounds``; version 1, whose rounds kept a status
+column of their own; or an unknown version) raises :class:`StoreError` and
+leaves the file as it was.  There is no migration: drain open rounds with
+the build that wrote the file, then start a new file.
 
 Numpy state travels as pickled blobs: pickling preserves dtype, shape and
 byte-exact contents, which the bit-identity contract requires (JSON would
@@ -91,20 +96,13 @@ __all__ = [
 
 #: Ordered lifecycle of one device inside one round.
 DEVICE_STATUSES = ("pending", "running", "done", "quarantined")
-#: Lifecycle of a round as a whole.
-ROUND_STATUSES = ("submitted", "running", "done")
 #: Layout version stamped into ``PRAGMA user_version``; a file carrying any
 #: other version, or version 0 with tables in it, is refused.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: One mutating statement: SQL text and the parameter rows it runs over.  A
 #: sequence, never a one-shot iterator: a retried commit replays it.
 _Statement = Tuple[str, Sequence[Tuple[Any, ...]]]
-
-_QUARANTINE_SQL = (
-    "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ? "
-    "WHERE device_id = ?"
-)
 
 
 def _blob(value: Any) -> bytes:
@@ -113,13 +111,11 @@ def _blob(value: Any) -> bytes:
 
 @dataclass
 class RoundRecord:
-    """One ``rounds`` row: a submitted calibration round and its progress."""
+    """One ``rounds`` row: a submitted calibration round."""
 
     round_id: int
-    status: str
     num_devices: int
     created_at: str
-    updated_at: str
 
 
 @dataclass
@@ -154,10 +150,8 @@ _SCHEMA = (
 )""",
     """CREATE TABLE rounds (
     round_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-    status      TEXT NOT NULL DEFAULT 'submitted',
     num_devices INTEGER NOT NULL,
-    created_at  TEXT NOT NULL,
-    updated_at  TEXT NOT NULL
+    created_at  TEXT NOT NULL
 )""",
     """CREATE TABLE states (
     digest TEXT PRIMARY KEY,
@@ -303,18 +297,15 @@ class DeviceStateStore:
         self.close()
 
     # ---------------------------------------------------------------- devices
-    def register_devices(self, device_ids: Sequence[str]) -> None:
-        """Idempotently ensure each device has a row (keeps quarantine state)."""
-        now = utcnow()
-        self._execute((
-            "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
-            "ON CONFLICT(device_id) DO NOTHING",
-            [(device_id, now) for device_id in device_ids],
-        ))
-
     def quarantine_device(self, device_id: str, error: str) -> None:
-        """Mark a device quarantined, persisting its last traceback."""
-        self._execute((_QUARANTINE_SQL, [(error, utcnow(), device_id)]))
+        """Mark a device quarantined, persisting its last traceback; a device
+        no round has registered yet gets its row here, in the same commit."""
+        self._execute((
+            "INSERT INTO devices (device_id, quarantined, last_error, updated_at)"
+            " VALUES (?, 1, ?, ?) ON CONFLICT(device_id) DO UPDATE SET quarantined = 1,"
+            " last_error = excluded.last_error, updated_at = excluded.updated_at",
+            [(device_id, error, utcnow())],
+        ))
 
     def release_device(self, device_id: str) -> None:
         """Lift a quarantine (operator action after fixing the device)."""
@@ -332,27 +323,49 @@ class DeviceStateStore:
         return {row["device_id"]: row["last_error"] or "" for row in rows}
 
     # ----------------------------------------------------------------- rounds
-    def create_round(self, device_ids: List[str]) -> int:
-        """Open a round covering ``device_ids``; returns the new round id."""
-        if not device_ids:
+    def open_round(self, starts: Mapping[str, Tuple[str, str, Any]]) -> int:
+        """Open a round with one pending row per device; returns its id.
+
+        ``starts`` maps each device id to ``(state_digest, pool_digest,
+        snapshot)``; the snapshot is the round-start state every retry and
+        resume restores to, stored under ``state_digest`` unless the store
+        already holds that digest.  The new states, the device
+        registrations (a device's existing row, quarantine included, is
+        kept), the round row and its device rows land in one commit, so a
+        failed write leaves nothing behind.
+        """
+        if not starts:
             raise ValueError("a round needs at least one device")
         now = utcnow()
-        self._execute((
-            "INSERT INTO rounds (status, num_devices, created_at, updated_at) "
-            "VALUES ('submitted', ?, ?, ?)",
-            [(len(device_ids), now, now)],
-        ))
-        # executemany leaves Cursor.lastrowid unset; the connection keeps it.
-        return int(self._conn.execute("SELECT last_insert_rowid()").fetchone()[0])
-
-    def set_round_status(self, round_id: int, status: str) -> None:
-        """Move a round through submitted → running → done."""
-        if status not in ROUND_STATUSES:
-            raise ValueError(f"unknown round status {status!r}; expected one of {ROUND_STATUSES}")
-        self._execute((
-            "UPDATE rounds SET status = ?, updated_at = ? WHERE round_id = ?",
-            [(status, utcnow(), round_id)],
-        ))
+        self._execute(
+            *self._insert_states(
+                {state_digest: snapshot for state_digest, _, snapshot in starts.values()}
+            ),
+            (
+                "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
+                "ON CONFLICT(device_id) DO NOTHING",
+                [(device_id, now) for device_id in starts],
+            ),
+            (
+                "INSERT INTO rounds (num_devices, created_at) VALUES (?, ?)",
+                [(len(starts), now)],
+            ),
+            # The commit holds the write lock from its first insert, so the
+            # newest round is the one just inserted.
+            (
+                "INSERT INTO device_rounds (round_id, device_id, state_digest,"
+                " pool_digest, updated_at)"
+                " VALUES ((SELECT MAX(round_id) FROM rounds), ?, ?, ?, ?)",
+                [
+                    (device_id, state_digest, pool_digest, now)
+                    for device_id, (state_digest, pool_digest, _) in starts.items()
+                ],
+            ),
+        )
+        # last_insert_rowid() is this connection's last device row.
+        return int(self._conn.execute(
+            "SELECT round_id FROM device_rounds WHERE rowid = last_insert_rowid()"
+        ).fetchone()[0])
 
     def get_round(self, round_id: int) -> RoundRecord:
         """The round's durable record; ``KeyError`` if unknown."""
@@ -363,10 +376,8 @@ class DeviceStateStore:
             raise KeyError(f"unknown round {round_id}")
         return RoundRecord(
             round_id=row["round_id"],
-            status=row["status"],
             num_devices=row["num_devices"],
             created_at=row["created_at"],
-            updated_at=row["updated_at"],
         )
 
     def list_rounds(self) -> List[RoundRecord]:
@@ -375,40 +386,15 @@ class DeviceStateStore:
         return [self.get_round(row["round_id"]) for row in rows]
 
     def unfinished_rounds(self) -> List[int]:
-        """Round ids whose status is not ``done`` (crash-recovery entry point)."""
+        """Ids of the rounds with a pending or running device row
+        (crash-recovery entry point)."""
         rows = self._conn.execute(
-            "SELECT round_id FROM rounds WHERE status != 'done' ORDER BY round_id"
+            "SELECT DISTINCT round_id FROM device_rounds"
+            " WHERE status IN ('pending', 'running') ORDER BY round_id"
         ).fetchall()
         return [int(row["round_id"]) for row in rows]
 
     # ---------------------------------------------------------- device rounds
-    def init_device_rounds(
-        self, round_id: int, starts: Mapping[str, Tuple[str, str, Any]]
-    ) -> None:
-        """Create the round's pending rows, one per device, in one commit.
-
-        ``starts`` maps each device id to ``(state_digest, pool_digest,
-        snapshot)``; the snapshot is the round-start state every retry and
-        resume restores to, stored under ``state_digest`` unless the store
-        already holds that digest.  The rows land all or none, so a failed
-        write never leaves a round holding only some of its devices.
-        """
-        now = utcnow()
-        self._execute(
-            *self._insert_states(
-                {state_digest: snapshot for state_digest, _, snapshot in starts.values()}
-            ),
-            (
-                "INSERT OR REPLACE INTO device_rounds "
-                "(round_id, device_id, status, attempts, state_digest, pool_digest,"
-                " updated_at) VALUES (?, ?, 'pending', 0, ?, ?, ?)",
-                [
-                    (round_id, device_id, state_digest, pool_digest, now)
-                    for device_id, (state_digest, pool_digest, _) in starts.items()
-                ],
-            ),
-        )
-
     def mark_running(self, round_id: int, device_ids: Sequence[str]) -> None:
         """Move the devices to ``running`` and count the attempt.  A row found
         in ``running`` on resume is, by construction, an interrupted attempt."""
@@ -462,7 +448,11 @@ class DeviceStateStore:
                 " updated_at = ? WHERE round_id = ? AND device_id = ?",
                 [(error, now, round_id, device_id) for device_id, error in errors.items()],
             ),
-            (_QUARANTINE_SQL, [(error, now, device_id) for device_id, error in errors.items()]),
+            (
+                "UPDATE devices SET quarantined = 1, last_error = ?, updated_at = ?"
+                " WHERE device_id = ?",
+                [(error, now, device_id) for device_id, error in errors.items()],
+            ),
         )
 
     def get_device_round(self, round_id: int, device_id: str) -> DeviceRoundRecord:

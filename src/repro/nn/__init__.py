@@ -31,16 +31,11 @@ from repro.nn.layers import (
     Conv2d,
     BatchNorm,
     ReLU,
-    LeakyReLU,
-    Tanh,
-    Sigmoid,
     Dropout,
     Flatten,
     GlobalAvgPool1d,
     GlobalAvgPool2d,
-    MaxPool1d,
     MaxPool2d,
-    Identity,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss, Loss
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -59,16 +54,11 @@ __all__ = [
     "Conv2d",
     "BatchNorm",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "Dropout",
     "Flatten",
     "GlobalAvgPool1d",
     "GlobalAvgPool2d",
-    "MaxPool1d",
     "MaxPool2d",
-    "Identity",
     "CrossEntropyLoss",
     "MSELoss",
     "Loss",

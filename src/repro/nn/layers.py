@@ -35,16 +35,6 @@ def _validate_channels(in_channels: int, out_channels: int) -> None:
         raise ValueError(f"out_channels must be positive, got {out_channels}")
 
 
-class Identity(Module):
-    """Pass-through layer (useful as a default shortcut in residual blocks)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output
-
-
 class Dense(Module):
     """Fully connected layer ``y = x @ W + b``.
 
@@ -424,58 +414,6 @@ class ReLU(Module):
         return grad_output * self._mask
 
 
-class LeakyReLU(Module):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward on LeakyReLU")
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation (used inside the bit-flipping network)."""
-
-    def __init__(self):
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Tanh")
-        return grad_output * (1.0 - self._output ** 2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self):
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-runtime.asarray(x)))
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Sigmoid")
-        return grad_output * self._output * (1.0 - self._output)
-
-
 class Dropout(Module):
     """Inverted dropout; disabled in evaluation mode."""
 
@@ -556,43 +494,6 @@ class GlobalAvgPool2d(Module):
         h, w = self._hw
         expanded = grad_output[:, :, None, None] / (h * w)
         return np.broadcast_to(expanded, grad_output.shape + (h, w)).copy()
-
-
-class MaxPool1d(Module):
-    """Non-overlapping max pooling over the length axis of ``(N, C, L)`` inputs."""
-
-    def __init__(self, pool_size: int = 2):
-        super().__init__()
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        self.pool_size = pool_size
-        self._cache: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError(f"MaxPool1d expected (N, C, L), got {x.shape}")
-        n, c, length = x.shape
-        out_len = length // self.pool_size
-        if out_len == 0:
-            raise ValueError(
-                f"input length {length} is shorter than pool size {self.pool_size}"
-            )
-        trimmed = x[:, :, : out_len * self.pool_size]
-        windows = trimmed.reshape(n, c, out_len, self.pool_size)
-        argmax = windows.argmax(axis=3)
-        self._cache = (x.shape, out_len, argmax)
-        return windows.max(axis=3)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward on MaxPool1d")
-        input_shape, out_len, argmax = self._cache
-        n, c, _ = input_shape
-        windows = np.zeros((n, c, out_len, self.pool_size), dtype=grad_output.dtype)
-        np.put_along_axis(windows, argmax[..., None], grad_output[..., None], axis=3)
-        grad_input = np.zeros(input_shape, dtype=grad_output.dtype)
-        grad_input[:, :, : out_len * self.pool_size] = windows.reshape(n, c, -1)
-        return grad_input
 
 
 class MaxPool2d(Module):

@@ -64,6 +64,11 @@ def _double(payload, item):
     return payload * item
 
 
+def _return_a_lambda(payload, item):
+    """Module-level work function whose result does not pickle."""
+    return lambda: item
+
+
 def _fail_on_three(payload, item):
     if item == 3:
         raise ValueError(f"cannot process {item}")
@@ -508,6 +513,18 @@ class TestWorkerFailureSurfacing:
         assert excinfo.value.__cause__ is not None
         spec, _ = excinfo.value.item
         assert spec.method == "BOOM"
+
+    @pytest.mark.timeout(60)
+    def test_unpicklable_result_is_named_not_reported_as_a_death(self):
+        """A result that does not pickle cannot travel back: the worker
+        reports that, with its traceback, instead of dying on the send."""
+        with pytest.raises(WorkerError) as excinfo:
+            map_in_workers(_return_a_lambda, None, [1, 2], workers=2, mp_context="spawn")
+        message = str(excinfo.value)
+        assert "could not return the result" in message
+        assert "pickle" in message and "died" not in message
+        assert "conn.send(outcome)" in excinfo.value.worker_traceback
+        assert excinfo.value.item == 1
 
 
 class TestEvaluatorReuse:

@@ -11,6 +11,8 @@ bit-identical at float64 to the raw batched calibrator.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -197,7 +199,6 @@ class TestAdmission:
     def test_quarantined_device_rejected(self, packaged):
         deployment, target = packaged
         store = DeviceStateStore()
-        store.register_devices(["device-0"])
         store.quarantine_device("device-0", "flaky sensor")
         gateway = _gateway(_fleet(deployment), ManualClock(), store=store)
         result = gateway.offer(
@@ -362,7 +363,6 @@ class TestQuarantine:
             gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
         store = gateway.service.store
         operator = store if quarantiner == "gateway_store" else DeviceStateStore(path)
-        operator.register_devices(["device-0"])
         operator.quarantine_device("device-0", "operator: sensor fault")
         if operator is not store:
             operator.close()
@@ -391,7 +391,6 @@ class TestQuarantine:
         for device_id in fleet.ids:
             gateway.offer(DeviceReport(device_id=device_id, seq=0, pool=pools[device_id]))
         store = gateway.service.store
-        store.register_devices(fleet.ids)
         for device_id in fleet.ids:
             store.quarantine_device(device_id, "operator: recall")
         logs = gateway.pump()
@@ -449,6 +448,18 @@ class TestBitIdentity:
         assert len(gateway._snapshots) == NUM_DEVICES
 
 
+#: The store's round-path statements, each named by its SQL up to the first
+#: column list or comma (``_statement``).
+STATES, DEVICES = "INSERT INTO states", "INSERT INTO devices"
+ROUNDS, DEVICE_ROUNDS = "INSERT INTO rounds", "INSERT INTO device_rounds"
+RUNNING = "UPDATE device_rounds SET status = 'running'"
+DONE = "UPDATE device_rounds SET status = 'done'"
+
+
+def _statement(sql: str) -> str:
+    return re.split(r" \(|,", sql)[0]
+
+
 class TestStoreCommits:
     @staticmethod
     def _counted_wave(monkeypatch, gateway, target, wave):
@@ -461,7 +472,7 @@ class TestStoreCommits:
         execute, blob = DeviceStateStore._execute, store_module._blob
 
         def counted(self, *statements):
-            commits.append([sql.split(" (")[0] for sql, _ in statements])
+            commits.append([_statement(sql) for sql, _ in statements])
             pickles.append(len(pickled) - sum(pickles))
             return execute(self, *statements)
 
@@ -481,11 +492,11 @@ class TestStoreCommits:
     def test_one_gateway_round_commits_once_per_phase(
         self, packaged, tmp_path, monkeypatch, num_devices
     ):
-        """A round writes each phase in one commit whatever its size:
-        register, round row, device rows, round running, wave running, wave
-        done, round done.  Each statement is one ``before_write``.  On a new
-        store the device-row and done commits first store the states they
-        name, each distinct state once: the replicas start identical."""
+        """A round writes each phase in one commit whatever its size: open
+        (states, registrations, round row, device rows), wave running, wave
+        done.  Each statement is one ``before_write``.  On a new store the
+        open and done commits first store the states they name, each
+        distinct state once: the replicas start identical."""
         deployment, target = packaged
         fleet = Fleet.replicate(deployment, num_devices, seed=0)
         config = GatewayConfig(lease_s=LEASE_S, queue_max=num_devices, max_batch=num_devices)
@@ -493,26 +504,52 @@ class TestStoreCommits:
         gateway = _gateway(fleet, ManualClock(), store=store, config=config)
         commits, pickles = self._counted_wave(monkeypatch, gateway, target, 0)
         assert gateway.stats.completed_reports == num_devices
-        assert [len(commit) for commit in commits] == [1, 1, 2, 1, 1, 2, 1]
-        assert commits[2] == ["INSERT INTO states", "INSERT OR REPLACE INTO device_rounds"]
-        assert commits[5][0] == "INSERT INTO states"
-        assert pickles[2] == 1
+        assert commits == [
+            [STATES, DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]
+        ]
+        assert pickles[0] == 1
         gateway.close()
 
     def test_next_wave_submit_writes_no_state(self, packaged, tmp_path, monkeypatch):
         """The second wave's snapshots are the first wave's results, which
-        the store already holds: its submit pickles nothing and writes
-        device rows only."""
+        the store already holds: its open pickles nothing and writes no
+        state."""
         deployment, target = packaged
         gateway = _gateway(
             _fleet(deployment), ManualClock(), store=DeviceStateStore(tmp_path / "fleet.sqlite")
         )
         self._counted_wave(monkeypatch, gateway, target, 0)
         commits, pickles = self._counted_wave(monkeypatch, gateway, target, 1)
-        assert len(commits) == 7
-        assert commits[2] == ["INSERT OR REPLACE INTO device_rounds"]
-        assert pickles[2] == 0
+        assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]]
+        assert pickles[0] == 0
         gateway.close()
+
+    def test_lease_quarantine_is_one_commit(self, packaged, tmp_path, monkeypatch):
+        """A device whose report was never dispatched stays quiet through
+        its requeue: its quarantine registers it in the same commit, and
+        survives a reopen of the store file."""
+        deployment, target = packaged
+        path = tmp_path / "fleet.sqlite"
+        clock = ManualClock()
+        gateway = _gateway(_fleet(deployment), clock, store=DeviceStateStore(path))
+        gateway.offer(DeviceReport(device_id="device-0", seq=0, pool=_pool(target, 0)))
+        clock.advance(LEASE_S + 1.0)
+        gateway.tick()  # requeue
+        commits, execute = [], DeviceStateStore._execute
+
+        def counted(self, *statements):
+            commits.append([_statement(sql) for sql, _ in statements])
+            return execute(self, *statements)
+
+        monkeypatch.setattr(DeviceStateStore, "_execute", counted)
+        log = gateway.tick()  # still silent: quarantine
+        monkeypatch.undo()
+        assert log is not None and log.quarantined == ["device-0"]
+        assert commits == [[DEVICES]]
+        gateway.close()
+        with DeviceStateStore(path) as reopened:
+            assert list(reopened.quarantined_devices()) == ["device-0"]
+            assert reopened.list_rounds() == []
 
 
 class TestEnvKnobs:

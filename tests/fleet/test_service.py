@@ -219,7 +219,6 @@ class TestHappyPath:
             service.submit(pools, device_ids=["device-0", "device-0"])
         with pytest.raises(KeyError, match="ghost"):
             service.submit(pools, device_ids=["device-0", "ghost"])
-        service.store.register_devices(["device-1"])
         service.store.quarantine_device("device-1", "flaky sensor")
         with pytest.raises(ValueError, match="release them first"):
             service.submit(pools, device_ids=["device-0", "device-1"])
@@ -231,7 +230,6 @@ class TestHappyPath:
         data, _, deployment = packaged
         fleet = _fleet(deployment)
         service = FleetService(fleet)
-        service.store.register_devices(fleet.ids)
         for device_id in fleet.ids:
             service.store.quarantine_device(device_id, "recalled")
         with pytest.raises(ValueError, match="no eligible devices"):
@@ -569,7 +567,7 @@ class TestResume:
         assert outcomes[0].quarantined == {}
         assert fleet_b.codes_digests() == golden
         status = service_b.poll(round_id)
-        assert status.done and status.status == "done"
+        assert status.done
         # Interrupted attempts count: resume is attempt 2 for every device.
         assert all(
             attempts == 2 for attempts in status.attempts.values()
@@ -643,58 +641,38 @@ class TestResume:
         service.drain(round_id, pools)
         assert fleet.codes_digests() == golden
 
-    def test_resume_closes_a_round_without_device_rows(self, packaged, tmp_path):
-        """A submitter that died between ``create_round`` and its first
-        ``init_device_rounds`` left a round with nothing to drain."""
-        data, _, deployment = packaged
-        path = tmp_path / "fleet.db"
-        with DeviceStateStore(path) as store:
-            empty = store.create_round(list(DEVICE_IDS))
-        fleet = _fleet(deployment)
-        before = fleet.codes_digests()
-        service = FleetService(fleet, store=DeviceStateStore(path))
-        assert service.resume(_pools(data, fleet.ids)) == []
-        assert service.store.get_round(empty).status == "done"
-        assert service.store.unfinished_rounds() == []
-        assert fleet.codes_digests() == before
-        service.close()
-
-    @pytest.mark.parametrize("first_failing", ["first", "second", "last"])
-    def test_failed_submit_leaves_no_partial_round(self, packaged, golden, first_failing):
-        """Device-row writes fail from the ``first_failing`` one on, past
-        the store's retries.  The round then holds all of its device rows
-        or none, and ``resume`` leaves every device at its state before the
-        round or at the golden state after it, never a subset drained as
-        if it were the whole round."""
+    @pytest.mark.parametrize(
+        "failing", ["INTO states", "INTO devices", "INTO rounds", "INTO device_rounds"]
+    )
+    def test_failed_submit_leaves_no_partial_round(self, packaged, golden, failing):
+        """One of the statements that open a round fails past the store's
+        retries: ``submit`` raises and leaves no round, device registration
+        or state behind, ``resume`` touches no device, and the same submit
+        then runs to the golden codes."""
         data, _, deployment = packaged
         fleet = _fleet(deployment)
         before = fleet.codes_digests()
         pools = _pools(data, fleet.ids)
         service = FleetService(fleet, store=DeviceStateStore(retry_sleep=0.0))
-        fail_from = {"first": 1, "second": 2, "last": NUM_DEVICES}[first_failing]
-        device_row_writes = []
 
-        def fail_device_rows(sql):
-            if "INTO device_rounds" in sql:
-                device_row_writes.append(sql)
-                if len(device_row_writes) >= fail_from:
-                    raise sqlite3.OperationalError("injected: disk I/O error")
+        def fail(sql):
+            if failing + " (" in sql:
+                raise sqlite3.OperationalError("injected: disk I/O error")
 
-        service.store.before_write = fail_device_rows
-        try:
+        service.store.before_write = fail
+        with pytest.raises(StoreError):
             service.submit(pools)
-        except StoreError:
-            raised = True
-        else:
-            raised = False
         service.store.before_write = None
-        (record,) = service.store.list_rounds()
-        rows = service.store.device_rounds(record.round_id)
-        assert len(rows) == (0 if raised else record.num_devices)
+        assert service.store.list_rounds() == []
+        for table in ("devices", "states"):
+            assert service.store._conn.execute(
+                f"SELECT COUNT(*) FROM {table}"
+            ).fetchone()[0] == 0
+        assert service.resume(pools) == []
+        assert fleet.codes_digests() == before
 
-        service.resume(pools)
-        assert service.store.unfinished_rounds() == []
-        assert fleet.codes_digests() == (before if raised else golden)
+        _drain_round(service, pools)
+        assert fleet.codes_digests() == golden
 
 
 class TestRetryPolicy:

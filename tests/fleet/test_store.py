@@ -38,10 +38,8 @@ def _write_rounds(path, writer, rounds):
     with DeviceStateStore(path) as store:
         for index in itertools.count() if rounds is None else range(rounds):
             device_id = f"w{writer}-d{index}"
-            store.register_devices([device_id])
-            round_id = store.create_round([device_id])
-            store.init_device_rounds(
-                round_id, {device_id: (_digest(index), "pool", _snapshot(index))}
+            round_id = store.open_round(
+                {device_id: (_digest(index), "pool", _snapshot(index))}
             )
             store.mark_running(round_id, [device_id])
             store.mark_done(
@@ -59,8 +57,8 @@ def _done_rows(path):
 
 def _assert_consistent(path):
     """What any store file must satisfy, however its writers ended: every
-    digest a row names resolves to a ``states`` row, and every ``done`` row
-    has a result and stats."""
+    round has device rows, every digest a row names resolves to a
+    ``states`` row, and every ``done`` row has a result and stats."""
     with contextlib.closing(sqlite3.connect(path)) as conn:
         assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
         references = {
@@ -72,6 +70,10 @@ def _assert_consistent(path):
         } <= references
         assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
         assert conn.execute(
+            "SELECT COUNT(*) FROM rounds"
+            " WHERE round_id NOT IN (SELECT round_id FROM device_rounds)"
+        ).fetchone()[0] == 0
+        assert conn.execute(
             "SELECT COUNT(*) FROM device_rounds WHERE status = 'done' AND (stats IS NULL"
             " OR result_digest IS NULL"
             " OR result_digest NOT IN (SELECT digest FROM states))"
@@ -81,15 +83,10 @@ def _assert_consistent(path):
 class TestLifecycle:
     def test_round_and_device_round_lifecycle(self):
         with DeviceStateStore() as store:
-            store.register_devices(["d0", "d1"])
-            round_id = store.create_round(["d0", "d1"])
-            assert store.get_round(round_id).status == "submitted"
-            assert store.get_round(round_id).num_devices == 2
-
-            store.init_device_rounds(
-                round_id,
+            round_id = store.open_round(
                 {device_id: ("digest-a", "pool-a", _snapshot()) for device_id in ("d0", "d1")},
             )
+            assert store.get_round(round_id).num_devices == 2
             rows = store.device_rounds(round_id)
             assert [row.device_id for row in rows] == ["d0", "d1"]
             assert all(row.status == "pending" and row.attempts == 0 for row in rows)
@@ -109,9 +106,7 @@ class TestLifecycle:
 
     def test_attempts_accumulate_across_retries(self):
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
-            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            round_id = store.open_round({"d0": ("x", "y", None)})
             for _ in range(3):
                 store.mark_running(round_id, ["d0"])
                 store.mark_failed(round_id, {"d0": "boom"})
@@ -122,9 +117,7 @@ class TestLifecycle:
 
     def test_mark_done_clears_last_error(self):
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
-            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            round_id = store.open_round({"d0": ("x", "y", None)})
             store.mark_running(round_id, ["d0"])
             store.mark_failed(round_id, {"d0": "first attempt blew up"})
             store.mark_running(round_id, ["d0"])
@@ -132,15 +125,22 @@ class TestLifecycle:
             assert store.get_device_round(round_id, "d0").last_error is None
 
     def test_unfinished_rounds_and_status_transitions(self):
+        """A round is unfinished while one of its device rows is pending or
+        running; done and quarantined rows both finish it."""
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
-            first = store.create_round(["d0"])
-            second = store.create_round(["d0"])
+            first = store.open_round({"d0": ("x", "y", None)})
+            second = store.open_round({"d0": ("x", "y", None), "d1": ("x", "y", None)})
             assert store.unfinished_rounds() == [first, second]
-            store.set_round_status(first, "done")
+            store.mark_running(first, ["d0"])
+            assert store.unfinished_rounds() == [first, second]
+            store.mark_done(first, {"d0": ("x", None, None)})
             assert store.unfinished_rounds() == [second]
-            with pytest.raises(ValueError, match="unknown round status"):
-                store.set_round_status(second, "exploded")
+            store.mark_running(second, ["d0", "d1"])
+            store.mark_failed(second, {"d1": "boom"})
+            store.mark_done(second, {"d0": ("x", None, None)})
+            assert store.unfinished_rounds() == [second]
+            store.mark_quarantined(second, {"d1": "boom"})
+            assert store.unfinished_rounds() == []
 
     def test_validation_errors(self):
         with DeviceStateStore() as store:
@@ -149,7 +149,7 @@ class TestLifecycle:
             with pytest.raises(KeyError):
                 store.get_device_round(1, "ghost")
             with pytest.raises(ValueError, match="at least one device"):
-                store.create_round([])
+                store.open_round({})
             with pytest.raises(ValueError):
                 DeviceStateStore(write_retries=0)
 
@@ -159,10 +159,8 @@ class TestSnapshotRoundTrip:
         """Pickled blobs must round-trip numpy state losslessly — the
         bit-identity contract forbids any decimal-text detour."""
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
             snapshot = _snapshot(7)
-            store.init_device_rounds(round_id, {"d0": ("x", "y", snapshot)})
+            round_id = store.open_round({"d0": ("x", "y", snapshot)})
             loaded = store.get_device_round(round_id, "d0").snapshot
             assert loaded["codes"].dtype == snapshot["codes"].dtype
             np.testing.assert_array_equal(loaded["codes"], snapshot["codes"])
@@ -177,10 +175,8 @@ class TestContentAddressedStates:
     def test_identical_states_are_stored_and_loaded_once(self):
         devices = [f"d{k}" for k in range(5)]
         with DeviceStateStore() as store:
-            store.register_devices(devices)
-            round_id = store.create_round(devices)
-            store.init_device_rounds(
-                round_id, {device_id: (_digest(0), "pool", _snapshot(0)) for device_id in devices}
+            round_id = store.open_round(
+                {device_id: (_digest(0), "pool", _snapshot(0)) for device_id in devices}
             )
             assert _state_count(store) == 1
             store.mark_running(round_id, devices)
@@ -198,9 +194,7 @@ class TestContentAddressedStates:
         """The next round starts from the last round's results: its submit
         finds every state stored and writes its device rows alone."""
         with DeviceStateStore() as store:
-            store.register_devices(["d0", "d1"])
-            first = store.create_round(["d0", "d1"])
-            store.init_device_rounds(first, {
+            first = store.open_round({
                 "d0": (_digest(0), "pool", _snapshot(0)),
                 "d1": (_digest(1), "pool", _snapshot(1)),
             })
@@ -217,14 +211,13 @@ class TestContentAddressedStates:
                 store_module, "_blob", lambda value: pickled.append(value) or blob(value)
             )
             store.before_write = writes.append
-            second = store.create_round(["d0", "d1"])
-            store.init_device_rounds(second, {
+            second = store.open_round({
                 "d0": (_digest(2), "pool", _snapshot(2)),
                 "d1": (_digest(0), "pool", _snapshot(0)),
             })
             assert pickled == []
-            assert [sql.split(" (")[0] for sql in writes[1:]] == [
-                "INSERT OR REPLACE INTO device_rounds"
+            assert [sql.split(" (")[0] for sql in writes] == [
+                "INSERT INTO devices", "INSERT INTO rounds", "INSERT INTO device_rounds"
             ]
             assert _state_count(store) == 3
             rows = store.device_rounds(second)
@@ -236,10 +229,7 @@ class TestContentAddressedStates:
         devices = [f"d{k}" for k in range(20)]
         with DeviceStateStore() as store:
             store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 8)
-            store.register_devices(devices)
-            round_id = store.create_round(devices)
-            store.init_device_rounds(
-                round_id,
+            round_id = store.open_round(
                 {
                     device_id: (_digest(k), "pool", _snapshot(k))
                     for k, device_id in enumerate(devices)
@@ -286,6 +276,36 @@ class TestLayoutVersion:
     INSERT INTO device_rounds VALUES (1, 'd0', 'running', 1, 's', 'p', NULL, x'00',
         NULL, NULL, 'then');
     """
+    #: Layout 1, whose rounds kept a status column beside their device rows.
+    LAYOUT_1_DDL = """
+    CREATE TABLE devices (device_id TEXT PRIMARY KEY, quarantined INTEGER NOT NULL
+        DEFAULT 0, last_error TEXT, updated_at TEXT NOT NULL);
+    CREATE TABLE rounds (round_id INTEGER PRIMARY KEY AUTOINCREMENT, status TEXT
+        NOT NULL DEFAULT 'submitted', num_devices INTEGER NOT NULL, created_at TEXT
+        NOT NULL, updated_at TEXT NOT NULL);
+    CREATE TABLE states (digest TEXT PRIMARY KEY, state BLOB NOT NULL);
+    CREATE TABLE device_rounds (round_id INTEGER NOT NULL REFERENCES rounds(round_id),
+        device_id TEXT NOT NULL REFERENCES devices(device_id), status TEXT NOT NULL
+        DEFAULT 'pending', attempts INTEGER NOT NULL DEFAULT 0, state_digest TEXT
+        NOT NULL REFERENCES states(digest), pool_digest TEXT NOT NULL, result_digest
+        TEXT REFERENCES states(digest), last_error TEXT, stats BLOB, updated_at TEXT
+        NOT NULL, PRIMARY KEY (round_id, device_id));
+    CREATE INDEX idx_device_rounds_status ON device_rounds (round_id, status);
+    INSERT INTO devices VALUES ('d0', 0, NULL, 'then');
+    INSERT INTO rounds VALUES (1, 'running', 1, 'then', 'then');
+    INSERT INTO states VALUES ('s', x'00');
+    INSERT INTO device_rounds VALUES (1, 'd0', 'running', 1, 's', 'p', NULL, NULL,
+        NULL, 'then');
+    PRAGMA user_version = 1;
+    """
+
+    @staticmethod
+    def _layout(path):
+        """The file's stamped version and its schema, as SQLite reads them."""
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+            schema = conn.execute("SELECT sql FROM sqlite_master ORDER BY name").fetchall()
+        return version, schema
 
     @staticmethod
     def _build(path, script):
@@ -301,9 +321,9 @@ class TestLayoutVersion:
         with contextlib.closing(sqlite3.connect(path)) as conn:
             assert conn.execute("PRAGMA user_version").fetchone() == (SCHEMA_VERSION,)
         with DeviceStateStore(path) as store:  # and opens again
-            store.register_devices(["d0"])
+            store.open_round({"d0": ("x", "y", None)})
 
-    @pytest.mark.parametrize("layout", ["inline_blobs", "unknown_version"])
+    @pytest.mark.parametrize("layout", ["inline_blobs", "layout_1", "unknown_version"])
     def test_another_layout_is_refused_untouched(self, tmp_path, layout):
         """Opening a file of another layout raises, naming the file, before
         any round could fail inside ``mark_done`` (where a missing column is
@@ -311,24 +331,21 @@ class TestLayoutVersion:
         path = tmp_path / "fleet.db"
         script = {
             "inline_blobs": self.INLINE_BLOB_DDL,
+            "layout_1": self.LAYOUT_1_DDL,
             "unknown_version": f"PRAGMA user_version = {SCHEMA_VERSION + 1};",
         }[layout]
         self._build(path, script)
-        before = path.read_bytes()
+        before, layout_before = path.read_bytes(), self._layout(path)
         with pytest.raises(StoreError, match=re.escape(str(path))):
             DeviceStateStore(path)
         assert path.read_bytes() == before
-        with contextlib.closing(sqlite3.connect(path)) as conn:
-            tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
-        assert "states" not in tables
+        assert self._layout(path) == layout_before
 
 
 class TestQuarantine:
     def test_quarantine_and_release(self):
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
-            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            round_id = store.open_round({"d0": ("x", "y", None)})
             store.mark_quarantined(round_id, {"d0": "Traceback: kaboom"})
             assert store.quarantined_devices() == {"d0": "Traceback: kaboom"}
             assert store.get_device_round(round_id, "d0").status == "quarantined"
@@ -340,13 +357,11 @@ class TestQuarantine:
         outlive the process (simulated by close + reopen)."""
         path = tmp_path / "fleet.db"
         with DeviceStateStore(path) as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
-            store.init_device_rounds(round_id, {"d0": ("x", "y", _snapshot())})
+            round_id = store.open_round({"d0": ("x", "y", _snapshot())})
             store.mark_quarantined(round_id, {"d0": "poisoned"})
         with DeviceStateStore(path) as reopened:
             assert reopened.quarantined_devices() == {"d0": "poisoned"}
-            assert reopened.unfinished_rounds() == [round_id]
+            assert reopened.unfinished_rounds() == []
             row = reopened.get_device_round(round_id, "d0")
             assert row.status == "quarantined"
             np.testing.assert_array_equal(
@@ -354,21 +369,21 @@ class TestQuarantine:
             )
 
     def test_register_preserves_quarantine(self):
+        """Quarantining a device no round has named yet registers it; opening
+        a round keeps an existing device row, quarantine and error included."""
         with DeviceStateStore() as store:
-            store.register_devices(["d0"])
             store.quarantine_device("d0", "bad")
-            store.register_devices(["d0", "d1"])
+            store.open_round({"d0": ("x", "y", None), "d1": ("x", "y", None)})
             assert store.quarantined_devices() == {"d0": "bad"}
-            assert "d0" in store.quarantined_devices()
+            store.quarantine_device("d0", "worse")
+            assert store.quarantined_devices() == {"d0": "worse"}
 
     def test_mark_quarantined_is_one_commit(self):
         """A failed ``devices`` update must roll back the round row too:
         otherwise the round says quarantined while the next submit would
         re-admit the device."""
         with DeviceStateStore(write_retries=2, retry_sleep=0.0) as store:
-            store.register_devices(["d0"])
-            round_id = store.create_round(["d0"])
-            store.init_device_rounds(round_id, {"d0": ("x", "y", None)})
+            round_id = store.open_round({"d0": ("x", "y", None)})
 
             def fail_devices_update(sql):
                 if sql.startswith("UPDATE devices"):
@@ -397,11 +412,11 @@ class TestWriteRetry:
                     raise sqlite3.OperationalError("injected: database is locked")
 
             store.before_write = flaky
-            store.register_devices(["d0"])
+            round_id = store.open_round({"d0": ("x", "y", None)})
             store.before_write = None
             assert failures["left"] == 0
-            round_id = store.create_round(["d0"])
             assert store.get_round(round_id).num_devices == 1
+            assert [row.device_id for row in store.device_rounds(round_id)] == ["d0"]
 
     @pytest.mark.parametrize("failure", ["before_statement", "mid_statement"])
     def test_retried_batched_write_lands_every_row(self, failure):
@@ -411,11 +426,7 @@ class TestWriteRetry:
         would come back short)."""
         devices = ["d0", "d1", "d2"]
         with DeviceStateStore(retry_sleep=0.0) as store:
-            store.register_devices(devices)
-            round_id = store.create_round(devices)
-            store.init_device_rounds(
-                round_id, {device_id: ("x", "y", None) for device_id in devices}
-            )
+            round_id = store.open_round({device_id: ("x", "y", None) for device_id in devices})
             store.mark_running(round_id, devices)
             failed = []
 
@@ -464,8 +475,9 @@ class TestWriteRetry:
 
             store.before_write = always_fail
             with pytest.raises(StoreError, match="after 3 attempts"):
-                store.register_devices(["d0"])
+                store.open_round({"d0": ("x", "y", None)})
             assert calls["n"] == 3
+            assert store.list_rounds() == []
 
 
 @pytest.mark.timeout(60)
@@ -518,7 +530,7 @@ class TestConcurrentWriters:
 
         with DeviceStateStore(path) as store:
             assert len(store.list_rounds()) >= 5
-            store.register_devices(["after-crash"])  # the file still takes writes
+            store.open_round({"after-crash": ("x", "y", None)})  # the file still takes writes
         _assert_consistent(path)
 
     def test_wal_switch_retries_when_another_opener_wins(self, tmp_path, lose_wal_race):
@@ -528,6 +540,6 @@ class TestConcurrentWriters:
         connect = lose_wal_race()
         with DeviceStateStore(tmp_path / "fleet.db", retry_sleep=0.0) as store:
             assert store._conn.raced
-            store.register_devices(["d0"])
+            store.open_round({"d0": ("x", "y", None)})
         with contextlib.closing(connect(tmp_path / "fleet.db")) as conn:
             assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)

@@ -133,24 +133,6 @@ def test_relu_gradients(rng):
     _check_layer(layer, x)
 
 
-def test_leaky_relu_gradients(rng):
-    layer = nn.LeakyReLU(0.1)
-    x = rng.normal(size=(4, 5)) + 0.05
-    _check_layer(layer, x)
-
-
-def test_tanh_and_sigmoid_gradients(rng):
-    x = rng.normal(size=(3, 4))
-    _check_layer(nn.Tanh(), x, atol=1e-5)
-    _check_layer(nn.Sigmoid(), x, atol=1e-5)
-
-
-def test_maxpool1d_gradients(rng):
-    layer = nn.MaxPool1d(2)
-    x = rng.normal(size=(2, 3, 8))
-    _check_layer(layer, x)
-
-
 def test_maxpool2d_gradients(rng):
     layer = nn.MaxPool2d(2)
     x = rng.normal(size=(2, 2, 4, 4))

@@ -27,10 +27,11 @@ store.  Then:
    late report is ``Rejected``.  Every survivor's digest must equal the
    golden run's after round four.
 3. **Store walk.**  The parent reads every round back through
-   :class:`~repro.fleet.store.DeviceStateStore`: every round must be done,
-   every row's round-start snapshot must load as the state its digest
-   names, and every ``done`` row must hold its result state (again matching
-   its digest) and its stats.
+   :class:`~repro.fleet.store.DeviceStateStore`: no round may be left
+   unfinished (a pending or running row), every round must hold one row per
+   device, every row's round-start snapshot must load as the state its
+   digest names, and every ``done`` row must hold its result state (again
+   matching its digest) and its stats.
 
 Usage::
 
@@ -235,10 +236,15 @@ def check_store(store_path: str) -> Tuple[Optional[str], int]:
         rounds = store.list_rounds()
         if not rounds:
             return "the store holds no rounds", walked
+        unfinished = store.unfinished_rounds()
+        if unfinished:
+            return f"rounds {unfinished} were left with pending or running rows", walked
         for record in rounds:
-            if record.status != "done":
-                return f"round {record.round_id} was left {record.status!r}", walked
-            for row in store.device_rounds(record.round_id):
+            rows = store.device_rounds(record.round_id)
+            if len(rows) != record.num_devices:
+                return (f"round {record.round_id} holds {len(rows)} device rows "
+                        f"for its {record.num_devices} devices"), walked
+            for row in rows:
                 where = f"round {record.round_id}, {row.device_id}"
                 if not _holds(row.snapshot, row.state_digest):
                     return f"{where}: the round-start snapshot does not load", walked
