@@ -15,11 +15,19 @@ store on one shared file.
   BatchNorm running statistics) is persisted before any work happens and a
   device's calibration trajectory is a pure function of that state, its pool,
   and the read-only BF package.
-* **Dedupe** — devices are grouped by ``(state digest, pool digest)``; each
-  group runs **one** representative calibration and scatters the resulting
-  state to every member.  N identical replicas cost one BF trajectory + one
-  scatter, exactly the batching economics of the paper's
-  one-calibration-to-millions deployment story.
+* **Dedupe** — devices are grouped by ``(state digest, pool digest,
+  package)``, the package being everything else a calibration reads from
+  the device (:func:`_package`); each group runs **one** representative
+  calibration and scatters the resulting state to every member.  N
+  identical replicas cost one BF trajectory + one scatter, exactly the
+  batching economics of the paper's one-calibration-to-millions deployment
+  story.  Across rounds, the service keeps the result of each device's
+  latest finished round under its key, and a group whose key is kept takes
+  that result instead of calibrating: a device that reports the pool it
+  already converged on, or the one a replica in its state already
+  calibrated, costs no BF trajectory.  That map is process-local and holds
+  at most one entry per device; a restarted service recalibrates, to the
+  same bytes.
 * **Retry / backoff** — a :class:`RetryPolicy` drives bounded retries with
   exponential backoff and deterministic seeded jitter.  When a group has an
   attempt to spare, the first wave calibrates every dedupe group in one
@@ -45,7 +53,10 @@ Every transition is written for a whole phase at once: one store commit
 opens a round with every device's pending row, and one moves every device
 of a wave to ``running`` and one to ``done``, so a round whose first wave
 succeeds (a clean gateway wave) costs three commits however many devices
-it holds.  A round is finished when none of
+it holds.  A group that reuses an earlier result goes ``pending`` →
+``done`` with no attempt counted, in the first wave's done commit (in one
+of its own if that wave fails), so a round whose every group is reused
+costs two commits.  A round is finished when none of
 its rows is pending or running; the rows are its only progress record.
 ``running`` rows found at drain time are, by construction, interrupted
 attempts: the service restores their round-start snapshot and retries
@@ -60,15 +71,17 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from repro import runtime
 from repro.core.bitflip import (
     BitFlipCalibrationStats,
     capture_calibration_state,
     restore_calibration_state,
 )
+from repro.core.pipeline import EdgeDeployment
 from repro.data.dataset import Dataset
 from repro.fleet.calibrator import FleetCalibrator
 from repro.fleet.faults import FaultPlan
@@ -99,6 +112,28 @@ def dataset_digest(dataset: Dataset) -> str:
     digest.update(features.tobytes())
     digest.update(np.ascontiguousarray(dataset.labels).tobytes())
     return digest.hexdigest()
+
+
+#: A dedupe key: ``(state digest, pool digest, package)``.
+_Key = Tuple[str, str, tuple]
+
+
+def _package(deployment: EdgeDeployment) -> tuple:
+    """Everything a device's calibration reads besides its state and pool.
+
+    The calibrator's BF network and normalizer, by identity (they are
+    read-only on the edge, and replicas share them), the calibrator's
+    settings, the quantizer's bit-width and scales, and the compute dtype.
+    Two devices with equal packages calibrate equal states on equal pools
+    to equal results.
+    """
+    calibrator, qmodel = deployment.calibrator, deployment.qmodel
+    return (
+        calibrator.network, calibrator.normalizer, calibrator.epochs,
+        calibrator.confidence_threshold, calibrator.max_flip_fraction,
+        calibrator.validate, calibrator.batchnorm_refresh_passes,
+        qmodel.bits, qmodel.arena.scales.tobytes(), runtime.get_dtype(),
+    )
 
 
 @dataclass(frozen=True)
@@ -204,6 +239,8 @@ class RoundOutcome:
     #: (the gateway's steady-state path).
     result_states: Dict[str, Any] = field(default_factory=dict)
     num_groups: int = 0
+    #: Groups finished from an earlier round's result, without calibrating.
+    reused: int = 0
     retries: int = 0
     resumed_devices: int = 0
 
@@ -215,13 +252,23 @@ class RoundOutcome:
 
 @dataclass
 class _Group:
-    """One dedupe group: devices sharing (state digest, pool digest)."""
+    """One dedupe group: devices sharing a round-start state, a pool and a package."""
 
-    key: str
+    key: _Key
     rep_id: str
     member_ids: List[str]
     snapshot: Any
     attempts: int = 0
+
+    @property
+    def label(self) -> str:
+        """The group's backoff jitter key: its state and pool digest prefixes."""
+        return f"{self.key[0][:16]}:{self.key[1][:16]}"
+
+
+#: A finished group: ``(group, result state, stats, holder)``, the holder
+#: being the member whose model computed the result in this process.
+_Result = Tuple[_Group, Any, BitFlipCalibrationStats, Optional[str]]
 
 
 class FleetService:
@@ -260,6 +307,11 @@ class FleetService:
         self.fault_plan = fault_plan
         if self.fault_plan is not None:
             self.store.before_write = self.fault_plan.on_store_write
+        # The result of each device's latest round finished in this process:
+        # its key maps to (result state, stats, the devices whose latest
+        # round it is), so the map holds at most one entry per device.
+        self._finished: Dict[_Key, Tuple[Any, BitFlipCalibrationStats, Set[str]]] = {}
+        self._latest: Dict[str, _Key] = {}
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -411,23 +463,22 @@ class FleetService:
 
         groups = self._build_groups(pending_rows)
         outcome.num_groups = len(groups) + len(
-            {  # groups that already finished before a resume
-                (row.state_digest, row.pool_digest)
-                for row in rows
-                if row.status == "done"
-            }
-        )
+            {self._key(row) for row in rows if row.status == "done"}
+        )  # groups that already finished before a resume count too
         self._execute_groups(round_id, groups, pools, outcome)
         return outcome
 
-    @staticmethod
-    def _build_groups(rows) -> List[_Group]:
-        grouped: Dict[Tuple[str, str], _Group] = {}
+    def _key(self, row) -> _Key:
+        """A device row's dedupe key: its round-start state, pool and package."""
+        return (row.state_digest, row.pool_digest, _package(self.fleet.get(row.device_id)))
+
+    def _build_groups(self, rows) -> List[_Group]:
+        grouped: Dict[_Key, _Group] = {}
         for row in rows:
-            key = (row.state_digest, row.pool_digest)
+            key = self._key(row)
             if key not in grouped:
                 grouped[key] = _Group(
-                    key=f"{row.state_digest[:16]}:{row.pool_digest[:16]}",
+                    key=key,
                     rep_id=row.device_id,
                     member_ids=[],
                     snapshot=row.snapshot,
@@ -447,6 +498,15 @@ class FleetService:
         outcome: RoundOutcome,
     ) -> None:
         policy = self.retry_policy
+        # A group whose key an earlier round finished takes that result: its
+        # done rows ride the first wave's done commit.
+        reused = [
+            (group, *self._finished[group.key][:2], None)
+            for group in groups
+            if group.key in self._finished
+        ]
+        outcome.reused = len(reused)
+        groups = [group for group in groups if group.key not in self._finished]
         first_wave = True
         while groups:
             exhausted = [group for group in groups if group.attempts >= policy.max_attempts]
@@ -456,7 +516,7 @@ class FleetService:
             if not eligible:
                 break
             delay = max(
-                policy.backoff(group.key, group.attempts + 1) for group in eligible
+                policy.backoff(group.label, group.attempts + 1) for group in eligible
             )
             if delay > 0:
                 time.sleep(delay)
@@ -472,11 +532,12 @@ class FleetService:
                 group.attempts == 0 for group in eligible
             )
             waves = [eligible] if batched else [[group] for group in eligible]
-            groups = [
-                group
-                for wave in waves
-                for group in self._run_wave(round_id, wave, pools, outcome)
-            ]
+            groups = []
+            for wave in waves:
+                groups += self._run_wave(round_id, wave, pools, outcome, reused)
+                reused = []
+        if reused:
+            self._finish_groups(round_id, reused, outcome)
 
     def _mark_running(self, round_id: int, groups: List[_Group]) -> None:
         for group in groups:
@@ -488,33 +549,51 @@ class FleetService:
     def _finish_groups(
         self,
         round_id: int,
-        results: List[Tuple[_Group, Any, BitFlipCalibrationStats]],
+        results: List[_Result],
         outcome: RoundOutcome,
     ) -> None:
-        """Scatter each representative's result to its members, durably.
+        """Scatter each group's result to its members, durably.
 
-        ``results`` holds ``(group, result_state, rep_stats)`` per finished
-        group; every member's row moves to ``done`` in one commit, with the
-        result's digest.  Members share the representative's exact start
-        state and pool, so restoring its resulting
+        ``results`` holds one :data:`_Result` per finished group: the holder
+        is a calibrated group's representative, and ``None`` for a reused
+        group.  Every member's row moves to ``done`` in one commit, with the
+        result's digest and a copy of the stats.  Members share the group's
+        exact start state, pool and package, so restoring the resulting
         :class:`CalibrationRoundState` is bit-identical to calibrating each
         member separately — that equivalence is what the dedupe economics
-        rest on (and what the tests pin).  The representatives were calibrated
-        in this process and so already hold their results.
+        rest on (and what the tests pin).  The other members wait at the
+        round-start state, so none is restored when the result is that
+        state.  Each member's latest finished round is then this one.
         """
         done: Dict[str, Tuple[str, Any, BitFlipCalibrationStats]] = {}
-        for group, result_state, rep_stats in results:
+        for group, result_state, group_stats, holder in results:
             digest = result_state.digest()
             for device_id in group.member_ids:
-                if device_id != group.rep_id:
+                if device_id != holder and digest != group.key[0]:
                     restore_calibration_state(self.fleet.get(device_id).qmodel, result_state)
-                stats = replace(rep_stats, flips_per_epoch=list(rep_stats.flips_per_epoch))
+                stats = replace(group_stats, flips_per_epoch=list(group_stats.flips_per_epoch))
                 done[device_id] = (digest, result_state, stats)
         self.store.mark_done(round_id, done)
+        for group, result_state, group_stats, _ in results:
+            for device_id in group.member_ids:
+                self._remember(device_id, group.key, result_state, group_stats)
         for device_id, (_, result_state, stats) in done.items():
             outcome.stats[device_id] = stats
             outcome.statuses[device_id] = "done"
             outcome.result_states[device_id] = result_state
+
+    def _remember(
+        self, device_id: str, key: _Key, result_state: Any, stats: BitFlipCalibrationStats
+    ) -> None:
+        """Make ``key``'s result the device's latest; forget a key no device holds."""
+        previous = self._latest.pop(device_id, None)
+        if previous is not None:
+            holders = self._finished[previous][2]
+            holders.discard(device_id)
+            if not holders:
+                del self._finished[previous]
+        self._latest[device_id] = key
+        self._finished.setdefault(key, (result_state, stats, set()))[2].add(device_id)
 
     def _fail_groups(self, round_id: int, groups: List[_Group], error: str) -> None:
         """Record one wave's ``error`` for every member in one commit."""
@@ -550,12 +629,15 @@ class FleetService:
         groups: List[_Group],
         pools: Mapping[str, Dataset],
         outcome: RoundOutcome,
+        reused: List[_Result],
     ) -> List[_Group]:
         """Run groups in-process in ONE batched calibrate call; returns the failed.
 
         Representatives share BF forwards through the batched calibrator
         exactly like a plain fleet round.  An exception restores every
-        representative's snapshot and fails every group of the wave.
+        representative's snapshot and fails every group of the wave.  The
+        ``reused`` groups' results land in the wave's done commit, or in one
+        of their own when the wave fails.
         """
         self._mark_running(round_id, groups)
         reps = Fleet({group.rep_id: self.fleet.get(group.rep_id) for group in groups})
@@ -572,6 +654,8 @@ class FleetService:
                     self.fleet.get(group.rep_id).qmodel, group.snapshot
                 )
             self._fail_groups(round_id, groups, error)
+            if reused:
+                self._finish_groups(round_id, reused, outcome)
             return groups
         self._finish_groups(
             round_id,
@@ -580,9 +664,11 @@ class FleetService:
                     group,
                     capture_calibration_state(self.fleet.get(group.rep_id).qmodel),
                     result.stats[group.rep_id],
+                    group.rep_id,
                 )
                 for group in groups
-            ],
+            ]
+            + reused,
             outcome,
         )
         return []

@@ -16,6 +16,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.data.dataset import Dataset
@@ -89,6 +90,20 @@ def _pools(target: Dataset, device_ids, wave: int):
         device_id: _pool(target, wave * 11 + k * 5)
         for k, device_id in enumerate(device_ids)
     }
+
+
+def _revisited_pools(target: Dataset, device_ids, wave: int):
+    """Pools that repeat and come back: device ``k`` keeps each pool for
+    ``k + 1`` waves, and every device draws from the same four windows."""
+    return {
+        device_id: _pool(target, (wave // (k + 1)) % 4 * 5)
+        for k, device_id in enumerate(device_ids)
+    }
+
+
+def _offer_wave(gateway: FleetGateway, wave: int, pools) -> None:
+    for device_id, pool in pools.items():
+        gateway.offer(DeviceReport(device_id=device_id, seq=wave, pool=pool))
 
 
 def _gateway(fleet: Fleet, clock: ManualClock, **overrides) -> FleetGateway:
@@ -448,6 +463,67 @@ class TestBitIdentity:
         assert len(gateway._snapshots) == NUM_DEVICES
 
 
+class TestReuse:
+    """A group whose (state, pool, package) an earlier round finished takes
+    that result instead of calibrating."""
+
+    WAVES = 60
+
+    def test_reuse_matches_calibrating_every_wave(self, packaged):
+        """Over waves of revisited pools, every wave leaves the codes and the
+        stored stats that plain ``FleetCalibrator`` rounds produce, which
+        never reuse; device-0 and device-1 also match the seed loop."""
+        deployment, target = packaged
+        fleet, raw = _fleet(deployment), _fleet(deployment)
+        seed = Fleet({device_id: raw.get(device_id).clone() for device_id in raw.ids[:2]})
+        gateway = _gateway(fleet, ManualClock())
+        calibrator = FleetCalibrator()
+        reused = 0
+        for wave in range(self.WAVES):
+            pools = _revisited_pools(target, fleet.ids, wave)
+            _offer_wave(gateway, wave, pools)
+            (log,) = gateway.pump()
+            expected = calibrator.calibrate(raw, pools).stats
+            rows = gateway.service.store.device_rounds(log.round_id)
+            assert fleet.codes_digests() == raw.codes_digests()
+            assert {row.device_id: row.stats for row in rows} == expected
+            for device_id, device in seed.items():
+                stats = reference.calibrate_per_tensor(
+                    device.calibrator, device.qmodel, pools[device_id]
+                )
+                assert device.qmodel.codes_digest() == fleet.get(device_id).qmodel.codes_digest()
+                assert (stats.flips_per_epoch, stats.reverted_epochs, stats.pool_accuracy) == (
+                    expected[device_id].flips_per_epoch,
+                    expected[device_id].reverted_epochs,
+                    expected[device_id].pool_accuracy,
+                )
+            reused += sum(row.attempts == 0 for row in rows)
+        assert reused > self.WAVES
+
+    def test_the_map_holds_each_devices_latest_result_only(self, packaged):
+        """Six devices over waves whose keys keep changing: the map never
+        holds more entries than the fleet has devices, and each device's
+        entry holds the very state the gateway keeps as its snapshot."""
+        deployment, target = packaged
+        fleet = Fleet.replicate(deployment, 6, seed=0)
+        config = GatewayConfig(lease_s=LEASE_S, queue_max=16, max_batch=len(fleet))
+        gateway = _gateway(fleet, ManualClock(), config=config)
+        service = gateway.service
+        keys, reused = set(), 0
+        for wave in range(self.WAVES):
+            _offer_wave(gateway, wave, _revisited_pools(target, fleet.ids, wave))
+            (log,) = gateway.pump()
+            reused += sum(row.attempts == 0 for row in service.store.device_rounds(log.round_id))
+            keys.update(service._finished)
+            assert len(service._finished) <= len(fleet)
+            for device_id in fleet.ids:
+                result_state, _, holders = service._finished[service._latest[device_id]]
+                assert device_id in holders
+                assert result_state is gateway._snapshots[device_id]
+        assert reused > 0
+        assert len(keys) > len(fleet)
+
+
 #: The store's round-path statements, each named by its SQL up to the first
 #: column list or comma (``_statement``).
 STATES, DEVICES = "INSERT INTO states", "INSERT INTO devices"
@@ -462,12 +538,12 @@ def _statement(sql: str) -> str:
 
 class TestStoreCommits:
     @staticmethod
-    def _counted_wave(monkeypatch, gateway, target, wave):
-        """Offer and pump one wave.  Returns the SQL of each store commit
-        and the number of values pickled for it."""
-        pools = _pools(target, gateway.fleet.ids, wave)
-        for device_id in gateway.fleet.ids:
-            gateway.offer(DeviceReport(device_id=device_id, seq=wave, pool=pools[device_id]))
+    def _counted_wave(monkeypatch, gateway, target, wave, pools=None):
+        """Offer and pump one wave, of every device unless ``pools`` names
+        some.  Returns the SQL of each store commit and the number of
+        values pickled for it."""
+        pools = pools or _pools(target, gateway.fleet.ids, wave)
+        _offer_wave(gateway, wave, pools)
         commits, pickles, pickled, writes = [], [], [], []
         execute, blob = DeviceStateStore._execute, store_module._blob
 
@@ -484,7 +560,7 @@ class TestStoreCommits:
         logs = gateway.pump()
         monkeypatch.undo()
         gateway.service.store.before_write = None
-        assert [len(log.devices) for log in logs] == [len(gateway.fleet)]
+        assert [len(log.devices) for log in logs] == [len(pools)]
         assert len(writes) == sum(len(commit) for commit in commits)
         return commits, pickles
 
@@ -522,6 +598,40 @@ class TestStoreCommits:
         commits, pickles = self._counted_wave(monkeypatch, gateway, target, 1)
         assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]]
         assert pickles[0] == 0
+        gateway.close()
+
+    def test_reused_groups_ride_the_done_commit(self, packaged, tmp_path, monkeypatch):
+        """device-0 calibrates on a pool.  device-1 and device-2, still at
+        the packaged state, then report that pool: their one group is
+        reused, so the wave opens and lands done, with no running commit
+        and no state to store.  Next, device-3 reuses it beside device-0's
+        calibration: still three commits, one done commit for both."""
+        deployment, target = packaged
+        fleet = Fleet.replicate(deployment, 4, seed=0)
+        config = GatewayConfig(lease_s=LEASE_S, queue_max=16, max_batch=len(fleet))
+        gateway = _gateway(
+            fleet, ManualClock(), config=config,
+            store=DeviceStateStore(tmp_path / "fleet.sqlite"),
+        )
+        pool = _pool(target, 0)
+        self._counted_wave(monkeypatch, gateway, target, 0, {"device-0": pool})
+        commits, pickles = self._counted_wave(
+            monkeypatch, gateway, target, 1, {"device-1": pool, "device-2": pool}
+        )
+        assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [DONE]]
+        assert pickles[0] == 0
+        commits, _ = self._counted_wave(
+            monkeypatch, gateway, target, 2, {"device-3": pool, "device-0": _pool(target, 9)}
+        )
+        assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]]
+        store = gateway.service.store
+        assert [
+            {row.device_id: (row.status, row.attempts) for row in store.device_rounds(round_id)}
+            for round_id in (2, 3)
+        ] == [
+            {"device-1": ("done", 0), "device-2": ("done", 0)},
+            {"device-3": ("done", 0), "device-0": ("done", 1)},
+        ]
         gateway.close()
 
     def test_lease_quarantine_is_one_commit(self, packaged, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.data.dataset import Dataset
 from repro.fleet import (
     FaultPlan,
     FaultSpec,
@@ -127,6 +128,18 @@ class _FailAfterCalibrating(FleetCalibrator):
         if self.device_id in fleet.ids:
             raise RuntimeError(f"{self.device_id} failed after calibrating")
         return result
+
+
+class _RecordingPlan(FaultPlan):
+    """A fault plan that records every device-work site it is asked about."""
+
+    def __init__(self, specs=()):
+        super().__init__(list(specs))
+        self.sites = []
+
+    def on_device_work(self, site):
+        self.sites.append(site)
+        super().on_device_work(site)
 
 
 def _drain_into_hard_crash(deployment, pools, path):
@@ -256,6 +269,66 @@ class TestHappyPath:
         ]
         handed.drain(round_id, second_pools)
         assert handed.fleet.codes_digests() == captured.fleet.codes_digests()
+
+
+class TestPackageKey:
+    """The dedupe key names everything a calibration reads from the device."""
+
+    @pytest.fixture(scope="class")
+    def package(self):
+        """A deployment, a second ``deploy``'s BF network and normalizer, and
+        one pool (a 24-replica MLP fleet's model and framework settings)."""
+        config = SyntheticTimeSeriesConfig(
+            num_classes=4, num_domains=2, channels=3, length=16,
+            train_per_class=12, val_per_class=1, test_per_class=6,
+        )
+        data = make_dsa_surrogate(seed=0, config=config)
+        source, target = (
+            Dataset(split.features.reshape(len(split), -1), split.labels, split.num_classes)
+            for split in (data[name].train for name in data.domain_names)
+        )
+        model = build_model(
+            "MLP", (source.features.shape[1],), data.num_classes,
+            rng=np.random.default_rng(0),
+        )
+        framework = QCoreFramework(
+            levels=(4,), qcore_size=16, train_epochs=20, calibration_epochs=5,
+            edge_calibration_epochs=4, lr=0.05, seed=0,
+        )
+        framework.fit(model, source)
+        return framework.deploy(bits=4), framework.deploy(bits=4), target.subset(np.arange(12))
+
+    @pytest.mark.parametrize("differs", ["bf_network", "settings"])
+    @pytest.mark.parametrize("rounds", [[["a", "b"]], [["a"], ["b"]]], ids=["one_round", "two_rounds"])
+    def test_devices_with_different_packages_do_not_share_a_result(
+        self, package, differs, rounds
+    ):
+        """``b`` is a clone of ``a`` that carries the second deployment's BF
+        network and normalizer, or a tighter flip budget.  Both start at one
+        state with one pool, but each ends where its own package takes it,
+        whether they share a round or ``b`` follows ``a``'s."""
+        a, second, pool = package
+        b = a.clone()
+        if differs == "bf_network":
+            b.bitflip = b.calibrator.network = second.calibrator.network
+            b.calibrator.normalizer = second.calibrator.normalizer
+        else:
+            b.calibrator.max_flip_fraction = 0.01
+        fleet = Fleet({"a": a.clone(), "b": b})
+        reference = Fleet({device_id: dep.clone() for device_id, dep in fleet.items()})
+        pools = {device_id: pool for device_id in fleet.ids}
+        assert len(set(fleet.codes_digests().values())) == 1
+        expected = FleetCalibrator().calibrate(reference, pools)
+        service = FleetService(fleet)
+        outcomes = [
+            service.drain(service.submit(pools, device_ids=device_ids), pools)
+            for device_ids in rounds
+        ]
+        assert fleet.codes_digests() == reference.codes_digests()
+        assert {
+            device_id: stats for outcome in outcomes for device_id, stats in outcome.stats.items()
+        } == expected.stats
+        assert sum(outcome.num_groups - outcome.reused for outcome in outcomes) == 2
 
 
 class TestFaultInjection:
@@ -536,6 +609,86 @@ class TestScatter:
         assert first == second
         assert first is not second
         assert first.flips_per_epoch is not second.flips_per_epoch
+
+
+class TestReuse:
+    """A group whose (state, pool, package) an earlier round finished takes
+    that round's result.  Here device-0 calibrates on one pool first, and
+    later rounds give that pool to replicas still at the packaged state."""
+
+    def test_reused_group_does_no_device_work(self, packaged):
+        data, _, deployment = packaged
+        fleet = _fleet(deployment)
+        pools = _pools(data, DEVICE_IDS, shared=True)
+        calibrator, plan = _RecordingCalibrator(), _RecordingPlan()
+        service = FleetService(fleet, calibrator=calibrator, fault_plan=plan)
+        first = service.submit(pools, device_ids=["device-0"])
+        first_outcome = service.drain(first, pools)
+        (first_row,) = service.store.device_rounds(first)
+        assert (calibrator.calls, plan.sites) == ([["device-0"]], [f"round{first}:device-0:a1"])
+        assert first_row.result_digest != first_row.state_digest
+
+        second = service.submit(pools, device_ids=["device-1", "device-2"])
+        outcome = service.drain(second, pools)
+        assert (calibrator.calls, len(plan.sites)) == ([["device-0"]], 1)
+        assert (outcome.num_groups, outcome.reused) == (1, 1)
+        assert len(set(fleet.codes_digests().values())) == 1
+        for row in service.store.device_rounds(second):
+            assert (row.status, row.attempts) == ("done", 0)
+            assert row.state_digest == first_row.state_digest
+            assert row.result_digest == first_row.result_digest
+            assert row.result_state.digest() == row.result_digest
+            assert row.stats == first_row.stats == first_outcome.stats["device-0"]
+            assert outcome.stats[row.device_id] == row.stats
+            assert outcome.stats[row.device_id] is not first_outcome.stats["device-0"]
+            assert outcome.result_states[row.device_id] is first_outcome.result_states["device-0"]
+
+    def test_reused_groups_land_done_when_the_first_wave_fails(self, packaged):
+        """device-1 reuses device-0's result while device-2, on a pool of its
+        own, fails its first attempt: device-1 is done after that wave,
+        unattempted, and device-2 finishes on its retry."""
+        data, _, deployment = packaged
+        pools = {
+            **_pools(data, DEVICE_IDS, shared=True),
+            "device-2": _pools(data, DEVICE_IDS)["device-2"],
+        }
+        clean = _fleet(deployment)
+        FleetCalibrator().calibrate(clean, pools)
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-2:a1")])
+        service = FleetService(fleet, retry_policy=FAST_RETRY, fault_plan=plan)
+        service.drain(service.submit(pools, device_ids=["device-0"]), pools)
+        round_id = service.submit(pools, device_ids=["device-1", "device-2"])
+        outcome = service.drain(round_id, pools)
+        assert (outcome.reused, outcome.retries, plan.fires) == (1, 1, 1)
+        assert service.poll(round_id).attempts == {"device-1": 0, "device-2": 2}
+        assert outcome.statuses == {"device-1": "done", "device-2": "done"}
+        assert fleet.codes_digests() == clean.codes_digests()
+
+    def test_a_fresh_service_recalibrates_then_reuses(self, packaged, tmp_path):
+        """The reuse map lives in the process: a new service on the same
+        store calibrates device-1 again, to the bytes and stats device-0's
+        round stored, and only then reuses that result for device-2."""
+        data, _, deployment = packaged
+        path = tmp_path / "fleet.db"
+        fleet = _fleet(deployment)
+        pools = _pools(data, DEVICE_IDS, shared=True)
+        with FleetService(fleet, store=DeviceStateStore(path)) as first:
+            first.drain(first.submit(pools, device_ids=["device-0"]), pools)
+        calibrator = _RecordingCalibrator()
+        with FleetService(fleet, store=DeviceStateStore(path), calibrator=calibrator) as fresh:
+            reused, rows = [], []
+            for device_id in ("device-1", "device-2"):
+                round_id = fresh.submit(pools, device_ids=[device_id])
+                reused.append(fresh.drain(round_id, pools).reused)
+                rows += fresh.store.device_rounds(round_id)
+            (first_row,) = fresh.store.device_rounds(1)
+        assert calibrator.calls == [["device-1"]]
+        assert reused == [0, 1]
+        assert [row.attempts for row in rows] == [1, 0]
+        for row in rows:
+            assert (row.result_digest, row.stats) == (first_row.result_digest, first_row.stats)
+        assert len(set(fleet.codes_digests().values())) == 1
 
 
 class TestResume:

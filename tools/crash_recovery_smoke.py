@@ -1,4 +1,4 @@
-"""CI crash-recovery smoke: kill the service mid-round, resume, then stall a device.
+"""CI crash-recovery smoke: kill the service mid-round, resume, stall a device, reuse.
 
 The durability contract of :class:`repro.fleet.service.FleetService` is that a
 process crash in the middle of a calibration round loses nothing: a fresh
@@ -8,7 +8,7 @@ gateway adds a liveness contract on top: a stalled device is requeued once,
 then quarantined, without moving any other device's calibration by a bit.
 Unit tests simulate both; this smoke runs them for real over one store file.
 
-The parent first computes the golden answer: four calibration rounds through
+The parent first computes the golden answer: five calibration rounds through
 the plain :class:`~repro.fleet.calibrator.FleetCalibrator`, no service, no
 store.  Then:
 
@@ -24,14 +24,18 @@ store.  Then:
    device goes silent after delivering its report: its lease expires, the
    report is requeued exactly once, then the device is quarantined in the
    store.  Round four runs with the survivors, and the quarantined device's
-   late report is ``Rejected``.  Every survivor's digest must equal the
-   golden run's after round four.
+   late report is ``Rejected``.  Round five repeats round four's pools: a
+   survivor whose round four ended where it started presents a state and
+   pool the service has calibrated, and takes that result without
+   calibrating.  Every survivor's digest must equal the golden run's after
+   round five.
 3. **Store walk.**  The parent reads every round back through
    :class:`~repro.fleet.store.DeviceStateStore`: no round may be left
    unfinished (a pending or running row), every round must hold one row per
    device, every row's round-start snapshot must load as the state its
    digest names, and every ``done`` row must hold its result state (again
-   matching its digest) and its stats.
+   matching its digest) and its stats.  At least one ``done`` row must have
+   been reused: done with no attempt counted.
 
 Usage::
 
@@ -85,8 +89,8 @@ CRASH_EXIT_CODE = 13
 DEVICES = 3
 #: Rounds of the crash scenario; the child dies in the last one.
 CRASH_ROUNDS = 2
-#: Rounds of the golden run: the crash scenario's plus the stall scenario's two.
-ROUNDS = CRASH_ROUNDS + 2
+#: Rounds of the golden run: the crash scenario's plus the stall scenario's three.
+ROUNDS = CRASH_ROUNDS + 3
 STALLED = "device-1"
 SEED = 0
 LEASE_S = 5.0
@@ -127,7 +131,11 @@ def _build_fleet():
 
 
 def _round_pools(target: Dataset, device_ids, round_index: int):
-    """Distinct pool per device (so every device is its own dedupe group)."""
+    """Distinct pool per device (so every device is its own dedupe group).
+
+    The last round repeats the pools of the round before it.
+    """
+    round_index = min(round_index, ROUNDS - 2)
     return {
         device_id: target.subset(
             np.arange(round_index * 11 + k * 5, round_index * 11 + k * 5 + 8)
@@ -209,6 +217,9 @@ def run_stall(
         for device_id in survivors:
             gateway.heartbeat(device_id)
         gateway.pump()
+        # Round five: the survivors report round four's pools again.
+        _offer_round(gateway, target, CRASH_ROUNDS + 2, survivors)
+        gateway.pump()
     digests = fleet.codes_digests()
     diverged = [d for d in survivors if digests[d] != golden_digests[d]]
     if diverged:
@@ -226,34 +237,38 @@ def _holds(state: object, digest: Optional[str]) -> bool:
     )
 
 
-def check_store(store_path: str) -> Tuple[Optional[str], int]:
+def check_store(store_path: str) -> Tuple[Optional[str], int, int]:
     """Scenario 3: walk every round left in the store.
 
-    Returns a failure message (or None) and the number of rows walked.
+    Returns a failure message (or None), the number of rows walked and the
+    number of reused rows among them (done with no attempt counted).
     """
-    walked = 0
+    walked = reused = 0
     with DeviceStateStore(store_path) as store:
         rounds = store.list_rounds()
         if not rounds:
-            return "the store holds no rounds", walked
+            return "the store holds no rounds", walked, reused
         unfinished = store.unfinished_rounds()
         if unfinished:
-            return f"rounds {unfinished} were left with pending or running rows", walked
+            return f"rounds {unfinished} were left with pending or running rows", walked, reused
         for record in rounds:
             rows = store.device_rounds(record.round_id)
             if len(rows) != record.num_devices:
                 return (f"round {record.round_id} holds {len(rows)} device rows "
-                        f"for its {record.num_devices} devices"), walked
+                        f"for its {record.num_devices} devices"), walked, reused
             for row in rows:
                 where = f"round {record.round_id}, {row.device_id}"
                 if not _holds(row.snapshot, row.state_digest):
-                    return f"{where}: the round-start snapshot does not load", walked
+                    return f"{where}: the round-start snapshot does not load", walked, reused
                 if row.status == "done" and (
                     not _holds(row.result_state, row.result_digest) or row.stats is None
                 ):
-                    return f"{where}: done without its result state and stats", walked
+                    return f"{where}: done without its result state and stats", walked, reused
                 walked += 1
-    return None, walked
+                reused += row.status == "done" and row.attempts == 0
+    if not reused:
+        return "no done row was reused from an earlier round", walked, reused
+    return None, walked, reused
 
 
 def run_parent(store_path: str) -> int:
@@ -310,7 +325,7 @@ def run_parent(store_path: str) -> int:
     if failure is not None:
         print(failure)
         return 1
-    failure, walked = check_store(store_path)
+    failure, walked, reused = check_store(store_path)
     if failure is not None:
         print(f"store walk FAILED: {failure}")
         return 1
@@ -321,7 +336,7 @@ def run_parent(store_path: str) -> int:
         f"all {DEVICES} devices bit-identical to the golden run at float64; "
         f"then {STALLED!r} stalled -> requeued once -> quarantined, all "
         f"{DEVICES - 1} survivors bit-identical after {ROUNDS} rounds; "
-        f"{walked} device rows read back whole"
+        f"{walked} device rows read back whole, {reused} of them reused"
     )
     return 0
 
