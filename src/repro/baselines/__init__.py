@@ -40,23 +40,3 @@ __all__ = [
     "DeepCompression",
 ]
 
-
-def build_baseline(name: str, **kwargs) -> ContinualMethod:
-    """Instantiate a baseline by the name used in the paper's tables."""
-    registry = {
-        "a-gem": AGEM,
-        "agem": AGEM,
-        "der": DER,
-        "der++": DERpp,
-        "derpp": DERpp,
-        "er": ER,
-        "er-ace": ERACE,
-        "erace": ERACE,
-        "camel": Camel,
-        "deepc": DeepCompression,
-        "naive": NaiveFineTune,
-    }
-    key = name.lower()
-    if key not in registry:
-        raise KeyError(f"unknown baseline {name!r}; available: {sorted(registry)}")
-    return registry[key](**kwargs)

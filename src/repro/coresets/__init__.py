@@ -31,23 +31,3 @@ __all__ = [
     "gradient_embeddings",
 ]
 
-
-def build_strategy(name: str, **kwargs) -> CoresetStrategy:
-    """Instantiate a coreset strategy by the name used in Table 8."""
-    registry = {
-        "random": RandomSubset,
-        "maximum entropy": MaxEntropySampler,
-        "max-entropy": MaxEntropySampler,
-        "least confidence": LeastConfidenceSampler,
-        "least-confidence": LeastConfidenceSampler,
-        "normal distrib.": NormalDistributionSampler,
-        "normal": NormalDistributionSampler,
-        "k-means": KMeansCoreset,
-        "kmeans": KMeansCoreset,
-        "gradmatch": GradMatchCoreset,
-        "craig": CRAIGCoreset,
-    }
-    key = name.lower()
-    if key not in registry:
-        raise KeyError(f"unknown strategy {name!r}; available: {sorted(registry)}")
-    return registry[key](**kwargs)

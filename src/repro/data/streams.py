@@ -10,13 +10,13 @@ the corresponding tenth of the target test set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset, DomainDataset, MultiDomainDataset
 from repro.utils.validation import ensure_positive_int
-from repro.utils.seeding import default_rng_fallback
+from repro.utils.seeding import DEFAULT_SEED, default_rng_fallback, spawn_rngs
 
 
 @dataclass
@@ -158,6 +158,75 @@ def build_stream_scenario(
         target_name=target,
         batches=batches,
         target_test=target_domain.test,
+    )
+
+
+def build_recurring_scenario(
+    dataset: MultiDomainDataset,
+    source: str,
+    targets: Sequence[str],
+    num_batches: int = 10,
+    seed: int = DEFAULT_SEED,
+) -> StreamScenario:
+    """Build a recurring-drift stream: batch ``i`` comes from ``targets[i % len(targets)]``.
+
+    The stream cycles through the target domains, and each domain's train
+    and test splits are divided across its visits, so a revisit brings new
+    examples of a domain seen before: a probe of whether calibration
+    forgets.  ``target_test`` is the union of the targets' test splits, in
+    ``targets`` order.
+
+    ``spawn_rngs(seed, 2)`` yields a train child and a test child, and each
+    spawns one grandchild per target.  So the test slice a batch is scored
+    on depends on the seed alone, not on the size of any train split or of
+    the other targets' splits.
+    """
+    targets = tuple(targets)
+    ensure_positive_int(num_batches, "num_batches")
+    for domain in (source, *targets):
+        if domain not in dataset.domain_names:
+            raise ValueError(
+                f"domain {domain!r} not in dataset {dataset.name!r} "
+                f"(has: {', '.join(dataset.domain_names)})"
+            )
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"targets must be distinct, got {targets}")
+    if source in targets:
+        raise ValueError(
+            f"source {source!r} may not appear among targets {targets}: "
+            "recurrence comes from cycling through the targets"
+        )
+    cycle = len(targets)
+    if cycle < 2:
+        raise ValueError(f"recurring drift needs at least 2 targets, got {cycle}")
+    if num_batches < cycle:
+        raise ValueError(
+            f"recurring drift needs num_batches >= {cycle} (one batch per "
+            f"target), got {num_batches}"
+        )
+    parts = {}
+    for split, rng in zip(("train", "test"), spawn_rngs(seed, 2)):
+        # Target j streams batches j, j + cycle, ...: one part per visit.
+        per_target = [
+            split_into_batches(
+                getattr(dataset[target], split), len(range(j, num_batches, cycle)), child,
+                label=f"{split} examples of target domain {target!r}",
+            )
+            for j, (target, child) in enumerate(zip(targets, _spawn_children(rng, cycle)))
+        ]
+        parts[split] = [per_target[i % cycle][i // cycle] for i in range(num_batches)]
+    target_test = dataset[targets[0]].test
+    for target in targets[1:]:
+        target_test = target_test.concat(dataset[target].test)
+    return StreamScenario(
+        dataset_name=dataset.name,
+        source=dataset[source],
+        target_name="recurring:" + "⇄".join(targets),
+        batches=[
+            StreamBatch(index=i, data=parts["train"][i], test=parts["test"][i])
+            for i in range(num_batches)
+        ],
+        target_test=target_test,
     )
 
 

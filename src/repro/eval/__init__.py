@@ -27,12 +27,9 @@ from repro.eval.parallel import (
     results_to_table,
     run_spec,
 )
-from repro.eval.scenarios import build_scenario_specs, scenario_grid_specs
 from repro.eval.tables import ResultsTable, format_table
 
 __all__ = [
-    "build_scenario_specs",
-    "scenario_grid_specs",
     "average_accuracy",
     "backward_transfer",
     "forgetting",

@@ -47,7 +47,6 @@ import numpy as np
 from repro import runtime
 from repro.baselines.base import ContinualMethod
 from repro.data.dataset import MultiDomainDataset
-from repro.data.scenarios import ScenarioSpec, build_scenario
 from repro.eval.continual import ContinualEvaluator, MethodRunResult
 from repro.eval.tables import ResultsTable
 from repro.nn.module import Module
@@ -87,13 +86,6 @@ class RunSpec:
         Root seed of the run; scenario construction and method randomness are
         all derived from it via ``SeedSequence``, so equal specs produce equal
         results in any process.
-    scenario:
-        Optional drift-zoo :class:`~repro.data.scenarios.ScenarioSpec`.  When
-        set, the worker builds the stream through the scenario registry
-        instead of the default two-domain protocol; ``source``/``target``
-        must agree with the scenario's source and primary target so table
-        rows stay honest, and the scenario's composition is governed by
-        ``scenario.seed`` (method randomness still derives from ``seed``).
     """
 
     method: str
@@ -102,14 +94,10 @@ class RunSpec:
     target: str
     bits: int
     seed: int = 0
-    scenario: Optional[ScenarioSpec] = None
 
     def describe(self) -> str:
         """Compact human-readable label, e.g. ``'ER 4b Subj. 1→Subj. 2 #0'``."""
-        stream = f"{self.source}→{self.target}"
-        if self.scenario is not None:
-            stream = f"{self.scenario.family}:{self.source}→{'|'.join(self.scenario.targets)}"
-        return f"{self.method} {self.bits}b {stream} #{self.seed}"
+        return f"{self.method} {self.bits}b {self.source}→{self.target} #{self.seed}"
 
 
 def derive_seeds(base_seed: int, count: int) -> List[int]:
@@ -159,10 +147,7 @@ def run_spec(
 ) -> MethodRunResult:
     """Execute one spec — the pure function both serial and parallel paths share."""
     evaluator = ContinualEvaluator(num_batches=num_batches, seed=spec.seed)
-    if spec.scenario is not None:
-        scenario = build_scenario(dataset, spec.scenario)
-    else:
-        scenario = evaluator.build_scenario(dataset, spec.source, spec.target)
+    scenario = evaluator.build_scenario(dataset, spec.source, spec.target)
     result = evaluator.run(spec.factory(), scenario, model, bits=spec.bits)
     # The table row is keyed by the spec's label (method.name may add ablation
     # suffixes; the sweep author's label wins for aggregation).
@@ -423,33 +408,6 @@ class ParallelEvaluator:
                 raise ValueError(f"spec {spec.describe()!r} has source == target")
             if spec.bits <= 0:
                 raise ValueError(f"spec {spec.describe()!r} has non-positive bits")
-            if spec.scenario is not None:
-                if spec.scenario.source != spec.source:
-                    raise ValueError(
-                        f"spec {spec.describe()!r}: spec.source "
-                        f"{spec.source!r} disagrees with its scenario's "
-                        f"source {spec.scenario.source!r}"
-                    )
-                if spec.scenario.target != spec.target:
-                    raise ValueError(
-                        f"spec {spec.describe()!r}: spec.target "
-                        f"{spec.target!r} disagrees with its scenario's "
-                        f"primary target {spec.scenario.target!r}"
-                    )
-                if spec.scenario.num_batches != self.num_batches:
-                    raise ValueError(
-                        f"spec {spec.describe()!r}: scenario has "
-                        f"{spec.scenario.num_batches} batches but the "
-                        f"evaluator expects {self.num_batches}"
-                    )
-                missing = [
-                    name for name in spec.scenario.targets if name not in names
-                ]
-                if missing:
-                    raise ValueError(
-                        f"spec {spec.describe()!r} references unknown "
-                        f"scenario targets {missing}; dataset has {sorted(names)}"
-                    )
 
     def run(
         self,

@@ -185,7 +185,8 @@ class FleetGateway:
         Loop knobs; defaults to :meth:`GatewayConfig.from_env`.
     policy:
         Admission policy; defaults to a :class:`BackpressurePolicy` bound to
-        ``config.queue_max``.
+        ``config.queue_max``.  A passed policy must have the same
+        ``queue_max`` (``ValueError`` otherwise): the queue has one bound.
     fault_plan:
         Delivery-fault plan for the ``lease_expiry`` race injection (and
         passed to the service when one is built here).
@@ -207,11 +208,14 @@ class FleetGateway:
     ) -> None:
         self.fleet = fleet
         self.config = config if config is not None else GatewayConfig.from_env()
-        self.policy = (
-            policy
-            if policy is not None
-            else BackpressurePolicy(queue_max=self.config.queue_max)
-        )
+        if policy is None:
+            policy = BackpressurePolicy(queue_max=self.config.queue_max)
+        elif policy.queue_max != self.config.queue_max:
+            raise ValueError(
+                f"policy.queue_max {policy.queue_max} differs from "
+                f"config.queue_max {self.config.queue_max}: the queue has one bound"
+            )
+        self.policy = policy
         if service is not None:
             self.service = service
         else:

@@ -1,10 +1,10 @@
-"""ReplayBuffer behaviour under drift-zoo streams (abrupt + recurring).
+"""ReplayBuffer behaviour under drifting streams (abrupt + recurring).
 
 The replay-based baselines survive drift only if the buffer (a) keeps the
 pre-switch domain represented after a switch (reservoir sampling's whole
 job) and (b) never re-attaches stale logits to post-switch examples — each
 stored example must carry exactly the logits recorded when *it* was
-inserted.  These tests drive the buffer with real zoo scenarios and marker
+inserted.  These tests drive the buffer with real streams and marker
 logits that encode the inserting batch, so both properties are checked
 structurally rather than statistically.
 """
@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import ReplayBuffer
-from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
-from repro.data.scenarios import ScenarioSpec, build_scenario
+from repro.data import SyntheticTimeSeriesConfig, build_stream_scenario, make_dsa_surrogate
+from repro.data.streams import StreamBatch, build_recurring_scenario
 
 SMALL_TS = SyntheticTimeSeriesConfig(
     num_classes=4, num_domains=3, channels=3, length=12,
@@ -32,35 +32,41 @@ def data():
 
 @pytest.fixture(scope="module")
 def abrupt(data):
-    spec = ScenarioSpec(
-        family="abrupt", source="Subj. 1", targets=("Subj. 2", "Subj. 3"),
-        num_batches=NUM_BATCHES, seed=0,
-    )
-    return build_scenario(data, spec)
+    """Two paper-protocol streams back to back: Subj. 2 for the first half
+    of the batches, then Subj. 3 (the switch)."""
+    halves = [
+        build_stream_scenario(
+            data, "Subj. 1", target, num_batches=NUM_BATCHES // 2,
+            rng=np.random.default_rng(0),
+        ).batches
+        for target in ("Subj. 2", "Subj. 3")
+    ]
+    return [
+        StreamBatch(index=i, data=batch.data, test=batch.test)
+        for i, batch in enumerate(halves[0] + halves[1])
+    ]
 
 
 @pytest.fixture(scope="module")
 def recurring(data):
-    spec = ScenarioSpec(
-        family="recurring", source="Subj. 1", targets=("Subj. 2", "Subj. 3"),
-        num_batches=NUM_BATCHES, seed=0,
-    )
-    return build_scenario(data, spec)
+    return build_recurring_scenario(
+        data, "Subj. 1", ("Subj. 2", "Subj. 3"), num_batches=NUM_BATCHES, seed=0
+    ).batches
 
 
-def _batch_membership(scenario):
+def _batch_membership(batches):
     """Map every stream example's feature bytes to its batch index."""
     membership = {}
-    for batch in scenario.batches:
+    for batch in batches:
         for row in np.ascontiguousarray(batch.data.features):
             membership[row.tobytes()] = batch.index
     return membership
 
 
-def _fill_buffer(scenario, capacity=24, seed=3):
+def _fill_buffer(batches, capacity=24, seed=3):
     """Feed the whole stream, tagging logits with the inserting batch index."""
     buffer = ReplayBuffer(capacity, rng=np.random.default_rng(seed))
-    for batch in scenario.batches:
+    for batch in batches:
         markers = np.full((len(batch.data), 1), float(batch.index))
         buffer.add_batch(batch.data.features, batch.data.labels, logits=markers)
     return buffer
@@ -71,7 +77,7 @@ class TestAbruptDrift:
         buffer = _fill_buffer(abrupt)
         membership = _batch_membership(abrupt)
         switch = NUM_BATCHES // 2
-        total = sum(len(b.data) for b in abrupt.batches)
+        total = sum(len(b.data) for b in abrupt)
         assert buffer.seen == total
         assert len(buffer) == buffer.capacity
         batch_of = [
@@ -103,11 +109,11 @@ class TestAbruptDrift:
         their own insertion logits, not the refreshed marker."""
         switch = NUM_BATCHES // 2
         buffer = ReplayBuffer(24, rng=np.random.default_rng(3))
-        for batch in abrupt.batches[:switch]:
+        for batch in abrupt[:switch]:
             markers = np.full((len(batch.data), 1), 0.0)
             buffer.add_batch(batch.data.features, batch.data.labels, logits=markers)
         buffer.set_all_logits(np.full((len(buffer), 1), -1.0))
-        for batch in abrupt.batches[switch:]:
+        for batch in abrupt[switch:]:
             markers = np.full((len(batch.data), 1), 1.0)
             buffer.add_batch(batch.data.features, batch.data.labels, logits=markers)
         membership = _batch_membership(abrupt)
@@ -158,13 +164,13 @@ class TestRecurringDrift:
 
     def test_revisit_brings_new_examples(self, recurring):
         """Batch i and its revisit batch i+cycle never share an example —
-        the zoo splits each domain across its occurrences."""
+        the stream splits each domain across its visits."""
         first_visit = {
             row.tobytes()
-            for row in np.ascontiguousarray(recurring.batches[0].data.features)
+            for row in np.ascontiguousarray(recurring[0].data.features)
         }
         revisit = {
             row.tobytes()
-            for row in np.ascontiguousarray(recurring.batches[2].data.features)
+            for row in np.ascontiguousarray(recurring[2].data.features)
         }
         assert not first_visit & revisit

@@ -15,7 +15,6 @@ from repro.baselines import (
     ER,
     ERACE,
     NaiveFineTune,
-    build_baseline,
 )
 from repro.baselines.camel import k_center_greedy
 from repro.data import SyntheticTimeSeriesConfig, build_stream_scenario, make_dsa_surrogate
@@ -158,14 +157,3 @@ class TestSpecificBehaviours:
         assert method.memory_bytes() == 0
         method.prepare(scenario.source, model, bits=4, rng=np.random.default_rng(0))
         assert method.memory_bytes() > 0
-
-
-class TestFactory:
-    def test_build_all_names(self):
-        for name in ("A-GEM", "DER", "DER++", "ER", "ER-ACE", "Camel", "DeepC", "Naive"):
-            method = build_baseline(name, **_fast_kwargs())
-            assert method.name.lower().replace("+", "p") != ""
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            build_baseline("EWC")

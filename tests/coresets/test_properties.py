@@ -23,7 +23,6 @@ from repro.coresets import (
     MaxEntropySampler,
     NormalDistributionSampler,
     RandomSubset,
-    build_strategy,
 )
 from repro.core.coreset import QCoreSet
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
@@ -34,16 +33,6 @@ PROPERTY_TS = SyntheticTimeSeriesConfig(
     num_classes=3, num_domains=2, channels=3, length=16,
     train_per_class=12, val_per_class=2, test_per_class=3,
 )
-
-ALL_STRATEGY_NAMES = [
-    "random",
-    "max-entropy",
-    "least-confidence",
-    "normal",
-    "kmeans",
-    "gradmatch",
-    "craig",
-]
 
 ALL_STRATEGY_CLASSES = [
     RandomSubset,
@@ -72,12 +61,12 @@ def setup():
     return model, train, misses
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)
+@pytest.mark.parametrize("strategy_cls", ALL_STRATEGY_CLASSES)
 class TestBudgetInvariants:
     @pytest.mark.parametrize("size", [1, 7, 18])
-    def test_budget_never_exceeded(self, name, size, setup):
+    def test_budget_never_exceeded(self, strategy_cls, size, setup):
         model, train, misses = setup
-        qcore = build_strategy(name).build(
+        qcore = strategy_cls().build(
             train, model, size=size, rng=np.random.default_rng(3), misses=misses
         )
         assert isinstance(qcore, QCoreSet)
@@ -85,29 +74,29 @@ class TestBudgetInvariants:
         assert qcore.budget == size
         assert len(qcore.as_dataset()) == size
 
-    def test_size_above_dataset_rejected(self, name, setup):
+    def test_size_above_dataset_rejected(self, strategy_cls, setup):
         model, train, misses = setup
         with pytest.raises(ValueError, match="exceeds dataset size"):
-            build_strategy(name).build(
+            strategy_cls().build(
                 train, model, size=len(train) + 1,
                 rng=np.random.default_rng(0), misses=misses,
             )
 
-    def test_non_positive_size_rejected(self, name, setup):
+    def test_non_positive_size_rejected(self, strategy_cls, setup):
         model, train, misses = setup
         with pytest.raises(ValueError, match="size must be positive"):
-            build_strategy(name).build(
+            strategy_cls().build(
                 train, model, size=0, rng=np.random.default_rng(0), misses=misses
             )
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)
+@pytest.mark.parametrize("strategy_cls", ALL_STRATEGY_CLASSES)
 class TestIndexInvariants:
     @pytest.mark.parametrize("size", [5, 13])
-    def test_indices_unique_and_in_range(self, name, size, setup):
+    def test_indices_unique_and_in_range(self, strategy_cls, size, setup):
         model, train, misses = setup
         indices = np.asarray(
-            build_strategy(name).select(
+            strategy_cls().select(
                 train, model, size, rng=np.random.default_rng(11), misses=misses
             )
         )
@@ -118,24 +107,24 @@ class TestIndexInvariants:
         assert np.issubdtype(indices.dtype, np.integer)
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGY_NAMES)
+@pytest.mark.parametrize("strategy_cls", ALL_STRATEGY_CLASSES)
 class TestDeterminism:
-    def test_equal_seeds_give_identical_selections(self, name, setup):
+    def test_equal_seeds_give_identical_selections(self, strategy_cls, setup):
         model, train, misses = setup
-        first = build_strategy(name).select(
+        first = strategy_cls().select(
             train, model, 10, rng=np.random.default_rng(42), misses=misses
         )
-        second = build_strategy(name).select(
+        second = strategy_cls().select(
             train, model, 10, rng=np.random.default_rng(42), misses=misses
         )
         np.testing.assert_array_equal(np.asarray(first), np.asarray(second))
 
-    def test_equal_seeds_give_identical_qcores(self, name, setup):
+    def test_equal_seeds_give_identical_qcores(self, strategy_cls, setup):
         model, train, misses = setup
-        first = build_strategy(name).build(
+        first = strategy_cls().build(
             train, model, size=9, rng=np.random.default_rng(5), misses=misses
         )
-        second = build_strategy(name).build(
+        second = strategy_cls().build(
             train, model, size=9, rng=np.random.default_rng(5), misses=misses
         )
         np.testing.assert_array_equal(
@@ -146,15 +135,7 @@ class TestDeterminism:
         )
 
 
-class TestRegistryAndEdgeCases:
-    def test_registry_covers_every_strategy_class(self):
-        built = {type(build_strategy(name)) for name in ALL_STRATEGY_NAMES}
-        assert built == set(ALL_STRATEGY_CLASSES)
-
-    def test_unknown_strategy_name(self):
-        with pytest.raises(KeyError, match="unknown strategy"):
-            build_strategy("definitely-not-a-strategy")
-
+class TestEdgeCases:
     def test_random_subset_varies_with_seed(self, setup):
         model, train, misses = setup
         a = RandomSubset().select(train, model, 10, rng=np.random.default_rng(0))
@@ -187,8 +168,8 @@ class TestRegistryAndEdgeCases:
     def test_full_dataset_selection_is_whole_range(self, setup):
         """size == len(dataset): every strategy must return each index once."""
         model, train, misses = setup
-        for name in ALL_STRATEGY_NAMES:
-            indices = build_strategy(name).select(
+        for strategy_cls in ALL_STRATEGY_CLASSES:
+            indices = strategy_cls().select(
                 train, model, len(train), rng=np.random.default_rng(2), misses=misses
             )
             np.testing.assert_array_equal(

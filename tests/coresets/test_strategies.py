@@ -14,7 +14,6 @@ from repro.coresets import (
     MaxEntropySampler,
     NormalDistributionSampler,
     RandomSubset,
-    build_strategy,
     gradient_embeddings,
 )
 from repro.coresets.kmeans import kmeans
@@ -137,12 +136,3 @@ class TestSpecificStrategies:
         grad_residual = np.linalg.norm(embeddings[grad_indices].mean(axis=0) - target)
         random_residual = np.linalg.norm(embeddings[random_indices].mean(axis=0) - target)
         assert grad_residual <= random_residual + 1e-9
-
-    def test_factory_builds_every_name(self):
-        for name in (
-            "Random", "Maximum Entropy", "Least Confidence", "Normal Distrib.",
-            "k-means", "GradMatch", "CRAIG",
-        ):
-            assert build_strategy(name) is not None
-        with pytest.raises(KeyError):
-            build_strategy("herding")

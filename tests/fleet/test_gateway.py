@@ -699,6 +699,21 @@ class TestEnvKnobs:
         assert config.lease_s == 12.5
         assert config.queue_max == 7
 
+    def test_policy_must_share_the_queue_bound(self, monkeypatch):
+        """A passed policy's queue_max never silently overrides the config's:
+        neither the environment's bound nor an explicit config's."""
+        monkeypatch.setenv("REPRO_FLEET_QUEUE_MAX", "8")
+        with pytest.raises(ValueError, match="policy.queue_max 64 differs from config.queue_max 8"):
+            FleetGateway(Fleet(), policy=BackpressurePolicy(defer_watermark=0.5))
+        with pytest.raises(ValueError, match="policy.queue_max 100 differs from config.queue_max 4"):
+            FleetGateway(
+                Fleet(), config=GatewayConfig(queue_max=4),
+                policy=BackpressurePolicy(queue_max=100),
+            )
+        gateway = FleetGateway(Fleet(), policy=BackpressurePolicy(queue_max=8))
+        assert gateway.policy.queue_max == gateway._queue.maxlen == 8
+        gateway.close()
+
     def test_explicit_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLEET_QUEUE_MAX", "7")
         assert GatewayConfig.from_env(queue_max=3).queue_max == 3

@@ -1,9 +1,9 @@
 """The fleet tier stays off the evaluation stack.
 
 A round runs in the process that drains it, so nothing under
-``repro.fleet`` needs the sweep machinery of ``repro.eval``, the baseline
-methods or the drift scenarios, nor ``multiprocessing``.  Each import runs
-in a fresh interpreter, where ``sys.modules`` shows everything it pulled in.
+``repro.fleet`` needs the sweep machinery of ``repro.eval`` or the baseline
+methods, nor ``multiprocessing``.  Each import runs in a fresh interpreter,
+where ``sys.modules`` shows everything it pulled in.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
-FORBIDDEN = ("repro.eval", "repro.baselines", "repro.data.scenarios", "multiprocessing")
+FORBIDDEN = ("repro.eval", "repro.baselines", "multiprocessing")
 
 PROBE = (
     "import importlib, sys\n"

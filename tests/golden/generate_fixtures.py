@@ -85,10 +85,9 @@ def main() -> None:
     gs.FIXTURE_PATH.write_text(json.dumps(fixture, indent=2) + "\n")
     print(f"wrote {gs.FIXTURE_PATH}")
 
-    # 4. Drift-zoo scenario digests: one pin per registered family.  Kept in
-    # a separate fixture file (not the experiment store's golden-kind rows,
-    # which tests/results/test_golden_pins.py constrains to golden.json
-    # exactly).
+    # 4. The recurring stream's composition.  Kept in a separate fixture file
+    # (not the experiment store's golden-kind rows, which
+    # tests/results/test_golden_pins.py constrains to golden.json exactly).
     scenario_fixture = {
         "meta": {
             "dtype": "float64",
@@ -96,11 +95,11 @@ def main() -> None:
             "num_batches": gs.NUM_BATCHES,
             "generator": "tests/golden/generate_fixtures.py",
             "note": (
-                "Pinned drift-zoo scenario digests; regenerate only on an "
+                "Pinned recurring-stream digest; regenerate only on an "
                 "intentional composition change."
             ),
         },
-        "families": gs.describe_scenario_grid(data),
+        "families": {"recurring": gs.describe_recurring(gs.build_recurring(data))},
     }
     gs.SCENARIO_FIXTURE_PATH.write_text(
         json.dumps(scenario_fixture, indent=2) + "\n"

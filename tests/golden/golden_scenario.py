@@ -18,6 +18,7 @@ import numpy as np
 from repro.baselines import ER
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.data.streams import build_recurring_scenario
 from repro.eval import QCoreMethod, build_specs
 from repro.models import build_model
 
@@ -52,6 +53,34 @@ def array_digest(values: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(str(values.shape).encode())
     digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def dataset_digest(dataset) -> str:
+    """SHA-256 over a dataset's canonicalized features and labels."""
+    digest = hashlib.sha256()
+    digest.update(array_digest(dataset.features).encode())
+    digest.update(array_digest(dataset.labels).encode())
+    return digest.hexdigest()
+
+
+def scenario_digest(scenario) -> str:
+    """Order-sensitive SHA-256 fingerprint of a built stream scenario.
+
+    Covers the identity strings (dataset, source domain, target name), the
+    batch count, every batch's adaptation data and test slice, and the full
+    target test set, so any change to composition, ordering, labels or
+    values changes the digest.
+    """
+    digest = hashlib.sha256()
+    for token in (scenario.dataset_name, scenario.source.domain, scenario.target_name):
+        digest.update(token.encode())
+        digest.update(b"\x00")
+    digest.update(str(scenario.num_batches).encode())
+    for batch in scenario.batches:
+        digest.update(dataset_digest(batch.data).encode())
+        digest.update(dataset_digest(batch.test).encode())
+    digest.update(dataset_digest(scenario.target_test).encode())
     return digest.hexdigest()
 
 
@@ -156,34 +185,28 @@ def describe_split(scenario) -> dict:
 SCENARIO_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "scenarios.json"
 
 
-def build_scenario_grid(data):
-    """One spec per registered drift-zoo family on the golden dataset."""
-    from repro.data.scenarios import default_scenario_grid
+def build_recurring(data):
+    """The recurring stream the scenario fixture pins: Subj. 2 and Subj. 3 in turn."""
+    return build_recurring_scenario(
+        data, "Subj. 1", ("Subj. 2", "Subj. 3"), num_batches=NUM_BATCHES, seed=SEED
+    )
 
-    return default_scenario_grid(data, num_batches=NUM_BATCHES, seed=SEED)
 
-
-def describe_scenario_grid(data) -> dict:
-    """JSON-friendly pins for every family: scenario digest + first-batch data.
+def describe_recurring(scenario) -> dict:
+    """JSON-friendly pins of a scenario: its digest plus the first batch's data.
 
     The scenario digest covers the whole stream; the first batch's feature
     digests and label lists are pinned separately so a digest mismatch is
     diagnosable (labels are readable, digests say which split moved).
     """
-    from repro.data.scenarios import build_scenario, scenario_digest
-
-    entries = {}
-    for spec in build_scenario_grid(data):
-        scenario = build_scenario(data, spec)
-        first = scenario.batches[0]
-        entries[spec.family] = {
-            "description": scenario.description,
-            "scenario_digest": scenario_digest(scenario),
-            "batch_sizes": [len(b.data) for b in scenario.batches],
-            "test_sizes": [len(b.test) for b in scenario.batches],
-            "first_batch_features_digest": array_digest(first.data.features),
-            "first_batch_labels": [int(l) for l in first.data.labels],
-            "first_test_features_digest": array_digest(first.test.features),
-            "first_test_labels": [int(l) for l in first.test.labels],
-        }
-    return entries
+    first = scenario.batches[0]
+    return {
+        "description": scenario.description,
+        "scenario_digest": scenario_digest(scenario),
+        "batch_sizes": [len(b.data) for b in scenario.batches],
+        "test_sizes": [len(b.test) for b in scenario.batches],
+        "first_batch_features_digest": array_digest(first.data.features),
+        "first_batch_labels": [int(l) for l in first.data.labels],
+        "first_test_features_digest": array_digest(first.test.features),
+        "first_test_labels": [int(l) for l in first.test.labels],
+    }

@@ -1,11 +1,9 @@
-"""Golden pins for the drift zoo: every family's composition is frozen.
+"""Golden pins for the recurring stream: its composition is frozen.
 
 ``fixtures/scenarios.json`` (regenerated only by ``generate_fixtures.py``)
-pins one ``scenario_digest`` per registered family plus the first batch's
-feature digests and label lists.  Registry and fixture must cover exactly
-the same families — adding a family without pinning it (or deleting one
-while its pin lingers) fails here, and any composition drift is caught with
-a diagnosable field, not just a changed hash.
+pins the recurring stream's ``scenario_digest`` plus the first batch's
+feature digests and label lists, so any composition drift is caught with a
+diagnosable field, not just a changed hash.
 """
 
 from __future__ import annotations
@@ -15,11 +13,6 @@ import json
 import pytest
 
 import golden_scenario as gs
-from repro.data.scenarios import (
-    build_scenario,
-    scenario_digest,
-    scenario_families,
-)
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +24,8 @@ def fixture():
     return json.loads(gs.SCENARIO_FIXTURE_PATH.read_text())
 
 
-@pytest.fixture(scope="module")
-def data():
-    return gs.build_dataset()
-
-
-@pytest.fixture(scope="module")
-def rebuilt(data):
-    return {
-        spec.family: build_scenario(data, spec)
-        for spec in gs.build_scenario_grid(data)
-    }
-
-
-def test_fixture_covers_exactly_the_registry(fixture):
-    assert set(fixture["families"]) == set(scenario_families())
+def test_fixture_pins_the_recurring_stream_only(fixture):
+    assert set(fixture["families"]) == {"recurring"}
 
 
 def test_fixture_meta_matches_golden_protocol(fixture):
@@ -54,10 +34,9 @@ def test_fixture_meta_matches_golden_protocol(fixture):
     assert fixture["meta"]["num_batches"] == gs.NUM_BATCHES
 
 
-@pytest.mark.parametrize("family", sorted(scenario_families()))
-def test_family_reproduces_its_pins(fixture, rebuilt, family):
-    pinned = fixture["families"][family]
-    scenario = rebuilt[family]
+def test_recurring_reproduces_its_pins(fixture):
+    pinned = fixture["families"]["recurring"]
+    scenario = gs.build_recurring(gs.build_dataset())
     first = scenario.batches[0]
     assert scenario.description == pinned["description"]
     assert [len(b.data) for b in scenario.batches] == pinned["batch_sizes"]
@@ -66,9 +45,4 @@ def test_family_reproduces_its_pins(fixture, rebuilt, family):
     assert [int(l) for l in first.test.labels] == pinned["first_test_labels"]
     assert gs.array_digest(first.data.features) == pinned["first_batch_features_digest"]
     assert gs.array_digest(first.test.features) == pinned["first_test_features_digest"]
-    assert scenario_digest(scenario) == pinned["scenario_digest"]
-
-
-def test_pinned_digests_are_family_unique(fixture):
-    digests = [e["scenario_digest"] for e in fixture["families"].values()]
-    assert len(set(digests)) == len(digests)
+    assert gs.scenario_digest(scenario) == pinned["scenario_digest"]

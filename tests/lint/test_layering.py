@@ -43,6 +43,16 @@ def test_every_layer_package_resolves() -> None:
             assert config.package_of(package + ".x") == package
 
 
+def test_every_layer_package_exists() -> None:
+    """Each DAG entry is a module or package under src/, so the policy
+    cannot keep naming a package that was deleted."""
+    src = config.REPO_ROOT / "src"
+    for group in config.LAYERS:
+        for package in group:
+            path = src.joinpath(*package.split("."))
+            assert path.with_suffix(".py").is_file() or (path / "__init__.py").is_file(), package
+
+
 def test_allowed_imports_are_strictly_downward() -> None:
     """allowed_imports() grants exactly the strictly-lower layers."""
     allowed = config.allowed_imports()

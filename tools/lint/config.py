@@ -28,22 +28,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: strictly lower layers only; same-layer and upward imports are findings.
 #: Sub-packages not named here inherit their parent's layer, except
 #: ``repro.nn.kernels`` which is deliberately *below* ``repro.nn`` (the
-#: conv kernel must never reach back into the layer API),
-#: ``repro.data.scenarios`` which is deliberately *above* ``repro.data``
-#: (the drift zoo composes datasets into streams; the data primitives never
-#: import the zoo back), and ``repro.fleet.gateway`` which is deliberately
-#: *above* ``repro.fleet`` (the ingestion front end orchestrates the
-#: service/store tier; nothing in the tier may reach up into the gateway).
+#: conv kernel must never reach back into the layer API), and
+#: ``repro.fleet.gateway`` which is deliberately *above* ``repro.fleet``
+#: (the ingestion front end orchestrates the service/store tier; nothing in
+#: the tier may reach up into the gateway).
 #: ``repro.fleet`` shares ``repro.eval``'s layer, so neither may import the
 #: other: the fleet tier runs its rounds in-process and stays off the
-#: evaluation stack (baselines, drift zoo, worker pool).
+#: evaluation stack (baselines, worker pool).
 #: ``repro.reference`` is the top layer: the seed reference implementations
 #: may import anything, and no production module may import them.
 LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("repro.utils",),
     ("repro.runtime",),
     ("repro.data",),
-    ("repro.data.scenarios",),
     ("repro.nn.kernels",),
     ("repro.nn",),
     ("repro.models", "repro.quantization"),
@@ -76,8 +73,6 @@ def package_of(module: str) -> Optional[str]:
     parts = module.split(".")
     if len(parts) >= 3 and parts[1] == "nn" and parts[2] == "kernels":
         return "repro.nn.kernels"
-    if len(parts) >= 3 and parts[1] == "data" and parts[2] == "scenarios":
-        return "repro.data.scenarios"
     if len(parts) >= 3 and parts[1] == "fleet" and parts[2] == "gateway":
         return "repro.fleet.gateway"
     if len(parts) >= 2:
