@@ -47,6 +47,7 @@ from repro.fleet.service import (
     dataset_digest,
 )
 from repro.fleet.store import (
+    DeviceProgress,
     DeviceRoundRecord,
     DeviceStateStore,
     RoundRecord,
@@ -54,6 +55,7 @@ from repro.fleet.store import (
 )
 
 __all__ = [
+    "DeviceProgress",
     "DeviceRoundRecord",
     "DeviceStateStore",
     "FaultPlan",

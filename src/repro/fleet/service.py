@@ -391,13 +391,12 @@ class FleetService:
         return self.store.open_round(starts)
 
     def poll(self, round_id: int) -> RoundStatus:
-        """Cheap, read-only progress snapshot of a round."""
+        """Cheap, read-only progress snapshot of a round; loads no state."""
         self.store.get_round(round_id)  # KeyError on an unknown round
-        rows = self.store.device_rounds(round_id)
         counts: Dict[str, int] = {}
         attempts: Dict[str, int] = {}
         quarantined: Dict[str, str] = {}
-        for row in rows:
+        for row in self.store.device_progress(round_id):
             counts[row.status] = counts.get(row.status, 0) + 1
             attempts[row.device_id] = row.attempts
             if row.status == "quarantined":
@@ -605,11 +604,14 @@ class FleetService:
     def _quarantine_groups(
         self, round_id: int, groups: List[_Group], outcome: RoundOutcome
     ) -> None:
-        errors: Dict[str, str] = {}
-        for group in groups:
-            for device_id in group.member_ids:
-                row = self.store.get_device_round(round_id, device_id)
-                errors[device_id] = row.last_error or "attempts exhausted"
+        last_errors = {
+            row.device_id: row.last_error for row in self.store.device_progress(round_id)
+        }
+        errors = {
+            device_id: last_errors[device_id] or "attempts exhausted"
+            for group in groups
+            for device_id in group.member_ids
+        }
         self.store.mark_quarantined(round_id, errors)
         for group in groups:
             for device_id in group.member_ids:

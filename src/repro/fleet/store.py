@@ -33,6 +33,14 @@ previous round's result, so a steady-state submit writes no state at all.
 States are immutable and never deleted, so a digest found stored stays
 stored.  The store never computes a digest: its callers pass them.
 
+A store keeps the states of its latest committed ``open_round`` or
+``mark_done`` in memory, and a read of one of their digests returns that
+very object instead of unpickling it, so a drain reads the snapshots its
+own submit just wrote without unpickling them.  The map holds one call's
+states, at most one per device, and changes only once that call's commit
+has landed.  Every other digest, and every read on another connection (a
+restarted process, another submitter), is unpickled from the file.
+
 Each mutating method is one commit.  The round path commits once per round
 phase, whatever the number of devices (group commit): the per-phase methods
 (``open_round``, ``mark_running``, ``mark_done``, ``mark_failed``,
@@ -82,11 +90,14 @@ import pickle
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.utils.sqlite import StoreError, connect, retry, utcnow
 
 __all__ = [
+    "DeviceProgress",
     "DeviceRoundRecord",
     "DeviceStateStore",
     "RoundRecord",
@@ -124,7 +135,8 @@ class DeviceRoundRecord:
 
     ``snapshot`` and ``result_state`` are loaded from ``states`` by digest;
     records of one read that share a digest share one object, which callers
-    treat as read-only.
+    treat as read-only.  A state from the store's latest ``open_round`` or
+    ``mark_done`` is the very object that call was given.
     """
 
     round_id: int
@@ -139,6 +151,15 @@ class DeviceRoundRecord:
     result_state: Optional[Any]
     stats: Optional[Any]
     updated_at: str
+
+
+class DeviceProgress(NamedTuple):
+    """One ``device_rounds`` row's progress, read without its states or stats."""
+
+    device_id: str
+    status: str
+    attempts: int
+    last_error: Optional[str]
 
 
 _SCHEMA = (
@@ -216,6 +237,9 @@ class DeviceStateStore:
         #: fault-injection harness points this at a ``FaultPlan`` to make
         #: store writes fail transiently; production leaves it ``None``.
         self.before_write: Optional[Callable[[str], None]] = None
+        #: The states of the latest committed ``open_round`` or
+        #: ``mark_done``, by digest: reads return these objects as they are.
+        self._written: Dict[str, Any] = {}
 
     # --------------------------------------------------------------- plumbing
     def _create_schema(self) -> None:
@@ -276,10 +300,15 @@ class DeviceStateStore:
         return [(sql, rows)] if rows else []
 
     def _load_states(self, digests: Iterable[Optional[str]]) -> Dict[str, Any]:
-        """Unpickle each distinct stored state among ``digests`` once."""
+        """Each distinct state among ``digests``: the latest write's own
+        object if it named the digest, else unpickled from the file once."""
         states: Dict[str, Any] = {}
         for digest in digests:
-            if digest is not None and digest not in states:
+            if digest is None or digest in states:
+                continue
+            if digest in self._written:
+                states[digest] = self._written[digest]
+            else:
                 row = self._conn.execute(
                     "SELECT state FROM states WHERE digest = ?", (digest,)
                 ).fetchone()
@@ -337,10 +366,9 @@ class DeviceStateStore:
         if not starts:
             raise ValueError("a round needs at least one device")
         now = utcnow()
+        states = {state_digest: snapshot for state_digest, _, snapshot in starts.values()}
         self._execute(
-            *self._insert_states(
-                {state_digest: snapshot for state_digest, _, snapshot in starts.values()}
-            ),
+            *self._insert_states(states),
             (
                 "INSERT INTO devices (device_id, updated_at) VALUES (?, ?) "
                 "ON CONFLICT(device_id) DO NOTHING",
@@ -362,6 +390,7 @@ class DeviceStateStore:
                 ],
             ),
         )
+        self._written = states
         # last_insert_rowid() is this connection's last device row.
         return int(self._conn.execute(
             "SELECT round_id FROM device_rounds WHERE rowid = last_insert_rowid()"
@@ -410,10 +439,9 @@ class DeviceStateStore:
         move it to ``done``.  A result state is stored under its digest
         unless the store already holds it."""
         now = utcnow()
+        states = {result_digest: state for result_digest, state, _ in results.values()}
         self._execute(
-            *self._insert_states(
-                {result_digest: result_state for result_digest, result_state, _ in results.values()}
-            ),
+            *self._insert_states(states),
             (
                 "UPDATE device_rounds SET status = 'done', result_digest = ?, stats = ?,"
                 " last_error = NULL, updated_at = ? WHERE round_id = ? AND device_id = ?",
@@ -423,6 +451,7 @@ class DeviceStateStore:
                 ],
             ),
         )
+        self._written = states
 
     def mark_failed(self, round_id: int, errors: Mapping[str, str]) -> None:
         """Record failed attempts, device id → error (back to ``pending`` for
@@ -472,6 +501,16 @@ class DeviceStateStore:
             (round_id,),
         ).fetchall()
         return self._to_records(rows)
+
+    def device_progress(self, round_id: int) -> List[DeviceProgress]:
+        """The progress of a round's device rows, in device-id insertion
+        order; loads no state and no stats."""
+        rows = self._conn.execute(
+            "SELECT device_id, status, attempts, last_error FROM device_rounds"
+            " WHERE round_id = ? ORDER BY rowid",
+            (round_id,),
+        ).fetchall()
+        return [DeviceProgress(*row) for row in rows]
 
     def _to_records(self, rows: Sequence[sqlite3.Row]) -> List[DeviceRoundRecord]:
         """Records of ``rows``, loading each state they name once."""

@@ -11,12 +11,14 @@ bit-identical at float64 to the raw batched calibrator.
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from repro import reference
+from repro.core.bitflip import CalibrationRoundState
 from repro.core.pipeline import QCoreFramework
 from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
 from repro.data.dataset import Dataset
@@ -540,12 +542,12 @@ class TestStoreCommits:
     @staticmethod
     def _counted_wave(monkeypatch, gateway, target, wave, pools=None):
         """Offer and pump one wave, of every device unless ``pools`` names
-        some.  Returns the SQL of each store commit and the number of
-        values pickled for it."""
+        some.  Returns the SQL of each store commit, the number of values
+        pickled for it, and the number of values the pump unpickled."""
         pools = pools or _pools(target, gateway.fleet.ids, wave)
         _offer_wave(gateway, wave, pools)
-        commits, pickles, pickled, writes = [], [], [], []
-        execute, blob = DeviceStateStore._execute, store_module._blob
+        commits, pickles, pickled, writes, unpickled = [], [], [], [], []
+        execute, blob, loads = DeviceStateStore._execute, store_module._blob, pickle.loads
 
         def counted(self, *statements):
             commits.append([_statement(sql) for sql, _ in statements])
@@ -556,13 +558,16 @@ class TestStoreCommits:
         monkeypatch.setattr(
             store_module, "_blob", lambda value: pickled.append(value) or blob(value)
         )
+        monkeypatch.setattr(
+            pickle, "loads", lambda data: unpickled.append(data) or loads(data)
+        )
         gateway.service.store.before_write = writes.append
         logs = gateway.pump()
         monkeypatch.undo()
         gateway.service.store.before_write = None
         assert [len(log.devices) for log in logs] == [len(pools)]
         assert len(writes) == sum(len(commit) for commit in commits)
-        return commits, pickles
+        return commits, pickles, len(unpickled)
 
     @pytest.mark.parametrize("num_devices", [3, 12])
     def test_one_gateway_round_commits_once_per_phase(
@@ -578,7 +583,7 @@ class TestStoreCommits:
         config = GatewayConfig(lease_s=LEASE_S, queue_max=num_devices, max_batch=num_devices)
         store = DeviceStateStore(tmp_path / "fleet.sqlite")
         gateway = _gateway(fleet, ManualClock(), store=store, config=config)
-        commits, pickles = self._counted_wave(monkeypatch, gateway, target, 0)
+        commits, pickles, _ = self._counted_wave(monkeypatch, gateway, target, 0)
         assert gateway.stats.completed_reports == num_devices
         assert commits == [
             [STATES, DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]
@@ -589,15 +594,17 @@ class TestStoreCommits:
     def test_next_wave_submit_writes_no_state(self, packaged, tmp_path, monkeypatch):
         """The second wave's snapshots are the first wave's results, which
         the store already holds: its open pickles nothing and writes no
-        state."""
+        state, and its drain reads them from the store's latest write, so
+        the wave unpickles nothing either."""
         deployment, target = packaged
         gateway = _gateway(
             _fleet(deployment), ManualClock(), store=DeviceStateStore(tmp_path / "fleet.sqlite")
         )
         self._counted_wave(monkeypatch, gateway, target, 0)
-        commits, pickles = self._counted_wave(monkeypatch, gateway, target, 1)
+        commits, pickles, unpickled = self._counted_wave(monkeypatch, gateway, target, 1)
         assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]]
         assert pickles[0] == 0
+        assert unpickled == 0
         gateway.close()
 
     def test_reused_groups_ride_the_done_commit(self, packaged, tmp_path, monkeypatch):
@@ -615,12 +622,12 @@ class TestStoreCommits:
         )
         pool = _pool(target, 0)
         self._counted_wave(monkeypatch, gateway, target, 0, {"device-0": pool})
-        commits, pickles = self._counted_wave(
+        commits, pickles, _ = self._counted_wave(
             monkeypatch, gateway, target, 1, {"device-1": pool, "device-2": pool}
         )
         assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [DONE]]
         assert pickles[0] == 0
-        commits, _ = self._counted_wave(
+        commits, _, _ = self._counted_wave(
             monkeypatch, gateway, target, 2, {"device-3": pool, "device-0": _pool(target, 9)}
         )
         assert commits == [[DEVICES, ROUNDS, DEVICE_ROUNDS], [RUNNING], [STATES, DONE]]
@@ -660,6 +667,36 @@ class TestStoreCommits:
         with DeviceStateStore(path) as reopened:
             assert list(reopened.quarantined_devices()) == ["device-0"]
             assert reopened.list_rounds() == []
+
+
+class TestStoredStates:
+    def test_a_fresh_reader_loads_every_state_as_its_digest(self, packaged, tmp_path):
+        """A second store on the gateway's file reads every state from disk:
+        each row's snapshot, and each done row's result state, recomputes
+        from its contents to the digest the row names."""
+        deployment, target = packaged
+        path = tmp_path / "fleet.sqlite"
+        gateway = _gateway(_fleet(deployment), ManualClock(), store=DeviceStateStore(path))
+        for wave in range(4):
+            _offer_wave(gateway, wave, _revisited_pools(target, gateway.fleet.ids, wave))
+            gateway.pump()
+        gateway.close()
+
+        def recomputed(state):
+            assert isinstance(state, CalibrationRoundState)
+            return CalibrationRoundState(codes=state.codes, batchnorm=state.batchnorm).digest()
+
+        with DeviceStateStore(path) as reader:
+            rows = [
+                row
+                for record in reader.list_rounds()
+                for row in reader.device_rounds(record.round_id)
+            ]
+        assert len(rows) == 4 * NUM_DEVICES
+        assert {row.status for row in rows} == {"done"}
+        for row in rows:
+            assert recomputed(row.snapshot) == row.state_digest
+            assert recomputed(row.result_state) == row.result_digest
 
 
 class TestEnvKnobs:

@@ -11,6 +11,7 @@ trustworthy: recovery may cost time, never correctness.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import sqlite3
 
 import numpy as np
@@ -213,6 +214,27 @@ class TestHappyPath:
         status = service.poll(round_id)
         assert status.counts == {"done": NUM_DEVICES}
         assert status.done and status.quarantined == {}
+
+    def test_poll_from_another_store_loads_no_state(self, packaged, tmp_path, monkeypatch):
+        """``poll`` reads the rows' progress alone: an operator polling a
+        finished round through a store of its own unpickles nothing."""
+        data, _, deployment = packaged
+        path = tmp_path / "fleet.db"
+        fleet = _fleet(deployment)
+        plan = FaultPlan([FaultSpec(kind="transient", target="device-0", max_fires=99)])
+        with FleetService(
+            fleet, store=DeviceStateStore(path), retry_policy=FAST_RETRY, fault_plan=plan
+        ) as service:
+            round_id, outcome = _drain_round(service, _pools(data, fleet.ids))
+        unpickled, loads = [], pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda blob: unpickled.append(blob) or loads(blob))
+        with FleetService(_fleet(deployment), store=DeviceStateStore(path)) as operator:
+            status = operator.poll(round_id)
+        assert unpickled == []
+        assert status.done
+        assert status.counts == {"quarantined": 1, "done": 2}
+        assert status.attempts == {"device-0": 3, "device-1": 2, "device-2": 2}
+        assert status.quarantined == outcome.quarantined
 
     def test_submit_requires_pools_for_all_devices(self, packaged):
         data, _, deployment = packaged

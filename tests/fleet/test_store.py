@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import sqlite3
@@ -154,27 +155,152 @@ class TestLifecycle:
                 DeviceStateStore(write_retries=0)
 
 
+@pytest.fixture
+def unpickled(monkeypatch):
+    """Every object ``pickle.loads`` returns while the test runs."""
+    objects = []
+    loads = pickle.loads
+
+    def recorded(data, *args, **kwargs):
+        objects.append(loads(data, *args, **kwargs))
+        return objects[-1]
+
+    monkeypatch.setattr(pickle, "loads", recorded)
+    return objects
+
+
+def _is_one_of(value, objects):
+    return any(value is candidate for candidate in objects)
+
+
+def _assert_same_state(loaded, state):
+    assert loaded["codes"].dtype == state["codes"].dtype
+    np.testing.assert_array_equal(loaded["codes"], state["codes"])
+    assert loaded["moments"].tobytes() == state["moments"].tobytes()
+
+
 class TestSnapshotRoundTrip:
-    def test_numpy_state_is_byte_exact(self):
+    def test_numpy_state_is_byte_exact(self, tmp_path):
         """Pickled blobs must round-trip numpy state losslessly — the
-        bit-identity contract forbids any decimal-text detour."""
-        with DeviceStateStore() as store:
+        bit-identity contract forbids any decimal-text detour.  A second
+        store on the file reads it, so the state comes through pickle."""
+        path = tmp_path / "fleet.db"
+        with DeviceStateStore(path) as store, DeviceStateStore(path) as reader:
             snapshot = _snapshot(7)
             round_id = store.open_round({"d0": ("x", "y", snapshot)})
-            loaded = store.get_device_round(round_id, "d0").snapshot
-            assert loaded["codes"].dtype == snapshot["codes"].dtype
-            np.testing.assert_array_equal(loaded["codes"], snapshot["codes"])
-            assert loaded["moments"].tobytes() == snapshot["moments"].tobytes()
+            loaded = reader.get_device_round(round_id, "d0").snapshot
+            assert loaded is not snapshot
+            _assert_same_state(loaded, snapshot)
 
 
 def _state_count(store):
     return store._conn.execute("SELECT COUNT(*) FROM states").fetchone()[0]
 
 
+class TestLatestWrite:
+    """A store serves the states of its own latest ``open_round`` or
+    ``mark_done`` from memory; every other read unpickles from the file."""
+
+    DEVICES = ("d0", "d1", "d2")
+
+    def _open(self, store):
+        """Open a round in which d1 and d2 share one round-start state."""
+        shared = _snapshot(1)
+        starts = {"d0": _snapshot(0), "d1": shared, "d2": shared}
+        digests = {"d0": _digest(0), "d1": _digest(1), "d2": _digest(1)}
+        round_id = store.open_round({
+            device_id: (digests[device_id], "pool", starts[device_id])
+            for device_id in self.DEVICES
+        })
+        return round_id, starts
+
+    def _finish(self, store, round_id):
+        results = {device_id: _snapshot(10 + k) for k, device_id in enumerate(self.DEVICES)}
+        store.mark_running(round_id, list(self.DEVICES))
+        store.mark_done(round_id, {
+            device_id: (_digest(10 + k), results[device_id], {"flips": k})
+            for k, device_id in enumerate(self.DEVICES)
+        })
+        return results
+
+    def test_open_round_states_are_read_as_given(self, tmp_path, unpickled):
+        with DeviceStateStore(tmp_path / "fleet.db") as store:
+            round_id, starts = self._open(store)
+            rows = store.device_rounds(round_id)
+            assert [row.device_id for row in rows] == list(self.DEVICES)
+            assert all(row.snapshot is starts[row.device_id] for row in rows)
+            assert store.get_device_round(round_id, "d2").snapshot is starts["d1"]
+        assert unpickled == []
+
+    def test_mark_done_replaces_the_states_served(self, tmp_path, unpickled):
+        """After ``mark_done`` its results are the given objects, and the
+        round-start states, from the write before, come from the file."""
+        with DeviceStateStore(tmp_path / "fleet.db") as store:
+            round_id, starts = self._open(store)
+            results = self._finish(store, round_id)
+            rows = store.device_rounds(round_id)
+        for row in rows:
+            assert row.result_state is results[row.device_id]
+            assert row.snapshot is not starts[row.device_id]
+            assert _is_one_of(row.snapshot, unpickled)
+            _assert_same_state(row.snapshot, starts[row.device_id])
+        assert rows[2].snapshot is rows[1].snapshot  # one load per digest
+
+    def test_another_store_on_the_file_unpickles_every_state(self, tmp_path, unpickled):
+        path = tmp_path / "fleet.db"
+        with DeviceStateStore(path) as store, DeviceStateStore(path) as reader:
+            round_id, starts = self._open(store)
+            results = self._finish(store, round_id)
+            rows = reader.device_rounds(round_id)
+        for row in rows:
+            for loaded, state in (
+                (row.snapshot, starts[row.device_id]),
+                (row.result_state, results[row.device_id]),
+            ):
+                assert loaded is not state
+                assert _is_one_of(loaded, unpickled)
+                _assert_same_state(loaded, state)
+
+    def test_a_failed_write_leaves_the_states_served(self, tmp_path):
+        """A ``mark_done`` whose commit fails on every attempt changes
+        nothing: the round-start states are still the given objects."""
+        with DeviceStateStore(
+            tmp_path / "fleet.db", write_retries=2, retry_sleep=0.0
+        ) as store:
+            round_id, starts = self._open(store)
+
+            def always_fail(sql):
+                if sql.startswith("UPDATE device_rounds SET status = 'done'"):
+                    raise sqlite3.OperationalError("injected: disk I/O error")
+
+            store.before_write = always_fail
+            with pytest.raises(StoreError, match="after 2 attempts"):
+                self._finish(store, round_id)
+            store.before_write = None
+            rows = store.device_rounds(round_id)
+        assert [(row.status, row.result_state) for row in rows] == [("running", None)] * 3
+        assert all(row.snapshot is starts[row.device_id] for row in rows)
+
+    def test_device_progress_reads_no_state(self, tmp_path, unpickled):
+        path = tmp_path / "fleet.db"
+        with DeviceStateStore(path) as store, DeviceStateStore(path) as reader:
+            round_id, _ = self._open(store)
+            store.mark_running(round_id, ["d0", "d1"])
+            store.mark_failed(round_id, {"d1": "boom"})
+            progress = reader.device_progress(round_id)
+        assert [tuple(row) for row in progress] == [
+            ("d0", "running", 1, None), ("d1", "pending", 1, "boom"), ("d2", "pending", 0, None),
+        ]
+        assert unpickled == []
+
+
 class TestContentAddressedStates:
-    def test_identical_states_are_stored_and_loaded_once(self):
+    def test_identical_states_are_stored_and_loaded_once(self, tmp_path, unpickled):
+        """Five devices share one state per write: the file holds each once,
+        and a second store on it unpickles each once per read."""
         devices = [f"d{k}" for k in range(5)]
-        with DeviceStateStore() as store:
+        path = tmp_path / "fleet.db"
+        with DeviceStateStore(path) as store, DeviceStateStore(path) as reader:
             round_id = store.open_round(
                 {device_id: (_digest(0), "pool", _snapshot(0)) for device_id in devices}
             )
@@ -185,7 +311,8 @@ class TestContentAddressedStates:
                 {device_id: (_digest(1), _snapshot(1), {"flips": 1}) for device_id in devices},
             )
             assert _state_count(store) == 2
-            rows = store.device_rounds(round_id)
+            rows = reader.device_rounds(round_id)
+            assert len(unpickled) == 2 + len(devices)  # two states, five stats
             assert all(row.snapshot is rows[0].snapshot for row in rows)
             assert all(row.result_state is rows[0].result_state for row in rows)
             np.testing.assert_array_equal(rows[0].snapshot["codes"], _snapshot(0)["codes"])

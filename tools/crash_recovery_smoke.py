@@ -240,8 +240,11 @@ def _holds(state: object, digest: Optional[str]) -> bool:
 def check_store(store_path: str) -> Tuple[Optional[str], int, int]:
     """Scenario 3: walk every round left in the store.
 
-    Returns a failure message (or None), the number of rows walked and the
-    number of reused rows among them (done with no attempt counted).
+    The walk opens a fresh ``DeviceStateStore``, which holds no state in
+    memory, so it unpickles every state from the file: the check that the
+    states a gateway pickled load back as their digests.  Returns a failure
+    message (or None), the number of rows walked and the number of reused
+    rows among them (done with no attempt counted).
     """
     walked = reused = 0
     with DeviceStateStore(store_path) as store:
