@@ -3,7 +3,8 @@
 ``repro.nn.kernels`` owns the im2col/col2im primitives that Conv1d/Conv2d
 forward and backward passes are built from.  Production runs one kernel,
 :class:`StridedKernel`: im2col as one strided slab copy per kernel tap from
-a channels-last source, feeding a single GEMM, and a fused, cache-blocked
+a channels-last source (in 2-D, a row-tap pass and then a column-tap pass),
+feeding a single GEMM, and a fused, cache-blocked
 kernel-tap loop for the col2im backward, with no gather or scatter-index
 arrays at all.  See :mod:`repro.nn.kernels.strided`.
 

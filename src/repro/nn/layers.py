@@ -398,6 +398,10 @@ class ReLU(Module):
     instead of being silently zeroed, and a masked non-finite gradient
     yields NaN rather than 0 — failures upstream surface instead of being
     laundered to zero here.
+
+    Only a training-mode forward keeps the mask the backward reads; an
+    eval-mode forward leaves ``_mask`` at ``None``, and a backward after it
+    raises ``RuntimeError``.
     """
 
     def __init__(self):
@@ -405,12 +409,15 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+        self._mask = x > 0 if self.training else None
         return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("backward called before forward on ReLU")
+            raise RuntimeError(
+                "backward on ReLU needs a training-mode forward first: "
+                "an eval-mode forward keeps no mask"
+            )
         return grad_output * self._mask
 
 
@@ -497,7 +504,13 @@ class GlobalAvgPool2d(Module):
 
 
 class MaxPool2d(Module):
-    """Non-overlapping max pooling over spatial axes of ``(N, C, H, W)`` inputs."""
+    """Non-overlapping max pooling over spatial axes of ``(N, C, H, W)`` inputs.
+
+    Only a training-mode forward keeps the argmax the backward reads; an
+    eval-mode forward folds the same taps in the same order without it,
+    leaves ``_cache`` at ``None``, and a backward after it raises
+    ``RuntimeError``.
+    """
 
     def __init__(self, pool_size: int = 2):
         super().__init__()
@@ -516,24 +529,28 @@ class MaxPool2d(Module):
             raise ValueError(f"input {h}x{w} is smaller than pool size {p}")
         # Fold one strided view per window tap, in window order dy * p + dx:
         # NumPy reduces a short trailing window axis slowly, and building that
-        # axis copies a channels-last input.  A tap takes the argmax on
-        # np.argmax's rule, ``not tap <= out`` while ``out`` is not yet NaN:
-        # strictly greater, or the first NaN.
+        # axis copies a channels-last input.  In training mode a tap takes the
+        # argmax on np.argmax's rule, ``not tap <= out`` while ``out`` is not
+        # yet NaN: strictly greater, or the first NaN.
         out = x[:, :, : out_h * p : p, : out_w * p : p].copy()
-        argmax = np.zeros(out.shape, dtype=np.intp)
+        argmax = np.zeros(out.shape, dtype=np.intp) if self.training else None
         for index in range(1, p * p):
             dy, dx = divmod(index, p)
             tap = x[:, :, dy : out_h * p : p, dx : out_w * p : p]
-            wins = ~(tap <= out)
-            wins &= out == out
-            np.putmask(argmax, wins, index)
+            if argmax is not None:
+                wins = ~(tap <= out)
+                wins &= out == out
+                np.putmask(argmax, wins, index)
             np.maximum(out, tap, out=out)
-        self._cache = (x.shape, out_h, out_w, argmax)
+        self._cache = None if argmax is None else (x.shape, out_h, out_w, argmax)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward on MaxPool2d")
+            raise RuntimeError(
+                "backward on MaxPool2d needs a training-mode forward first: "
+                "an eval-mode forward keeps no argmax"
+            )
         input_shape, out_h, out_w, argmax = self._cache
         n, c, h, w = input_shape
         p = self.pool_size

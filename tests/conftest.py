@@ -9,7 +9,12 @@ import pytest
 
 from repro import nn, reference, runtime
 from repro.core.bitflip import BitFlipNetwork, FeatureNormalizer, extract_parameter_features
-from repro.data import SyntheticTimeSeriesConfig, make_dsa_surrogate
+from repro.data import (
+    SyntheticImageConfig,
+    SyntheticTimeSeriesConfig,
+    make_caltech10_surrogate,
+    make_dsa_surrogate,
+)
 from repro.models import MLPClassifier, build_model
 from repro.nn.training import train_classifier
 from repro.quantization import QuantizationConfig, QuantizedModel
@@ -19,6 +24,14 @@ from repro.quantization import QuantizationConfig, QuantizedModel
 #: domain.
 SMOKE_DATA = SyntheticTimeSeriesConfig(
     num_classes=3, num_domains=2, channels=3, length=16,
+    train_per_class=6, val_per_class=1, test_per_class=1,
+)
+
+#: The image smoke dataset the 2-D bit-identity tests share:
+#: ``make_caltech10_surrogate(seed=0)`` at three classes of 3x16x16 images,
+#: 18 training images per domain.
+SMOKE_IMAGES = SyntheticImageConfig(
+    num_classes=3, num_domains=2, channels=3, size=16,
     train_per_class=6, val_per_class=1, test_per_class=1,
 )
 
@@ -85,10 +98,28 @@ def small_classification_data(rng: np.random.Generator):
     return x[order], y[order]
 
 
-def _smoke_domains():
-    """The smoke dataset's source and target training splits."""
-    data = make_dsa_surrogate(seed=0, config=SMOKE_DATA)
-    return data, data[data.domain_names[0]].train, data[data.domain_names[1]].train
+def _source_and_target(data):
+    """The training splits of ``data``'s first and second domains."""
+    return data[data.domain_names[0]].train, data[data.domain_names[1]].train
+
+
+def _build_smoke_setup(data, model_name, bits, storage):
+    """``(qmodel, network, normalizer, pool, source)`` of one smoke edge setup."""
+    source, target = _source_and_target(data)
+    rng = np.random.default_rng(0)
+    model = build_model(model_name, data.input_shape, data.num_classes, rng=rng)
+    train_classifier(
+        model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
+        source.features, source.labels, epochs=1, batch_size=32, rng=rng,
+    )
+    qmodel = storage(model, QuantizationConfig(bits=bits))
+    normalizer = FeatureNormalizer()
+    extract_parameter_features(
+        qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
+    )
+    network = BitFlipNetwork(rng=np.random.default_rng(1))
+    pool = target.subset(np.arange(12))
+    return qmodel, network, normalizer, pool, source
 
 
 @pytest.fixture
@@ -104,21 +135,26 @@ def smoke_setup():
     """
 
     def build(bits=4, storage=QuantizedModel):
-        data, source, target = _smoke_domains()
-        rng = np.random.default_rng(0)
-        model = build_model("InceptionTime", data.input_shape, data.num_classes, rng=rng)
-        train_classifier(
-            model, nn.SGD(model.parameters(), lr=0.05, momentum=0.9),
-            source.features, source.labels, epochs=1, batch_size=32, rng=rng,
-        )
-        qmodel = storage(model, QuantizationConfig(bits=bits))
-        normalizer = FeatureNormalizer()
-        extract_parameter_features(
-            qmodel, source.features[:32], normalizer=normalizer, fit_normalizer=True
-        )
-        network = BitFlipNetwork(rng=np.random.default_rng(1))
-        pool = target.subset(np.arange(12))
-        return qmodel, network, normalizer, pool, source
+        data = make_dsa_surrogate(seed=0, config=SMOKE_DATA)
+        return _build_smoke_setup(data, "InceptionTime", bits, storage)
+
+    return build
+
+
+@pytest.fixture
+def smoke_image_setup():
+    """Builder of the 2-D smoke edge setup, under the active compute dtype.
+
+    ``smoke_image_setup()`` returns what ``smoke_setup()`` returns, for a
+    ResNet18 on the :data:`SMOKE_IMAGES` surrogate (3x16x16 images): trained
+    one epoch on the source domain and quantized to 4 bits, a feature
+    normalizer fitted on the 18 source images, the BF network of seed 1 and
+    the first 12 target images.
+    """
+
+    def build():
+        data = make_caltech10_surrogate(seed=0, config=SMOKE_IMAGES)
+        return _build_smoke_setup(data, "ResNet18", 4, QuantizedModel)
 
     return build
 
@@ -133,7 +169,8 @@ def smoke_mlp_head():
     """
 
     def build():
-        data, source, _ = _smoke_domains()
+        data = make_dsa_surrogate(seed=0, config=SMOKE_DATA)
+        source, _ = _source_and_target(data)
         windows = source.features
         features = np.concatenate(
             [windows.mean(axis=2), windows.std(axis=2), windows.min(axis=2), windows.max(axis=2)],

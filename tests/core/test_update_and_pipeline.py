@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core import QCoreFramework, QCoreSet, QCoreUpdater
-from repro.core.pipeline import absorb_batches
+from repro import nn, reference
+from repro.core import QCoreFramework, QCoreSet, QCoreUpdater, bitflip
+from repro.core.pipeline import EdgeDeployment, absorb_batches
 from repro.data import SyntheticTimeSeriesConfig, build_stream_scenario, make_dsa_surrogate
 from repro.models import InceptionTimeSurrogate
 
@@ -201,3 +201,36 @@ class TestProcessBatchEqualsSeedLoop:
         for mine, theirs in zip(fast_trackers, seed_trackers):
             np.testing.assert_array_equal(mine.misses[bits], theirs.misses[bits])
             assert mine.steps_observed == theirs.steps_observed == {bits: 4}
+
+
+class TestEvalModeState:
+    def test_process_batch_keeps_no_backward_state(self, smoke_image_setup):
+        """Every forward of a ResNet18 stream batch runs ReLU and MaxPool2d in
+        eval mode, so none of them holds a mask or argmax afterwards; the
+        weighted layers' BF summaries still equal the seed's, and a
+        training-mode forward and backward still reach the stem."""
+        qmodel, network, normalizer, pool, source = smoke_image_setup()
+        qcore = QCoreSet.from_dataset(source.subset(np.arange(8)), levels=[4])
+        deployment = EdgeDeployment(
+            qmodel, network, qcore, calibration_epochs=2,
+            feature_normalizer=normalizer, rng=np.random.default_rng(0),
+        )
+        deployment.process_batch(pool)
+        model = qmodel.model
+        relus = [m for m in model.modules() if isinstance(m, nn.ReLU)]
+        pools = [m for m in model.modules() if isinstance(m, nn.MaxPool2d)]
+        assert len(relus) == 6 and len(pools) == 1
+        assert all(m._mask is None for m in relus)
+        assert all(m._cache is None for m in pools)
+        for layer in model.weighted_layers():
+            fast = bitflip._layer_activation_summaries(layer)
+            seed = reference.layer_activation_summaries(layer)
+            for fast_mean, seed_mean in zip(fast, seed):
+                assert fast_mean.tobytes() == seed_mean.tobytes()
+        model.train()
+        model.zero_grad()
+        logits = model.forward(pool.features)
+        grad_in = model.backward(np.ones_like(logits))
+        assert grad_in.shape == pool.features.shape
+        assert np.all(np.isfinite(grad_in)) and np.any(grad_in != 0)
+        assert np.any(model.layers[0].weight.grad != 0)

@@ -152,7 +152,8 @@ def test_maxpool2d_equals_seed_reduction(dtype):
     """The tap-by-tap forward equals the seed's reshape-and-reduce form: values
     (NaN in the same cells), the cached argmax under np.argmax's first-maximum
     and first-NaN rule, and the backward gradient; for channels-first inputs
-    and for ResNet18's channels-last views, with trimmed edges and ties."""
+    and for ResNet18's channels-last views, with trimmed edges and ties.  An
+    eval-mode forward returns the same bytes and caches nothing."""
     rng = np.random.default_rng(11)
     for case in range(40):
         p = int(rng.integers(1, 4))
@@ -177,6 +178,46 @@ def test_maxpool2d_equals_seed_reduction(dtype):
             layer.backward(grad_output),
             _scatter_to_argmax(x.shape, seed_argmax, grad_output, p),
         )
+        eval_layer = nn.MaxPool2d(p).eval()
+        eval_out = eval_layer.forward(x)
+        assert eval_out.dtype == dtype and eval_out.flags.c_contiguous
+        assert eval_out.tobytes() == seed_out.tobytes()
+        assert eval_layer._cache is None
+
+
+def _relu_cells(rng, dtype):
+    """Values around zero with NaN, -0.0, +0.0 and ±inf cells."""
+    x = rng.normal(size=(4, 3, 5)).astype(dtype)
+    x.flat[:6] = [np.nan, -0.0, 0.0, np.inf, -np.inf, -np.nan]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relu_eval_forward_equals_training_forward(dtype):
+    """An eval-mode ReLU returns the training forward's bytes and keeps no mask."""
+    x = _relu_cells(np.random.default_rng(4), dtype)
+    layer = nn.ReLU()
+    train_out = layer.forward(x)
+    assert layer._mask is not None
+    eval_out = layer.eval().forward(x)
+    assert eval_out.dtype == train_out.dtype == dtype
+    assert eval_out.tobytes() == train_out.tobytes()
+    assert layer._mask is None
+
+
+@pytest.mark.parametrize(
+    "layer_type,shape", [(nn.ReLU, (3, 4)), (nn.MaxPool2d, (2, 3, 4, 4))], ids=["ReLU", "MaxPool2d"]
+)
+def test_backward_after_eval_forward_raises(layer_type, shape):
+    """A training forward's backward state does not survive an eval forward,
+    so a backward after the eval forward raises instead of routing the
+    gradient through the earlier batch's mask or argmax."""
+    x = np.random.default_rng(6).normal(size=shape)
+    layer = layer_type()
+    layer.forward(x)
+    out = layer.eval().forward(x)
+    with pytest.raises(RuntimeError, match="training-mode forward"):
+        layer.backward(np.ones_like(out))
 
 
 def test_global_avg_pool_1d_and_2d(rng):

@@ -7,7 +7,8 @@ through both kernels, the strided path on non-contiguous inputs, the
 bit-identity property between the strided kernel and the naive reference
 across random shapes and input layouts (im2col at float64 and float32,
 col2im at float64), whole conv models of the zoo run on both kernels, and
-edge calibration and QAT on both kernels at the shared smoke setup.
+edge calibration and QAT on both kernels at the shared 1-D and 2-D smoke
+setups.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ class TestStridedNaiveBitIdentity:
     @staticmethod
     def _check_im2col(rng, x, primitive, kernel, stride, padding):
         """Strided im2col equals naive at both dtypes, for a drawn layout,
-        and is a C-contiguous array of the input's dtype."""
+        and is a C-contiguous array of the input's dtype.  Returns the layout."""
         layout = LAYOUTS[int(rng.integers(len(LAYOUTS)))]
         for dtype in (np.float64, np.float32):
             with runtime.use_dtype(dtype):
@@ -292,6 +293,7 @@ class TestStridedNaiveBitIdentity:
                 np.testing.assert_array_equal(
                     cols, getattr(NAIVE, primitive)(x_in, kernel, stride, padding)
                 )
+        return layout
 
     def test_random_geometries_1d(self, rng):
         for _ in range(25):
@@ -311,23 +313,34 @@ class TestStridedNaiveBitIdentity:
             np.testing.assert_array_equal(bwd_strided, bwd_naive)
 
     def test_random_geometries_2d(self, rng):
-        for _ in range(15):
+        """Kernels 1-5 and strides 1-4 (a stride above the kernel skips
+        source rows and columns), padding 0-3, non-square inputs and single
+        images: every case the two separable im2col passes can mistake."""
+        seen = set()
+        for _ in range(60):
             n = int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            kernel = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
-            padding = int(rng.integers(0, 3))
+            kernel = int(rng.integers(1, 6))
+            stride = int(rng.integers(1, 5))
+            padding = int(rng.integers(0, 4))
             min_hw = max(1, kernel - 2 * padding)
-            h = int(rng.integers(min_hw, min_hw + 7))
-            w = int(rng.integers(min_hw, min_hw + 7))
+            h = int(rng.integers(min_hw, min_hw + 10))
+            w = int(rng.integers(min_hw, min_hw + 10))
             shape = (n, c, h, w)
             x = rng.normal(size=shape)
-            self._check_im2col(rng, x, "im2col_2d", kernel, stride, padding)
+            seen.add(self._check_im2col(rng, x, "im2col_2d", kernel, stride, padding))
+            seen.update(
+                name for name, hit in (
+                    ("n == 1", n == 1), ("h != w", h != w),
+                    ("stride > kernel", stride > kernel),
+                ) if hit
+            )
             cols = _random_cols_2d(rng, shape, kernel, stride, padding)
             np.testing.assert_array_equal(
                 STRIDED.col2im_2d(cols, shape, kernel, stride, padding),
                 NAIVE.col2im_2d(cols, shape, kernel, stride, padding),
             )
+        assert seen == {*LAYOUTS, "n == 1", "h != w", "stride > kernel"}
 
     def test_adjoint_identity_strided(self, rng):
         """<im2col(x), cols> == <x, col2im(cols)> through the strided kernel."""
@@ -446,9 +459,10 @@ def _assert_same_codes(codes, naive_codes):
 
 
 class TestConvKernelsBenchTwins:
-    """The shared smoke setup (``smoke_setup`` in ``tests/conftest.py``) run
-    on the production kernel and on the naive reference kernel must decide
-    the same: edge flips at float64 and float32, QAT codes at float64."""
+    """The shared smoke setups (``smoke_setup``, 1-D, and
+    ``smoke_image_setup``, 2-D, in ``tests/conftest.py``) run on the
+    production kernel and on the naive reference kernel must decide the
+    same: edge flips at float64 and float32, QAT codes at float64."""
 
     @staticmethod
     def _edge_run(setup, naive):
@@ -463,20 +477,19 @@ class TestConvKernelsBenchTwins:
             stats = calibrator.calibrate(edge_q, pool)
         return stats.flips_per_epoch, edge_q.snapshot_codes()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-    def test_edge_flips_identical_on_naive_kernel(self, smoke_setup, dtype):
-        """Flips per epoch and final codes of an unvalidated edge calibration."""
-        with runtime.use_dtype(dtype):
-            setup = smoke_setup()
-            flips, codes = self._edge_run(setup, naive=False)
-            naive_flips, naive_codes = self._edge_run(setup, naive=True)
-        assert min(flips) > 0  # an epoch that flips nothing would compare nothing
+    @classmethod
+    def _edge_twins(cls, setup):
+        """Flips per epoch and codes on the production and the naive kernel."""
+        flips, codes = cls._edge_run(setup, naive=False)
+        naive_flips, naive_codes = cls._edge_run(setup, naive=True)
         assert flips == naive_flips
         _assert_same_codes(codes, naive_codes)
+        return flips
 
-    def test_qat_codes_identical_on_naive_kernel(self, smoke_setup):
-        """Codes after one STE epoch at float64."""
-        qmodel, _, _, _, source = smoke_setup()
+    @staticmethod
+    def _qat_twins(setup):
+        """Codes after one STE epoch on the production and the naive kernel."""
+        qmodel, _, _, _, source = setup
         start = qmodel.snapshot_codes()
         results = {}
         for naive in (False, True):
@@ -490,6 +503,29 @@ class TestConvKernelsBenchTwins:
         # The epoch must move some code, or the comparison would show nothing.
         assert any(not np.array_equal(results[False][n], start[n]) for n in start)
         _assert_same_codes(results[False], results[True])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_edge_flips_identical_on_naive_kernel(self, smoke_setup, dtype):
+        """Flips per epoch and final codes of an unvalidated edge calibration."""
+        with runtime.use_dtype(dtype):
+            flips = self._edge_twins(smoke_setup())
+        assert min(flips) > 0  # an epoch that flips nothing would compare nothing
+
+    def test_qat_codes_identical_on_naive_kernel(self, smoke_setup):
+        """Codes after one STE epoch at float64."""
+        self._qat_twins(smoke_setup())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_image_edge_flips_identical_on_naive_kernel(self, smoke_image_setup, dtype):
+        """The 2-D twin: a ResNet18 edge calibration reads the Conv2d columns
+        through the BF summaries, at float32 too."""
+        with runtime.use_dtype(dtype):
+            flips = self._edge_twins(smoke_image_setup())
+        assert max(flips) > 0
+
+    def test_image_qat_codes_identical_on_naive_kernel(self, smoke_image_setup):
+        """The 2-D twin: codes after one ResNet18 STE epoch at float64."""
+        self._qat_twins(smoke_image_setup())
 
 
 class TestKernelContract(object):
